@@ -35,10 +35,10 @@ baseline by the property tests and ``benchmarks/bench_incremental_akg.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.akg.burstiness import BurstinessTracker
-from repro.akg.idsets import IdSetIndex, SlideDelta, make_batched_idsets
+from repro.akg.idsets import IdSetIndex, SlideDelta, WindowEdit, make_batched_idsets
 from repro.akg.minhash import (
     MinHasher,
     Sketch,
@@ -223,6 +223,65 @@ def select_dead_nodes(
         if aged_out(kw):
             lazy.append(kw)
     return stale, lazy
+
+
+def window_splice(edit: WindowEdit, quantum: int) -> Optional[list]:
+    """A window slide as a list edit op: drop head blocks, insert one.
+
+    ``edit`` is a window index's :data:`~repro.akg.idsets.WindowEdit`; the
+    result patches the previous quantum's serialized window queue into the
+    current one (``None`` when the slide left it untouched).
+    """
+    dropped, live, entries = edit
+    edits: list = []
+    if dropped:
+        edits.append(["x", len(dropped)])
+    if entries is not None:
+        if len(live) > 1:
+            edits.append(["k", len(live) - 1])
+        edits.append(["i", [[quantum, entries]]])
+    return ["l", edits] if edits else None
+
+
+def akg_small_state(
+    burstiness: BurstinessTracker,
+    grace_deadlines: Dict[int, Set[Keyword]],
+    newly_unclustered: Set[Keyword],
+) -> dict:
+    """The AKG stage's non-window state: small, and volatile enough that
+    the delta log ships it whole instead of diffing it."""
+    return {
+        "burstiness": burstiness.to_state(),
+        "grace_deadlines": [
+            [deadline, sorted(kws)]
+            for deadline, kws in sorted(grace_deadlines.items())
+        ],
+        "newly_unclustered": sorted(newly_unclustered),
+    }
+
+
+def akg_quantum_op(
+    quantum: int,
+    idsets_edit: WindowEdit,
+    sketches_edit: WindowEdit,
+    small_state: dict,
+) -> list:
+    """The AKG stage's delta-log op for the quantum just finished.
+
+    The two windows travel as splices; ``small_state`` (burst automaton,
+    grace schedule, unclustered hints) is replaced whole.  Shared by the
+    serial builders and the sharded front-end, like the state layout.
+    """
+    idsets_sets = [["last_quantum", ["r", quantum]]]
+    splice = window_splice(idsets_edit, quantum)
+    if splice is not None:
+        idsets_sets.append(["window", splice])
+    sets = [[key, ["r", value]] for key, value in small_state.items()]
+    sets.append(["idsets", ["d", idsets_sets, []]])
+    splice = window_splice(sketches_edit, quantum)
+    if splice is not None:
+        sets.append(["sketches", ["d", [["window", splice]], []]])
+    return ["d", sets, []]
 
 
 @dataclass
@@ -436,13 +495,29 @@ class AkgBuilder:
             "oracle": self.oracle,
             "idsets": self.idsets.to_state(),
             "sketches": self.sketches.to_state(),
-            "burstiness": self.burstiness.to_state(),
-            "grace_deadlines": [
-                [deadline, sorted(kws)]
-                for deadline, kws in sorted(self._grace_deadlines.items())
-            ],
-            "newly_unclustered": sorted(self._newly_unclustered),
+            **self._small_state(),
         }
+
+    def _small_state(self) -> dict:
+        return akg_small_state(
+            self.burstiness, self._grace_deadlines, self._newly_unclustered
+        )
+
+    def quantum_op(self, quantum: int) -> list:
+        """Edit op turning the previous quantum's :meth:`to_state` tree
+        into the current one (DESIGN.md Section 10)."""
+        if self.oracle:
+            # From-scratch components keep no notion of "what the slide
+            # did" — that is their point — so they are replaced whole.
+            state = self.to_state()
+            del state["oracle"]
+            return ["d", [[k, ["r", v]] for k, v in state.items()], []]
+        return akg_quantum_op(
+            quantum,
+            self.idsets.window_edit(quantum),
+            self.sketches.window_edit(quantum),
+            self._small_state(),
+        )
 
     def from_state(self, state: dict) -> None:
         """Restore the AKG stage in place from :meth:`to_state` output.
@@ -564,10 +639,13 @@ __all__ = [
     "AkgBuilder",
     "AkgQuantumStats",
     "BatchedAkgBuilder",
+    "akg_quantum_op",
+    "akg_small_state",
     "candidate_edge_pairs",
     "drain_removal_candidates",
     "minhash_candidate_pairs",
     "qualify_new_edges",
     "refresh_incident_edges",
     "select_dead_nodes",
+    "window_splice",
 ]

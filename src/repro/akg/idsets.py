@@ -16,12 +16,18 @@ which keywords contributed to each quantum.  A slide therefore touches only
 the keywords that appeared in the entering quantum plus the keywords whose
 entries expire — never the full vocabulary — and reports exactly that delta
 as a :class:`SlideDelta` so downstream stages can stay delta-driven too.
+
+Serialized, the window is a queue of per-quantum blocks ``[[q, [[kw,
+users], ...]], ...]``, oldest first, each sorted by keyword — so a slide
+edits it by dropping head blocks and appending one, which ``window_edit``
+reports and the delta log records (DESIGN.md Section 10).
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Deque,
@@ -31,6 +37,8 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -45,6 +53,14 @@ if TYPE_CHECKING:
 
 Keyword = str
 UserId = Hashable
+
+_KEYWORD = itemgetter(0)  # sort key of a ``[keyword, users]`` block entry
+
+WindowEdit = Tuple[Sequence[int], Sequence[int], Optional[list]]
+"""The last slide's edit to a serialized window queue: ``(dropped, live,
+entries)`` — the quanta of the head blocks it expired, the quanta of the
+blocks now live (oldest first), and the newest block's keyword-sorted
+entries (``None`` when the quantum contributed no block)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,6 +113,7 @@ class IdSetIndex:
         "_counts",
         "_user_counts",
         "_last_quantum",
+        "_dropped",
     )
 
     def __init__(self, window_quanta: int) -> None:
@@ -113,6 +130,8 @@ class IdSetIndex:
         # which is what feeds SlideDelta.vanished_users.
         self._user_counts: Counter = Counter()
         self._last_quantum: int | None = None
+        # quanta of the schedule blocks the last slide expired
+        self._dropped: List[int] = []
 
     # ------------------------------------------------------------- updates
 
@@ -139,8 +158,10 @@ class IdSetIndex:
         }
         appeared = set(frozen)
         expired: Set[Keyword] = set()
+        dropped = self._dropped = []
         while self._schedule and self._schedule[0][0] <= cutoff:
-            _, kws = self._schedule.popleft()
+            old, kws = self._schedule.popleft()
+            dropped.append(old)
             expired.update(kws)
         touched = appeared | expired
         counts = self._counts
@@ -215,22 +236,23 @@ class IdSetIndex:
     # ---------------------------------------------------------- persistence
 
     def to_state(self) -> dict:
-        """Checkpointable snapshot: the per-keyword window entries.
+        """Checkpointable snapshot: the window as a queue of quantum blocks.
 
-        The multiplicity counters and the expiry schedule are derivable from
-        the entries, so only the entries (plus the slide cursor) are stored;
-        :meth:`from_state` rebuilds the rest deterministically.  Entries are
-        emitted in sorted keyword order so the snapshot is a pure function of
-        the window *contents* — the keyword-range-sharded front-end relies on
-        this to make its merged checkpoint byte-identical to a serial one
-        (DESIGN.md Section 7).
+        The multiplicity counters are derivable from the blocks, so only
+        the blocks (plus the slide cursor) are stored; :meth:`from_state`
+        rebuilds the rest deterministically.  Blocks are oldest first and
+        each is sorted by keyword, so the snapshot is a pure function of
+        the window *contents* — the keyword-range-sharded front-end relies
+        on this to make its merged checkpoint byte-identical to a serial
+        one (DESIGN.md Section 7).
         """
+        blocks: Dict[int, list] = {q: [] for q, _ in self._schedule}
+        for kw, entries in sorted(self._entries.items()):
+            for q, users in entries:
+                blocks[q].append([kw, sorted(users, key=repr)])
         return {
             "last_quantum": self._last_quantum,
-            "entries": [
-                [kw, [[q, sorted(users, key=repr)] for q, users in entries]]
-                for kw, entries in sorted(self._entries.items())
-            ],
+            "window": [[q, block] for q, block in blocks.items()],
         }
 
     def from_state(self, state: dict) -> None:
@@ -239,21 +261,28 @@ class IdSetIndex:
         self._entries = {}
         self._counts = {}
         self._user_counts = Counter()
-        by_quantum: Dict[int, list] = {}
-        for kw, entries in state["entries"]:
-            deque_entries: Deque[Tuple[int, FrozenSet[UserId]]] = deque()
-            counter: Counter = Counter()
-            for q, users in entries:
+        self._schedule = deque()
+        self._dropped = []
+        for q, block in state["window"]:
+            for kw, users in block:
                 frozen = frozenset(users)
-                deque_entries.append((q, frozen))
-                counter.update(frozen)
+                self._entries.setdefault(kw, deque()).append((q, frozen))
+                self._counts.setdefault(kw, Counter()).update(frozen)
                 self._user_counts.update(frozen)
-                by_quantum.setdefault(q, []).append(kw)
-            self._entries[kw] = deque_entries
-            self._counts[kw] = counter
-        self._schedule = deque(
-            (q, tuple(sorted(by_quantum[q]))) for q in sorted(by_quantum)
-        )
+            self._schedule.append((q, tuple(kw for kw, _ in block)))
+
+    def window_edit(self, quantum: int) -> WindowEdit:
+        """What the slide to ``quantum`` (the last one) did to the
+        serialized window — read off the schedule on demand; nothing is
+        recorded for it beyond the block quanta the slide pops anyway."""
+        schedule = self._schedule
+        entries = None
+        if schedule and schedule[-1][0] == quantum:
+            entries = [
+                [kw, sorted(self._entries[kw][-1][1], key=repr)]
+                for kw in sorted(schedule[-1][1])
+            ]
+        return self._dropped, [q for q, _ in schedule], entries
 
     # ------------------------------------------------------------- queries
 
@@ -352,6 +381,7 @@ class BatchedIdSetIndex:
         "_distinct",
         "_user_counts",
         "_last_quantum",
+        "_dropped",
     )
 
     def __init__(self, window_quanta: int, seed: int = 0) -> None:
@@ -372,6 +402,8 @@ class BatchedIdSetIndex:
         # entry; zero means the user left the whole window (vanished).
         self._user_counts: Dict[int, int] = {}
         self._last_quantum: int | None = None
+        # quanta of the window blocks the last slide expired
+        self._dropped: List[int] = []
 
     # ------------------------------------------------------------- updates
 
@@ -412,8 +444,10 @@ class BatchedIdSetIndex:
         cutoff = quantum - self.window_quanta
         segments = columns.segments
         expired_eids: Set[int] = set()
+        dropped = self._dropped = []
         while self._schedule and self._schedule[0][0] <= cutoff:
-            _, eids = self._schedule.popleft()
+            old, eids = self._schedule.popleft()
+            dropped.append(old)
             expired_eids.update(eids)
 
         distinct = self._distinct
@@ -516,31 +550,41 @@ class BatchedIdSetIndex:
 
     # ---------------------------------------------------------- persistence
 
+    def _window(self) -> Deque[tuple]:
+        """The live ``(quantum, block handle)`` queue, oldest first."""
+        return self._schedule
+
+    def _block_entries(self, quantum: int, eids: Iterable[int]) -> list:
+        """One quantum block in snapshot form: ``[[kw, users], ...]`` with
+        interner ids resolved back to the original objects and sorted
+        exactly as the reference index sorts."""
+        ent_objs = self.ents.objs
+        act_objs = self.acts.objs
+        block = []
+        for eid in eids:
+            for q, entry in self._entries[eid]:
+                if q == quantum:
+                    block.append(
+                        [
+                            ent_objs[eid],
+                            sorted((act_objs[a] for a in entry), key=repr),
+                        ]
+                    )
+        block.sort(key=_KEYWORD)
+        return block
+
     def to_state(self) -> dict:
         """Checkpointable snapshot — byte-identical to :class:`IdSetIndex`.
 
-        Interner ids are execution-internal: entries resolve back to the
-        original keyword/user objects and sort exactly as the reference
-        index sorts, so a batched session's checkpoint is indistinguishable
-        from a reference one at the same stream position (the Section 9
-        checkpoint-identity contract).
+        Interner ids are execution-internal, so a batched session's
+        checkpoint is indistinguishable from a reference one at the same
+        stream position (the Section 9 checkpoint-identity contract).
         """
-        ent_objs = self.ents.objs
-        act_objs = self.acts.objs
         return {
             "last_quantum": self._last_quantum,
-            "entries": [
-                [
-                    kw,
-                    [
-                        [q, sorted((act_objs[a] for a in entry), key=repr)]
-                        for q, entry in entries
-                    ],
-                ]
-                for kw, entries in sorted(
-                    (ent_objs[eid], entries)
-                    for eid, entries in self._entries.items()
-                )
+            "window": [
+                [q, self._block_entries(q, block)]
+                for q, block in self._window()
             ],
         }
 
@@ -561,27 +605,34 @@ class BatchedIdSetIndex:
         self._pair_counts = {}
         self._distinct = {}
         self._user_counts = {}
+        self._schedule = deque()
+        self._dropped = []
         pair_counts = self._pair_counts
         user_counts = self._user_counts
-        by_quantum: Dict[int, List[int]] = {}
-        for kw, entries in state["entries"]:
-            eid = self.ents.intern(kw)
-            deque_entries: Deque[Tuple[int, Tuple[int, ...]]] = deque()
-            dset = self._distinct.setdefault(eid, set())
-            base = eid << 32
-            for q, users in entries:
+        for q, block in state["window"]:
+            eids = []
+            for kw, users in block:
+                eid = self.ents.intern(kw)
+                eids.append(eid)
                 entry = tuple(self.acts.intern(u) for u in users)
-                deque_entries.append((q, entry))
-                by_quantum.setdefault(q, []).append(eid)
+                self._entries.setdefault(eid, deque()).append((q, entry))
+                dset = self._distinct.setdefault(eid, set())
+                base = eid << 32
                 for aid in entry:
                     key = base | aid
                     pair_counts[key] = pair_counts.get(key, 0) + 1
                     dset.add(aid)
                     user_counts[aid] = user_counts.get(aid, 0) + 1
-            self._entries[eid] = deque_entries
-        self._schedule = deque(
-            (q, tuple(by_quantum[q])) for q in sorted(by_quantum)
-        )
+            self._schedule.append((q, tuple(eids)))
+
+    def window_edit(self, quantum: int) -> WindowEdit:
+        """What the slide to ``quantum`` (the last one) did to the
+        serialized window."""
+        window = self._window()
+        entries = None
+        if window and window[-1][0] == quantum:
+            entries = self._block_entries(quantum, window[-1][1])
+        return self._dropped, [q for q, _ in window], entries
 
     # ------------------------------------------------------------- queries
 
@@ -737,8 +788,11 @@ class ArrayIdSetIndex(BatchedIdSetIndex):
 
         # -- which quanta leave the window --------------------------------
         expiring: List[object] = []
+        dropped = self._dropped = []
         while self._quanta and self._quanta[0][0] <= cutoff:
-            expiring.append(self._quanta.popleft()[1])
+            old, keys = self._quanta.popleft()
+            dropped.append(old)
+            expiring.append(keys)
         if K_in is not None:
             self._quanta.append((quantum, K_in))
         if expiring:
@@ -868,60 +922,48 @@ class ArrayIdSetIndex(BatchedIdSetIndex):
 
     # ---------------------------------------------------------- persistence
 
-    def to_state(self) -> dict:
-        """Decode the packed columns back to the reference snapshot layout."""
+    def _window(self) -> Deque[tuple]:
+        return self._quanta
+
+    def _block_entries(self, quantum: int, keys) -> list:
+        """Decode one quantum's packed key column to snapshot form."""
         np = self._np
         ent_objs = self.ents.objs
         act_objs = self.acts.objs
-        by_eid: Dict[int, List[list]] = {}
-        for q, keys in self._quanta:
-            eids = keys >> 32
-            bounds = np.flatnonzero(eids[1:] != eids[:-1]) + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [len(keys)]))
-            aids = keys & 0xFFFFFFFF
+        eids = keys >> 32
+        bounds = np.flatnonzero(eids[1:] != eids[:-1]) + 1
+        starts = np.concatenate(([0], bounds))
+        ends = np.concatenate((bounds, [len(keys)]))
+        aids = (keys & 0xFFFFFFFF).tolist()
+        block = [
+            [ent_objs[eid], sorted((act_objs[a] for a in aids[lo:hi]), key=repr)]
             for eid, lo, hi in zip(
                 eids[starts].tolist(), starts.tolist(), ends.tolist()
-            ):
-                users = sorted(
-                    (act_objs[a] for a in aids[lo:hi].tolist()), key=repr
-                )
-                by_eid.setdefault(eid, []).append([q, users])
-        return {
-            "last_quantum": self._last_quantum,
-            "entries": [
-                [kw, entries]
-                for kw, entries in sorted(
-                    (ent_objs[eid], entries)
-                    for eid, entries in by_eid.items()
-                )
-            ],
-        }
+            )
+        ]
+        block.sort(key=_KEYWORD)
+        return block
 
     def from_state(self, state: dict) -> None:
         """Rebuild the packed columns from a reference-layout snapshot."""
         np = self._np
         self._last_quantum = state["last_quantum"]
         self._set_cache = {}
+        self._dropped = []
         # In-place clear: the batched extract stage shares these interners.
         self.ents.clear()
         self.acts.clear()
-        act_ids = self.acts.ids
+        ent_intern = self.ents.intern
         act_intern = self.acts.intern
-        by_quantum: Dict[int, List[int]] = {}
-        for kw, entries in state["entries"]:
-            base = self.ents.intern(kw) << 32
-            for q, users in entries:
-                packed = by_quantum.setdefault(q, [])
-                for user in users:
-                    aid = act_ids.get(user)
-                    if aid is None:
-                        aid = act_intern(user)
-                    packed.append(base | aid)
         self._quanta = deque()
         columns: List[object] = []
-        for q in sorted(by_quantum):
-            keys = np.sort(np.array(by_quantum[q], dtype=np.int64))
+        for q, block in state["window"]:
+            packed = [
+                (ent_intern(kw) << 32) | act_intern(user)
+                for kw, users in block
+                for user in users
+            ]
+            keys = np.sort(np.array(packed, dtype=np.int64))
             self._quanta.append((q, keys))
             columns.append(keys)
         if columns:
@@ -1083,5 +1125,6 @@ __all__ = [
     "BatchedIdSetIndex",
     "IdSetIndex",
     "SlideDelta",
+    "WindowEdit",
     "make_batched_idsets",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from hashlib import blake2b
-from typing import TYPE_CHECKING, Callable, Deque, Dict, Hashable, Iterable, Mapping, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Hashable, Iterable, List, Mapping, Set, Tuple
 
 from repro.arrays import get_numpy
 from repro.errors import ConfigError
@@ -142,6 +142,7 @@ class WindowedSketchIndex:
         "_quanta",
         "_merged",
         "_dirty",
+        "_dropped",
         "merge_recomputes",
     )
 
@@ -156,6 +157,8 @@ class WindowedSketchIndex:
         self._quanta: Deque[Tuple[int, Dict[str, Sketch]]] = deque()
         self._merged: Dict[str, Sketch] = {}
         self._dirty: Set[str] = set()
+        # quanta of the blocks the last slide expired
+        self._dropped: List[int] = []
         # Number of merged-sketch rebuilds performed (work counter for the
         # dirty-only regression tests and the AKG bench).
         self.merge_recomputes = 0
@@ -198,8 +201,10 @@ class WindowedSketchIndex:
         quanta = self._quanta
         merged = self._merged
         dirty = self._dirty
+        dropped = self._dropped = []
         while quanta and quanta[0][0] <= cutoff:
-            _, expired = quanta.popleft()
+            old, expired = quanta.popleft()
+            dropped.append(old)
             for kw in expired:
                 merged.pop(kw, None)
                 if any(kw in live for _, live in quanta):
@@ -207,40 +212,47 @@ class WindowedSketchIndex:
                 else:
                     dirty.discard(kw)
 
-    def to_state(self) -> dict:
-        """Checkpointable snapshot: the per-keyword mini-sketch deques.
+    @staticmethod
+    def _block_entries(minis: Mapping[str, Sketch]) -> list:
+        return [[kw, list(mini)] for kw, mini in sorted(minis.items())]
 
-        The expiry schedule is derivable from the deques and the merged-
-        sketch cache is a pure function of them, so neither is stored;
-        :meth:`from_state` rebuilds the schedule and marks every keyword
-        dirty — the first post-restore query recomputes a merge identical to
-        the pre-snapshot one (the merge is exact, DESIGN.md Section 5).
-        Mini-sketches are emitted in sorted keyword order so the snapshot is
+    def to_state(self) -> dict:
+        """Checkpointable snapshot: the queue of per-quantum mini-sketches.
+
+        The merged-sketch cache is a pure function of the queue, so it is
+        not stored; :meth:`from_state` marks every keyword dirty — the
+        first post-restore query recomputes a merge identical to the
+        pre-snapshot one (the merge is exact, DESIGN.md Section 5).  Blocks
+        are oldest first and each is sorted by keyword, so the snapshot is
         a pure function of the window contents, which makes the sharded
         front-end's merged checkpoint byte-identical to a serial one.
         """
-        by_kw: Dict[str, list] = {}
-        for q, minis in self._quanta:
-            for kw, mini in minis.items():
-                by_kw.setdefault(kw, []).append([q, list(mini)])
         return {
-            "minis": [[kw, entries] for kw, entries in sorted(by_kw.items())],
+            "window": [
+                [q, self._block_entries(minis)] for q, minis in self._quanta
+            ],
         }
 
     def from_state(self, state: dict) -> None:
         """Rebuild the index in place from :meth:`to_state` output."""
-        by_quantum: Dict[int, Dict[str, Sketch]] = {}
-        dirty: Set[str] = set()
-        for kw, minis in state["minis"]:
-            dirty.add(kw)
-            for q, mini in minis:
-                by_quantum.setdefault(q, {})[kw] = tuple(mini)
         self._quanta = deque(
-            (q, by_quantum[q]) for q in sorted(by_quantum)
+            (q, {kw: tuple(mini) for kw, mini in block})
+            for q, block in state["window"]
         )
         self._merged = {}
-        self._dirty = dirty
+        self._dirty = {kw for _, minis in self._quanta for kw in minis}
+        self._dropped = []
         self.merge_recomputes = 0
+
+    def window_edit(self, quantum: int):
+        """What the slide to ``quantum`` (the last one) did to the
+        serialized window — an :data:`~repro.akg.idsets.WindowEdit`, all
+        empty while the index never slides (MinHash filter off)."""
+        quanta = self._quanta
+        entries = None
+        if quanta and quanta[-1][0] == quantum:
+            entries = self._block_entries(quanta[-1][1])
+        return self._dropped, [q for q, _ in quanta], entries
 
     def sketch(self, keyword: str) -> Sketch:
         """Bottom-p hash values of the keyword's window id set (cached)."""

@@ -25,7 +25,6 @@ from repro.api.deltalog import (
     DeltaCheckpointWriter,
     DeltaTransport,
     FileTailTransport,
-    diff_trees,
     patch_tree,
     read_delta_checkpoint,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "read_delta_checkpoint",
     "encode_state",
     "decode_state",
-    "diff_trees",
     "patch_tree",
     "fsync_dir",
 ]

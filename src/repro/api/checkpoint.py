@@ -27,7 +27,7 @@ Compatibility is handled loudly and explicitly: an unknown format, a newer
 state the code cannot honour.  Supported older versions are upgraded
 in-memory through the ``_MIGRATIONS`` table — one pure ``state -> state``
 step per version hop, chained until the current layout is reached — so a
-v2 snapshot (pre-extractor) loads under the v3 reader without ever
+v2 snapshot (pre-extractor) loads under the current reader without ever
 rewriting the file on disk.
 
 Checkpoints are **execution-agnostic and history-independent**: the session
@@ -51,7 +51,7 @@ from typing import Any
 from repro.errors import CheckpointError
 
 CHECKPOINT_FORMAT = "repro-session-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 """Bump on any change to the state tree layout, and add a migration step
 below so supported older snapshots keep loading.
 Version history: 1 — PR 3 layout (no longer readable); 2 — event histories
@@ -59,7 +59,9 @@ are change-point encoded (``EventTracker`` state gained ``last_quantum``
 and per-record ``gaps``) and execution-only config fields are stripped;
 3 — extractor identity recorded (``extractor`` spec + ``custom_extractor``
 flag replacing ``custom_tokenizer``) and the first timing slot renamed
-``tokenize`` → ``extract`` with the stage."""
+``tokenize`` → ``extract`` with the stage; 4 — the id-set and sketch
+windows serialize as queues of per-quantum blocks (``window``) instead of
+per-keyword entry lists (``entries`` / ``minis``)."""
 
 _SCALARS = (bool, int, float, str)
 
@@ -86,7 +88,37 @@ def _migrate_v2_to_v3(state: dict) -> dict:
     return state
 
 
-_MIGRATIONS = {2: _migrate_v2_to_v3}
+def _migrate_v3_to_v4(state: dict) -> dict:
+    """v3 → v4: transpose the per-keyword windows into queues of quanta.
+
+    ``[[kw, [[q, value], ...]], ...]`` (sorted by keyword) becomes
+    ``[[q, [[kw, value], ...]], ...]`` (oldest first, each block still
+    sorted by keyword).  The oracle builder always kept its window in the
+    queue layout and has no sketch state, so only non-oracle trees move.
+    """
+    if state["builder"]["oracle"]:
+        return state
+
+    def transposed(per_keyword: list) -> list:
+        blocks: dict = {}
+        for kw, entries in per_keyword:
+            for q, value in entries:
+                blocks.setdefault(q, []).append([kw, value])
+        return [[q, blocks[q]] for q in sorted(blocks)]
+
+    state = dict(state)
+    builder = state["builder"] = dict(state["builder"])
+    builder["idsets"] = {
+        "last_quantum": builder["idsets"]["last_quantum"],
+        "window": transposed(builder["idsets"]["entries"]),
+    }
+    builder["sketches"] = {
+        "window": transposed(builder["sketches"]["minis"]),
+    }
+    return state
+
+
+_MIGRATIONS = {2: _migrate_v2_to_v3, 3: _migrate_v3_to_v4}
 """``version -> state migration`` steps; each maps a decoded state tree one
 version forward.  :func:`load_checkpoint` chains them until
 ``CHECKPOINT_VERSION`` is reached."""
@@ -171,46 +203,50 @@ def fsync_dir(path: "str | Path") -> None:
         os.close(fd)
 
 
-def save_checkpoint(path: "str | Path", state: dict) -> None:
-    """Write one session state tree as a versioned checkpoint file.
+def atomic_write(path: "str | Path", data: bytes, what: str) -> None:
+    """Replace ``path`` with ``data``, crash-durably (``what`` names the
+    file in errors).
 
-    The write is crash-durable end to end: a *uniquely named* temp file
-    (``tempfile.mkstemp`` in the target directory, so concurrent
-    snapshotters — e.g. a leader and a follower compacting to the same
-    target — never clobber each other's scratch), fsync, atomic
-    ``os.replace``, then an fsync of the parent directory so the rename
-    itself survives a crash.  The scratch file is removed on every failure
-    path, not just ``OSError``.
+    A *uniquely named* temp file (``tempfile.mkstemp`` in the target
+    directory, so concurrent writers — e.g. a leader and a follower
+    compacting to the same target — never clobber each other's scratch),
+    fsync, atomic ``os.replace``, then an fsync of the parent directory so
+    the rename itself survives a crash.  The scratch file is removed on
+    every failure path, not just ``OSError``.
     """
+    target = Path(path)
+    try:
+        fd, scratch_name = tempfile.mkstemp(
+            dir=target.parent, prefix=target.name + ".", suffix=".tmp"
+        )
+    except OSError as exc:
+        raise CheckpointError(f"cannot write {what} {path}: {exc}") from exc
+    scratch = Path(scratch_name)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(scratch, target)
+        fsync_dir(target.parent)
+    except OSError as exc:
+        raise CheckpointError(f"cannot write {what} {path}: {exc}") from exc
+    finally:
+        scratch.unlink(missing_ok=True)
+
+
+def save_checkpoint(path: "str | Path", state: dict) -> None:
+    """Write one session state tree as a versioned checkpoint file
+    (crash-durable end to end, see :func:`atomic_write`)."""
     document = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "state": encode_state(state),
     }
-    target = Path(path)
-    directory = target.parent
-    try:
-        fd, scratch_name = tempfile.mkstemp(
-            dir=directory, prefix=target.name + ".", suffix=".tmp"
-        )
-    except OSError as exc:
-        raise CheckpointError(
-            f"cannot write checkpoint {path}: {exc}"
-        ) from exc
-    scratch = Path(scratch_name)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, separators=(",", ":"))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(scratch, target)
-        fsync_dir(directory)
-    except OSError as exc:
-        raise CheckpointError(
-            f"cannot write checkpoint {path}: {exc}"
-        ) from exc
-    finally:
-        scratch.unlink(missing_ok=True)
+    # dumps, not dump: json.dump streams through the pure-Python encoder,
+    # an order of magnitude slower for the same bytes.
+    data = json.dumps(document, separators=(",", ":")).encode("utf-8")
+    atomic_write(path, data, "checkpoint")
 
 
 def load_checkpoint(path: "str | Path") -> dict:
@@ -257,6 +293,7 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "encode_state",
     "decode_state",
+    "atomic_write",
     "fsync_dir",
     "save_checkpoint",
     "load_checkpoint",

@@ -3,25 +3,29 @@
 A *delta checkpoint* is a directory::
 
     <path>/
-        MANIFEST.json      {"format": ..., "version": 4, "generation": g,
+        MANIFEST.json      {"format": ..., "version": 5, "generation": g,
                             "base": "base-<g>.ckpt", "log": "deltas-<g>.log",
                             "base_quantum": q}
-        base-<g>.ckpt      ordinary monolithic checkpoint (v3 reader format)
+        base-<g>.ckpt      ordinary monolithic checkpoint (v4 layout)
         deltas-<g>.log     framed, length-prefixed per-quantum edit records
 
-The leader writes the base once, then appends one *edit script* per
-completed quantum: a structural diff of the session's serialized state tree
-against the previous quantum's tree.  Edit scripts are churn-proportional —
-dict entries are set/deleted per key, sets add/remove members, lists are
-spliced (with nested patches for elements that changed in place) — so a
-quantum's record costs bytes proportional to what the quantum *touched*,
-not to the window content the way a full snapshot does.  Diffing the
-serialized tree (rather than replaying the pipeline's ``ChangeBatch`` /
-``SlideDelta`` layer deltas) keeps the consumer pipeline-free: a follower
-applies records with :func:`patch_tree` alone, no engine logic, and the
-guarantee ``patch(a, diff(a, b)) == b`` makes replay *provably*
-bit-identical — it holds for every stateful layer at once, including ones
-(timings, pending buffer, notified table) that emit no layer delta.
+The leader writes the base once, then appends one *edit op* per completed
+quantum, turning the previous quantum's serialized state tree into the
+current one.  The op is not discovered by diffing trees: every large
+stateful layer reports its own edit for the quantum it just processed (the
+window indexes drop head blocks and insert one, the event tracker patches
+the records the ranker touched), and the session ships its small volatile
+subtrees whole — so a record costs what the quantum *touched*, not what
+the window holds, to compute as well as to store.  Ops stay structural and
+engine-free on the way back in: a follower applies records with
+:func:`patch_tree` alone, and replay is bit-identical to a monolithic
+snapshot because each layer's op is pinned, quantum by quantum, against an
+exhaustive tree differ kept as a test oracle (``tests/tree_diff.py``).
+
+The op vocabulary: ``["r", value]`` replaces a subtree, ``["d", sets,
+dels]`` patches/deletes dict keys, ``["s", added, removed]`` edits a set,
+``["l", edits]`` splices a sequence with runs of ``k`` (keep), ``x``
+(drop), ``i`` (insert) and ``p`` (patch in place).
 
 Log framing is crash-oriented: each record is ``>II`` (payload length,
 CRC32) followed by the JSON payload, the file opens with a 4-byte magic,
@@ -46,18 +50,16 @@ only ever calls ``manifest()`` / ``load_base()`` / ``read_records()``.
 
 from __future__ import annotations
 
-import copy
-import difflib
 import json
 import os
 import struct
-import tempfile
 import time
 import zlib
 from pathlib import Path
 from typing import Any, List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.api.checkpoint import (
+    atomic_write,
     decode_state,
     encode_state,
     fsync_dir,
@@ -67,325 +69,23 @@ from repro.api.checkpoint import (
 from repro.errors import CheckpointError
 
 DELTA_FORMAT = "repro-session-delta-checkpoint"
-DELTA_VERSION = 4
-"""Version 4 of the checkpoint lineage: versions 1–3 are monolithic
-snapshot layouts (:mod:`repro.api.checkpoint`); version 4 is this
-base-plus-delta-log directory format.  The base file inside a delta
-checkpoint is itself a version-3 monolithic snapshot, so the v4 reader is
-a strict layer on top of the v3 reader."""
+DELTA_VERSION = 5
+"""Directory-format version, counted apart from the monolithic snapshot
+versions of :mod:`repro.api.checkpoint`.  4 — base-plus-delta-log over v3
+bases, records diffed from whole trees; 5 — bases are v4 snapshots (windows
+as queues of quanta) and records are layer-emitted ops over that layout.
+Records only patch the layout they were written against, so a version-4
+directory is refused by name rather than replayed onto a migrated base."""
 
 MANIFEST_NAME = "MANIFEST.json"
 _LOG_MAGIC = b"RDLG"
 _FRAME_HEADER = struct.Struct(">II")
 _MAX_FRAME = 1 << 31
 
-_SCALARS = (bool, int, float, str)
-
 
 # =====================================================================
-# Structural diff/patch over decoded state trees
+# Edit ops over decoded state trees: wire codec and patch
 # =====================================================================
-
-
-def _same(a: Any, b: Any) -> bool:
-    """Strict deep equality: ``==`` plus scalar *identity of representation*.
-
-    Plain ``==`` would call ``1 == 1.0`` and ``0.0 == -0.0`` equal, but the
-    checkpoint codec serializes them differently — skipping such a "change"
-    would silently break the byte-identity of replayed state.  Floats
-    compare by shortest-roundtrip repr, and type switches always differ.
-    """
-    if a is b:
-        return True
-    ta = type(a)
-    if ta is not type(b):
-        return False
-    if ta is float:
-        return repr(a) == repr(b)
-    if ta is list or ta is tuple:
-        return len(a) == len(b) and all(map(_same, a, b))
-    if ta is dict:
-        if len(a) != len(b):
-            return False
-        for key, value in a.items():
-            if key not in b or not _same(value, b[key]):
-                return False
-        return True
-    return a == b
-
-
-def _canon_key(value: Any) -> Any:
-    """Hashable, deterministic alignment key for sequence diffing."""
-    if value is None or isinstance(value, _SCALARS):
-        return (type(value).__name__, repr(value))
-    return json.dumps(
-        encode_state(value), sort_keys=True, separators=(",", ":")
-    )
-
-
-def _sort_key(value: Any) -> str:
-    return json.dumps(
-        encode_state(value), sort_keys=True, separators=(",", ":")
-    )
-
-
-def diff_trees(a: Any, b: Any, *, memoize: bool = False) -> Optional[list]:
-    """Edit script turning state tree ``a`` into ``b``; None when identical.
-
-    The script is itself a state-tree-safe structure (nested lists mixing
-    tag strings with literal state values), so it rides the checkpoint
-    codec unchanged.  Guarantee: ``patch_tree(a, diff_trees(a, b))``
-    reproduces ``b`` exactly, including float representations and
-    container types.
-
-    ``memoize=True`` selects the churn-proportional cost profile for huge
-    mostly-unchanged states: replacement capping uses a budget-limited
-    streaming sizer (identical decisions, but an unchanged megabyte is
-    never serialized just to learn it is big), and sequence alignment uses
-    coarse signatures repaired by a per-element equality pass (scripts may
-    differ in shape from the exhaustive path, never in effect — the patch
-    guarantee above holds identically).
-    """
-    if _same(a, b):
-        return None
-    return _op(a, b, memoize)
-
-
-def _op(a: Any, b: Any, memoize: bool = False) -> list:
-    """Edit op for two trees already known to differ."""
-    if type(a) is not type(b):
-        return ["r", b]
-    if isinstance(a, dict):
-        return _shrink(_dict_op(a, b, memoize), b, memoize)
-    if isinstance(a, (list, tuple)):
-        return _shrink(_seq_op(a, b, memoize), b, memoize)
-    if isinstance(a, (set, frozenset)):
-        added = sorted((x for x in b if x not in a), key=_sort_key)
-        removed = sorted((x for x in a if x not in b), key=_sort_key)
-        return _shrink(["s", added, removed], b, memoize)
-    return ["r", b]
-
-
-_CONTAINER_WIRE = {
-    kind: len(json.dumps({"t": kind, "v": []}, separators=(",", ":")))
-    for kind in ("list", "tuple", "set", "frozenset", "dict")
-}
-"""Compact-JSON overhead of an *empty* tagged container — the fixed part
-of :func:`_wire_size`'s per-container accounting."""
-
-
-def _wire_size(obj: Any, budget: int) -> Optional[int]:
-    """Exact compact-JSON wire length of ``encode_state(obj)``, or None as
-    soon as the running total exceeds ``budget``.
-
-    This is the memoized :func:`_shrink`'s early exit: sizing an unchanged
-    multi-megabyte window subtree stops after ``budget`` bytes instead of
-    serializing all of it.  Exactness matters — the shrink *decision* must
-    be byte-identical to actually encoding the replacement — so every
-    scalar is measured with the same ``json.dumps`` the frame writer uses
-    (string escapes, float reprs), and container overheads mirror the
-    tagged codec's envelope precisely (verified against the real encoder
-    in the test suite).
-    """
-    if budget < 0:
-        return None
-    if obj is None or obj is True:
-        size = 4
-    elif obj is False:
-        size = 5
-    elif type(obj) is int:
-        size = len(str(obj))
-    elif isinstance(obj, _SCALARS):
-        # str (escapes) and float (shortest repr) — and any bool/int
-        # subclass oddity — measured by the real serializer on the leaf.
-        size = len(json.dumps(obj))
-    elif isinstance(obj, (list, tuple, set, frozenset)):
-        if isinstance(obj, list):
-            kind = "list"
-        elif isinstance(obj, tuple):
-            kind = "tuple"
-        elif isinstance(obj, set):
-            kind = "set"
-        else:
-            kind = "frozenset"
-        size = _CONTAINER_WIRE[kind] + max(0, len(obj) - 1)
-        if size > budget:
-            return None
-        for x in obj:  # member order never changes the total
-            child = _wire_size(x, budget - size)
-            if child is None:
-                return None
-            size += child
-    elif isinstance(obj, dict):
-        # {"t":"dict","v":[[k,v],...]} — 3 bytes per pair ("[", ",", "]")
-        # plus the commas between pairs; pair sort order is size-neutral.
-        n = len(obj)
-        size = _CONTAINER_WIRE["dict"] + (4 * n - 1 if n else 0)
-        if size > budget:
-            return None
-        for key, value in obj.items():
-            child = _wire_size(key, budget - size)
-            if child is None:
-                return None
-            size += child
-            child = _wire_size(value, budget - size)
-            if child is None:
-                return None
-            size += child
-    else:
-        raise CheckpointError(
-            f"cannot checkpoint object of type {type(obj).__name__}: {obj!r}"
-        )
-    return size if size <= budget else None
-
-
-def _shrink(op: list, b: Any, memoize: bool = False) -> list:
-    """Cap an edit op at the cost of plain replacement.
-
-    When most of a container changed (small windows, heavy churn), the
-    structural script's per-edit overhead can exceed simply shipping the
-    new value — compare wire sizes (the :func:`encode_op` form records
-    actually travel in) and emit whichever is smaller, so a delta record
-    is never pathologically larger than the state it moves.
-
-    The memoized path makes the same decision without paying for it: the
-    op's wire size (churn-proportional) sets the budget, and
-    :func:`_wire_size` streams the replacement's size only up to that
-    budget — a huge mostly-unchanged subtree bails out after a few edit-
-    script-sized bytes instead of being fully serialized at every level
-    of the recursion.
-    """
-    op_wire = len(json.dumps(encode_op(op), separators=(",", ":")))
-    if memoize:
-        # wire(["r", b]) == 6 + wire(encode_state(b)):  '["r",' ... ']'
-        if _wire_size(b, op_wire - 6) is not None:
-            return ["r", b]
-        return op
-    replacement = ["r", b]
-    if op_wire >= len(
-        json.dumps(encode_op(replacement), separators=(",", ":"))
-    ):
-        return replacement
-    return op
-
-
-def _dict_op(a: dict, b: dict, memoize: bool = False) -> list:
-    sets: List[list] = []
-    dels = sorted((k for k in a if k not in b), key=_sort_key)
-    for key, value in b.items():
-        if key in a:
-            if not _same(a[key], value):
-                sets.append([key, _op(a[key], value, memoize)])
-        else:
-            sets.append([key, ["r", value]])
-    sets.sort(key=lambda pair: _sort_key(pair[0]))
-    return ["d", sets, dels]
-
-
-def _coarse_key(value: Any) -> tuple:
-    """Cheap deterministic alignment signature (the memoize path).
-
-    Type + length + (recursively) the head element, never a full canonical
-    encoding — so aligning a thousand untouched multi-kilobyte window
-    entries costs tuple hashing, not serialization.  Equal values always
-    produce equal keys; *unequal* values may collide, which costs script
-    shape only (the ``equal``-run demotion pass in :func:`_seq_op` repairs
-    any collision with real ``_same`` checks), never patch correctness.
-    """
-    if value is None or isinstance(value, _SCALARS):
-        return (type(value).__name__, repr(value))
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return (type(value).__name__, 0)
-        return (type(value).__name__, len(value), _coarse_key(value[0]))
-    if isinstance(value, (set, frozenset)):
-        return (type(value).__name__, len(value))
-    if isinstance(value, dict):
-        return ("dict", len(value))
-    return (type(value).__name__,)
-
-
-def _seq_op(a, b, memoize: bool = False) -> list:
-    """Splice-style edit script for lists/tuples.
-
-    Common prefix/suffix are trimmed first (the dominant sliding-window
-    pattern — expire at the head, append at the tail — reduces to pure
-    splices), then the middles are aligned with ``difflib`` over canonical
-    element keys so scattered single-element changes (a touched keyword's
-    window entries inside the sorted per-keyword list) become nested
-    patches instead of wholesale replacement.
-
-    With ``memoize`` the alignment keys are the coarse signatures of
-    :func:`_coarse_key`; the matcher's ``equal`` runs are then re-checked
-    element-wise with :func:`_same` and any collision demoted to an
-    in-place patch, so a false alignment can never leak a stale element
-    through a ``keep`` op.
-    """
-    prefix = 0
-    limit = min(len(a), len(b))
-    while prefix < limit and _same(a[prefix], b[prefix]):
-        prefix += 1
-    suffix = 0
-    limit = min(len(a), len(b)) - prefix
-    while suffix < limit and _same(a[-1 - suffix], b[-1 - suffix]):
-        suffix += 1
-    mid_a = list(a[prefix : len(a) - suffix])
-    mid_b = list(b[prefix : len(b) - suffix])
-    edits: List[list] = []
-    if prefix:
-        edits.append(["k", prefix])
-    key_of = _coarse_key if memoize else _canon_key
-    keys_a = [key_of(x) for x in mid_a]
-    keys_b = [key_of(x) for x in mid_b]
-    matcher = difflib.SequenceMatcher(None, keys_a, keys_b, autojunk=False)
-    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
-        if tag == "equal":
-            if not memoize:
-                edits.append(["k", i2 - i1])
-                continue
-            # Coarse keys may collide; keep only truly-equal runs, patch
-            # the rest in place.
-            count = i2 - i1
-            flags = [
-                _same(mid_a[i1 + k], mid_b[j1 + k]) for k in range(count)
-            ]
-            k = 0
-            while k < count:
-                run_start, same = k, flags[k]
-                while k < count and flags[k] == same:
-                    k += 1
-                if same:
-                    edits.append(["k", k - run_start])
-                else:
-                    edits.append(
-                        [
-                            "p",
-                            [
-                                _op(mid_a[i1 + t], mid_b[j1 + t], memoize)
-                                for t in range(run_start, k)
-                            ],
-                        ]
-                    )
-        elif tag == "delete":
-            edits.append(["x", i2 - i1])
-        elif tag == "insert":
-            edits.append(["i", mid_b[j1:j2]])
-        elif i2 - i1 == j2 - j1:
-            # positional replacement run: patch element-wise so an entry
-            # that changed in place costs its own small edit script
-            edits.append(
-                [
-                    "p",
-                    [
-                        _op(x, y, memoize)
-                        for x, y in zip(mid_a[i1:i2], mid_b[j1:j2])
-                    ],
-                ]
-            )
-        else:
-            edits.append(["x", i2 - i1])
-            edits.append(["i", mid_b[j1:j2]])
-    return ["l", edits]
 
 
 def encode_op(op: Optional[list]) -> Optional[list]:
@@ -469,7 +169,7 @@ def decode_op(op: Optional[list]) -> Optional[list]:
 
 
 def patch_tree(a: Any, op: Optional[list]) -> Any:
-    """Apply an edit script produced by :func:`diff_trees`.
+    """Apply an edit op (see the module docstring for the vocabulary).
 
     Non-mutating: returns a new tree sharing unchanged substructure with
     ``a``.  A script that does not fit the tree (missing dict key, splice
@@ -616,30 +316,10 @@ def _log_name(generation: int) -> str:
 
 def write_manifest(directory: Path, manifest: dict) -> None:
     """Atomically replace ``MANIFEST.json`` (temp file + rename + dir fsync)."""
-    target = directory / MANIFEST_NAME
     data = json.dumps(manifest, indent=1, sort_keys=True).encode("utf-8")
-    try:
-        fd, scratch_name = tempfile.mkstemp(
-            dir=directory, prefix=MANIFEST_NAME + ".", suffix=".tmp"
-        )
-    except OSError as exc:
-        raise CheckpointError(
-            f"cannot write delta-checkpoint manifest in {directory}: {exc}"
-        ) from exc
-    scratch = Path(scratch_name)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(scratch, target)
-        fsync_dir(directory)
-    except OSError as exc:
-        raise CheckpointError(
-            f"cannot write delta-checkpoint manifest {target}: {exc}"
-        ) from exc
-    finally:
-        scratch.unlink(missing_ok=True)
+    atomic_write(
+        Path(directory) / MANIFEST_NAME, data, "delta-checkpoint manifest"
+    )
 
 
 def read_manifest(directory: Path) -> dict:
@@ -722,18 +402,21 @@ class FileTailTransport:
         path = self.path / manifest["log"]
         try:
             with open(path, "rb") as fh:
-                data = fh.read()
+                if offset == 0:
+                    if fh.read(len(_LOG_MAGIC)) != _LOG_MAGIC:
+                        raise CheckpointError(
+                            f"{path} is not a repro delta log (bad magic)"
+                        )
+                    offset = len(_LOG_MAGIC)
+                else:
+                    fh.seek(offset)
+                tail = fh.read()
         except OSError as exc:
             raise CheckpointError(
                 f"cannot read delta log {path}: {exc}"
             ) from exc
-        if offset == 0:
-            if data[: len(_LOG_MAGIC)] != _LOG_MAGIC:
-                raise CheckpointError(
-                    f"{path} is not a repro delta log (bad magic)"
-                )
-            offset = len(_LOG_MAGIC)
-        return decode_frames(data, offset=offset)
+        records, end = decode_frames(tail)
+        return records, offset + end
 
 
 # =====================================================================
@@ -790,50 +473,39 @@ def read_delta_checkpoint(path) -> dict:
 class DeltaCheckpointWriter:
     """Leader-side delta checkpoint: base snapshot + append-only edit log.
 
-    ``start(state)`` opens (or creates) the directory and writes a fresh
-    generation whose base is ``state``; ``append(state)`` logs one framed
-    edit script per quantum and compacts — rewrite base, truncate log,
-    flip manifest — once the log exceeds ``compact_ratio`` times the base
-    size.  Every append fsyncs the log file *and* its directory; base and
-    manifest writes are atomic-rename durable.  A writer whose append
-    failed mid-frame refuses further appends (the log tail is torn; the
-    next leader attaches with a fresh generation instead).
-
-    ``memoize`` (default on) keeps append cost proportional to what
-    actually changed: the edit script is computed with the churn-
-    proportional :func:`diff_trees` profile, and the writer's reference
-    copy of the previous state is maintained by *patching it forward*
-    with the (deep-copied) op — sharing every unchanged subtree across
-    quanta — instead of deep-copying the entire state each append.
-    ``memoize=False`` restores the exhaustive profile for comparison
-    (``benchmarks/bench_delta_checkpoint.py`` gates the speedup).  Log
-    contents decode to identical states either way.
+    The writer only frames, writes and fsyncs; a record's content comes
+    from the ``source`` it is handed — the session, or anything with its
+    ``current_quantum``, ``_quantum_op()`` (the edit op for the quantum
+    just finished) and ``_state_tree()`` (the full tree, asked for only
+    when a generation is rolled).  ``start(source)`` opens (or creates) the
+    directory and writes a fresh generation; ``append(source)`` logs one
+    record and compacts — rewrite base, truncate log, flip manifest — once
+    the log exceeds ``compact_ratio`` times the base size.  Every append
+    fsyncs the log file *and* its directory; base and manifest writes are
+    atomic-rename durable.  A writer whose append failed mid-frame refuses
+    further appends (the tail is torn; the next leader attaches with a
+    fresh generation instead).
     """
 
-    def __init__(
-        self, path, *, compact_ratio: float = 4.0, memoize: bool = True
-    ) -> None:
+    def __init__(self, path, *, compact_ratio: float = 4.0) -> None:
         if compact_ratio <= 0:
             raise CheckpointError(
                 f"compact_ratio must be positive, got {compact_ratio!r}"
             )
         self.path = Path(path)
         self.compact_ratio = compact_ratio
-        self.memoize = bool(memoize)
         self.generation = -1
         self.base_bytes = 0
         self.log_bytes = 0
         self.records_written = 0
-        self.delta_bytes_total = 0
         self.compactions = 0
         self.append_seconds = 0.0
         self._fh = None
-        self._last: Optional[dict] = None
         self._broken = False
 
     # ------------------------------------------------------------ lifecycle
 
-    def start(self, state: dict) -> None:
+    def start(self, source) -> None:
         """Create or attach to the directory; write a new generation."""
         try:
             self.path.mkdir(exist_ok=True)
@@ -845,10 +517,11 @@ class DeltaCheckpointWriter:
         generation = 0
         if (self.path / MANIFEST_NAME).exists():
             generation = read_manifest(self.path)["generation"] + 1
-        self._roll(state, generation)
+        self._roll(source._state_tree(), generation)
 
-    def append(self, state: dict) -> int:
-        """Log one quantum's edit script; returns the frame size in bytes."""
+    def append(self, source) -> int:
+        """Log the quantum ``source`` just finished; returns the frame size
+        in bytes."""
         if self._fh is None:
             raise CheckpointError("delta log writer is not started")
         if self._broken:
@@ -858,9 +531,11 @@ class DeltaCheckpointWriter:
                 "instead of appending further"
             )
         started = time.perf_counter()
-        op = diff_trees(self._last, state, memoize=self.memoize)
         frame = encode_frame(
-            {"q": state["quantum"], "op": encode_op(op)}
+            {
+                "q": source.current_quantum,
+                "op": encode_op(source._quantum_op()),
+            }
         )
         try:
             self._fh.write(frame)
@@ -872,20 +547,11 @@ class DeltaCheckpointWriter:
             raise CheckpointError(
                 f"cannot append to delta log in {self.path}: {exc}"
             ) from exc
-        if self.memoize:
-            # patch(last, diff(last, state)) == state exactly, and the op's
-            # replacement values are deep-copied — so the reference tree
-            # shares unchanged subtrees with the *previous* reference (all
-            # writer-owned), never with the caller's live state.
-            self._last = patch_tree(self._last, copy.deepcopy(op))
-        else:
-            self._last = copy.deepcopy(state)
         self.log_bytes += len(frame)
         self.records_written += 1
-        self.delta_bytes_total += len(frame)
         self.append_seconds += time.perf_counter() - started
         if self.log_bytes > self.compact_ratio * max(self.base_bytes, 1):
-            self._roll(state, self.generation + 1)
+            self._roll(source._state_tree(), self.generation + 1)
             self.compactions += 1
         return len(frame)
 
@@ -894,12 +560,6 @@ class DeltaCheckpointWriter:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-    def __enter__(self) -> "DeltaCheckpointWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     # ------------------------------------------------------------ internals
 
@@ -933,7 +593,6 @@ class DeltaCheckpointWriter:
             },
         )
         self._fh = fh
-        self._last = copy.deepcopy(state)
         previous = self.generation
         self.generation = generation
         self.base_bytes = base.stat().st_size
@@ -962,7 +621,6 @@ __all__ = [
     "apply_record",
     "decode_frames",
     "decode_op",
-    "diff_trees",
     "encode_frame",
     "encode_op",
     "patch_tree",

@@ -465,11 +465,11 @@ class DetectorSession:
         self.total_timings.add(ctx.timings)
         self._dispatch(report)
         if self._delta_writer is not None:
-            # One framed edit script per completed quantum: the durable
+            # One framed edit op per completed quantum: the durable
             # stream a FollowerSession tails to stay warm (DESIGN.md
             # Section 10).  An append failure propagates — a leader whose
             # durability channel broke must not keep running silently.
-            self._delta_writer.append(self._state_tree())
+            self._delta_writer.append(self)
         return report
 
     # ------------------------------------------------- pipelined ingestion
@@ -846,7 +846,7 @@ class DetectorSession:
         """Start incremental checkpointing into the directory ``path``.
 
         Writes a base snapshot of the current state now, then appends one
-        framed edit script per completed quantum (compacting — fresh base,
+        framed edit op per completed quantum (compacting — fresh base,
         truncated log — once the log passes ``compact_ratio`` times the
         base size).  The directory loads like any checkpoint
         (``open_session(resume=path)``) and is what a
@@ -869,7 +869,7 @@ class DetectorSession:
                 "open the session without overlap to record one"
             )
         writer = DeltaCheckpointWriter(path, compact_ratio=compact_ratio)
-        writer.start(self._state_tree())
+        writer.start(self)
         self._delta_writer = writer
 
     @property
@@ -879,16 +879,12 @@ class DetectorSession:
 
     def _state_tree(self) -> dict:
         """Compose the full serializable session state (DESIGN.md S6/S10)."""
-        try:
-            maintainer_state = self.maintainer.to_state()
-        except GraphError as exc:
-            raise CheckpointError(str(exc)) from exc
         config_dict = {
             key: value
             for key, value in self.config.to_dict().items()
             if key not in DetectorConfig.EXECUTION_FIELDS
         }
-        state = {
+        return {
             "config": config_dict,
             "oracle_akg": self.builder.oracle,
             "oracle_ranking": self.ranker.oracle,
@@ -903,6 +899,19 @@ class DetectorSession:
             ),
             "custom_extractor": self._custom_extractor,
             "custom_noun_tagger": self._custom_noun_tagger,
+            "builder": self.builder.to_state(),
+            "tracker": self.tracker.to_state(),
+            **self._volatile_state(),
+        }
+
+    def _volatile_state(self) -> dict:
+        """The small subtrees every quantum rewrites: a delta-log record
+        ships them whole (diffing them would cost more than it saves)."""
+        try:
+            maintainer_state = self.maintainer.to_state()
+        except GraphError as exc:
+            raise CheckpointError(str(exc)) from exc
+        return {
             "quantum": self._quantum,
             "total_messages": self.total_messages,
             "total_seconds": self.total_seconds,
@@ -911,8 +920,6 @@ class DetectorSession:
                 message_to_record(m) for m in self.batcher.pending_messages()
             ],
             "maintainer": maintainer_state,
-            "builder": self.builder.to_state(),
-            "tracker": self.tracker.to_state(),
             "ckg_stats": (
                 self.ckg_stats.to_state() if self.ckg_stats is not None else None
             ),
@@ -921,7 +928,24 @@ class DetectorSession:
                 for cid, note in sorted(self._notified.items())
             ],
         }
-        return state
+
+    def _quantum_op(self) -> list:
+        """Edit op turning the previous quantum boundary's
+        :meth:`_state_tree` into the current one — the delta-log record.
+
+        The layers' own ops for the quantum just finished (the AKG stage's
+        window splices, the tracker's record patches) plus
+        :meth:`_volatile_state` replaced whole; the identity keys (config,
+        extractor, oracle flags) never change within a session.
+        """
+        sets = [
+            [key, ["r", value]]
+            for key, value in self._volatile_state().items()
+        ]
+        touched = self.ranker.last_recomputed | self.ranker.last_removed
+        sets.append(["builder", self.builder.quantum_op(self._quantum)])
+        sets.append(["tracker", self.tracker.quantum_op(self._quantum, touched)])
+        return ["d", sets, []]
 
     @classmethod
     def restore(

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import (
     Dict,
     FrozenSet,
@@ -55,6 +56,8 @@ from typing import (
 
 from repro.akg.builder import (
     AkgQuantumStats,
+    akg_quantum_op,
+    akg_small_state,
     candidate_edge_pairs,
     drain_removal_candidates,
     qualify_new_edges,
@@ -62,6 +65,7 @@ from repro.akg.builder import (
     select_dead_nodes,
 )
 from repro.akg.burstiness import BurstinessTracker
+from repro.akg.idsets import WindowEdit
 from repro.config import DetectorConfig
 from repro.core.changelog import NodeWeightChanged
 from repro.core.maintenance import ClusterMaintainer
@@ -88,6 +92,48 @@ class PendingQuantum:
     quantum: int
     keyword_users: Mapping[Keyword, Set[UserId]]
     updates: List[ShardUpdate] = field(default_factory=list)
+
+
+_KEYWORD = itemgetter(0)  # sort key of a ``[keyword, value]`` block entry
+
+
+def _merged_window(windows: Iterable[list]) -> list:
+    """Keyword-disjoint shard window queues as one serial-layout queue
+    (oldest first, each block sorted by keyword)."""
+    blocks: Dict[int, list] = {}
+    for window in windows:
+        for q, block in window:
+            blocks.setdefault(q, []).extend(block)
+    return [[q, sorted(blocks[q], key=_KEYWORD)] for q in sorted(blocks)]
+
+
+def _merged_edit(edits: List[WindowEdit]) -> WindowEdit:
+    """Keyword-disjoint shard window edits as the one edit a serial index
+    would report: a block exists globally iff some shard holds part of it."""
+    dropped: Set[int] = set()
+    live: Set[int] = set()
+    entries: Optional[list] = None
+    for shard_dropped, shard_live, shard_entries in edits:
+        dropped.update(shard_dropped)
+        live.update(shard_live)
+        if shard_entries is not None:
+            entries = (entries or []) + shard_entries
+    if entries is not None:
+        entries.sort(key=_KEYWORD)
+    return sorted(dropped), sorted(live), entries
+
+
+def _shard_windows(window: list, shard_count: int, shard_of) -> List[list]:
+    """A serial-layout window queue split into per-shard queues (a block a
+    shard holds nothing of is not a block of its window)."""
+    shards: List[list] = [[] for _ in range(shard_count)]
+    for q, block in window:
+        parts: Dict[int, list] = {}
+        for entry in block:
+            parts.setdefault(shard_of(entry[0]), []).append(entry)
+        for shard, mine in parts.items():
+            shards[shard].append([q, mine])
+    return shards
 
 
 class ShardedAkgFrontend:
@@ -344,31 +390,42 @@ class ShardedAkgFrontend:
     def to_state(self) -> dict:
         """Serial-layout checkpoint state, merged across shards.
 
-        The shards' id-set/sketch states are keyword-disjoint and each is
-        already sorted, so concatenating them in shard-range order and
-        re-sorting globally reproduces the serial indexes' sorted snapshots
-        byte for byte — a checkpoint written under any ``workers`` /
-        ``shard_count`` is indistinguishable from a serial one, and restores
-        under any other (DESIGN.md Section 7).
+        The shards' window queues are keyword-disjoint and each block is
+        already sorted, so concatenating same-quantum blocks in shard-range
+        order and re-sorting them by keyword reproduces the serial indexes'
+        snapshots byte for byte — a checkpoint written under any
+        ``workers`` / ``shard_count`` is indistinguishable from a serial
+        one, and restores under any other (DESIGN.md Section 7).
         """
-        entries: list = []
-        minis: list = []
-        for _, idsets_state, sketches_state in self.pool.export_states():
-            entries.extend(idsets_state["entries"])
-            minis.extend(sketches_state["minis"])
-        entries.sort(key=lambda item: item[0])
-        minis.sort(key=lambda item: item[0])
+        states = self.pool.export_states()
         return {
             "oracle": False,
-            "idsets": {"last_quantum": self._last_quantum, "entries": entries},
-            "sketches": {"minis": minis},
-            "burstiness": self.burstiness.to_state(),
-            "grace_deadlines": [
-                [deadline, sorted(kws)]
-                for deadline, kws in sorted(self._grace_deadlines.items())
-            ],
-            "newly_unclustered": sorted(self._newly_unclustered),
+            "idsets": {
+                "last_quantum": self._last_quantum,
+                "window": _merged_window(s[1]["window"] for s in states),
+            },
+            "sketches": {
+                "window": _merged_window(s[2]["window"] for s in states)
+            },
+            **self._small_state(),
         }
+
+    def _small_state(self) -> dict:
+        return akg_small_state(
+            self.burstiness, self._grace_deadlines, self._newly_unclustered
+        )
+
+    def quantum_op(self, quantum: int) -> list:
+        """Edit op turning the previous quantum's :meth:`to_state` tree
+        into the current one: the shards' window edits, merged the way
+        :meth:`to_state` merges their windows, from one round trip."""
+        shard_edits = self.pool.export_edits(quantum)
+        return akg_quantum_op(
+            quantum,
+            _merged_edit([edit[1] for edit in shard_edits]),
+            _merged_edit([edit[2] for edit in shard_edits]),
+            self._small_state(),
+        )
 
     def from_state(self, state: dict) -> None:
         """Restore from a serial-layout snapshot (any origin W/S)."""
@@ -378,33 +435,32 @@ class ShardedAkgFrontend:
                 "front-end has no oracle mode — resume a serial session"
             )
         self._last_quantum = state["idsets"]["last_quantum"]
-        shard_entries: List[list] = [
-            [] for _ in range(self.router.shard_count)
-        ]
-        support: Dict[Keyword, int] = {}
-        for kw, kw_entries in state["idsets"]["entries"]:
-            shard_entries[self.router.shard_of(kw)].append([kw, kw_entries])
-            users: Set[UserId] = set()
-            for _, entry_users in kw_entries:
-                users.update(entry_users)
-            support[kw] = len(users)
-        shard_minis: List[list] = [[] for _ in range(self.router.shard_count)]
-        for kw, kw_minis in state["sketches"]["minis"]:
-            shard_minis[self.router.shard_of(kw)].append([kw, kw_minis])
+        shard_count = self.router.shard_count
+        shard_of = self.router.shard_of
+        users_of: Dict[Keyword, Set[UserId]] = {}
+        for _, block in state["idsets"]["window"]:
+            for kw, users in block:
+                users_of.setdefault(kw, set()).update(users)
+        idsets = _shard_windows(
+            state["idsets"]["window"], shard_count, shard_of
+        )
+        sketches = _shard_windows(
+            state["sketches"]["window"], shard_count, shard_of
+        )
         self.pool.load_states(
             [
                 (
                     shard,
                     {
                         "last_quantum": self._last_quantum,
-                        "entries": shard_entries[shard],
+                        "window": idsets[shard],
                     },
-                    {"minis": shard_minis[shard]},
+                    {"window": sketches[shard]},
                 )
-                for shard in range(self.router.shard_count)
+                for shard in range(shard_count)
             ]
         )
-        self._support = support
+        self._support = {kw: len(users) for kw, users in users_of.items()}
         self.burstiness.from_state(state["burstiness"])
         self._grace_deadlines = {
             deadline: set(kws) for deadline, kws in state["grace_deadlines"]

@@ -225,14 +225,22 @@ class WorkerPool:
 
     # ---------------------------------------------------------- persistence
 
+    def _gather_shards(self, op: str, *args) -> List[tuple]:
+        """Run a per-shard read on every worker; rows in shard order."""
+        results = self._scatter(op, [args for _ in self.transports])
+        return sorted(
+            (row for worker_rows in results for row in worker_rows),
+            key=lambda row: row[0],
+        )
+
     def export_states(self) -> List[Tuple[int, dict, dict]]:
         """Every shard's ``(shard, idsets, sketches)`` state, shard order."""
-        results = self._scatter("export", [() for _ in self.transports])
-        states = [
-            state for worker_states in results for state in worker_states
-        ]
-        states.sort(key=lambda item: item[0])
-        return states
+        return self._gather_shards("export")
+
+    def export_edits(self, quantum: int) -> List[Tuple[int, tuple, tuple]]:
+        """Every shard's ``(shard, idsets_edit, sketches_edit)`` for the
+        slide to ``quantum``, shard order — the delta log's round trip."""
+        return self._gather_shards("edit", quantum)
 
     def load_states(self, states: List[Tuple[int, dict, dict]]) -> None:
         """Install per-shard states (checkpoint restore)."""

@@ -53,23 +53,19 @@ class ShardParams:
 class ShardUpdate:
     """One shard's contribution to one quantum's merge (picklable).
 
-    ``support_deltas``/``appeared``/``expired``/``emptied`` are the shard's
-    slice of the global ``SlideDelta`` (keyword-disjoint across shards, so
-    the merged delta is their plain union).  ``bursty`` are the slice
-    keywords that cleared theta this quantum; ``sketches`` their merged
-    window sketches.  ``id_sets`` is unused by the two-phase flow (the EC
-    exchange ships them in phase two, see :meth:`ShardState.exchange`) and
-    kept for wire/struct compatibility.
+    ``support_deltas``/``emptied`` are the part of the shard's slice of
+    the global ``SlideDelta`` the merge consumes (keyword-disjoint across
+    shards, so the merged delta is their plain union).  ``bursty`` are the
+    slice keywords that cleared theta this quantum; ``sketches`` their
+    merged window sketches.  Id sets ship in phase two
+    (:meth:`ShardState.exchange`).
     """
 
     shard: int
-    appeared: FrozenSet[Keyword] = frozenset()
-    expired: FrozenSet[Keyword] = frozenset()
     emptied: FrozenSet[Keyword] = frozenset()
     support_deltas: Dict[Keyword, Tuple[int, int]] = field(default_factory=dict)
     bursty: FrozenSet[Keyword] = frozenset()
     sketches: Dict[Keyword, Sketch] = field(default_factory=dict)
-    id_sets: Dict[Keyword, FrozenSet[UserId]] = field(default_factory=dict)
 
 
 class ShardState:
@@ -111,8 +107,6 @@ class ShardState:
             sketches = {kw: self.sketches.sketch(kw) for kw in bursty}
         return ShardUpdate(
             shard=self.shard,
-            appeared=delta.appeared,
-            expired=delta.expired,
             emptied=delta.emptied,
             support_deltas=dict(delta.support_deltas),
             bursty=bursty,
@@ -162,6 +156,15 @@ class ShardState:
         the serial checkpoint layout (each already in sorted keyword
         order)."""
         return (self.shard, self.idsets.to_state(), self.sketches.to_state())
+
+    def export_edit(self, quantum: int) -> Tuple[int, tuple, tuple]:
+        """``(shard, idsets_edit, sketches_edit)`` — this shard's slice of
+        what the slide to ``quantum`` did to the two serialized windows."""
+        return (
+            self.shard,
+            self.idsets.window_edit(quantum),
+            self.sketches.window_edit(quantum),
+        )
 
     def load_state(self, idsets_state: dict, sketches_state: dict) -> None:
         self.idsets.from_state(idsets_state)

@@ -3,8 +3,8 @@
 The pool's protocol has always been value-shaped — entity slices out,
 :class:`~repro.parallel.shard_state.ShardUpdate` back — which is exactly a
 wire format.  This module names it: a :class:`ShardTransport` carries the
-five worker operations (``ingest`` / ``exchange`` / ``extract`` /
-``export`` / ``load``) to wherever the shard states physically live, and
+six worker operations (``ingest`` / ``exchange`` / ``extract`` /
+``export`` / ``edit`` / ``load``) to wherever the shard states physically live, and
 four implementations cover the deployment spectrum:
 
 :class:`SerialShardTransport`
@@ -71,7 +71,7 @@ PROTOCOL_MAGIC = b"RSW1"
 
 #: Bumped on any incompatible message-schema change; the init handshake
 #: refuses a mismatch so a stale daemon fails loudly, not subtly.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _FRAME_HEADER = struct.Struct(">II")  # (payload length, CRC32) — as deltalog
 _MAX_FRAME = 1 << 31
@@ -145,13 +145,10 @@ def update_to_wire(update: ShardUpdate) -> dict:
     with exact float/set/tuple round trip)."""
     return {
         "shard": update.shard,
-        "appeared": update.appeared,
-        "expired": update.expired,
         "emptied": update.emptied,
         "support_deltas": update.support_deltas,
         "bursty": update.bursty,
         "sketches": update.sketches,
-        "id_sets": update.id_sets,
     }
 
 
@@ -257,6 +254,9 @@ def dispatch_op(
         return extract_chunk(*args)
     if op == "export":
         return [states[shard].export_state() for shard in sorted(states)]
+    if op == "edit":
+        (quantum,) = args
+        return [states[shard].export_edit(quantum) for shard in sorted(states)]
     if op == "load":
         (payload,) = args
         for shard, idsets_state, sketches_state in payload:

@@ -180,11 +180,35 @@ def history_record(record) -> list:
     ]
 
 
+def per_keyword(window) -> list:
+    """A queue-of-quanta window ``[[q, [[kw, v], ...]], ...]`` transposed
+    back to the per-keyword layout ``[[kw, [[q, v], ...]], ...]`` the
+    pinned fingerprints were generated against."""
+    by_kw = {}
+    for q, block in window:
+        for kw, value in block:
+            by_kw.setdefault(kw, []).append([q, value])
+    return [[kw, entries] for kw, entries in sorted(by_kw.items())]
+
+
 def normalized_checkpoint_state(path) -> dict:
     """Checkpoint state with wall clocks zeroed and refactor-variant keys
     dropped (extractor identity is *new* state; the timings breakdown is
-    wall-clock noise whose slot names changed with the stage rename)."""
+    wall-clock noise whose slot names changed with the stage rename), and
+    the window subtrees back in the per-keyword layout of checkpoint
+    versions <= 3 — same content, so no pinned constant moves with the
+    v4 layout change."""
     state = dict(load_checkpoint(path))
+    if not state["builder"]["oracle"]:
+        builder = state["builder"] = dict(state["builder"])
+        idsets = builder["idsets"]
+        builder["idsets"] = {
+            "last_quantum": idsets["last_quantum"],
+            "entries": per_keyword(idsets["window"]),
+        }
+        builder["sketches"] = {
+            "minis": per_keyword(builder["sketches"]["window"])
+        }
     state.pop("custom_tokenizer", None)
     state.pop("custom_extractor", None)
     state.pop("extractor", None)

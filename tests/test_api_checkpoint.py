@@ -355,16 +355,21 @@ class TestCheckpointFile:
 
 
 class TestVersionMigration:
-    """Older checkpoints load through the migration table (v2 → v3); truly
-    unknown versions fail with an error naming what *is* readable.
+    """Older checkpoints load through the migration chain (v2 → v3 → v4);
+    truly unknown versions fail with an error naming what *is* readable.
 
     ``tests/data/checkpoint_v2.ckpt`` was written by the pre-extractor
-    tree (PR 4 head) at message 250 of a seed-pinned stream, mid-quantum;
-    the continuation fingerprint below is what that same tree produced for
-    messages 250..300 — the migrated resume must reproduce it bit for bit.
+    tree (PR 4 head) and ``checkpoint_v3.ckpt`` by the last tree with
+    per-keyword window layouts (PR 12 head), both at message 250 of the
+    same seed-pinned stream, mid-quantum; the continuation fingerprint
+    below is what each of those trees produced for messages 250..300 —
+    the migrated resume must reproduce it bit for bit.
     """
 
-    V2_ASSET = Path(__file__).parent / "data" / "checkpoint_v2.ckpt"
+    ASSETS = {
+        version: Path(__file__).parent / "data" / f"checkpoint_v{version}.ckpt"
+        for version in (2, 3)
+    }
     CONTINUATION = (
         "9764eedd3c2267c7348051c7f2e08deca80f364eb43daa5f576646b0cfcd6664"
     )
@@ -374,26 +379,53 @@ class TestVersionMigration:
 
         return [Message(u, tokens=t) for u, t in bursty_stream(5, 300)]
 
-    def test_v2_asset_is_version_2(self):
-        document = json.loads(self.V2_ASSET.read_text())
-        assert document["version"] == 2
-        assert CHECKPOINT_VERSION == 3
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_asset_is_the_version_it_says(self, version):
+        document = json.loads(self.ASSETS[version].read_text())
+        assert document["version"] == version
+        assert CHECKPOINT_VERSION == 4
 
     def test_migrated_state_has_extractor_identity(self):
         from repro.api.checkpoint import load_checkpoint
 
-        state = load_checkpoint(self.V2_ASSET)
+        state = load_checkpoint(self.ASSETS[2])
         assert state["extractor"] == {"name": "keyword", "options": {}}
         assert state["custom_extractor"] is False
         assert "custom_tokenizer" not in state
         assert "extract" in state["timings"]
         assert "tokenize" not in state["timings"]
 
-    def test_v2_resume_continues_bit_identically(self):
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_migrated_windows_are_queues_of_quanta(self, version):
+        from repro.api.checkpoint import load_checkpoint
+
+        document = json.loads(self.ASSETS[version].read_text())
+        old = decode_state(document["state"])["builder"]
+        new = load_checkpoint(self.ASSETS[version])["builder"]
+        for layer, old_key in (("idsets", "entries"), ("sketches", "minis")):
+            assert old_key not in new[layer]
+            window = new[layer]["window"]
+            quanta = [q for q, _ in window]
+            assert quanta == sorted(set(quanta))
+            for _, block in window:
+                assert [kw for kw, _ in block] == sorted(
+                    kw for kw, _ in block
+                )
+            # the transposition moves every (keyword, quantum) cell, once
+            assert sorted(
+                (kw, q, value) for q, block in window for kw, value in block
+            ) == sorted(
+                (kw, q, value)
+                for kw, entries in old[layer][old_key]
+                for q, value in entries
+            )
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_old_resume_continues_bit_identically(self, version):
         from golden import fingerprint, note_record, report_record
 
         messages = self.stream()
-        session = open_session(resume=self.V2_ASSET)
+        session = open_session(resume=self.ASSETS[version])
         assert session.extractor.name == "keyword"
         inbox = QueueSink()
         session.subscribe(inbox)
@@ -404,12 +436,19 @@ class TestVersionMigration:
         }
         assert fingerprint(structure) == self.CONTINUATION
 
-    def test_v2_resume_snapshots_as_v3(self, tmp_path):
-        session = open_session(resume=self.V2_ASSET)
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_old_resume_snapshots_as_current(self, tmp_path, version):
+        from golden import fingerprint, normalized_checkpoint_state
+
+        session = open_session(resume=self.ASSETS[version])
         path = tmp_path / "upgraded.ckpt"
         session.snapshot(path)
         document = json.loads(path.read_text())
         assert document["version"] == CHECKPOINT_VERSION
+        # the migrated tree is exactly what the live layers serialize
+        assert fingerprint(normalized_checkpoint_state(path)) == fingerprint(
+            normalized_checkpoint_state(self.ASSETS[version])
+        )
         # and the upgraded checkpoint resumes normally (250 messages =
         # 12 complete quanta of 20 -> 0-based index 11, 10 buffered)
         resumed = open_session(resume=path)
@@ -423,7 +462,7 @@ class TestVersionMigration:
                 {"format": CHECKPOINT_FORMAT, "version": 1, "state": None}
             )
         )
-        with pytest.raises(CheckpointError, match="migrate versions 2"):
+        with pytest.raises(CheckpointError, match="migrate versions 2, 3"):
             open_session(resume=path)
 
 

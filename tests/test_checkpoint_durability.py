@@ -34,6 +34,8 @@ from repro.api.deltalog import (
 )
 from repro.errors import CheckpointError
 
+from tree_diff import TreeSource
+
 STATE = {"quantum": 3, "payload": [1, 2.5, ("a", "b"), {"x": {1, 2}}]}
 NEXT = {"quantum": 4, "payload": [2, 2.5, ("a", "c"), {"x": {1, 2, 3}}]}
 
@@ -204,7 +206,8 @@ def build_delta_dir(tmp_path, n_appends=3):
     d = tmp_path / "d"
     writer = DeltaCheckpointWriter(d, compact_ratio=1e9)
     state = {"quantum": 0, "payload": {"keys": set(), "log": []}}
-    writer.start(state)
+    source = TreeSource(state)
+    writer.start(source)
     states = [state]
     for q in range(1, n_appends + 1):
         state = {
@@ -214,7 +217,7 @@ def build_delta_dir(tmp_path, n_appends=3):
                 "log": [[f"k{i}", i * 1.5] for i in range(q * 4)],
             },
         }
-        writer.append(state)
+        writer.append(source.advance(state))
         states.append(state)
     writer.close()
     return d, states
@@ -311,27 +314,31 @@ class TestDeltaLogFaults:
     def test_failed_append_breaks_the_writer(self, tmp_path, monkeypatch):
         d = tmp_path / "d"
         writer = DeltaCheckpointWriter(d, compact_ratio=1e9)
-        writer.start({"quantum": 0, "x": 1})
+        source = TreeSource({"quantum": 0, "x": 1})
+        writer.start(source)
 
         def exploding_fsync(fd):
             raise OSError("injected: fsync failed")
 
         monkeypatch.setattr(os, "fsync", exploding_fsync)
         with pytest.raises(CheckpointError, match="injected"):
-            writer.append({"quantum": 1, "x": 2})
+            writer.append(source.advance({"quantum": 1, "x": 2}))
         monkeypatch.undo()
         # the tail may be torn now: the writer must refuse to continue
         with pytest.raises(CheckpointError, match="broken"):
-            writer.append({"quantum": 2, "x": 3})
+            writer.append(source.advance({"quantum": 2, "x": 3}))
         writer.close()
         # the directory still loads (torn tail = consistent prefix) and a
         # fresh leader attaches with a new generation
         state = load_checkpoint(d)
         assert state["quantum"] in (0, 1)
         successor = DeltaCheckpointWriter(d)
-        successor.start(state)
+        source = TreeSource(state)
+        successor.start(source)
         assert successor.generation == 1
-        successor.append({**state, "quantum": state["quantum"] + 1})
+        successor.append(
+            source.advance({**state, "quantum": state["quantum"] + 1})
+        )
         successor.close()
         assert load_checkpoint(d)["quantum"] == state["quantum"] + 1
 
@@ -340,7 +347,8 @@ class TestDeltaLogFaults:
 
         d, _ = build_delta_dir(tmp_path, n_appends=0)
         writer = DeltaCheckpointWriter(tmp_path / "d2", compact_ratio=1e9)
-        writer.start({"quantum": 0, "x": 0})
+        source = TreeSource({"quantum": 0, "x": 0})
+        writer.start(source)
         synced = {"file": 0, "dir": 0}
         real_fsync = os.fsync
         real_fstat = os.fstat
@@ -355,6 +363,6 @@ class TestDeltaLogFaults:
             return real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", spying_fsync)
-        writer.append({"quantum": 1, "x": 1})
+        writer.append(source.advance({"quantum": 1, "x": 1}))
         assert synced["file"] >= 1 and synced["dir"] >= 1
         writer.close()

@@ -1,9 +1,11 @@
-"""Delta checkpoints: diff/patch exactness, framing, writer, v4 reader.
+"""Delta checkpoints: patch exactness, framing, writer, directory reader.
 
-The load-bearing guarantee is ``patch_tree(a, diff_trees(a, b)) == b`` at
-the *byte* level of the canonical checkpoint codec — that single property
-is what makes base+delta replay bit-identical to a monolithic snapshot, so
-it gets both deterministic corner cases and a seeded structural fuzzer.
+``patch_tree`` is the whole of the reader's logic, so it is exercised over
+every op shape the vocabulary has — generated by the exhaustive differ
+kept as a test oracle (``tests/tree_diff.py``): ``patch_tree(a,
+diff_trees(a, b)) == b`` at the *byte* level of the canonical checkpoint
+codec, on deterministic corner cases and a seeded structural fuzzer.  (That
+the ops the *layers* emit patch exactly is ``test_delta_records.py``.)
 Framing is tested the way crashes tear it: truncation at every byte offset
 of a real log must yield a consistent prefix, never an exception and never
 a wrong record.
@@ -16,19 +18,13 @@ import struct
 import pytest
 
 from repro.api import open_session
-from repro.api.checkpoint import (
-    decode_state,
-    encode_state,
-    load_checkpoint,
-    save_checkpoint,
-)
+from repro.api.checkpoint import load_checkpoint, save_checkpoint
 from repro.api.deltalog import (
     _LOG_MAGIC,
     DeltaCheckpointWriter,
     FileTailTransport,
     apply_record,
     decode_frames,
-    diff_trees,
     encode_frame,
     patch_tree,
     read_manifest,
@@ -36,13 +32,7 @@ from repro.api.deltalog import (
 from repro.errors import CheckpointError
 
 from test_api_checkpoint import bursty_stream, make_config
-
-
-def canon(tree):
-    """Canonical bytes of a state tree through the checkpoint codec."""
-    return json.dumps(
-        encode_state(tree), sort_keys=True, separators=(",", ":")
-    )
+from tree_diff import TreeSource, canon, diff_trees
 
 
 def roundtrip(a, b):
@@ -305,7 +295,7 @@ class TestFraming:
         assert out == [] and end == 0
 
 
-# ---------------------------------------------------- writer + v4 reader
+# ------------------------------------------------ writer + directory reader
 
 
 def session_states(n_quanta, config=None, seed=3, messages=None):
@@ -327,13 +317,30 @@ def session_states(n_quanta, config=None, seed=3, messages=None):
     return states
 
 
+def logged_record_sizes(tmp_path, config, messages):
+    """Frame size of every record a real session logs over ``messages``;
+    leaves a monolithic snapshot of the final state at ``full.ckpt``."""
+    sizes = []
+    with open_session(
+        config, delta_log=tmp_path / "d", delta_compact_ratio=1e12
+    ) as session:
+        writer = session.delta_writer
+        logged = writer.log_bytes
+        for _ in session.ingest_many(messages):
+            sizes.append(writer.log_bytes - logged)
+            logged = writer.log_bytes
+        session.snapshot(tmp_path / "full.ckpt")
+    return sizes
+
+
 class TestWriterAndReader:
     def test_replay_equals_monolithic(self, tmp_path):
         states = session_states(8)
         writer = DeltaCheckpointWriter(tmp_path / "d", compact_ratio=1e9)
-        writer.start(states[0])
+        source = TreeSource(states[0])
+        writer.start(source)
         for state in states[1:]:
-            writer.append(state)
+            writer.append(source.advance(state))
         writer.close()
         save_checkpoint(tmp_path / "mono.ckpt", states[-1])
         assert canon(load_checkpoint(tmp_path / "d")) == canon(
@@ -343,9 +350,10 @@ class TestWriterAndReader:
     def test_compaction_rolls_generation_and_truncates(self, tmp_path):
         states = session_states(8)
         writer = DeltaCheckpointWriter(tmp_path / "d", compact_ratio=0.5)
-        writer.start(states[0])
+        source = TreeSource(states[0])
+        writer.start(source)
         for state in states[1:]:
-            writer.append(state)
+            writer.append(source.advance(state))
         assert writer.compactions > 0
         manifest = read_manifest(tmp_path / "d")
         assert manifest["generation"] == writer.generation > 0
@@ -360,21 +368,22 @@ class TestWriterAndReader:
 
     def test_attach_starts_a_fresh_generation(self, tmp_path):
         states = session_states(6)
+        source = TreeSource(states[0])
         first = DeltaCheckpointWriter(tmp_path / "d")
-        first.start(states[0])
-        first.append(states[1])
+        first.start(source)
+        first.append(source.advance(states[1]))
         first.close()
         second = DeltaCheckpointWriter(tmp_path / "d")
-        second.start(states[1])
+        second.start(source)
         assert second.generation == first.generation + 1
-        second.append(states[2])
+        second.append(source.advance(states[2]))
         second.close()
         assert canon(load_checkpoint(tmp_path / "d")) == canon(states[2])
 
     def test_append_before_start_raises(self, tmp_path):
         writer = DeltaCheckpointWriter(tmp_path / "d")
         with pytest.raises(CheckpointError, match="not started"):
-            writer.append({"quantum": 0})
+            writer.append(TreeSource({"quantum": 0}))
 
     def test_nonpositive_compact_ratio_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
@@ -385,9 +394,8 @@ class TestWriterAndReader:
         # regime delta checkpoints exist for.  (The bursty fixture churns
         # its whole 6-keyword state every quantum, so it exercises
         # correctness, not size.)  Each quantum uses one of 20 rotating
-        # keyword groups, so most per-keyword window state sits untouched.
-        # The hard <=10% gate lives in the benchmark at 20k-message
-        # windows.
+        # keyword groups over a 12-quantum window.  The hard <=10% gate
+        # lives in the benchmark at 20k-message windows.
         from repro.stream.messages import Message
 
         rng = random.Random(5)
@@ -406,28 +414,21 @@ class TestWriterAndReader:
                         tokens=tuple(rng.sample(group, 2)),
                     )
                 )
-        states = session_states(
-            n_quanta, config=config, messages=messages
-        )
-        writer = DeltaCheckpointWriter(tmp_path / "d", compact_ratio=1e9)
-        writer.start(states[0])
-        sizes = [writer.append(s) for s in states[1:]]
-        writer.close()
+        sizes = logged_record_sizes(tmp_path, config, messages)
         # compare steady-state deltas to a full snapshot at the same
         # stream position (the gen-0 base predates the full window)
-        save_checkpoint(tmp_path / "full.ckpt", states[-1])
         full = (tmp_path / "full.ckpt").stat().st_size
         assert max(sizes[12:]) < full / 2
 
-    def test_delta_record_never_larger_than_replacement(self, tmp_path):
-        # worst case — total churn: the edit script falls back to
-        # replacement-sized ops instead of paying per-edit overhead
-        states = session_states(6)  # tiny window, ~full churn per quantum
-        writer = DeltaCheckpointWriter(tmp_path / "d", compact_ratio=1e9)
-        writer.start(states[0])
-        sizes = [writer.append(s) for s in states[1:]]
-        writer.close()
-        assert max(sizes) < writer.base_bytes * 1.25
+    def test_delta_record_never_larger_than_a_snapshot(self, tmp_path):
+        # worst case — a tiny window that churns completely every few
+        # quanta: a record is a window block plus the small subtrees
+        # whole, never more than the state it moves
+        config = make_config()
+        sizes = logged_record_sizes(
+            tmp_path, config, bursty_stream(3, 6 * config.quantum_size)
+        )
+        assert max(sizes) < (tmp_path / "full.ckpt").stat().st_size
 
     def test_discontinuous_record_raises(self):
         state = {"quantum": 5}

@@ -148,6 +148,30 @@ def test_remote_session_resumes_from_checkpoint(tmp_path):
     reference.close()
 
 
+def test_remote_leader_delta_log_replays_to_its_snapshot(tmp_path):
+    """The delta log's per-quantum round trip (``edit``) over TCP: shard
+    window edits cross the wire codec and merge into records that replay
+    to exactly the tree a snapshot writes."""
+    from repro.api.checkpoint import load_checkpoint
+    from tree_diff import canon
+
+    stream = bursty_stream(7, 400)
+    with worker_daemons(2) as endpoints:
+        with open_session(
+            make_config(),
+            workers=endpoints,
+            shard_count=4,
+            delta_log=tmp_path / "d",
+            delta_compact_ratio=1e12,
+        ) as leader:
+            list(leader.ingest_many(stream))
+            assert leader.delta_writer.records_written == 20
+            leader.snapshot(tmp_path / "mono.ckpt")
+    assert canon(load_checkpoint(tmp_path / "d")) == canon(
+        load_checkpoint(tmp_path / "mono.ckpt")
+    )
+
+
 # ------------------------------------------------------- frame codec
 
 

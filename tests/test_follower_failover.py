@@ -23,6 +23,7 @@ import pytest
 
 import golden
 from repro.api import FollowerSession, QueueSink, open_session
+from repro.api.deltalog import _LOG_MAGIC, decode_frames, read_manifest
 from repro.errors import CheckpointError
 
 from test_api_checkpoint import (
@@ -239,6 +240,19 @@ class TestFollowerLifecycle:
 
 
 class TestCrashedLeader:
+    @staticmethod
+    def loadable_quantum(log_dir) -> int:
+        """The quantum a reader of ``log_dir`` would land on right now: the
+        current base's plus one per complete, checksummed record after it
+        (-1 while there is nothing to read, or mid generation flip)."""
+        try:
+            manifest = read_manifest(log_dir)
+            data = (log_dir / manifest["log"]).read_bytes()
+        except (CheckpointError, OSError):
+            return -1
+        records, _ = decode_frames(data, offset=len(_LOG_MAGIC))
+        return manifest["base_quantum"] + len(records)
+
     def test_sigkilled_leader_leaves_a_loadable_log(self, tmp_path):
         """SIGKILL a real leader process mid-stream; the follower must load
         a consistent quantum boundary and continue to the exact same final
@@ -271,12 +285,13 @@ class TestCrashedLeader:
         )
         try:
             assert proc.stdout.readline().strip() == b"ready"
-            # let it log a few quanta, then kill it without ceremony
+            # Let it log two *complete* records (or compact past them),
+            # then kill it without ceremony.  Polling on decodable records,
+            # not log bytes: one partially written record crosses any byte
+            # threshold, and the torn-tail rule then rightly loads q=0.
             deadline = time.monotonic() + 30
-            log_dir = tmp_path / "d"
             while time.monotonic() < deadline:
-                logs = list(log_dir.glob("deltas-*.log"))
-                if logs and max(p.stat().st_size for p in logs) > 2000:
+                if self.loadable_quantum(tmp_path / "d") >= 1:
                     break
                 time.sleep(0.02)
             os.kill(proc.pid, signal.SIGKILL)

@@ -397,7 +397,19 @@ class TestSlowConsumer:
 
             reader = threading.Thread(target=drain_keeper, daemon=True)
             reader.start()
-            client.ingest("slow", materialize(pairs), wait=True)
+            # Fed five quanta per request: the stalled subscriber's pump
+            # then runs between requests and writes every event to its
+            # socket until the socket jams.  One big batch lets the
+            # detector thread outrun the pump — most events are then
+            # evicted from the 4-event buffer before they are ever
+            # written, and whether enough bytes reach the socket to jam it
+            # is down to thread scheduling.
+            messages = materialize(pairs)
+            step = 5 * CONFIG["quantum_size"]
+            for start in range(0, len(messages), step):
+                client.ingest(
+                    "slow", messages[start : start + step], wait=True
+                )
             deadline = time.monotonic() + 15
             closed = []
             while time.monotonic() < deadline:
