@@ -4,7 +4,7 @@ Usage::
 
     python benchmarks/check_regression.py \\
         --baseline /tmp/perf-baseline --current benchmarks/results \\
-        --tolerance 0.25 hot_path parallel_akg incremental_akg \\
+        --tolerance 0.25 parallel_akg incremental_akg \\
         incremental_ranking delta_checkpoint
 
 For every named bench the script loads ``<dir>/<name>.json`` (schema of

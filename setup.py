@@ -4,17 +4,10 @@ Kept as a plain setup.py: this environment lacks the `wheel` package, so
 PEP 660 editable installs fail; `pip install -e . --no-use-pep517` uses
 this directly.
 
-The core package is dependency-free pure python.  ``numpy`` is an
-*optional* accelerator: when importable, the batched backend
-(``DetectorConfig.backend = "batched"``) switches its window id-set and
-MinHash kernels to vectorized array engines that are bit-identical to the
-pure-python fallbacks (see DESIGN.md Section 9).  Install it via the
-``fast`` extra::
-
-    pip install -e .[fast] --no-use-pep517
-
-CI exercises both legs: the default numpy leg and a pure-python leg with
-``REPRO_PURE_PYTHON=1`` forcing the fallback engines.
+``numpy`` is the one runtime dependency: the window id-set index, the
+per-quantum extraction columns and the MinHash sketch kernel are array code
+(DESIGN.md Section 9).  Everything else — the serving layer included — is
+stdlib.
 """
 from setuptools import find_packages, setup
 
@@ -29,8 +22,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
+    install_requires=["numpy"],
     extras_require={
-        "fast": ["numpy"],
         # The serving layer (repro.serve / `repro serve`) is deliberately
         # stdlib-only: asyncio front door, hand-rolled HTTP + RFC 6455.
         # The empty marker documents that, and gives deployments a stable

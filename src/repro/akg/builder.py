@@ -26,19 +26,22 @@ touched keywords; sketches are merged only when dirtied; and step 5 checks
 only three delta-sized candidate pools — keywords whose support just hit
 zero (stale), keywords whose burst grace period expires this quantum
 (scheduled at burst time), and nodes that just lost their last cluster
-membership (registry listener).  ``oracle=True`` swaps in the from-scratch
-components of :mod:`repro.akg.oracle` and a full-vocabulary dead-node sweep:
-identical semantics, O(window x vocabulary) cost, used as the differential
-baseline by the property tests and ``benchmarks/bench_incremental_akg.py``.
+membership (registry listener).  The window indexes are the column engine
+(DESIGN.md Section 9): :meth:`AkgBuilder.process_columns` consumes the
+extract stage's interned pair columns directly.  ``oracle=True`` swaps in
+the from-scratch components of :mod:`repro.akg.oracle` and a
+full-vocabulary dead-node sweep: identical semantics, O(window x
+vocabulary) cost, used as the differential reference by the property tests
+and ``benchmarks/bench_incremental_akg.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.akg.burstiness import BurstinessTracker
-from repro.akg.idsets import IdSetIndex, SlideDelta, WindowEdit, make_batched_idsets
+from repro.akg.idsets import IdSetIndex, SlideDelta, WindowEdit
 from repro.akg.minhash import (
     MinHasher,
     Sketch,
@@ -50,9 +53,7 @@ from repro.config import DetectorConfig
 from repro.core.changelog import NodeWeightChanged
 from repro.core.maintenance import ClusterMaintainer
 from repro.errors import GraphError
-
-if TYPE_CHECKING:
-    from repro.stream.window import QuantumColumns
+from repro.stream.window import QuantumColumns
 
 Keyword = str
 UserId = Hashable
@@ -309,9 +310,17 @@ class AkgBuilder:
 
     ``oracle=True`` replaces the incremental window indexes with the
     from-scratch implementations of :mod:`repro.akg.oracle` and sweeps the
-    whole graph for dead nodes each quantum — the verification baseline for
-    the fast path (``EventDetector(oracle_akg=True)``, ``detect
+    whole graph for dead nodes each quantum — the verification reference
+    for the fast path (``open_session(oracle_akg=True)``, ``detect
     --oracle-akg``).
+
+    :meth:`process_columns` is the production entry: it consumes the
+    extract stage's pre-interned
+    :class:`~repro.stream.window.QuantumColumns` (which must have been
+    built over ``idsets.ents``/``idsets.acts``).  :meth:`process_quantum`
+    takes the ``keyword -> users`` mapping form: the oracle components are
+    fed it as is, the fast path interns it and runs the column entry.
+    Either way steps 2-5 are the one :meth:`_update_graph`.
     """
 
     def __init__(
@@ -328,7 +337,7 @@ class AkgBuilder:
             self.idsets = OracleIdSetIndex(config.window_quanta)
             self.sketches = OracleSketchIndex(self.minhasher, self.idsets)
         else:
-            self.idsets = IdSetIndex(config.window_quanta)
+            self.idsets = IdSetIndex(config.window_quanta, seed=config.seed)
             self.sketches = WindowedSketchIndex(
                 self.minhasher, config.window_quanta
             )
@@ -357,16 +366,59 @@ class AkgBuilder:
         ``keyword_users`` maps every (stop-word-free) keyword appearing in
         the quantum to the distinct users who used it.
         """
+        if not self.oracle:
+            return self.process_columns(
+                quantum, self.idsets.intern_quantum(quantum, keyword_users)
+            )
+        delta = self.idsets.add_quantum(quantum, keyword_users)
+        # The oracle sketches hash whole id sets through the MinHasher
+        # memo; users whose last window occurrence just expired can never
+        # be re-hashed from cache state alone, so their entries go.
+        if delta.vanished_users:
+            self.minhasher.evict(delta.vanished_users)
+        if self.config.use_minhash_filter:
+            self.sketches.add_quantum(quantum, keyword_users)
+        quantum_support = {
+            kw: len(users) for kw, users in keyword_users.items() if users
+        }
+        return self._update_graph(quantum, delta, quantum_support)
+
+    def process_columns(
+        self, quantum: int, columns: QuantumColumns
+    ) -> AkgQuantumStats:
+        """Apply one quantum of pre-interned pair columns to the AKG.
+
+        Vanished users release their interner slot (and with it the stored
+        base hash) inside ``add_columns``; per-quantum sketch minima come
+        from one vectorized pass over the quantum's hash column instead of
+        one salted blake2b call per (keyword, user).
+        """
+        delta = self.idsets.add_columns(quantum, columns)
+        if self.config.use_minhash_filter:
+            minis = batched_quantum_minis(
+                columns, self.idsets.acts.hashes, self.minhasher.p
+            )
+            self.sketches.add_quantum_minis(quantum, minis)
+        quantum_support = {
+            kw: hi - lo
+            for kw, (_, lo, hi) in zip(columns.ent_strings, columns.segments)
+        }
+        return self._update_graph(quantum, delta, quantum_support)
+
+    def _update_graph(
+        self,
+        quantum: int,
+        delta: SlideDelta,
+        quantum_support: Dict[Keyword, int],
+    ) -> AkgQuantumStats:
+        """Steps 2-5 of the per-quantum update, given the window slide.
+
+        ``quantum_support`` maps every keyword seen this quantum to its
+        distinct-user count within the quantum.
+        """
         stats = AkgQuantumStats(quantum=quantum)
         graph = self.maintainer.graph
         self.maintainer.current_quantum = quantum
-
-        delta = self.idsets.add_quantum(quantum, keyword_users)
-        # Users whose last window occurrence just expired can never be
-        # re-hashed from cache state alone — drop their memo entries so the
-        # MinHasher cache tracks the live window population (bounded memo).
-        if delta.vanished_users:
-            self.minhasher.evict(delta.vanished_users)
         # Node-weight deltas feed the incremental ranker.  Only nodes already
         # in the AKG matter: a keyword entering the graph (and a cluster)
         # later this quantum is covered by that cluster's structural event.
@@ -375,9 +427,6 @@ class AkgBuilder:
             if graph.has_node(kw):
                 changelog.record(NodeWeightChanged(kw, old, new))
                 stats.node_weight_deltas += 1
-        if self.config.use_minhash_filter:
-            self.sketches.add_quantum(quantum, keyword_users)
-        quantum_support = {kw: len(users) for kw, users in keyword_users.items()}
         bursty = self.burstiness.observe_quantum(quantum, quantum_support)
         stats.bursty_keywords = len(bursty)
 
@@ -398,7 +447,7 @@ class AkgBuilder:
             stats.edges_added += 1
 
         # -- edges: lazy refresh around keywords seen this quantum --------
-        self._refresh_incident_edges(keyword_users.keys(), stats)
+        self._refresh_incident_edges(quantum_support.keys(), stats)
 
         # -- nodes: stale and lazy removal --------------------------------
         self._remove_dead_nodes(quantum, delta, stats)
@@ -546,99 +595,9 @@ class AkgBuilder:
         return {kw: self.idsets.support(kw) for kw in nodes}
 
 
-class BatchedAkgBuilder(AkgBuilder):
-    """The batched-backend builder (DESIGN.md Section 9).
-
-    Swaps the window id-set index for a batched engine (interned
-    ids, flat pair counts) and adds :meth:`process_columns`, which consumes
-    the batched extraction stage's pre-interned
-    :class:`~repro.stream.window.QuantumColumns` directly — per-quantum
-    sketch minima come from one vectorized pass over the quantum's hash
-    column instead of one salted blake2b call per (keyword, user).
-
-    Every cross-keyword decision step (burstiness, candidate pairing, EC
-    qualification, refresh, removal) is the *same code* as the reference
-    builder over the same values, so reports, sink events, histories and
-    checkpoints are bit-identical across backends.  The inherited
-    mapping-path :meth:`process_quantum` keeps working too (the batched
-    index accepts the reference ``add_quantum`` contract), which is what
-    lets CKG-stats sessions run this builder behind the reference stages.
-    """
-
-    def __init__(
-        self, config: DetectorConfig, maintainer: ClusterMaintainer
-    ) -> None:
-        super().__init__(config, maintainer, oracle=False)
-        self.idsets = make_batched_idsets(config.window_quanta, seed=config.seed)
-
-    def process_columns(
-        self, quantum: int, columns: "QuantumColumns"
-    ) -> AkgQuantumStats:
-        """Apply one quantum of pre-interned pair columns to the AKG.
-
-        Mirrors :meth:`AkgBuilder.process_quantum` step for step; only the
-        window-index feed differs (columns instead of a mapping, vectorized
-        per-quantum minima instead of per-keyword ``hasher.sketch`` calls).
-        """
-        stats = AkgQuantumStats(quantum=quantum)
-        graph = self.maintainer.graph
-        self.maintainer.current_quantum = quantum
-
-        delta = self.idsets.add_columns(quantum, columns)
-        # Vanished users already released their interner slot (and with it
-        # the memoised base hash) inside add_columns — the batched analogue
-        # of the reference path's MinHasher memo eviction.  The memo itself
-        # is only populated if this builder also served mapping-path quanta.
-        if delta.vanished_users and self.minhasher.cache_size:
-            self.minhasher.evict(delta.vanished_users)
-        changelog = self.maintainer.changelog
-        for kw, (old, new) in delta.support_deltas.items():
-            if graph.has_node(kw):
-                changelog.record(NodeWeightChanged(kw, old, new))
-                stats.node_weight_deltas += 1
-        if self.config.use_minhash_filter:
-            minis = batched_quantum_minis(
-                columns, self.idsets.acts.hashes, self.minhasher.p
-            )
-            self.sketches.add_quantum_minis(quantum, minis)
-        segments = columns.segments
-        ent_strings = columns.ent_strings
-        quantum_support = {
-            kw: seg[2] - seg[1] for seg, kw in zip(segments, ent_strings)
-        }
-        bursty = self.burstiness.observe_quantum(quantum, quantum_support)
-        stats.bursty_keywords = len(bursty)
-
-        # -- nodes: newly bursty keywords enter the AKG -------------------
-        grace = self.config.node_grace_quanta
-        for kw in bursty:
-            if not graph.has_node(kw):
-                self.maintainer.add_node(kw)
-                stats.nodes_added += 1
-            deadline = self.burstiness.first_droppable_quantum(kw, grace)
-            self._grace_deadlines.setdefault(deadline, set()).add(kw)
-
-        # -- edges: new candidates among this quantum's bursty set --------
-        new_edges = self._new_edges_among(sorted(bursty), stats)
-        for kw1, kw2, ec in new_edges:
-            self.maintainer.add_edge(kw1, kw2, ec)
-            stats.edges_added += 1
-
-        # -- edges: lazy refresh around keywords seen this quantum --------
-        self._refresh_incident_edges(ent_strings, stats)
-
-        # -- nodes: stale and lazy removal --------------------------------
-        self._remove_dead_nodes(quantum, delta, stats)
-
-        stats.akg_nodes = graph.num_nodes
-        stats.akg_edges = graph.num_edges
-        return stats
-
-
 __all__ = [
     "AkgBuilder",
     "AkgQuantumStats",
-    "BatchedAkgBuilder",
     "akg_quantum_op",
     "akg_small_state",
     "candidate_edge_pairs",

@@ -8,11 +8,15 @@ false-negative rate down (Cohen [6, 7]).  ``p = min(theta / 2, 1 / gamma)``
 per the paper.
 
 Hashing uses a salted 64-bit blake2b digest so results are stable across
-processes and independent of ``PYTHONHASHSEED``; per-user hashes are memoised
-because the same users recur across quanta.  The memo is *bounded*: the
-AKG builder evicts users reported by ``SlideDelta.vanished_users`` — users
-whose last window occurrence just expired — so the cache tracks the live
-window population instead of every user id ever seen.
+processes and independent of ``PYTHONHASHSEED``.  On the hot path each
+user is hashed once per window residency — the id-set index's actor
+interner stores the value in the user's slot (:func:`user_hash_fn`) and
+:func:`batched_quantum_minis` builds a quantum's mini-sketches from that
+column.  :class:`MinHasher` is the object-level form (what the from-scratch
+oracle hashes with); its per-user memo is *bounded*: the AKG builder evicts
+users reported by ``SlideDelta.vanished_users`` — users whose last window
+occurrence just expired — so the cache tracks the live window population
+instead of every user id ever seen.
 """
 
 from __future__ import annotations
@@ -20,13 +24,12 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from hashlib import blake2b
-from typing import TYPE_CHECKING, Callable, Deque, Dict, Hashable, Iterable, List, Mapping, Set, Tuple
+from typing import Callable, Deque, Dict, Hashable, Iterable, List, Mapping, Set, Tuple
 
-from repro.arrays import get_numpy
+import numpy as np
+
 from repro.errors import ConfigError
-
-if TYPE_CHECKING:  # type-only: the batched kernel reads its columns
-    from repro.stream.window import QuantumColumns
+from repro.stream.window import QuantumColumns
 
 UserId = Hashable
 Sketch = Tuple[int, ...]
@@ -36,7 +39,7 @@ def user_hash_fn(seed: int) -> Callable[[UserId], int]:
     """The MinHash base-hash as a standalone function of the user id.
 
     Bit-identical to :meth:`MinHasher.hash_user` by construction (same
-    digest, same salt derivation) — the batched backend installs this as the
+    digest, same salt derivation) — the id-set index installs this as the
     actor interner's hash column so each user is hashed exactly once per
     window residency, and the vectorized sketch kernel then works on the
     stored 64-bit values instead of re-hashing.
@@ -179,16 +182,13 @@ class WindowedSketchIndex:
     def add_quantum_minis(
         self, quantum: int, minis: Mapping[str, Sketch]
     ) -> None:
-        """Ingest pre-computed per-quantum mini-sketches (batched backend).
+        """Ingest pre-computed per-quantum mini-sketches.
 
         ``minis`` must hold, per keyword, the bottom-p distinct base-hash
         values of the quantum's users — exactly what :meth:`add_quantum`
-        would compute via :meth:`MinHasher.sketch`.  The batched backend
-        produces them vectorized from the actor interner's hash column
-        (:func:`batched_quantum_minis`); everything downstream (expiry,
-        dirty tracking, lazy merge, checkpoint layout) is the identical
-        machinery, which is what keeps batched sketch state bit-identical
-        to the reference path.
+        would compute via :meth:`MinHasher.sketch`.  The hot path produces
+        them vectorized from the actor interner's hash column
+        (:func:`batched_quantum_minis`).
         """
         cutoff = quantum - self.window_quanta
         if any(minis.values()):
@@ -278,39 +278,29 @@ class WindowedSketchIndex:
 
 
 def batched_quantum_minis(
-    columns: "QuantumColumns", hashes: list, p: int
+    columns: QuantumColumns, hashes: list, p: int
 ) -> Dict[str, Sketch]:
     """Per-keyword bottom-p mini-sketches of one quantum, vectorized.
 
     ``columns`` are the quantum's deduplicated interned pair columns
     (:class:`~repro.stream.window.QuantumColumns`) and ``hashes`` the actor
     interner's 64-bit base-hash column, so no hashing happens here at all —
-    only a gather plus sort/dedupe/take-p.  The numpy path does one lexsort
-    over (entity, hash) for the whole quantum and selects each entity's
-    first ``p`` distinct values in a handful of array ops; the fallback
-    sorts per segment.  Both return ascending tuples of Python ints equal to
-    ``MinHasher.sketch`` over the same users (same hash values, distinct,
-    bottom-p) — the bit-identity contract of DESIGN.md Section 9.
+    only a gather plus sort/dedupe/take-p: one lexsort over (entity, hash)
+    for the whole quantum, then each entity's first ``p`` distinct values in
+    a handful of array ops.  Returns ascending tuples of Python ints equal
+    to ``MinHasher.sketch`` over the same users (same hash values, distinct,
+    bottom-p).
     """
-    segments = columns.segments
-    if not segments:
+    keys = columns.keys
+    n = len(keys)
+    if not n:
         return {}
-    np = get_numpy()
-    act_col = columns.act_col
-    if np is None:
-        out: Dict[str, Sketch] = {}
-        for (eid, lo, hi), kw in zip(segments, columns.ent_strings):
-            values = sorted({hashes[a] for a in act_col[lo:hi]})
-            out[kw] = tuple(values[:p])
-        return out
-    n = len(act_col)
     hash_col = np.fromiter(
-        map(hashes.__getitem__, act_col), dtype=np.uint64, count=n
+        map(hashes.__getitem__, (keys & 0xFFFFFFFF).tolist()),
+        dtype=np.uint64,
+        count=n,
     )
-    if columns.keys is not None:
-        ent_col = columns.keys >> 32
-    else:
-        ent_col = np.array(columns.ent_col, dtype=np.int64)
+    ent_col = keys >> 32
     order = np.lexsort((hash_col, ent_col))
     ents = ent_col[order]
     vals = hash_col[order]
@@ -333,7 +323,7 @@ def batched_quantum_minis(
     # order of ``segments``/``ent_strings``, so the selected values map back
     # to keywords by walking the per-run take-p counts — no id lookups.
     counts = np.minimum(run_lengths, p).tolist()
-    out = {}
+    out: Dict[str, Sketch] = {}
     pos = 0
     for kw, count in zip(columns.ent_strings, counts):
         end = pos + count

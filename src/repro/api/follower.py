@@ -7,8 +7,8 @@ application only, no tokenization/AKG/ranking work.  When the leader dies,
 ``promote()`` rebuilds a live :class:`~repro.api.session.DetectorSession`
 from the tree, and the execution-agnostic resume guarantee (DESIGN.md
 Sections 6–9) makes the promoted session bit-identical to the uninterrupted
-run from the last logged quantum onward — under any worker count or
-backend, not just the leader's.
+run from the last logged quantum onward — under any worker count, not
+just the leader's.
 
 The follower reads through the :class:`~repro.api.deltalog.DeltaTransport`
 seam; the default :class:`~repro.api.deltalog.FileTailTransport` tails a
@@ -172,7 +172,6 @@ class FollowerSession:
         workers=None,
         shard_count=None,
         worker_backend=None,
-        backend=None,
         profile: bool = False,
     ):
         """Turn the warm state into a live :class:`DetectorSession`.
@@ -182,8 +181,8 @@ class FollowerSession:
         buffer, and — fed the stream from that quantum boundary on — emits
         reports, sink events, histories, and checkpoints bit-identical to
         the uninterrupted run.  Execution arguments (``workers``,
-        ``shard_count``, ``backend``) choose how the promoted session runs
-        and do not affect results.  Custom extractors/taggers must be
+        ``shard_count``) choose how the promoted session runs and do not
+        affect results.  Custom extractors/taggers must be
         re-supplied, exactly as with ``open_session(resume=...)``.
         """
         if self._promoted:
@@ -198,7 +197,6 @@ class FollowerSession:
             workers=workers,
             shard_count=shard_count,
             worker_backend=worker_backend,
-            backend=backend,
             profile=profile,
         )
         self._promoted = True

@@ -55,7 +55,7 @@ from typing import (
     Union,
 )
 
-from repro.akg.builder import AkgBuilder, BatchedAkgBuilder
+from repro.akg.builder import AkgBuilder
 from repro.akg.ckg_stats import CkgStatsTracker
 from repro.api.checkpoint import load_checkpoint, save_checkpoint
 from repro.api.session_events import EventKind, SessionEvent
@@ -157,9 +157,7 @@ class DetectorSession:
         ``worker_backend`` forces its execution backend
         (``process``/``thread``/``serial``, default auto) — an execution
         knob only, results are bit-identical either way.
-        ``config.backend`` selects the hot-path implementation
-        (``reference``/``batched``, DESIGN.md Section 9) — also execution
-        only.  ``overlap=True`` double-buffers :meth:`ingest_many` on the
+        ``overlap=True`` double-buffers :meth:`ingest_many` on the
         sharded front-end: quantum *q*'s serial tail (exchange merge,
         maintenance, ranking, reporting) runs on a background thread while
         quantum *q+1*'s extract+scatter proceeds on the calling thread —
@@ -196,11 +194,6 @@ class DetectorSession:
                 "oracle_akg is a serial verification baseline; it cannot "
                 "run on the sharded front-end (workers/shard_count)"
             )
-        if self.config.batched and (oracle_akg or self.config.oracle_akg):
-            raise ConfigError(
-                "oracle_akg runs the reference components by definition; "
-                "it cannot run on the batched backend"
-            )
         if overlap:
             if not self.config.sharded:
                 raise ConfigError(
@@ -225,10 +218,8 @@ class DetectorSession:
             from repro.parallel import ShardedAkgFrontend
 
             self.builder = ShardedAkgFrontend(
-                self.config, self.maintainer, backend=worker_backend
+                self.config, self.maintainer, worker_backend=worker_backend
             )
-        elif self.config.batched:
-            self.builder = BatchedAkgBuilder(self.config, self.maintainer)
         else:
             self.builder = AkgBuilder(
                 self.config,
@@ -253,6 +244,16 @@ class DetectorSession:
             self.config.high_state_threshold, self.config.ec_threshold
         )
         self.report_index = ThresholdIndex(self._passes_filters)
+        front = None
+        if self.config.sharded:
+            from repro.parallel import sharded_front_stages
+
+            front = sharded_front_stages(
+                self.builder,
+                self.extractor,
+                self.config.max_tokens_per_message,
+                self.ckg_stats,
+            )
         stages = build_stages(
             self.extractor,
             self.maintainer,
@@ -262,57 +263,8 @@ class DetectorSession:
             self.report_index,
             self.config.max_tokens_per_message,
             self.ckg_stats,
+            front=front,
         )
-        if self.config.sharded:
-            from repro.parallel import (
-                BatchedShardedExtractStage,
-                ShardedAkgUpdateStage,
-                ShardedExtractStage,
-            )
-
-            stages[1] = ShardedAkgUpdateStage(self.builder, self.maintainer)
-            # Parallel extraction requires a registry-reconstructible
-            # extractor (worker processes rebuild it from its spec) and no
-            # CKG-stats tracker (its actor->entities view is not
-            # materialised worker-side); otherwise the serial stage stays,
-            # losing only the extract fan-out.  The batched backend extracts
-            # parent-side instead (interned hash-column routing, no worker
-            # round trip), which also serves custom extractors.
-            if self.config.batched and self.ckg_stats is None:
-                stages[0] = BatchedShardedExtractStage(
-                    self.builder,
-                    self.extractor,
-                    self.config.max_tokens_per_message,
-                )
-            elif (
-                not self._custom_extractor
-                and self.ckg_stats is None
-                and self.builder.pool.workers > 1
-                and self.builder.pool.can_extract
-            ):
-                stages[0] = ShardedExtractStage(
-                    self.builder,
-                    self.config.max_tokens_per_message,
-                    extractor_spec(self.extractor),
-                )
-        elif self.config.batched and self.ckg_stats is None:
-            from repro.pipeline.batched import (
-                BatchedAkgUpdateStage,
-                BatchedExtractStage,
-            )
-
-            # Serial batched hot path: columns flow from the extract stage
-            # straight into the builder's window indexes, sharing its
-            # interner tables.  With CKG stats enabled the reference stages
-            # stay (the tracker consumes the actor->entities view) and the
-            # batched builder serves the mapping contract instead.
-            stages[0] = BatchedExtractStage(
-                self.extractor,
-                self.config.max_tokens_per_message,
-                self.builder.idsets.ents,
-                self.builder.idsets.acts,
-            )
-            stages[1] = BatchedAkgUpdateStage(self.builder, self.maintainer)
         self.pipeline = Pipeline(stages)
         self._overlap = overlap
         self._overlap_active = False
@@ -958,7 +910,6 @@ class DetectorSession:
         workers: Optional[Union[int, str]] = None,
         shard_count: Optional[int] = None,
         worker_backend: Optional[str] = None,
-        backend: Optional[str] = None,
         overlap: bool = False,
         profile: bool = False,
     ) -> "DetectorSession":
@@ -973,11 +924,10 @@ class DetectorSession:
         bit-identical guarantee.  Pass the same objects the original
         session used.
 
-        ``workers``/``shard_count``/``worker_backend``/``backend`` choose
-        the *resumed* session's execution mode — checkpoints are
+        ``workers``/``shard_count``/``worker_backend`` choose the
+        *resumed* session's execution mode — checkpoints are
         execution-agnostic, so a stream snapshotted serially can resume
-        under 4 workers, one snapshotted under the reference hot path can
-        resume batched, and vice versa, continuing bit-identically either
+        under 4 workers and vice versa, continuing bit-identically either
         way.
         """
         return cls._from_state_tree(
@@ -988,7 +938,6 @@ class DetectorSession:
             workers=workers,
             shard_count=shard_count,
             worker_backend=worker_backend,
-            backend=backend,
             overlap=overlap,
             profile=profile,
         )
@@ -1004,7 +953,6 @@ class DetectorSession:
         workers: Optional[Union[int, str]] = None,
         shard_count: Optional[int] = None,
         worker_backend: Optional[str] = None,
-        backend: Optional[str] = None,
         overlap: bool = False,
         profile: bool = False,
     ) -> "DetectorSession":
@@ -1023,8 +971,6 @@ class DetectorSession:
             overrides["workers"] = workers
         if shard_count is not None:
             overrides["shard_count"] = shard_count
-        if backend is not None:
-            overrides["backend"] = backend
         if overrides:
             config = config.with_overrides(**overrides)
         if state["custom_noun_tagger"] and noun_tagger is None:
@@ -1133,7 +1079,6 @@ def open_session(
     workers: Optional[Union[int, str]] = None,
     shard_count: Optional[int] = None,
     worker_backend: Optional[str] = None,
-    backend: Optional[str] = None,
     overlap: bool = False,
     profile: bool = False,
     delta_log=None,
@@ -1152,10 +1097,10 @@ def open_session(
     custom text tokenizer.  On resume, registered extractors are rebuilt
     from the checkpoint; custom ones must be passed back in.
 
-    ``workers``/``shard_count``/``backend`` select the execution mode; on a
-    fresh session they override the config fields of the same name, on
-    resume they choose how the execution-agnostic checkpoint continues
-    (results are bit-identical for any values, DESIGN.md Sections 7 and 9).
+    ``workers``/``shard_count`` select the execution mode; on a fresh
+    session they override the config fields of the same name, on resume
+    they choose how the execution-agnostic checkpoint continues (results
+    are bit-identical for any values, DESIGN.md Section 7).
     ``workers`` also accepts the remote form ``"host:port,host:port"`` —
     each endpoint a running ``repro shard-worker`` daemon — which selects
     the socket transport (DESIGN.md Section 12).  ``overlap=True``
@@ -1192,7 +1137,6 @@ def open_session(
             workers=workers,
             shard_count=shard_count,
             worker_backend=worker_backend,
-            backend=backend,
             overlap=overlap,
             profile=profile,
         )
@@ -1201,15 +1145,13 @@ def open_session(
                 delta_log, compact_ratio=delta_compact_ratio
             )
         return session
-    if workers is not None or shard_count is not None or backend is not None:
+    if workers is not None or shard_count is not None:
         base = config if config is not None else DetectorConfig()
         overrides = {}
         if workers is not None:
             overrides["workers"] = workers
         if shard_count is not None:
             overrides["shard_count"] = shard_count
-        if backend is not None:
-            overrides["backend"] = backend
         config = base.with_overrides(**overrides)
     session = DetectorSession(
         config,

@@ -56,7 +56,7 @@ from repro.datasets.traces import (
     build_ground_truth_trace,
     build_tw_trace,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.extract import extractor_names
 from repro.eval.reporting import render_grid, render_table
 from repro.eval.runner import evaluate_run, run_detector
@@ -111,7 +111,8 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                              '(e.g. \'{"fields": ["tags"]}\')')
     parser.add_argument("--workers", type=_workers_value, default=1,
                         metavar="N|HOST:PORT,...",
-                        help="parallel workers for the extract/AKG stages "
+                        help="parallel shard workers for the AKG stage's "
+                             "window work "
                              "(entity-range sharding; results are "
                              "bit-identical for any value, default 1 = "
                              "serial); pass 'host:port,host:port' to "
@@ -127,13 +128,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shard-count", type=int, default=None, metavar="S",
                         help="entity hash ranges to partition into "
                              "(default: one per worker)")
-    parser.add_argument("--backend", choices=("reference", "batched"),
-                        default=None,
-                        help="hot-path implementation: 'batched' extracts "
-                             "whole quanta into interned array columns "
-                             "(vectorized when numpy is importable); "
-                             "results are bit-identical to 'reference' "
-                             "(default)")
     parser.add_argument("--timing", action="store_true",
                         help="print a per-stage timing breakdown "
                              "(extract/akg/maintain/propagate/rank/report)")
@@ -197,7 +191,6 @@ def _config_from(args: argparse.Namespace) -> DetectorConfig:
         oracle_ranking=args.oracle_ranking,
         workers=args.workers,
         shard_count=args.shard_count,
-        backend=args.backend or "reference",
     )
 
 
@@ -262,7 +255,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             resume=args.resume_from,
             workers=args.workers,
             shard_count=args.shard_count,
-            backend=args.backend,
             overlap=args.overlap,
             profile=args.profile,
             delta_log=args.delta_log,
@@ -384,9 +376,7 @@ def _cmd_follow(args: argparse.Namespace) -> int:
         )
     if args.promote:
         session = follower.promote(
-            workers=args.workers,
-            shard_count=args.shard_count,
-            backend=args.backend,
+            workers=args.workers, shard_count=args.shard_count
         )
         print(
             f"-- promoted to a live session at quantum "
@@ -598,9 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "identical for any value; accepts remote "
                              "shard-worker endpoints like detect)")
     follow.add_argument("--shard-count", type=int, default=None, metavar="S")
-    follow.add_argument("--backend", choices=("reference", "batched"),
-                        default=None,
-                        help="hot-path backend for the promoted session")
     follow.set_defaults(func=_cmd_follow)
 
     serve = sub.add_parser(
@@ -656,7 +643,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -102,9 +102,9 @@ class DetectorConfig:
     seed:
         Seed for the MinHash hash-function salt; fixed for reproducibility.
     workers:
-        Number of parallel workers for the tokenize and AKG-update stages
-        (:mod:`repro.parallel`).  ``1`` (default) runs the classic serial
-        pipeline.  A string ``"host:port,host:port,..."`` instead selects
+        Number of parallel shard workers for the AKG-update stage's window
+        work (:mod:`repro.parallel`).  ``1`` (default) runs the classic
+        serial pipeline.  A string ``"host:port,host:port,..."`` instead selects
         the remote transport: each endpoint is a ``repro shard-worker``
         daemon hosting that worker's shard run over TCP (DESIGN.md
         Section 12).  Workers are an *execution* parameter: results are
@@ -116,16 +116,6 @@ class DetectorConfig:
         ``workers`` this is execution-only: any shard count produces
         bit-identical results, because every cross-keyword computation
         happens in the deterministic merge (DESIGN.md Section 7).
-    backend:
-        Hot-path implementation selector (DESIGN.md Section 9).
-        ``"reference"`` (default) runs the original per-message object
-        pipeline; ``"batched"`` extracts whole quanta into interned flat
-        columns and feeds the array-backed window indexes — bit-identical
-        reports/events/checkpoints, several times the throughput.  Like
-        ``workers`` this is execution-only: checkpoints neither record it
-        nor depend on it, so a stream snapshotted under one backend resumes
-        under the other.  ``oracle_akg`` forces the reference path (the
-        oracle components *are* the reference).
     """
 
     quantum_size: int = 160
@@ -152,7 +142,6 @@ class DetectorConfig:
     seed: int = 0x5C9C1E
     workers: int | str = 1
     shard_count: int | None = None
-    backend: str = "reference"
 
     def __post_init__(self) -> None:
         if self.quantum_size < 1:
@@ -239,16 +228,6 @@ class DetectorConfig:
                 "oracle_akg is a serial verification baseline; it cannot be "
                 "combined with workers/shard_count"
             )
-        if self.backend not in ("reference", "batched"):
-            raise ConfigError(
-                "backend must be 'reference' or 'batched', got "
-                f"{self.backend!r}"
-            )
-        if self.oracle_akg and self.backend != "reference":
-            raise ConfigError(
-                "oracle_akg runs the reference components by definition; "
-                "it cannot be combined with backend='batched'"
-            )
 
     @property
     def effective_minhash_size(self) -> int:
@@ -298,17 +277,11 @@ class DetectorConfig:
             or self.worker_endpoints is not None
         )
 
-    @property
-    def batched(self) -> bool:
-        """Whether the session runs the batched hot path (Section 9)."""
-        return self.backend == "batched"
-
-    EXECUTION_FIELDS = ("workers", "shard_count", "backend")
+    EXECUTION_FIELDS = ("workers", "shard_count")
     """Fields that select *how* the pipeline executes, not *what* it
     computes.  Session checkpoints strip them (results are bit-identical for
     any value), so a stream snapshotted under 4 workers resumes under any
-    worker count — and one snapshotted under either hot-path backend resumes
-    under the other — see ``DetectorSession.snapshot``."""
+    worker count — see ``DetectorSession.snapshot``."""
 
     def with_overrides(self, **overrides: Any) -> "DetectorConfig":
         """Return a copy with the given fields replaced (validated again)."""

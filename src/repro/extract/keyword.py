@@ -24,9 +24,8 @@ class KeywordExtractor:
 
     def __init__(self, tokenizer=None) -> None:
         """``tokenizer`` overrides the default text tokenizer.  Callables
-        cannot be checkpointed or shipped to worker processes, so a custom
-        tokenizer marks the extractor ``custom`` — the session keeps the
-        serial extract stage and demands the same object back on resume."""
+        cannot be checkpointed, so a custom tokenizer marks the extractor
+        ``custom`` — the session demands the same object back on resume."""
         self.custom = tokenizer is not None
         self.tokenizer = tokenizer if tokenizer is not None else tokenize
 

@@ -1,6 +1,6 @@
 """Dense-integer interning with an optional persistent 64-bit hash column.
 
-The batched backend (DESIGN.md Section 9) replaces per-message object churn
+The column engine (DESIGN.md Section 9) replaces per-message object churn
 with integer columns: every entity token and every actor id is interned to a
 small dense int once, and all window bookkeeping — pair multiplicities,
 distinct-id sets, mini-sketches, shard routing — happens on those ints.
@@ -12,8 +12,7 @@ so the hot loop never re-hashes a recurring object.
 Ids are recycled through a free list: when the window reports that an actor
 vanished (``SlideDelta.vanished_users``) or an entity emptied, its slot is
 released and reused by the next new object.  The id space therefore tracks
-the *live window population*, the interned-path analogue of the reference
-MinHasher's bounded memo — the cache-bound tests assert exactly this.
+the *live window population* — the cache-bound tests assert exactly this.
 Live ids stay below ``capacity`` = the high-water mark of simultaneously
 live objects, which keeps ids packable into the low 32 bits of a combined
 ``(entity << 32) | actor`` pair key.
@@ -32,7 +31,7 @@ class Interner:
     The mutable internals (``ids``, ``objs``, ``hashes``) are deliberately
     public: the per-token extraction loop reads ``ids`` directly and the
     sketch kernel gathers from ``hashes`` — attribute indirection in the hot
-    loop is exactly the overhead the batched backend exists to remove.
+    loop is exactly the overhead the column engine exists to remove.
     """
 
     __slots__ = ("ids", "objs", "hashes", "_free", "_hash_fn")

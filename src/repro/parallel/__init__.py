@@ -1,4 +1,4 @@
-"""Entity-range sharded front-end for the extract + AKG-update stages.
+"""Entity-range sharded front-end for the AKG-update stage's window work.
 
 The per-quantum entity work — id-set slides, sketch hashing, burst
 transition tests — is embarrassingly parallel *per entity*: every window
@@ -19,7 +19,8 @@ instantiation:
   ``DynamicGraph``/``ClusterMaintainer`` — including the *cross-shard*
   candidate edges, whose sketch collisions and exact ECs are evaluated on
   data the workers shipped up (the exchange protocol of DESIGN.md S7);
-* :class:`~repro.parallel.stages.ShardedExtractStage` and
+* :class:`~repro.parallel.stages.ShardedExtractStage` (extraction stays
+  in the parent; it routes the quantum's entities by shard) and
   :class:`~repro.parallel.stages.ShardedAkgUpdateStage` slot the whole
   thing behind the existing :class:`repro.pipeline.stages.Stage` protocol;
 * workers may live in *other processes on other machines*: the
@@ -42,9 +43,9 @@ from repro.parallel.remote import ShardWorkerServer, serve_shard_worker
 from repro.parallel.router import ShardRouter
 from repro.parallel.shard_state import ShardParams, ShardState, ShardUpdate
 from repro.parallel.stages import (
-    BatchedShardedExtractStage,
     ShardedAkgUpdateStage,
     ShardedExtractStage,
+    sharded_front_stages,
 )
 from repro.parallel.transport import (
     ProcessShardTransport,
@@ -56,7 +57,6 @@ from repro.parallel.transport import (
 )
 
 __all__ = [
-    "BatchedShardedExtractStage",
     "PendingQuantum",
     "ProcessShardTransport",
     "RemoteShardTransport",
@@ -76,4 +76,5 @@ __all__ = [
     "default_backend",
     "make_pool",
     "serve_shard_worker",
+    "sharded_front_stages",
 ]

@@ -147,7 +147,7 @@ class ShardedAkgFrontend:
         self,
         config: DetectorConfig,
         maintainer: ClusterMaintainer,
-        backend: Optional[str] = None,
+        worker_backend: Optional[str] = None,
     ) -> None:
         self.config = config
         self.maintainer = maintainer
@@ -162,7 +162,7 @@ class ShardedAkgFrontend:
                 theta=config.high_state_threshold,
                 use_minhash=config.use_minhash_filter,
             ),
-            backend=backend,
+            backend=worker_backend,
             endpoints=config.worker_endpoints,
         )
         #: wall seconds the last quantum's phase-two exchange round trip
@@ -192,8 +192,8 @@ class ShardedAkgFrontend:
         """Phase one: fan the quantum's slices out to the shard workers.
 
         ``slices`` may carry the quantum's mapping already partitioned by
-        shard (the sharded extract stage routes worker-side); otherwise it
-        is partitioned here.  Reads nothing from the graph or maintainer —
+        shard (the sharded extract stage routes as it extracts); otherwise
+        it is partitioned here.  Reads nothing from the graph or maintainer —
         the pipelined session calls this for quantum *q+1* while quantum
         *q*'s serial tail is still mutating them on another thread.
         """

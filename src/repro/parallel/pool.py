@@ -17,7 +17,7 @@ backends share one interface:
 ``serial``
     :class:`~repro.parallel.transport.SerialShardTransport`, direct
     in-caller execution for ``workers == 1``; the sharded pipeline with
-    this backend is the ``W=1`` baseline the overhead gate measures.
+    this backend is the ``W=1`` baseline of ``bench_parallel_akg``.
 ``remote``
     :class:`~repro.parallel.transport.RemoteShardTransport` — each worker
     is a ``repro shard-worker`` daemon at a ``host:port`` endpoint,
@@ -125,16 +125,6 @@ class WorkerPool:
                 for shards in self.assignments
             ]
 
-    @property
-    def can_extract(self) -> bool:
-        """Whether workers also serve the extract fan-out.
-
-        Remote daemons host *window state*; shipping every raw record over
-        TCP just to tokenize it would cost more than the tokenizing — the
-        session keeps extraction parent-side for remote pools.
-        """
-        return self.backend != "remote"
-
     # ------------------------------------------------------------- dispatch
 
     def _scatter(self, op: str, arg_lists: List[tuple]) -> List:
@@ -199,29 +189,6 @@ class WorkerPool:
         ]
         answers.sort(key=lambda answer: answer[0])
         return answers
-
-    def extract_chunks(
-        self, chunks: List[Sequence], max_entities: int, spec: dict
-    ) -> List[List[dict]]:
-        """Extract record chunks in parallel (extractor rebuilt from
-        ``spec`` worker-side).
-
-        Returns, per chunk (in chunk order), the chunk's per-shard
-        ``entity -> actors`` partial maps — inverted and shard-routed
-        worker-side.  For the process backend, records cross the wire as
-        plain ``(user_id, text, tokens, fields)`` tuples: an order of
-        magnitude cheaper to pickle than dataclass instances, and the
-        pickling runs in the executor's feeder thread, overlapping worker
-        compute."""
-        if self.backend == "process":
-            chunks = [
-                [(m.user_id, m.text, m.tokens, m.fields) for m in chunk]
-                for chunk in chunks
-            ]
-        arg_lists = [
-            (chunk, max_entities, self.shard_count, spec) for chunk in chunks
-        ]
-        return self._scatter("extract", arg_lists)
 
     # ---------------------------------------------------------- persistence
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 from hashlib import blake2b
 from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Set
 
-from repro.arrays import get_numpy
+import numpy as np
+
 from repro.errors import ConfigError
 
 Keyword = str
@@ -42,17 +43,15 @@ def shards_of_hashes(
 ) -> List[int]:
     """Vectorized :func:`shard_of_hash` over a hash column.
 
-    The batched backend keeps each keyword's 64-bit hash in its interner
-    table, so routing a quantum is one pass over precomputed values rather
-    than one blake2b digest per keyword.  The numpy kernel splits each hash
+    The sharded extract stage keeps each keyword's 64-bit hash in an
+    interner table, so routing a quantum is one pass over precomputed
+    values rather than one blake2b digest per keyword.  Each hash is split
     into 32-bit halves to evaluate the exact 128-bit product shift
     ``(h * S) >> 64`` as ``(hi*S + ((lo*S) >> 32)) >> 32`` — floor-exact
     (nested floored right-shifts compose), so it is bit-identical to the
-    arbitrary-precision pure path for any ``shard_count`` below 2**31.
+    arbitrary-precision :func:`shard_of_hash` for any ``shard_count``
+    below 2**31.
     """
-    np = get_numpy()
-    if np is None or len(hashes) < 32:
-        return [(h * shard_count) >> 64 for h in hashes]
     h = np.asarray(hashes, dtype=np.uint64)
     hi = h >> np.uint64(32)
     lo = h & np.uint64(0xFFFFFFFF)
@@ -72,8 +71,7 @@ class ShardRouter:
     def shard_of(self, keyword: Keyword) -> int:
         """The shard owning ``keyword`` — range index, not a modulus, so
         neighbouring hash values land in the same shard (contiguous
-        ranges).  Single-shard routing skips the digest entirely (the W=1
-        overhead gate counts every cycle here)."""
+        ranges).  Single-shard routing skips the digest entirely."""
         if self.shard_count == 1:
             return 0
         return (keyword_hash(keyword) * self.shard_count) >> 64

@@ -2,17 +2,18 @@
 
 A :class:`ShardState` owns, for one keyword hash range, exactly the window
 indexes the serial :class:`~repro.akg.builder.AkgBuilder` owns globally: an
-:class:`~repro.akg.idsets.IdSetIndex` (with its bounded per-shard MinHash
-memo) and a :class:`~repro.akg.minhash.WindowedSketchIndex`.  Because every
-index is keyed by keyword and keywords never move between shards, running
-the same slice sequence through a shard produces byte-for-byte the state the
-serial index would hold restricted to that range — which is what makes the
-merged checkpoint identical to a serial one.
+:class:`~repro.akg.idsets.IdSetIndex` (whose actor interner holds each
+live user's MinHash base hash, so a shard hashes a user once per window
+residency) and a :class:`~repro.akg.minhash.WindowedSketchIndex`.  Because
+every index is keyed by keyword and keywords never move between shards,
+running the same slice sequence through a shard produces byte-for-byte the
+state the serial index would hold restricted to that range — which is what
+makes the merged checkpoint identical to a serial one.
 
 A shard serves two phases per quantum.  Phase one (:meth:`ShardState.
-ingest`) is the *keyword-local* work — the id-set slide, hash-memo
-eviction, mini-sketch hashing, the ``count >= theta`` burst test — shipping
-a :class:`ShardUpdate` up to the merge: its slice of the
+ingest`) is the *keyword-local* work — the id-set slide, the mini-sketch
+minima, the ``count >= theta`` burst test — shipping a
+:class:`ShardUpdate` up to the merge: its slice of the
 :class:`~repro.akg.idsets.SlideDelta` plus its bursty keywords with their
 merged sketches.  Phase two (:meth:`ShardState.exchange`) answers the
 merge's EC requests once the parent has classified the quantum's candidate
@@ -32,7 +33,12 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Set, Tuple
 
 from repro.akg.idsets import IdSetIndex
-from repro.akg.minhash import MinHasher, Sketch, WindowedSketchIndex
+from repro.akg.minhash import (
+    MinHasher,
+    Sketch,
+    WindowedSketchIndex,
+    batched_quantum_minis,
+)
 
 Keyword = str
 UserId = Hashable
@@ -74,9 +80,11 @@ class ShardState:
     def __init__(self, shard: int, params: ShardParams) -> None:
         self.shard = shard
         self.params = params
-        self.idsets = IdSetIndex(params.window_quanta)
-        self.hasher = MinHasher(params.minhash_size, seed=params.seed)
-        self.sketches = WindowedSketchIndex(self.hasher, params.window_quanta)
+        self.idsets = IdSetIndex(params.window_quanta, seed=params.seed)
+        self.sketches = WindowedSketchIndex(
+            MinHasher(params.minhash_size, seed=params.seed),
+            params.window_quanta,
+        )
 
     def ingest(
         self,
@@ -92,15 +100,20 @@ class ShardState:
         :meth:`exchange` answers exactly that request.
         """
         params = self.params
-        delta = self.idsets.add_quantum(quantum, keyword_users)
-        if delta.vanished_users:
-            self.hasher.evict(delta.vanished_users)
+        idsets = self.idsets
+        columns = idsets.intern_quantum(quantum, keyword_users)
+        delta = idsets.add_columns(quantum, columns)
         if params.use_minhash:
-            self.sketches.add_quantum(quantum, keyword_users)
+            self.sketches.add_quantum_minis(
+                quantum,
+                batched_quantum_minis(
+                    columns, idsets.acts.hashes, params.minhash_size
+                ),
+            )
         bursty = frozenset(
             kw
-            for kw, users in keyword_users.items()
-            if len(users) >= params.theta
+            for kw, (_, lo, hi) in zip(columns.ent_strings, columns.segments)
+            if hi - lo >= params.theta
         )
         sketches: Dict[Keyword, Sketch] = {}
         if params.use_minhash:
@@ -121,30 +134,20 @@ class ShardState:
         """Phase two: answer the merge's EC requests for this quantum.
 
         ``pairs`` are candidate/refresh pairs whose members *both* live on
-        this shard — their exact ECs are computed here, against the local
-        window id sets, with the identical arithmetic the merge's jaccard
-        closure runs (same empty-set shortcut, same ``len``-based
-        intersection/union division), so the parent-applied edge weights
-        are bit-for-bit what a serial builder computes.  ``want_ids`` are
-        the keywords (routed to this shard) appearing in cross-shard pairs;
-        their window id sets ship back for the parent to evaluate.  Empty
-        id sets are elided, matching the merge closure's ``.get``-miss
-        semantics.
+        this shard — their exact ECs are computed here, by the local
+        index's own ``jaccard``: integer cardinalities in, one division
+        out, exactly as the merge's closure over gathered id sets does it,
+        so the parent-applied edge weights are bit-for-bit what a serial
+        builder computes.  ``want_ids`` are the keywords (routed to this
+        shard) appearing in cross-shard pairs; their window id sets ship
+        back for the parent to evaluate.  Empty id sets are elided,
+        matching the merge closure's ``.get``-miss semantics.
         """
-        id_set = self.idsets.id_set
-        ecs: Dict[Tuple[Keyword, Keyword], float] = {}
-        for kw1, kw2 in pairs:
-            set1 = id_set(kw1)
-            set2 = id_set(kw2)
-            if not set1 or not set2:
-                ecs[(kw1, kw2)] = 0.0
-                continue
-            intersection = len(set1 & set2)
-            union = len(set1) + len(set2) - intersection
-            ecs[(kw1, kw2)] = intersection / union if union else 0.0
+        jaccard = self.idsets.jaccard
+        ecs = {(kw1, kw2): jaccard(kw1, kw2) for kw1, kw2 in pairs}
         id_sets: Dict[Keyword, FrozenSet[UserId]] = {}
         for kw in want_ids:
-            users = id_set(kw)
+            users = self.idsets.id_set(kw)
             if users:
                 id_sets[kw] = users
         return (self.shard, ecs, id_sets)
@@ -169,7 +172,6 @@ class ShardState:
     def load_state(self, idsets_state: dict, sketches_state: dict) -> None:
         self.idsets.from_state(idsets_state)
         self.sketches.from_state(sketches_state)
-        self.hasher.clear()
 
 
 __all__ = ["ShardParams", "ShardState", "ShardUpdate"]

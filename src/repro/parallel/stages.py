@@ -10,102 +10,39 @@ propagate, rank, report, ``detect --timing``) is untouched.
 from __future__ import annotations
 
 import time
-from typing import List, Sequence
+from typing import List
 
 from repro.extract.keyword import KeywordExtractor
 from repro.interning import Interner
 from repro.parallel.frontend import ShardedAkgFrontend
 from repro.parallel.router import keyword_hash, shards_of_hashes
-from repro.pipeline.stages import AkgUpdateStage, QuantumContext
+from repro.pipeline.stages import (
+    AkgUpdateStage,
+    ExtractStage,
+    QuantumContext,
+    Stage,
+)
 
 
 class ShardedExtractStage:
-    """Stage 1, fanned out: contiguous record chunks extract in parallel.
+    """Stage 1 for sharded sessions: extract parent-side, route by shard.
 
-    Workers return per-shard ``entity -> actors`` partials — extraction,
-    per-record truncation, inversion *and* shard routing all happen
-    worker-side — so the parent's merge is a union over distinct entities,
-    not per-token work.  Chunks are contiguous and merged in stream order,
-    and an actor's id lands in an entity's set exactly once per quantum
-    regardless of chunking, so the merged mapping is identical to the
-    serial stage's (set semantics; nothing downstream depends on set
-    iteration order, DESIGN.md Section 6).
-
-    The merged per-shard slices ride ``ctx.scratch`` to
-    :class:`ShardedAkgUpdateStage`, which hands them to the front-end
-    pre-partitioned.  ``ctx.actor_entities`` (the actor -> entities view)
-    is not materialised — its only consumer is the optional CKG-stats
-    tracker, and the session keeps the serial extract stage when that is
-    enabled.  Likewise non-reconstructible (``custom``) extractors keep the
-    serial stage (worker processes rebuild the extractor from its registry
-    spec; callables neither pickle nor checkpoint).
-    """
-
-    name = "extract"
-
-    def __init__(
-        self,
-        frontend: ShardedAkgFrontend,
-        max_entities_per_record: int,
-        extractor_spec: dict,
-    ) -> None:
-        self.frontend = frontend
-        self.max_entities_per_record = max_entities_per_record
-        self.extractor_spec = extractor_spec
-
-    def _chunks(self, messages: Sequence) -> List[Sequence]:
-        workers = max(1, self.frontend.pool.workers)
-        if workers == 1 or len(messages) < 2 * workers:
-            return [messages]
-        size = -(-len(messages) // workers)
-        return [
-            messages[i : i + size] for i in range(0, len(messages), size)
-        ]
-
-    def run(self, ctx: QuantumContext) -> None:
-        t = time.perf_counter()
-        partials = self.frontend.pool.extract_chunks(
-            self._chunks(ctx.messages),
-            self.max_entities_per_record,
-            self.extractor_spec,
-        )
-        shard_count = self.frontend.router.shard_count
-        slices: List[dict] = list(partials[0])
-        for partial in partials[1:]:  # chunk order == stream order
-            for shard in range(shard_count):
-                target = slices[shard]
-                for kw, users in partial[shard].items():
-                    existing = target.get(kw)
-                    if existing is None:
-                        target[kw] = users
-                    else:
-                        existing |= users
-        merged: dict = {}
-        for piece in slices:  # shard keys are disjoint: plain dict unions
-            merged.update(piece)
-        ctx.entity_actors = merged
-        ctx.actor_entities = None
-        ctx.scratch["shard_slices"] = slices
-        ctx.timings.extract = time.perf_counter() - t
-
-
-class BatchedShardedExtractStage:
-    """Stage 1 for sharded sessions under the batched backend.
-
-    Builds the merged ``entity -> actors`` mapping parent-side in one tight
-    loop (no per-chunk worker round trip, no per-shard dict merge) and
+    Builds the merged ``entity -> actors`` mapping in one tight loop and
     routes it from an interned keyword hash column: each keyword's 64-bit
     routing hash is computed once per vocabulary lifetime and the per-shard
     slices come from one vectorized :func:`~repro.parallel.router
     .shards_of_hashes` pass.  Set semantics make the merged mapping
-    identical to both the serial and the fanned-out extract stages', and
-    hash-range routing is a pure keyword function, so downstream shard
-    state is bit-identical too.
+    identical to the serial mapping stage's, and hash-range routing is a
+    pure keyword function, so downstream shard state is bit-identical to a
+    serial index restricted to the shard's range.
 
-    Unlike :class:`ShardedExtractStage` this never pickles the extractor,
-    so it also serves custom (non-reconstructible) extractors.  The
-    CKG-stats tracker still needs the serial stage (its actor -> entities
-    view is not materialised here).
+    The extractor never leaves the process, so custom (non-reconstructible)
+    extractors are served too.  The per-shard slices ride ``ctx.scratch``
+    to :class:`ShardedAkgUpdateStage`, which hands them to the front-end
+    pre-partitioned.  ``ctx.actor_entities`` is not materialised — its only
+    consumer is the CKG-stats tracker, and a session tracking those keeps
+    the mapping :class:`~repro.pipeline.stages.ExtractStage` (the front-end
+    then partitions the mapping itself).
     """
 
     name = "extract"
@@ -231,8 +168,26 @@ class ShardedAkgUpdateStage(AkgUpdateStage):
         self.complete(ctx)
 
 
+def sharded_front_stages(
+    frontend: ShardedAkgFrontend,
+    extractor,
+    max_entities_per_record: int,
+    ckg_stats=None,
+) -> List[Stage]:
+    """Stages 1-2 of a sharded session (``build_stages(front=...)``)."""
+    if ckg_stats is not None:
+        extract: Stage = ExtractStage(
+            extractor, max_entities_per_record, ckg_stats
+        )
+    else:
+        extract = ShardedExtractStage(
+            frontend, extractor, max_entities_per_record
+        )
+    return [extract, ShardedAkgUpdateStage(frontend, frontend.maintainer)]
+
+
 __all__ = [
-    "BatchedShardedExtractStage",
     "ShardedAkgUpdateStage",
     "ShardedExtractStage",
+    "sharded_front_stages",
 ]

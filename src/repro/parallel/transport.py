@@ -3,9 +3,9 @@
 The pool's protocol has always been value-shaped — entity slices out,
 :class:`~repro.parallel.shard_state.ShardUpdate` back — which is exactly a
 wire format.  This module names it: a :class:`ShardTransport` carries the
-six worker operations (``ingest`` / ``exchange`` / ``extract`` /
-``export`` / ``edit`` / ``load``) to wherever the shard states physically live, and
-four implementations cover the deployment spectrum:
+five worker operations (``ingest`` / ``exchange`` / ``export`` / ``edit`` /
+``load``) to wherever the shard states physically live, and four
+implementations cover the deployment spectrum:
 
 :class:`SerialShardTransport`
     States live in the caller; ``finish()`` executes in place (the ``W=1``
@@ -178,62 +178,6 @@ def params_from_wire(wire: dict) -> ShardParams:
 # which is what keeps the backends interchangeable to the bit.
 
 
-def extract_chunk(
-    messages: Sequence, max_entities: int, shard_count: int, spec: dict
-) -> List[dict]:
-    """Extract one record chunk into per-shard ``entity -> actors`` maps.
-
-    Inversion and shard routing happen *here*, in the worker, so the parent
-    merge is a dict union over distinct entities instead of per-token set
-    inserts — the difference between a ~50% and a ~90% parallel fraction of
-    the front-end wall.  Per-quantum spatial-correlation semantics are
-    preserved exactly: an actor counts once per entity per quantum (set
-    dedupe across records and chunks), and the ``max_entities`` cap applies
-    per record, as in ``actor_entities_of_quantum``.
-
-    ``spec`` is the extractor's ``{"name", "options"}`` registry spec:
-    workers rebuild the extractor by value, which is why only
-    reconstructible extractors ride the sharded extract stage (custom
-    callables neither pickle nor checkpoint — the session keeps the serial
-    stage for those).
-    """
-    # Imported here (not at module top) so forked workers resolve them in
-    # their own interpreter.
-    from repro.extract import make_extractor
-    from repro.parallel.router import ShardRouter
-    from repro.stream.messages import Message
-
-    extractor = make_extractor(spec["name"], spec["options"])
-    shard_of = ShardRouter(shard_count).shard_of
-    shard_memo: Dict[str, int] = {}
-    slices: List[dict] = [{} for _ in range(shard_count)]
-    for item in messages:
-        if type(item) is tuple:  # wire form: (user_id, text, tokens, fields)
-            user = item[0]
-            message = Message(
-                user, tokens=item[2], text=item[1], fields=item[3]
-            )
-        else:
-            user = item.user_id
-            message = item
-        entities = extractor.entities(message)
-        if not entities:
-            continue
-        if max_entities is not None:
-            entities = entities[:max_entities]
-        for kw in entities:
-            shard = shard_memo.get(kw)
-            if shard is None:
-                shard = shard_memo[kw] = shard_of(kw)
-            piece = slices[shard]
-            users = piece.get(kw)
-            if users is None:
-                piece[kw] = {user}
-            else:
-                users.add(user)
-    return slices
-
-
 def dispatch_op(
     states: Dict[int, ShardState], op: str, args: tuple
 ) -> Any:
@@ -250,8 +194,6 @@ def dispatch_op(
             states[shard].exchange(pairs, want_ids)
             for shard, pairs, want_ids in requests
         ]
-    if op == "extract":
-        return extract_chunk(*args)
     if op == "export":
         return [states[shard].export_state() for shard in sorted(states)]
     if op == "edit":
@@ -523,11 +465,6 @@ class RemoteShardTransport:
 
     def begin(self, op: str, args: tuple) -> None:
         assert self._op is None, "one in-flight request per transport"
-        if op == "extract":
-            raise PipelineError(
-                "remote shard workers host window state, not extraction; "
-                "the session extracts parent-side for remote pools"
-            )
         self._op = op
         self._send({"op": op, "args": encode_state(list(args))}, op)
 
@@ -565,7 +502,6 @@ __all__ = [
     "ThreadShardTransport",
     "TransportError",
     "dispatch_op",
-    "extract_chunk",
     "params_from_wire",
     "params_to_wire",
     "recv_frame",

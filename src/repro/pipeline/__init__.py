@@ -12,6 +12,7 @@ from repro.pipeline.report_index import FilterPredicate, ThresholdIndex
 from repro.pipeline.reports import QuantumReport, ReportedEvent, StageTimings
 from repro.pipeline.stages import (
     AkgUpdateStage,
+    ColumnExtractStage,
     ExtractStage,
     MaintainStage,
     Pipeline,
@@ -31,6 +32,7 @@ __all__ = [
     "FilterPredicate",
     "QuantumContext",
     "Stage",
+    "ColumnExtractStage",
     "ExtractStage",
     "AkgUpdateStage",
     "MaintainStage",

@@ -37,8 +37,7 @@ class StageTimings:
 
     ``extract`` was named ``tokenize`` before the extractor refactor (the
     stage now runs any :class:`~repro.extract.base.EntityExtractor`, not
-    just text tokenisation); the old name survives as a read-only alias
-    and v2 checkpoints are migrated on load.
+    just text tokenisation); v2 checkpoints are migrated on load.
 
     ``scatter`` and ``exchange`` are *sub-spans* of ``akg_update`` (the
     sharded stage's phase-one fan-out and phase-two EC round trip) and
@@ -57,11 +56,6 @@ class StageTimings:
     scatter: float = 0.0
     exchange: float = 0.0
     overlap_saved: float = 0.0
-
-    @property
-    def tokenize(self) -> float:
-        """Deprecated alias for :attr:`extract` (pre-refactor name)."""
-        return self.extract
 
     @property
     def total(self) -> float:

@@ -8,7 +8,7 @@ wrapped (e.g. with extra instrumentation) without touching the engine.
 The intended-seam promise has been cashed in twice: with
 ``config.workers > 1`` the session swaps stages 1–2 for the
 entity-range-sharded :class:`~repro.parallel.stages.ShardedExtractStage` /
-:class:`~repro.parallel.stages.ShardedAkgUpdateStage`, which fan the
+:class:`~repro.parallel.stages.ShardedAkgUpdateStage`, which scatter the
 entity-local work across a worker pool and merge deterministically —
 bit-identical results for any worker count (DESIGN.md Section 7); and the
 first stage is parameterised by an
@@ -16,9 +16,19 @@ first stage is parameterised by an
 tokenized microblog text, structured field streams, or raw actor–entity
 interaction streams (DESIGN.md Section 8).
 
+Stage 1 comes in two forms.  :class:`ColumnExtractStage` is the hot path
+(DESIGN.md Section 9): it reduces a quantum straight to interned pair
+columns over the builder's own interner tables.  :class:`ExtractStage`
+builds the ``actor -> entities`` / ``entity -> actors`` mappings instead —
+what the from-scratch oracle builder is fed and what the CKG-stats tracker
+reads — and :func:`build_stages` picks it exactly when one of those two is
+present.  :class:`AkgUpdateStage` hands the builder whichever form stage 1
+produced.
+
 Data flows between stages through a mutable :class:`QuantumContext`: each
 stage consumes the typed products of its predecessors (the per-quantum
-actor/entity mappings, the :class:`~repro.core.changelog.ChangeBatch`
+pair columns or actor/entity mappings, the
+:class:`~repro.core.changelog.ChangeBatch`
 drained from the maintainer, the ranked-result list) and is responsible for
 writing its own slot(s) of :class:`~repro.pipeline.reports.StageTimings` —
 timing and the oracle toggles are per-stage wiring now, not engine code.
@@ -52,9 +62,15 @@ from typing import (
 )
 
 from repro.errors import PipelineError
+from repro.interning import Interner
 from repro.pipeline.report_index import ThresholdIndex
 from repro.pipeline.reports import QuantumReport, ReportedEvent, StageTimings
-from repro.stream.window import actor_entities_of_quantum, invert_actor_entities
+from repro.stream.window import (
+    QuantumColumns,
+    actor_entities_of_quantum,
+    invert_actor_entities,
+    quantum_columns,
+)
 
 if TYPE_CHECKING:  # type-only: the stages hold these by duck-typed reference
     from repro.akg.builder import AkgBuilder, AkgQuantumStats
@@ -81,6 +97,7 @@ class QuantumContext:
     quantum: int
     messages: Sequence[Message]
     timings: StageTimings = field(default_factory=StageTimings)
+    columns: Optional[QuantumColumns] = None
     actor_entities: Optional[Dict] = None
     entity_actors: Optional[Dict] = None
     akg_stats: Optional[AkgQuantumStats] = None
@@ -108,13 +125,53 @@ class Stage(Protocol):
         ...
 
 
-class ExtractStage:
-    """Stage 1: reduce the quantum's records to actor/entity mappings.
+class ColumnExtractStage:
+    """Stage 1, hot path: one quantum -> interned, deduplicated pair columns.
 
     The extractor is the workload seam (DESIGN.md Section 8): a
     :class:`~repro.extract.keyword.KeywordExtractor` reproduces the paper's
     tokenize stage bit for bit; structured-field and edge-stream extractors
     open non-text workloads without touching any later stage.
+
+    The interner tables are the *builder's* (shared with its window index),
+    so ids minted here are the ids the id-set index stores and the sketch
+    kernel hashes — intern once per token per window residency, reuse
+    everywhere.  The typed ``actor_entities`` / ``entity_actors`` context
+    fields stay ``None``: nothing downstream of the AKG stage reads them.
+    """
+
+    name = "extract"
+
+    def __init__(
+        self,
+        extractor,
+        max_entities_per_record: int,
+        ents: Interner,
+        acts: Interner,
+    ) -> None:
+        self.extractor = extractor
+        self.max_entities_per_record = max_entities_per_record
+        self.ents = ents
+        self.acts = acts
+
+    def run(self, ctx: QuantumContext) -> None:
+        t = time.perf_counter()
+        ctx.columns = quantum_columns(
+            ctx.messages,
+            self.extractor,
+            self.max_entities_per_record,
+            self.ents,
+            self.acts,
+        )
+        ctx.timings.extract = time.perf_counter() - t
+
+
+class ExtractStage:
+    """Stage 1, mapping form: actor -> entities and entity -> actors.
+
+    Runs when something needs the mappings themselves: the from-scratch
+    oracle builder (fed ``entity_actors``) or the CKG-stats tracker (fed
+    ``actor_entities``).
     """
 
     name = "extract"
@@ -149,7 +206,8 @@ class AkgUpdateStage:
     maintainer, the Section 5 cluster maintenance inline.  The stage stashes
     the maintainer's clustering-clock delta in ``ctx.scratch`` for
     :class:`MaintainStage` to account; until that stage runs, the whole
-    fused wall time is attributed to ``akg_update``.
+    fused wall time is attributed to ``akg_update``.  The builder is fed
+    whichever form stage 1 produced: pair columns, else the mapping.
     """
 
     name = "akg_update"
@@ -161,9 +219,14 @@ class AkgUpdateStage:
     def run(self, ctx: QuantumContext) -> None:
         t = time.perf_counter()
         maintain_before = self.maintainer.clustering_seconds
-        ctx.akg_stats = self.builder.process_quantum(
-            ctx.quantum, ctx.entity_actors
-        )
+        if ctx.columns is not None:
+            ctx.akg_stats = self.builder.process_columns(
+                ctx.quantum, ctx.columns
+            )
+        else:
+            ctx.akg_stats = self.builder.process_quantum(
+                ctx.quantum, ctx.entity_actors
+            )
         ctx.scratch["maintain_seconds"] = (
             self.maintainer.clustering_seconds - maintain_before
         )
@@ -336,11 +399,30 @@ def build_stages(
     report_index: ThresholdIndex,
     max_entities_per_record: int,
     ckg_stats: Optional[CkgStatsTracker] = None,
+    front: Optional[Sequence[Stage]] = None,
 ) -> List[Stage]:
-    """The default six-stage pipeline over the given engine components."""
+    """The default six-stage pipeline over the given engine components.
+
+    Stage 1 is the column form unless the builder is the oracle or a
+    CKG-stats tracker is attached (both need the mappings).  ``front``
+    replaces stages 1-2 outright — the sharded front-end brings its own
+    pair (:func:`repro.parallel.stages.sharded_front_stages`).
+    """
+    if front is None:
+        if builder.oracle or ckg_stats is not None:
+            extract: Stage = ExtractStage(
+                extractor, max_entities_per_record, ckg_stats
+            )
+        else:
+            extract = ColumnExtractStage(
+                extractor,
+                max_entities_per_record,
+                builder.idsets.ents,
+                builder.idsets.acts,
+            )
+        front = [extract, AkgUpdateStage(builder, maintainer)]
     return [
-        ExtractStage(extractor, max_entities_per_record, ckg_stats),
-        AkgUpdateStage(builder, maintainer),
+        *front,
         MaintainStage(maintainer),
         PropagateStage(maintainer, ranker),
         RankStage(ranker),
@@ -351,6 +433,7 @@ def build_stages(
 __all__ = [
     "QuantumContext",
     "Stage",
+    "ColumnExtractStage",
     "ExtractStage",
     "AkgUpdateStage",
     "MaintainStage",

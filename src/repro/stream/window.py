@@ -5,27 +5,24 @@ of a fixed number of records; the window spans the last ``w`` quanta.  The
 :class:`QuantumBatcher` groups an arbitrary message iterator into quanta;
 the aggregation helpers reduce a quantum to the two mappings the AKG needs:
 entity -> actors (id sets) and actor -> entities (spatial correlation, CKG
-stats).  Extraction is delegated to an
-:class:`~repro.extract.base.EntityExtractor`; the legacy keyword-named
-helpers wrap the default :class:`~repro.extract.keyword.KeywordExtractor`
-and are kept for the paper-facing call sites and tests.
+stats) — or, on the hot path, straight to the interned pair columns the
+window indexes consume (:class:`QuantumColumns`).  Extraction is delegated
+to an :class:`~repro.extract.base.EntityExtractor`.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
 
-from repro.arrays import get_numpy
+import numpy as np
+
 from repro.interning import Interner
 from repro.errors import StreamError
 from repro.stream.messages import Message
 
 Entity = str
-Keyword = str  # legacy alias: keywords are the textual instantiation
 ActorId = Hashable
-UserId = Hashable
-Tokenizer = Callable[[str], Iterable[str]]
 
 
 class QuantumBatcher:
@@ -137,109 +134,40 @@ def invert_actor_entities(
 class QuantumColumns:
     """One quantum reduced to flat, interned, deduplicated pair columns.
 
-    The batched backend's extraction product (DESIGN.md Section 9): the
-    i-th distinct (entity, actor) pair of the quantum, as interner ids,
-    sorted by ``(entity id, actor id)`` and grouped into contiguous entity
-    ``segments`` — ``(eid, lo, hi)`` runs with the entity's token string in
-    the parallel ``ent_strings`` list.  Semantically this is exactly
+    The extraction product of the hot path (DESIGN.md Section 9): ``keys``
+    holds the quantum's distinct (entity, actor) pairs as packed int64
+    ``(eid << 32) | aid`` interner ids, ascending — i.e. sorted by
+    ``(entity id, actor id)``, because ids are non-negative and below
+    2**32 — and grouped into contiguous entity ``segments``: ``(eid, lo,
+    hi)`` runs with the entity's token string in the parallel
+    ``ent_strings`` list.  Semantically this is exactly
     ``invert_actor_entities(actor_entities_of_quantum(...))``: per-record
     truncation applies before interning and deduplication makes each
     (entity, actor) pair count once, so segment length equals the quantum's
     distinct-user support.
-
-    The pair storage is the packed int64 key column ``keys``
-    (``(eid << 32) | aid``) when numpy built it, else the plain-list
-    ``ent_col``/``act_col`` split; either view is derivable from the other
-    (``ent_col``/``act_col`` decode lazily from ``keys``), and both orders
-    coincide because ids are non-negative and below 2**32.  The *values*
-    are identical in both modes — numpy is a kernel detail, never a
-    semantic one — which is what keeps the numpy and pure-python paths
-    bit-identical.
     """
 
-    __slots__ = ("keys", "segments", "ent_strings", "_ent_col", "_act_col")
+    __slots__ = ("keys", "segments", "ent_strings")
 
     def __init__(
         self,
+        keys: np.ndarray,
         segments: List[Tuple[int, int, int]],
         ent_strings: List[Entity],
-        keys=None,
-        ent_col: List[int] | None = None,
-        act_col: List[int] | None = None,
     ) -> None:
         self.keys = keys
         self.segments = segments
         self.ent_strings = ent_strings
-        self._ent_col = ent_col
-        self._act_col = act_col
-
-    @property
-    def ent_col(self) -> List[int]:
-        if self._ent_col is None:
-            self._ent_col = (self.keys >> 32).tolist()
-        return self._ent_col
-
-    @property
-    def act_col(self) -> List[int]:
-        if self._act_col is None:
-            self._act_col = (self.keys & 0xFFFFFFFF).tolist()
-        return self._act_col
-
-    @property
-    def num_pairs(self) -> int:
-        if self.keys is not None:
-            return len(self.keys)
-        return len(self._ent_col)
-
-    def key_array(self):
-        """The packed key column as an int64 ndarray (numpy mode only)."""
-        if self.keys is None:
-            np = get_numpy()
-            keys = np.array(self._ent_col, dtype=np.int64)
-            keys <<= 32
-            keys |= np.array(self._act_col, dtype=np.int64)
-            self.keys = keys
-        return self.keys
-
-
-def _empty_columns() -> QuantumColumns:
-    np = get_numpy()
-    if np is None:
-        return QuantumColumns([], [], ent_col=[], act_col=[])
-    return QuantumColumns([], [], keys=np.empty(0, dtype=np.int64))
 
 
 def _columns_from_occurrences(
-    ent_occ: List[int], act_occ: List[int], objs: List
+    ent_occ: List[int], act_occ, objs: List
 ) -> QuantumColumns:
-    """Dedupe/sort/segment flat occurrence columns into QuantumColumns.
-
-    The numpy path packs both ids into one int64 key, lets ``np.unique``
-    sort-and-dedupe in C and reads the segment boundaries off the packed
-    column; the fallback does the same through a set of tuples and a run
-    loop.  Identical values by construction.
-    """
+    """Dedupe/sort/segment flat occurrence columns into QuantumColumns:
+    pack both ids into one int64 key, let ``np.unique`` sort-and-dedupe in
+    C, and read the segment boundaries off the packed column."""
     if not ent_occ:
-        return _empty_columns()
-    np = get_numpy()
-    if np is None:
-        pairs = sorted(set(zip(ent_occ, act_occ)))
-        ent_col = [p[0] for p in pairs]
-        act_col = [p[1] for p in pairs]
-        segments: List[Tuple[int, int, int]] = []
-        prev = -1
-        start = 0
-        for i, eid in enumerate(ent_col):
-            if eid != prev:
-                if prev >= 0:
-                    segments.append((prev, start, i))
-                prev = eid
-                start = i
-        segments.append((prev, start, len(ent_col)))
-        strings = [objs[eid] for eid, _, _ in segments]
-        return QuantumColumns(
-            segments, strings, ent_col=ent_col, act_col=act_col
-        )
+        return QuantumColumns(np.empty(0, dtype=np.int64), [], [])
     keys = np.array(ent_occ, dtype=np.int64)
     keys <<= 32
     keys |= np.asarray(act_occ, dtype=np.int64)
@@ -252,7 +180,7 @@ def _columns_from_occurrences(
         zip(ents[starts].tolist(), starts.tolist(), ends.tolist())
     )
     strings = [objs[eid] for eid, _, _ in segments]
-    return QuantumColumns(segments, strings, keys=keys)
+    return QuantumColumns(keys, segments, strings)
 
 
 def quantum_columns(
@@ -264,7 +192,7 @@ def quantum_columns(
 ) -> QuantumColumns:
     """Extract one quantum straight into interned pair columns.
 
-    The batched replacement for ``actor_entities_of_quantum`` +
+    The hot-path counterpart of ``actor_entities_of_quantum`` +
     ``invert_actor_entities``: one pass appends interned (entity, actor)
     occurrence ids to flat lists, then a single dedupe/sort kernel builds
     the grouped columns — no per-message dict or set allocation.  Messages
@@ -311,18 +239,12 @@ def quantum_columns(
             i = ent_occ.index(None, i + 1)
     except ValueError:
         pass
-    np = get_numpy()
-    if np is not None:
-        # Expand the per-message actor ids across their token runs in one
-        # C-level repeat instead of allocating a small list per message.
-        act_occ = np.repeat(
-            np.array(msg_aids, dtype=np.int64),
-            np.array(msg_counts, dtype=np.int64),
-        )
-    else:
-        act_occ = []
-        for aid, count in zip(msg_aids, msg_counts):
-            act_occ += [aid] * count
+    # Expand the per-message actor ids across their token runs in one
+    # C-level repeat instead of allocating a small list per message.
+    act_occ = np.repeat(
+        np.array(msg_aids, dtype=np.int64),
+        np.array(msg_counts, dtype=np.int64),
+    )
     return _columns_from_occurrences(ent_occ, act_occ, ents.objs)
 
 
@@ -333,10 +255,9 @@ def columns_from_mapping(
 ) -> QuantumColumns:
     """Intern an entity -> actors mapping into :class:`QuantumColumns`.
 
-    The adapter that lets the batched window indexes accept the reference
-    ``add_quantum`` mapping contract (direct construction in tests, the
-    mapping-path builder); empty user sets are skipped exactly as the
-    reference index skips them.
+    The adapter behind the window indexes' mapping entry points (the
+    shard workers' slices, direct construction in tests); empty user sets
+    are skipped — they carry no id-set information.
     """
     ent_occ: List[int] = []
     act_occ: List[int] = []
@@ -350,37 +271,6 @@ def columns_from_mapping(
     return _columns_from_occurrences(ent_occ, act_occ, ents.objs)
 
 
-def user_keywords_of_quantum(
-    messages: Iterable[Message],
-    tokenizer: Tokenizer,
-    max_tokens_per_message: int | None = None,
-) -> Dict[UserId, Set[Keyword]]:
-    """user -> keywords used within the quantum (keyword-path wrapper)."""
-    from repro.extract.keyword import KeywordExtractor
-
-    return actor_entities_of_quantum(
-        messages, KeywordExtractor(tokenizer=tokenizer), max_tokens_per_message
-    )
-
-
-def keyword_users_of_quantum(
-    messages: Iterable[Message], tokenizer: Tokenizer
-) -> Dict[Keyword, Set[UserId]]:
-    """keyword -> distinct users within the quantum (id-set contribution)."""
-    out: Dict[Keyword, Set[UserId]] = {}
-    for message in messages:
-        for keyword in message.keyword_tuple(tokenizer):
-            out.setdefault(keyword, set()).add(message.user_id)
-    return out
-
-
-def invert_user_keywords(
-    user_keywords: Dict[UserId, Set[Keyword]],
-) -> Dict[Keyword, Set[UserId]]:
-    """Convert user -> keywords into keyword -> users (legacy name)."""
-    return invert_actor_entities(user_keywords)
-
-
 __all__ = [
     "QuantumBatcher",
     "QuantumColumns",
@@ -388,7 +278,4 @@ __all__ = [
     "quantum_columns",
     "actor_entities_of_quantum",
     "invert_actor_entities",
-    "user_keywords_of_quantum",
-    "keyword_users_of_quantum",
-    "invert_user_keywords",
 ]

@@ -1,8 +1,13 @@
 """Stateful model check of the sliding-window id-set index.
 
 A hypothesis state machine feeds arbitrary quantum contents into
-:class:`IdSetIndex` alongside a naive model (a plain list of the last w
-quanta) and asserts support, membership and Jaccard agree after every step.
+:class:`IdSetIndex` alongside a naive model (a plain list of the quanta fed
+so far, windowed by quantum number) and asserts support, membership,
+Jaccard, the slide delta and the interner populations agree after every
+step.  The quantum counter may jump, so one slide can expire several blocks
+at once — a pair recurring across them must be subtracted once per block —
+and users and keywords that leave the window release interner slots the
+next newcomers reuse.
 """
 
 import hypothesis.strategies as st
@@ -14,26 +19,26 @@ from repro.akg.idsets import IdSetIndex
 WINDOW = 3
 KEYWORDS = ["alpha", "beta", "gamma"]
 
+CONTENT = st.dictionaries(
+    st.sampled_from(KEYWORDS),
+    st.sets(st.integers(0, 15), min_size=0, max_size=6),
+    max_size=len(KEYWORDS),
+)
+
 
 class IdSetModelMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.index = IdSetIndex(window_quanta=WINDOW)
-        self.history = []  # list of {keyword: set(users)}
+        self.history = []  # list of (quantum, {keyword: set(users)})
         self.quantum = -1
 
-    @rule(
-        content=st.dictionaries(
-            st.sampled_from(KEYWORDS),
-            st.sets(st.integers(0, 15), min_size=0, max_size=6),
-            max_size=len(KEYWORDS),
-        )
-    )
-    def add_quantum(self, content):
-        self.quantum += 1
+    def _slide(self, content, step):
         before = {kw: len(self._model_users(kw)) for kw in KEYWORDS}
+        before_users = self._model_window_users()
+        self.quantum += step
         delta = self.index.add_quantum(self.quantum, content)
-        self.history.append(content)
+        self.history.append((self.quantum, content))
         # The reported slide delta must equal the model's support diff.
         expected = {
             kw: (before[kw], after)
@@ -45,12 +50,34 @@ class IdSetModelMachine(RuleBasedStateMachine):
             kw for kw, (_, after) in expected.items() if after == 0
         }
         assert delta.appeared == {kw for kw, users in content.items() if users}
+        assert delta.vanished_users == (
+            before_users - self._model_window_users()
+        )
+
+    @rule(content=CONTENT)
+    def add_quantum(self, content):
+        self._slide(content, 1)
+
+    @rule(content=CONTENT, skipped=st.integers(1, WINDOW + 1))
+    def add_quantum_after_a_gap(self, content, skipped):
+        """Nothing arrives for ``skipped`` quanta: the next slide expires
+        every block that fell out of the window in between, together."""
+        self._slide(content, 1 + skipped)
+
+    def _live(self):
+        cutoff = self.quantum - WINDOW
+        return [content for q, content in self.history if q > cutoff]
 
     def _model_users(self, keyword):
-        live = self.history[-WINDOW:]
         users = set()
-        for quantum in live:
-            users |= quantum.get(keyword, set())
+        for content in self._live():
+            users |= content.get(keyword, set())
+        return users
+
+    def _model_window_users(self):
+        users = set()
+        for keyword in KEYWORDS:
+            users |= self._model_users(keyword)
         return users
 
     @invariant()
@@ -71,6 +98,21 @@ class IdSetModelMachine(RuleBasedStateMachine):
                 else:
                     expected = len(a & b) / len(a | b)
                 assert abs(self.index.jaccard(kw1, kw2) - expected) < 1e-12
+
+    @invariant()
+    def interners_hold_exactly_the_window_population(self):
+        """Released slots are reused, never leaked or freed early: the
+        interned population *is* the model's window population, and the
+        slot tables never outgrow the most that was ever live at once."""
+        users = self._model_window_users()
+        keywords = {kw for kw in KEYWORDS if self._model_users(kw)}
+        assert set(self.index.acts.ids) == users
+        assert set(self.index.ents.ids) == keywords
+        assert self.index.window_users() == users
+        assert set(self.index.keywords()) == keywords
+        assert self.index.num_keywords == len(keywords)
+        assert self.index.ents.capacity <= len(KEYWORDS)
+        assert self.index.acts.capacity <= 16
 
 
 IdSetModelMachine.TestCase.settings = settings(

@@ -191,8 +191,10 @@ class TestCacheBound:
         assert hasher.cache_size == 9
 
     def test_builder_cache_bounded_by_window_population(self):
-        """Replaying a stream of one-shot users must not grow the memo
-        beyond the users actually present in the window."""
+        """Replaying a stream of one-shot users must not grow per-user
+        hash storage beyond the users actually present in the window: the
+        fast builder keeps hashes in its actor interner's slots, the oracle
+        builder in the ``MinHasher`` memo it evicts from."""
         from repro.akg.builder import AkgBuilder
         from repro.config import DetectorConfig
         from repro.core.maintenance import ClusterMaintainer
@@ -203,7 +205,8 @@ class TestCacheBound:
             high_state_threshold=2,
             ec_threshold=0.3,
         )
-        builder = AkgBuilder(config, ClusterMaintainer())
+        fast = AkgBuilder(config, ClusterMaintainer())
+        oracle = AkgBuilder(config, ClusterMaintainer(), oracle=True)
         for quantum in range(40):
             # Fresh user cohort every quantum: after the window slides past
             # a cohort, its hashes must leave the cache.
@@ -212,14 +215,23 @@ class TestCacheBound:
                 f"kw{quantum % 5}": set(users),
                 f"noise{quantum}": {quantum * 100 + 50},
             }
-            builder.process_quantum(quantum, content)
-            live = builder.idsets.window_users()
-            assert set(builder.minhasher._cache) <= live | set(users), (
+            fast.process_quantum(quantum, content)
+            oracle.process_quantum(quantum, content)
+            live = fast.idsets.window_users()
+            assert live == oracle.idsets.window_users()
+            assert set(fast.idsets.acts.ids) == live, (
+                f"interner leaked beyond the window at quantum {quantum}"
+            )
+            assert set(oracle.minhasher._cache) <= live, (
                 f"cache leaked beyond the window at quantum {quantum}"
             )
-        # after 40 quanta only ~3 quanta of users are live
-        assert builder.minhasher.cache_size <= 3 * 5
-        assert builder.minhasher.cache_size < 40
+        # after 40 quanta only ~3 quanta of users are live (a quantum is
+        # interned before the slide releases the expiring one's slots, so
+        # the slot table's high-water mark is one cohort more)
+        assert fast.idsets.acts.live_count <= 3 * 5
+        assert fast.idsets.acts.capacity <= 4 * 5
+        assert fast.minhasher.cache_size == 0  # the hot path never memoises
+        assert 0 < oracle.minhasher.cache_size <= 3 * 5
 
     def test_oracle_reports_vanished_users_identically(self):
         """The from-scratch index must agree on the eviction pool."""
@@ -241,36 +253,17 @@ class TestCacheBound:
             assert fast.window_users() == oracle.window_users()
 
 
-def _batched_engines():
-    import repro.arrays as arrays
-    from repro.akg.idsets import ArrayIdSetIndex, BatchedIdSetIndex
-
-    engines = [pytest.param(BatchedIdSetIndex, id="batched-dict")]
-    engines.append(
-        pytest.param(
-            ArrayIdSetIndex,
-            id="batched-array",
-            marks=pytest.mark.skipif(
-                arrays.get_numpy() is None, reason="numpy not importable"
-            ),
-        )
-    )
-    return engines
-
-
 class TestBatchedEvictionStateful:
-    """Memo eviction under the interned path (DESIGN.md Section 9).
+    """Hash eviction under the interned path (DESIGN.md Section 9).
 
-    The reference backend memoizes per-user hashes in ``MinHasher._cache``
-    and evicts on ``vanished_users``; the batched backend's analogue is the
-    actor interner itself — each user's base hash lives in their slot, and
-    the slot is released exactly when the user's last window occurrence
-    expires.  This stateful differential drives both index families over a
-    churny random stream (one-shot users, re-entries, empty quanta,
-    skipped quanta) and checks, after every slide, that the eviction pools
-    coincide and the interner refcounts track the live window exactly."""
+    The column engine keeps each user's base hash in their actor-interner
+    slot, and the slot is released exactly when the user's last window
+    occurrence expires.  This stateful differential drives the index and
+    the from-scratch oracle over a churny random stream (one-shot users,
+    re-entries, empty quanta, skipped quanta) and checks, after every
+    slide, that the eviction pools coincide and the interner refcounts
+    track the live window exactly."""
 
-    @pytest.mark.parametrize("Engine", _batched_engines())
     @given(
         seed=st.integers(0, 100),
         window=st.integers(1, 4),
@@ -278,13 +271,14 @@ class TestBatchedEvictionStateful:
     )
     @settings(max_examples=30, deadline=None)
     def test_vanished_users_and_refcounts_track_reference(
-        self, Engine, seed, window, n_quanta
+        self, seed, window, n_quanta
     ):
         from repro.akg.idsets import IdSetIndex
+        from repro.akg.oracle import OracleIdSetIndex
 
         rng = random.Random(seed)
-        reference = IdSetIndex(window_quanta=window)
-        batched = Engine(window_quanta=window)
+        reference = OracleIdSetIndex(window_quanta=window)
+        index = IdSetIndex(window_quanta=window)
         quantum = 0
         for _ in range(n_quanta):
             content = {}
@@ -296,31 +290,31 @@ class TestBatchedEvictionStateful:
                 }
                 content[kw] = users
             ref_delta = reference.add_quantum(quantum, content)
-            bat_delta = batched.add_quantum(quantum, content)
-            assert bat_delta == ref_delta
-            assert bat_delta.vanished_users == ref_delta.vanished_users
+            delta = index.add_quantum(quantum, content)
+            assert delta == ref_delta
+            assert delta.vanished_users == ref_delta.vanished_users
 
             # The eviction pool empties the memo: a vanished user's slot
             # is released, so the live interner population IS the window
             # population — no leak, no premature eviction.
-            live_users = batched.window_users()
+            live_users = index.window_users()
             assert live_users == reference.window_users()
-            assert batched.acts.live_count == len(live_users)
-            assert set(batched.acts.ids) == live_users
-            assert batched.ents.live_count == batched.num_keywords
-            for user in bat_delta.vanished_users:
-                assert user not in batched.acts.ids
+            assert index.acts.live_count == len(live_users)
+            assert set(index.acts.ids) == live_users
+            assert index.ents.live_count == index.num_keywords
+            for user in delta.vanished_users:
+                assert user not in index.acts.ids
 
             quantum += rng.choice((1, 1, 1, 2, window + 1))
 
-    @pytest.mark.parametrize("Engine", _batched_engines())
-    def test_reentry_after_vanish_reinterns_cleanly(self, Engine):
+    def test_reentry_after_vanish_reinterns_cleanly(self):
         """A vanished user who returns gets a slot again (possibly
         recycled) and identical window behaviour."""
         from repro.akg.idsets import IdSetIndex
+        from repro.akg.oracle import OracleIdSetIndex
 
-        reference = IdSetIndex(window_quanta=2)
-        batched = Engine(window_quanta=2)
+        reference = OracleIdSetIndex(window_quanta=2)
+        index = IdSetIndex(window_quanta=2)
         stream = [
             {"a": {"u1", "u2"}},
             {"b": {"u3"}},
@@ -330,9 +324,9 @@ class TestBatchedEvictionStateful:
             {},
         ]
         for quantum, content in enumerate(stream):
-            rd = reference.add_quantum(quantum, content)
-            bd = batched.add_quantum(quantum, content)
-            assert bd == rd
-            assert batched.window_users() == reference.window_users()
-        assert batched.acts.live_count == 0
-        assert batched.ents.live_count == 0
+            ref_delta = reference.add_quantum(quantum, content)
+            delta = index.add_quantum(quantum, content)
+            assert delta == ref_delta
+            assert index.window_users() == reference.window_users()
+        assert index.acts.live_count == 0
+        assert index.ents.live_count == 0

@@ -1,27 +1,23 @@
-"""Backend differential: batched must be bit-identical to reference.
+"""The one engine against its golden fingerprints and its one referee.
 
-The batched backend (PR 6) re-implements the extract + AKG hot path over
-interned array columns — a wholly different execution strategy whose
-*observable* behaviour must be indistinguishable from the reference
-object path.  These tests pin that contract three ways:
+The column engine (DESIGN.md Section 9) is the only production hot path;
+what it must reproduce was pinned while a per-message object pipeline still
+existed beside it, and the constants below have not moved since:
 
 * golden fingerprints over the three stream regimes — reports, sink
-  notes, event histories, and normalized checkpoints all hash identically
-  for reference, batched (numpy), and batched (pure-python fallback);
-* cross-backend checkpoint resume — a stream snapshotted under either
-  backend continues identically under either backend, because
-  ``backend`` is an execution field that never enters the checkpoint;
-* config validation — the backend switch rejects unknown values and the
-  contradictory ``oracle_akg`` + batched combination up front.
-
-The pure-python fallback is forced through ``repro.arrays.FORCE_PURE``
-(the switch behind ``REPRO_PURE_PYTHON``), so the numpy and fallback
-engines are exercised in the same process regardless of the environment.
+  notes, event histories, and normalized checkpoints;
+* the from-scratch oracle (``oracle_akg=True``) as the differential
+  reference: everything the oracle is specified to share with the fast
+  path — reported/suppressed events, ranks, notes, histories — is
+  identical (its ``removal_candidates`` work counter and its builder
+  checkpoint subtree differ by design: it sweeps every node and keeps raw
+  quanta);
+* there is no engine switch left to set: ``backend`` is an unknown config
+  field.
 """
 
 import pytest
 
-import repro.arrays as arrays
 from golden import (
     bursty_stream,
     fingerprint,
@@ -29,10 +25,8 @@ from golden import (
     run_structure,
     uniform_stream,
 )
-from repro.api import QueueSink, open_session
 from repro.config import DetectorConfig
 from repro.errors import ConfigError
-from repro.stream.messages import Message
 
 BASE = dict(
     quantum_size=20,
@@ -48,134 +42,61 @@ REGIMES = {
     "reentry": lambda: reentry_stream(17, 600, 120),
 }
 
-# Golden fingerprints of the reference backend over the three regimes.
-# The batched backend (both engines) must reproduce these exactly; any
-# drift in ranks, supports, lifecycle events, AKG counters, or checkpoint
-# layout flips a hash.
+# Golden fingerprints over the three regimes, generated against the
+# per-message object pipeline this repo started from.  Any drift in ranks,
+# supports, lifecycle events, AKG counters, or checkpoint layout flips a
+# hash.
 GOLDEN = {
     "bursty": "5395aedf79f7276c296c0442bed9fe9e96e52ffad46470ee90ec080536a56e83",
     "uniform": "b3f772d72dfa5692a88ec31c2c1f6183017538223f88734e9f66d10039b593fd",
     "reentry": "ff3614f2a4416ce4b3112a904b98194dab8f48764464d96e743463616357f119",
 }
 
-BACKENDS = ("reference", "batched", "batched-pure")
 
-
-def _structure(backend, messages, ckpt_path, **session_kwargs):
-    """run_structure under the named backend variant."""
-    pure = backend == "batched-pure"
-    config = DetectorConfig(
-        **BASE, backend="batched" if pure else backend
-    )
-    if pure:
-        arrays.FORCE_PURE = True
-    try:
-        return run_structure(messages, config, ckpt_path, **session_kwargs)
-    finally:
-        arrays.FORCE_PURE = False
+def _shared_with_oracle(structure):
+    """The part of a run structure the oracle is specified to reproduce."""
+    reports = []
+    for record in structure["reports"]:
+        record = dict(record)
+        akg = list(record["akg"])
+        akg[10] = None  # removal_candidates: the oracle sweeps every node
+        record["akg"] = akg
+        reports.append(record)
+    return {
+        "reports": reports,
+        "notes": structure["notes"],
+        "histories": structure["histories"],
+    }
 
 
 class TestGoldenParity:
     @pytest.mark.parametrize("regime", sorted(REGIMES))
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backend_matches_golden_fingerprint(
-        self, regime, backend, tmp_path
-    ):
-        structure = _structure(
-            backend, REGIMES[regime](), str(tmp_path / "ck")
+    def test_default_path_matches_golden_fingerprint(self, regime, tmp_path):
+        structure = run_structure(
+            REGIMES[regime](), DetectorConfig(**BASE), str(tmp_path / "ck")
         )
         assert fingerprint(structure) == GOLDEN[regime], (
-            f"{backend} backend drifted from the golden structure on the "
+            f"the default path drifted from the golden structure on the "
             f"{regime} regime"
         )
 
-
-class TestCrossBackendResume:
-    """``backend`` is an execution field: checkpoints neither record it nor
-    depend on it, so any backend can continue any snapshot."""
-
-    @pytest.mark.parametrize("first", ["reference", "batched"])
-    @pytest.mark.parametrize("second", ["reference", "batched"])
-    def test_resume_across_backends(self, first, second, tmp_path):
-        messages = [
-            Message(u, tokens=t) for u, t in REGIMES["bursty"]()
-        ]
-        half = len(messages) // 2
-
-        session = open_session(DetectorConfig(**BASE, backend=first))
-        inbox = QueueSink()
-        session.subscribe(inbox)
-        reports = list(
-            session.ingest_many(iter(messages[:half]), flush=False)
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    def test_oracle_akg_agrees_with_the_default_path(self, regime, tmp_path):
+        fast = run_structure(
+            REGIMES[regime](), DetectorConfig(**BASE), str(tmp_path / "f")
         )
-        notes = list(inbox.drain())
-        ckpt = str(tmp_path / "half.ckpt")
-        session.snapshot(ckpt)
-        session.close()
-
-        resumed = open_session(resume=ckpt, backend=second)
-        inbox2 = QueueSink()
-        resumed.subscribe(inbox2)
-        reports += list(resumed.ingest_many(iter(messages[half:])))
-        notes += list(inbox2.drain())
-        histories = sorted(
-            (r.event_id, r.born_quantum, r.died_quantum)
-            for r in resumed.events()
+        oracle = run_structure(
+            REGIMES[regime](),
+            DetectorConfig(**BASE, oracle_akg=True),
+            str(tmp_path / "o"),
         )
-        resumed.close()
-
-        oracle = open_session(DetectorConfig(**BASE, backend="reference"))
-        oracle_inbox = QueueSink()
-        oracle.subscribe(oracle_inbox)
-        oracle_reports = list(oracle.ingest_many(iter(messages)))
-        oracle_notes = list(oracle_inbox.drain())
-        oracle_histories = sorted(
-            (r.event_id, r.born_quantum, r.died_quantum)
-            for r in oracle.events()
-        )
-        oracle.close()
-
-        def rendered(rs):
-            return [
-                (
-                    r.quantum,
-                    sorted(
-                        (e.event_id, tuple(sorted(e.keywords)), e.rank)
-                        for e in r.reported
-                    ),
-                    sorted(r.new_event_ids),
-                    sorted(r.dead_event_ids),
-                )
-                for r in rs
-            ]
-
-        assert rendered(reports) == rendered(oracle_reports)
-        assert [
-            (n.kind, n.quantum, n.event_id) for n in notes
-        ] == [(n.kind, n.quantum, n.event_id) for n in oracle_notes]
-        assert histories == oracle_histories
+        assert _shared_with_oracle(oracle) == _shared_with_oracle(fast)
 
 
 class TestBackendConfig:
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError, match="backend"):
-            DetectorConfig(backend="turbo")
-
-    def test_oracle_akg_requires_reference(self):
-        with pytest.raises(ConfigError, match="oracle_akg"):
-            DetectorConfig(backend="batched", oracle_akg=True)
-
-    def test_backend_absent_from_checkpoint_config(self, tmp_path):
-        from repro.api.checkpoint import load_checkpoint
-
-        session = open_session(DetectorConfig(**BASE, backend="batched"))
-        list(
-            session.ingest_many(
-                Message(u, tokens=t) for u, t in bursty_stream(3, 40)
-            )
-        )
-        ckpt = str(tmp_path / "c.ckpt")
-        session.snapshot(ckpt)
-        session.close()
-        state = load_checkpoint(ckpt)
-        assert "backend" not in state["config"]
+        """Every value is unknown now: the field itself is gone."""
+        with pytest.raises(ConfigError, match="unknown config fields: backend"):
+            DetectorConfig.from_dict({"backend": "batched"})
+        with pytest.raises(TypeError):
+            DetectorConfig(backend="reference")

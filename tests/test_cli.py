@@ -123,22 +123,20 @@ class TestExtractorFlags:
         ]) == 0
         assert "tags:" in capsys.readouterr().out
 
-    def test_malformed_extractor_options_rejected(self, tmp_path):
-        from repro.errors import ConfigError
-
-        trace_path = str(tmp_path / "t.jsonl")
+    def test_malformed_extractor_options_rejected(self, tmp_path, capsys):
         trace_path_obj = tmp_path / "t.jsonl"
         trace_path_obj.write_text('{"u": "u1", "k": ["a"]}\n')
-        with pytest.raises(ConfigError, match="JSON"):
-            main([
-                "detect", trace_path,
-                "--extractor-options", "{not json",
-            ])
-        with pytest.raises(ConfigError, match="object"):
-            main([
-                "detect", trace_path,
-                "--extractor-options", '["a", "list"]',
-            ])
+        trace_path = str(trace_path_obj)
+        assert main([
+            "detect", trace_path,
+            "--extractor-options", "{not json",
+        ]) == 2
+        assert "JSON" in capsys.readouterr().err
+        assert main([
+            "detect", trace_path,
+            "--extractor-options", '["a", "list"]',
+        ]) == 2
+        assert "object" in capsys.readouterr().err
 
 
 class TestCheckpointFlags:
@@ -287,53 +285,38 @@ class TestDeltaLogAndFollow:
         assert "resumed from" in capsys.readouterr().out
 
 
-class TestBackendAndProfileFlags:
-    def test_batched_backend_matches_reference_output(
-        self, tmp_path, capsys
-    ):
-        """--backend batched must print the exact same detection lines."""
-        trace_path = str(tmp_path / "trace.jsonl")
-        main(["generate", "tw", trace_path, "--messages", "3000"])
-        capsys.readouterr()
-        assert main(["detect", trace_path, "--gamma", "0.15"]) == 0
-        reference_out = capsys.readouterr().out
-        assert main([
-            "detect", trace_path, "--gamma", "0.15",
-            "--backend", "batched",
-        ]) == 0
-        batched_out = capsys.readouterr().out
-        pick = lambda text: [
-            l for l in text.splitlines() if "NEW event" in l
-        ]
-        assert pick(batched_out) == pick(reference_out)
-
+class TestProfileFlag:
     def test_profile_prints_hot_functions(self, tmp_path, capsys):
         trace_path = str(tmp_path / "trace.jsonl")
         main(["generate", "tw", trace_path, "--messages", "3000"])
         capsys.readouterr()
-        assert main([
-            "detect", trace_path, "--backend", "batched", "--profile",
-        ]) == 0
+        assert main(["detect", trace_path, "--profile"]) == 0
         out = capsys.readouterr().out
         assert "cumulative" in out  # pstats sort header
         assert "ncalls" in out
 
-    def test_backend_survives_checkpoint_resume(self, tmp_path, capsys):
-        """A checkpoint written under one backend resumes under another."""
-        trace_path = str(tmp_path / "trace.jsonl")
-        main(["generate", "tw", trace_path, "--messages", "3000"])
-        ckpt_path = str(tmp_path / "state.ckpt")
-        capsys.readouterr()
-        assert main([
-            "detect", trace_path, "--backend", "batched",
-            "--checkpoint", ckpt_path,
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            "detect", trace_path, "--resume-from", ckpt_path,
-            "--backend", "reference",
-        ]) == 0
-        assert "resumed from" in capsys.readouterr().out
+
+class TestErrorsAreOneLine:
+    """A failure the user caused is one ``error:`` line and exit status 2,
+    never a traceback."""
+
+    def test_detect_missing_trace(self, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent.jsonl")
+        assert main(["detect", missing]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and missing in lines[0]
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_follow_missing_directory(self, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent-dir")
+        assert main(["follow", missing]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and missing in lines[0]
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestSweep:

@@ -27,9 +27,10 @@ from repro.stream.messages import Message
 from test_extractor_parity import regime
 from tree_diff import canon, diff_trees, wire_bytes
 
+# "batched" is the default serial session: the row has run the column
+# engine under that id since before it was the only engine.
 MODES = {
-    "reference": dict(backend="reference"),
-    "batched": dict(backend="batched"),
+    "batched": {},
     "workers2": dict(workers=2, worker_backend="thread"),
     "oracle_akg": dict(oracle_akg=True),
 }
@@ -78,7 +79,7 @@ def test_record_patches_previous_tree_into_current(name, mode):
 
 
 @pytest.mark.parametrize("name", ["bursty", "uniform", "reentry"])
-@pytest.mark.parametrize("mode", ["reference", "batched", "workers2"])
+@pytest.mark.parametrize("mode", ["batched", "workers2"])
 def test_layer_ops_are_no_larger_than_the_differ_finds(name, mode):
     """Per layer: the shipped-whole volatile subtrees are exempt by design
     (diffing them costs more than it saves), and so is the from-scratch
@@ -165,24 +166,14 @@ def test_record_bytes_do_not_grow_with_stream_length(tmp_path):
 # ------------------------------------------------- layer-level corner cases
 
 
-def _idset_engines():
-    from repro.akg.idsets import (
-        ArrayIdSetIndex,
-        BatchedIdSetIndex,
-        IdSetIndex,
-    )
-
-    return [IdSetIndex, BatchedIdSetIndex, ArrayIdSetIndex]
-
-
-@pytest.mark.parametrize("engine", _idset_engines(), ids=lambda e: e.__name__)
-def test_window_edit_survives_gaps_jumps_and_empty_quanta(engine):
+def test_window_edit_survives_gaps_jumps_and_empty_quanta():
     """Quantum counters that jump expire several blocks in one slide, and
     a quantum nobody spoke in contributes no block — the splice must track
     both."""
     from repro.akg.builder import window_splice
+    from repro.akg.idsets import IdSetIndex
 
-    index = engine(3)
+    index = IdSetIndex(3)
     feed = [
         (0, {"a": {"u1", "u2"}, "b": {"u1"}}),
         (1, {"a": {"u3"}}),

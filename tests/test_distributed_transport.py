@@ -305,12 +305,6 @@ def test_invalid_endpoint_rejected():
             RemoteShardTransport(bad, [0], PARAMS)
 
 
-def test_remote_transport_refuses_extract():
-    transport = RemoteShardTransport("127.0.0.1:1", [0], PARAMS)
-    with pytest.raises(PipelineError, match="extract"):
-        transport.begin("extract", ((), 5, 1, {}))
-
-
 def test_make_pool_backend_endpoint_conflict():
     with pytest.raises(ConfigError, match="remote backend"):
         make_pool(4, 2, PARAMS, backend="thread", endpoints=["h:1"])
@@ -323,14 +317,13 @@ def test_remote_pool_extracts_parent_side():
         pool = make_pool(4, 2, PARAMS, endpoints=endpoints.split(","))
         try:
             assert pool.backend == "remote"
-            assert pool.can_extract is False
         finally:
             pool.close()
         session = open_session(make_config(), workers=endpoints)
         try:
             from repro.parallel import ShardedExtractStage
 
-            assert not isinstance(
+            assert isinstance(
                 session.pipeline.stage("extract"), ShardedExtractStage
             )
         finally:

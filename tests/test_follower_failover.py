@@ -4,10 +4,10 @@ The contract under test (DESIGN.md Section 10): a ``FollowerSession``
 tailing a leader's delta log, promoted mid-stream and fed the stream from
 the last logged quantum boundary, produces reports, sink notifications,
 event histories, and a final checkpoint bit-identical to a session that
-never stopped — across serial/sharded execution and batched/reference
-backends, for both the leader and the promoted session.  A crashed leader
-(SIGKILL mid-append in a subprocess) must leave a log the follower loads
-to a consistent quantum boundary.
+never stopped — across serial/sharded execution, for both the leader and
+the promoted session.  A crashed leader (SIGKILL mid-append in a
+subprocess) must leave a log the follower loads to a consistent quantum
+boundary.
 """
 
 import json
@@ -50,8 +50,6 @@ MATRIX = [
     ({}, {}),
     ({"workers": 2}, {}),
     ({}, {"workers": 2}),
-    ({"backend": "batched"}, {}),
-    ({}, {"backend": "batched"}),
 ]
 
 

@@ -7,6 +7,8 @@ from repro.parallel.pool import WorkerPool, default_backend, make_pool
 from repro.parallel.router import (
     ShardRouter,
     keyword_hash,
+    shard_of_hash,
+    shards_of_hashes,
     worker_assignments,
 )
 from repro.parallel.shard_state import ShardParams, ShardState
@@ -42,6 +44,22 @@ class TestShardRouter:
         for shard, piece in enumerate(slices):
             for kw in piece:
                 assert router.shard_of(kw) == shard
+
+    def test_vectorized_routing_equals_the_big_int_product(self):
+        """The uint64 kernel splits the 128-bit product into halves; the
+        arbitrary-precision ``shard_of_hash`` is its reference, at the
+        edges of the hash space and for short and long columns."""
+        import random
+
+        rng = random.Random(5)
+        top = (1 << 64) - 1
+        edges = [0, 1, (1 << 32) - 1, 1 << 32, (1 << 63) - 1, 1 << 63, top]
+        for n in (0, 1, 31, 500):
+            hashes = edges[:n] + [rng.randrange(1 << 64) for _ in range(n)]
+            for shard_count in (1, 2, 3, 7, 1000, (1 << 31) - 1):
+                assert shards_of_hashes(hashes, shard_count) == [
+                    shard_of_hash(h, shard_count) for h in hashes
+                ]
 
     def test_single_shard_routes_everything_to_zero(self):
         router = ShardRouter(1)

@@ -75,8 +75,6 @@ class TestPipelineAssembly:
             "report", "scatter", "exchange", "overlap_saved",
         }
         assert all(t >= 0.0 for t in timings.values())
-        # legacy read-only alias for the pre-refactor slot name
-        assert report.timings.tokenize == report.timings.extract
 
     def test_wrapped_stage_composes(self):
         """A stage can be wrapped without the pipeline noticing — the

@@ -169,6 +169,36 @@ class TestTenantLifecycle:
         with pytest.raises(ServeError, match="400"):
             client.create_tenant("bad", {"no_such_field": 1})
 
+    def test_execution_fields_in_config_are_400(self, server):
+        """How a tenant executes is the operator's call, never a client's:
+        a config naming ``workers``/``shard_count`` is refused before any
+        worker is forked or any address dialled."""
+        import multiprocessing
+
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        listener.settimeout(0.2)
+        endpoint = "127.0.0.1:%d" % listener.getsockname()[1]
+        client = ServeClient(port=server.port)
+        try:
+            for extra, named in (
+                ({"workers": 2}, "workers"),
+                ({"shard_count": 4}, "shard_count"),
+                ({"workers": endpoint, "shard_count": 2},
+                 "shard_count, workers"),
+            ):
+                with pytest.raises(
+                    ServeError, match=f"400.*execution fields: {named}$"
+                ):
+                    client.create_tenant("exec", {**CONFIG, **extra})
+            assert client.tenants() == []
+            assert multiprocessing.active_children() == []
+            with pytest.raises(socket.timeout):
+                listener.accept()
+        finally:
+            listener.close()
+
     def test_bad_tenant_name_rejected(self, server):
         client = ServeClient(port=server.port)
         with pytest.raises(ServeError, match="400"):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import StreamError
+from repro.extract.keyword import KeywordExtractor
 from repro.stream.messages import Message
 from repro.stream.sources import (
     TraceReadStats,
@@ -11,9 +12,8 @@ from repro.stream.sources import (
 )
 from repro.stream.window import (
     QuantumBatcher,
-    invert_user_keywords,
-    keyword_users_of_quantum,
-    user_keywords_of_quantum,
+    actor_entities_of_quantum,
+    invert_actor_entities,
 )
 from repro.text.tokenize import tokenize
 
@@ -76,26 +76,29 @@ class TestAggregation:
     ]
 
     def test_user_keywords(self):
-        result = user_keywords_of_quantum(self.MESSAGES, tokenize)
+        result = actor_entities_of_quantum(self.MESSAGES, KeywordExtractor())
         assert result == {
             "u1": {"storm", "coast", "warning"},
             "u2": {"storm"},
         }
 
     def test_keyword_users(self):
-        result = keyword_users_of_quantum(self.MESSAGES, tokenize)
+        result = invert_actor_entities(
+            actor_entities_of_quantum(self.MESSAGES, KeywordExtractor())
+        )
         assert result["storm"] == {"u1", "u2"}
         assert result["coast"] == {"u1"}
 
     def test_inversion_consistent(self):
-        by_user = user_keywords_of_quantum(self.MESSAGES, tokenize)
-        assert invert_user_keywords(by_user) == keyword_users_of_quantum(
-            self.MESSAGES, tokenize
-        )
+        by_user = actor_entities_of_quantum(self.MESSAGES, KeywordExtractor())
+        by_keyword = invert_actor_entities(by_user)
+        assert {(u, kw) for u, kws in by_user.items() for kw in kws} == {
+            (u, kw) for kw, users in by_keyword.items() for u in users
+        }
 
     def test_empty_messages_skipped(self):
-        result = user_keywords_of_quantum(
-            [Message("u1", tokens=())], tokenize
+        result = actor_entities_of_quantum(
+            [Message("u1", tokens=())], KeywordExtractor()
         )
         assert result == {}
 
