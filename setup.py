@@ -4,9 +4,10 @@ Kept as a plain setup.py: this environment lacks the `wheel` package, so
 PEP 660 editable installs fail; `pip install -e . --no-use-pep517` uses
 this directly.
 
-``numpy`` is the one runtime dependency: the window id-set index, the
-per-quantum extraction columns and the MinHash sketch kernel are array code
-(DESIGN.md Section 9).  Everything else — the serving layer included — is
+``numpy`` (>= 2.0, for ``np.bitwise_count``) is the one runtime dependency:
+the window id-set index and its edge-correlation kernel, the per-quantum
+extraction columns and the MinHash sketch kernel are array code (DESIGN.md
+Section 9).  Everything else — the serving layer included — is
 stdlib.
 """
 from setuptools import find_packages, setup
@@ -22,7 +23,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    install_requires=["numpy>=2.0"],
     extras_require={
         # The serving layer (repro.serve / `repro serve`) is deliberately
         # stdlib-only: asyncio front door, hand-rolled HTTP + RFC 6455.

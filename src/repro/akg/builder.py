@@ -37,6 +37,7 @@ and ``benchmarks/bench_incremental_akg.py``.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
@@ -115,38 +116,51 @@ def candidate_edge_pairs(
     )
 
 
+def per_pair_ec(jaccard):
+    """A per-pair ``jaccard(kw1, kw2)`` as the batched ``ec_of(pairs)`` the
+    two primitives below take — how the referees (the oracle index, the
+    sharded merge's closure over gathered id sets) plug in."""
+    return lambda pairs: [jaccard(kw1, kw2) for kw1, kw2 in pairs]
+
+
 def qualify_new_edges(
     pairs: Iterable[Tuple[Keyword, Keyword]],
     graph,
     gamma: float,
-    jaccard,
+    ec_of,
     stats: "AkgQuantumStats",
 ) -> List[Tuple[Keyword, Keyword, float]]:
-    """EC-qualify candidate pairs against the live graph (paper set (1))."""
-    out: List[Tuple[Keyword, Keyword, float]] = []
-    for kw1, kw2 in pairs:
+    """EC-qualify candidate pairs against the live graph (paper set (1)).
+
+    ``ec_of`` answers a whole list of pairs at once (one exact EC per pair,
+    in order) — the quantum's candidates are one batch.
+    """
+    wanted: List[Tuple[Keyword, Keyword]] = []
+    for pair in pairs:
         stats.candidate_pairs += 1
-        if graph.has_edge(kw1, kw2):
-            continue
-        stats.ec_computations += 1
-        ec = jaccard(kw1, kw2)
-        if ec >= gamma:
-            out.append((kw1, kw2, ec))
-    return out
+        if not graph.has_edge(*pair):
+            wanted.append(pair)
+    stats.ec_computations += len(wanted)
+    return [
+        (kw1, kw2, ec)
+        for (kw1, kw2), ec in zip(wanted, ec_of(wanted))
+        if ec >= gamma
+    ]
 
 
 def refresh_incident_edges(
     active_keywords: Iterable[Keyword],
     maintainer: ClusterMaintainer,
     gamma: float,
-    jaccard,
+    ec_of,
     stats: "AkgQuantumStats",
 ) -> None:
     """Recompute EC of edges touching keywords seen this quantum.
 
     This is the paper's set (2): only nodes occurring in the current
     quantum (and, through these edges, their neighbours) can change
-    correlation, so no other edge needs to be revisited.
+    correlation, so no other edge needs to be revisited.  ``ec_of`` is the
+    batched EC lookup of :func:`qualify_new_edges`.
     """
     graph = maintainer.graph
     to_check: Set[Tuple[Keyword, Keyword]] = set()
@@ -155,10 +169,10 @@ def refresh_incident_edges(
             continue
         for nbr in graph.neighbors(kw):
             to_check.add((kw, nbr) if kw <= nbr else (nbr, kw))
+    edges = sorted(to_check)
+    stats.ec_computations += len(edges)
     to_remove: List[Tuple[Keyword, Keyword]] = []
-    for kw1, kw2 in sorted(to_check):
-        stats.ec_computations += 1
-        ec = jaccard(kw1, kw2)
+    for (kw1, kw2), ec in zip(edges, ec_of(edges)):
         if ec < gamma:
             to_remove.append((kw1, kw2))
             stats.edges_removed += 1
@@ -285,6 +299,12 @@ def akg_quantum_op(
     return ["d", sets, []]
 
 
+AKG_SUB_SPANS = ("slide", "sketch", "pairing", "correlate")
+"""The timed sub-spans of one quantum's update, in execution order: the
+id-set window slide, the sketch minima + sketch window, candidate pairing
+(sketch merges included) and the two edge-correlation kernel calls."""
+
+
 @dataclass
 class AkgQuantumStats:
     """Work and size counters for one quantum (feeds Section 7.4)."""
@@ -336,11 +356,18 @@ class AkgBuilder:
         if oracle:
             self.idsets = OracleIdSetIndex(config.window_quanta)
             self.sketches = OracleSketchIndex(self.minhasher, self.idsets)
+            self._ec_of = per_pair_ec(self.idsets.jaccard)
         else:
             self.idsets = IdSetIndex(config.window_quanta, seed=config.seed)
             self.sketches = WindowedSketchIndex(
                 self.minhasher, config.window_quanta
             )
+            self._ec_of = self.idsets.jaccard_many
+        #: wall seconds the last quantum spent in each sub-span of the
+        #: update (surfaced as the ``StageTimings`` fields of the same
+        #: names); ``slide``/``sketch`` are the column engine's own and
+        #: stay 0.0 under ``oracle``.
+        self.sub_spans: Dict[str, float] = dict.fromkeys(AKG_SUB_SPANS, 0.0)
         self.burstiness = BurstinessTracker(config.high_state_threshold)
         # Lazy-removal schedule: quantum -> keywords whose grace period can
         # first be exceeded then.  Armed on every burst; checked when due.
@@ -393,12 +420,16 @@ class AkgBuilder:
         from one vectorized pass over the quantum's hash column instead of
         one salted blake2b call per (keyword, user).
         """
+        started = time.perf_counter()
         delta = self.idsets.add_columns(quantum, columns)
+        slid = time.perf_counter()
         if self.config.use_minhash_filter:
             minis = batched_quantum_minis(
                 columns, self.idsets.acts.hashes, self.minhasher.p
             )
             self.sketches.add_quantum_minis(quantum, minis)
+        self.sub_spans["slide"] = slid - started
+        self.sub_spans["sketch"] = time.perf_counter() - slid
         quantum_support = {
             kw: hi - lo
             for kw, (_, lo, hi) in zip(columns.ent_strings, columns.segments)
@@ -417,6 +448,7 @@ class AkgBuilder:
         distinct-user count within the quantum.
         """
         stats = AkgQuantumStats(quantum=quantum)
+        self.sub_spans["correlate"] = 0.0  # summed over both kernel calls
         graph = self.maintainer.graph
         self.maintainer.current_quantum = quantum
         # Node-weight deltas feed the incremental ranker.  Only nodes already
@@ -462,16 +494,29 @@ class AkgBuilder:
         self, bursty: List[Keyword], stats: AkgQuantumStats
     ) -> List[Tuple[Keyword, Keyword, float]]:
         """EC-qualified new edges among the quantum's bursty keywords."""
-        pairs = candidate_edge_pairs(
-            bursty, self.config.use_minhash_filter, self.sketches.sketch
+        started = time.perf_counter()
+        pairs = list(
+            candidate_edge_pairs(
+                bursty, self.config.use_minhash_filter, self.sketches.sketch
+            )
         )
+        self.sub_spans["pairing"] = time.perf_counter() - started
         return qualify_new_edges(
             pairs,
             self.maintainer.graph,
             self.config.ec_threshold,
-            self.idsets.jaccard,
+            self._correlate,
             stats,
         )
+
+    def _correlate(
+        self, pairs: List[Tuple[Keyword, Keyword]]
+    ) -> List[float]:
+        """The exact ECs of ``pairs``, on the ``correlate`` clock."""
+        started = time.perf_counter()
+        ecs = self._ec_of(pairs)
+        self.sub_spans["correlate"] += time.perf_counter() - started
+        return ecs
 
     def _refresh_incident_edges(
         self, active_keywords: Iterable[Keyword], stats: AkgQuantumStats
@@ -481,7 +526,7 @@ class AkgBuilder:
             active_keywords,
             self.maintainer,
             self.config.ec_threshold,
-            self.idsets.jaccard,
+            self._correlate,
             stats,
         )
 
@@ -596,6 +641,7 @@ class AkgBuilder:
 
 
 __all__ = [
+    "AKG_SUB_SPANS",
     "AkgBuilder",
     "AkgQuantumStats",
     "akg_quantum_op",
@@ -603,6 +649,7 @@ __all__ = [
     "candidate_edge_pairs",
     "drain_removal_candidates",
     "minhash_candidate_pairs",
+    "per_pair_ec",
     "qualify_new_edges",
     "refresh_incident_edges",
     "select_dead_nodes",

@@ -57,6 +57,7 @@ UserId = Hashable
 
 _KEYWORD = itemgetter(0)  # sort key of a ``[keyword, users]`` block entry
 _AID_MASK = 0xFFFFFFFF  # low half of a packed pair key
+_SCRATCH_BYTES = 1 << 22  # ceiling on jaccard_many's byte-per-bit scratch
 
 WindowEdit = Tuple[Sequence[int], Sequence[int], Optional[list]]
 """The last slide's edit to a serialized window queue: ``(dropped, live,
@@ -170,7 +171,6 @@ class IdSetIndex:
         "_aid_keys",
         "_aid_cnt",
         "_supports",
-        "_set_cache",
         "_last_quantum",
         "_dropped",
     )
@@ -188,11 +188,6 @@ class IdSetIndex:
         self._aid_keys = _empty_keys()
         self._aid_cnt = _empty_keys()
         self._supports: Dict[Keyword, int] = {}
-        # eid -> the keyword's window aid set, valid for the current window
-        # position only (cleared on every slide); feeds the per-quantum
-        # edge-correlation burst, where the same keyword's id set is
-        # intersected against many partners.
-        self._set_cache: Dict[int, frozenset] = {}
         self._last_quantum: int | None = None
         # quanta of the window blocks the last slide expired
         self._dropped: List[int] = []
@@ -238,8 +233,6 @@ class IdSetIndex:
         """
         self._check_order(quantum)
         self._last_quantum = quantum
-        if self._set_cache:
-            self._set_cache = {}
         cutoff = quantum - self.window_quanta
         K_in = columns.keys if len(columns.keys) else None
 
@@ -412,7 +405,6 @@ class IdSetIndex:
     def from_state(self, state: dict) -> None:
         """Rebuild the index in place from :meth:`to_state` output."""
         self._last_quantum = state["last_quantum"]
-        self._set_cache = {}
         self._dropped = []
         # Cleared *in place*: the extract stage holds references to these
         # same interners (shared id space), so replacing them here would
@@ -451,25 +443,6 @@ class IdSetIndex:
         return self._dropped, [q for q, _ in quanta], entries
 
     # ------------------------------------------------------------- queries
-
-    def _aid_set(self, eid: int) -> frozenset:
-        """The keyword's window aid set, memoized per slide.
-
-        The edge-correlation burst intersects the *same* keyword's id set
-        against many partners within one quantum; decoding the key slice to
-        a Python set once keeps each pair test a single C-level
-        ``len(a & b)`` — faster than a vectorized merge at window-set sizes
-        because it avoids per-call ufunc dispatch overhead.
-        """
-        cached = self._set_cache.get(eid)
-        if cached is None:
-            pair_keys = self._pair_keys
-            base = eid << 32
-            lo = pair_keys.searchsorted(base)
-            hi = pair_keys.searchsorted(base | _AID_MASK, side="right")
-            cached = frozenset((pair_keys[lo:hi] & _AID_MASK).tolist())
-            self._set_cache[eid] = cached
-        return cached
 
     def __contains__(self, keyword: Keyword) -> bool:
         return keyword in self._supports
@@ -511,8 +484,13 @@ class IdSetIndex:
         eid = self.ents.ids.get(keyword)
         if eid is None:
             return frozenset()
+        pair_keys = self._pair_keys
+        base = eid << 32
+        lo = pair_keys.searchsorted(base)
+        hi = pair_keys.searchsorted(base | _AID_MASK, side="right")
         act_objs = self.acts.objs
-        return frozenset(act_objs[a] for a in self._aid_set(eid))
+        aids = (pair_keys[lo:hi] & _AID_MASK).tolist()
+        return frozenset(act_objs[a] for a in aids)
 
     def users(self, keyword: Keyword) -> Set[UserId]:
         """The id set as a fresh mutable set."""
@@ -532,22 +510,76 @@ class IdSetIndex:
         return {act_objs[a] for a in self._aid_keys.tolist()}
 
     def jaccard(self, kw1: Keyword, kw2: Keyword) -> float:
-        """Exact edge correlation |U1 n U2| / |U1 u U2| (Section 3.2).
+        """Exact edge correlation |U1 n U2| / |U1 u U2| (Section 3.2) of one
+        pair — :meth:`jaccard_many` over a one-pair list."""
+        return self.jaccard_many([(kw1, kw2)])[0]
 
-        Set intersection over interned machine ints — the cardinalities
-        are exact integers, so the quotient is the same float an
-        intersection of the original user-id sets produces.
+    def jaccard_many(
+        self, pairs: Sequence[Tuple[Keyword, Keyword]]
+    ) -> List[float]:
+        """Exact edge correlations of many keyword pairs in one kernel.
+
+        Every involved keyword's id set becomes one row of a bit matrix
+        over the actor-id space (ids are dense and recycled, so a row is
+        ``acts.capacity`` bits — at most the messages in the window),
+        packed to uint64 words; a pair's intersection is then
+        ``popcount(row1 & row2)`` and its supports the two slice lengths.
+        The cardinalities are exact integers and the quotient one
+        int64 / int64 true division, so every float equals the one an
+        intersection of the original user-id sets produces.  A keyword
+        outside the window is an all-zero row: 0.0, like an empty set.
+
+        Rows are packed (and pairs answered) in blocks, so the
+        byte-per-bit scratch never exceeds ``_SCRATCH_BYTES`` (or one row,
+        should a row alone be larger) however many keywords and pairs are
+        involved; what remains is the packed rows themselves and index
+        arrays the size of the gathered slices.
         """
-        ids = self.ents.ids
-        eid1 = ids.get(kw1)
-        eid2 = ids.get(kw2)
-        if eid1 is None or eid2 is None:
-            return 0.0
-        a = self._aid_set(eid1)
-        b = self._aid_set(eid2)
-        intersection = len(a & b)
-        union = len(a) + len(b) - intersection
-        return intersection / union if union else 0.0
+        if not pairs:
+            return []
+        eid_of = self.ents.ids.get
+        # A keyword outside the window gets eid -1: its key range sorts
+        # below every live key, so its slice is empty.
+        eids = np.array(
+            [(eid_of(kw1, -1), eid_of(kw2, -1)) for kw1, kw2 in pairs],
+            dtype=np.int64,
+        )
+        involved, row_of = np.unique(eids.ravel(), return_inverse=True)
+        first = row_of[0::2]
+        second = row_of[1::2]
+        pair_keys = self._pair_keys
+        bases = involved << 32
+        lo = pair_keys.searchsorted(bases)
+        support = pair_keys.searchsorted(bases | _AID_MASK, side="right") - lo
+
+        words = max(1, (self.acts.capacity + 63) >> 6)
+        width = words << 6
+        # rows per block: a byte per bit plus the packed copy made of it
+        block = max(1, _SCRATCH_BYTES // (width + 8 * words))
+        packed = np.empty((len(involved), words), dtype=np.uint64)
+        bits = np.zeros((min(block, len(involved)), width), dtype=np.uint8)
+        for r0 in range(0, len(involved), block):
+            if r0:
+                bits.fill(0)
+            lens = support[r0 : r0 + block]
+            ends = np.cumsum(lens)
+            # position i of the gathered column reads pair_keys[i + shift]
+            shift = np.repeat(lo[r0 : r0 + block] - (ends - lens), lens)
+            aids = pair_keys[np.arange(ends[-1]) + shift] & _AID_MASK
+            bits[np.repeat(np.arange(len(lens)), lens), aids] = 1
+            packed[r0 : r0 + block] = np.packbits(
+                bits[: len(lens)], axis=1
+            ).view(np.uint64)
+        del bits  # the scratch is not held while the pairs are answered
+
+        shared = np.empty(len(pairs), dtype=np.int64)
+        for p0 in range(0, len(pairs), block):
+            both = packed[first[p0 : p0 + block]] & packed[second[p0 : p0 + block]]
+            shared[p0 : p0 + block] = np.bitwise_count(both).sum(axis=1)
+        union = support[first] + support[second] - shared
+        out = np.zeros(len(pairs))
+        np.divide(shared, union, out=out, where=union > 0)
+        return out.tolist()
 
 
 __all__ = ["IdSetIndex", "SlideDelta", "WindowEdit"]

@@ -143,6 +143,7 @@ class WindowedSketchIndex:
         "hasher",
         "window_quanta",
         "_quanta",
+        "_live_blocks",
         "_merged",
         "_dirty",
         "_dropped",
@@ -158,6 +159,10 @@ class WindowedSketchIndex:
         # per quantum; a keyword's window minis are gathered by probing the
         # <= window_quanta live dicts on (lazy, cached) merge.
         self._quanta: Deque[Tuple[int, Dict[str, Sketch]]] = deque()
+        # keyword -> number of live blocks holding a mini for it; derived
+        # from ``_quanta`` (never serialized) so expiry can tell "still in
+        # the window" without probing every block.
+        self._live_blocks: Dict[str, int] = {}
         self._merged: Dict[str, Sketch] = {}
         self._dirty: Set[str] = set()
         # quanta of the blocks the last slide expired
@@ -195,10 +200,14 @@ class WindowedSketchIndex:
             entered = {kw: mini for kw, mini in minis.items() if mini}
             self._quanta.append((quantum, entered))
             self._dirty.update(entered)
+            live_blocks = self._live_blocks
+            for kw in entered:
+                live_blocks[kw] = live_blocks.get(kw, 0) + 1
         self._expire(cutoff)
 
     def _expire(self, cutoff: int) -> None:
         quanta = self._quanta
+        live_blocks = self._live_blocks
         merged = self._merged
         dirty = self._dirty
         dropped = self._dropped = []
@@ -207,9 +216,12 @@ class WindowedSketchIndex:
             dropped.append(old)
             for kw in expired:
                 merged.pop(kw, None)
-                if any(kw in live for _, live in quanta):
+                left = live_blocks[kw] - 1
+                if left:
+                    live_blocks[kw] = left
                     dirty.add(kw)
                 else:
+                    del live_blocks[kw]
                     dirty.discard(kw)
 
     @staticmethod
@@ -239,8 +251,12 @@ class WindowedSketchIndex:
             (q, {kw: tuple(mini) for kw, mini in block})
             for q, block in state["window"]
         )
+        self._live_blocks = {}
+        for _, minis in self._quanta:
+            for kw in minis:
+                self._live_blocks[kw] = self._live_blocks.get(kw, 0) + 1
         self._merged = {}
-        self._dirty = {kw for _, minis in self._quanta for kw in minis}
+        self._dirty = set(self._live_blocks)
         self._dropped = []
         self.merge_recomputes = 0
 

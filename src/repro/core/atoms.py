@@ -6,8 +6,10 @@ of length at most 4 **within the cluster**.  We call each such minimal cycle
 — clusters are maximal unions of atoms glued transitively along shared edges
 — is what the Section 5 incremental algorithms maintain (see DESIGN.md).
 
-The enumeration helpers here are the only place cycle structure is computed;
-both the incremental maintainer and the global oracle build on them.
+The enumeration helpers here list cycles explicitly: edge addition and the
+global oracle build on them, while deletion re-gluing derives the same
+gluing from common-neighbour counts alone
+(:func:`repro.core.maintenance._glue_cycles`).
 """
 
 from __future__ import annotations
@@ -98,23 +100,14 @@ def atoms_containing_edge(graph: DynamicGraph, u: Node, v: Node) -> List[Atom]:
 
 def atoms_in_subgraph(
     adjacency: Mapping[Node, Iterable[Node]],
-    allowed_edges: Set[EdgeKey] | None = None,
 ) -> List[Atom]:
     """All triangle and 4-cycle atoms of a (small) subgraph.
 
-    ``adjacency`` may contain edges outside ``allowed_edges``; when the filter
-    is given only atoms built entirely from allowed edges are returned.  Used
-    by deletion re-gluing (Section 5.3/5.4), where cycles must lie *within the
-    cluster's own edge set*.
+    The enumeration behind the global oracle
+    (:func:`~repro.core.maintenance.decompose_graph`); deletion re-gluing
+    (Section 5.3/5.4) reaches the same gluing without listing atoms.
     """
     adj = _adjacency_sets(adjacency)
-    if allowed_edges is not None:
-        filtered: Dict[Node, Set[Node]] = {n: set() for n in adj}
-        for a, b in allowed_edges:
-            if a in adj and b in adj[a]:
-                filtered.setdefault(a, set()).add(b)
-                filtered.setdefault(b, set()).add(a)
-        adj = filtered
 
     atoms: List[Atom] = []
     order = {n: i for i, n in enumerate(adj)}

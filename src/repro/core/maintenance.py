@@ -24,8 +24,11 @@ EdgeDeletion (5.4)     :meth:`ClusterMaintainer.remove_edge` — same re-glue
 =====================  ====================================================
 
 All deletion work is local: only the affected clusters' own (small) subgraphs
-are touched, never the full graph.  :func:`decompose_graph` is the
-from-scratch global computation used as the correctness oracle for Theorem 3.
+are touched, never the full graph, and the re-glue is a union-find over the
+cluster's surviving edges (:func:`_glue_cycles`) that enumerates no atom.
+:func:`decompose_graph` — every atom listed, then glued on shared edges — is
+the from-scratch global computation used as the correctness oracle for
+Theorem 3.
 
 Every structural mutation is additionally recorded as a typed event in the
 maintainer's :class:`~repro.core.changelog.ChangeLog` (see DESIGN.md
@@ -101,6 +104,65 @@ def _glue_atoms(atoms: List[Atom]) -> List[Tuple[Set[Node], Set[EdgeKey]]]:
         nodes, edges = groups.setdefault(dsu.find(i), (set(), set()))
         nodes |= atom.nodes
         edges |= atom.edges
+    return list(groups.values())
+
+
+def _glue_cycles(
+    adjacency: Mapping[Node, Iterable[Node]],
+) -> List[Tuple[Set[Node], Set[EdgeKey]]]:
+    """The groups :func:`_glue_atoms` forms over every short cycle of
+    ``adjacency``, computed as a union-find over its *edges* — no cycle is
+    ever materialized.
+
+    Take two nodes u, y and their common neighbours C.  Any two members of
+    C close a 4-cycle through u and y, and if u and y are adjacent every
+    member closes a triangle on edge (u, y); either way all those cycles
+    pairwise share an edge, so the legs from u and y to C (plus (u, y)
+    itself when present) belong to one cluster.  Every triangle and every
+    4-cycle arises this way from some pair — a 4-cycle from its opposite
+    corners — so uniting per pair glues exactly what atom gluing does.
+    Pairs are found by walking two hops from each node, sum-of-squared-
+    degrees work like the enumeration it replaces.  Edges that joined no
+    union lie on no short cycle and drop out.
+    """
+    order = {node: i for i, node in enumerate(adjacency)}
+    edges: List[EdgeKey] = []
+    index: Dict[EdgeKey, int] = {}
+    incident: Dict[Node, Dict[Node, int]] = {}  # node -> neighbour -> edge id
+    for u, nbrs in adjacency.items():
+        row = incident[u] = {}
+        for v in nbrs:
+            key = edge_key(u, v)
+            eid = index.get(key)
+            if eid is None:
+                eid = index[key] = len(edges)
+                edges.append(key)
+            row[v] = eid
+    dsu = _DisjointSet(len(edges))
+    cyclic: Set[int] = set()
+    for u, row in incident.items():
+        rank = order[u]
+        # y -> the edge ids of both legs of every walk u - x - y
+        legs_to: Dict[Node, List[int]] = {}
+        for x, first_leg in row.items():
+            for y, second_leg in incident[x].items():
+                if order[y] > rank:  # each unordered pair once; skips y == u
+                    legs_to.setdefault(y, []).extend((first_leg, second_leg))
+        for y, legs in legs_to.items():
+            direct = row.get(y)
+            if direct is not None:
+                legs.append(direct)
+            elif len(legs) < 4:  # one common neighbour, not adjacent
+                continue
+            cyclic.update(legs)
+            root = legs[0]
+            for eid in legs:
+                dsu.union(root, eid)
+    groups: Dict[int, Tuple[Set[Node], Set[EdgeKey]]] = {}
+    for eid in cyclic:
+        nodes, group_edges = groups.setdefault(dsu.find(eid), (set(), set()))
+        nodes.update(edges[eid])
+        group_edges.add(edges[eid])
     return list(groups.values())
 
 
@@ -304,11 +366,12 @@ class ClusterMaintainer:
             self.clustering_seconds += time.perf_counter() - start
 
     def _reglue(self, cluster_id: int) -> List[Cluster]:
-        """Recompute the atom gluing of one cluster's surviving edges.
+        """Recompute the gluing of one cluster's surviving edges.
 
         Local processing: only the cluster's nodes/edges are visited.  Edges
-        left on no short cycle drop out of the clustering; remaining atoms
-        re-glue into fragments.  The largest fragment keeps the cluster id.
+        left on no short cycle drop out of the clustering; the rest re-glue
+        into fragments (:func:`_glue_cycles`).  The largest fragment keeps
+        the cluster id.
         """
         cluster = self.registry.get(cluster_id)
         surviving = {
@@ -318,7 +381,7 @@ class ClusterMaintainer:
         for a, b in surviving:
             adjacency.setdefault(a, set()).add(b)
             adjacency.setdefault(b, set()).add(a)
-        groups = _glue_atoms(atoms_in_subgraph(adjacency, allowed_edges=surviving))
+        groups = _glue_cycles(adjacency)
         if not groups:
             self.registry.dissolve(cluster_id)
             self.changelog.record(ClusterDissolved(cluster_id))

@@ -60,6 +60,7 @@ from repro.akg.builder import (
     akg_small_state,
     candidate_edge_pairs,
     drain_removal_candidates,
+    per_pair_ec,
     qualify_new_edges,
     refresh_incident_edges,
     select_dead_nodes,
@@ -339,8 +340,9 @@ class ShardedAkgFrontend:
             union = len(set1) + len(set2) - intersection
             return intersection / union if union else 0.0
 
+        ec_of = per_pair_ec(jaccard)
         new_edges = qualify_new_edges(
-            pairs, graph, self.config.ec_threshold, jaccard, stats
+            pairs, graph, self.config.ec_threshold, ec_of, stats
         )
         for kw1, kw2, ec in new_edges:
             self.maintainer.add_edge(kw1, kw2, ec)
@@ -350,7 +352,7 @@ class ShardedAkgFrontend:
             keyword_users.keys(),
             self.maintainer,
             self.config.ec_threshold,
-            jaccard,
+            ec_of,
             stats,
         )
 

@@ -30,7 +30,16 @@ here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Mapping,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.akg.idsets import IdSetIndex
 from repro.akg.minhash import (
@@ -128,23 +137,22 @@ class ShardState:
 
     def exchange(
         self,
-        pairs: Iterable[Tuple[Keyword, Keyword]],
+        pairs: Sequence[Tuple[Keyword, Keyword]],
         want_ids: Iterable[Keyword],
     ) -> Tuple[int, Dict[Tuple[Keyword, Keyword], float], Dict[Keyword, FrozenSet[UserId]]]:
         """Phase two: answer the merge's EC requests for this quantum.
 
         ``pairs`` are candidate/refresh pairs whose members *both* live on
         this shard — their exact ECs are computed here, by the local
-        index's own ``jaccard``: integer cardinalities in, one division
-        out, exactly as the merge's closure over gathered id sets does it,
-        so the parent-applied edge weights are bit-for-bit what a serial
-        builder computes.  ``want_ids`` are the keywords (routed to this
-        shard) appearing in cross-shard pairs; their window id sets ship
-        back for the parent to evaluate.  Empty id sets are elided,
+        index's own ``jaccard_many`` kernel: integer cardinalities in, one
+        division out, exactly as the merge's closure over gathered id sets
+        does it, so the parent-applied edge weights are bit-for-bit what a
+        serial builder computes.  ``want_ids`` are the keywords (routed to
+        this shard) appearing in cross-shard pairs; their window id sets
+        ship back for the parent to evaluate.  Empty id sets are elided,
         matching the merge closure's ``.get``-miss semantics.
         """
-        jaccard = self.idsets.jaccard
-        ecs = {(kw1, kw2): jaccard(kw1, kw2) for kw1, kw2 in pairs}
+        ecs = dict(zip(pairs, self.idsets.jaccard_many(pairs)))
         id_sets: Dict[Keyword, FrozenSet[UserId]] = {}
         for kw in want_ids:
             users = self.idsets.id_set(kw)

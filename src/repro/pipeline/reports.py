@@ -45,6 +45,14 @@ class StageTimings:
     quantum's serial tail under the next quantum's front — none of the
     three joins :attr:`total`, which stays the sum of the six exclusive
     stage slots.  All three are zero for serial/unpipelined sessions.
+
+    ``slide``, ``sketch``, ``pairing`` and ``correlate`` are sub-spans of
+    ``akg_update`` too, measured by the serial
+    :class:`~repro.akg.builder.AkgBuilder` (id-set window slide; quantum
+    sketch minima + sketch window; candidate pairing incl. sketch merges;
+    the two edge-correlation kernel calls).  They are not in :attr:`total`
+    either, never sum past ``akg_update``, and are zero on the sharded
+    path, where that work happens in the shard workers.
     """
 
     extract: float = 0.0
@@ -56,6 +64,10 @@ class StageTimings:
     scatter: float = 0.0
     exchange: float = 0.0
     overlap_saved: float = 0.0
+    slide: float = 0.0
+    sketch: float = 0.0
+    pairing: float = 0.0
+    correlate: float = 0.0
 
     @property
     def total(self) -> float:

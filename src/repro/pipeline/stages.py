@@ -230,6 +230,8 @@ class AkgUpdateStage:
         ctx.scratch["maintain_seconds"] = (
             self.maintainer.clustering_seconds - maintain_before
         )
+        for name, seconds in self.builder.sub_spans.items():
+            setattr(ctx.timings, name, seconds)
         ctx.timings.akg_update = time.perf_counter() - t
 
 

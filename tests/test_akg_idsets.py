@@ -228,3 +228,117 @@ class TestJaccard:
             expected = len(union_a & union_b) / len(union_a | union_b)
         assert index.jaccard("a", "b") == pytest.approx(expected)
         assert index.support("a") == len(union_a)
+
+
+KEYWORDS = ["a", "b", "c", "d", "e"]
+
+# One slide: how far the quantum counter advances (> 1 skips quanta, so
+# several blocks can expire at once) and the quantum's keyword -> users.
+# Users come from a small pool so they vanish and return, and their
+# recycled actor slots get reused by other users.
+slides = st.lists(
+    st.tuples(
+        st.integers(1, 4),
+        st.dictionaries(
+            st.sampled_from(KEYWORDS),
+            st.sets(st.integers(0, 25), max_size=8),
+            max_size=4,
+        ),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+class TestJaccardManyKernel:
+    """The batched EC kernel against the oracle's per-pair set
+    intersection — equal floats, not approximately equal ones."""
+
+    @given(
+        slides=slides,
+        pairs=st.lists(
+            st.tuples(
+                st.sampled_from(KEYWORDS + ["absent"]),
+                st.sampled_from(KEYWORDS + ["absent"]),
+            ),
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_oracle_jaccard_after_every_slide(self, slides, pairs):
+        fast = IdSetIndex(window_quanta=3)
+        oracle = OracleIdSetIndex(window_quanta=3)
+        pairs = pairs + pairs[:1]  # a pair listed twice
+        quantum = 0
+        for step, keyword_users in slides:
+            quantum += step
+            fast.add_quantum(quantum, keyword_users)
+            oracle.add_quantum(quantum, keyword_users)
+            got = fast.jaccard_many(pairs)
+            assert got == [oracle.jaccard(kw1, kw2) for kw1, kw2 in pairs]
+            assert all(type(ec) is float for ec in got)
+            assert fast.jaccard_many([]) == []
+            for kw1, kw2 in pairs[:2]:  # the one-pair call is the kernel
+                assert fast.jaccard(kw1, kw2) == oracle.jaccard(kw1, kw2)
+
+    def test_recycled_actor_slot_counts_for_its_new_user(self):
+        """The bit columns are recycled actor slots: a vanished user's slot
+        goes to the next new user and must count for that user alone (the
+        property above meets this at random; here it is pinned)."""
+        index = IdSetIndex(window_quanta=1)
+        index.add_quantum(0, {"a": {1, 2}, "b": {2}})
+        freed = {index.acts.ids[1], index.acts.ids[2]}
+        index.add_quantum(1, {"c": {3}})  # users 1 and 2 vanish
+        assert not {1, 2} & index.acts.ids.keys()
+        index.add_quantum(2, {"a": {7}, "b": {7, 8}})
+        assert {index.acts.ids[7], index.acts.ids[8]} == freed
+        assert index.jaccard_many([("a", "b"), ("a", "c")]) == [1 / 2, 0.0]
+
+    def test_empty_pair_list_makes_no_numpy_call(self, monkeypatch):
+        import repro.akg.idsets as module
+
+        index = IdSetIndex(window_quanta=2)
+        index.add_quantum(0, {"a": {1}})
+        monkeypatch.setattr(module, "np", None)
+        assert index.jaccard_many([]) == []
+
+    def test_rows_are_packed_in_blocks(self, monkeypatch):
+        """With a scratch too small for two rows the kernel packs (and
+        answers) one row at a time — same floats."""
+        import repro.akg.idsets as module
+
+        index = IdSetIndex(window_quanta=2)
+        index.add_quantum(
+            0, {kw: set(range(i, 200, i + 1)) for i, kw in enumerate(KEYWORDS)}
+        )
+        pairs = [(kw1, kw2) for kw1 in KEYWORDS for kw2 in KEYWORDS]
+        expected = index.jaccard_many(pairs)
+        monkeypatch.setattr(module, "_SCRATCH_BYTES", 300)
+        assert index.jaccard_many(pairs) == expected
+
+    def test_scratch_is_bounded_whatever_the_population(self):
+        """64 involved keywords over >= 100k live users: the call peaks
+        under the scratch constant plus the packed rows (plus the gathered
+        slices, a few kB here) — a 64 x capacity byte-per-bit matrix would
+        be 6.4 MB on its own."""
+        import tracemalloc
+
+        from repro.akg.idsets import _SCRATCH_BYTES
+
+        users = 100_000
+        index = IdSetIndex(window_quanta=2)
+        quantum = {f"kw{i}": set(range(i * 10, i * 10 + 40)) for i in range(64)}
+        quantum["everyone"] = set(range(users))
+        index.add_quantum(0, quantum)
+        assert index.acts.capacity >= users
+        pairs = [(f"kw{i}", f"kw{j}") for i in range(64) for j in range(i)]
+        packed_rows = 64 * (index.acts.capacity + 63) // 64 * 8
+        assert 64 * index.acts.capacity > _SCRATCH_BYTES + packed_rows
+        tracemalloc.start()
+        try:
+            ecs = index.jaccard_many(pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ecs[0] == 30 / 50  # kw1 & kw0: users 10..39 of 0..49
+        assert peak < _SCRATCH_BYTES + packed_rows + 512 * 1024

@@ -174,6 +174,34 @@ class TestWindowedSketchIndex:
         assert index.sketch("kw") == hasher.sketch({4, 5})
         assert s0 == hasher.sketch({1, 2, 3})
 
+    def test_head_block_expiry_while_live_in_later_blocks(self):
+        """Expiry tells "still in the window" from the per-keyword live
+        block count: a keyword leaving the head block is re-merged from the
+        blocks that still hold it, and forgotten only with the last one —
+        also on an index rebuilt from a snapshot, where the counts are
+        re-derived."""
+        hasher = MinHasher(2, seed=1)
+        index = WindowedSketchIndex(hasher, window_quanta=3)
+        index.add_quantum(0, {"kw": {1, 2, 3}, "gone": {9}})
+        index.add_quantum(1, {"other": {7}})
+        index.add_quantum(2, {"kw": {4, 5}})
+        index.sketch("kw")
+        index.sketch("gone")
+        restored = WindowedSketchIndex(hasher, window_quanta=3)
+        restored.from_state(index.to_state())
+        for idx in (index, restored):
+            before = idx.merge_recomputes
+            idx.add_quantum(3, {"other": {8}})  # block 0 expires
+            assert idx.sketch("kw") == hasher.sketch({4, 5})
+            assert idx.merge_recomputes == before + 1  # dirtied by expiry
+            assert idx.sketch("gone") == ()
+            assert idx.merge_recomputes == before + 1  # nothing to merge
+            assert idx._live_blocks == {"other": 2, "kw": 1}
+            idx.add_quantum(6, {})  # everything expires
+            assert idx.sketch("kw") == ()
+            assert idx._live_blocks == {}
+            assert not idx._dirty
+
 
 class TestCacheBound:
     """The per-user hash memo must track the live window, not all history."""

@@ -96,11 +96,6 @@ class TestAtomsInSubgraph:
         ours = {a.edges for a in atoms_in_subgraph(graph.adjacency())}
         assert ours == brute_force_atoms(graph)
 
-    def test_allowed_edges_filter(self, triangle):
-        allowed = {(0, 1), (1, 2)}  # drop one edge of the triangle
-        atoms = atoms_in_subgraph(triangle.adjacency(), allowed_edges=allowed)
-        assert atoms == []
-
     def test_atoms_deduplicated(self):
         # C4 enumerated from any anchor must appear exactly once
         graph = cycle_graph(4)

@@ -165,6 +165,7 @@ class TestStagedPipeline:
         assert set(timings) == {
             "extract", "akg_update", "maintain", "propagate", "rank",
             "report", "scatter", "exchange", "overlap_saved",
+            "slide", "sketch", "pairing", "correlate",
         }
         # the sharded/pipelined sub-spans stay zero on a serial session
         assert timings["scatter"] == 0.0

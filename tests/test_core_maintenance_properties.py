@@ -9,11 +9,12 @@ model would be found here.
 """
 
 import hypothesis.strategies as st
-from hypothesis import settings
+import pytest
+from hypothesis import given, settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.core.atoms import satisfies_scp
-from repro.core.maintenance import ClusterMaintainer
+from repro.core.atoms import atoms_in_subgraph, satisfies_scp
+from repro.core.maintenance import ClusterMaintainer, _glue_atoms, _glue_cycles
 from repro.graph.biconnected import is_biconnected
 
 NODE_POOL = list(range(12))
@@ -114,3 +115,39 @@ MaintenanceMachine.TestCase.settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None
 )
 TestMaintenanceMachine = MaintenanceMachine.TestCase
+
+
+# ------------------------------------------------------------------------
+# Deletion re-glue: the edge union-find against the atom enumeration.
+
+STRING_NODES = [f"n{i:02d}" for i in range(12)]
+MIXED_NODES = [i if i % 2 else f"n{i}" for i in range(12)]
+
+
+def _frozen(groups):
+    return {(frozenset(nodes), frozenset(edges)) for nodes, edges in groups}
+
+
+@pytest.mark.parametrize(
+    "pool", [STRING_NODES, MIXED_NODES], ids=["string-nodes", "mixed-nodes"]
+)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_glue_cycles_equals_atom_gluing(pool, data):
+    """``_glue_cycles`` never lists a cycle, yet returns exactly the groups
+    the Theorem-3 oracle forms by enumerating every atom and gluing on
+    shared edges — node sets included, and none for edges on no cycle."""
+    nodes = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=12))
+    possible = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
+    chosen = (
+        data.draw(st.lists(st.sampled_from(possible), unique=True))
+        if possible
+        else []
+    )
+    adjacency = {}
+    for u, v in chosen:  # like ``_reglue``: only nodes with an edge appear
+        adjacency.setdefault(u, set()).add(v)
+        adjacency.setdefault(v, set()).add(u)
+    groups = _glue_cycles(adjacency)
+    assert _frozen(groups) == _frozen(_glue_atoms(atoms_in_subgraph(adjacency)))
+    assert len(_frozen(groups)) == len(groups)  # no group reported twice

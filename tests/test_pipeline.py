@@ -1,8 +1,12 @@
 """The composable Stage pipeline and the incremental report index."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.akg.builder import AKG_SUB_SPANS
 from repro.api import open_session
+from repro.api.checkpoint import load_checkpoint
 from repro.config import DetectorConfig
 from repro.errors import PipelineError
 from repro.pipeline import (
@@ -73,8 +77,62 @@ class TestPipelineAssembly:
         assert set(timings) == {
             "extract", "akg_update", "maintain", "propagate", "rank",
             "report", "scatter", "exchange", "overlap_saved",
+            "slide", "sketch", "pairing", "correlate",
         }
         assert all(t >= 0.0 for t in timings.values())
+
+    def test_akg_sub_spans_stay_within_akg_update_on_every_quantum(self):
+        from golden import bursty_stream
+
+        session = open_session(
+            DetectorConfig(
+                quantum_size=20,
+                window_quanta=3,
+                high_state_threshold=3,
+                ec_threshold=0.2,
+                node_grace_quanta=1,
+            )
+        )
+        stream = [Message(u, tokens=t) for u, t in bursty_stream(11, 1200)]
+        reports = list(session.ingest_many(stream))
+        assert len(reports) == 60
+        for report in reports:
+            spans = [getattr(report.timings, name) for name in AKG_SUB_SPANS]
+            assert all(seconds >= 0.0 for seconds in spans)
+            # ... after MaintainStage moved the clustering share out, too
+            assert sum(spans) <= report.timings.akg_update
+        totals = session.total_timings
+        assert all(getattr(totals, name) > 0.0 for name in AKG_SUB_SPANS)
+        # sub-spans, like scatter/exchange, are not part of the total
+        assert totals.total == pytest.approx(
+            totals.extract + totals.akg_update + totals.maintain
+            + totals.propagate + totals.rank + totals.report
+        )
+
+    def test_akg_sub_spans_are_zero_on_the_sharded_path(self):
+        session = open_session(
+            exact_config(), workers=2, worker_backend="thread"
+        )
+        try:
+            report = session.process_quantum(
+                burst(["a1", "b1", "c1"], range(6))
+            )
+        finally:
+            session.close()
+        assert report.timings.exchange > 0.0
+        assert all(
+            getattr(report.timings, name) == 0.0 for name in AKG_SUB_SPANS
+        )
+
+    def test_checkpoint_without_sub_span_keys_still_loads(self):
+        """Totals written before the sub-spans existed restore with the new
+        slots at zero and accumulate from there."""
+        asset = Path(__file__).parent / "data" / "checkpoint_v3.ckpt"
+        assert "slide" not in load_checkpoint(asset)["timings"]
+        session = open_session(resume=asset)
+        assert session.total_timings.slide == 0.0
+        session.flush()
+        assert session.total_timings.slide > 0.0
 
     def test_wrapped_stage_composes(self):
         """A stage can be wrapped without the pipeline noticing — the

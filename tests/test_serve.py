@@ -226,10 +226,12 @@ class TestTenantLifecycle:
         assert set(tenant) >= {
             "quantum", "queued", "shed", "accepted", "timings", "fanout",
         }
-        # The distributed front-end's sub-spans ride along on the stage
-        # timings (zero for serial tenants, live for sharded ones).
+        # The sub-spans of akg_update ride along on the stage timings: the
+        # distributed front-end's (zero for serial tenants, live for sharded
+        # ones) and the serial builder's (the other way round).
         assert set(tenant["timings"]) >= {
             "scatter", "exchange", "overlap_saved",
+            "slide", "sketch", "pairing", "correlate",
         }
 
 
