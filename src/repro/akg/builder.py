@@ -22,12 +22,12 @@ cluster decomposition exact at all times — this is what makes discovery
 Churn proportionality (DESIGN.md Section 5): every step above is driven by
 the quantum's *delta sets*, never the window vocabulary.  The id-set slide
 reports a :class:`~repro.akg.idsets.SlideDelta`; burstiness advances only
-touched keywords; sketches are merged only when dirtied; and step 5 checks
-only three delta-sized candidate pools — keywords whose support just hit
-zero (stale), keywords whose burst grace period expires this quantum
-(scheduled at burst time), and nodes that just lost their last cluster
-membership (registry listener).  The window indexes are the column engine
-(DESIGN.md Section 9): :meth:`AkgBuilder.process_columns` consumes the
+touched keywords; sketches are computed only for the quantum's bursty
+keywords; and step 5 checks only three delta-sized candidate pools —
+keywords whose support just hit zero (stale), keywords whose burst grace
+period expires this quantum (scheduled at burst time), and nodes that just
+lost their last cluster membership (registry listener).  The window index
+is the column engine (DESIGN.md Section 9): :meth:`AkgBuilder.process_columns` consumes the
 extract stage's interned pair columns directly.  ``oracle=True`` swaps in
 the from-scratch components of :mod:`repro.akg.oracle` and a
 full-vocabulary dead-node sweep: identical semantics, O(window x
@@ -43,12 +43,7 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.akg.burstiness import BurstinessTracker
 from repro.akg.idsets import IdSetIndex, SlideDelta, WindowEdit
-from repro.akg.minhash import (
-    MinHasher,
-    Sketch,
-    WindowedSketchIndex,
-    batched_quantum_minis,
-)
+from repro.akg.minhash import MinHasher, Sketch
 from repro.akg.oracle import OracleIdSetIndex, OracleSketchIndex
 from repro.config import DetectorConfig
 from repro.core.changelog import NodeWeightChanged
@@ -276,16 +271,13 @@ def akg_small_state(
 
 
 def akg_quantum_op(
-    quantum: int,
-    idsets_edit: WindowEdit,
-    sketches_edit: WindowEdit,
-    small_state: dict,
+    quantum: int, idsets_edit: WindowEdit, small_state: dict
 ) -> list:
     """The AKG stage's delta-log op for the quantum just finished.
 
-    The two windows travel as splices; ``small_state`` (burst automaton,
+    The window travels as a splice; ``small_state`` (burst automaton,
     grace schedule, unclustered hints) is replaced whole.  Shared by the
-    serial builders and the sharded front-end, like the state layout.
+    serial builder and the sharded front-end, like the state layout.
     """
     idsets_sets = [["last_quantum", ["r", quantum]]]
     splice = window_splice(idsets_edit, quantum)
@@ -293,16 +285,13 @@ def akg_quantum_op(
         idsets_sets.append(["window", splice])
     sets = [[key, ["r", value]] for key, value in small_state.items()]
     sets.append(["idsets", ["d", idsets_sets, []]])
-    splice = window_splice(sketches_edit, quantum)
-    if splice is not None:
-        sets.append(["sketches", ["d", [["window", splice]], []]])
     return ["d", sets, []]
 
 
 AKG_SUB_SPANS = ("slide", "sketch", "pairing", "correlate")
 """The timed sub-spans of one quantum's update, in execution order: the
-id-set window slide, the sketch minima + sketch window, candidate pairing
-(sketch merges included) and the two edge-correlation kernel calls."""
+id-set window slide, the bursty keywords' sketches, candidate pairing (the
+sketch-value buckets) and the two edge-correlation kernel calls."""
 
 
 @dataclass
@@ -356,17 +345,20 @@ class AkgBuilder:
         if oracle:
             self.idsets = OracleIdSetIndex(config.window_quanta)
             self.sketches = OracleSketchIndex(self.minhasher, self.idsets)
+            self._sketches_of = lambda keywords: {
+                kw: self.sketches.sketch(kw) for kw in keywords
+            }
             self._ec_of = per_pair_ec(self.idsets.jaccard)
         else:
             self.idsets = IdSetIndex(config.window_quanta, seed=config.seed)
-            self.sketches = WindowedSketchIndex(
-                self.minhasher, config.window_quanta
+            self._sketches_of = lambda keywords: self.idsets.sketch_many(
+                keywords, self.minhasher.p
             )
             self._ec_of = self.idsets.jaccard_many
         #: wall seconds the last quantum spent in each sub-span of the
         #: update (surfaced as the ``StageTimings`` fields of the same
-        #: names); ``slide``/``sketch`` are the column engine's own and
-        #: stay 0.0 under ``oracle``.
+        #: names); ``slide`` is the column engine's own and stays 0.0
+        #: under ``oracle``, whose ``sketch`` clocks the from-scratch ones.
         self.sub_spans: Dict[str, float] = dict.fromkeys(AKG_SUB_SPANS, 0.0)
         self.burstiness = BurstinessTracker(config.high_state_threshold)
         # Lazy-removal schedule: quantum -> keywords whose grace period can
@@ -403,8 +395,6 @@ class AkgBuilder:
         # be re-hashed from cache state alone, so their entries go.
         if delta.vanished_users:
             self.minhasher.evict(delta.vanished_users)
-        if self.config.use_minhash_filter:
-            self.sketches.add_quantum(quantum, keyword_users)
         quantum_support = {
             kw: len(users) for kw, users in keyword_users.items() if users
         }
@@ -416,20 +406,11 @@ class AkgBuilder:
         """Apply one quantum of pre-interned pair columns to the AKG.
 
         Vanished users release their interner slot (and with it the stored
-        base hash) inside ``add_columns``; per-quantum sketch minima come
-        from one vectorized pass over the quantum's hash column instead of
-        one salted blake2b call per (keyword, user).
+        base hash) inside ``add_columns``.
         """
         started = time.perf_counter()
         delta = self.idsets.add_columns(quantum, columns)
-        slid = time.perf_counter()
-        if self.config.use_minhash_filter:
-            minis = batched_quantum_minis(
-                columns, self.idsets.acts.hashes, self.minhasher.p
-            )
-            self.sketches.add_quantum_minis(quantum, minis)
-        self.sub_spans["slide"] = slid - started
-        self.sub_spans["sketch"] = time.perf_counter() - slid
+        self.sub_spans["slide"] = time.perf_counter() - started
         quantum_support = {
             kw: hi - lo
             for kw, (_, lo, hi) in zip(columns.ent_strings, columns.segments)
@@ -495,12 +476,14 @@ class AkgBuilder:
     ) -> List[Tuple[Keyword, Keyword, float]]:
         """EC-qualified new edges among the quantum's bursty keywords."""
         started = time.perf_counter()
+        use_minhash = self.config.use_minhash_filter
+        sketches = self._sketches_of(bursty) if use_minhash else {}
+        sketched = time.perf_counter()
         pairs = list(
-            candidate_edge_pairs(
-                bursty, self.config.use_minhash_filter, self.sketches.sketch
-            )
+            candidate_edge_pairs(bursty, use_minhash, sketches.__getitem__)
         )
-        self.sub_spans["pairing"] = time.perf_counter() - started
+        self.sub_spans["sketch"] = sketched - started
+        self.sub_spans["pairing"] = time.perf_counter() - sketched
         return qualify_new_edges(
             pairs,
             self.maintainer.graph,
@@ -580,15 +563,14 @@ class AkgBuilder:
     def to_state(self) -> dict:
         """Checkpointable snapshot of the AKG stage's window bookkeeping.
 
-        Composes the child components' states (id sets, sketches, burstiness
-        automaton) with the builder's own lazy-removal schedule.  The
-        MinHasher's memo cache is deliberately excluded: hashes are a pure
-        salted function of the user id and re-memoise on demand.
+        Composes the child components' states (id sets, burstiness
+        automaton) with the builder's own lazy-removal schedule.  Sketches
+        are read off the id sets when asked for and hashes are a pure
+        salted function of the user id, so neither is state.
         """
         return {
             "oracle": self.oracle,
             "idsets": self.idsets.to_state(),
-            "sketches": self.sketches.to_state(),
             **self._small_state(),
         }
 
@@ -607,10 +589,7 @@ class AkgBuilder:
             del state["oracle"]
             return ["d", [[k, ["r", v]] for k, v in state.items()], []]
         return akg_quantum_op(
-            quantum,
-            self.idsets.window_edit(quantum),
-            self.sketches.window_edit(quantum),
-            self._small_state(),
+            quantum, self.idsets.window_edit(quantum), self._small_state()
         )
 
     def from_state(self, state: dict) -> None:
@@ -626,7 +605,6 @@ class AkgBuilder:
                 f"builder runs with oracle={self.oracle}"
             )
         self.idsets.from_state(state["idsets"])
-        self.sketches.from_state(state["sketches"])
         self.burstiness.from_state(state["burstiness"])
         self._grace_deadlines = {
             deadline: set(kws) for deadline, kws in state["grace_deadlines"]

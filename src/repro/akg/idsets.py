@@ -2,28 +2,30 @@
 
 Section 3.2 associates with every keyword the set of user ids that used it in
 the current window; the Jaccard coefficient of two keywords' id sets is the
-edge correlation.  :class:`IdSetIndex` maintains those sets incrementally as
-the window slides: each quantum contributes its distinct (keyword, user)
-pairs, and quanta older than ``window_quanta`` are subtracted again.
-
-Multiplicities are tracked per (keyword, user) so that a user who used a
-keyword in several quanta stays in the id set until the *last* of those
-quanta expires.
+edge correlation, and Section 3.2.2 sketches the same sets ("p Min-Hash
+values amongst all the user ids in the id set") to find edge candidates.
+:class:`IdSetIndex` answers both from one column.
 
 The index is the column engine (DESIGN.md Section 9): keywords and users are
-interned to dense ints, a pair is the packed int64 ``(eid << 32) | aid``, and
-the window is a handful of sorted numpy columns of such keys.
+interned to dense ints, a pair is the packed int64 ``(eid << 32) | aid``,
+each quantum contributes one sorted block of its distinct pairs, and **the
+deque of the last ``window_quanta`` blocks is the only window state**.  A
+slide pops the expired blocks, appends the entering one and *derives* the
+rest — the sorted column of distinct live pairs, the per-keyword supports,
+the live users — with one C sort over the blocks (:meth:`IdSetIndex.
+_rebuild`).  A user who used a keyword in several quanta is in several
+blocks and so stays in the id set until the *last* of them expires; no
+multiplicity is tracked anywhere.
 
-Churn proportionality (DESIGN.md Section 5): a slide locates the entering
-and expiring pairs by binary search and touches only the keywords that
-appeared in the entering quantum plus the keywords whose pairs expire —
-never the full vocabulary — and reports exactly that delta as a
-:class:`SlideDelta` so downstream stages can stay delta-driven too.
+Churn proportionality (DESIGN.md Section 5): the sort is O(window pairs) in
+C; everything done in Python is delta-sized — the slide compares the
+supports and live users before and after and reports exactly what moved as
+a :class:`SlideDelta`, so downstream stages stay delta-driven.
 
-Serialized, the window is a queue of per-quantum blocks ``[[q, [[kw,
-users], ...]], ...]``, oldest first, each sorted by keyword — so a slide
-edits it by dropping head blocks and appending one, which ``window_edit``
-reports and the delta log records (DESIGN.md Section 10).
+Serialized, the window is that same queue of per-quantum blocks ``[[q,
+[[kw, users], ...]], ...]``, oldest first, each sorted by keyword — so a
+slide edits it by dropping head blocks and appending one, which
+``window_edit`` reports and the delta log records (DESIGN.md Section 10).
 """
 
 from __future__ import annotations
@@ -47,10 +49,14 @@ from typing import (
 
 import numpy as np
 
-from repro.akg.minhash import user_hash_fn
+from repro.akg.minhash import Sketch, user_hash_fn
 from repro.errors import StreamError
 from repro.interning import Interner
-from repro.stream.window import QuantumColumns, columns_from_mapping
+from repro.stream.window import (
+    QuantumColumns,
+    columns_from_mapping,
+    sorted_distinct,
+)
 
 Keyword = str
 UserId = Hashable
@@ -87,8 +93,8 @@ class SlideDelta:
         slots and the base hashes stored in them), because a user's last
         window occurrence can only expire in one slide.
 
-    Every field is computable in O(appeared + expired); nothing here is ever
-    proportional to the window vocabulary.
+    Every field is read off an array difference; what is built in Python is
+    O(appeared + expired), never proportional to the window vocabulary.
     """
 
     quantum: int
@@ -110,14 +116,29 @@ def _empty_keys():
     return np.empty(0, dtype=np.int64)
 
 
-def _locate(sorted_keys, wanted):
-    """``(pos, found)``: where each of ``wanted`` sits (or would be inserted)
-    in ``sorted_keys``, and whether it is already there."""
-    pos = np.searchsorted(sorted_keys, wanted)
-    found = np.zeros(len(wanted), dtype=bool)
-    valid = pos < len(sorted_keys)
-    found[valid] = sorted_keys[pos[valid]] == wanted[valid]
-    return pos, found
+def _padded(column: np.ndarray, size: int) -> np.ndarray:
+    """``column`` zero-extended to ``size`` slots (an id space only grows
+    between two slides)."""
+    if len(column) == size:
+        return column
+    out = np.zeros(size, dtype=column.dtype)
+    out[: len(column)] = column
+    return out
+
+
+def _runs(column: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(starts, lengths)`` of the runs of equal values in a sorted column."""
+    first = np.ones(len(column), dtype=bool)
+    np.not_equal(column[1:], column[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return starts, np.diff(starts, append=len(column))
+
+
+def _first_of_each_run(keys: np.ndarray, p: int) -> np.ndarray:
+    """Of ascending packed keys, the first ``p`` of every run of keys that
+    share a high half."""
+    starts, lengths = _runs(keys >> 32)
+    return keys[np.arange(len(keys)) - np.repeat(starts, lengths) < p]
 
 
 class IdSetIndex:
@@ -125,29 +146,21 @@ class IdSetIndex:
 
     Keywords and users live in two :class:`~repro.interning.Interner`
     tables (``ents``/``acts``); the actor table also stores each user's
-    64-bit MinHash base hash, computed once per window residency.  The
-    window state is sorted int64 arrays:
+    64-bit MinHash base hash, computed once per window residency.
+
+    The window state is ``_quanta`` — a deque of ``(quantum, keys)``
+    packed columns, oldest first, holding each quantum's contribution
+    verbatim (the extraction stage's own key arrays, kept by reference —
+    they are never mutated).  Derived from it by :meth:`_rebuild`, after
+    every slide and on restore alike:
 
     * ``_pair_keys`` — the packed ``(eid << 32) | aid`` key of every live
-      *distinct* (keyword, user) pair, ascending, with the live
-      multiplicity of each pair in the parallel ``_pair_cnt`` — so a
-      keyword's id set is one contiguous slice and its support the slice's
-      length;
-    * ``_aid_keys`` / ``_aid_cnt`` — per-user total multiplicities across
-      the whole window (the vanished-user detector);
-    * ``_supports`` — ``keyword -> support`` for every keyword in the
-      window, kept current from the slide's own before/after slice lengths
-      (the ranker asks for node weights far more often than a slide moves
-      them);
-    * ``_quanta`` — a deque of ``(quantum, keys)`` packed columns, oldest
-      first, holding each quantum's contribution verbatim (the extraction
-      stage's own key arrays, kept by reference — they are never mutated).
-
-    A slide is array algebra: ``searchsorted`` locates the entering and
-    expiring pairs, fancy-indexed adds/subtracts move the multiplicities
-    (entering keys are distinct per quantum and expiring keys are uniqued
-    first, so positions never repeat within one update), and
-    ``np.insert``/boolean masks grow and shrink the key columns.
+      *distinct* (keyword, user) pair, ascending — so a keyword's id set is
+      one contiguous slice and its support the slice's length;
+    * ``_support`` — ``_support[eid]``, the slice lengths as a dense column
+      over the entity id space (the ranker asks for node weights far more
+      often than a slide moves them);
+    * ``_present`` — ``_present[aid]``, whether the user is in any id set.
 
     Ids are recycled: a user reported in ``vanished_users`` releases their
     interner slot and a keyword whose window emptied releases its entity
@@ -167,10 +180,8 @@ class IdSetIndex:
         "acts",
         "_quanta",
         "_pair_keys",
-        "_pair_cnt",
-        "_aid_keys",
-        "_aid_cnt",
-        "_supports",
+        "_support",
+        "_present",
         "_last_quantum",
         "_dropped",
     )
@@ -184,10 +195,8 @@ class IdSetIndex:
         # (quantum, packed int64 keys) — oldest first, keys sorted/distinct
         self._quanta: Deque[Tuple[int, np.ndarray]] = deque()
         self._pair_keys = _empty_keys()
-        self._pair_cnt = _empty_keys()
-        self._aid_keys = _empty_keys()
-        self._aid_cnt = _empty_keys()
-        self._supports: Dict[Keyword, int] = {}
+        self._support = _empty_keys()
+        self._present = np.zeros(0, dtype=bool)
         self._last_quantum: int | None = None
         # quanta of the window blocks the last slide expired
         self._dropped: List[int] = []
@@ -225,141 +234,80 @@ class IdSetIndex:
             quantum, self.intern_quantum(quantum, keyword_users)
         )
 
+    def _rebuild(self) -> None:
+        """Derive the pair column, the supports and the live users from the
+        blocks — the one place any of the three is computed."""
+        blocks = [keys for _, keys in self._quanta]
+        if len(blocks) > 1:
+            pair_keys = sorted_distinct(np.concatenate(blocks))
+        else:  # a block is sorted and distinct already
+            pair_keys = blocks[0] if blocks else _empty_keys()
+        self._pair_keys = pair_keys
+        eids = pair_keys >> 32
+        starts, lengths = _runs(eids)  # a keyword's id set is one run
+        self._support = np.zeros(self.ents.capacity, dtype=np.int64)
+        self._support[eids[starts]] = lengths
+        present = np.zeros(self.acts.capacity, dtype=bool)
+        present[pair_keys & _AID_MASK] = True
+        self._present = present
+
     def add_columns(self, quantum: int, columns: QuantumColumns) -> SlideDelta:
         """Ingest one quantum's interned pair columns and expire old quanta.
 
-        Returns the :class:`SlideDelta` of the slide; work is O(entering
-        pairs + expiring pairs) binary searches, never O(window vocabulary).
+        Returns the :class:`SlideDelta` of the slide: the supports and live
+        users before and after the rebuild, differenced.  A quantum that
+        neither expires nor contributes a block moves nothing and rebuilds
+        nothing.
         """
         self._check_order(quantum)
         self._last_quantum = quantum
         cutoff = quantum - self.window_quanta
-        K_in = columns.keys if len(columns.keys) else None
-
-        # -- which quanta leave the window --------------------------------
+        quanta = self._quanta
         expiring: List[np.ndarray] = []
         dropped = self._dropped = []
-        while self._quanta and self._quanta[0][0] <= cutoff:
-            old, keys = self._quanta.popleft()
+        while quanta and quanta[0][0] <= cutoff:
+            old, keys = quanta.popleft()
             dropped.append(old)
-            expiring.append(keys)
-        if K_in is not None:
-            self._quanta.append((quantum, K_in))
+            expiring.append(keys >> 32)
+        if len(columns.keys):
+            quanta.append((quantum, columns.keys))
+        elif not expiring:
+            return SlideDelta(quantum=quantum)
+
+        # Ids are resolved to objects *before* their slots are released.
+        keyword_of = self.ents.objs.__getitem__
+        user_of = self.acts.objs.__getitem__
+        expired: FrozenSet[Keyword] = frozenset()
         if expiring:
-            K_out = (
-                expiring[0]
-                if len(expiring) == 1
-                else np.sort(np.concatenate(expiring))
-            )
-            out_eids = np.unique(K_out >> 32)
-        else:
-            K_out = None
-            out_eids = _empty_keys()
-
-        # -- before-supports over every touched keyword -------------------
-        segments = columns.segments
-        if segments:
-            in_eids = np.fromiter(
-                (s[0] for s in segments), dtype=np.int64, count=len(segments)
-            )
-            touched = (
-                np.union1d(in_eids, out_eids) if len(out_eids) else in_eids
-            )
-        else:
-            touched = out_eids
-        pair_keys = self._pair_keys
-        lo_bounds = touched << 32
-        hi_bounds = lo_bounds | _AID_MASK
-        before = np.searchsorted(pair_keys, hi_bounds, side="right")
-        before -= np.searchsorted(pair_keys, lo_bounds)
-
-        # -- entering quantum ---------------------------------------------
-        if K_in is not None:
-            pos, found = _locate(pair_keys, K_in)
-            # K_in is distinct, so found positions never repeat: a plain
-            # fancy-indexed increment is exact (no ufunc.at needed).
-            self._pair_cnt[pos[found]] += 1
-            miss = ~found
-            if miss.any():
-                pair_keys = np.insert(pair_keys, pos[miss], K_in[miss])
-                self._pair_keys = pair_keys
-                self._pair_cnt = np.insert(self._pair_cnt, pos[miss], 1)
-            aids_in, cnt_in = np.unique(K_in & _AID_MASK, return_counts=True)
-            apos, afound = _locate(self._aid_keys, aids_in)
-            self._aid_cnt[apos[afound]] += cnt_in[afound]
-            amiss = ~afound
-            if amiss.any():
-                self._aid_keys = np.insert(
-                    self._aid_keys, apos[amiss], aids_in[amiss]
-                )
-                self._aid_cnt = np.insert(
-                    self._aid_cnt, apos[amiss], cnt_in[amiss]
-                )
-
-        # -- expiring quanta ----------------------------------------------
-        vanished_aids: List[int] = []
-        if K_out is not None:
-            # A pair can recur across several expiring quanta only when the
-            # quantum counter jumped; unique-with-counts folds that into one
-            # exact subtraction per distinct key.
-            k_u, k_c = np.unique(K_out, return_counts=True)
-            pos = np.searchsorted(pair_keys, k_u)
-            self._pair_cnt[pos] -= k_c
-            dead = self._pair_cnt == 0
-            if dead.any():
-                keep = ~dead
-                pair_keys = pair_keys[keep]
-                self._pair_keys = pair_keys
-                self._pair_cnt = self._pair_cnt[keep]
-            aids_out, cnt_out = np.unique(
-                K_out & _AID_MASK, return_counts=True
-            )
-            apos = np.searchsorted(self._aid_keys, aids_out)
-            self._aid_cnt[apos] -= cnt_out
-            van = self._aid_cnt[apos] == 0
-            if van.any():
-                akeep = np.ones(len(self._aid_keys), dtype=bool)
-                akeep[apos[van]] = False
-                self._aid_keys = self._aid_keys[akeep]
-                self._aid_cnt = self._aid_cnt[akeep]
-                vanished_aids = aids_out[van].tolist()
-
-        # -- after-supports and the delta ---------------------------------
-        after = np.searchsorted(pair_keys, hi_bounds, side="right")
-        after -= np.searchsorted(pair_keys, lo_bounds)
-        changed = np.flatnonzero(after != before)
-        ent_objs = self.ents.objs
-        act_objs = self.acts.objs
-        supports = self._supports
-        support_deltas: Dict[Keyword, Tuple[int, int]] = {}
-        emptied: List[Keyword] = []
-        freed_eids: List[int] = []
-        for eid, old_support, new_support in zip(
-            touched[changed].tolist(),
-            before[changed].tolist(),
-            after[changed].tolist(),
-        ):
-            kw = ent_objs[eid]
-            support_deltas[kw] = (old_support, new_support)
-            if new_support:
-                supports[kw] = new_support
-            else:
-                del supports[kw]
-                emptied.append(kw)
-                freed_eids.append(eid)
-        # Resolved to objects *before* the slots are released.
+            out_eids = sorted_distinct(np.concatenate(expiring))
+            expired = frozenset(map(keyword_of, out_eids.tolist()))
+        old_support, old_present = self._support, self._present
+        self._rebuild()
+        support, present = self._support, self._present
+        old_support = _padded(old_support, len(support))
+        changed = np.flatnonzero(old_support != support)  # eid-ascending
+        after = support[changed]
+        freed = changed[after == 0].tolist()
+        vanished = np.flatnonzero(
+            _padded(old_present, len(present)) & ~present
+        ).tolist()
         delta = SlideDelta(
             quantum=quantum,
             appeared=frozenset(columns.ent_strings),
-            expired=frozenset(ent_objs[eid] for eid in out_eids.tolist()),
-            support_deltas=support_deltas,
-            emptied=frozenset(emptied),
-            vanished_users=frozenset(act_objs[aid] for aid in vanished_aids),
+            expired=expired,
+            support_deltas=dict(
+                zip(
+                    map(keyword_of, changed.tolist()),
+                    zip(old_support[changed].tolist(), after.tolist()),
+                )
+            ),
+            emptied=frozenset(map(keyword_of, freed)),
+            vanished_users=frozenset(map(user_of, vanished)),
         )
-        if vanished_aids:
-            self.acts.release(vanished_aids)
-        if freed_eids:
-            self.ents.release(freed_eids)
+        if vanished:
+            self.acts.release(vanished)
+        if freed:
+            self.ents.release(freed)
         return delta
 
     # ---------------------------------------------------------- persistence
@@ -371,9 +319,8 @@ class IdSetIndex:
         ent_objs = self.ents.objs
         act_objs = self.acts.objs
         eids = keys >> 32
-        bounds = np.flatnonzero(eids[1:] != eids[:-1]) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [len(keys)]))
+        starts, lengths = _runs(eids)
+        ends = starts + lengths
         aids = (keys & _AID_MASK).tolist()
         block = [
             [ent_objs[eid], sorted((act_objs[a] for a in aids[lo:hi]), key=repr)]
@@ -387,12 +334,11 @@ class IdSetIndex:
     def to_state(self) -> dict:
         """Checkpointable snapshot: the window as a queue of quantum blocks.
 
-        The multiplicity columns are derivable from the blocks, so only the
-        blocks (plus the slide cursor) are stored; :meth:`from_state`
-        rebuilds the rest deterministically.  Blocks are oldest first and
-        each is sorted by keyword, and interner ids never appear, so the
-        snapshot is a pure function of the window *contents* — the
-        keyword-range-sharded front-end relies on this to make its merged
+        The blocks *are* the window state (plus the slide cursor);
+        :meth:`from_state` derives the rest exactly as a slide does.  Blocks
+        are oldest first and each is sorted by keyword, and interner ids
+        never appear, so the snapshot is a pure function of the window
+        *contents* — the sharded front-end relies on this to make its merged
         checkpoint byte-identical to a serial one (DESIGN.md Section 7).
         """
         return {
@@ -421,16 +367,7 @@ class IdSetIndex:
                 for user in users
             ]
             self._quanta.append((q, np.sort(np.array(packed, dtype=np.int64))))
-        cat = np.concatenate([_empty_keys(), *(k for _, k in self._quanta)])
-        self._pair_keys, self._pair_cnt = np.unique(cat, return_counts=True)
-        self._aid_keys, self._aid_cnt = np.unique(
-            cat & _AID_MASK, return_counts=True
-        )
-        eids, counts = np.unique(self._pair_keys >> 32, return_counts=True)
-        ent_objs = self.ents.objs
-        self._supports = {
-            ent_objs[eid]: n for eid, n in zip(eids.tolist(), counts.tolist())
-        }
+        self._rebuild()
 
     def window_edit(self, quantum: int) -> WindowEdit:
         """What the slide to ``quantum`` (the last one) did to the
@@ -445,15 +382,16 @@ class IdSetIndex:
     # ------------------------------------------------------------- queries
 
     def __contains__(self, keyword: Keyword) -> bool:
-        return keyword in self._supports
+        return self.support(keyword) > 0
 
     def keywords(self) -> Iterable[Keyword]:
         """Every keyword with at least one occurrence in the window."""
-        return list(self._supports)
+        ent_objs = self.ents.objs
+        return [ent_objs[eid] for eid in np.flatnonzero(self._support).tolist()]
 
     @property
     def num_keywords(self) -> int:
-        return len(self._supports)
+        return int(np.count_nonzero(self._support))
 
     def entries(
         self, keyword: Keyword
@@ -498,7 +436,11 @@ class IdSetIndex:
 
     def support(self, keyword: Keyword) -> int:
         """|id set| — the node weight ``w_i`` of the ranking function."""
-        return self._supports.get(keyword, 0)
+        eid = self.ents.ids.get(keyword)
+        # An entity interned for the quantum not yet slid in has no slot.
+        if eid is None or eid >= len(self._support):
+            return 0
+        return int(self._support[eid])
 
     def window_users(self) -> Set[UserId]:
         """Every user present in at least one keyword's window id set.
@@ -507,7 +449,72 @@ class IdSetIndex:
         cache-bound tests assert the actor interner never outgrows it.
         """
         act_objs = self.acts.objs
-        return {act_objs[a] for a in self._aid_keys.tolist()}
+        return {act_objs[a] for a in np.flatnonzero(self._present).tolist()}
+
+    def _slices(self, eids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(start, length)`` of each entity's id-set slice of the pair
+        column.  A keyword outside the window goes in as eid -1: its key
+        range sorts below every live key, so its slice is empty."""
+        pair_keys = self._pair_keys
+        bases = eids << 32
+        lo = pair_keys.searchsorted(bases)
+        return lo, pair_keys.searchsorted(bases | _AID_MASK, side="right") - lo
+
+    def _gather(
+        self, lo: np.ndarray, lens: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The given slices' actor ids as one column, and beside it the
+        number (position in ``lo``) of the slice each came from."""
+        ends = np.cumsum(lens)
+        # position i of the gathered column reads pair_keys[i + shift]
+        shift = np.repeat(lo - (ends - lens), lens)
+        aids = self._pair_keys[np.arange(ends[-1]) + shift] & _AID_MASK
+        return np.repeat(np.arange(len(lens)), lens), aids
+
+    def sketch_many(
+        self, keywords: Sequence[Keyword], p: int
+    ) -> Dict[Keyword, Sketch]:
+        """Bottom-``p`` MinHash sketches of many keywords' window id sets.
+
+        The paper's sketch — the ``p`` smallest distinct base-hash values
+        over the id set (Section 3.2.2) — read off the pair column for just
+        the keywords asked about: their slices are gathered as in
+        :meth:`jaccard_many`, the gathered users' stored 64-bit hashes are
+        ranked (equal hashes share a rank, so colliding users occupy one
+        sketch slot), ``(slice << 32) | rank`` is sorted and deduplicated
+        as a single key, and the first ``p`` ranks of every slice map back
+        to hash values.  Each sketch is the ascending tuple of Python ints
+        ``MinHasher.sketch`` returns for the same id set; a keyword outside
+        the window gets ``()``.
+
+        Ranking 64-bit values takes an argsort, several times the price of
+        a value sort, so the same sort-and-cut first runs on the hashes'
+        high halves alone: ``p`` distinct high halves are at least ``p``
+        distinct hashes, hence a slice's ``p`` smallest hashes lie at or
+        below its ``p``-th smallest high half, and only those are ranked.
+        """
+        out: Dict[Keyword, Sketch] = dict.fromkeys(keywords, ())
+        if not out:
+            return out
+        names = list(out)
+        eid_of = self.ents.ids.get
+        eids = np.array([eid_of(kw, -1) for kw in names], dtype=np.int64)
+        slices, aids = self._gather(*self._slices(eids))
+        hashes = self.acts.hashes[aids]
+        high = (hashes >> 32).view(np.int64)
+        lowest = _first_of_each_run(sorted_distinct((slices << 32) | high), p)
+        bound = np.zeros(len(names), dtype=np.int64)
+        np.maximum.at(bound, lowest >> 32, lowest & _AID_MASK)
+        near = np.flatnonzero(high <= bound[slices])
+        values, ranks = np.unique(hashes[near], return_inverse=True)
+        lowest = _first_of_each_run(
+            sorted_distinct((slices[near] << 32) | ranks), p
+        )
+        for row, value in zip(
+            (lowest >> 32).tolist(), values[lowest & _AID_MASK].tolist()
+        ):
+            out[names[row]] += (value,)
+        return out
 
     def jaccard(self, kw1: Keyword, kw2: Keyword) -> float:
         """Exact edge correlation |U1 n U2| / |U1 u U2| (Section 3.2) of one
@@ -538,8 +545,6 @@ class IdSetIndex:
         if not pairs:
             return []
         eid_of = self.ents.ids.get
-        # A keyword outside the window gets eid -1: its key range sorts
-        # below every live key, so its slice is empty.
         eids = np.array(
             [(eid_of(kw1, -1), eid_of(kw2, -1)) for kw1, kw2 in pairs],
             dtype=np.int64,
@@ -547,10 +552,7 @@ class IdSetIndex:
         involved, row_of = np.unique(eids.ravel(), return_inverse=True)
         first = row_of[0::2]
         second = row_of[1::2]
-        pair_keys = self._pair_keys
-        bases = involved << 32
-        lo = pair_keys.searchsorted(bases)
-        support = pair_keys.searchsorted(bases | _AID_MASK, side="right") - lo
+        lo, support = self._slices(involved)
 
         words = max(1, (self.acts.capacity + 63) >> 6)
         width = words << 6
@@ -562,11 +564,8 @@ class IdSetIndex:
             if r0:
                 bits.fill(0)
             lens = support[r0 : r0 + block]
-            ends = np.cumsum(lens)
-            # position i of the gathered column reads pair_keys[i + shift]
-            shift = np.repeat(lo[r0 : r0 + block] - (ends - lens), lens)
-            aids = pair_keys[np.arange(ends[-1]) + shift] & _AID_MASK
-            bits[np.repeat(np.arange(len(lens)), lens), aids] = 1
+            rows, aids = self._gather(lo[r0 : r0 + block], lens)
+            bits[rows, aids] = 1
             packed[r0 : r0 + block] = np.packbits(
                 bits[: len(lens)], axis=1
             ).view(np.uint64)

@@ -164,12 +164,11 @@ class OracleIdSetIndex:
 class OracleSketchIndex:
     """Sketches recomputed from the full window id set on every query.
 
-    Interface-compatible with
-    :class:`repro.akg.minhash.WindowedSketchIndex`, but stateless: it reads
-    the id-set index it is given and hashes the complete id set per query.
-    The windowed index's mini-sketch merge is exact (bottom-p of a union
-    equals bottom-p of the union of per-part bottom-p's), so the two must
-    agree value for value.
+    The referee of :meth:`repro.akg.idsets.IdSetIndex.sketch_many`, and
+    stateless: it reads the id-set index it is given and hashes the
+    complete id set per query.  Both compute the paper's definition —
+    the bottom-p distinct hash values of the window id set — so the two
+    must agree value for value.
     """
 
     def __init__(self, hasher: MinHasher, idsets: OracleIdSetIndex) -> None:

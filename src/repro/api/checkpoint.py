@@ -51,7 +51,7 @@ from typing import Any
 from repro.errors import CheckpointError
 
 CHECKPOINT_FORMAT = "repro-session-checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 """Bump on any change to the state tree layout, and add a migration step
 below so supported older snapshots keep loading.
 Version history: 1 — PR 3 layout (no longer readable); 2 — event histories
@@ -61,7 +61,8 @@ and per-record ``gaps``) and execution-only config fields are stripped;
 flag replacing ``custom_tokenizer``) and the first timing slot renamed
 ``tokenize`` → ``extract`` with the stage; 4 — the id-set and sketch
 windows serialize as queues of per-quantum blocks (``window``) instead of
-per-keyword entry lists (``entries`` / ``minis``)."""
+per-keyword entry lists (``entries`` / ``minis``); 5 — the builder's
+``sketches`` subtree is gone (sketches are read off the id-set window)."""
 
 _SCALARS = (bool, int, float, str)
 
@@ -118,7 +119,17 @@ def _migrate_v3_to_v4(state: dict) -> dict:
     return state
 
 
-_MIGRATIONS = {2: _migrate_v2_to_v3, 3: _migrate_v3_to_v4}
+def _migrate_v4_to_v5(state: dict) -> dict:
+    """v4 → v5: sketches stopped being state; drop the subtree."""
+    builder = {k: v for k, v in state["builder"].items() if k != "sketches"}
+    return {**state, "builder": builder}
+
+
+_MIGRATIONS = {
+    2: _migrate_v2_to_v3,
+    3: _migrate_v3_to_v4,
+    4: _migrate_v4_to_v5,
+}
 """``version -> state migration`` steps; each maps a decoded state tree one
 version forward.  :func:`load_checkpoint` chains them until
 ``CHECKPOINT_VERSION`` is reached."""
@@ -252,7 +263,7 @@ def save_checkpoint(path: "str | Path", state: dict) -> None:
 def load_checkpoint(path: "str | Path") -> dict:
     """Read and validate a checkpoint; returns the decoded state tree.
 
-    A directory is read as a *delta checkpoint* (version 4, base snapshot
+    A directory is read as a *delta checkpoint* (base snapshot
     plus per-quantum edit log — :mod:`repro.api.deltalog`): the log's
     consistent prefix is replayed onto the base, yielding a state tree
     bit-identical to a monolithic snapshot at the same stream position.

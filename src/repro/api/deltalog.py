@@ -3,17 +3,17 @@
 A *delta checkpoint* is a directory::
 
     <path>/
-        MANIFEST.json      {"format": ..., "version": 5, "generation": g,
+        MANIFEST.json      {"format": ..., "version": 6, "generation": g,
                             "base": "base-<g>.ckpt", "log": "deltas-<g>.log",
                             "base_quantum": q}
-        base-<g>.ckpt      ordinary monolithic checkpoint (v4 layout)
+        base-<g>.ckpt      ordinary monolithic checkpoint (v5 layout)
         deltas-<g>.log     framed, length-prefixed per-quantum edit records
 
 The leader writes the base once, then appends one *edit op* per completed
 quantum, turning the previous quantum's serialized state tree into the
 current one.  The op is not discovered by diffing trees: every large
 stateful layer reports its own edit for the quantum it just processed (the
-window indexes drop head blocks and insert one, the event tracker patches
+id-set window drops head blocks and inserts one, the event tracker patches
 the records the ranker touched), and the session ships its small volatile
 subtrees whole — so a record costs what the quantum *touched*, not what
 the window holds, to compute as well as to store.  Ops stay structural and
@@ -69,12 +69,13 @@ from repro.api.checkpoint import (
 from repro.errors import CheckpointError
 
 DELTA_FORMAT = "repro-session-delta-checkpoint"
-DELTA_VERSION = 5
+DELTA_VERSION = 6
 """Directory-format version, counted apart from the monolithic snapshot
 versions of :mod:`repro.api.checkpoint`.  4 — base-plus-delta-log over v3
 bases, records diffed from whole trees; 5 — bases are v4 snapshots (windows
-as queues of quanta) and records are layer-emitted ops over that layout.
-Records only patch the layout they were written against, so a version-4
+as queues of quanta) and records are layer-emitted ops over that layout;
+6 — bases are v5 snapshots and records carry no sketch-window splice.
+Records only patch the layout they were written against, so an older
 directory is refused by name rather than replayed onto a migrated base."""
 
 MANIFEST_NAME = "MANIFEST.json"

@@ -2,8 +2,8 @@
 
 The column engine (DESIGN.md Section 9) replaces per-message object churn
 with integer columns: every entity token and every actor id is interned to a
-small dense int once, and all window bookkeeping — pair multiplicities,
-distinct-id sets, mini-sketches, shard routing — happens on those ints.
+small dense int once, and all window bookkeeping — pair columns,
+distinct-id sets, sketches, shard routing — happens on those ints.
 The interner also owns the object's expensive derived hash (the MinHash
 base hash for actors, the shard-routing hash for entities), computed exactly
 once per interned object and stored in a column parallel to the id space,
@@ -22,7 +22,10 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, List, Optional
 
+import numpy as np
+
 _ID_LIMIT = 1 << 32
+_INITIAL_HASH_SLOTS = 16
 
 
 class Interner:
@@ -32,6 +35,11 @@ class Interner:
     public: the per-token extraction loop reads ``ids`` directly and the
     sketch kernel gathers from ``hashes`` — attribute indirection in the hot
     loop is exactly the overhead the column engine exists to remove.
+
+    ``hashes`` is a ``uint64`` array grown by doubling, so a whole id
+    column is hashed with one fancy-indexed gather.  Growth *replaces* the
+    array: read it through the attribute after interning, never through a
+    local bound before.  Slots at and beyond ``capacity`` are scratch.
     """
 
     __slots__ = ("ids", "objs", "hashes", "_free", "_hash_fn")
@@ -41,7 +49,11 @@ class Interner:
     ) -> None:
         self.ids: dict = {}
         self.objs: List = []
-        self.hashes: Optional[List[int]] = [] if hash_fn is not None else None
+        self.hashes: Optional[np.ndarray] = (
+            np.empty(_INITIAL_HASH_SLOTS, dtype=np.uint64)
+            if hash_fn is not None
+            else None
+        )
         self._free: List[int] = []
         self._hash_fn = hash_fn
 
@@ -65,7 +77,11 @@ class Interner:
                 )
             self.objs.append(obj)
             if self.hashes is not None:
-                self.hashes.append(self._hash_fn(obj))
+                if slot == len(self.hashes):
+                    grown = np.empty(2 * slot, dtype=np.uint64)
+                    grown[:slot] = self.hashes
+                    self.hashes = grown
+                self.hashes[slot] = self._hash_fn(obj)
         ids[obj] = slot
         return slot
 
@@ -88,11 +104,10 @@ class Interner:
             free.append(slot)
 
     def clear(self) -> None:
-        """Drop every mapping (hashes recompute on demand after this)."""
+        """Drop every mapping (hashes recompute on demand after this; the
+        hash column keeps its buffer, every slot of it scratch again)."""
         self.ids.clear()
         self.objs.clear()
-        if self.hashes is not None:
-            self.hashes.clear()
         self._free.clear()
 
     @property

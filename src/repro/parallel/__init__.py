@@ -10,7 +10,7 @@ instantiation:
 * :class:`~repro.parallel.router.ShardRouter` splits the keyword space into
   ``shard_count`` contiguous 64-bit hash ranges (stable blake2b, so the
   partition is identical across processes and runs);
-* each shard owns a shard-local ``IdSetIndex`` + ``WindowedSketchIndex``
+* each shard owns a shard-local ``IdSetIndex``
   (:mod:`repro.parallel.shard_state`), hosted by a worker — a forked
   process, a thread, or the caller itself (:mod:`repro.parallel.pool`);
 * a deterministic merge (:mod:`repro.parallel.frontend`) combines the

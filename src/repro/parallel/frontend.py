@@ -394,8 +394,8 @@ class ShardedAkgFrontend:
 
         The shards' window queues are keyword-disjoint and each block is
         already sorted, so concatenating same-quantum blocks in shard-range
-        order and re-sorting them by keyword reproduces the serial indexes'
-        snapshots byte for byte — a checkpoint written under any
+        order and re-sorting them by keyword reproduces the serial index's
+        snapshot byte for byte — a checkpoint written under any
         ``workers`` / ``shard_count`` is indistinguishable from a serial
         one, and restores under any other (DESIGN.md Section 7).
         """
@@ -405,9 +405,6 @@ class ShardedAkgFrontend:
             "idsets": {
                 "last_quantum": self._last_quantum,
                 "window": _merged_window(s[1]["window"] for s in states),
-            },
-            "sketches": {
-                "window": _merged_window(s[2]["window"] for s in states)
             },
             **self._small_state(),
         }
@@ -424,8 +421,7 @@ class ShardedAkgFrontend:
         shard_edits = self.pool.export_edits(quantum)
         return akg_quantum_op(
             quantum,
-            _merged_edit([edit[1] for edit in shard_edits]),
-            _merged_edit([edit[2] for edit in shard_edits]),
+            _merged_edit([edit for _, edit in shard_edits]),
             self._small_state(),
         )
 
@@ -446,9 +442,6 @@ class ShardedAkgFrontend:
         idsets = _shard_windows(
             state["idsets"]["window"], shard_count, shard_of
         )
-        sketches = _shard_windows(
-            state["sketches"]["window"], shard_count, shard_of
-        )
         self.pool.load_states(
             [
                 (
@@ -457,7 +450,6 @@ class ShardedAkgFrontend:
                         "last_quantum": self._last_quantum,
                         "window": idsets[shard],
                     },
-                    {"window": sketches[shard]},
                 )
                 for shard in range(shard_count)
             ]

@@ -200,18 +200,18 @@ class WorkerPool:
             key=lambda row: row[0],
         )
 
-    def export_states(self) -> List[Tuple[int, dict, dict]]:
-        """Every shard's ``(shard, idsets, sketches)`` state, shard order."""
+    def export_states(self) -> List[Tuple[int, dict]]:
+        """Every shard's ``(shard, idsets)`` state, shard order."""
         return self._gather_shards("export")
 
-    def export_edits(self, quantum: int) -> List[Tuple[int, tuple, tuple]]:
-        """Every shard's ``(shard, idsets_edit, sketches_edit)`` for the
-        slide to ``quantum``, shard order — the delta log's round trip."""
+    def export_edits(self, quantum: int) -> List[Tuple[int, tuple]]:
+        """Every shard's ``(shard, idsets_edit)`` for the slide to
+        ``quantum``, shard order — the delta log's round trip."""
         return self._gather_shards("edit", quantum)
 
-    def load_states(self, states: List[Tuple[int, dict, dict]]) -> None:
+    def load_states(self, states: List[Tuple[int, dict]]) -> None:
         """Install per-shard states (checkpoint restore)."""
-        by_worker: List[List[Tuple[int, dict, dict]]] = [
+        by_worker: List[List[Tuple[int, dict]]] = [
             [] for _ in self.assignments
         ]
         for state in states:

@@ -1,21 +1,21 @@
 """Shard-local window state and the per-quantum shard update message.
 
 A :class:`ShardState` owns, for one keyword hash range, exactly the window
-indexes the serial :class:`~repro.akg.builder.AkgBuilder` owns globally: an
+index the serial :class:`~repro.akg.builder.AkgBuilder` owns globally: an
 :class:`~repro.akg.idsets.IdSetIndex` (whose actor interner holds each
 live user's MinHash base hash, so a shard hashes a user once per window
-residency) and a :class:`~repro.akg.minhash.WindowedSketchIndex`.  Because
-every index is keyed by keyword and keywords never move between shards,
-running the same slice sequence through a shard produces byte-for-byte the
-state the serial index would hold restricted to that range — which is what
-makes the merged checkpoint identical to a serial one.
+residency).  Because the index is keyed by keyword and keywords never move
+between shards, running the same slice sequence through a shard produces
+byte-for-byte the state the serial index would hold restricted to that
+range — which is what makes the merged checkpoint identical to a serial
+one.
 
 A shard serves two phases per quantum.  Phase one (:meth:`ShardState.
-ingest`) is the *keyword-local* work — the id-set slide, the mini-sketch
-minima, the ``count >= theta`` burst test — shipping a
+ingest`) is the *keyword-local* work — the id-set slide, the ``count >=
+theta`` burst test, the bursty keywords' sketches — shipping a
 :class:`ShardUpdate` up to the merge: its slice of the
 :class:`~repro.akg.idsets.SlideDelta` plus its bursty keywords with their
-merged sketches.  Phase two (:meth:`ShardState.exchange`) answers the
+window sketches.  Phase two (:meth:`ShardState.exchange`) answers the
 merge's EC requests once the parent has classified the quantum's candidate
 and refresh pairs against the graph: pairs whose *both* members live on
 this shard are answered as finished exact ECs (computed here, against the
@@ -42,12 +42,7 @@ from typing import (
 )
 
 from repro.akg.idsets import IdSetIndex
-from repro.akg.minhash import (
-    MinHasher,
-    Sketch,
-    WindowedSketchIndex,
-    batched_quantum_minis,
-)
+from repro.akg.minhash import Sketch
 
 Keyword = str
 UserId = Hashable
@@ -72,7 +67,7 @@ class ShardUpdate:
     the global ``SlideDelta`` the merge consumes (keyword-disjoint across
     shards, so the merged delta is their plain union).  ``bursty`` are the
     slice keywords that cleared theta this quantum; ``sketches`` their
-    merged window sketches.  Id sets ship in phase two
+    window sketches.  Id sets ship in phase two
     (:meth:`ShardState.exchange`).
     """
 
@@ -90,10 +85,6 @@ class ShardState:
         self.shard = shard
         self.params = params
         self.idsets = IdSetIndex(params.window_quanta, seed=params.seed)
-        self.sketches = WindowedSketchIndex(
-            MinHasher(params.minhash_size, seed=params.seed),
-            params.window_quanta,
-        )
 
     def ingest(
         self,
@@ -112,13 +103,6 @@ class ShardState:
         idsets = self.idsets
         columns = idsets.intern_quantum(quantum, keyword_users)
         delta = idsets.add_columns(quantum, columns)
-        if params.use_minhash:
-            self.sketches.add_quantum_minis(
-                quantum,
-                batched_quantum_minis(
-                    columns, idsets.acts.hashes, params.minhash_size
-                ),
-            )
         bursty = frozenset(
             kw
             for kw, (_, lo, hi) in zip(columns.ent_strings, columns.segments)
@@ -126,7 +110,7 @@ class ShardState:
         )
         sketches: Dict[Keyword, Sketch] = {}
         if params.use_minhash:
-            sketches = {kw: self.sketches.sketch(kw) for kw in bursty}
+            sketches = idsets.sketch_many(sorted(bursty), params.minhash_size)
         return ShardUpdate(
             shard=self.shard,
             emptied=delta.emptied,
@@ -162,24 +146,18 @@ class ShardState:
 
     # ---------------------------------------------------------- persistence
 
-    def export_state(self) -> Tuple[int, dict, dict]:
-        """``(shard, idsets_state, sketches_state)`` — this shard's slice of
-        the serial checkpoint layout (each already in sorted keyword
-        order)."""
-        return (self.shard, self.idsets.to_state(), self.sketches.to_state())
+    def export_state(self) -> Tuple[int, dict]:
+        """``(shard, idsets_state)`` — this shard's slice of the serial
+        checkpoint layout (already in sorted keyword order)."""
+        return (self.shard, self.idsets.to_state())
 
-    def export_edit(self, quantum: int) -> Tuple[int, tuple, tuple]:
-        """``(shard, idsets_edit, sketches_edit)`` — this shard's slice of
-        what the slide to ``quantum`` did to the two serialized windows."""
-        return (
-            self.shard,
-            self.idsets.window_edit(quantum),
-            self.sketches.window_edit(quantum),
-        )
+    def export_edit(self, quantum: int) -> Tuple[int, tuple]:
+        """``(shard, idsets_edit)`` — this shard's slice of what the slide
+        to ``quantum`` did to the serialized window."""
+        return (self.shard, self.idsets.window_edit(quantum))
 
-    def load_state(self, idsets_state: dict, sketches_state: dict) -> None:
+    def load_state(self, idsets_state: dict) -> None:
         self.idsets.from_state(idsets_state)
-        self.sketches.from_state(sketches_state)
 
 
 __all__ = ["ShardParams", "ShardState", "ShardUpdate"]

@@ -97,13 +97,14 @@ class ShardedExtractStage:
                 ents.clear()
             ids = ents.ids
             intern = ents.intern
-            hashes = ents.hashes
-            hash_col: List[int] = []
+            iids: List[int] = []
             for kw in merged:
                 iid = ids.get(kw)
                 if iid is None:
                     iid = intern(kw)
-                hash_col.append(hashes[iid])
+                iids.append(iid)
+            # Gathered after the loop: interning may have regrown the column.
+            hash_col = ents.hashes[iids]
             slices = [{} for _ in range(shard_count)]
             for (kw, users), shard in zip(
                 merged.items(), shards_of_hashes(hash_col, shard_count)

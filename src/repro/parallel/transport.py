@@ -71,7 +71,7 @@ PROTOCOL_MAGIC = b"RSW1"
 
 #: Bumped on any incompatible message-schema change; the init handshake
 #: refuses a mismatch so a stale daemon fails loudly, not subtly.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 _FRAME_HEADER = struct.Struct(">II")  # (payload length, CRC32) — as deltalog
 _MAX_FRAME = 1 << 31
@@ -201,8 +201,8 @@ def dispatch_op(
         return [states[shard].export_edit(quantum) for shard in sorted(states)]
     if op == "load":
         (payload,) = args
-        for shard, idsets_state, sketches_state in payload:
-            states[shard].load_state(idsets_state, sketches_state)
+        for shard, idsets_state in payload:
+            states[shard].load_state(idsets_state)
         return None
     raise PipelineError(f"unknown shard worker operation: {op!r}")
 

@@ -48,9 +48,9 @@ class StageTimings:
 
     ``slide``, ``sketch``, ``pairing`` and ``correlate`` are sub-spans of
     ``akg_update`` too, measured by the serial
-    :class:`~repro.akg.builder.AkgBuilder` (id-set window slide; quantum
-    sketch minima + sketch window; candidate pairing incl. sketch merges;
-    the two edge-correlation kernel calls).  They are not in :attr:`total`
+    :class:`~repro.akg.builder.AkgBuilder` (id-set window slide; the
+    bursty keywords' sketches; candidate pairing over their buckets; the
+    two edge-correlation kernel calls).  They are not in :attr:`total`
     either, never sum past ``akg_update``, and are zero on the sharded
     path, where that work happens in the shard workers.
     """

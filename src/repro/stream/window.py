@@ -160,18 +160,34 @@ class QuantumColumns:
         self.ent_strings = ent_strings
 
 
+def sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, ascending; sorts ``keys`` in place.
+
+    One SIMD sort plus an adjacent compare.  Plain ``np.unique`` on an
+    int64 column takes a hash-set path on numpy 2.4 — an order of
+    magnitude slower on the packed pair keys of a quantum or a window.
+    """
+    keys.sort()
+    if len(keys) < 2:
+        return keys
+    keep = np.empty(len(keys), dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys.compress(keep)
+
+
 def _columns_from_occurrences(
     ent_occ: List[int], act_occ, objs: List
 ) -> QuantumColumns:
     """Dedupe/sort/segment flat occurrence columns into QuantumColumns:
-    pack both ids into one int64 key, let ``np.unique`` sort-and-dedupe in
-    C, and read the segment boundaries off the packed column."""
+    pack both ids into one int64 key, sort-and-dedupe it in C, and read
+    the segment boundaries off the packed column."""
     if not ent_occ:
         return QuantumColumns(np.empty(0, dtype=np.int64), [], [])
     keys = np.array(ent_occ, dtype=np.int64)
     keys <<= 32
     keys |= np.asarray(act_occ, dtype=np.int64)
-    keys = np.unique(keys)
+    keys = sorted_distinct(keys)
     ents = keys >> 32
     bounds = np.flatnonzero(ents[1:] != ents[:-1]) + 1
     starts = np.concatenate(([0], bounds))
@@ -276,6 +292,7 @@ __all__ = [
     "QuantumColumns",
     "columns_from_mapping",
     "quantum_columns",
+    "sorted_distinct",
     "actor_entities_of_quantum",
     "invert_actor_entities",
 ]

@@ -25,8 +25,10 @@ import hashlib
 import json
 import random
 
+from repro.akg.minhash import MinHasher
 from repro.api import QueueSink, open_session
 from repro.api.checkpoint import load_checkpoint
+from repro.config import DetectorConfig
 
 # ---------------------------------------------------------- stream regimes
 #
@@ -197,7 +199,9 @@ def normalized_checkpoint_state(path) -> dict:
     wall-clock noise whose slot names changed with the stage rename), and
     the window subtrees back in the per-keyword layout of checkpoint
     versions <= 3 — same content, so no pinned constant moves with the
-    v4 layout change."""
+    v4 layout change.  The per-quantum mini-sketches those versions stored
+    (dropped in v5) are a function of the id-set window — the bottom-p
+    hashes of every block entry's users — and are derived from it here."""
     state = dict(load_checkpoint(path))
     if not state["builder"]["oracle"]:
         builder = state["builder"] = dict(state["builder"])
@@ -206,9 +210,15 @@ def normalized_checkpoint_state(path) -> dict:
             "last_quantum": idsets["last_quantum"],
             "entries": per_keyword(idsets["window"]),
         }
-        builder["sketches"] = {
-            "minis": per_keyword(builder["sketches"]["window"])
-        }
+        cfg = DetectorConfig.from_dict(state["config"])
+        minis = []
+        if cfg.use_minhash_filter:
+            sketch = MinHasher(cfg.effective_minhash_size, cfg.seed).sketch
+            minis = [
+                [q, [[kw, list(sketch(users))] for kw, users in block]]
+                for q, block in idsets["window"]
+            ]
+        builder["sketches"] = {"minis": per_keyword(minis)}
     state.pop("custom_tokenizer", None)
     state.pop("custom_extractor", None)
     state.pop("extractor", None)

@@ -1,4 +1,5 @@
-"""Sliding-window id sets: expiry, support, Jaccard, and the slide delta.
+"""Sliding-window id sets: expiry, support, Jaccard, sketches, and the
+slide delta.
 
 Every test runs against the production index — the array-backed column
 engine (DESIGN.md Section 9) — and against the from-scratch oracle that
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.akg.idsets import IdSetIndex
+from repro.akg.idsets import IdSetIndex, SlideDelta
+from repro.akg.minhash import MinHasher
 from repro.akg.oracle import OracleIdSetIndex
 from repro.errors import StreamError
+from repro.interning import Interner
 
 # The ids these cases have always run under, so per-case history stays
 # comparable: "batched-array" is the column engine.
@@ -342,3 +345,138 @@ class TestJaccardManyKernel:
             tracemalloc.stop()
         assert ecs[0] == 30 / 50  # kw1 & kw0: users 10..39 of 0..49
         assert peak < _SCRATCH_BYTES + packed_rows + 512 * 1024
+
+
+def four_bit_hash(user):
+    return (user * 7 + 3) % 16
+
+
+def expected_sketch(hash_of, users, p):
+    """Section 3.2.2, literally: the ``p`` smallest distinct hash values."""
+    return tuple(sorted({hash_of(user) for user in users})[:p])
+
+
+class TestSketchMany:
+    """The window's sketch kernel against ``MinHasher.sketch`` of the
+    oracle's id sets — the per-keyword bottom-p the paper defines, read off
+    the pair column for the keywords asked about."""
+
+    @given(slides=slides, p=st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_full_recompute(self, slides, p):
+        """After every slide (skipped quanta and reused actor slots
+        included) each sketch equals sketching the full window id set from
+        scratch."""
+        hasher = MinHasher(p, seed=11)
+        fast = IdSetIndex(window_quanta=3, seed=11)
+        oracle = OracleIdSetIndex(window_quanta=3)
+        asked = KEYWORDS + ["absent", KEYWORDS[0]]  # one listed twice
+        quantum = 0
+        for step, keyword_users in slides:
+            quantum += step
+            fast.add_quantum(quantum, keyword_users)
+            oracle.add_quantum(quantum, keyword_users)
+            got = fast.sketch_many(asked, p)
+            assert got == {kw: hasher.sketch(oracle.users(kw)) for kw in asked}
+            assert all(
+                type(value) is int for sketch in got.values() for value in sketch
+            )
+
+    def test_expiry(self):
+        index = IdSetIndex(window_quanta=2, seed=1)
+        index.add_quantum(0, {"kw": {1, 2, 3}})
+        assert index.sketch_many(["kw"], 2) == {
+            "kw": MinHasher(2, seed=1).sketch({1, 2, 3})
+        }
+        index.add_quantum(1, {})
+        index.add_quantum(2, {})
+        assert index.sketch_many(["kw"], 2) == {"kw": ()}
+
+    def test_head_block_expiry_while_live_in_later_blocks(self):
+        """A keyword leaving the head block is sketched from the blocks
+        that still hold it, and forgotten only with the last one — also on
+        an index rebuilt from a snapshot."""
+        hasher = MinHasher(2, seed=1)
+        index = IdSetIndex(window_quanta=3, seed=1)
+        index.add_quantum(0, {"kw": {1, 2, 3}, "gone": {9}})
+        index.add_quantum(1, {"other": {7}})
+        index.add_quantum(2, {"kw": {4, 5}})
+        restored = IdSetIndex(window_quanta=3, seed=1)
+        restored.from_state(index.to_state())
+        for idx in (index, restored):
+            assert idx.sketch_many(["kw"], 2)["kw"] == hasher.sketch(
+                {1, 2, 3, 4, 5}
+            )
+            idx.add_quantum(3, {"other": {8}})  # block 0 expires
+            assert idx.sketch_many(["kw", "gone", "other"], 2) == {
+                "kw": hasher.sketch({4, 5}),
+                "gone": (),
+                "other": hasher.sketch({7, 8}),
+            }
+            idx.add_quantum(6, {})  # everything expires
+            assert idx.sketch_many(["kw", "other"], 2) == {"kw": (), "other": ()}
+
+    @given(slides=slides, p=st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_colliding_users_share_one_slot(self, slides, p):
+        """Under a 4-bit hash distinct users collide all the time: equal
+        hashes must share a rank, so a sketch never repeats a value and
+        never loses the (p+1)-th distinct one to a duplicate."""
+        index = IdSetIndex(window_quanta=3)
+        index.acts = Interner(hash_fn=four_bit_hash)
+        oracle = OracleIdSetIndex(window_quanta=3)
+        quantum = 0
+        for step, keyword_users in slides:
+            quantum += step
+            index.add_quantum(quantum, keyword_users)
+            oracle.add_quantum(quantum, keyword_users)
+            assert index.sketch_many(KEYWORDS, p) == {
+                kw: expected_sketch(four_bit_hash, oracle.users(kw), p)
+                for kw in KEYWORDS
+            }
+
+    def test_p_of_one_and_p_beyond_the_support(self):
+        hasher = MinHasher(1, seed=0)
+        index = IdSetIndex(window_quanta=2)
+        index.add_quantum(0, {"a": {1, 2, 3}, "b": {3}})
+        hashes = sorted(hasher.hash_user(user) for user in (1, 2, 3))
+        assert index.sketch_many(["a", "b"], 1) == {
+            "a": (hashes[0],),
+            "b": (hasher.hash_user(3),),
+        }
+        assert index.sketch_many(["a", "b"], 50) == {
+            "a": tuple(hashes),
+            "b": (hasher.hash_user(3),),
+        }
+
+    def test_keyword_outside_the_window_and_keyword_listed_twice(self):
+        index = IdSetIndex(window_quanta=2)
+        index.add_quantum(0, {"a": {1, 2}})
+        got = index.sketch_many(["a", "nope", "a"], 2)
+        assert got == {"a": MinHasher(2).sketch({1, 2}), "nope": ()}
+        assert index.sketch_many(["nope"], 2) == {"nope": ()}
+        assert IdSetIndex(window_quanta=2).sketch_many(["a"], 2) == {"a": ()}
+
+    def test_empty_keyword_list_makes_no_numpy_call(self, monkeypatch):
+        import repro.akg.idsets as module
+
+        index = IdSetIndex(window_quanta=2)
+        index.add_quantum(0, {"a": {1}})
+        monkeypatch.setattr(module, "np", None)
+        assert index.sketch_many([], 3) == {}
+
+
+class TestRebuild:
+    def test_gap_quantum_rebuilds_nothing(self):
+        """Nothing expires and nothing enters: the empty delta comes back
+        and the derived column is not even re-derived."""
+        index = IdSetIndex(window_quanta=3)
+        index.add_quantum(0, {"a": {1, 2}, "b": {2}})
+        column = index._pair_keys
+        delta = index.add_quantum(1, {})
+        assert delta == SlideDelta(quantum=1)
+        assert index._pair_keys is column
+        assert index.window_edit(1) == ([], [0], None)
+        index.add_quantum(3, {})  # block 0 expires: this one does rebuild
+        assert index._pair_keys is not column
+        assert index.support("a") == 0

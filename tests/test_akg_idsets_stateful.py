@@ -7,7 +7,9 @@ Jaccard, the slide delta and the interner populations agree after every
 step.  The quantum counter may jump, so one slide can expire several blocks
 at once — a pair recurring across them must be subtracted once per block —
 and users and keywords that leave the window release interner slots the
-next newcomers reuse.
+next newcomers reuse.  Sketches are checked against the paper's definition
+over the model's id sets, and a snapshot restored into a fresh index must
+answer every query identically (restore and slide share ``_rebuild``).
 """
 
 import hypothesis.strategies as st
@@ -15,9 +17,12 @@ from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.akg.idsets import IdSetIndex
+from repro.akg.minhash import MinHasher
 
 WINDOW = 3
+SKETCH_SIZE = 3
 KEYWORDS = ["alpha", "beta", "gamma"]
+PAIRS = [(kw1, kw2) for kw1 in KEYWORDS for kw2 in KEYWORDS]
 
 CONTENT = st.dictionaries(
     st.sampled_from(KEYWORDS),
@@ -64,6 +69,21 @@ class IdSetModelMachine(RuleBasedStateMachine):
         every block that fell out of the window in between, together."""
         self._slide(content, 1 + skipped)
 
+    @rule()
+    def restore_into_a_fresh_index(self):
+        """``to_state`` -> ``from_state`` on a new index: same answers, and
+        the restored index carries on from here."""
+        restored = IdSetIndex(window_quanta=WINDOW)
+        restored.from_state(self.index.to_state())
+        for keyword in KEYWORDS:
+            assert restored.support(keyword) == self.index.support(keyword)
+        assert restored.jaccard_many(PAIRS) == self.index.jaccard_many(PAIRS)
+        assert restored.sketch_many(
+            KEYWORDS, SKETCH_SIZE
+        ) == self.index.sketch_many(KEYWORDS, SKETCH_SIZE)
+        assert restored.window_users() == self.index.window_users()
+        self.index = restored
+
     def _live(self):
         cutoff = self.quantum - WINDOW
         return [content for q, content in self.history if q > cutoff]
@@ -98,6 +118,13 @@ class IdSetModelMachine(RuleBasedStateMachine):
                 else:
                     expected = len(a & b) / len(a | b)
                 assert abs(self.index.jaccard(kw1, kw2) - expected) < 1e-12
+
+    @invariant()
+    def sketch_matches_model(self):
+        sketch = MinHasher(SKETCH_SIZE).sketch
+        assert self.index.sketch_many(KEYWORDS, SKETCH_SIZE) == {
+            keyword: sketch(self._model_users(keyword)) for keyword in KEYWORDS
+        }
 
     @invariant()
     def interners_hold_exactly_the_window_population(self):

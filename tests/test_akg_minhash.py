@@ -1,5 +1,6 @@
-"""MinHash sketches: determinism, candidate filtering, estimation accuracy,
-and the incremental windowed index (Section 3.2.2)."""
+"""MinHash sketches: determinism, candidate filtering, estimation accuracy
+(Section 3.2.2).  The window's sketch kernel is tested beside the index it
+reads: ``tests/test_akg_idsets.py::TestSketchMany``."""
 
 import random
 
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from repro.akg.correlation import exact_jaccard
 from repro.akg.minhash import (
     MinHasher,
-    WindowedSketchIndex,
     estimate_jaccard,
     sketches_share_value,
 )
@@ -112,95 +112,6 @@ class TestEstimateJaccard:
         hasher = MinHasher(16, seed=5)
         est = estimate_jaccard(hasher.sketch(a), hasher.sketch(b), 16)
         assert est == pytest.approx(exact_jaccard(a, b))
-
-
-class TestWindowedSketchIndex:
-    @given(
-        quanta=st.lists(
-            st.sets(st.integers(0, 40), min_size=0, max_size=12),
-            min_size=1,
-            max_size=8,
-        ),
-        p=st.integers(1, 4),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_equals_full_recompute(self, quanta, p):
-        """The incremental window merge equals sketching the full window id
-        set from scratch — the correctness condition for the optimization."""
-        window = 3
-        hasher = MinHasher(p, seed=11)
-        index = WindowedSketchIndex(hasher, window_quanta=window)
-        for q, users in enumerate(quanta):
-            index.add_quantum(q, {"kw": users} if users else {})
-        live = quanta[-window:]
-        union = set().union(*live) if live else set()
-        assert index.sketch("kw") == hasher.sketch(union)
-
-    def test_expiry(self):
-        hasher = MinHasher(2, seed=1)
-        index = WindowedSketchIndex(hasher, window_quanta=2)
-        index.add_quantum(0, {"kw": {1, 2, 3}})
-        index.add_quantum(1, {})
-        index.add_quantum(2, {})
-        assert index.sketch("kw") == ()
-
-    def test_untouched_sketch_served_from_cache(self):
-        """Only dirtied sketches are re-merged: an untouched keyword costs
-        zero merge work no matter how often it is queried."""
-        hasher = MinHasher(2, seed=1)
-        index = WindowedSketchIndex(hasher, window_quanta=4)
-        index.add_quantum(0, {"kw": {1, 2, 3}})
-        first = index.sketch("kw")
-        assert index.merge_recomputes == 1
-        for _ in range(5):
-            assert index.sketch("kw") == first
-        assert index.merge_recomputes == 1
-        # other keywords entering leave "kw" clean
-        index.add_quantum(1, {"other": {7, 8}})
-        assert index.sketch("kw") == first
-        assert index.merge_recomputes == 1
-        index.sketch("other")
-        assert index.merge_recomputes == 2  # only "other" was merged
-
-    def test_dirtied_sketch_recomputed_on_appearance_and_expiry(self):
-        hasher = MinHasher(2, seed=1)
-        index = WindowedSketchIndex(hasher, window_quanta=2)
-        index.add_quantum(0, {"kw": {1, 2, 3}})
-        s0 = index.sketch("kw")
-        index.add_quantum(1, {"kw": {4, 5}})  # appearance dirties
-        s1 = index.sketch("kw")
-        assert s1 == hasher.sketch({1, 2, 3, 4, 5})
-        index.add_quantum(2, {})  # quantum-0 mini expires -> dirties
-        assert index.sketch("kw") == hasher.sketch({4, 5})
-        assert s0 == hasher.sketch({1, 2, 3})
-
-    def test_head_block_expiry_while_live_in_later_blocks(self):
-        """Expiry tells "still in the window" from the per-keyword live
-        block count: a keyword leaving the head block is re-merged from the
-        blocks that still hold it, and forgotten only with the last one —
-        also on an index rebuilt from a snapshot, where the counts are
-        re-derived."""
-        hasher = MinHasher(2, seed=1)
-        index = WindowedSketchIndex(hasher, window_quanta=3)
-        index.add_quantum(0, {"kw": {1, 2, 3}, "gone": {9}})
-        index.add_quantum(1, {"other": {7}})
-        index.add_quantum(2, {"kw": {4, 5}})
-        index.sketch("kw")
-        index.sketch("gone")
-        restored = WindowedSketchIndex(hasher, window_quanta=3)
-        restored.from_state(index.to_state())
-        for idx in (index, restored):
-            before = idx.merge_recomputes
-            idx.add_quantum(3, {"other": {8}})  # block 0 expires
-            assert idx.sketch("kw") == hasher.sketch({4, 5})
-            assert idx.merge_recomputes == before + 1  # dirtied by expiry
-            assert idx.sketch("gone") == ()
-            assert idx.merge_recomputes == before + 1  # nothing to merge
-            assert idx._live_blocks == {"other": 2, "kw": 1}
-            idx.add_quantum(6, {})  # everything expires
-            assert idx.sketch("kw") == ()
-            assert idx._live_blocks == {}
-            assert not idx._dirty
 
 
 class TestCacheBound:

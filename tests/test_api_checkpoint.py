@@ -355,20 +355,23 @@ class TestCheckpointFile:
 
 
 class TestVersionMigration:
-    """Older checkpoints load through the migration chain (v2 → v3 → v4);
-    truly unknown versions fail with an error naming what *is* readable.
+    """Older checkpoints load through the migration chain (v2 → v3 → v4 →
+    v5); truly unknown versions fail with an error naming what *is*
+    readable.
 
     ``tests/data/checkpoint_v2.ckpt`` was written by the pre-extractor
-    tree (PR 4 head) and ``checkpoint_v3.ckpt`` by the last tree with
-    per-keyword window layouts (PR 12 head), both at message 250 of the
-    same seed-pinned stream, mid-quantum; the continuation fingerprint
-    below is what each of those trees produced for messages 250..300 —
-    the migrated resume must reproduce it bit for bit.
+    tree (PR 4 head), ``checkpoint_v3.ckpt`` by the last tree with
+    per-keyword window layouts (PR 12 head) and ``checkpoint_v4.ckpt`` by
+    the last tree that kept a sketch window (PR 18 head), all at message
+    250 of the same seed-pinned stream, mid-quantum; the continuation
+    fingerprint below is what each of those trees produced for messages
+    250..300 — the migrated resume must reproduce it bit for bit.
     """
 
+    VERSIONS = (2, 3, 4)
     ASSETS = {
         version: Path(__file__).parent / "data" / f"checkpoint_v{version}.ckpt"
-        for version in (2, 3)
+        for version in VERSIONS
     }
     CONTINUATION = (
         "9764eedd3c2267c7348051c7f2e08deca80f364eb43daa5f576646b0cfcd6664"
@@ -379,11 +382,11 @@ class TestVersionMigration:
 
         return [Message(u, tokens=t) for u, t in bursty_stream(5, 300)]
 
-    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("version", VERSIONS)
     def test_asset_is_the_version_it_says(self, version):
         document = json.loads(self.ASSETS[version].read_text())
         assert document["version"] == version
-        assert CHECKPOINT_VERSION == 4
+        assert CHECKPOINT_VERSION == 5
 
     def test_migrated_state_has_extractor_identity(self):
         from repro.api.checkpoint import load_checkpoint
@@ -402,25 +405,32 @@ class TestVersionMigration:
         document = json.loads(self.ASSETS[version].read_text())
         old = decode_state(document["state"])["builder"]
         new = load_checkpoint(self.ASSETS[version])["builder"]
-        for layer, old_key in (("idsets", "entries"), ("sketches", "minis")):
-            assert old_key not in new[layer]
-            window = new[layer]["window"]
-            quanta = [q for q, _ in window]
-            assert quanta == sorted(set(quanta))
-            for _, block in window:
-                assert [kw for kw, _ in block] == sorted(
-                    kw for kw, _ in block
-                )
-            # the transposition moves every (keyword, quantum) cell, once
-            assert sorted(
-                (kw, q, value) for q, block in window for kw, value in block
-            ) == sorted(
-                (kw, q, value)
-                for kw, entries in old[layer][old_key]
-                for q, value in entries
-            )
+        assert "sketches" not in new
+        assert "entries" not in new["idsets"]
+        window = new["idsets"]["window"]
+        quanta = [q for q, _ in window]
+        assert quanta == sorted(set(quanta))
+        for _, block in window:
+            assert [kw for kw, _ in block] == sorted(kw for kw, _ in block)
+        # the transposition moves every (keyword, quantum) cell, once
+        assert sorted(
+            (kw, q, value) for q, block in window for kw, value in block
+        ) == sorted(
+            (kw, q, value)
+            for kw, entries in old["idsets"]["entries"]
+            for q, value in entries
+        )
 
-    @pytest.mark.parametrize("version", [2, 3])
+    def test_v4_migration_only_drops_the_sketch_window(self):
+        from repro.api.checkpoint import load_checkpoint
+
+        document = json.loads(self.ASSETS[4].read_text())
+        old = decode_state(document["state"])
+        assert old["builder"]["sketches"]["window"]
+        del old["builder"]["sketches"]
+        assert load_checkpoint(self.ASSETS[4]) == old
+
+    @pytest.mark.parametrize("version", VERSIONS)
     def test_old_resume_continues_bit_identically(self, version):
         from golden import fingerprint, note_record, report_record
 
@@ -436,7 +446,7 @@ class TestVersionMigration:
         }
         assert fingerprint(structure) == self.CONTINUATION
 
-    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("version", VERSIONS)
     def test_old_resume_snapshots_as_current(self, tmp_path, version):
         from golden import fingerprint, normalized_checkpoint_state
 
@@ -462,7 +472,7 @@ class TestVersionMigration:
                 {"format": CHECKPOINT_FORMAT, "version": 1, "state": None}
             )
         )
-        with pytest.raises(CheckpointError, match="migrate versions 2, 3"):
+        with pytest.raises(CheckpointError, match="migrate versions 2, 3, 4"):
             open_session(resume=path)
 
 

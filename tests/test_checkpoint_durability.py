@@ -279,6 +279,7 @@ class TestDeltaLogFaults:
 
     def test_garbage_manifest_raises_readably(self, tmp_path):
         d, _ = build_delta_dir(tmp_path)
+        intact = json.loads((d / "MANIFEST.json").read_text())
         (d / "MANIFEST.json").write_text("}{")
         with pytest.raises(CheckpointError, match="not valid JSON"):
             load_checkpoint(d)
@@ -289,6 +290,16 @@ class TestDeltaLogFaults:
             json.dumps({"format": DELTA_FORMAT, "version": 99})
         )
         with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(d)
+        # the previous build's directories (records that splice a sketch
+        # window this build's trees do not have) are refused by number
+        manifest = {**intact, "version": DELTA_VERSION - 1}
+        (d / "MANIFEST.json").write_text(json.dumps(manifest))
+        with pytest.raises(
+            CheckpointError,
+            match=f"version {DELTA_VERSION - 1}; this build reads version "
+            f"{DELTA_VERSION}",
+        ):
             load_checkpoint(d)
         (d / "MANIFEST.json").write_text(
             json.dumps({"format": DELTA_FORMAT, "version": DELTA_VERSION})

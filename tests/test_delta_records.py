@@ -2,7 +2,7 @@
 
 The writer no longer diffs state trees — each stateful layer reports its
 own edit op for the quantum it just processed (``window_edit`` on the
-window indexes, ``quantum_op`` on the builders, the sharded front-end and
+window index, ``quantum_op`` on the builders, the sharded front-end and
 the event tracker) and ``DetectorSession._quantum_op`` composes the record.
 That is only sound if, at every quantum boundary,
 
@@ -90,11 +90,7 @@ def test_layer_ops_are_no_larger_than_the_differ_finds(name, mode):
     for previous, op, current in quantum_boundaries(
         messages, config, **MODES[mode]
     ):
-        for path in (
-            ("builder", "idsets"),
-            ("builder", "sketches"),
-            ("tracker",),
-        ):
+        for path in (("builder", "idsets"), ("tracker",)):
             a, b = previous, current
             for key in path:
                 a, b = a[key], b[key]
@@ -116,15 +112,16 @@ def test_window_edit_is_drop_heads_insert_one():
     messages, config = regime("uniform")
     seen_steady = 0
     for previous, op, current in quantum_boundaries(messages, config):
-        for layer in ("idsets", "sketches"):
-            splice = sub_op(op, "builder", layer, "window")
-            kinds = [edit[0] for edit in splice[1]]
-            if len(previous["builder"][layer]["window"]) == config.window_quanta:
-                assert kinds == ["x", "k", "i"]
-                assert splice[1][0][1] == 1 and len(splice[1][2][1]) == 1
-                seen_steady += 1
-            else:
-                assert kinds in (["i"], ["k", "i"])
+        splice = sub_op(op, "builder", "idsets", "window")
+        kinds = [edit[0] for edit in splice[1]]
+        if len(previous["builder"]["idsets"]["window"]) == config.window_quanta:
+            assert kinds == ["x", "k", "i"]
+            assert splice[1][0][1] == 1 and len(splice[1][2][1]) == 1
+            seen_steady += 1
+        else:
+            assert kinds in (["i"], ["k", "i"])
+        # the id-set window is the one window layer a record carries
+        assert sub_op(op, "builder", "sketches") is None
     assert seen_steady > 20
 
 
@@ -192,28 +189,6 @@ def test_window_edit_survives_gaps_jumps_and_empty_quanta():
         assert canon(patch_tree(previous["window"], splice)) == canon(
             current["window"]
         ), quantum
-        previous = current
-
-
-def test_sketch_window_edit_tracks_its_queue():
-    from repro.akg.builder import window_splice
-    from repro.akg.minhash import MinHasher, WindowedSketchIndex
-
-    index = WindowedSketchIndex(MinHasher(2, seed=1), 2)
-    previous = index.to_state()
-    assert window_splice(index.window_edit(0), 0) is None  # never slid
-    for quantum, keyword_users in [
-        (0, {"a": ["u1", "u2", "u3"], "b": ["u1"]}),
-        (1, {}),
-        (2, {"b": ["u7"]}),
-        (6, {"a": ["u2"]}),
-    ]:
-        index.add_quantum(quantum, keyword_users)
-        splice = window_splice(index.window_edit(quantum), quantum)
-        current = index.to_state()
-        assert canon(patch_tree(previous["window"], splice)) == canon(
-            current["window"]
-        )
         previous = current
 
 
