@@ -4,8 +4,8 @@ Usage::
 
     python benchmarks/check_regression.py \\
         --baseline /tmp/perf-baseline --current benchmarks/results \\
-        --tolerance 0.25 parallel_akg incremental_akg \\
-        incremental_ranking delta_checkpoint
+        --tolerance 0.25 incremental_akg incremental_ranking \\
+        delta_checkpoint serve_fanout
 
 For every named bench the script loads ``<dir>/<name>.json`` (schema of
 ``_results.py``) from both directories and fails (exit 1) when the current
@@ -16,14 +16,8 @@ across machines; wall times are printed for context only.  (For
 deterministic for a seed; its append-latency gate is an absolute bound
 asserted inside the bench.)
 
-Comparisons are skipped (with a notice, not a failure) when:
-
-* the baseline records no ``speedup`` (ratio-free benches);
-* either side's ``config.cores`` is below the bench's declared
-  ``config.speedup_cores_required`` — a single-core container cannot
-  produce a meaningful parallel-speedup baseline, so such baselines gate
-  nothing until regenerated on capable hardware (the in-bench asserts
-  still enforce the absolute floors there).
+A comparison is skipped (with a notice, not a failure) when the baseline
+records no ``speedup`` (ratio-free benches).
 
 A missing or unparseable baseline file is a FAILURE with regeneration
 instructions, never a traceback: a silently absent baseline would turn the
@@ -62,14 +56,6 @@ def load(directory: Path, name: str) -> dict:
         ) from exc
 
 
-def comparable(entry: dict) -> bool:
-    config = entry.get("config", {})
-    required = config.get("speedup_cores_required")
-    if required is None:
-        return True
-    return config.get("cores", 0) >= required
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline", type=Path, required=True)
@@ -96,22 +82,6 @@ def main(argv=None) -> int:
         )
         if base_speedup is None:
             print(f"SKIP {name}: baseline records no speedup ({context})")
-            continue
-        if not (comparable(base) and comparable(cur)):
-            print(
-                f"SKIP {name}: core count below the bench's requirement on "
-                f"one side (baseline cores="
-                f"{base.get('config', {}).get('cores')}, current cores="
-                f"{cur.get('config', {}).get('cores')}); the in-bench "
-                f"asserts keep gating the absolute floors"
-            )
-            if comparable(cur) and not comparable(base):
-                print(
-                    f"NOTE {name}: this machine CAN produce a comparable "
-                    f"baseline — commit the fresh "
-                    f"benchmarks/results/{name}.json to arm the "
-                    f"regression gate for future runs"
-                )
             continue
         if cur_speedup is None:
             failures.append(f"{name}: current run recorded no speedup")

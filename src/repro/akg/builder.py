@@ -61,12 +61,12 @@ UserId = Hashable
 # Every cross-keyword step of the per-quantum update — candidate pairing,
 # new-edge qualification, incident-edge refresh, the dead-node predicate —
 # is a pure function of (graph, thresholds) plus two keyword-indexed
-# oracles: a sketch lookup and an exact-EC lookup.  The serial builder binds
-# them to its own window indexes; the keyword-range-sharded front-end
-# (:mod:`repro.parallel`) binds them to data gathered from its shard
-# workers.  Both paths therefore execute *identical* candidate, insertion,
-# refresh and removal sequences, which is what makes the sharded pipeline
-# bit-identical to the serial one for any worker count (DESIGN.md S7).
+# oracles: a sketch lookup and an exact-EC lookup.  The builder binds them
+# to its column-engine window index, and under ``oracle=True`` to the
+# from-scratch referee of :mod:`repro.akg.oracle`.  Both bindings therefore
+# execute *identical* candidate, insertion, refresh and removal sequences,
+# which is what lets the differential suites compare them quantum by
+# quantum (DESIGN.md S5).
 
 
 def minhash_candidate_pairs(
@@ -113,8 +113,8 @@ def candidate_edge_pairs(
 
 def per_pair_ec(jaccard):
     """A per-pair ``jaccard(kw1, kw2)`` as the batched ``ec_of(pairs)`` the
-    two primitives below take — how the referees (the oracle index, the
-    sharded merge's closure over gathered id sets) plug in."""
+    two primitives below take — how the from-scratch oracle index plugs
+    in."""
     return lambda pairs: [jaccard(kw1, kw2) for kw1, kw2 in pairs]
 
 
@@ -194,8 +194,7 @@ def drain_removal_candidates(
     clustered then, at the later quantum where it loses its last membership
     (the registry listener pool, which the caller unions in).  Any node
     outside these pools fails the removal predicate for the same reason it
-    did last quantum.  Shared by the serial builder and the sharded
-    front-end so both drain the identical pool.
+    did last quantum.
     """
     due: Set[Keyword] = set(emptied)
     for deadline in [q for q in grace_deadlines if q <= quantum]:
@@ -214,8 +213,8 @@ def select_dead_nodes(
 
     Returns ``(stale, lazy)`` in the deterministic sorted-candidate order
     the maintainer will apply them in.  ``support_of``/``aged_out`` are the
-    two window queries of the predicate; the serial builder answers them
-    from its own indexes, the sharded front-end from its mirrors.
+    two window queries of the predicate, answered from the builder's
+    window index (column engine or oracle).
     """
     graph = maintainer.graph
     registry = maintainer.registry
@@ -276,8 +275,7 @@ def akg_quantum_op(
     """The AKG stage's delta-log op for the quantum just finished.
 
     The window travels as a splice; ``small_state`` (burst automaton,
-    grace schedule, unclustered hints) is replaced whole.  Shared by the
-    serial builder and the sharded front-end, like the state layout.
+    grace schedule, unclustered hints) is replaced whole.
     """
     idsets_sets = [["last_quantum", ["r", quantum]]]
     splice = window_splice(idsets_edit, quantum)

@@ -73,16 +73,6 @@ class BurstinessTracker:
         bursty = {
             kw for kw, count in quantum_support.items() if count >= self.theta
         }
-        return self.observe_bursty(quantum, bursty)
-
-    def observe_bursty(self, quantum: int, bursty: Set[Keyword]) -> Set[Keyword]:
-        """Advance the automaton from a pre-computed bursty set.
-
-        The sharded front-end's workers apply the ``count >= theta`` test to
-        their own keyword slices; the merge feeds the union here, so the
-        automaton state stays a single parent-side authority while the
-        per-shard transition tests run in parallel (DESIGN.md Section 7).
-        """
         for kw in bursty:
             state = self._states.get(kw)
             if state is None:
@@ -90,7 +80,7 @@ class BurstinessTracker:
             else:
                 state.last_bursty = quantum
                 state.bursts += 1
-        self._bursty_now = set(bursty)
+        self._bursty_now = bursty
         self._current_quantum = quantum
         return set(bursty)
 

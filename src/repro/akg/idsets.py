@@ -338,8 +338,7 @@ class IdSetIndex:
         :meth:`from_state` derives the rest exactly as a slide does.  Blocks
         are oldest first and each is sorted by keyword, and interner ids
         never appear, so the snapshot is a pure function of the window
-        *contents* — the sharded front-end relies on this to make its merged
-        checkpoint byte-identical to a serial one (DESIGN.md Section 7).
+        *contents* (DESIGN.md Section 6).
         """
         return {
             "last_quantum": self._last_quantum,
@@ -417,8 +416,7 @@ class IdSetIndex:
 
     def id_set(self, keyword: Keyword) -> FrozenSet[UserId]:
         """The id set — distinct users of ``keyword`` in the window — as an
-        immutable, shippable frozenset of the original user ids (what the
-        sharded front-end's exchange puts on the wire)."""
+        immutable frozenset of the original user ids."""
         eid = self.ents.ids.get(keyword)
         if eid is None:
             return frozenset()

@@ -30,14 +30,10 @@ step per version hop, chained until the current layout is reached — so a
 v2 snapshot (pre-extractor) loads under the current reader without ever
 rewriting the file on disk.
 
-Checkpoints are **execution-agnostic and history-independent**: the session
-strips the execution-only config fields (``workers``/``shard_count``), the
-sharded front-end writes its window state merged into the serial layout,
-and every stateful layer serializes in content-sorted order — so the same
-stream position produces the same checkpoint bytes whether the session ran
-serially or sharded, uninterrupted or through any number of earlier
-snapshot/restore cycles, and any checkpoint resumes under any worker count
-(DESIGN.md Section 7).
+Checkpoints are **history-independent**: every stateful layer serializes
+in content-sorted order, so the same stream position produces the same
+checkpoint bytes whether the session ran uninterrupted or through any
+number of earlier snapshot/restore cycles (DESIGN.md Section 6).
 """
 
 from __future__ import annotations
@@ -56,7 +52,7 @@ CHECKPOINT_VERSION = 5
 below so supported older snapshots keep loading.
 Version history: 1 — PR 3 layout (no longer readable); 2 — event histories
 are change-point encoded (``EventTracker`` state gained ``last_quantum``
-and per-record ``gaps``) and execution-only config fields are stripped;
+and per-record ``gaps``);
 3 — extractor identity recorded (``extractor`` spec + ``custom_extractor``
 flag replacing ``custom_tokenizer``) and the first timing slot renamed
 ``tokenize`` → ``extract`` with the stage; 4 — the id-set and sketch

@@ -5,10 +5,9 @@ keeps it current by applying delta-log records (:mod:`repro.api.deltalog`)
 — it never runs the detection pipeline, so staying warm costs patch
 application only, no tokenization/AKG/ranking work.  When the leader dies,
 ``promote()`` rebuilds a live :class:`~repro.api.session.DetectorSession`
-from the tree, and the execution-agnostic resume guarantee (DESIGN.md
-Sections 6–9) makes the promoted session bit-identical to the uninterrupted
-run from the last logged quantum onward — under any worker count, not
-just the leader's.
+from the tree, and the resume guarantee (DESIGN.md Section 6) makes the
+promoted session bit-identical to the uninterrupted run from the last
+logged quantum onward.
 
 The follower reads through the :class:`~repro.api.deltalog.DeltaTransport`
 seam; the default :class:`~repro.api.deltalog.FileTailTransport` tails a
@@ -169,9 +168,6 @@ class FollowerSession:
         noun_tagger=None,
         tokenizer=None,
         extractor=None,
-        workers=None,
-        shard_count=None,
-        worker_backend=None,
         profile: bool = False,
     ):
         """Turn the warm state into a live :class:`DetectorSession`.
@@ -180,9 +176,7 @@ class FollowerSession:
         continues from the last logged quantum with an empty pending
         buffer, and — fed the stream from that quantum boundary on — emits
         reports, sink events, histories, and checkpoints bit-identical to
-        the uninterrupted run.  Execution arguments (``workers``,
-        ``shard_count``) choose how the promoted session runs and do not
-        affect results.  Custom extractors/taggers must be
+        the uninterrupted run.  Custom extractors/taggers must be
         re-supplied, exactly as with ``open_session(resume=...)``.
         """
         if self._promoted:
@@ -194,9 +188,6 @@ class FollowerSession:
             noun_tagger=noun_tagger,
             tokenizer=tokenizer,
             extractor=extractor,
-            workers=workers,
-            shard_count=shard_count,
-            worker_backend=worker_backend,
             profile=profile,
         )
         self._promoted = True

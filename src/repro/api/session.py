@@ -39,9 +39,7 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from typing import (
     Dict,
@@ -136,34 +134,21 @@ class DetectorSession:
         extractor: Optional[EntityExtractor] = None,
         oracle_ranking: bool = False,
         oracle_akg: bool = False,
-        worker_backend: Optional[str] = None,
-        overlap: bool = False,
         profile: bool = False,
     ) -> None:
         """Build a fresh session (use :func:`open_session` in client code).
 
         The ingestion extractor comes from ``config.extractor`` /
-        ``config.extractor_options`` (the registry path — checkpointable,
-        shardable); ``extractor`` overrides it with an explicit
+        ``config.extractor_options`` (the registry path — checkpointable);
+        ``extractor`` overrides it with an explicit
         :class:`~repro.extract.base.EntityExtractor` instance, and
         ``tokenizer`` is the legacy shorthand for a
         :class:`~repro.extract.keyword.KeywordExtractor` around a custom
         text tokenizer.  ``noun_tagger`` overrides the report-time noun
         filter (applied only when the extractor is ``textual``), and the
         ``oracle_*`` flags swap in the from-scratch verification baselines
-        for the AKG and rank stages.  With ``config.workers > 1`` (or an
-        explicit ``shard_count``) the extract/AKG stages run on the
-        entity-range-sharded front-end (:mod:`repro.parallel`);
-        ``worker_backend`` forces its execution backend
-        (``process``/``thread``/``serial``, default auto) — an execution
-        knob only, results are bit-identical either way.
-        ``overlap=True`` double-buffers :meth:`ingest_many` on the
-        sharded front-end: quantum *q*'s serial tail (exchange merge,
-        maintenance, ranking, reporting) runs on a background thread while
-        quantum *q+1*'s extract+scatter proceeds on the calling thread —
-        again execution only, reports and sink events stay bit-identical
-        (DESIGN.md Section 12).  ``profile=True`` runs the stage pipeline
-        under cProfile; read the accumulated data with
+        for the AKG and rank stages.  ``profile=True`` runs the stage
+        pipeline under cProfile; read the accumulated data with
         :meth:`profile_stats`.
         """
         self.config = config if config is not None else DetectorConfig()
@@ -189,43 +174,11 @@ class DetectorSession:
             noun_tagger if noun_tagger is not None else NounTagger()
         )
         self.maintainer = ClusterMaintainer()
-        if self.config.sharded and (oracle_akg or self.config.oracle_akg):
-            raise ConfigError(
-                "oracle_akg is a serial verification baseline; it cannot "
-                "run on the sharded front-end (workers/shard_count)"
-            )
-        if overlap:
-            if not self.config.sharded:
-                raise ConfigError(
-                    "overlap pipelines the sharded front-end's scatter "
-                    "against the previous quantum's tail; a serial session "
-                    "(workers=1, no shard_count) has no scatter to overlap"
-                )
-            if profile:
-                raise ConfigError(
-                    "overlap runs each quantum's tail on a background "
-                    "thread and cProfile instruments a single thread; "
-                    "use profile or overlap, not both"
-                )
-            if self.config.track_ckg_stats:
-                raise ConfigError(
-                    "overlap would race the CKG-stats tracker (the next "
-                    "quantum's extract stage updates it while the previous "
-                    "tail still reads it); disable track_ckg_stats to "
-                    "pipeline"
-                )
-        if self.config.sharded:
-            from repro.parallel import ShardedAkgFrontend
-
-            self.builder = ShardedAkgFrontend(
-                self.config, self.maintainer, worker_backend=worker_backend
-            )
-        else:
-            self.builder = AkgBuilder(
-                self.config,
-                self.maintainer,
-                oracle=oracle_akg or self.config.oracle_akg,
-            )
+        self.builder = AkgBuilder(
+            self.config,
+            self.maintainer,
+            oracle=oracle_akg or self.config.oracle_akg,
+        )
         self.ranker = IncrementalRanker(
             self.maintainer.registry,
             self.maintainer.graph,
@@ -244,16 +197,6 @@ class DetectorSession:
             self.config.high_state_threshold, self.config.ec_threshold
         )
         self.report_index = ThresholdIndex(self._passes_filters)
-        front = None
-        if self.config.sharded:
-            from repro.parallel import sharded_front_stages
-
-            front = sharded_front_stages(
-                self.builder,
-                self.extractor,
-                self.config.max_tokens_per_message,
-                self.ckg_stats,
-            )
         stages = build_stages(
             self.extractor,
             self.maintainer,
@@ -263,11 +206,8 @@ class DetectorSession:
             self.report_index,
             self.config.max_tokens_per_message,
             self.ckg_stats,
-            front=front,
         )
         self.pipeline = Pipeline(stages)
-        self._overlap = overlap
-        self._overlap_active = False
         self._profiler = cProfile.Profile() if profile else None
         self._quantum = -1
         self.total_messages = 0
@@ -337,25 +277,13 @@ class DetectorSession:
         *kept buffered* by default so the session (and its checkpoints)
         composes across calls; pass ``flush=True`` — or call :meth:`flush` —
         to force-process the remainder as a final short quantum.
-
-        With ``overlap=True`` the quanta are double-buffered (see
-        :meth:`_ingest_many_pipelined`): while the caller consumes a
-        yielded report, the *next* quantum's tail may still be running on
-        the background thread — sink callbacks fire on that thread, and
-        the session's live structures (graph, registry, ranker) should be
-        treated as read-only-between-iterations only after the iterator is
-        exhausted or closed.  Reports and sink events themselves are
-        bit-identical to the unpipelined path.
         """
         stream = iter(messages)
-        if self._overlap:
-            yield from self._ingest_many_pipelined(stream)
-        else:
-            while True:
-                quantum = self.batcher.fill(stream)
-                if quantum is None:
-                    break
-                yield self.process_quantum(quantum)
+        while True:
+            quantum = self.batcher.fill(stream)
+            if quantum is None:
+                break
+            yield self.process_quantum(quantum)
         if flush:
             tail = self.flush()
             if tail is not None:
@@ -375,12 +303,6 @@ class DetectorSession:
                 "session is closed; open a new session (or resume from a "
                 "checkpoint) to keep ingesting"
             )
-        if self._overlap_active:
-            raise PipelineError(
-                "a pipelined ingest_many iteration is in progress; exhaust "
-                "or close that iterator before ingesting through another "
-                "path"
-            )
         start = time.perf_counter()
         self._quantum += 1
         ctx = QuantumContext(quantum=self._quantum, messages=messages)
@@ -392,15 +314,6 @@ class DetectorSession:
                 self._profiler.disable()
         else:
             self.pipeline.run(ctx)
-        return self._finalize_report(ctx, start)
-
-    def _finalize_report(self, ctx: QuantumContext, start: float) -> QuantumReport:
-        """Fill and publish the report of a fully-run quantum context.
-
-        Shared by the serial path and the pipelined tail; everything here
-        (totals, sink dispatch, delta-log append) belongs to the quantum's
-        tail and must run before the *next* quantum's tail starts.
-        """
         report = ctx.report
         report.messages_processed = len(ctx.messages)
         report.timings = ctx.timings
@@ -423,134 +336,6 @@ class DetectorSession:
             # durability channel broke must not keep running silently.
             self._delta_writer.append(self)
         return report
-
-    # ------------------------------------------------- pipelined ingestion
-
-    def _run_head(self, messages: Sequence[Message]) -> QuantumContext:
-        """Front half of one quantum: extract + phase-one scatter.
-
-        Runs on the calling thread.  Touches no parent graph state — the
-        extract stage and the front-end's :meth:`~repro.parallel.frontend
-        .ShardedAkgFrontend.scatter` read only the quantum's messages and
-        the worker pool — so it may overlap the *previous* quantum's tail.
-        """
-        if self._closed:
-            raise PipelineError(
-                "session is closed; open a new session (or resume from a "
-                "checkpoint) to keep ingesting"
-            )
-        self._quantum += 1
-        ctx = QuantumContext(quantum=self._quantum, messages=messages)
-        stages = self.pipeline.stages
-        stages[0].run(ctx)
-        stages[1].scatter(ctx)
-        return ctx
-
-    def _run_tail(self, ctx, start, exchange_done):
-        """Back half of one quantum: exchange merge, maintain, rank, report.
-
-        Runs on the pipeline thread.  ``exchange_done`` is set the moment
-        the last worker round trip of this quantum finishes — the barrier
-        after which the next quantum may scatter — and is guaranteed set on
-        exit even when the tail fails, so the driver never deadlocks on a
-        dead tail.  Returns ``(report, tail_end_perf_counter)``.
-        """
-        try:
-            self.pipeline.stages[1].complete(
-                ctx, exchange_done=exchange_done.set
-            )
-            for stage in self.pipeline.stages[2:]:
-                stage.run(ctx)
-            report = self._finalize_report(ctx, start)
-            return report, time.perf_counter()
-        finally:
-            exchange_done.set()
-
-    def _ingest_many_pipelined(
-        self, stream: Iterator[Message]
-    ) -> Iterator[QuantumReport]:
-        """Double-buffered quantum driver (``overlap=True``).
-
-        Quantum *q*'s tail runs on a single background thread while the
-        calling thread extracts and scatters quantum *q+1* — the only
-        ordering constraint is that *q*'s phase-two exchange finishes
-        before *q+1*'s scatter touches the workers, enforced by the
-        ``exchange_done`` barrier.  Tails never overlap each other
-        (single-thread executor), so every graph mutation, sink event and
-        report is produced in exactly the serial order — the pipelining is
-        execution-only.
-
-        The hidden wall time is recorded per quantum as
-        ``report.timings.overlap_saved``: the span of quantum *q+1*'s head
-        that ran while *q*'s tail was still active.
-
-        If the caller abandons the iterator after a head already scattered,
-        the orphaned quantum is completed inline (its report dropped) so
-        the session still lands on a quantum boundary.
-        """
-        executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-tail"
-        )
-        inflight = None  # running tail's future
-        scattered = None  # (ctx, head_start): head done, tail not launched
-        failed = False
-        self._overlap_active = True
-        try:
-            while True:
-                quantum = self.batcher.fill(stream)
-                if quantum is None:
-                    break
-                head_start = time.perf_counter()
-                ctx = self._run_head(quantum)
-                scattered = (ctx, head_start)
-                head_end = time.perf_counter()
-                pending_report = None
-                if inflight is not None:
-                    report, tail_end = inflight.result()
-                    inflight = None
-                    saved = max(0.0, min(tail_end, head_end) - head_start)
-                    report.timings.overlap_saved = saved
-                    self.total_timings.overlap_saved += saved
-                    pending_report = report
-                exchange_done = threading.Event()
-                inflight = executor.submit(
-                    self._run_tail, ctx, head_start, exchange_done
-                )
-                scattered = None
-                exchange_done.wait()
-                if inflight.done() and inflight.exception() is not None:
-                    raise inflight.exception()
-                if pending_report is not None:
-                    yield pending_report
-            if inflight is not None:
-                report, _ = inflight.result()
-                inflight = None
-                yield report
-        except GeneratorExit:
-            raise
-        except BaseException:
-            failed = True
-            raise
-        finally:
-            try:
-                if inflight is not None:
-                    try:
-                        inflight.result()
-                    except BaseException:
-                        if not failed:
-                            raise
-                if scattered is not None and not failed:
-                    # The head already consumed these messages and slid the
-                    # worker windows; finish the quantum inline so the
-                    # session lands on a quantum boundary.  Only reachable
-                    # when the caller abandons the iterator mid-stream.
-                    orphan_ctx, orphan_start = scattered
-                    self._run_tail(
-                        orphan_ctx, orphan_start, threading.Event()
-                    )
-            finally:
-                self._overlap_active = False
-                executor.shutdown(wait=True)
 
     # -------------------------------------------------------- subscription
 
@@ -723,10 +508,10 @@ class DetectorSession:
     # ------------------------------------------------------------ lifecycle
 
     def close(self) -> None:
-        """Release session resources (worker pool, delta log, sinks).
+        """Release session resources (delta log, sinks).
 
-        Idempotent and safe mid-quantum: the first call closes the worker
-        pool, the delta-log writer, and every subscribed sink exposing a
+        Idempotent and safe mid-quantum: the first call closes the
+        delta-log writer and every subscribed sink exposing a
         ``close()`` method **exactly once**; subsequent calls are no-ops.
         A buffered partial quantum is *never* force-processed — it stays
         readable through :meth:`snapshot` (which remains callable on a
@@ -741,9 +526,6 @@ class DetectorSession:
         if self._closed:
             return
         self._closed = True
-        close = getattr(self.builder, "close", None)
-        if close is not None:
-            close()
         if self._delta_writer is not None:
             self._delta_writer.close()
         for subscription in list(self._subscriptions):
@@ -777,21 +559,7 @@ class DetectorSession:
         quantum is included.  The ranker cache and report index are *not*
         serialized: both are pure functions of the serialized state and are
         recomputed bit-identically on restore (DESIGN.md Section 6).
-
-        Execution-only config fields (``workers``/``shard_count``) are
-        stripped: results do not depend on them, the sharded front-end
-        writes its window state in the merged serial layout, and so the
-        same stream position produces the same checkpoint bytes under any
-        worker count — and resumes under any other (pass ``workers=`` to
-        ``open_session``).
         """
-        if self._overlap_active:
-            raise CheckpointError(
-                "cannot snapshot during a pipelined ingest_many iteration: "
-                "the next quantum's scatter has already advanced the "
-                "worker windows past the merged state; exhaust or close "
-                "the iterator first"
-            )
         save_checkpoint(path, self._state_tree())
 
     def enable_delta_log(self, path, *, compact_ratio: float = 4.0) -> None:
@@ -813,13 +581,6 @@ class DetectorSession:
             raise CheckpointError(
                 "a delta log is already enabled for this session"
             )
-        if self._overlap:
-            raise CheckpointError(
-                "a pipelined (overlap=True) session cannot keep a delta "
-                "log: the per-quantum append would serialize worker "
-                "windows the next quantum's scatter has already advanced; "
-                "open the session without overlap to record one"
-            )
         writer = DeltaCheckpointWriter(path, compact_ratio=compact_ratio)
         writer.start(self)
         self._delta_writer = writer
@@ -831,13 +592,8 @@ class DetectorSession:
 
     def _state_tree(self) -> dict:
         """Compose the full serializable session state (DESIGN.md S6/S10)."""
-        config_dict = {
-            key: value
-            for key, value in self.config.to_dict().items()
-            if key not in DetectorConfig.EXECUTION_FIELDS
-        }
         return {
-            "config": config_dict,
+            "config": self.config.to_dict(),
             "oracle_akg": self.builder.oracle,
             "oracle_ranking": self.ranker.oracle,
             # Extractor identity: the registry spec that rebuilds the
@@ -907,10 +663,6 @@ class DetectorSession:
         noun_tagger: Optional[NounTagger] = None,
         tokenizer=None,
         extractor: Optional[EntityExtractor] = None,
-        workers: Optional[Union[int, str]] = None,
-        shard_count: Optional[int] = None,
-        worker_backend: Optional[str] = None,
-        overlap: bool = False,
         profile: bool = False,
     ) -> "DetectorSession":
         """Reconstruct a session from a :meth:`snapshot` file.
@@ -923,22 +675,12 @@ class DetectorSession:
         different tagger or extractor would silently break the
         bit-identical guarantee.  Pass the same objects the original
         session used.
-
-        ``workers``/``shard_count``/``worker_backend`` choose the
-        *resumed* session's execution mode — checkpoints are
-        execution-agnostic, so a stream snapshotted serially can resume
-        under 4 workers and vice versa, continuing bit-identically either
-        way.
         """
         return cls._from_state_tree(
             load_checkpoint(path),
             noun_tagger=noun_tagger,
             tokenizer=tokenizer,
             extractor=extractor,
-            workers=workers,
-            shard_count=shard_count,
-            worker_backend=worker_backend,
-            overlap=overlap,
             profile=profile,
         )
 
@@ -950,10 +692,6 @@ class DetectorSession:
         noun_tagger: Optional[NounTagger] = None,
         tokenizer=None,
         extractor: Optional[EntityExtractor] = None,
-        workers: Optional[Union[int, str]] = None,
-        shard_count: Optional[int] = None,
-        worker_backend: Optional[str] = None,
-        overlap: bool = False,
         profile: bool = False,
     ) -> "DetectorSession":
         """Materialize a live session from a decoded state tree.
@@ -961,18 +699,10 @@ class DetectorSession:
         The common trunk under :meth:`restore` and
         :meth:`~repro.api.follower.FollowerSession.promote`: the tree may
         come from a monolithic snapshot, a replayed delta log, or a warm
-        follower — the execution-agnostic resume guarantees apply
-        identically.  The caller yields ownership of ``state``; layers may
-        keep references into it.
+        follower — the resume guarantees apply identically.  The caller
+        yields ownership of ``state``; layers may keep references into it.
         """
         config = DetectorConfig.from_dict(state["config"])
-        overrides = {}
-        if workers is not None:
-            overrides["workers"] = workers
-        if shard_count is not None:
-            overrides["shard_count"] = shard_count
-        if overrides:
-            config = config.with_overrides(**overrides)
         if state["custom_noun_tagger"] and noun_tagger is None:
             raise CheckpointError(
                 "checkpoint was taken with a custom noun_tagger; pass the "
@@ -1036,8 +766,6 @@ class DetectorSession:
             extractor=extractor,
             oracle_ranking=state["oracle_ranking"],
             oracle_akg=state["oracle_akg"],
-            worker_backend=worker_backend,
-            overlap=overlap,
             profile=profile,
         )
         session.maintainer.from_state(state["maintainer"])
@@ -1051,7 +779,7 @@ class DetectorSession:
         session._quantum = state["quantum"]
         session.total_messages = state["total_messages"]
         session.total_seconds = state["total_seconds"]
-        session.total_timings = StageTimings(**state["timings"])
+        session.total_timings = StageTimings.from_dict(state["timings"])
         session._notified = {
             cid: _Notified(rank, size, frozenset(keywords))
             for cid, rank, size, keywords in state["notified"]
@@ -1076,10 +804,6 @@ def open_session(
     extractor: Optional[EntityExtractor] = None,
     oracle_ranking: bool = False,
     oracle_akg: bool = False,
-    workers: Optional[Union[int, str]] = None,
-    shard_count: Optional[int] = None,
-    worker_backend: Optional[str] = None,
-    overlap: bool = False,
     profile: bool = False,
     delta_log=None,
     delta_compact_ratio: float = 4.0,
@@ -1097,15 +821,6 @@ def open_session(
     custom text tokenizer.  On resume, registered extractors are rebuilt
     from the checkpoint; custom ones must be passed back in.
 
-    ``workers``/``shard_count`` select the execution mode; on a fresh
-    session they override the config fields of the same name, on resume
-    they choose how the execution-agnostic checkpoint continues (results
-    are bit-identical for any values, DESIGN.md Section 7).
-    ``workers`` also accepts the remote form ``"host:port,host:port"`` —
-    each endpoint a running ``repro shard-worker`` daemon — which selects
-    the socket transport (DESIGN.md Section 12).  ``overlap=True``
-    double-buffers ``ingest_many`` on the sharded front-end (quantum
-    *q+1*'s scatter under quantum *q*'s tail) — also execution only.
     ``profile=True`` collects a cProfile of the stage pipeline
     (``DetectorSession.profile_stats``).
 
@@ -1134,10 +849,6 @@ def open_session(
             noun_tagger=noun_tagger,
             tokenizer=tokenizer,
             extractor=extractor,
-            workers=workers,
-            shard_count=shard_count,
-            worker_backend=worker_backend,
-            overlap=overlap,
             profile=profile,
         )
         if delta_log is not None:
@@ -1145,14 +856,6 @@ def open_session(
                 delta_log, compact_ratio=delta_compact_ratio
             )
         return session
-    if workers is not None or shard_count is not None:
-        base = config if config is not None else DetectorConfig()
-        overrides = {}
-        if workers is not None:
-            overrides["workers"] = workers
-        if shard_count is not None:
-            overrides["shard_count"] = shard_count
-        config = base.with_overrides(**overrides)
     session = DetectorSession(
         config,
         noun_tagger=noun_tagger,
@@ -1160,8 +863,6 @@ def open_session(
         extractor=extractor,
         oracle_ranking=oracle_ranking,
         oracle_akg=oracle_akg,
-        worker_backend=worker_backend,
-        overlap=overlap,
         profile=profile,
     )
     if delta_log is not None:

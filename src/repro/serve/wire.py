@@ -149,6 +149,17 @@ def websocket_upgrade_response(client_key: str) -> bytes:
     ).encode("latin-1")
 
 
+def _xor_mask(payload: bytes, key: bytes) -> bytes:
+    """RFC 6455 Section 5.3 masking (its own inverse): byte ``i`` of the
+    payload XOR ``key[i % 4]``, as one big-integer XOR of the payload
+    against the 4-byte key repeated to its length."""
+    n = len(payload)
+    pad = (key * (n // 4 + 1))[:n]
+    return (
+        int.from_bytes(payload, "big") ^ int.from_bytes(pad, "big")
+    ).to_bytes(n, "big")
+
+
 def encode_frame(opcode: int, payload: bytes, *, mask: bool = False) -> bytes:
     """Encode one unfragmented WebSocket frame.
 
@@ -169,7 +180,7 @@ def encode_frame(opcode: int, payload: bytes, *, mask: bool = False) -> bytes:
     if mask:
         key = os.urandom(4)
         header += key
-        payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+        payload = _xor_mask(payload, key)
     return bytes(header) + payload
 
 
@@ -201,7 +212,7 @@ async def read_frame(reader: asyncio.StreamReader) -> Tuple[int, bytes]:
     key = await reader.readexactly(4) if masked else None
     payload = await reader.readexactly(length) if length else b""
     if key is not None:
-        payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+        payload = _xor_mask(payload, key)
     return opcode, payload
 
 
@@ -227,7 +238,7 @@ def read_frame_blocking(rfile) -> Tuple[int, bytes]:
     key = exactly(4) if masked else None
     payload = exactly(length) if length else b""
     if key is not None:
-        payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+        payload = _xor_mask(payload, key)
     return opcode, payload
 
 

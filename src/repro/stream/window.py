@@ -272,7 +272,8 @@ def columns_from_mapping(
     """Intern an entity -> actors mapping into :class:`QuantumColumns`.
 
     The adapter behind the window indexes' mapping entry points (the
-    shard workers' slices, direct construction in tests); empty user sets
+    builder fed mappings under CKG stats, direct construction in tests);
+    empty user sets
     are skipped — they carry no id-set information.
     """
     ent_occ: List[int] = []

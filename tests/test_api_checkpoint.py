@@ -361,14 +361,20 @@ class TestVersionMigration:
 
     ``tests/data/checkpoint_v2.ckpt`` was written by the pre-extractor
     tree (PR 4 head), ``checkpoint_v3.ckpt`` by the last tree with
-    per-keyword window layouts (PR 12 head) and ``checkpoint_v4.ckpt`` by
-    the last tree that kept a sketch window (PR 18 head), all at message
+    per-keyword window layouts (PR 12 head), ``checkpoint_v4.ckpt`` by
+    the last tree that kept a sketch window (PR 18 head) and
+    ``checkpoint_v5.ckpt`` by the last tree with a sharded front-end (PR
+    21 head: current layout, but its timings carry the ``scatter`` /
+    ``exchange`` / ``overlap_saved`` slots since deleted), all at message
     250 of the same seed-pinned stream, mid-quantum; the continuation
     fingerprint below is what each of those trees produced for messages
     250..300 — the migrated resume must reproduce it bit for bit.
+    ``delta_v6/`` is that tree's delta log of the same stream: a base at
+    message 160 and the four records up to message 240.
     """
 
-    VERSIONS = (2, 3, 4)
+    VERSIONS = (2, 3, 4, 5)
+    DELTA_DIR = Path(__file__).parent / "data" / "delta_v6"
     ASSETS = {
         version: Path(__file__).parent / "data" / f"checkpoint_v{version}.ckpt"
         for version in VERSIONS
@@ -420,6 +426,38 @@ class TestVersionMigration:
             for kw, entries in old["idsets"]["entries"]
             for q, value in entries
         )
+
+    def test_v5_asset_carries_the_deleted_timing_slots(self):
+        """Written by the parent tree; restore drops the slots it no longer
+        has instead of raising on them."""
+        from repro.api.checkpoint import load_checkpoint
+        from repro.pipeline.reports import StageTimings
+
+        stored = load_checkpoint(self.ASSETS[5])["timings"]
+        assert {"scatter", "exchange", "overlap_saved"} <= set(stored)
+        session = open_session(resume=self.ASSETS[5])
+        assert session.total_timings == StageTimings.from_dict(stored)
+        assert session.total_timings.akg_update == stored["akg_update"] > 0.0
+
+    def test_parent_written_delta_directory_continues_bit_identically(self):
+        from golden import fingerprint, note_record, report_record
+        from repro.api.deltalog import FileTailTransport
+
+        transport = FileTailTransport(self.DELTA_DIR)
+        records, _ = transport.read_records(transport.manifest(), 0)
+        assert len(records) == 4
+        assert "overlap_saved" in json.dumps(records[-1])
+        session = open_session(resume=self.DELTA_DIR)
+        assert session.current_quantum == 11
+        assert session.batcher.pending == 0
+        inbox = QueueSink()
+        session.subscribe(inbox)
+        reports = list(session.ingest_many(self.stream()[240:]))
+        structure = {
+            "reports": [report_record(r) for r in reports],
+            "notes": [note_record(e) for e in inbox.drain()],
+        }
+        assert fingerprint(structure) == self.CONTINUATION
 
     def test_v4_migration_only_drops_the_sketch_window(self):
         from repro.api.checkpoint import load_checkpoint

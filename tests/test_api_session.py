@@ -54,6 +54,17 @@ class TestOpenSession:
         )
         assert session.ranker.oracle and session.builder.oracle
 
+    @pytest.mark.parametrize(
+        "kwarg", ["workers", "shard_count", "worker_backend", "overlap"]
+    )
+    def test_no_execution_setting_is_accepted(self, kwarg, tmp_path):
+        """There is one way to run the detector (DESIGN.md Section 7)."""
+        with pytest.raises(TypeError):
+            open_session(exact_config(), **{kwarg: 2})
+        path = tmp_path / "s.ckpt"
+        open_session(exact_config()).snapshot(path)
+        with pytest.raises(TypeError):
+            open_session(resume=path, **{kwarg: 2})
 
 class TestIngestion:
     def test_ingest_reports_at_quantum_boundary(self):

@@ -336,6 +336,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["generate"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "t.jsonl", "--workers", "2"],
+            ["detect", "t.jsonl", "--shard-count", "2"],
+            ["detect", "t.jsonl", "--overlap"],
+            ["follow", "d", "--workers", "2"],
+            ["shard-worker"],
+        ],
+    )
+    def test_removed_execution_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_help_lists_serve_command(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])

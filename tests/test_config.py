@@ -92,6 +92,13 @@ class TestDictRoundTrip:
         with pytest.raises(ConfigError, match="hyperdrive"):
             DetectorConfig.from_dict({"hyperdrive": True})
 
+    @pytest.mark.parametrize("field", ["workers", "shard_count"])
+    def test_removed_execution_fields_are_unknown_fields(self, field):
+        with pytest.raises(ConfigError, match=f"unknown config fields: {field}"):
+            DetectorConfig.from_dict({field: 2})
+        with pytest.raises(TypeError):
+            DetectorConfig(**{field: 2})
+
     def test_missing_fields_fall_back_to_defaults(self):
         restored = DetectorConfig.from_dict({"quantum_size": 80})
         assert restored == DetectorConfig(quantum_size=80)

@@ -164,13 +164,8 @@ class TestStagedPipeline:
         timings = report.timings.as_dict()
         assert set(timings) == {
             "extract", "akg_update", "maintain", "propagate", "rank",
-            "report", "scatter", "exchange", "overlap_saved",
-            "slide", "sketch", "pairing", "correlate",
+            "report", "slide", "sketch", "pairing", "correlate",
         }
-        # the sharded/pipelined sub-spans stay zero on a serial session
-        assert timings["scatter"] == 0.0
-        assert timings["exchange"] == 0.0
-        assert timings["overlap_saved"] == 0.0
         assert all(t >= 0.0 for t in timings.values())
         assert report.timings.total <= report.elapsed_seconds
         assert detector.total_timings.total > 0.0

@@ -2,13 +2,14 @@
 
 The writer no longer diffs state trees — each stateful layer reports its
 own edit op for the quantum it just processed (``window_edit`` on the
-window index, ``quantum_op`` on the builders, the sharded front-end and
-the event tracker) and ``DetectorSession._quantum_op`` composes the record.
+window index, ``quantum_op`` on the builder and the event tracker) and
+``DetectorSession._quantum_op`` composes the record.
 That is only sound if, at every quantum boundary,
 
     patch_tree(tree[q-1], record[q]) == tree[q]
 
-byte for byte through the canonical codec, under every execution mode.
+byte for byte through the canonical codec, on the default path and under
+the ``oracle_akg`` referee.
 This suite drives the golden stream regimes quantum by quantum and checks
 exactly that against the session's own ``_state_tree()``, and pins the
 layer ops' size against the exhaustive differ (``tests/tree_diff.py``): a
@@ -31,7 +32,6 @@ from tree_diff import canon, diff_trees, wire_bytes
 # engine under that id since before it was the only engine.
 MODES = {
     "batched": {},
-    "workers2": dict(workers=2, worker_backend="thread"),
     "oracle_akg": dict(oracle_akg=True),
 }
 
@@ -79,7 +79,7 @@ def test_record_patches_previous_tree_into_current(name, mode):
 
 
 @pytest.mark.parametrize("name", ["bursty", "uniform", "reentry"])
-@pytest.mark.parametrize("mode", ["batched", "workers2"])
+@pytest.mark.parametrize("mode", ["batched"])
 def test_layer_ops_are_no_larger_than_the_differ_finds(name, mode):
     """Per layer: the shipped-whole volatile subtrees are exempt by design
     (diffing them costs more than it saves), and so is the from-scratch

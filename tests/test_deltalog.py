@@ -479,22 +479,3 @@ class TestSessionIntegration:
         with open_session(make_config(), delta_log=tmp_path / "d") as s:
             with pytest.raises(CheckpointError):
                 s.enable_delta_log(tmp_path / "d2")
-
-    def test_delta_log_is_execution_agnostic(self, tmp_path):
-        """Serial and sharded leaders produce equivalent delta checkpoints
-        (equal up to wall-clock timings, exactly like monolithic ones)."""
-        import golden
-
-        config = make_config()
-        messages = bursty_stream(17, 400)
-        with open_session(config, delta_log=tmp_path / "serial") as a:
-            list(a.ingest_many(messages))
-        with open_session(
-            config, workers=2, delta_log=tmp_path / "sharded"
-        ) as b:
-            list(b.ingest_many(messages))
-        assert golden.fingerprint(
-            golden.normalized_checkpoint_state(tmp_path / "serial")
-        ) == golden.fingerprint(
-            golden.normalized_checkpoint_state(tmp_path / "sharded")
-        )

@@ -280,24 +280,6 @@ class TestSessionIntegration:
                 reported |= event.keywords
         assert {"p1", "p2", "p3", "p4"} <= reported
 
-    def test_sharded_matches_serial_for_edge_stream(self):
-        def run(**kwargs):
-            session = open_session(self.config(extractor="edges"), **kwargs)
-            out = []
-            with session:
-                for report in session.ingest_many(self.interactions(800)):
-                    out.append(
-                        sorted(
-                            (e.event_id, tuple(sorted(e.keywords)), e.rank)
-                            for e in report.reported
-                        )
-                    )
-            return out
-
-        serial = run()
-        assert run(workers=2, worker_backend="thread") == serial
-        assert run(workers=4, shard_count=5, worker_backend="thread") == serial
-
     def test_resume_accepts_matching_registered_instance(self, tmp_path):
         """Re-passing an equivalent registered extractor on resume is fine
         (the docstring says 'pass the same objects'); a spec mismatch or a

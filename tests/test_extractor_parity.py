@@ -9,10 +9,10 @@ Each hash covers one full session pass over one seed-pinned stream regime:
 every consumer-visible field of every ``QuantumReport``, every sink
 notification, every event history, and the normalized checkpoint state
 (see ``tests/golden.py`` for the canonicalization).  The refactored
-``KeywordExtractor`` path must reproduce them bit for bit, serially and
-under ``workers=4`` — this is the acceptance gate that the multi-layer
-extractor refactor did not move a single reported rank, lifecycle
-transition, or checkpointed window entry on the existing workload.
+``KeywordExtractor`` path must reproduce them bit for bit — this is the
+acceptance gate that the multi-layer extractor refactor did not move a
+single reported rank, lifecycle transition, or checkpointed window entry on
+the existing workload.
 
 If a hash ever changes, that is a *semantic* change to the keyword
 pipeline; do not re-pin without understanding exactly which record moved.
@@ -58,28 +58,18 @@ def regime(name):
     return reentry_stream(17, 700, period), config
 
 
-MODES = {
-    "serial": {},
-    "workers4": dict(workers=4, worker_backend="thread"),
-}
-
 GOLDEN = {
     ("bursty", "serial"): "58c1c44c2bd0d7bd6eadb0de19e21fd420ba24fb2c7c6c584c63c6e0d6ec6ca6",
-    ("bursty", "workers4"): "58c1c44c2bd0d7bd6eadb0de19e21fd420ba24fb2c7c6c584c63c6e0d6ec6ca6",
     ("uniform", "serial"): "447d06d45ec782a5f3f775d138d0550f80c836e2708f1017c7eeda9dc10c5aa0",
-    ("uniform", "workers4"): "447d06d45ec782a5f3f775d138d0550f80c836e2708f1017c7eeda9dc10c5aa0",
     ("reentry", "serial"): "35f0494de5e6c06cb57acde736619a8bd359eca90b5a510973e9e94796865652",
-    ("reentry", "workers4"): "35f0494de5e6c06cb57acde736619a8bd359eca90b5a510973e9e94796865652",
 }
 
 
 @pytest.mark.parametrize("name", ["bursty", "uniform", "reentry"])
-@pytest.mark.parametrize("mode", ["serial", "workers4"])
+@pytest.mark.parametrize("mode", ["serial"])  # the one execution mode
 def test_keyword_path_matches_pre_refactor_golden(name, mode, tmp_path):
     messages, config = regime(name)
-    structure = run_structure(
-        messages, config, tmp_path / "golden.ckpt", **MODES[mode]
-    )
+    structure = run_structure(messages, config, tmp_path / "golden.ckpt")
     assert fingerprint(structure) == GOLDEN[(name, mode)], (
         f"keyword-path fingerprint diverged from the pre-refactor pipeline "
         f"({name}, {mode})"
@@ -92,12 +82,9 @@ def _generate():
 
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("bursty", "uniform", "reentry"):
-            for mode, kwargs in MODES.items():
-                messages, config = regime(name)
-                structure = run_structure(
-                    messages, config, Path(tmp) / "g.ckpt", **kwargs
-                )
-                print(f'    ("{name}", "{mode}"): "{fingerprint(structure)}",')
+            messages, config = regime(name)
+            structure = run_structure(messages, config, Path(tmp) / "g.ckpt")
+            print(f'    ("{name}", "serial"): "{fingerprint(structure)}",')
 
 
 if __name__ == "__main__":

@@ -4,8 +4,7 @@ The contract under test (DESIGN.md Section 10): a ``FollowerSession``
 tailing a leader's delta log, promoted mid-stream and fed the stream from
 the last logged quantum boundary, produces reports, sink notifications,
 event histories, and a final checkpoint bit-identical to a session that
-never stopped — across serial/sharded execution, for both the leader and
-the promoted session.  A crashed leader (SIGKILL mid-append in a
+never stopped.  A crashed leader (SIGKILL mid-append in a
 subprocess) must leave a log the follower loads to a consistent quantum
 boundary.
 """
@@ -35,8 +34,8 @@ from test_api_checkpoint import (
 )
 
 
-def uninterrupted_run(config, messages, **kwargs):
-    session = open_session(config, **kwargs)
+def uninterrupted_run(config, messages):
+    session = open_session(config)
     sink = QueueSink()
     session.subscribe(sink)
     reports = [report_key(r) for r in session.ingest_many(messages)]
@@ -44,20 +43,8 @@ def uninterrupted_run(config, messages, **kwargs):
     return reports, notes, session
 
 
-# Leader execution x promoted execution: the delta log is execution-
-# agnostic, so any leader's log must promote identically under any mode.
-MATRIX = [
-    ({}, {}),
-    ({"workers": 2}, {}),
-    ({}, {"workers": 2}),
-]
-
-
 class TestPromoteParity:
-    @pytest.mark.parametrize("leader_kwargs,promote_kwargs", MATRIX)
-    def test_promoted_follower_equals_uninterrupted(
-        self, leader_kwargs, promote_kwargs, tmp_path
-    ):
+    def test_promoted_follower_equals_uninterrupted(self, tmp_path):
         config = make_config()
         messages = bursty_stream(21, 900)
         expected_reports, expected_notes, whole = uninterrupted_run(
@@ -66,9 +53,7 @@ class TestPromoteParity:
         whole.snapshot(tmp_path / "whole.ckpt")
 
         # leader runs the first 600 messages (30 quanta), then "dies"
-        with open_session(
-            config, delta_log=tmp_path / "d", **leader_kwargs
-        ) as leader:
+        with open_session(config, delta_log=tmp_path / "d") as leader:
             lead_sink = QueueSink()
             leader.subscribe(lead_sink)
             reports = [
@@ -79,7 +64,7 @@ class TestPromoteParity:
         follower = FollowerSession(tmp_path / "d")
         takeover = follower.current_quantum
         assert takeover == 29  # all 30 leader quanta were logged
-        session = follower.promote(**promote_kwargs)
+        session = follower.promote()
         sink = QueueSink()
         session.subscribe(sink)
         reports += [

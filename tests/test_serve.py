@@ -9,7 +9,9 @@ load-shed accounting under a burst, and crash-restart of a tenant from its
 delta log through the server.
 """
 
+import io
 import json
+import random
 import socket
 import time
 
@@ -102,35 +104,34 @@ class TestWire:
         payload = bytes(i % 251 for i in range(size))
         for mask in (False, True):
             frame = wire.encode_frame(wire.OP_TEXT, payload, mask=mask)
-
-            class Reader:
-                def __init__(self, data):
-                    self.data, self.pos = data, 0
-
-                def read(self, n):
-                    chunk = self.data[self.pos:self.pos + n]
-                    self.pos += n
-                    return chunk
-
-            opcode, decoded = wire.read_frame_blocking(Reader(frame))
+            opcode, decoded = wire.read_frame_blocking(io.BytesIO(frame))
             assert opcode == wire.OP_TEXT
             assert decoded == payload
+
+    @pytest.mark.parametrize(
+        "size", [*range(10), 125, 126, 65_535, 65_536, 1 << 20]
+    )
+    def test_mask_equals_the_per_byte_definition(self, size):
+        """RFC 6455 Section 5.3: octet i of the payload XOR key[i mod 4]."""
+        rng = random.Random(size)
+        payload, key = rng.randbytes(size), rng.randbytes(4)
+        masked = wire._xor_mask(payload, key)
+        assert masked == bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+        assert wire._xor_mask(masked, key) == payload
+
+    def test_rfc6455_masked_hello_example(self):
+        # Section 5.7: a single-frame masked text message, "Hello".
+        frame = bytes.fromhex("818537fa213d7f9f4d5158")
+        assert wire._xor_mask(b"Hello", frame[2:6]) == frame[6:]
+        assert wire.read_frame_blocking(io.BytesIO(frame)) == (
+            wire.OP_TEXT, b"Hello"
+        )
 
     def test_fragmented_frame_rejected(self):
         frame = bytearray(wire.encode_frame(wire.OP_TEXT, b"hi"))
         frame[0] &= 0x7F  # clear FIN
-
-        class Reader:
-            def __init__(self, data):
-                self.data, self.pos = bytes(data), 0
-
-            def read(self, n):
-                chunk = self.data[self.pos:self.pos + n]
-                self.pos += n
-                return chunk
-
         with pytest.raises(ServeError, match="fragmented"):
-            wire.read_frame_blocking(Reader(frame))
+            wire.read_frame_blocking(io.BytesIO(frame))
 
     def test_http_response_shape(self):
         raw = wire.http_response(404, {"error": "nope"})
@@ -170,9 +171,9 @@ class TestTenantLifecycle:
             client.create_tenant("bad", {"no_such_field": 1})
 
     def test_execution_fields_in_config_are_400(self, server):
-        """How a tenant executes is the operator's call, never a client's:
-        a config naming ``workers``/``shard_count`` is refused before any
-        worker is forked or any address dialled."""
+        """A tenant config cannot choose how the server executes: the
+        removed ``workers``/``shard_count`` fields are refused by name, as
+        any unknown field is, and nothing is forked or dialled."""
         import multiprocessing
 
         listener = socket.socket()
@@ -189,7 +190,7 @@ class TestTenantLifecycle:
                  "shard_count, workers"),
             ):
                 with pytest.raises(
-                    ServeError, match=f"400.*execution fields: {named}$"
+                    ServeError, match=f"400.*unknown config fields: {named}$"
                 ):
                     client.create_tenant("exec", {**CONFIG, **extra})
             assert client.tenants() == []
@@ -226,12 +227,10 @@ class TestTenantLifecycle:
         assert set(tenant) >= {
             "quantum", "queued", "shed", "accepted", "timings", "fanout",
         }
-        # The sub-spans of akg_update ride along on the stage timings: the
-        # distributed front-end's (zero for serial tenants, live for sharded
-        # ones) and the serial builder's (the other way round).
-        assert set(tenant["timings"]) >= {
-            "scatter", "exchange", "overlap_saved",
-            "slide", "sketch", "pairing", "correlate",
+        # The sub-spans of akg_update ride along on the stage timings.
+        assert set(tenant["timings"]) == {
+            "extract", "akg_update", "maintain", "propagate", "rank",
+            "report", "slide", "sketch", "pairing", "correlate",
         }
 
 
