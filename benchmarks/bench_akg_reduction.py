@@ -10,8 +10,8 @@ from statistics import mean
 
 from _results import write_json_result
 
+from repro.api import open_session
 from repro.config import DetectorConfig
-from repro.core.engine import EventDetector
 from repro.datasets.traces import build_tw_trace
 from repro.eval.reporting import render_table
 from repro.text.pos import NounTagger
@@ -26,9 +26,9 @@ def bench_akg_reduction(benchmark):
     config = DetectorConfig(track_ckg_stats=True)
 
     def run():
-        detector = EventDetector(config, noun_tagger=NounTagger(trace.lexicon))
+        session = open_session(config, noun_tagger=NounTagger(trace.lexicon))
         node_ratios, edge_ratios, degrees, sizes = [], [], [], []
-        for report in detector.process_stream(trace.messages):
+        for report in session.ingest_many(trace.messages, flush=True):
             stats = report.akg_stats
             if report.ckg_nodes:
                 node_ratios.append(stats.akg_nodes / report.ckg_nodes)

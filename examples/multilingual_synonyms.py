@@ -4,10 +4,9 @@ Section 1.1 of the paper discusses two clusters failing to merge because
 users chose synonymous keywords or posted in different languages, and
 proposes dictionary pre-processing plus post-hoc temporal correlation.  This
 example exercises both extension hooks on the **session API**: the synonym
-normaliser rides in as a custom tokenizer (a custom
-``KeywordExtractor`` under the hood — the same seam a fully custom
-``EntityExtractor`` would use), and the tracked event histories feed the
-post-correlation pass.
+normaliser rides in as the tokenizer of a custom ``KeywordExtractor`` (the
+same seam a fully custom ``EntityExtractor`` would use), and the tracked
+event histories feed the post-correlation pass.
 
 1. a stream where users split across "earthquake" / "quake" / "terremoto" —
    without the normaliser the synonyms appear as three separate nodes, each
@@ -19,7 +18,7 @@ post-correlation pass.
 Run:  python examples/multilingual_synonyms.py
 """
 
-from repro import DetectorConfig, Message, open_session
+from repro import DetectorConfig, KeywordExtractor, Message, open_session
 from repro.core.postprocess import CorrelationPolicy, correlate_events
 from repro.text.synonyms import SynonymNormalizer
 from repro.text.tokenize import tokenize
@@ -55,9 +54,8 @@ def main() -> None:
             print(f"  {sorted(event.keywords)} rank={event.rank:.1f}")
 
     normalizer = SynonymNormalizer([["earthquake", "quake", "terremoto"]])
-    with open_session(
-        demo_config(), tokenizer=normalizer.wrap_tokenizer(tokenize)
-    ) as merged:
+    extractor = KeywordExtractor(tokenizer=normalizer.wrap_tokenizer(tokenize))
+    with open_session(demo_config(), extractor=extractor) as merged:
         report = merged.process_quantum(synonym_stream())
         print("with normaliser (one canonical keyword, triple support):")
         for event in report.reported:

@@ -9,7 +9,7 @@ The detection pass rides the session API end to end:
 :class:`~repro.api.session.DetectorSession` via the eval runner, attaches
 the offline observer to the session's live AKG after every quantum, and
 evaluates all three schemes from the session's tracked event histories
-(``session.events()``) — no ``EventDetector`` facade involved.
+(``session.events()``).
 
 Run:  python examples/offline_vs_online.py
 """

@@ -12,7 +12,6 @@ Public entry points
 :func:`open_session`       streaming session API: ingest / subscribe /
                            checkpoint-resume (:mod:`repro.api`)
 :class:`DetectorSession`   the long-lived session behind it
-:class:`EventDetector`     legacy batch-shaped facade over the session
 :class:`DetectorConfig`    Table 2 parameters
 :class:`Message`           stream record
 ``repro.extract``          pluggable entity extractors: keyword text,
@@ -44,7 +43,7 @@ from repro.extract import (
     make_extractor,
     register_extractor,
 )
-from repro.core.engine import EventDetector, QuantumReport, ReportedEvent, StageTimings
+from repro.pipeline.reports import QuantumReport, ReportedEvent, StageTimings
 from repro.core.incremental import IncrementalRanker
 from repro.core.maintenance import ClusterMaintainer, decompose_graph
 from repro.core.clusters import Cluster, ClusterRegistry
@@ -80,7 +79,6 @@ __all__ = [
     "register_extractor",
     "extractor_names",
     "make_extractor",
-    "EventDetector",
     "QuantumReport",
     "ReportedEvent",
     "StageTimings",

@@ -48,7 +48,6 @@ from repro.akg.oracle import OracleIdSetIndex, OracleSketchIndex
 from repro.config import DetectorConfig
 from repro.core.changelog import NodeWeightChanged
 from repro.core.maintenance import ClusterMaintainer
-from repro.errors import GraphError
 from repro.stream.window import QuantumColumns
 
 Keyword = str
@@ -318,8 +317,9 @@ class AkgBuilder:
     ``oracle=True`` replaces the incremental window indexes with the
     from-scratch implementations of :mod:`repro.akg.oracle` and sweeps the
     whole graph for dead nodes each quantum — the verification reference
-    for the fast path (``open_session(oracle_akg=True)``, ``detect
-    --oracle-akg``).
+    for the fast path, constructed directly by the differential tests and
+    ``benchmarks/bench_incremental_akg.py`` (a session never runs it, and
+    it is not checkpointable).
 
     :meth:`process_columns` is the production entry: it consumes the
     extract stage's pre-interned
@@ -567,7 +567,6 @@ class AkgBuilder:
         salted function of the user id, so neither is state.
         """
         return {
-            "oracle": self.oracle,
             "idsets": self.idsets.to_state(),
             **self._small_state(),
         }
@@ -580,28 +579,12 @@ class AkgBuilder:
     def quantum_op(self, quantum: int) -> list:
         """Edit op turning the previous quantum's :meth:`to_state` tree
         into the current one (DESIGN.md Section 10)."""
-        if self.oracle:
-            # From-scratch components keep no notion of "what the slide
-            # did" — that is their point — so they are replaced whole.
-            state = self.to_state()
-            del state["oracle"]
-            return ["d", [[k, ["r", v]] for k, v in state.items()], []]
         return akg_quantum_op(
             quantum, self.idsets.window_edit(quantum), self._small_state()
         )
 
     def from_state(self, state: dict) -> None:
-        """Restore the AKG stage in place from :meth:`to_state` output.
-
-        The builder must have been constructed with the same ``oracle``
-        flag the snapshot was taken under — the two modes keep differently
-        shaped window state.
-        """
-        if state["oracle"] != self.oracle:
-            raise GraphError(
-                f"checkpoint was taken with oracle={state['oracle']}, "
-                f"builder runs with oracle={self.oracle}"
-            )
+        """Restore the AKG stage in place from :meth:`to_state` output."""
         self.idsets.from_state(state["idsets"])
         self.burstiness.from_state(state["burstiness"])
         self._grace_deadlines = {

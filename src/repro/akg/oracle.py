@@ -11,7 +11,9 @@ the same update semantics*.  Running the builder over them
 (``AkgBuilder(config, maintainer, oracle=True)``) therefore yields a
 reference AKG that the property tests and ``bench_incremental_akg`` compare
 against the fast path, graph for graph, EC for EC, change event for change
-event.
+event.  The referees are built by those tests and benches (and, a whole
+pipeline at a time, by ``tests/oracles.py``); no session runs them, so
+they keep no checkpointable state.
 """
 
 from __future__ import annotations
@@ -102,37 +104,6 @@ class OracleIdSetIndex:
             out |= users
         return out
 
-    # ---------------------------------------------------------- persistence
-
-    def to_state(self) -> dict:
-        """Checkpointable snapshot: the raw retained quanta."""
-        return {
-            "last_quantum": self._last_quantum,
-            "window": [
-                [
-                    q,
-                    [
-                        [kw, sorted(users, key=repr)]
-                        for kw, users in sorted(content.items())
-                    ],
-                ]
-                for q, content in self._window
-            ],
-        }
-
-    def from_state(self, state: dict) -> None:
-        """Rebuild the index in place from :meth:`to_state` output."""
-        self._last_quantum = state["last_quantum"]
-        self._window = [
-            (q, {kw: frozenset(users) for kw, users in content})
-            for q, content in state["window"]
-        ]
-        sets: Dict[Keyword, Set[UserId]] = {}
-        for _, content in self._window:
-            for kw, users in content.items():
-                sets.setdefault(kw, set()).update(users)
-        self._sets = sets
-
     # ------------------------------------------------------------- queries
 
     def __contains__(self, keyword: Keyword) -> bool:
@@ -175,20 +146,8 @@ class OracleSketchIndex:
         self.hasher = hasher
         self._idsets = idsets
 
-    def add_quantum(
-        self, quantum: int, keyword_users: Mapping[Keyword, Iterable[UserId]]
-    ) -> None:
-        """No-op: the oracle recomputes from the id sets on demand."""
-
     def sketch(self, keyword: Keyword) -> Sketch:
         return self.hasher.sketch(self._idsets.users(keyword))
-
-    def to_state(self) -> dict:
-        """No state of its own: sketches derive from the id-set index."""
-        return {}
-
-    def from_state(self, state: dict) -> None:
-        """No-op counterpart of :meth:`to_state`."""
 
 
 __all__ = ["OracleIdSetIndex", "OracleSketchIndex"]

@@ -47,7 +47,7 @@ from typing import Any
 from repro.errors import CheckpointError
 
 CHECKPOINT_FORMAT = "repro-session-checkpoint"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 """Bump on any change to the state tree layout, and add a migration step
 below so supported older snapshots keep loading.
 Version history: 1 — PR 3 layout (no longer readable); 2 — event histories
@@ -58,7 +58,9 @@ flag replacing ``custom_tokenizer``) and the first timing slot renamed
 ``tokenize`` → ``extract`` with the stage; 4 — the id-set and sketch
 windows serialize as queues of per-quantum blocks (``window``) instead of
 per-keyword entry lists (``entries`` / ``minis``); 5 — the builder's
-``sketches`` subtree is gone (sketches are read off the id-set window)."""
+``sketches`` subtree is gone (sketches are read off the id-set window);
+6 — no referee-mode flags (top-level and config ``oracle_*``, the
+builder's ``oracle``): a session always runs the incremental stages."""
 
 _SCALARS = (bool, int, float, str)
 
@@ -121,10 +123,35 @@ def _migrate_v4_to_v5(state: dict) -> dict:
     return {**state, "builder": builder}
 
 
+def _migrate_v5_to_v6(state: dict) -> dict:
+    """v5 → v6: drop the ``oracle_akg`` / ``oracle_ranking`` flags (top
+    level and config) and the builder's ``oracle`` flag.
+
+    A checkpoint taken under either mode holds the from-scratch referee's
+    state, which no session runs any more (the referees are built by the
+    differential tests), so it is refused by name rather than resumed on
+    the incremental stages.
+    """
+    modes = ("oracle_akg", "oracle_ranking")
+    for mode in modes:
+        if state[mode]:
+            raise CheckpointError(
+                f"checkpoint was taken under {mode}=True, a from-scratch "
+                f"referee mode sessions no longer run; it cannot be resumed"
+            )
+    config = {
+        k: v for k, v in state["config"].items() if k not in modes
+    }
+    builder = {k: v for k, v in state["builder"].items() if k != "oracle"}
+    rest = {k: v for k, v in state.items() if k not in modes}
+    return {**rest, "config": config, "builder": builder}
+
+
 _MIGRATIONS = {
     2: _migrate_v2_to_v3,
     3: _migrate_v3_to_v4,
     4: _migrate_v4_to_v5,
+    5: _migrate_v5_to_v6,
 }
 """``version -> state migration`` steps; each maps a decoded state tree one
 version forward.  :func:`load_checkpoint` chains them until

@@ -166,7 +166,6 @@ class FollowerSession:
         self,
         *,
         noun_tagger=None,
-        tokenizer=None,
         extractor=None,
         profile: bool = False,
     ):
@@ -186,7 +185,6 @@ class FollowerSession:
         session = DetectorSession._from_state_tree(
             copy.deepcopy(self._state),
             noun_tagger=noun_tagger,
-            tokenizer=tokenizer,
             extractor=extractor,
             profile=profile,
         )

@@ -1,11 +1,10 @@
 """Long-lived, resumable detector sessions over unbounded streams.
 
-:func:`open_session` is the public entry point of the redesigned API: it
-returns a :class:`DetectorSession` that owns the engine components and
-drives the composable stage pipeline of :mod:`repro.pipeline` one quantum at
-a time.  Compared with the batch-shaped ``EventDetector`` facade (which now
-delegates here), a session adds the three capabilities a production
-deployment needs:
+:func:`open_session` is the one way to open a detector: it returns a
+:class:`DetectorSession` that owns the engine components and drives the
+composable stage pipeline of :mod:`repro.pipeline` one quantum at a time.
+Beyond ``process_quantum``, a session offers the three capabilities a
+production deployment needs:
 
 * **push-based subscription** — :meth:`DetectorSession.subscribe` delivers
   ``EMERGING`` / ``GROWING`` / ``DYING`` / ``RANK_CHANGED`` notifications
@@ -66,7 +65,6 @@ from repro.core.ranking import minimum_rank
 from repro.errors import CheckpointError, ConfigError, GraphError, PipelineError
 from repro.extract import (
     EntityExtractor,
-    KeywordExtractor,
     extractor_spec,
     is_reconstructible,
     make_extractor,
@@ -130,10 +128,7 @@ class DetectorSession:
         config: Optional[DetectorConfig] = None,
         *,
         noun_tagger: Optional[NounTagger] = None,
-        tokenizer=None,
         extractor: Optional[EntityExtractor] = None,
-        oracle_ranking: bool = False,
-        oracle_akg: bool = False,
         profile: bool = False,
     ) -> None:
         """Build a fresh session (use :func:`open_session` in client code).
@@ -141,50 +136,36 @@ class DetectorSession:
         The ingestion extractor comes from ``config.extractor`` /
         ``config.extractor_options`` (the registry path — checkpointable);
         ``extractor`` overrides it with an explicit
-        :class:`~repro.extract.base.EntityExtractor` instance, and
-        ``tokenizer`` is the legacy shorthand for a
-        :class:`~repro.extract.keyword.KeywordExtractor` around a custom
-        text tokenizer.  ``noun_tagger`` overrides the report-time noun
-        filter (applied only when the extractor is ``textual``), and the
-        ``oracle_*`` flags swap in the from-scratch verification baselines
-        for the AKG and rank stages.  ``profile=True`` runs the stage
-        pipeline under cProfile; read the accumulated data with
+        :class:`~repro.extract.base.EntityExtractor` instance — e.g.
+        ``KeywordExtractor(tokenizer=...)`` around a custom text tokenizer.
+        ``noun_tagger`` overrides the report-time noun filter (applied only
+        when the extractor is ``textual``).  ``profile=True`` runs the
+        stage pipeline under cProfile; read the accumulated data with
         :meth:`profile_stats`.
         """
         self.config = config if config is not None else DetectorConfig()
-        if extractor is not None and tokenizer is not None:
-            raise ConfigError(
-                "pass either extractor or tokenizer, not both: a custom "
-                "tokenizer is shorthand for KeywordExtractor(tokenizer=...)"
-            )
         # Function-valued state cannot be checkpointed; remember whether the
         # defaults were overridden so restore() can demand the same objects
         # back instead of silently diverging (DESIGN.md Section 6).
-        if extractor is not None:
-            self.extractor = extractor
-        elif tokenizer is not None:
-            self.extractor = KeywordExtractor(tokenizer=tokenizer)
-        else:
-            self.extractor = make_extractor(
+        self.extractor = (
+            extractor
+            if extractor is not None
+            else make_extractor(
                 self.config.extractor, self.config.extractor_options
             )
+        )
         self._custom_extractor = not is_reconstructible(self.extractor)
         self._custom_noun_tagger = noun_tagger is not None
         self.noun_tagger = (
             noun_tagger if noun_tagger is not None else NounTagger()
         )
         self.maintainer = ClusterMaintainer()
-        self.builder = AkgBuilder(
-            self.config,
-            self.maintainer,
-            oracle=oracle_akg or self.config.oracle_akg,
-        )
+        self.builder = AkgBuilder(self.config, self.maintainer)
         self.ranker = IncrementalRanker(
             self.maintainer.registry,
             self.maintainer.graph,
             self.builder.node_weights,
             min_cluster_size=self.config.min_cluster_size,
-            oracle=oracle_ranking or self.config.oracle_ranking,
         )
         self.tracker = EventTracker()
         self.batcher = QuantumBatcher(self.config.quantum_size)
@@ -235,12 +216,6 @@ class DetectorSession:
         """Index of the last completed quantum (-1 before the first)."""
         return self._quantum
 
-    @property
-    def tokenizer(self):
-        """The keyword extractor's text tokenizer (legacy accessor; None
-        for non-text extractors, which never tokenize)."""
-        return getattr(self.extractor, "tokenizer", None)
-
     def _passes_filters(self, event: ReportedEvent) -> bool:
         """Section 7.2.2 report-time filters: rank floor and noun check.
 
@@ -273,10 +248,10 @@ class DetectorSession:
     ) -> Iterator[QuantumReport]:
         """Feed a message iterable, yielding one report per completed quantum.
 
-        Unlike the legacy ``process_stream``, a trailing partial quantum is
-        *kept buffered* by default so the session (and its checkpoints)
-        composes across calls; pass ``flush=True`` — or call :meth:`flush` —
-        to force-process the remainder as a final short quantum.
+        A trailing partial quantum is *kept buffered* by default so the
+        session (and its checkpoints) composes across calls; pass
+        ``flush=True`` — or call :meth:`flush` — to force-process the
+        remainder as a final short quantum.
         """
         stream = iter(messages)
         while True:
@@ -594,8 +569,6 @@ class DetectorSession:
         """Compose the full serializable session state (DESIGN.md S6/S10)."""
         return {
             "config": self.config.to_dict(),
-            "oracle_akg": self.builder.oracle,
-            "oracle_ranking": self.ranker.oracle,
             # Extractor identity: the registry spec that rebuilds the
             # ingestion stage on resume (None when function-valued state
             # makes the extractor non-reconstructible — the caller must
@@ -644,7 +617,7 @@ class DetectorSession:
         The layers' own ops for the quantum just finished (the AKG stage's
         window splices, the tracker's record patches) plus
         :meth:`_volatile_state` replaced whole; the identity keys (config,
-        extractor, oracle flags) never change within a session.
+        extractor) never change within a session.
         """
         sets = [
             [key, ["r", value]]
@@ -661,25 +634,22 @@ class DetectorSession:
         path,
         *,
         noun_tagger: Optional[NounTagger] = None,
-        tokenizer=None,
         extractor: Optional[EntityExtractor] = None,
         profile: bool = False,
     ) -> "DetectorSession":
         """Reconstruct a session from a :meth:`snapshot` file.
 
         Registered extractors are rebuilt by value from the spec the
-        checkpoint records.  ``noun_tagger``, ``tokenizer`` and custom
-        ``extractor`` instances are function-valued state the checkpoint
-        cannot carry: it records whether the original session overrode the
-        defaults, and restore refuses a mismatch — resuming with a
-        different tagger or extractor would silently break the
-        bit-identical guarantee.  Pass the same objects the original
-        session used.
+        checkpoint records.  ``noun_tagger`` and custom ``extractor``
+        instances are function-valued state the checkpoint cannot carry:
+        it records whether the original session overrode the defaults, and
+        restore refuses a mismatch — resuming with a different tagger or
+        extractor would silently break the bit-identical guarantee.  Pass
+        the same objects the original session used.
         """
         return cls._from_state_tree(
             load_checkpoint(path),
             noun_tagger=noun_tagger,
-            tokenizer=tokenizer,
             extractor=extractor,
             profile=profile,
         )
@@ -690,7 +660,6 @@ class DetectorSession:
         state: dict,
         *,
         noun_tagger: Optional[NounTagger] = None,
-        tokenizer=None,
         extractor: Optional[EntityExtractor] = None,
         profile: bool = False,
     ) -> "DetectorSession":
@@ -715,14 +684,13 @@ class DetectorSession:
                 "resuming with a custom one would diverge"
             )
         if state["custom_extractor"]:
-            if extractor is None and tokenizer is None:
+            if extractor is None:
                 raise CheckpointError(
                     "checkpoint was taken with a custom extractor; pass "
                     "the same one to open_session(resume=..., "
-                    "extractor=...) (or tokenizer=...) or the resumed "
-                    "stream would diverge"
+                    "extractor=...) or the resumed stream would diverge"
                 )
-            if extractor is not None and is_reconstructible(extractor):
+            if is_reconstructible(extractor):
                 # A registered extractor cannot be the custom one the
                 # checkpoint demands back — accepting it would silently
                 # diverge (and the next snapshot would launder the stream
@@ -740,12 +708,6 @@ class DetectorSession:
             # A caller re-passing an equivalent registered instance is
             # fine; anything whose spec differs would diverge.
             spec = state["extractor"]
-            if tokenizer is not None:
-                raise CheckpointError(
-                    f"checkpoint was taken with the registered "
-                    f"{spec['name']!r} extractor; resuming with a custom "
-                    f"tokenizer would diverge"
-                )
             if extractor is not None and (
                 not is_reconstructible(extractor)
                 or extractor_spec(extractor) != spec
@@ -762,10 +724,7 @@ class DetectorSession:
         session = cls(
             config,
             noun_tagger=noun_tagger,
-            tokenizer=tokenizer,
             extractor=extractor,
-            oracle_ranking=state["oracle_ranking"],
-            oracle_akg=state["oracle_akg"],
             profile=profile,
         )
         session.maintainer.from_state(state["maintainer"])
@@ -800,10 +759,7 @@ def open_session(
     *,
     resume=None,
     noun_tagger: Optional[NounTagger] = None,
-    tokenizer=None,
     extractor: Optional[EntityExtractor] = None,
-    oracle_ranking: bool = False,
-    oracle_akg: bool = False,
     profile: bool = False,
     delta_log=None,
     delta_compact_ratio: float = 4.0,
@@ -816,10 +772,10 @@ def open_session(
     built from ``config`` (Table 2 nominal when omitted).
 
     The ingestion extractor is selected by ``config.extractor`` (see
-    :mod:`repro.extract`); ``extractor`` passes an explicit instance, and
-    ``tokenizer`` is the legacy shorthand for the keyword extractor with a
-    custom text tokenizer.  On resume, registered extractors are rebuilt
-    from the checkpoint; custom ones must be passed back in.
+    :mod:`repro.extract`); ``extractor`` passes an explicit instance (a
+    custom text tokenizer rides in as ``KeywordExtractor(tokenizer=...)``).
+    On resume, registered extractors are rebuilt from the checkpoint;
+    custom ones must be passed back in.
 
     ``profile=True`` collects a cProfile of the stage pipeline
     (``DetectorSession.profile_stats``).
@@ -838,16 +794,9 @@ def open_session(
                 "pass either config or resume, not both: a resumed session "
                 "runs under its checkpoint's configuration"
             )
-        if oracle_ranking or oracle_akg:
-            raise CheckpointError(
-                "oracle modes are part of the checkpoint: a resumed session "
-                "keeps the modes it was snapshotted with, so the oracle_* "
-                "arguments cannot be combined with resume"
-            )
         session = DetectorSession.restore(
             resume,
             noun_tagger=noun_tagger,
-            tokenizer=tokenizer,
             extractor=extractor,
             profile=profile,
         )
@@ -859,10 +808,7 @@ def open_session(
     session = DetectorSession(
         config,
         noun_tagger=noun_tagger,
-        tokenizer=tokenizer,
         extractor=extractor,
-        oracle_ranking=oracle_ranking,
-        oracle_akg=oracle_akg,
         profile=profile,
     )
     if delta_log is not None:

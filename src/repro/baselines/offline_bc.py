@@ -8,7 +8,7 @@ during the computation, which is precisely the limitation the SCP method
 removes).  Edges in no biconnected component are optionally reported as
 clusters of size 2.
 
-The observer attaches to a running :class:`~repro.core.engine.EventDetector`
+The observer attaches to a running :class:`~repro.api.session.DetectorSession`
 so both methods see the identical AKG (same node/edge lifecycle), exactly
 like the paper's setup.  Per-quantum wall time of the global recomputation is
 recorded for the "SCP computes clusters 46% faster" comparison.
@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Set, Tuple
+from typing import TYPE_CHECKING, FrozenSet, List, Set, Tuple
 
 from repro.baselines.tracking import SnapshotEventTracker
-from repro.core.engine import EventDetector
 from repro.core.ranking import cluster_rank
 from repro.graph.biconnected import biconnected_components, component_nodes
 from repro.graph.dynamic_graph import EdgeKey
+
+if TYPE_CHECKING:  # type-only: the api layer imports this module
+    from repro.api.session import DetectorSession
 
 
 @dataclass
@@ -50,7 +52,7 @@ class OfflineBcObserver:
 
     def __init__(
         self,
-        detector: EventDetector,
+        detector: "DetectorSession",
         include_edge_clusters: bool = True,
         min_overlap: int = 2,
     ) -> None:

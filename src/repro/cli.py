@@ -9,15 +9,7 @@ Commands
 ``sweep``      print a small precision/recall parameter grid for a preset
 ``serve``      run the multi-tenant serving layer (HTTP + WebSocket)
 
-``detect`` exposes the verification baselines: ``--oracle-ranking`` re-ranks
-every cluster from scratch each quantum, and ``--oracle-akg`` rebuilds the
-AKG window state (id sets, sketches, dead-node sweep) from scratch each
-quantum.  Either flag trades the incremental path's churn-proportional cost
-for the obviously-correct O(window x vocabulary) one, so an A/B run over the
-same trace (optionally with ``--timing``) doubles as a live differential
-check and a speedup demo.
-
-``detect`` also rides the session API: ``--checkpoint PATH`` snapshots the
+``detect`` rides the session API: ``--checkpoint PATH`` snapshots the
 full detector state after the trace (including a buffered partial quantum),
 and ``--resume-from PATH`` continues a checkpointed session over more data —
 the resumed stream is bit-identical to one that never stopped (DESIGN.md
@@ -42,7 +34,6 @@ from typing import List, Optional
 
 from repro.api import open_session
 from repro.config import DetectorConfig
-from repro.core.engine import EventDetector
 from repro.datasets.entity_streams import (
     build_edge_stream_trace,
     build_structured_trace,
@@ -103,15 +94,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile", action="store_true",
                         help="run the pipeline under cProfile and print the "
                              "top-20 cumulative hot functions after the run")
-    parser.add_argument("--oracle-ranking", action="store_true",
-                        help="disable the incremental rank cache and re-rank "
-                             "every cluster from scratch each quantum "
-                             "(verification baseline)")
-    parser.add_argument("--oracle-akg", action="store_true",
-                        help="rebuild the AKG window state (id sets, "
-                             "sketches, dead-node sweep) from scratch each "
-                             "quantum instead of applying deltas "
-                             "(verification baseline)")
     parser.add_argument("--checkpoint", metavar="PATH",
                         help="write a session checkpoint to PATH after the "
                              "trace is consumed (a trailing partial quantum "
@@ -156,13 +138,11 @@ def _config_from(args: argparse.Namespace) -> DetectorConfig:
         use_minhash_filter=not args.exact_ec,
         extractor=args.extractor,
         extractor_options=options,
-        oracle_akg=args.oracle_akg,
-        oracle_ranking=args.oracle_ranking,
     )
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    detector = EventDetector(
+    session = open_session(
         DetectorConfig(
             quantum_size=6,
             window_quanta=5,
@@ -172,7 +152,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         )
     )
     for label, batch in zip(("initial tweets", "window slides"), figure1_messages()):
-        report = detector.process_quantum(batch)
+        report = session.process_quantum(batch)
         print(f"[{label}]")
         for event in report.reported:
             print(f"  event #{event.event_id}: {sorted(event.keywords)} "
@@ -208,14 +188,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     if args.resume_from:
-        if args.oracle_ranking or args.oracle_akg:
-            print(
-                "error: --oracle-ranking/--oracle-akg cannot be combined "
-                "with --resume-from; a resumed session keeps the modes it "
-                "was snapshotted with",
-                file=sys.stderr,
-            )
-            return 2
         session = open_session(
             resume=args.resume_from,
             profile=args.profile,

@@ -13,6 +13,10 @@ Parameter                     Paper symbol             Nominal value
 
 The number of MinHash values kept per keyword follows Section 3.2.2:
 ``p = min(theta / 2, 1 / gamma)`` (at least 1).
+
+Every field is a detection parameter; none selects an engine.  The
+from-scratch referees of the AKG and rank stages are built by the
+differential tests around the same stage classes (DESIGN.md Section 5).
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from repro.extract import make_extractor
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Immutable parameter bundle for :class:`repro.core.engine.EventDetector`.
+    """Immutable parameter bundle for a detector session
+    (:func:`repro.api.open_session`).
 
     Parameters
     ----------
@@ -88,17 +93,6 @@ class DetectorConfig:
         Maintain full CKG node/edge counts for the Section 7.4 reduction
         study.  Costs memory proportional to distinct co-occurring pairs in
         the window; off by default.
-    oracle_akg:
-        Run the AKG stage on the from-scratch oracle components
-        (:mod:`repro.akg.oracle`): window id sets, sketches and the
-        dead-node sweep are recomputed over the full vocabulary every
-        quantum.  Semantically identical to the fast path and O(window x
-        vocabulary) slower — the differential-verification baseline
-        (``detect --oracle-akg``).
-    oracle_ranking:
-        Run the rank stage from scratch every quantum instead of through the
-        incremental rank cache — the PR-1 verification baseline
-        (``detect --oracle-ranking``).
     seed:
         Seed for the MinHash hash-function salt; fixed for reproducibility.
     """
@@ -122,8 +116,6 @@ class DetectorConfig:
         default_factory=dict, hash=False
     )
     track_ckg_stats: bool = False
-    oracle_akg: bool = False
-    oracle_ranking: bool = False
     seed: int = 0x5C9C1E
 
     def __post_init__(self) -> None:

@@ -14,8 +14,10 @@ Layers (bottom up):
 * :mod:`repro.core.ranking` — the Section 6 ranking function;
 * :mod:`repro.core.incremental` — the change-driven
   :class:`IncrementalRanker` (with a from-scratch oracle mode);
-* :mod:`repro.core.events` — event lifecycle tracking over quanta;
-* :mod:`repro.core.engine` — the streaming :class:`EventDetector`.
+* :mod:`repro.core.events` — event lifecycle tracking over quanta.
+
+The streaming detector that drives these layers is
+:func:`repro.api.open_session`.
 """
 
 from repro.core.atoms import (
@@ -42,7 +44,6 @@ from repro.core.incremental import IncrementalRanker, RankStats
 from repro.core.maintenance import ClusterMaintainer, decompose_graph
 from repro.core.ranking import cluster_rank, minimum_rank, rank_and_support
 from repro.core.events import EventRecord, EventTracker
-from repro.core.engine import EventDetector, QuantumReport, StageTimings
 from repro.core.postprocess import (
     CorrelatedEventGroup,
     CorrelationPolicy,
@@ -76,9 +77,6 @@ __all__ = [
     "minimum_rank",
     "EventRecord",
     "EventTracker",
-    "EventDetector",
-    "QuantumReport",
-    "StageTimings",
     "CorrelatedEventGroup",
     "CorrelationPolicy",
     "correlate_events",

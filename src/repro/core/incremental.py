@@ -18,7 +18,8 @@ from scratch on every call.  The oracle is the verification baseline: the
 property tests assert that, after arbitrary mutation sequences, incremental
 and oracle ranks are identical (see DESIGN.md Section 3), and the
 ``bench_incremental_ranking`` benchmark measures the speedup between the two
-modes across churn rates.
+modes across churn rates.  Both construct it directly (as does
+``tests/oracles.py`` for a whole session); no session setting selects it.
 """
 
 from __future__ import annotations

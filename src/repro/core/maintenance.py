@@ -46,7 +46,6 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 from repro.core.atoms import Atom, atoms_containing_edge, atoms_in_subgraph
 from repro.core.changelog import (
     ChangeBatch,
-    ChangeEvent,
     ChangeLog,
     ClusterCreated,
     ClusterDissolved,
@@ -60,10 +59,6 @@ from repro.errors import GraphError
 from repro.graph.dynamic_graph import DynamicGraph, EdgeKey, edge_key
 
 Node = Hashable
-
-Change = ChangeEvent
-"""Backwards-compatible alias: the change log now carries typed
-:class:`~repro.core.changelog.ChangeEvent` objects instead of string tuples."""
 
 
 class _DisjointSet:
@@ -206,15 +201,6 @@ class ClusterMaintainer:
     ) -> None:
         """Graph weight-listener hook: correlation refreshes become deltas."""
         self.changelog.record(EdgeWeightChanged(edge_key(u, v), old, new))
-
-    def pop_changes(self) -> List[Change]:
-        """Return and clear the change log accumulated since the last call.
-
-        Convenience wrapper over ``self.changelog.drain().events`` for
-        callers that want a plain list; the engine drains the log itself to
-        keep the :class:`~repro.core.changelog.ChangeBatch` for propagation.
-        """
-        return list(self.changelog.drain().events)
 
     def drain_changes(self) -> ChangeBatch:
         """Drain the change log into an immutable batch (the engine's path)."""
@@ -457,4 +443,4 @@ class ClusterMaintainer:
         )
 
 
-__all__ = ["ClusterMaintainer", "decompose_graph", "Change", "ChangeBatch"]
+__all__ = ["ClusterMaintainer", "decompose_graph", "ChangeBatch"]

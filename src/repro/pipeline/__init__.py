@@ -4,8 +4,7 @@ The six per-quantum engine stages (``extract → AKG update → maintain →
 propagate → rank → report``) live here as typed :class:`Stage` objects
 communicating through a :class:`QuantumContext` (see DESIGN.md Section 6).
 :mod:`repro.api` drives a :class:`Pipeline` of these stages inside a
-long-lived session; the legacy :class:`repro.core.engine.EventDetector`
-facade delegates to the same machinery.
+long-lived session.
 """
 
 from repro.pipeline.report_index import FilterPredicate, ThresholdIndex

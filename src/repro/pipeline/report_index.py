@@ -126,9 +126,7 @@ class ThresholdIndex:
     def rebuild(self, events: List[ReportedEvent]) -> Tuple[Set[int], Set[int]]:
         """Replace the whole index; returns ``(new_ids, dead_ids)``.
 
-        Used by checkpoint restore (re-seeding from the ranker cache) and by
-        oracle-mode pipelines, whose from-scratch ranking has no delta to
-        apply incrementally.
+        Used by checkpoint restore (re-seeding from the ranker cache).
         """
         previous = set(self._entries)
         self._entries = {}

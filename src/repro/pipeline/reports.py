@@ -1,11 +1,7 @@
 """Pipeline output records: per-quantum reports and stage timings.
 
 These dataclasses are the *products* of one run of the staged quantum
-pipeline (:mod:`repro.pipeline.stages`).  They used to live in
-:mod:`repro.core.engine`; they moved here with the Stage extraction so the
-pipeline package is self-contained, and the engine re-exports them for
-backwards compatibility (``from repro.core.engine import QuantumReport``
-keeps working).
+pipeline (:mod:`repro.pipeline.stages`).
 """
 
 from __future__ import annotations

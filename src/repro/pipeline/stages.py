@@ -1,10 +1,9 @@
 """The staged quantum pipeline as composable, typed ``Stage`` objects.
 
-The engine used to run its six per-quantum stages — ``extract → AKG update
-→ maintain → propagate → rank → report`` — as inline blocks of
-``EventDetector.process_quantum``.  This module extracts each stage into a
-small object behind the :class:`Stage` protocol so stages can be swapped or
-wrapped (e.g. with extra instrumentation) without touching the engine.
+A detector session runs six per-quantum stages — ``extract → AKG update
+→ maintain → propagate → rank → report`` — each a small object behind the
+:class:`Stage` protocol, so stages can be swapped or wrapped (e.g. with
+extra instrumentation) without touching the session.
 The first stage is parameterised by an
 :class:`~repro.extract.base.EntityExtractor`, so the same pipeline runs
 tokenized microblog text, structured field streams, or raw actor–entity
@@ -14,9 +13,10 @@ Stage 1 comes in two forms.  :class:`ColumnExtractStage` is the hot path
 (DESIGN.md Section 9): it reduces a quantum straight to interned pair
 columns over the builder's own interner tables.  :class:`ExtractStage`
 builds the ``actor -> entities`` / ``entity -> actors`` mappings instead —
-what the from-scratch oracle builder is fed and what the CKG-stats tracker
-reads — and :func:`build_stages` picks it exactly when one of those two is
-present.  :class:`AkgUpdateStage` hands the builder whichever form stage 1
+what the CKG-stats tracker reads, and :func:`build_stages` picks it exactly
+when one is attached (the from-scratch AKG referee is fed the same
+mappings; the differential tests assemble that pipeline from these
+classes).  :class:`AkgUpdateStage` hands the builder whichever form stage 1
 produced.
 
 Data flows between stages through a mutable :class:`QuantumContext`: each
@@ -25,7 +25,7 @@ pair columns or actor/entity mappings, the
 :class:`~repro.core.changelog.ChangeBatch`
 drained from the maintainer, the ranked-result list) and is responsible for
 writing its own slot(s) of :class:`~repro.pipeline.reports.StageTimings` —
-timing and the oracle toggles are per-stage wiring now, not engine code.
+timing is per-stage wiring, not session code.
 
 One physical-execution note: cluster maintenance (Section 5) runs *inline*
 inside the AKG update — every edge/node mutation immediately re-glues the
@@ -163,9 +163,9 @@ class ColumnExtractStage:
 class ExtractStage:
     """Stage 1, mapping form: actor -> entities and entity -> actors.
 
-    Runs when something needs the mappings themselves: the from-scratch
-    oracle builder (fed ``entity_actors``) or the CKG-stats tracker (fed
-    ``actor_entities``).
+    Runs when something needs the mappings themselves: the CKG-stats
+    tracker (fed ``actor_entities``) or a from-scratch referee builder
+    (fed ``entity_actors``).
     """
 
     name = "extract"
@@ -269,22 +269,14 @@ class PropagateStage:
 
 
 class RankStage:
-    """Stage 5: re-rank exactly the dirty clusters (or all, in oracle mode).
-
-    The oracle toggle lives on the wrapped
-    :class:`~repro.core.incremental.IncrementalRanker` — swapping this stage
-    for one built around an oracle ranker flips the whole pipeline to the
-    from-scratch verification baseline.
-    """
+    """Stage 5: re-rank exactly the dirty clusters of the wrapped
+    :class:`~repro.core.incremental.IncrementalRanker` (every live cluster,
+    when that ranker is the from-scratch referee)."""
 
     name = "rank"
 
     def __init__(self, ranker: IncrementalRanker) -> None:
         self.ranker = ranker
-
-    @property
-    def oracle(self) -> bool:
-        return self.ranker.oracle
 
     def run(self, ctx: QuantumContext) -> None:
         t = time.perf_counter()
@@ -398,10 +390,10 @@ def build_stages(
 ) -> List[Stage]:
     """The default six-stage pipeline over the given engine components.
 
-    Stage 1 is the column form unless the builder is the oracle or a
-    CKG-stats tracker is attached (both need the mappings).
+    Stage 1 is the column form unless a CKG-stats tracker is attached (it
+    needs the mappings).
     """
-    if builder.oracle or ckg_stats is not None:
+    if ckg_stats is not None:
         extract: Stage = ExtractStage(
             extractor, max_entities_per_record, ckg_stats
         )

@@ -13,10 +13,12 @@ Everything here must therefore be **deterministic and layout-agnostic**:
 * floats go through ``repr`` (shortest-roundtrip — exact);
 * sets / frozensets / dicts are canonically sorted (no iteration-order or
   hash-randomization leakage);
-* checkpoint state is normalized: wall-clock timings are zeroed and the
+* checkpoint state is normalized: wall-clock timings are zeroed, the
   keys whose *shape* legitimately changed with the extractor refactor
-  (extractor identity, the custom-extractor flag) are dropped, so the same
-  stream position fingerprints identically before and after the refactor.
+  (extractor identity, the custom-extractor flag) are dropped, and the
+  referee-mode flags checkpoints no longer carry are put back as the
+  constant ``False`` they always were on these runs, so the same stream
+  position fingerprints identically before and after each layout change.
 """
 
 from __future__ import annotations
@@ -201,24 +203,27 @@ def normalized_checkpoint_state(path) -> dict:
     versions <= 3 — same content, so no pinned constant moves with the
     v4 layout change.  The per-quantum mini-sketches those versions stored
     (dropped in v5) are a function of the id-set window — the bottom-p
-    hashes of every block entry's users — and are derived from it here."""
+    hashes of every block entry's users — and are derived from it here.
+    The five referee-mode flags (dropped in v6: two top-level, two config
+    entries, the builder's) were ``False`` on every pinned run and are
+    re-inserted as such."""
     state = dict(load_checkpoint(path))
-    if not state["builder"]["oracle"]:
-        builder = state["builder"] = dict(state["builder"])
-        idsets = builder["idsets"]
-        builder["idsets"] = {
-            "last_quantum": idsets["last_quantum"],
-            "entries": per_keyword(idsets["window"]),
-        }
-        cfg = DetectorConfig.from_dict(state["config"])
-        minis = []
-        if cfg.use_minhash_filter:
-            sketch = MinHasher(cfg.effective_minhash_size, cfg.seed).sketch
-            minis = [
-                [q, [[kw, list(sketch(users))] for kw, users in block]]
-                for q, block in idsets["window"]
-            ]
-        builder["sketches"] = {"minis": per_keyword(minis)}
+    builder = state["builder"] = dict(state["builder"])
+    idsets = builder["idsets"]
+    builder["idsets"] = {
+        "last_quantum": idsets["last_quantum"],
+        "entries": per_keyword(idsets["window"]),
+    }
+    cfg = DetectorConfig.from_dict(state["config"])
+    minis = []
+    if cfg.use_minhash_filter:
+        sketch = MinHasher(cfg.effective_minhash_size, cfg.seed).sketch
+        minis = [
+            [q, [[kw, list(sketch(users))] for kw, users in block]]
+            for q, block in idsets["window"]
+        ]
+    builder["sketches"] = {"minis": per_keyword(minis)}
+    builder["oracle"] = False
     state.pop("custom_tokenizer", None)
     state.pop("custom_extractor", None)
     state.pop("extractor", None)
@@ -230,30 +235,36 @@ def normalized_checkpoint_state(path) -> dict:
     config = dict(state["config"])
     config.pop("extractor", None)
     config.pop("extractor_options", None)
+    for mode in ("oracle_akg", "oracle_ranking"):
+        state[mode] = config[mode] = False
     state["config"] = config
     return state
 
 
-def run_structure(messages, config, ckpt_path, **session_kwargs) -> dict:
+def run_structure(messages, config, ckpt_path=None, opener=open_session):
     """One full session pass over ``messages``: the golden structure.
 
     ``messages`` are ``(user_id, tokens)`` pairs (the regime builders'
     output), materialized here so the builders stay Message-class agnostic.
+    ``opener(config)`` opens the session (``oracles.oracle_session`` for a
+    referee run); the normalized checkpoint is part of the structure when
+    ``ckpt_path`` is given.
     """
     from repro.stream.messages import Message
 
-    session = open_session(config, **session_kwargs)
+    session = opener(config)
     inbox = QueueSink()
     session.subscribe(inbox)
     reports = list(
         session.ingest_many(Message(u, tokens=t) for u, t in messages)
     )
-    session.snapshot(ckpt_path)
     structure = {
         "reports": [report_record(r) for r in reports],
         "notes": [note_record(e) for e in inbox.drain()],
         "histories": sorted(history_record(r) for r in session.events()),
-        "checkpoint": normalized_checkpoint_state(ckpt_path),
     }
+    if ckpt_path is not None:
+        session.snapshot(ckpt_path)
+        structure["checkpoint"] = normalized_checkpoint_state(ckpt_path)
     session.close()
     return structure

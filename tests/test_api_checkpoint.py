@@ -151,10 +151,10 @@ def history_key(record):
     )
 
 
-def run_with_restart(config, messages, split, tmp_path, **session_kwargs):
+def run_with_restart(config, messages, split, tmp_path):
     """(reports, notifications, final session) with a snapshot at ``split``."""
     path = tmp_path / "mid.ckpt"
-    first = open_session(config, **session_kwargs)
+    first = open_session(config)
     sink1 = QueueSink()
     first.subscribe(sink1)
     reports = [report_key(r) for r in first.ingest_many(messages[:split])]
@@ -215,17 +215,6 @@ class TestResumeDifferential:
                 session.snapshot(path)
                 session = open_session(resume=path)
         assert actual == expected
-
-    def test_oracle_modes_are_checkpointable(self, tmp_path):
-        config = make_config()
-        messages = bursty_stream(9, 600)
-        for kwargs in ({"oracle_ranking": True}, {"oracle_akg": True}):
-            whole = open_session(config, **kwargs)
-            expected = [report_key(r) for r in whole.ingest_many(messages)]
-            reports, _, _ = run_with_restart(
-                config, messages, 333, tmp_path, **kwargs
-            )
-            assert reports == expected
 
     def test_restored_invariants_hold(self, tmp_path):
         """The restored world passes the same oracle checks as a live one."""
@@ -356,7 +345,7 @@ class TestCheckpointFile:
 
 class TestVersionMigration:
     """Older checkpoints load through the migration chain (v2 → v3 → v4 →
-    v5); truly unknown versions fail with an error naming what *is*
+    v5 → v6); truly unknown versions fail with an error naming what *is*
     readable.
 
     ``tests/data/checkpoint_v2.ckpt`` was written by the pre-extractor
@@ -392,7 +381,7 @@ class TestVersionMigration:
     def test_asset_is_the_version_it_says(self, version):
         document = json.loads(self.ASSETS[version].read_text())
         assert document["version"] == version
-        assert CHECKPOINT_VERSION == 5
+        assert CHECKPOINT_VERSION == 6
 
     def test_migrated_state_has_extractor_identity(self):
         from repro.api.checkpoint import load_checkpoint
@@ -460,13 +449,53 @@ class TestVersionMigration:
         assert fingerprint(structure) == self.CONTINUATION
 
     def test_v4_migration_only_drops_the_sketch_window(self):
-        from repro.api.checkpoint import load_checkpoint
+        from repro.api.checkpoint import _MIGRATIONS
 
         document = json.loads(self.ASSETS[4].read_text())
         old = decode_state(document["state"])
         assert old["builder"]["sketches"]["window"]
+        migrated = _MIGRATIONS[4](decode_state(document["state"]))
         del old["builder"]["sketches"]
-        assert load_checkpoint(self.ASSETS[4]) == old
+        assert migrated == old
+
+    @pytest.mark.parametrize("version", VERSIONS)
+    def test_v6_migration_drops_the_referee_flags(self, version):
+        from repro.api.checkpoint import load_checkpoint
+
+        state = load_checkpoint(self.ASSETS[version])
+        modes = {"oracle_akg", "oracle_ranking"}
+        assert not modes & set(state)
+        assert not modes & set(state["config"])
+        assert "oracle" not in state["builder"]
+
+    def with_referee_mode(self, source, target, mode):
+        """``source`` (a v5 checkpoint file) rewritten as if taken under
+        ``mode``, the way a session of that version recorded it: the
+        top-level flag, the config entry, and the builder's for the AKG."""
+        document = json.loads(source.read_text())
+        state = decode_state(document["state"])
+        state[mode] = state["config"][mode] = True
+        if mode == "oracle_akg":
+            state["builder"]["oracle"] = True
+        document["state"] = encode_state(state)
+        target.write_text(json.dumps(document))
+
+    @pytest.mark.parametrize("mode", ["oracle_akg", "oracle_ranking"])
+    def test_referee_mode_checkpoint_is_refused_by_name(self, mode, tmp_path):
+        path = tmp_path / "referee.ckpt"
+        self.with_referee_mode(self.ASSETS[5], path, mode)
+        with pytest.raises(CheckpointError, match=f"{mode}=True"):
+            open_session(resume=path)
+
+    def test_referee_mode_delta_base_is_refused_by_name(self, tmp_path):
+        import shutil
+
+        delta = tmp_path / "delta"
+        shutil.copytree(self.DELTA_DIR, delta)
+        base = delta / "base-0.ckpt"
+        self.with_referee_mode(base, base, "oracle_akg")
+        with pytest.raises(CheckpointError, match="oracle_akg=True"):
+            open_session(resume=delta)
 
     @pytest.mark.parametrize("version", VERSIONS)
     def test_old_resume_continues_bit_identically(self, version):
@@ -510,7 +539,7 @@ class TestVersionMigration:
                 {"format": CHECKPOINT_FORMAT, "version": 1, "state": None}
             )
         )
-        with pytest.raises(CheckpointError, match="migrate versions 2, 3, 4"):
+        with pytest.raises(CheckpointError, match="migrate versions 2, 3, 4, 5"):
             open_session(resume=path)
 
 

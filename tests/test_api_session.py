@@ -10,7 +10,6 @@ from repro.api import (
     open_session,
 )
 from repro.config import DetectorConfig
-from repro.core.engine import EventDetector
 from repro.datasets.figure1 import figure1_messages
 from repro.errors import CheckpointError
 from repro.stream.messages import Message
@@ -48,17 +47,17 @@ class TestOpenSession:
         with pytest.raises(CheckpointError):
             open_session(exact_config(), resume=path)
 
-    def test_oracle_flags(self):
-        session = open_session(
-            exact_config(), oracle_ranking=True, oracle_akg=True
-        )
-        assert session.ranker.oracle and session.builder.oracle
-
     @pytest.mark.parametrize(
-        "kwarg", ["workers", "shard_count", "worker_backend", "overlap"]
+        "kwarg",
+        [
+            "workers", "shard_count", "worker_backend", "overlap",
+            "oracle_akg", "oracle_ranking", "tokenizer",
+        ],
     )
     def test_no_execution_setting_is_accepted(self, kwarg, tmp_path):
-        """There is one way to run the detector (DESIGN.md Section 7)."""
+        """There is one way to run the detector (DESIGN.md Section 7): no
+        execution or referee mode, and a custom tokenizer only inside an
+        explicit ``extractor``."""
         with pytest.raises(TypeError):
             open_session(exact_config(), **{kwarg: 2})
         path = tmp_path / "s.ckpt"
@@ -81,8 +80,8 @@ class TestIngestion:
         assert session.batcher.pending == 2
 
     def test_ingest_many_composes_across_calls(self):
-        """Two ingest_many calls equal one concatenated call — the session
-        contract process_stream never had."""
+        """Two ingest_many calls equal one concatenated call: the trailing
+        partial quantum stays buffered between them."""
         split = open_session(exact_config(quantum_size=4))
         whole = open_session(exact_config(quantum_size=4))
         messages = burst(["a1", "b1", "c1"], range(10))
@@ -101,11 +100,13 @@ class TestIngestion:
         assert session.flush() is None
 
     def test_ingest_many_flush_true_matches_process_stream(self):
+        """flush=True is ingest_many followed by flush(): the tail is
+        processed as one final short quantum."""
         session = open_session(exact_config(quantum_size=4))
-        detector = EventDetector(exact_config(quantum_size=4))
+        other = open_session(exact_config(quantum_size=4))
         messages = burst(["a1", "b1", "c1"], range(6))
         a = list(session.ingest_many(list(messages), flush=True))
-        b = list(detector.process_stream(list(messages)))
+        b = list(other.ingest_many(list(messages))) + [other.flush()]
         key = lambda r: (r.quantum, r.messages_processed,
                          [e.event_id for e in r.reported])
         assert [key(r) for r in a] == [key(r) for r in b]
@@ -113,13 +114,14 @@ class TestIngestion:
 
 class TestFacadeDelegation:
     def test_detector_and_session_share_state(self):
-        detector = EventDetector(exact_config())
-        detector.process_quantum(burst(["a1", "b1", "c1"], range(6)))
-        session = detector.session
-        assert session.current_quantum == detector.current_quantum == 0
-        assert session.registry is detector.registry
-        assert session.total_messages == detector.total_messages == 6
-        assert detector.throughput() == session.throughput()
+        """The session's accessors read its live components' state."""
+        session = open_session(exact_config())
+        session.process_quantum(burst(["a1", "b1", "c1"], range(6)))
+        assert session.current_quantum == 0
+        assert session.registry is session.maintainer.registry
+        assert session.graph is session.maintainer.graph
+        assert session.total_messages == 6
+        assert session.throughput() > 0
 
 
 class TestSubscription:
@@ -287,15 +289,6 @@ class TestSubscription:
         assert any(e.keywords == {"w1", "w2", "w3"} for e in emerged)
         died = [e for e in events if e.kind is EventKind.DYING]
         assert any(e.keywords == {"s1", "s2", "s3"} for e in died)
-
-    def test_resume_rejects_oracle_flags(self, tmp_path):
-        session = open_session(exact_config())
-        path = tmp_path / "o.ckpt"
-        session.snapshot(path)
-        with pytest.raises(CheckpointError, match="oracle"):
-            open_session(resume=path, oracle_ranking=True)
-        with pytest.raises(CheckpointError, match="oracle"):
-            open_session(resume=path, oracle_akg=True)
 
     def test_top_k_dying_only_for_announced_events(self):
         session = open_session(

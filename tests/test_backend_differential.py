@@ -6,12 +6,11 @@ existed beside it, and the constants below have not moved since:
 
 * golden fingerprints over the three stream regimes — reports, sink
   notes, event histories, and normalized checkpoints;
-* the from-scratch oracle (``oracle_akg=True``) as the differential
-  reference: everything the oracle is specified to share with the fast
-  path — reported/suppressed events, ranks, notes, histories — is
-  identical (its ``removal_candidates`` work counter and its builder
-  checkpoint subtree differ by design: it sweeps every node and keeps raw
-  quanta);
+* the from-scratch AKG referee (``oracles.oracle_session``) as the
+  differential reference: everything it is specified to share with the
+  fast path — reported/suppressed events, ranks, notes, histories — is
+  identical (its ``removal_candidates`` work counter differs by design: it
+  sweeps every node);
 * there is no engine switch left to set: ``backend`` is an unknown config
   field.
 """
@@ -25,6 +24,7 @@ from golden import (
     run_structure,
     uniform_stream,
 )
+from oracles import oracle_session
 from repro.config import DetectorConfig
 from repro.errors import ConfigError
 
@@ -81,15 +81,10 @@ class TestGoldenParity:
         )
 
     @pytest.mark.parametrize("regime", sorted(REGIMES))
-    def test_oracle_akg_agrees_with_the_default_path(self, regime, tmp_path):
-        fast = run_structure(
-            REGIMES[regime](), DetectorConfig(**BASE), str(tmp_path / "f")
-        )
-        oracle = run_structure(
-            REGIMES[regime](),
-            DetectorConfig(**BASE, oracle_akg=True),
-            str(tmp_path / "o"),
-        )
+    def test_oracle_akg_agrees_with_the_default_path(self, regime):
+        config = DetectorConfig(**BASE)
+        fast = run_structure(REGIMES[regime](), config)
+        oracle = run_structure(REGIMES[regime](), config, opener=oracle_session)
         assert _shared_with_oracle(oracle) == _shared_with_oracle(fast)
 
 

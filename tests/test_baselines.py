@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.api import open_session
 from repro.baselines.offline_bc import OfflineBcObserver
 from repro.baselines.tracking import SnapshotEventTracker
 from repro.baselines.trending import TrendingTopicsBaseline
 from repro.config import DetectorConfig
-from repro.core.engine import EventDetector
 from repro.errors import ConfigError
 from repro.stream.messages import Message
 
@@ -83,7 +83,7 @@ class TestSnapshotEventTracker:
 class TestOfflineBcObserver:
     def test_same_graph_same_clusters_simple_case(self):
         """On a single clean triangle, SCP and BC agree exactly."""
-        detector = EventDetector(exact_config())
+        detector = open_session(exact_config())
         observer = OfflineBcObserver(detector)
         detector.process_quantum(burst(["a1", "b1", "c1"], range(6)))
         snapshot = observer.observe_quantum()
@@ -95,7 +95,7 @@ class TestOfflineBcObserver:
     def test_bridge_reported_as_edge_cluster(self):
         """An edge outside every biconnected cluster becomes a size-2
         cluster in the +Edges variant (Section 7.3)."""
-        detector = EventDetector(exact_config())
+        detector = open_session(exact_config())
         observer = OfflineBcObserver(detector)
         # one triangle plus one isolated correlated pair
         messages = burst(["a1", "b1", "c1"], range(6)) + burst(
@@ -110,7 +110,7 @@ class TestOfflineBcObserver:
     def test_pentagon_is_bc_but_not_scp(self):
         """A 5-cycle is one biconnected cluster yet no SCP cluster — SCP is
         sufficient, not necessary, for biconnectivity (Section 4.3)."""
-        detector = EventDetector(exact_config())
+        detector = open_session(exact_config())
         observer = OfflineBcObserver(detector)
         ring = ["r1", "r2", "r3", "r4", "r5"]
         messages = []
@@ -125,7 +125,7 @@ class TestOfflineBcObserver:
         assert any(len(nodes) == 5 for nodes, _ in snapshot.clusters)
 
     def test_events_tracked_across_quanta(self):
-        detector = EventDetector(exact_config())
+        detector = open_session(exact_config())
         observer = OfflineBcObserver(detector)
         for _ in range(3):
             detector.process_quantum(burst(["a1", "b1", "c1"], range(6)))
@@ -135,7 +135,7 @@ class TestOfflineBcObserver:
         assert len(events[0].snapshots) == 3
 
     def test_timing_accumulated(self):
-        detector = EventDetector(exact_config())
+        detector = open_session(exact_config())
         observer = OfflineBcObserver(detector)
         detector.process_quantum(burst(["a1", "b1", "c1"], range(6)))
         observer.observe_quantum()
@@ -197,9 +197,9 @@ class TestTrendingBaseline:
         messages = []
         for i in range(300):
             messages.append(Message(f"u{i}", tokens=keywords))
-        detector = EventDetector(exact_config())
+        detector = open_session(exact_config())
         detection_message = None
-        for q, report in enumerate(detector.process_stream(messages)):
+        for q, report in enumerate(detector.ingest_many(messages, flush=True)):
             if report.reported and detection_message is None:
                 detection_message = (q + 1) * detector.config.quantum_size
         baseline = TrendingTopicsBaseline(

@@ -10,9 +10,14 @@ from repro.cli import main
 class TestDemo:
     def test_demo_prints_cluster(self, capsys):
         assert main(["demo"]) == 0
-        out = capsys.readouterr().out
-        assert "earthquake" in out
-        assert "5.9" in out
+        assert capsys.readouterr().out == (
+            "[initial tweets]\n"
+            "  event #1: ['earthquake', 'eastern', 'struck', 'turkey'] "
+            "rank=10.7\n"
+            "[window slides]\n"
+            "  event #1: ['5.9', 'earthquake', 'eastern', 'struck', "
+            "'turkey'] rank=16.7\n"
+        )
 
 
 class TestGenerateAndDetect:
@@ -61,31 +66,6 @@ class TestGenerateAndDetect:
             assert stage in out
         assert "rank cache" in out
 
-    def test_detect_oracle_ranking(self, tmp_path, capsys):
-        trace_path = str(tmp_path / "trace.jsonl")
-        main(["generate", "tw", trace_path, "--messages", "3000"])
-        capsys.readouterr()
-        assert main([
-            "detect", trace_path, "--oracle-ranking", "--timing",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "0/" in out or "rank cache" not in out  # no cache hits
-
-    def test_detect_oracle_akg_matches_fast_path(self, tmp_path, capsys):
-        """--oracle-akg runs the from-scratch AKG baseline and reports the
-        same events as the delta-driven default."""
-        trace_path = str(tmp_path / "trace.jsonl")
-        main(["generate", "tw", trace_path, "--messages", "3000"])
-        capsys.readouterr()
-        assert main(["detect", trace_path, "--gamma", "0.15"]) == 0
-        fast_out = capsys.readouterr().out
-        assert main([
-            "detect", trace_path, "--gamma", "0.15", "--oracle-akg",
-        ]) == 0
-        oracle_out = capsys.readouterr().out
-        fast_events = [l for l in fast_out.splitlines() if "NEW event" in l]
-        oracle_events = [l for l in oracle_out.splitlines() if "NEW event" in l]
-        assert fast_events == oracle_events
 
 
 class TestExtractorFlags:
@@ -342,6 +322,8 @@ class TestParser:
             ["detect", "t.jsonl", "--workers", "2"],
             ["detect", "t.jsonl", "--shard-count", "2"],
             ["detect", "t.jsonl", "--overlap"],
+            ["detect", "t.jsonl", "--oracle-akg"],
+            ["detect", "t.jsonl", "--oracle-ranking"],
             ["follow", "d", "--workers", "2"],
             ["shard-worker"],
         ],

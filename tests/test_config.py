@@ -92,7 +92,9 @@ class TestDictRoundTrip:
         with pytest.raises(ConfigError, match="hyperdrive"):
             DetectorConfig.from_dict({"hyperdrive": True})
 
-    @pytest.mark.parametrize("field", ["workers", "shard_count"])
+    @pytest.mark.parametrize(
+        "field", ["workers", "shard_count", "oracle_akg", "oracle_ranking"]
+    )
     def test_removed_execution_fields_are_unknown_fields(self, field):
         with pytest.raises(ConfigError, match=f"unknown config fields: {field}"):
             DetectorConfig.from_dict({field: 2})
@@ -127,8 +129,6 @@ class TestDictRoundTrip:
                 "require_noun": st.booleans(),
                 "max_tokens_per_message": st.integers(1, 200),
                 "track_ckg_stats": st.booleans(),
-                "oracle_akg": st.booleans(),
-                "oracle_ranking": st.booleans(),
                 "seed": st.integers(0, 2**62),
             },
         )

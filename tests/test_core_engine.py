@@ -1,9 +1,8 @@
-"""End-to-end EventDetector behaviour on controlled micro-streams."""
+"""End-to-end detector behaviour on controlled micro-streams."""
 
-import pytest
-
+from oracles import oracle_session
+from repro.api import open_session
 from repro.config import DetectorConfig
-from repro.core.engine import EventDetector
 from repro.datasets.figure1 import figure1_messages
 from repro.stream.messages import Message
 from repro.text.pos import NounTagger
@@ -30,7 +29,7 @@ class TestFigure1Scenario:
     def test_cluster_discovered_and_evolves(self):
         """The paper's running example: the earthquake cluster forms, then
         '5.9' joins it when the window slides."""
-        detector = EventDetector(exact_config())
+        detector = open_session(exact_config())
         initial, update = figure1_messages()
         report1 = detector.process_quantum(initial)
         assert len(report1.reported) == 1
@@ -47,7 +46,7 @@ class TestFigure1Scenario:
         assert top.event_id == report1.reported[0].event_id  # same event
 
     def test_event_tracker_records_evolution(self):
-        detector = EventDetector(exact_config())
+        detector = open_session(exact_config())
         initial, update = figure1_messages()
         detector.process_quantum(initial)
         detector.process_quantum(update)
@@ -60,7 +59,7 @@ class TestFigure1Scenario:
 class TestDetectorLifecycle:
     def test_cluster_dies_when_stale(self):
         config = exact_config(window_quanta=2)
-        detector = EventDetector(config)
+        detector = open_session(config)
         detector.process_quantum(burst(["alpha", "beta", "gamma"], range(6)))
         assert len(detector.registry) == 1
         noise = [
@@ -74,22 +73,22 @@ class TestDetectorLifecycle:
         assert report.dead_event_ids
 
     def test_quantum_boundaries_via_process_message(self):
-        detector = EventDetector(exact_config(quantum_size=3))
+        detector = open_session(exact_config(quantum_size=3))
         messages = burst(["a1", "b1", "c1"], range(3))
-        reports = [detector.process_message(m) for m in messages]
+        reports = [detector.ingest(m) for m in messages]
         assert reports[:2] == [None, None]
         assert reports[2] is not None
         assert reports[2].quantum == 0
 
     def test_partial_final_quantum_via_stream(self):
-        detector = EventDetector(exact_config(quantum_size=4))
+        detector = open_session(exact_config(quantum_size=4))
         messages = burst(["a1", "b1", "c1"], range(6))
-        reports = list(detector.process_stream(messages))
+        reports = list(detector.ingest_many(messages, flush=True))
         assert len(reports) == 2
         assert reports[1].messages_processed == 2
 
     def test_throughput_accounting(self):
-        detector = EventDetector(exact_config())
+        detector = open_session(exact_config())
         detector.process_quantum(burst(["a1", "b1"], range(6)))
         assert detector.total_messages == 6
         assert detector.throughput() > 0
@@ -98,14 +97,14 @@ class TestDetectorLifecycle:
 class TestReportFilters:
     def test_rank_floor_suppresses_weak_clusters(self):
         config = exact_config(rank_threshold_scale=100.0)
-        detector = EventDetector(config)
+        detector = open_session(config)
         report = detector.process_quantum(burst(["a1", "b1", "c1"], range(6)))
         assert report.reported == []
         assert len(report.suppressed) == 1
 
     def test_noun_filter(self):
         tagger = NounTagger({"quickly": "adv", "running": "verb", "slowly": "adv"})
-        detector = EventDetector(exact_config(), noun_tagger=tagger)
+        detector = open_session(exact_config(), noun_tagger=tagger)
         report = detector.process_quantum(
             burst(["quickly", "running", "slowly"], range(6))
         )
@@ -114,7 +113,7 @@ class TestReportFilters:
 
     def test_noun_filter_disabled(self):
         tagger = NounTagger({"quickly": "adv", "running": "verb", "slowly": "adv"})
-        detector = EventDetector(
+        detector = open_session(
             exact_config(require_noun=False), noun_tagger=tagger
         )
         report = detector.process_quantum(
@@ -124,7 +123,7 @@ class TestReportFilters:
 
     def test_min_cluster_size_respected(self):
         config = exact_config(min_cluster_size=5)
-        detector = EventDetector(config)
+        detector = open_session(config)
         report = detector.process_quantum(burst(["a1", "b1", "c1"], range(6)))
         assert report.reported == []
         assert report.suppressed == []  # too small to even rank
@@ -133,7 +132,7 @@ class TestReportFilters:
 class TestSpatialCorrelation:
     def test_temporally_but_not_spatially_correlated_words_unclustered(self):
         """Two bursts from disjoint user groups never share an edge."""
-        detector = EventDetector(exact_config())
+        detector = open_session(exact_config())
         messages = burst(["a1", "b1", "c1"], range(3)) + burst(
             ["x1", "y1", "z1"], range(10, 13)
         )
@@ -147,7 +146,7 @@ class TestSpatialCorrelation:
     def test_user_level_spatiality_spans_messages(self):
         """Keywords of one user may be spread over several messages within a
         quantum and still correlate (Section 3.2)."""
-        detector = EventDetector(exact_config())
+        detector = open_session(exact_config())
         messages = []
         for u in range(3):
             messages.append(Message(f"u{u}", tokens=("storm", "warning")))
@@ -159,7 +158,7 @@ class TestSpatialCorrelation:
 
 class TestStagedPipeline:
     def test_per_stage_timings_populated(self):
-        detector = EventDetector(exact_config())
+        detector = open_session(exact_config())
         report = detector.process_quantum(burst(["a1", "b1", "c1"], range(6)))
         timings = report.timings.as_dict()
         assert set(timings) == {
@@ -171,7 +170,7 @@ class TestStagedPipeline:
         assert detector.total_timings.total > 0.0
 
     def test_change_and_dirty_counters(self):
-        detector = EventDetector(exact_config())
+        detector = open_session(exact_config())
         report = detector.process_quantum(burst(["a1", "b1", "c1"], range(6)))
         assert report.changes > 0          # cluster creation was logged
         assert report.dirty_clusters == 1  # the new cluster
@@ -180,7 +179,7 @@ class TestStagedPipeline:
     def test_stable_cluster_served_from_cache(self):
         """A cluster whose support and correlations are unchanged between
         quanta must not be re-ranked — the heart of the incremental claim."""
-        detector = EventDetector(exact_config())
+        detector = open_session(exact_config())
         messages = burst(["a1", "b1", "c1"], range(6))
         detector.process_quantum(messages)
         report = detector.process_quantum(list(messages))
@@ -201,8 +200,10 @@ class TestStagedPipeline:
             ]
             return quanta
 
-        incremental = EventDetector(exact_config(window_quanta=3))
-        oracle = EventDetector(exact_config(window_quanta=3), oracle_ranking=True)
+        incremental = open_session(exact_config(window_quanta=3))
+        oracle = oracle_session(
+            exact_config(window_quanta=3), akg=False, ranking=True
+        )
         for batch in stream():
             a = incremental.process_quantum(batch)
             b = oracle.process_quantum(list(batch))
@@ -225,8 +226,8 @@ class TestStagedPipeline:
                 burst(["a1", "b1", "c1"], range(6)),
             ]
 
-        fast = EventDetector(exact_config(window_quanta=3))
-        oracle = EventDetector(exact_config(window_quanta=3), oracle_akg=True)
+        fast = open_session(exact_config(window_quanta=3))
+        oracle = oracle_session(exact_config(window_quanta=3))
         assert fast.builder.oracle is False
         assert oracle.builder.oracle is True
         for batch in stream():
@@ -237,13 +238,8 @@ class TestStagedPipeline:
             assert sorted(map(key, a.suppressed)) == sorted(map(key, b.suppressed))
             assert set(fast.graph.nodes()) == set(oracle.graph.nodes())
 
-    def test_oracle_akg_via_config(self):
-        detector = EventDetector(exact_config(oracle_akg=True))
-        assert detector.builder.oracle is True
-        detector.process_quantum(burst(["a1", "b1", "c1"], range(6)))
-
     def test_top_k_uses_rank_order(self):
-        detector = EventDetector(exact_config())
+        detector = open_session(exact_config())
         report = detector.process_quantum(
             burst(["a1", "b1", "c1"], range(6))
             + burst(["x1", "y1", "z1"], range(10, 18))
@@ -258,12 +254,12 @@ class TestStagedPipeline:
 class TestCkgStats:
     def test_tracking_enabled(self):
         config = exact_config(track_ckg_stats=True)
-        detector = EventDetector(config)
+        detector = open_session(config)
         report = detector.process_quantum(burst(["a1", "b1", "c1"], range(6)))
         assert report.ckg_nodes == 3
         assert report.ckg_edges == 3
 
     def test_tracking_disabled_by_default(self):
-        detector = EventDetector(exact_config())
+        detector = open_session(exact_config())
         report = detector.process_quantum(burst(["a1", "b1", "c1"], range(6)))
         assert report.ckg_nodes is None

@@ -286,18 +286,18 @@ class TestGlobalOracle:
 class TestChangeLog:
     def test_created_and_merged_entries(self, maintainer):
         build(maintainer, [("a", "b"), ("b", "c"), ("a", "c")])
-        changes = maintainer.pop_changes()
+        changes = maintainer.drain_changes().events
         assert ("created" in {c.kind for c in changes})
-        assert maintainer.pop_changes() == []  # cleared
+        assert maintainer.drain_changes().events == ()  # cleared
 
     def test_split_entry(self, maintainer, figure6_graph):
         for n in figure6_graph.nodes():
             maintainer.graph.ensure_node(n)
         for u, v, _ in figure6_graph.edges():
             maintainer.add_edge(u, v)
-        maintainer.pop_changes()
+        maintainer.drain_changes().events
         maintainer.remove_node(9)
-        kinds = {c.kind for c in maintainer.pop_changes()}
+        kinds = {c.kind for c in maintainer.drain_changes().events}
         assert "split" in kinds
 
     def test_dissolved_entry(self, maintainer, triangle):
@@ -305,25 +305,25 @@ class TestChangeLog:
             maintainer.graph.ensure_node(n)
         for u, v, _ in triangle.edges():
             maintainer.add_edge(u, v)
-        maintainer.pop_changes()
+        maintainer.drain_changes().events
         maintainer.remove_edge(0, 1)
-        kinds = {c.kind for c in maintainer.pop_changes()}
+        kinds = {c.kind for c in maintainer.drain_changes().events}
         assert "dissolved" in kinds
 
     def test_edge_weight_delta_recorded(self, maintainer):
         build(maintainer, [("a", "b"), ("b", "c"), ("a", "c")])
-        maintainer.pop_changes()
+        maintainer.drain_changes().events
         maintainer.set_edge_weight("a", "b", 0.75)
-        changes = maintainer.pop_changes()
+        changes = maintainer.drain_changes().events
         assert [c.kind for c in changes] == ["edge-weight"]
         assert changes[0].edge == ("a", "b")
         assert changes[0].new == 0.75
 
     def test_same_weight_refresh_is_silent(self, maintainer):
         build(maintainer, [("a", "b"), ("b", "c"), ("a", "c")])
-        maintainer.pop_changes()
+        maintainer.drain_changes().events
         maintainer.set_edge_weight("a", "b", 1.0)  # unchanged value
-        assert maintainer.pop_changes() == []
+        assert maintainer.drain_changes().events == ()
 
     def test_drain_changes_returns_batch(self, maintainer):
         build(maintainer, [("a", "b"), ("b", "c"), ("a", "c")])

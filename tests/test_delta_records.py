@@ -8,8 +8,7 @@ That is only sound if, at every quantum boundary,
 
     patch_tree(tree[q-1], record[q]) == tree[q]
 
-byte for byte through the canonical codec, on the default path and under
-the ``oracle_akg`` referee.
+byte for byte through the canonical codec.
 This suite drives the golden stream regimes quantum by quantum and checks
 exactly that against the session's own ``_state_tree()``, and pins the
 layer ops' size against the exhaustive differ (``tests/tree_diff.py``): a
@@ -32,7 +31,6 @@ from tree_diff import canon, diff_trees, wire_bytes
 # engine under that id since before it was the only engine.
 MODES = {
     "batched": {},
-    "oracle_akg": dict(oracle_akg=True),
 }
 
 
@@ -82,10 +80,8 @@ def test_record_patches_previous_tree_into_current(name, mode):
 @pytest.mark.parametrize("mode", ["batched"])
 def test_layer_ops_are_no_larger_than_the_differ_finds(name, mode):
     """Per layer: the shipped-whole volatile subtrees are exempt by design
-    (diffing them costs more than it saves), and so is the from-scratch
-    ``oracle_akg`` builder (it keeps no notion of what a slide did and
-    ships its window whole); the layers that compute an op are held to the
-    differ's size."""
+    (diffing them costs more than it saves); the layers that compute an op
+    are held to the differ's size."""
     messages, config = regime(name)
     for previous, op, current in quantum_boundaries(
         messages, config, **MODES[mode]

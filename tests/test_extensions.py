@@ -3,8 +3,8 @@
 
 import pytest
 
+from repro.api import open_session
 from repro.config import DetectorConfig
-from repro.core.engine import EventDetector
 from repro.core.events import EventRecord, EventSnapshot
 from repro.core.postprocess import (
     CorrelatedEventGroup,
@@ -12,6 +12,7 @@ from repro.core.postprocess import (
     correlate_events,
 )
 from repro.errors import ConfigError
+from repro.extract import KeywordExtractor
 from repro.stream.messages import Message
 from repro.text.synonyms import SynonymNormalizer
 from repro.text.tokenize import tokenize
@@ -65,13 +66,16 @@ class TestSynonymNormalizer:
         for u in range(4):
             messages.append(Message(f"b{u}", text="quake struck turkey"))
 
-        plain = EventDetector(config)
+        plain = open_session(config)
         report = plain.process_quantum(messages)
         plain_keywords = set().union(*(e.keywords for e in report.reported))
         assert {"earthquake", "quake"} <= plain_keywords  # two distinct nodes
 
         norm = SynonymNormalizer([["earthquake", "quake"]])
-        merged = EventDetector(config, tokenizer=norm.wrap_tokenizer(tokenize))
+        merged = open_session(
+            config,
+            extractor=KeywordExtractor(tokenizer=norm.wrap_tokenizer(tokenize)),
+        )
         report = merged.process_quantum(messages)
         assert len(report.reported) == 1
         assert "quake" not in report.reported[0].keywords

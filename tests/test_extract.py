@@ -254,14 +254,6 @@ class TestSessionIntegration:
                 reported |= event.keywords
         assert {"p1", "p2", "p3", "p4"} <= reported
 
-    def test_extractor_and_tokenizer_mutually_exclusive(self):
-        with pytest.raises(ConfigError):
-            open_session(
-                self.config(),
-                extractor=EdgeStreamAdapter(),
-                tokenizer=str.split,
-            )
-
     def test_explicit_extractor_instance_overrides_config(self):
         session = open_session(
             self.config(), extractor=EdgeStreamAdapter(entities_field="e")
@@ -283,7 +275,7 @@ class TestSessionIntegration:
     def test_resume_accepts_matching_registered_instance(self, tmp_path):
         """Re-passing an equivalent registered extractor on resume is fine
         (the docstring says 'pass the same objects'); a spec mismatch or a
-        custom tokenizer against a registered checkpoint is refused."""
+        custom extractor against a registered checkpoint is refused."""
         from repro.errors import CheckpointError
 
         session = open_session(
@@ -300,8 +292,10 @@ class TestSessionIntegration:
             open_session(
                 resume=path, extractor=FieldExtractor(fields=("other",))
             )
-        with pytest.raises(CheckpointError, match="tokenizer"):
-            open_session(resume=path, tokenizer=str.split)
+        with pytest.raises(CheckpointError, match="does not match"):
+            open_session(
+                resume=path, extractor=KeywordExtractor(tokenizer=str.split)
+            )
 
     def test_custom_checkpoint_refuses_registered_extractor(self, tmp_path):
         """A custom-extractor checkpoint demands the custom object back; a
@@ -309,7 +303,8 @@ class TestSessionIntegration:
         next snapshot would launder the divergence)."""
         from repro.errors import CheckpointError
 
-        session = open_session(self.config(), tokenizer=str.split)
+        custom = KeywordExtractor(tokenizer=str.split)
+        session = open_session(self.config(), extractor=custom)
         session.process_quantum(
             [Message(f"u{u}", text="alpha beta gamma") for u in range(6)]
         )
@@ -317,7 +312,7 @@ class TestSessionIntegration:
         session.snapshot(path)
         with pytest.raises(CheckpointError, match="cannot be it"):
             open_session(resume=path, extractor=KeywordExtractor())
-        resumed = open_session(resume=path, tokenizer=str.split)
+        resumed = open_session(resume=path, extractor=custom)
         assert resumed._custom_extractor
 
     def test_checkpoint_records_extractor_identity(self, tmp_path):

@@ -6,8 +6,8 @@ incremental/global equivalence (Theorem 3) are re-verified.
 
 import pytest
 
+from repro.api import open_session
 from repro.config import DetectorConfig
-from repro.core.engine import EventDetector
 from repro.errors import EdgeNotFoundError, NodeNotFoundError, StreamError
 from repro.core.maintenance import ClusterMaintainer
 from repro.stream.messages import Message
@@ -29,7 +29,7 @@ class TestHostileStreams:
     def test_single_user_flood_never_clusters(self):
         """One user flooding identical messages must not create an event:
         correlation is computed over user ids, not message ids (Section 3.2)."""
-        detector = EventDetector(exact_config())
+        detector = open_session(exact_config())
         flood = [
             Message("flooder", tokens=("scam", "link", "click"))
             for _ in range(64)
@@ -40,7 +40,7 @@ class TestHostileStreams:
         assert len(detector.registry) == 0
 
     def test_empty_token_messages(self):
-        detector = EventDetector(exact_config())
+        detector = open_session(exact_config())
         report = detector.process_quantum(
             [Message(f"u{i}", tokens=()) for i in range(8)]
         )
@@ -51,7 +51,7 @@ class TestHostileStreams:
         """A 400-keyword message would inject ~80k correlated pairs into the
         graph; the message-length cap (microblog posts are short) bounds the
         damage to max_tokens_per_message keywords."""
-        detector = EventDetector(exact_config(max_tokens_per_message=16))
+        detector = open_session(exact_config(max_tokens_per_message=16))
         huge = tuple(f"word{i}" for i in range(400))
         report = detector.process_quantum(
             [Message(f"u{i}", tokens=huge) for i in range(8)]
@@ -61,7 +61,7 @@ class TestHostileStreams:
         assert detector.graph.num_nodes <= 16
 
     def test_unicode_and_odd_tokens(self):
-        detector = EventDetector(exact_config())
+        detector = open_session(exact_config())
         tokens = ("зе́мля", "ná Ísland", "🌍quake", "5.9")
         report = detector.process_quantum(
             [Message(f"u{i}", tokens=tokens) for i in range(8)]
@@ -70,7 +70,7 @@ class TestHostileStreams:
         assert report is not None
 
     def test_duplicate_tokens_in_message(self):
-        detector = EventDetector(exact_config())
+        detector = open_session(exact_config())
         report = detector.process_quantum(
             [Message(f"u{i}", tokens=("echo", "echo", "chamber")) for i in range(8)]
         )
@@ -80,7 +80,7 @@ class TestHostileStreams:
 
     def test_alternating_burst_silence(self):
         """Keywords flapping in and out of burstiness must keep state exact."""
-        detector = EventDetector(exact_config(window_quanta=2))
+        detector = open_session(exact_config(window_quanta=2))
         loud = [Message(f"u{i}", tokens=("flap", "per", "node")) for i in range(8)]
         quiet = [Message(f"q{i}", tokens=(f"noise{i}",)) for i in range(8)]
         for round_no in range(6):
@@ -89,7 +89,7 @@ class TestHostileStreams:
             detector.registry.check_integrity()
 
     def test_user_id_type_mixture(self):
-        detector = EventDetector(exact_config())
+        detector = open_session(exact_config())
         messages = [
             Message(1, tokens=("mix", "types")),
             Message("1", tokens=("mix", "types")),

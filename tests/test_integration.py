@@ -6,8 +6,8 @@ the properties the benchmarks rely on, at reduced scale.
 
 import pytest
 
+from repro.api import open_session
 from repro.config import DetectorConfig
-from repro.core.engine import EventDetector
 from repro.datasets.headlines import headlines_for_trace
 from repro.datasets.traces import (
     build_es_trace,
@@ -154,7 +154,7 @@ class TestSchemeComparisonShape:
 
 class TestDetectorResilience:
     def test_empty_quantum_handled(self):
-        detector = EventDetector(DetectorConfig(quantum_size=4))
+        detector = open_session(DetectorConfig(quantum_size=4))
         report = detector.process_quantum([])
         assert report.reported == []
 

@@ -30,7 +30,6 @@ MODULES = [
     "repro.core.maintenance",
     "repro.core.ranking",
     "repro.core.events",
-    "repro.core.engine",
     "repro.core.postprocess",
     "repro.graph.dynamic_graph",
     "repro.graph.biconnected",

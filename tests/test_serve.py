@@ -172,8 +172,9 @@ class TestTenantLifecycle:
 
     def test_execution_fields_in_config_are_400(self, server):
         """A tenant config cannot choose how the server executes: the
-        removed ``workers``/``shard_count`` fields are refused by name, as
-        any unknown field is, and nothing is forked or dialled."""
+        removed ``workers``/``shard_count`` fields and the referee modes
+        ``oracle_akg``/``oracle_ranking`` are refused by name, as any
+        unknown field is, and nothing is forked or dialled."""
         import multiprocessing
 
         listener = socket.socket()
@@ -188,6 +189,8 @@ class TestTenantLifecycle:
                 ({"shard_count": 4}, "shard_count"),
                 ({"workers": endpoint, "shard_count": 2},
                  "shard_count, workers"),
+                ({"oracle_akg": True}, "oracle_akg"),
+                ({"oracle_ranking": True}, "oracle_ranking"),
             ):
                 with pytest.raises(
                     ServeError, match=f"400.*unknown config fields: {named}$"
