@@ -12,8 +12,8 @@
   edge deltas to a :class:`~repro.core.maintenance.ClusterMaintainer`;
 * :mod:`repro.akg.oracle` — from-scratch window-state recomputation, the
   differential-verification baseline of the delta-driven fast path;
-* :mod:`repro.akg.ckg_stats` — optional full-CKG counters for the Section
-  7.4 reduction study.
+* :mod:`repro.akg.ckg_stats` — full-CKG counters for the Section 7.4
+  reduction study, assembled by ``benchmarks/bench_akg_reduction.py``.
 """
 
 from repro.akg.idsets import IdSetIndex, SlideDelta

@@ -5,14 +5,15 @@ materialised.  To *measure* the reduction (AKG edges < 2% of CKG edges,
 < 5% of nodes bursty), this tracker maintains the CKG's node and edge counts
 over the sliding window without building an adjacency structure: it keeps a
 multiset of co-occurring keyword pairs per quantum and subtracts expired
-quanta.  It is optional (``DetectorConfig.track_ckg_stats``) because the
-pair multiset is exactly the cost the AKG avoids.
+quanta.  It is assembled by ``benchmarks/bench_akg_reduction.py``, never by
+a detector session, because the pair multiset is exactly the cost the AKG
+avoids.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Deque, Dict, Hashable, Iterable, Mapping, Set, Tuple
+from typing import Deque, Dict, Hashable, Mapping, Set, Tuple
 
 Keyword = str
 UserId = Hashable
@@ -66,40 +67,6 @@ class CkgStatsTracker:
             _, old_nodes = self._node_window.popleft()
             self._node_counts.subtract(old_nodes)
             self._node_counts += Counter()
-
-    def to_state(self) -> dict:
-        """Checkpointable snapshot: the retained per-quantum windows.
-
-        The aggregate counters are exactly the sum of the live windows, so
-        only the windows (plus the truncation counter) are stored.
-        """
-        return {
-            "truncated_users": self.truncated_users,
-            "pair_window": [
-                [q, [[list(pair), n] for pair, n in sorted(pairs.items())]]
-                for q, pairs in self._window
-            ],
-            "node_window": [
-                [q, sorted(nodes)] for q, nodes in self._node_window
-            ],
-        }
-
-    def from_state(self, state: dict) -> None:
-        """Rebuild the tracker in place from :meth:`to_state` output."""
-        self.truncated_users = state["truncated_users"]
-        self._window = deque(
-            (q, Counter({tuple(pair): n for pair, n in pairs}))
-            for q, pairs in state["pair_window"]
-        )
-        self._node_window = deque(
-            (q, set(nodes)) for q, nodes in state["node_window"]
-        )
-        self._pair_counts = Counter()
-        for _, pairs in self._window:
-            self._pair_counts.update(pairs)
-        self._node_counts = Counter()
-        for _, nodes in self._node_window:
-            self._node_counts.update(nodes)
 
     @property
     def ckg_nodes(self) -> int:

@@ -47,7 +47,7 @@ from typing import Any
 from repro.errors import CheckpointError
 
 CHECKPOINT_FORMAT = "repro-session-checkpoint"
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 """Bump on any change to the state tree layout, and add a migration step
 below so supported older snapshots keep loading.
 Version history: 1 — PR 3 layout (no longer readable); 2 — event histories
@@ -60,7 +60,9 @@ windows serialize as queues of per-quantum blocks (``window``) instead of
 per-keyword entry lists (``entries`` / ``minis``); 5 — the builder's
 ``sketches`` subtree is gone (sketches are read off the id-set window);
 6 — no referee-mode flags (top-level and config ``oracle_*``, the
-builder's ``oracle``): a session always runs the incremental stages."""
+builder's ``oracle``): a session always runs the incremental stages;
+7 — no Section 7.4 CKG counters (top-level ``ckg_stats``, config
+``track_ckg_stats``): the reduction bench assembles its own tracker."""
 
 _SCALARS = (bool, int, float, str)
 
@@ -147,11 +149,23 @@ def _migrate_v5_to_v6(state: dict) -> dict:
     return {**rest, "config": config, "builder": builder}
 
 
+def _migrate_v6_to_v7(state: dict) -> dict:
+    """v6 → v7: drop the ``ckg_stats`` subtree and the config's
+    ``track_ckg_stats``.  The counters never fed detection, so a session
+    that tracked them resumes identically without them."""
+    config = {
+        k: v for k, v in state["config"].items() if k != "track_ckg_stats"
+    }
+    rest = {k: v for k, v in state.items() if k != "ckg_stats"}
+    return {**rest, "config": config}
+
+
 _MIGRATIONS = {
     2: _migrate_v2_to_v3,
     3: _migrate_v3_to_v4,
     4: _migrate_v4_to_v5,
     5: _migrate_v5_to_v6,
+    6: _migrate_v6_to_v7,
 }
 """``version -> state migration`` steps; each maps a decoded state tree one
 version forward.  :func:`load_checkpoint` chains them until

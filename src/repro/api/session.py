@@ -53,7 +53,6 @@ from typing import (
 )
 
 from repro.akg.builder import AkgBuilder
-from repro.akg.ckg_stats import CkgStatsTracker
 from repro.api.checkpoint import load_checkpoint, save_checkpoint
 from repro.api.session_events import EventKind, SessionEvent
 from repro.api.sinks import CallbackSink, Sink
@@ -169,11 +168,6 @@ class DetectorSession:
         )
         self.tracker = EventTracker()
         self.batcher = QuantumBatcher(self.config.quantum_size)
-        self.ckg_stats = (
-            CkgStatsTracker(self.config.window_quanta)
-            if self.config.track_ckg_stats
-            else None
-        )
         self._rank_floor = self.config.rank_threshold_scale * minimum_rank(
             self.config.high_state_threshold, self.config.ec_threshold
         )
@@ -186,7 +180,6 @@ class DetectorSession:
             self.tracker,
             self.report_index,
             self.config.max_tokens_per_message,
-            self.ckg_stats,
         )
         self.pipeline = Pipeline(stages)
         self._profiler = cProfile.Profile() if profile else None
@@ -296,9 +289,6 @@ class DetectorSession:
         report.dirty_clusters = len(ctx.dirty)
         report.ranked_clusters = self.ranker.stats.ranked
         report.rank_cache_hits = self.ranker.stats.cache_hits
-        if self.ckg_stats is not None:
-            report.ckg_nodes = self.ckg_stats.ckg_nodes
-            report.ckg_edges = self.ckg_stats.ckg_edges
         report.elapsed_seconds = time.perf_counter() - start
         self.total_messages += len(ctx.messages)
         self.total_seconds += report.elapsed_seconds
@@ -601,9 +591,6 @@ class DetectorSession:
                 message_to_record(m) for m in self.batcher.pending_messages()
             ],
             "maintainer": maintainer_state,
-            "ckg_stats": (
-                self.ckg_stats.to_state() if self.ckg_stats is not None else None
-            ),
             "notified": [
                 [cid, note.rank, note.size, sorted(note.keywords)]
                 for cid, note in sorted(self._notified.items())
@@ -730,8 +717,6 @@ class DetectorSession:
         session.maintainer.from_state(state["maintainer"])
         session.builder.from_state(state["builder"])
         session.tracker.from_state(state["tracker"])
-        if session.ckg_stats is not None and state["ckg_stats"] is not None:
-            session.ckg_stats.from_state(state["ckg_stats"])
         session.batcher.load_pending(
             message_from_record(record) for record in state["pending"]
         )

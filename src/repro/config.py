@@ -89,10 +89,6 @@ class DetectorConfig:
         be JSON-serializable: the pair ``(extractor, extractor_options)``
         is the extractor's checkpoint identity, the spec a resumed session
         rebuilds it from.
-    track_ckg_stats:
-        Maintain full CKG node/edge counts for the Section 7.4 reduction
-        study.  Costs memory proportional to distinct co-occurring pairs in
-        the window; off by default.
     seed:
         Seed for the MinHash hash-function salt; fixed for reproducibility.
     """
@@ -115,7 +111,6 @@ class DetectorConfig:
     extractor_options: Mapping[str, Any] = field(
         default_factory=dict, hash=False
     )
-    track_ckg_stats: bool = False
     seed: int = 0x5C9C1E
 
     def __post_init__(self) -> None:

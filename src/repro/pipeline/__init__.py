@@ -12,7 +12,6 @@ from repro.pipeline.reports import QuantumReport, ReportedEvent, StageTimings
 from repro.pipeline.stages import (
     AkgUpdateStage,
     ColumnExtractStage,
-    ExtractStage,
     MaintainStage,
     Pipeline,
     PropagateStage,
@@ -32,7 +31,6 @@ __all__ = [
     "QuantumContext",
     "Stage",
     "ColumnExtractStage",
-    "ExtractStage",
     "AkgUpdateStage",
     "MaintainStage",
     "PropagateStage",

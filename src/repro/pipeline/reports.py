@@ -91,8 +91,6 @@ class QuantumReport:
     new_event_ids: Set[int] = field(default_factory=set)
     dead_event_ids: Set[int] = field(default_factory=set)
     akg_stats: Optional["AkgQuantumStats"] = None
-    ckg_nodes: Optional[int] = None
-    ckg_edges: Optional[int] = None
     messages_processed: int = 0
     elapsed_seconds: float = 0.0
     timings: StageTimings = field(default_factory=StageTimings)

@@ -9,19 +9,17 @@ The first stage is parameterised by an
 tokenized microblog text, structured field streams, or raw actor–entity
 interaction streams (DESIGN.md Section 8).
 
-Stage 1 comes in two forms.  :class:`ColumnExtractStage` is the hot path
-(DESIGN.md Section 9): it reduces a quantum straight to interned pair
-columns over the builder's own interner tables.  :class:`ExtractStage`
-builds the ``actor -> entities`` / ``entity -> actors`` mappings instead —
-what the CKG-stats tracker reads, and :func:`build_stages` picks it exactly
-when one is attached (the from-scratch AKG referee is fed the same
-mappings; the differential tests assemble that pipeline from these
-classes).  :class:`AkgUpdateStage` hands the builder whichever form stage 1
-produced.
+Stage 1 has one form, :class:`ColumnExtractStage` (DESIGN.md Section 9):
+it reduces a quantum straight to interned pair columns over the builder's
+own interner tables, and :class:`AkgUpdateStage` hands them to the
+builder.  Anything that needs another view of the quantum (the
+from-scratch referee's ``entity -> actors`` mapping in the differential
+tests, the Section 7.4 CKG counters in ``bench_akg_reduction.py``) decodes
+it from those columns in a stage of its own.
 
 Data flows between stages through a mutable :class:`QuantumContext`: each
 stage consumes the typed products of its predecessors (the per-quantum
-pair columns or actor/entity mappings, the
+pair columns, the
 :class:`~repro.core.changelog.ChangeBatch`
 drained from the maintainer, the ranked-result list) and is responsible for
 writing its own slot(s) of :class:`~repro.pipeline.reports.StageTimings` —
@@ -59,16 +57,10 @@ from repro.errors import PipelineError
 from repro.interning import Interner
 from repro.pipeline.report_index import ThresholdIndex
 from repro.pipeline.reports import QuantumReport, ReportedEvent, StageTimings
-from repro.stream.window import (
-    QuantumColumns,
-    actor_entities_of_quantum,
-    invert_actor_entities,
-    quantum_columns,
-)
+from repro.stream.window import QuantumColumns, quantum_columns
 
 if TYPE_CHECKING:  # type-only: the stages hold these by duck-typed reference
     from repro.akg.builder import AkgBuilder, AkgQuantumStats
-    from repro.akg.ckg_stats import CkgStatsTracker
     from repro.core.changelog import ChangeBatch
     from repro.core.clusters import Cluster
     from repro.core.events import EventTracker
@@ -92,8 +84,6 @@ class QuantumContext:
     messages: Sequence[Message]
     timings: StageTimings = field(default_factory=StageTimings)
     columns: Optional[QuantumColumns] = None
-    actor_entities: Optional[Dict] = None
-    entity_actors: Optional[Dict] = None
     akg_stats: Optional[AkgQuantumStats] = None
     batch: Optional[ChangeBatch] = None
     dirty: Optional[Set[int]] = None
@@ -130,8 +120,7 @@ class ColumnExtractStage:
     The interner tables are the *builder's* (shared with its window index),
     so ids minted here are the ids the id-set index stores and the sketch
     kernel hashes — intern once per token per window residency, reuse
-    everywhere.  The typed ``actor_entities`` / ``entity_actors`` context
-    fields stay ``None``: nothing downstream of the AKG stage reads them.
+    everywhere.
     """
 
     name = "extract"
@@ -160,39 +149,6 @@ class ColumnExtractStage:
         ctx.timings.extract = time.perf_counter() - t
 
 
-class ExtractStage:
-    """Stage 1, mapping form: actor -> entities and entity -> actors.
-
-    Runs when something needs the mappings themselves: the CKG-stats
-    tracker (fed ``actor_entities``) or a from-scratch referee builder
-    (fed ``entity_actors``).
-    """
-
-    name = "extract"
-
-    def __init__(
-        self,
-        extractor,
-        max_entities_per_record: int,
-        ckg_stats: Optional[CkgStatsTracker] = None,
-    ) -> None:
-        self.extractor = extractor
-        self.max_entities_per_record = max_entities_per_record
-        self.ckg_stats = ckg_stats
-
-    def run(self, ctx: QuantumContext) -> None:
-        t = time.perf_counter()
-        ctx.actor_entities = actor_entities_of_quantum(
-            ctx.messages,
-            self.extractor,
-            max_entities_per_record=self.max_entities_per_record,
-        )
-        ctx.entity_actors = invert_actor_entities(ctx.actor_entities)
-        if self.ckg_stats is not None:
-            self.ckg_stats.add_quantum(ctx.quantum, ctx.actor_entities)
-        ctx.timings.extract = time.perf_counter() - t
-
-
 class AkgUpdateStage:
     """Stages 2+3 (fused execution): AKG maintenance driving clustering.
 
@@ -200,8 +156,7 @@ class AkgUpdateStage:
     maintainer, the Section 5 cluster maintenance inline.  The stage stashes
     the maintainer's clustering-clock delta in ``ctx.scratch`` for
     :class:`MaintainStage` to account; until that stage runs, the whole
-    fused wall time is attributed to ``akg_update``.  The builder is fed
-    whichever form stage 1 produced: pair columns, else the mapping.
+    fused wall time is attributed to ``akg_update``.
     """
 
     name = "akg_update"
@@ -213,14 +168,7 @@ class AkgUpdateStage:
     def run(self, ctx: QuantumContext) -> None:
         t = time.perf_counter()
         maintain_before = self.maintainer.clustering_seconds
-        if ctx.columns is not None:
-            ctx.akg_stats = self.builder.process_columns(
-                ctx.quantum, ctx.columns
-            )
-        else:
-            ctx.akg_stats = self.builder.process_quantum(
-                ctx.quantum, ctx.entity_actors
-            )
+        ctx.akg_stats = self.builder.process_columns(ctx.quantum, ctx.columns)
         ctx.scratch["maintain_seconds"] = (
             self.maintainer.clustering_seconds - maintain_before
         )
@@ -386,26 +334,16 @@ def build_stages(
     tracker: EventTracker,
     report_index: ThresholdIndex,
     max_entities_per_record: int,
-    ckg_stats: Optional[CkgStatsTracker] = None,
 ) -> List[Stage]:
-    """The default six-stage pipeline over the given engine components.
-
-    Stage 1 is the column form unless a CKG-stats tracker is attached (it
-    needs the mappings).
-    """
-    if ckg_stats is not None:
-        extract: Stage = ExtractStage(
-            extractor, max_entities_per_record, ckg_stats
-        )
-    else:
-        extract = ColumnExtractStage(
+    """The default six-stage pipeline over the given engine components,
+    extracting into the builder's own interner tables."""
+    return [
+        ColumnExtractStage(
             extractor,
             max_entities_per_record,
             builder.idsets.ents,
             builder.idsets.acts,
-        )
-    return [
-        extract,
+        ),
         AkgUpdateStage(builder, maintainer),
         MaintainStage(maintainer),
         PropagateStage(maintainer, ranker),
@@ -418,7 +356,6 @@ __all__ = [
     "QuantumContext",
     "Stage",
     "ColumnExtractStage",
-    "ExtractStage",
     "AkgUpdateStage",
     "MaintainStage",
     "PropagateStage",

@@ -3,11 +3,10 @@
 The moving-window paradigm of Section 1.1: the stream is consumed in quanta
 of a fixed number of records; the window spans the last ``w`` quanta.  The
 :class:`QuantumBatcher` groups an arbitrary message iterator into quanta;
-the aggregation helpers reduce a quantum to the two mappings the AKG needs:
-entity -> actors (id sets) and actor -> entities (spatial correlation, CKG
-stats) — or, on the hot path, straight to the interned pair columns the
-window indexes consume (:class:`QuantumColumns`).  Extraction is delegated
-to an :class:`~repro.extract.base.EntityExtractor`.
+:func:`quantum_columns` reduces a quantum to the interned pair columns the
+window indexes consume (:class:`QuantumColumns`) — the one aggregated form
+of a quantum.  Extraction is delegated to an
+:class:`~repro.extract.base.EntityExtractor`.
 """
 
 from __future__ import annotations
@@ -96,41 +95,6 @@ class QuantumBatcher:
             yield tail
 
 
-def actor_entities_of_quantum(
-    messages: Iterable[Message],
-    extractor,
-    max_entities_per_record: int | None = None,
-) -> Dict[ActorId, Set[Entity]]:
-    """actor -> entities observed within the quantum (spatial correlation).
-
-    Spatial correlation is per *actor per quantum*, not per record: an
-    actor's entities may be spread over several records within the quantum
-    (Section 3.2).  ``max_entities_per_record`` truncates oversized records
-    (microblog posts are length-capped; the cap also bounds the per-record
-    pair fan-out a hostile flooder could inject).
-    """
-    out: Dict[ActorId, Set[Entity]] = {}
-    for message in messages:
-        entities = extractor.entities(message)
-        if not entities:
-            continue
-        if max_entities_per_record is not None:
-            entities = entities[:max_entities_per_record]
-        out.setdefault(message.user_id, set()).update(entities)
-    return out
-
-
-def invert_actor_entities(
-    actor_entities: Dict[ActorId, Set[Entity]],
-) -> Dict[Entity, Set[ActorId]]:
-    """Convert actor -> entities into entity -> actors without re-extracting."""
-    out: Dict[Entity, Set[ActorId]] = {}
-    for actor, entities in actor_entities.items():
-        for entity in entities:
-            out.setdefault(entity, set()).add(actor)
-    return out
-
-
 class QuantumColumns:
     """One quantum reduced to flat, interned, deduplicated pair columns.
 
@@ -140,11 +104,13 @@ class QuantumColumns:
     ``(entity id, actor id)``, because ids are non-negative and below
     2**32 — and grouped into contiguous entity ``segments``: ``(eid, lo,
     hi)`` runs with the entity's token string in the parallel
-    ``ent_strings`` list.  Semantically this is exactly
-    ``invert_actor_entities(actor_entities_of_quantum(...))``: per-record
-    truncation applies before interning and deduplication makes each
-    (entity, actor) pair count once, so segment length equals the quantum's
-    distinct-user support.
+    ``ent_strings`` list.  Semantically it is the quantum's ``entity ->
+    actors`` mapping with every actor's entities aggregated over all its
+    records (spatial correlation is per actor per quantum, Section 3.2):
+    per-record truncation applies before interning, records without
+    entities add nothing, and deduplication makes each (entity, actor)
+    pair count once, so segment length equals the quantum's distinct-user
+    support.  The actor of key ``k`` is ``acts.objs[k & 0xFFFFFFFF]``.
     """
 
     __slots__ = ("keys", "segments", "ent_strings")
@@ -208,10 +174,11 @@ def quantum_columns(
 ) -> QuantumColumns:
     """Extract one quantum straight into interned pair columns.
 
-    The hot-path counterpart of ``actor_entities_of_quantum`` +
-    ``invert_actor_entities``: one pass appends interned (entity, actor)
-    occurrence ids to flat lists, then a single dedupe/sort kernel builds
-    the grouped columns — no per-message dict or set allocation.  Messages
+    One pass appends interned (entity, actor) occurrence ids to flat lists
+    — each record capped at ``max_entities_per_record`` entities, which
+    bounds the pair fan-out a flooder can inject — then a single
+    dedupe/sort kernel builds the grouped columns, with no per-message
+    dict or set allocation.  Messages
     already carrying pre-extracted ``tokens`` skip the extractor call when
     the extractor is the plain keyword one (whose ``entities`` is exactly
     ``keyword_tuple``, i.e. the tokens themselves).
@@ -271,10 +238,9 @@ def columns_from_mapping(
 ) -> QuantumColumns:
     """Intern an entity -> actors mapping into :class:`QuantumColumns`.
 
-    The adapter behind the window indexes' mapping entry points (the
-    builder fed mappings under CKG stats, direct construction in tests);
-    empty user sets
-    are skipped — they carry no id-set information.
+    The adapter behind the window indexes' mapping entry point (the
+    from-scratch referee builder, direct construction in tests); empty
+    user sets are skipped — they carry no id-set information.
     """
     ent_occ: List[int] = []
     act_occ: List[int] = []
@@ -294,6 +260,4 @@ __all__ = [
     "columns_from_mapping",
     "quantum_columns",
     "sorted_distinct",
-    "actor_entities_of_quantum",
-    "invert_actor_entities",
 ]

@@ -16,9 +16,10 @@ Everything here must therefore be **deterministic and layout-agnostic**:
 * checkpoint state is normalized: wall-clock timings are zeroed, the
   keys whose *shape* legitimately changed with the extractor refactor
   (extractor identity, the custom-extractor flag) are dropped, and the
-  referee-mode flags checkpoints no longer carry are put back as the
-  constant ``False`` they always were on these runs, so the same stream
-  position fingerprints identically before and after each layout change.
+  referee-mode flags and CKG-counter keys checkpoints no longer carry are
+  put back as the constants they always were on these runs, so the same
+  stream position fingerprints identically before and after each layout
+  change.
 """
 
 from __future__ import annotations
@@ -206,7 +207,8 @@ def normalized_checkpoint_state(path) -> dict:
     hashes of every block entry's users — and are derived from it here.
     The five referee-mode flags (dropped in v6: two top-level, two config
     entries, the builder's) were ``False`` on every pinned run and are
-    re-inserted as such."""
+    re-inserted as such, as are the CKG-counter keys dropped in v7
+    (``ckg_stats`` was ``None``, config ``track_ckg_stats`` ``False``)."""
     state = dict(load_checkpoint(path))
     builder = state["builder"] = dict(state["builder"])
     idsets = builder["idsets"]
@@ -237,6 +239,8 @@ def normalized_checkpoint_state(path) -> dict:
     config.pop("extractor_options", None)
     for mode in ("oracle_akg", "oracle_ranking"):
         state[mode] = config[mode] = False
+    state["ckg_stats"] = None
+    config["track_ckg_stats"] = False
     state["config"] = config
     return state
 

@@ -3,6 +3,33 @@
 from __future__ import annotations
 
 from repro.graph.dynamic_graph import DynamicGraph, edge_key
+from repro.interning import Interner
+from repro.stream.window import quantum_columns
+
+
+def entity_actors(columns, acts):
+    """The ``entity -> actors`` mapping a quantum's pair columns encode
+    (``acts`` is the actor interner they were extracted over)."""
+    keys = columns.keys
+    return {
+        entity: {acts.objs[k] for k in (keys[lo:hi] & 0xFFFFFFFF).tolist()}
+        for entity, (_, lo, hi) in zip(columns.ent_strings, columns.segments)
+    }
+
+
+def quantum_mappings(messages, extractor, max_entities_per_record=None):
+    """``(actor -> entities, entity -> actors)`` of one quantum, decoded
+    from the pair columns :func:`quantum_columns` extracts."""
+    acts = Interner()
+    columns = quantum_columns(
+        messages, extractor, max_entities_per_record, Interner(), acts
+    )
+    by_entity = entity_actors(columns, acts)
+    by_actor = {}
+    for entity, actors in by_entity.items():
+        for actor in actors:
+            by_actor.setdefault(actor, set()).add(entity)
+    return by_actor, by_entity
 
 
 def graph_from_edges(edges, extra_nodes=()):

@@ -12,25 +12,47 @@ driven by a :class:`~repro.pipeline.stages.Pipeline` of the public stage
 classes.  Everything else — batching, filters, tracker, notifications —
 is the session's own.
 
+The product extracts a quantum in one form, interned pair columns; the
+from-scratch AKG takes the ``entity -> actors`` mapping instead, so its
+builder sits behind :class:`MappingFeed`, which decodes the columns back
+into that mapping for the unchanged :class:`AkgUpdateStage`.
+
 A referee session is for comparing reports, notes and histories; the
 from-scratch builder keeps no checkpointable state, so it is never
 snapshotted or delta-logged.
 """
 
+from helpers import entity_actors
 from repro.akg.builder import AkgBuilder
 from repro.api import open_session
 from repro.core.incremental import IncrementalRanker
 from repro.core.maintenance import ClusterMaintainer
+from repro.interning import Interner
 from repro.pipeline.stages import (
     AkgUpdateStage,
     ColumnExtractStage,
-    ExtractStage,
     MaintainStage,
     Pipeline,
     PropagateStage,
     RankStage,
     ReportStage,
 )
+
+
+class MappingFeed:
+    """A from-scratch builder behind the ``process_columns`` entry
+    :class:`AkgUpdateStage` calls: the columns, extracted over ``acts``,
+    reach it as the mapping its window indexes take."""
+
+    def __init__(self, builder, acts):
+        self.builder = builder
+        self.acts = acts
+        self.sub_spans = builder.sub_spans
+
+    def process_columns(self, quantum, columns):
+        return self.builder.process_quantum(
+            quantum, entity_actors(columns, self.acts)
+        )
 
 
 def oracle_session(config=None, *, akg=True, ranking=False, **session_kwargs):
@@ -47,20 +69,21 @@ def oracle_session(config=None, *, akg=True, ranking=False, **session_kwargs):
         min_cluster_size=config.min_cluster_size,
         oracle=ranking,
     )
-    cap = config.max_tokens_per_message
-    if akg or session.ckg_stats is not None:
-        # the referee builder is fed the entity -> actors mapping
-        extract = ExtractStage(session.extractor, cap, session.ckg_stats)
+    if akg:
+        ents, acts = Interner(), Interner()
+        feed = MappingFeed(builder, acts)
     else:
         ents, acts = builder.idsets.ents, builder.idsets.acts
-        extract = ColumnExtractStage(session.extractor, cap, ents, acts)
+        feed = builder
     session.maintainer = maintainer
     session.builder = builder
     session.ranker = ranker
     session.pipeline = Pipeline(
         [
-            extract,
-            AkgUpdateStage(builder, maintainer),
+            ColumnExtractStage(
+                session.extractor, config.max_tokens_per_message, ents, acts
+            ),
+            AkgUpdateStage(feed, maintainer),
             MaintainStage(maintainer),
             PropagateStage(maintainer, ranker),
             RankStage(ranker),

@@ -232,28 +232,6 @@ class TestResumeDifferential:
         resumed.maintainer.check_against_oracle()
         resumed.ranker.verify_against_oracle()
 
-    def test_ckg_stats_survive_restore(self, tmp_path):
-        config = make_config(track_ckg_stats=True)
-        messages = uniform_stream(17, 600)
-        whole = open_session(config)
-        expected = [
-            (r.quantum, r.ckg_nodes, r.ckg_edges)
-            for r in whole.ingest_many(messages)
-        ]
-        path = tmp_path / "ckg.ckpt"
-        session = open_session(config)
-        actual = [
-            (r.quantum, r.ckg_nodes, r.ckg_edges)
-            for r in session.ingest_many(messages[:250])
-        ]
-        session.snapshot(path)
-        resumed = open_session(resume=path)
-        actual += [
-            (r.quantum, r.ckg_nodes, r.ckg_edges)
-            for r in resumed.ingest_many(messages[250:])
-        ]
-        assert actual == expected
-
 
 class TestCheckpointFile:
     def test_config_round_trips_through_checkpoint(self, tmp_path):
@@ -345,24 +323,26 @@ class TestCheckpointFile:
 
 class TestVersionMigration:
     """Older checkpoints load through the migration chain (v2 → v3 → v4 →
-    v5 → v6); truly unknown versions fail with an error naming what *is*
-    readable.
+    v5 → v6 → v7); truly unknown versions fail with an error naming what
+    *is* readable.
 
     ``tests/data/checkpoint_v2.ckpt`` was written by the pre-extractor
     tree (PR 4 head), ``checkpoint_v3.ckpt`` by the last tree with
     per-keyword window layouts (PR 12 head), ``checkpoint_v4.ckpt`` by
     the last tree that kept a sketch window (PR 18 head) and
     ``checkpoint_v5.ckpt`` by the last tree with a sharded front-end (PR
-    21 head: current layout, but its timings carry the ``scatter`` /
-    ``exchange`` / ``overlap_saved`` slots since deleted), all at message
-    250 of the same seed-pinned stream, mid-quantum; the continuation
-    fingerprint below is what each of those trees produced for messages
-    250..300 — the migrated resume must reproduce it bit for bit.
-    ``delta_v6/`` is that tree's delta log of the same stream: a base at
-    message 160 and the four records up to message 240.
+    21 head: its timings carry the ``scatter`` / ``exchange`` /
+    ``overlap_saved`` slots since deleted) and ``checkpoint_v6.ckpt`` by
+    the last tree with CKG counters on the session (PR 25 head: a null
+    ``ckg_stats`` subtree and a ``track_ckg_stats`` config entry), all at
+    message 250 of the same seed-pinned stream, mid-quantum; the
+    continuation fingerprint below is what each of those trees produced
+    for messages 250..300 — the migrated resume must reproduce it bit for
+    bit.  ``delta_v6/`` is the PR 21 tree's delta log of the same stream: a
+    base at message 160 and the four records up to message 240.
     """
 
-    VERSIONS = (2, 3, 4, 5)
+    VERSIONS = (2, 3, 4, 5, 6)
     DELTA_DIR = Path(__file__).parent / "data" / "delta_v6"
     ASSETS = {
         version: Path(__file__).parent / "data" / f"checkpoint_v{version}.ckpt"
@@ -381,7 +361,7 @@ class TestVersionMigration:
     def test_asset_is_the_version_it_says(self, version):
         document = json.loads(self.ASSETS[version].read_text())
         assert document["version"] == version
-        assert CHECKPOINT_VERSION == 6
+        assert CHECKPOINT_VERSION == 7
 
     def test_migrated_state_has_extractor_identity(self):
         from repro.api.checkpoint import load_checkpoint
@@ -430,12 +410,17 @@ class TestVersionMigration:
 
     def test_parent_written_delta_directory_continues_bit_identically(self):
         from golden import fingerprint, note_record, report_record
+        from repro.api.checkpoint import load_checkpoint
         from repro.api.deltalog import FileTailTransport
 
         transport = FileTailTransport(self.DELTA_DIR)
         records, _ = transport.read_records(transport.manifest(), 0)
         assert len(records) == 4
         assert "overlap_saved" in json.dumps(records[-1])
+        # every record replaces the ``ckg_stats`` subtree checkpoint v7
+        # dropped; the replayed tree carries it again and restore ignores it
+        assert all('"ckg_stats"' in json.dumps(r) for r in records)
+        assert load_checkpoint(self.DELTA_DIR)["ckg_stats"] is None
         session = open_session(resume=self.DELTA_DIR)
         assert session.current_quantum == 11
         assert session.batcher.pending == 0
@@ -467,6 +452,41 @@ class TestVersionMigration:
         assert not modes & set(state)
         assert not modes & set(state["config"])
         assert "oracle" not in state["builder"]
+
+    @pytest.mark.parametrize("version", VERSIONS)
+    def test_v7_migration_drops_the_ckg_counters(self, version):
+        from repro.api.checkpoint import load_checkpoint
+
+        state = load_checkpoint(self.ASSETS[version])
+        assert "ckg_stats" not in state
+        assert "track_ckg_stats" not in state["config"]
+
+    def test_tracked_ckg_counters_still_resume(self, tmp_path):
+        """A v6 checkpoint taken with ``track_ckg_stats=True`` resumes: the
+        counters never fed detection, so dropping them changes nothing."""
+        from golden import fingerprint, note_record, report_record
+
+        document = json.loads(self.ASSETS[6].read_text())
+        state = decode_state(document["state"])
+        assert state["ckg_stats"] is None
+        state["config"]["track_ckg_stats"] = True
+        state["ckg_stats"] = {
+            "truncated_users": 0,
+            "pair_window": [[11, [[["k0", "k1"], 3]]]],
+            "node_window": [[11, ["k0", "k1"]]],
+        }
+        document["state"] = encode_state(state)
+        path = tmp_path / "tracked.ckpt"
+        path.write_text(json.dumps(document))
+        session = open_session(resume=path)
+        inbox = QueueSink()
+        session.subscribe(inbox)
+        reports = [r for m in self.stream()[250:] if (r := session.ingest(m))]
+        structure = {
+            "reports": [report_record(r) for r in reports],
+            "notes": [note_record(e) for e in inbox.drain()],
+        }
+        assert fingerprint(structure) == self.CONTINUATION
 
     def with_referee_mode(self, source, target, mode):
         """``source`` (a v5 checkpoint file) rewritten as if taken under
@@ -539,7 +559,7 @@ class TestVersionMigration:
                 {"format": CHECKPOINT_FORMAT, "version": 1, "state": None}
             )
         )
-        with pytest.raises(CheckpointError, match="migrate versions 2, 3, 4, 5"):
+        with pytest.raises(CheckpointError, match="migrate versions 2, 3, 4, 5, 6$"):
             open_session(resume=path)
 
 

@@ -11,7 +11,7 @@ from repro.api import (
 )
 from repro.config import DetectorConfig
 from repro.datasets.figure1 import figure1_messages
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, ConfigError
 from repro.stream.messages import Message
 
 
@@ -64,6 +64,19 @@ class TestOpenSession:
         open_session(exact_config()).snapshot(path)
         with pytest.raises(TypeError):
             open_session(resume=path, **{kwarg: 2})
+
+    def test_ckg_counters_are_not_a_session_setting(self):
+        """The Section 7.4 CKG counters are assembled by the reduction
+        bench; neither a session nor a config can ask for them."""
+        with pytest.raises(TypeError):
+            open_session(DetectorConfig(), track_ckg_stats=True)
+        with pytest.raises(ConfigError, match="track_ckg_stats"):
+            DetectorConfig.from_dict({"track_ckg_stats": True})
+        report = open_session(exact_config()).process_quantum(
+            burst(["a1", "b1", "c1"], range(6))
+        )
+        assert not hasattr(report, "ckg_nodes")
+
 
 class TestIngestion:
     def test_ingest_reports_at_quantum_boundary(self):

@@ -93,7 +93,11 @@ class TestDictRoundTrip:
             DetectorConfig.from_dict({"hyperdrive": True})
 
     @pytest.mark.parametrize(
-        "field", ["workers", "shard_count", "oracle_akg", "oracle_ranking"]
+        "field",
+        [
+            "workers", "shard_count", "oracle_akg", "oracle_ranking",
+            "track_ckg_stats",
+        ],
     )
     def test_removed_execution_fields_are_unknown_fields(self, field):
         with pytest.raises(ConfigError, match=f"unknown config fields: {field}"):
@@ -128,7 +132,6 @@ class TestDictRoundTrip:
                 ),
                 "require_noun": st.booleans(),
                 "max_tokens_per_message": st.integers(1, 200),
-                "track_ckg_stats": st.booleans(),
                 "seed": st.integers(0, 2**62),
             },
         )

@@ -250,16 +250,3 @@ class TestStagedPipeline:
         assert report.top(0) == []
         assert len(report.top(99)) == len(report.reported)
 
-
-class TestCkgStats:
-    def test_tracking_enabled(self):
-        config = exact_config(track_ckg_stats=True)
-        detector = open_session(config)
-        report = detector.process_quantum(burst(["a1", "b1", "c1"], range(6)))
-        assert report.ckg_nodes == 3
-        assert report.ckg_edges == 3
-
-    def test_tracking_disabled_by_default(self):
-        detector = open_session(exact_config())
-        report = detector.process_quantum(burst(["a1", "b1", "c1"], range(6)))
-        assert report.ckg_nodes is None

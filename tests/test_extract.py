@@ -3,6 +3,7 @@ integration, and the non-text end-to-end path."""
 
 import pytest
 
+from helpers import quantum_mappings
 from repro.api import open_session
 from repro.config import DetectorConfig
 from repro.datasets.entity_streams import (
@@ -23,10 +24,6 @@ from repro.extract import (
 )
 from repro.stream.messages import Message
 from repro.stream.sources import message_from_record, message_to_record
-from repro.stream.window import (
-    actor_entities_of_quantum,
-    invert_actor_entities,
-)
 from repro.text.tokenize import tokenize
 
 
@@ -160,20 +157,23 @@ class TestWindowHelpers:
             Message("a", fields={"entities": ["y", "z"]}),
             Message("b", fields={"entities": ["x"]}),
         ]
-        mapping = actor_entities_of_quantum(messages, EdgeStreamAdapter())
-        assert mapping == {"a": {"x", "y", "z"}, "b": {"x"}}
-        assert invert_actor_entities(mapping) == {
+        by_actor, by_entity = quantum_mappings(messages, EdgeStreamAdapter())
+        assert by_actor == {"a": {"x", "y", "z"}, "b": {"x"}}
+        assert by_entity == {
             "x": {"a", "b"},
             "y": {"a"},
             "z": {"a"},
         }
 
     def test_max_entities_cap_is_per_record(self):
-        messages = [Message("a", fields={"entities": ["1", "2", "3"]})]
-        mapping = actor_entities_of_quantum(
+        messages = [
+            Message("a", fields={"entities": ["1", "2", "3"]}),
+            Message("a", fields={"entities": ["4"]}),
+        ]
+        by_actor, _ = quantum_mappings(
             messages, EdgeStreamAdapter(), max_entities_per_record=2
         )
-        assert mapping == {"a": {"1", "2"}}
+        assert by_actor == {"a": {"1", "2", "4"}}
 
 
 class TestConfigIntegration:

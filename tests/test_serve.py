@@ -172,9 +172,10 @@ class TestTenantLifecycle:
 
     def test_execution_fields_in_config_are_400(self, server):
         """A tenant config cannot choose how the server executes: the
-        removed ``workers``/``shard_count`` fields and the referee modes
-        ``oracle_akg``/``oracle_ranking`` are refused by name, as any
-        unknown field is, and nothing is forked or dialled."""
+        removed ``workers``/``shard_count`` fields, the referee modes
+        ``oracle_akg``/``oracle_ranking`` and the CKG counters
+        ``track_ckg_stats`` are refused by name, as any unknown field is,
+        and nothing is forked or dialled."""
         import multiprocessing
 
         listener = socket.socket()
@@ -191,6 +192,7 @@ class TestTenantLifecycle:
                  "shard_count, workers"),
                 ({"oracle_akg": True}, "oracle_akg"),
                 ({"oracle_ranking": True}, "oracle_ranking"),
+                ({"track_ckg_stats": True}, "track_ckg_stats"),
             ):
                 with pytest.raises(
                     ServeError, match=f"400.*unknown config fields: {named}$"

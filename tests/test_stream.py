@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import quantum_mappings
 from repro.errors import StreamError
 from repro.extract.keyword import KeywordExtractor
 from repro.stream.messages import Message
@@ -10,11 +11,7 @@ from repro.stream.sources import (
     read_jsonl_trace,
     write_jsonl_trace,
 )
-from repro.stream.window import (
-    QuantumBatcher,
-    actor_entities_of_quantum,
-    invert_actor_entities,
-)
+from repro.stream.window import QuantumBatcher
 from repro.text.tokenize import tokenize
 
 
@@ -69,6 +66,8 @@ class TestQuantumBatcher:
 
 
 class TestAggregation:
+    """Per-quantum aggregation, read back from the pair columns."""
+
     MESSAGES = [
         Message("u1", tokens=("storm", "coast")),
         Message("u1", tokens=("storm", "warning")),
@@ -76,31 +75,32 @@ class TestAggregation:
     ]
 
     def test_user_keywords(self):
-        result = actor_entities_of_quantum(self.MESSAGES, KeywordExtractor())
+        result, _ = quantum_mappings(self.MESSAGES, KeywordExtractor())
         assert result == {
             "u1": {"storm", "coast", "warning"},
             "u2": {"storm"},
         }
 
     def test_keyword_users(self):
-        result = invert_actor_entities(
-            actor_entities_of_quantum(self.MESSAGES, KeywordExtractor())
-        )
+        _, result = quantum_mappings(self.MESSAGES, KeywordExtractor())
         assert result["storm"] == {"u1", "u2"}
         assert result["coast"] == {"u1"}
 
     def test_inversion_consistent(self):
-        by_user = actor_entities_of_quantum(self.MESSAGES, KeywordExtractor())
-        by_keyword = invert_actor_entities(by_user)
+        by_user, by_keyword = quantum_mappings(
+            self.MESSAGES, KeywordExtractor()
+        )
         assert {(u, kw) for u, kws in by_user.items() for kw in kws} == {
             (u, kw) for kw, users in by_keyword.items() for u in users
         }
 
     def test_empty_messages_skipped(self):
-        result = actor_entities_of_quantum(
-            [Message("u1", tokens=())], KeywordExtractor()
+        by_user, by_keyword = quantum_mappings(
+            [Message("u1", tokens=()), Message("u2", tokens=("a",))],
+            KeywordExtractor(),
         )
-        assert result == {}
+        assert by_user == {"u2": {"a"}}
+        assert by_keyword == {"a": {"u2"}}
 
 
 class TestJsonlRoundTrip:
