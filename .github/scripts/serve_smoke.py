@@ -75,7 +75,7 @@ assert sent["sent"] == len(events) and sent["dropped"] == 0, sent
 
 metrics = client.metrics()
 assert metrics["tenants"]["smoke"]["messages"] == half, metrics
-assert metrics["baselines"], "committed bench baselines missing from /metrics"
+assert set(metrics) == {"uptime_s", "workers", "max_queue", "tenants"}, metrics
 
 proc.send_signal(signal.SIGKILL)
 proc.wait(timeout=30)

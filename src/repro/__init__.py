@@ -5,7 +5,9 @@ of Dense Clusters in Highly Dynamic Graphs* (PVLDB 5(10), 2012): incremental
 maintenance of short-cycle-property (SCP) clusters — approximate majority
 quasi-cliques — over the active keyword graph of a microblog stream, with
 local event ranking, an offline biconnected-cluster baseline, synthetic
-workload generators, and the paper's full evaluation harness.
+workload generators, and the paper's full evaluation harness.  Everything
+under ``repro`` is run by a session, the ``repro`` CLI and server, or a
+named referee; test-only builders live with the tests.
 
 Public entry points
 -------------------
@@ -20,7 +22,8 @@ Public entry points
 :class:`DynamicGraph`      the graph substrate
 ``repro.pipeline``         the composable per-quantum Stage pipeline
 ``repro.datasets``         synthetic ES/TW traces and ground truth
-``repro.baselines``        offline biconnected clustering ([2]) and trending
+``repro.baselines``        offline biconnected clustering ([2]), the Section
+                           7.3 comparator
 ``repro.eval``             precision/recall/quality harness
 """
 

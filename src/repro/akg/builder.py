@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Set, Tuple
 
 from repro.akg.burstiness import BurstinessTracker
-from repro.akg.idsets import IdSetIndex, SlideDelta, WindowEdit
-from repro.akg.minhash import MinHasher, Sketch
+from repro.akg.idsets import IdSetIndex, SlideDelta
+from repro.akg.minhash import MinHasher
 from repro.akg.oracle import OracleIdSetIndex, OracleSketchIndex
 from repro.config import DetectorConfig
 from repro.core.changelog import NodeWeightChanged
@@ -52,237 +52,6 @@ from repro.stream.window import QuantumColumns
 
 Keyword = str
 UserId = Hashable
-
-
-# --------------------------------------------------------------------------
-# Shared update primitives.
-#
-# Every cross-keyword step of the per-quantum update — candidate pairing,
-# new-edge qualification, incident-edge refresh, the dead-node predicate —
-# is a pure function of (graph, thresholds) plus two keyword-indexed
-# oracles: a sketch lookup and an exact-EC lookup.  The builder binds them
-# to its column-engine window index, and under ``oracle=True`` to the
-# from-scratch referee of :mod:`repro.akg.oracle`.  Both bindings therefore
-# execute *identical* candidate, insertion, refresh and removal sequences,
-# which is what lets the differential suites compare them quantum by
-# quantum (DESIGN.md S5).
-
-
-def minhash_candidate_pairs(
-    bursty: List[Keyword], sketch_of
-) -> List[Tuple[Keyword, Keyword]]:
-    """Pairs of bursty keywords whose sketches share a hash value.
-
-    Bucketing by sketch value finds exactly the colliding pairs without
-    comparing all O(B^2) combinations.  Output is sorted, so it depends only
-    on the sketches, not on bucket iteration order.
-    """
-    sketches: Dict[Keyword, Sketch] = {kw: sketch_of(kw) for kw in bursty}
-    buckets: Dict[int, List[Keyword]] = {}
-    for kw, sketch in sketches.items():
-        for value in sketch:
-            buckets.setdefault(value, []).append(kw)
-    seen: Set[Tuple[Keyword, Keyword]] = set()
-    for members in buckets.values():
-        if len(members) < 2:
-            continue
-        members.sort()
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                seen.add((members[i], members[j]))
-    return sorted(seen)
-
-
-def candidate_edge_pairs(
-    bursty: List[Keyword], use_minhash: bool, sketch_of
-) -> Iterable[Tuple[Keyword, Keyword]]:
-    """The quantum's new-edge candidate pairs, in deterministic order.
-
-    ``bursty`` must be sorted; the exact (non-MinHash) variant enumerates
-    every pair in that order, matching the paper's ablation baseline.
-    """
-    if use_minhash:
-        return minhash_candidate_pairs(bursty, sketch_of)
-    return (
-        (bursty[i], bursty[j])
-        for i in range(len(bursty))
-        for j in range(i + 1, len(bursty))
-    )
-
-
-def per_pair_ec(jaccard):
-    """A per-pair ``jaccard(kw1, kw2)`` as the batched ``ec_of(pairs)`` the
-    two primitives below take — how the from-scratch oracle index plugs
-    in."""
-    return lambda pairs: [jaccard(kw1, kw2) for kw1, kw2 in pairs]
-
-
-def qualify_new_edges(
-    pairs: Iterable[Tuple[Keyword, Keyword]],
-    graph,
-    gamma: float,
-    ec_of,
-    stats: "AkgQuantumStats",
-) -> List[Tuple[Keyword, Keyword, float]]:
-    """EC-qualify candidate pairs against the live graph (paper set (1)).
-
-    ``ec_of`` answers a whole list of pairs at once (one exact EC per pair,
-    in order) — the quantum's candidates are one batch.
-    """
-    wanted: List[Tuple[Keyword, Keyword]] = []
-    for pair in pairs:
-        stats.candidate_pairs += 1
-        if not graph.has_edge(*pair):
-            wanted.append(pair)
-    stats.ec_computations += len(wanted)
-    return [
-        (kw1, kw2, ec)
-        for (kw1, kw2), ec in zip(wanted, ec_of(wanted))
-        if ec >= gamma
-    ]
-
-
-def refresh_incident_edges(
-    active_keywords: Iterable[Keyword],
-    maintainer: ClusterMaintainer,
-    gamma: float,
-    ec_of,
-    stats: "AkgQuantumStats",
-) -> None:
-    """Recompute EC of edges touching keywords seen this quantum.
-
-    This is the paper's set (2): only nodes occurring in the current
-    quantum (and, through these edges, their neighbours) can change
-    correlation, so no other edge needs to be revisited.  ``ec_of`` is the
-    batched EC lookup of :func:`qualify_new_edges`.
-    """
-    graph = maintainer.graph
-    to_check: Set[Tuple[Keyword, Keyword]] = set()
-    for kw in active_keywords:
-        if not graph.has_node(kw):
-            continue
-        for nbr in graph.neighbors(kw):
-            to_check.add((kw, nbr) if kw <= nbr else (nbr, kw))
-    edges = sorted(to_check)
-    stats.ec_computations += len(edges)
-    to_remove: List[Tuple[Keyword, Keyword]] = []
-    for (kw1, kw2), ec in zip(edges, ec_of(edges)):
-        if ec < gamma:
-            to_remove.append((kw1, kw2))
-            stats.edges_removed += 1
-        else:
-            maintainer.set_edge_weight(kw1, kw2, ec)
-            stats.edges_refreshed += 1
-    if to_remove:
-        maintainer.remove_edges(to_remove)
-
-
-def drain_removal_candidates(
-    quantum: int,
-    emptied: Iterable[Keyword],
-    grace_deadlines: Dict[int, Set[Keyword]],
-) -> Set[Keyword]:
-    """The delta-sized pool of nodes that *could* die this quantum.
-
-    Completeness argument (DESIGN.md Section 5): a node is removed when
-    (a) its window support is zero — support reaches zero exactly in the
-    slide that expires its last entry, so ``emptied`` covers it; or (b) it
-    is unclustered and its last burst aged past the grace period — which
-    first becomes true either at the burst's scheduled deadline (popped
-    from ``grace_deadlines`` here, due entries consumed) or, if it was
-    clustered then, at the later quantum where it loses its last membership
-    (the registry listener pool, which the caller unions in).  Any node
-    outside these pools fails the removal predicate for the same reason it
-    did last quantum.
-    """
-    due: Set[Keyword] = set(emptied)
-    for deadline in [q for q in grace_deadlines if q <= quantum]:
-        due |= grace_deadlines.pop(deadline)
-    return due
-
-
-def select_dead_nodes(
-    candidates: Iterable[Keyword],
-    maintainer: ClusterMaintainer,
-    support_of,
-    aged_out,
-    stats: "AkgQuantumStats",
-) -> Tuple[List[Keyword], List[Keyword]]:
-    """Evaluate the Section 3.1 removal predicate over a candidate pool.
-
-    Returns ``(stale, lazy)`` in the deterministic sorted-candidate order
-    the maintainer will apply them in.  ``support_of``/``aged_out`` are the
-    two window queries of the predicate, answered from the builder's
-    window index (column engine or oracle).
-    """
-    graph = maintainer.graph
-    registry = maintainer.registry
-    stale: List[Keyword] = []
-    lazy: List[Keyword] = []
-    for kw in sorted(candidates):
-        if not graph.has_node(kw):
-            continue
-        stats.removal_candidates += 1
-        if support_of(kw) == 0:
-            stale.append(kw)
-            continue
-        if registry.clusters_of_node(kw):
-            continue
-        if aged_out(kw):
-            lazy.append(kw)
-    return stale, lazy
-
-
-def window_splice(edit: WindowEdit, quantum: int) -> Optional[list]:
-    """A window slide as a list edit op: drop head blocks, insert one.
-
-    ``edit`` is a window index's :data:`~repro.akg.idsets.WindowEdit`; the
-    result patches the previous quantum's serialized window queue into the
-    current one (``None`` when the slide left it untouched).
-    """
-    dropped, live, entries = edit
-    edits: list = []
-    if dropped:
-        edits.append(["x", len(dropped)])
-    if entries is not None:
-        if len(live) > 1:
-            edits.append(["k", len(live) - 1])
-        edits.append(["i", [[quantum, entries]]])
-    return ["l", edits] if edits else None
-
-
-def akg_small_state(
-    burstiness: BurstinessTracker,
-    grace_deadlines: Dict[int, Set[Keyword]],
-    newly_unclustered: Set[Keyword],
-) -> dict:
-    """The AKG stage's non-window state: small, and volatile enough that
-    the delta log ships it whole instead of diffing it."""
-    return {
-        "burstiness": burstiness.to_state(),
-        "grace_deadlines": [
-            [deadline, sorted(kws)]
-            for deadline, kws in sorted(grace_deadlines.items())
-        ],
-        "newly_unclustered": sorted(newly_unclustered),
-    }
-
-
-def akg_quantum_op(
-    quantum: int, idsets_edit: WindowEdit, small_state: dict
-) -> list:
-    """The AKG stage's delta-log op for the quantum just finished.
-
-    The window travels as a splice; ``small_state`` (burst automaton,
-    grace schedule, unclustered hints) is replaced whole.
-    """
-    idsets_sets = [["last_quantum", ["r", quantum]]]
-    splice = window_splice(idsets_edit, quantum)
-    if splice is not None:
-        idsets_sets.append(["window", splice])
-    sets = [[key, ["r", value]] for key, value in small_state.items()]
-    sets.append(["idsets", ["d", idsets_sets, []]])
-    return ["d", sets, []]
 
 
 AKG_SUB_SPANS = ("slide", "sketch", "pairing", "correlate")
@@ -328,6 +97,14 @@ class AkgBuilder:
     takes the ``keyword -> users`` mapping form: the oracle components are
     fed it as is, the fast path interns it and runs the column entry.
     Either way steps 2-5 are the one :meth:`_update_graph`.
+
+    The cross-keyword steps — candidate pairing, new-edge qualification,
+    incident-edge refresh, the dead-node predicate — read the window only
+    through ``_sketches_of``, ``_ec_of`` and ``idsets.support``, bound to
+    the column engine or to the referee at construction.  Both bindings
+    therefore run *identical* candidate, insertion, refresh and removal
+    sequences, which is what lets the differential suites compare them
+    quantum by quantum (DESIGN.md S5).
     """
 
     def __init__(
@@ -346,7 +123,9 @@ class AkgBuilder:
             self._sketches_of = lambda keywords: {
                 kw: self.sketches.sketch(kw) for kw in keywords
             }
-            self._ec_of = per_pair_ec(self.idsets.jaccard)
+            self._ec_of = lambda pairs: [
+                self.idsets.jaccard(kw1, kw2) for kw1, kw2 in pairs
+            ]
         else:
             self.idsets = IdSetIndex(config.window_quanta, seed=config.seed)
             self._sketches_of = lambda keywords: self.idsets.sketch_many(
@@ -472,23 +251,58 @@ class AkgBuilder:
     def _new_edges_among(
         self, bursty: List[Keyword], stats: AkgQuantumStats
     ) -> List[Tuple[Keyword, Keyword, float]]:
-        """EC-qualified new edges among the quantum's bursty keywords."""
-        started = time.perf_counter()
-        use_minhash = self.config.use_minhash_filter
-        sketches = self._sketches_of(bursty) if use_minhash else {}
-        sketched = time.perf_counter()
-        pairs = list(
-            candidate_edge_pairs(bursty, use_minhash, sketches.__getitem__)
-        )
+        """EC-qualified new edges among the quantum's bursty keywords
+        (paper set (1)); the candidates are one batch of exact ECs."""
+        pairs = self._candidate_pairs(bursty)
+        graph = self.maintainer.graph
+        wanted: List[Tuple[Keyword, Keyword]] = []
+        for pair in pairs:
+            stats.candidate_pairs += 1
+            if not graph.has_edge(*pair):
+                wanted.append(pair)
+        stats.ec_computations += len(wanted)
+        gamma = self.config.ec_threshold
+        return [
+            (kw1, kw2, ec)
+            for (kw1, kw2), ec in zip(wanted, self._correlate(wanted))
+            if ec >= gamma
+        ]
+
+    def _candidate_pairs(
+        self, bursty: List[Keyword]
+    ) -> List[Tuple[Keyword, Keyword]]:
+        """The quantum's new-edge candidate pairs, in deterministic order.
+
+        ``bursty`` is sorted.  Under the Section 3.2.2 filter the candidates
+        are the pairs whose sketches share a hash value: bucketing by value
+        finds exactly those without comparing all O(B^2) combinations, and
+        the sorted output depends only on the sketches.  Without it every
+        pair is a candidate, in ``bursty`` order — the paper's ablation
+        baseline.
+        """
+        started = sketched = time.perf_counter()
+        if self.config.use_minhash_filter:
+            sketches = self._sketches_of(bursty)
+            sketched = time.perf_counter()
+            buckets: Dict[int, List[Keyword]] = {}
+            for kw in bursty:
+                for value in sketches[kw]:
+                    buckets.setdefault(value, []).append(kw)
+            seen: Set[Tuple[Keyword, Keyword]] = set()
+            for members in buckets.values():  # sorted, as ``bursty`` is
+                for i in range(len(members)):
+                    for j in range(i + 1, len(members)):
+                        seen.add((members[i], members[j]))
+            pairs = sorted(seen)
+        else:
+            pairs = [
+                (bursty[i], bursty[j])
+                for i in range(len(bursty))
+                for j in range(i + 1, len(bursty))
+            ]
         self.sub_spans["sketch"] = sketched - started
         self.sub_spans["pairing"] = time.perf_counter() - sketched
-        return qualify_new_edges(
-            pairs,
-            self.maintainer.graph,
-            self.config.ec_threshold,
-            self._correlate,
-            stats,
-        )
+        return pairs
 
     def _correlate(
         self, pairs: List[Tuple[Keyword, Keyword]]
@@ -502,25 +316,55 @@ class AkgBuilder:
     def _refresh_incident_edges(
         self, active_keywords: Iterable[Keyword], stats: AkgQuantumStats
     ) -> None:
-        """Recompute EC of edges touching keywords seen this quantum."""
-        refresh_incident_edges(
-            active_keywords,
-            self.maintainer,
-            self.config.ec_threshold,
-            self._correlate,
-            stats,
-        )
+        """Recompute EC of edges touching keywords seen this quantum.
+
+        This is the paper's set (2): only nodes occurring in the current
+        quantum (and, through these edges, their neighbours) can change
+        correlation, so no other edge needs to be revisited.
+        """
+        graph = self.maintainer.graph
+        to_check: Set[Tuple[Keyword, Keyword]] = set()
+        for kw in active_keywords:
+            if not graph.has_node(kw):
+                continue
+            for nbr in graph.neighbors(kw):
+                to_check.add((kw, nbr) if kw <= nbr else (nbr, kw))
+        edges = sorted(to_check)
+        stats.ec_computations += len(edges)
+        gamma = self.config.ec_threshold
+        to_remove: List[Tuple[Keyword, Keyword]] = []
+        for (kw1, kw2), ec in zip(edges, self._correlate(edges)):
+            if ec < gamma:
+                to_remove.append((kw1, kw2))
+                stats.edges_removed += 1
+            else:
+                self.maintainer.set_edge_weight(kw1, kw2, ec)
+                stats.edges_refreshed += 1
+        if to_remove:
+            self.maintainer.remove_edges(to_remove)
 
     # ------------------------------------------------------- dead-node pass
 
     def _removal_candidates(
         self, quantum: int, delta: SlideDelta
-    ) -> Iterable[Keyword]:
-        """The delta-sized candidate pool (see :func:`drain_removal_candidates`)
-        plus the registry's newly-unclustered hints."""
-        due = drain_removal_candidates(
-            quantum, delta.emptied, self._grace_deadlines
-        )
+    ) -> Set[Keyword]:
+        """The delta-sized pool of nodes that *could* die this quantum.
+
+        Completeness argument (DESIGN.md Section 5): a node is removed when
+        (a) its window support is zero — support reaches zero exactly in the
+        slide that expires its last entry, so ``delta.emptied`` covers it;
+        or (b) it is unclustered and its last burst aged past the grace
+        period — which first becomes true either at the burst's scheduled
+        deadline (popped from ``_grace_deadlines`` here, due entries
+        consumed) or, if it was clustered then, at the later quantum where
+        it loses its last membership (the registry listener's
+        ``_newly_unclustered`` hints, drained here).  Any node outside
+        these pools fails the removal predicate for the same reason it did
+        last quantum.
+        """
+        due: Set[Keyword] = set(delta.emptied)
+        for deadline in [q for q in self._grace_deadlines if q <= quantum]:
+            due |= self._grace_deadlines.pop(deadline)
         due |= self._newly_unclustered
         self._newly_unclustered = set()
         return due
@@ -536,20 +380,28 @@ class AkgBuilder:
         AKG by bursting again, exactly the hysteresis the paper describes.
 
         The oracle sweeps every graph node; the fast path evaluates the same
-        predicate over the delta-sized candidate pool only.
+        predicate over the delta-sized candidate pool only, in the same
+        sorted order the maintainer applies the removals in.
         """
         grace = self.config.node_grace_quanta
         if self.oracle:
             candidates: Iterable[Keyword] = self.maintainer.graph.nodes()
         else:
             candidates = self._removal_candidates(quantum, delta)
-        stale, lazy = select_dead_nodes(
-            candidates,
-            self.maintainer,
-            self.idsets.support,
-            lambda kw: self.burstiness.aged_out(kw, quantum, grace),
-            stats,
-        )
+        graph = self.maintainer.graph
+        registry = self.maintainer.registry
+        stale: List[Keyword] = []
+        lazy: List[Keyword] = []
+        for kw in sorted(candidates):
+            if not graph.has_node(kw):
+                continue
+            stats.removal_candidates += 1
+            if self.idsets.support(kw) == 0:
+                stale.append(kw)
+            elif registry.clusters_of_node(kw):
+                continue
+            elif self.burstiness.aged_out(kw, quantum, grace):
+                lazy.append(kw)
         stats.nodes_removed_stale = len(stale)
         stats.nodes_removed_lazy = len(lazy)
         if stale or lazy:
@@ -572,16 +424,42 @@ class AkgBuilder:
         }
 
     def _small_state(self) -> dict:
-        return akg_small_state(
-            self.burstiness, self._grace_deadlines, self._newly_unclustered
-        )
+        """The non-window state: small, and volatile enough that the delta
+        log ships it whole instead of diffing it."""
+        return {
+            "burstiness": self.burstiness.to_state(),
+            "grace_deadlines": [
+                [deadline, sorted(kws)]
+                for deadline, kws in sorted(self._grace_deadlines.items())
+            ],
+            "newly_unclustered": sorted(self._newly_unclustered),
+        }
 
     def quantum_op(self, quantum: int) -> list:
         """Edit op turning the previous quantum's :meth:`to_state` tree
-        into the current one (DESIGN.md Section 10)."""
-        return akg_quantum_op(
-            quantum, self.idsets.window_edit(quantum), self._small_state()
-        )
+        into the current one (DESIGN.md Section 10).
+
+        The window travels as a list splice of its block queue: drop the
+        expired head blocks (``x``), keep the rest (``k``), insert the
+        entering block (``i``) — no splice when the slide left the queue
+        untouched.  The small state is replaced whole.
+        """
+        dropped, live, entries = self.idsets.window_edit(quantum)
+        splice: list = []
+        if dropped:
+            splice.append(["x", len(dropped)])
+        if entries is not None:
+            if len(live) > 1:
+                splice.append(["k", len(live) - 1])
+            splice.append(["i", [[quantum, entries]]])
+        idsets_sets = [["last_quantum", ["r", quantum]]]
+        if splice:
+            idsets_sets.append(["window", ["l", splice]])
+        sets = [
+            [key, ["r", value]] for key, value in self._small_state().items()
+        ]
+        sets.append(["idsets", ["d", idsets_sets, []]])
+        return ["d", sets, []]
 
     def from_state(self, state: dict) -> None:
         """Restore the AKG stage in place from :meth:`to_state` output."""
@@ -599,18 +477,4 @@ class AkgBuilder:
         return {kw: self.idsets.support(kw) for kw in nodes}
 
 
-__all__ = [
-    "AKG_SUB_SPANS",
-    "AkgBuilder",
-    "AkgQuantumStats",
-    "akg_quantum_op",
-    "akg_small_state",
-    "candidate_edge_pairs",
-    "drain_removal_candidates",
-    "minhash_candidate_pairs",
-    "per_pair_ec",
-    "qualify_new_edges",
-    "refresh_incident_edges",
-    "select_dead_nodes",
-    "window_splice",
-]
+__all__ = ["AKG_SUB_SPANS", "AkgBuilder", "AkgQuantumStats"]

@@ -120,44 +120,4 @@ class MinHasher:
         return tuple(heapq.nsmallest(self.p, set(hashes)))
 
 
-def sketches_share_value(sketch_a: Sketch, sketch_b: Sketch) -> bool:
-    """Candidate test: do the two sketches share at least one hash value?
-
-    Both sketches are ascending, so a linear merge suffices.
-    """
-    i = j = 0
-    while i < len(sketch_a) and j < len(sketch_b):
-        a, b = sketch_a[i], sketch_b[j]
-        if a == b:
-            return True
-        if a < b:
-            i += 1
-        else:
-            j += 1
-    return False
-
-
-def estimate_jaccard(sketch_a: Sketch, sketch_b: Sketch, p: int) -> float:
-    """Bottom-p Jaccard estimate from two sketches.
-
-    Takes the p smallest values of the union of the sketches and counts the
-    fraction present in both — the standard bottom-k estimator.  Exact when
-    either underlying set has at most p elements.
-    """
-    if not sketch_a or not sketch_b:
-        return 0.0
-    union_bottom = heapq.nsmallest(p, set(sketch_a) | set(sketch_b))
-    if not union_bottom:
-        return 0.0
-    set_a, set_b = set(sketch_a), set(sketch_b)
-    shared = sum(1 for v in union_bottom if v in set_a and v in set_b)
-    return shared / len(union_bottom)
-
-
-__all__ = [
-    "MinHasher",
-    "Sketch",
-    "sketches_share_value",
-    "estimate_jaccard",
-    "user_hash_fn",
-]
+__all__ = ["MinHasher", "Sketch", "user_hash_fn"]

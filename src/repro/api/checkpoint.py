@@ -2,7 +2,7 @@
 
 A checkpoint is a single JSON document::
 
-    {"format": "repro-session-checkpoint", "version": 1, "state": <encoded>}
+    {"format": "repro-session-checkpoint", "version": 7, "state": <encoded>}
 
 ``state`` is the session's composed ``to_state()`` tree (DESIGN.md
 Section 6) run through a small *tagged* encoding, because plain JSON cannot
@@ -25,10 +25,10 @@ Compatibility is handled loudly and explicitly: an unknown format, a newer
 ``version``, an unmigratable older ``version``, or an unknown tag raises
 :class:`~repro.errors.CheckpointError` instead of best-effort loading a
 state the code cannot honour.  Supported older versions are upgraded
-in-memory through the ``_MIGRATIONS`` table — one pure ``state -> state``
-step per version hop, chained until the current layout is reached — so a
-v2 snapshot (pre-extractor) loads under the current reader without ever
-rewriting the file on disk.
+in memory by one pure step, ``_upgrade(state, version)``, that drops every
+retired key and applies the two reshapes still needed — so a v2 snapshot
+(pre-extractor) loads under the current reader without ever rewriting the
+file on disk.
 
 Checkpoints are **history-independent**: every stateful layer serializes
 in content-sorted order, so the same stream position produces the same
@@ -48,8 +48,8 @@ from repro.errors import CheckpointError
 
 CHECKPOINT_FORMAT = "repro-session-checkpoint"
 CHECKPOINT_VERSION = 7
-"""Bump on any change to the state tree layout, and add a migration step
-below so supported older snapshots keep loading.
+"""Bump on any change to the state tree layout, and teach ``_upgrade``
+below the change so supported older snapshots keep loading.
 Version history: 1 — PR 3 layout (no longer readable); 2 — event histories
 are change-point encoded (``EventTracker`` state gained ``last_quantum``
 and per-record ``gaps``);
@@ -67,109 +67,66 @@ builder's ``oracle``): a session always runs the incremental stages;
 _SCALARS = (bool, int, float, str)
 
 
-def _migrate_v2_to_v3(state: dict) -> dict:
-    """v2 (pre-extractor) → v3: the keyword path was the only path.
+_UPGRADABLE = range(2, CHECKPOINT_VERSION)
+"""Older versions :func:`load_checkpoint` upgrades in memory."""
 
-    A v2 session tokenized text, full stop — so its extractor identity is
-    the default ``keyword`` spec (or a custom tokenizer, which v2 recorded
-    as ``custom_tokenizer`` and v3 generalises to ``custom_extractor``),
-    and its ``tokenize`` timing slot is v3's ``extract``.  The embedded
-    config predates the ``extractor``/``extractor_options`` fields and
-    falls back to their keyword defaults on ``from_dict``.
+_REFEREE_MODES = ("oracle_akg", "oracle_ranking")
+
+
+def _upgrade(state: dict, version: int) -> dict:
+    """Reshape a decoded older state tree into the current layout.
+
+    A checkpoint taken under a referee mode holds the from-scratch
+    referee's state, which no session runs any more (the differential
+    tests build the referees), so it is refused by name rather than resumed
+    on the incremental stages.  Every other retired key is dropped: the
+    referee-mode flags (top level, config, builder), the builder's sketch
+    window (sketches are read off the id-set window) and the Section 7.4
+    CKG counters (top level, config; the reduction bench assembles its own
+    tracker).  Two reshapes are version-gated:
+
+    * v2 predates extractors, so its identity is the default ``keyword``
+      spec (or a custom one where v2 recorded ``custom_tokenizer``) and its
+      ``tokenize`` timing slot is ``extract``;
+    * v2 and v3 keep the id-set window per keyword,
+      ``[[kw, [[q, users], ...]], ...]``, which becomes the queue of
+      per-quantum blocks ``[[q, [[kw, users], ...]], ...]`` (oldest first,
+      each block sorted by keyword).
     """
-    state = dict(state)
-    custom = state.pop("custom_tokenizer")
-    state["custom_extractor"] = custom
-    state["extractor"] = (
-        None if custom else {"name": "keyword", "options": {}}
-    )
-    timings = dict(state["timings"])
-    timings["extract"] = timings.pop("tokenize")
-    state["timings"] = timings
-    return state
-
-
-def _migrate_v3_to_v4(state: dict) -> dict:
-    """v3 → v4: transpose the per-keyword windows into queues of quanta.
-
-    ``[[kw, [[q, value], ...]], ...]`` (sorted by keyword) becomes
-    ``[[q, [[kw, value], ...]], ...]`` (oldest first, each block still
-    sorted by keyword).  The oracle builder always kept its window in the
-    queue layout and has no sketch state, so only non-oracle trees move.
-    """
-    if state["builder"]["oracle"]:
-        return state
-
-    def transposed(per_keyword: list) -> list:
-        blocks: dict = {}
-        for kw, entries in per_keyword:
-            for q, value in entries:
-                blocks.setdefault(q, []).append([kw, value])
-        return [[q, blocks[q]] for q in sorted(blocks)]
-
-    state = dict(state)
-    builder = state["builder"] = dict(state["builder"])
-    builder["idsets"] = {
-        "last_quantum": builder["idsets"]["last_quantum"],
-        "window": transposed(builder["idsets"]["entries"]),
-    }
-    builder["sketches"] = {
-        "window": transposed(builder["sketches"]["minis"]),
-    }
-    return state
-
-
-def _migrate_v4_to_v5(state: dict) -> dict:
-    """v4 → v5: sketches stopped being state; drop the subtree."""
-    builder = {k: v for k, v in state["builder"].items() if k != "sketches"}
-    return {**state, "builder": builder}
-
-
-def _migrate_v5_to_v6(state: dict) -> dict:
-    """v5 → v6: drop the ``oracle_akg`` / ``oracle_ranking`` flags (top
-    level and config) and the builder's ``oracle`` flag.
-
-    A checkpoint taken under either mode holds the from-scratch referee's
-    state, which no session runs any more (the referees are built by the
-    differential tests), so it is refused by name rather than resumed on
-    the incremental stages.
-    """
-    modes = ("oracle_akg", "oracle_ranking")
-    for mode in modes:
-        if state[mode]:
+    for mode in _REFEREE_MODES:
+        if state.get(mode):
             raise CheckpointError(
                 f"checkpoint was taken under {mode}=True, a from-scratch "
                 f"referee mode sessions no longer run; it cannot be resumed"
             )
-    config = {
-        k: v for k, v in state["config"].items() if k not in modes
+    retired = (*_REFEREE_MODES, "ckg_stats", "track_ckg_stats")
+    state = {k: v for k, v in state.items() if k not in retired}
+    state["config"] = {
+        k: v for k, v in state["config"].items() if k not in retired
     }
-    builder = {k: v for k, v in state["builder"].items() if k != "oracle"}
-    rest = {k: v for k, v in state.items() if k not in modes}
-    return {**rest, "config": config, "builder": builder}
-
-
-def _migrate_v6_to_v7(state: dict) -> dict:
-    """v6 → v7: drop the ``ckg_stats`` subtree and the config's
-    ``track_ckg_stats``.  The counters never fed detection, so a session
-    that tracked them resumes identically without them."""
-    config = {
-        k: v for k, v in state["config"].items() if k != "track_ckg_stats"
+    builder = state["builder"] = {
+        k: v
+        for k, v in state["builder"].items()
+        if k not in ("sketches", "oracle")
     }
-    rest = {k: v for k, v in state.items() if k != "ckg_stats"}
-    return {**rest, "config": config}
-
-
-_MIGRATIONS = {
-    2: _migrate_v2_to_v3,
-    3: _migrate_v3_to_v4,
-    4: _migrate_v4_to_v5,
-    5: _migrate_v5_to_v6,
-    6: _migrate_v6_to_v7,
-}
-"""``version -> state migration`` steps; each maps a decoded state tree one
-version forward.  :func:`load_checkpoint` chains them until
-``CHECKPOINT_VERSION`` is reached."""
+    if version == 2:
+        custom = state.pop("custom_tokenizer")
+        state["custom_extractor"] = custom
+        state["extractor"] = (
+            None if custom else {"name": "keyword", "options": {}}
+        )
+        timings = state["timings"] = dict(state["timings"])
+        timings["extract"] = timings.pop("tokenize")
+    if version <= 3:
+        blocks: dict = {}
+        for kw, entries in builder["idsets"]["entries"]:
+            for q, users in entries:
+                blocks.setdefault(q, []).append([kw, users])
+        builder["idsets"] = {
+            "last_quantum": builder["idsets"]["last_quantum"],
+            "window": [[q, blocks[q]] for q in sorted(blocks)],
+        }
+    return state
 
 
 def encode_state(obj: Any) -> Any:
@@ -322,17 +279,15 @@ def load_checkpoint(path: "str | Path") -> dict:
     ):
         raise CheckpointError(f"{path} is not a repro session checkpoint")
     version = document.get("version")
-    readable = sorted({CHECKPOINT_VERSION, *_MIGRATIONS})
-    if version not in readable:
+    if version != CHECKPOINT_VERSION and version not in _UPGRADABLE:
         raise CheckpointError(
             f"{path} has checkpoint version {version!r}; this build reads "
             f"version {CHECKPOINT_VERSION} and can migrate versions "
-            f"{', '.join(str(v) for v in sorted(_MIGRATIONS))}"
+            f"{', '.join(str(v) for v in _UPGRADABLE)}"
         )
     state = decode_state(document["state"])
-    while version < CHECKPOINT_VERSION:
-        state = _MIGRATIONS[version](state)
-        version += 1
+    if version != CHECKPOINT_VERSION:
+        state = _upgrade(state, version)
     return state
 
 

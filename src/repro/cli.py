@@ -380,7 +380,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"   PUT  /v1/<tenant>          create or resume a tenant")
         print(f"   POST /v1/<tenant>/ingest   batch ingest (JSONL body)")
         print(f"   GET  /v1/<tenant>/events   WebSocket event fan-out")
-        print(f"   GET  /metrics              live stats + bench baselines")
+        print(f"   GET  /metrics              live server and tenant stats")
 
     try:
         # On Ctrl-C asyncio.run cancels the task; serve_forever's shutdown

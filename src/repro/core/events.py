@@ -480,13 +480,5 @@ class EventTracker:
             if not r.is_spurious(min_lifetime=min_lifetime)
         ]
 
-    def top_events(self, k: int, quantum: Optional[int] = None) -> List[EventRecord]:
-        """The k currently-alive events with the highest latest rank."""
-        candidates = [r for r in self.alive_events() if r.snapshots]
-        if quantum is not None:
-            candidates = [r for r in candidates if r.last_quantum == quantum]
-        candidates.sort(key=lambda r: r.snapshots[-1].rank, reverse=True)
-        return candidates[:k]
-
 
 __all__ = ["EventSnapshot", "EventRecord", "EventTracker"]

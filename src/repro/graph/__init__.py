@@ -9,9 +9,8 @@ provides:
   components (iterative Hopcroft–Tarjan), used by the offline baseline and by
   the correctness tests for property P2;
 * :mod:`repro.graph.quasi_clique` — gamma-density, majority-quasi-clique and
-  diameter predicates from Section 1.1 / Theorem 1;
-* :mod:`repro.graph.generators` — deterministic random-graph builders for
-  tests and benchmarks.
+  diameter predicates from Section 1.1 / Theorem 1, the definition the
+  Theorem-1 test holds SCP clusters to.
 """
 
 from repro.graph.dynamic_graph import DynamicGraph, edge_key

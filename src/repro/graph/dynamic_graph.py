@@ -12,7 +12,7 @@ used in cluster bookkeeping regardless of insertion order.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, Iterator, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple
 
 from repro.errors import (
     DuplicateEdgeError,
@@ -210,29 +210,7 @@ class DynamicGraph:
         except KeyError:
             raise NodeNotFoundError(node) from None
 
-    def common_neighbors(self, u: Node, v: Node) -> list[Node]:
-        """Nodes adjacent to both ``u`` and ``v`` (O(min degree))."""
-        nu, nv = self._adj.get(u), self._adj.get(v)
-        if nu is None:
-            raise NodeNotFoundError(u)
-        if nv is None:
-            raise NodeNotFoundError(v)
-        if len(nu) > len(nv):
-            nu, nv = nv, nu
-        return [n for n in nu if n in nv]
-
     # ------------------------------------------------------------- utilities
-
-    def subgraph_adjacency(
-        self, nodes: Iterable[Node]
-    ) -> Dict[Node, Dict[Node, float]]:
-        """Adjacency dict of the subgraph induced by ``nodes``."""
-        keep = set(nodes)
-        return {
-            n: {m: w for m, w in self._adj[n].items() if m in keep}
-            for n in keep
-            if n in self._adj
-        }
 
     def copy(self) -> "DynamicGraph":
         clone = DynamicGraph()

@@ -49,24 +49,6 @@ DEFAULT_MAX_QUEUE = 100_000
 DEFAULT_MAX_BATCH_QUANTA = 64
 
 
-def find_baselines_dir() -> Optional[Path]:
-    """Locate the committed ``benchmarks/results`` baselines, if any.
-
-    ``REPRO_BASELINES_DIR`` overrides; otherwise the source tree is walked
-    upward (works for an in-repo checkout; an installed wheel without the
-    benchmarks simply serves no baselines).
-    """
-    env = os.environ.get("REPRO_BASELINES_DIR")
-    if env:
-        path = Path(env)
-        return path if path.is_dir() else None
-    for parent in Path(__file__).resolve().parents:
-        candidate = parent / "benchmarks" / "results"
-        if candidate.is_dir():
-            return candidate
-    return None
-
-
 class Tenant:
     """One named detector session and its serving state."""
 
@@ -295,7 +277,6 @@ class SessionManager:
         max_batch_quanta: int = DEFAULT_MAX_BATCH_QUANTA,
         subscriber_buffer: int = 1024,
         stall_deadline: float = 10.0,
-        baselines_dir: Optional[os.PathLike] = None,
     ) -> None:
         if workers < 1:
             raise ServeError(f"workers must be >= 1, got {workers}")
@@ -312,11 +293,6 @@ class SessionManager:
         self.max_batch_quanta = max_batch_quanta
         self.subscriber_buffer = subscriber_buffer
         self.stall_deadline = stall_deadline
-        self.baselines_dir = (
-            Path(baselines_dir)
-            if baselines_dir is not None
-            else find_baselines_dir()
-        )
         self.executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
         )
@@ -459,24 +435,6 @@ class SessionManager:
 
     # -------------------------------------------------------------- stats
 
-    def baselines(self) -> Dict[str, object]:
-        """The committed bench baselines, served live (may be empty)."""
-        import json
-
-        out: Dict[str, object] = {}
-        if self.baselines_dir is None:
-            return out
-        try:
-            paths = sorted(self.baselines_dir.glob("*.json"))
-        except OSError:
-            return out
-        for path in paths:
-            try:
-                out[path.stem] = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue
-        return out
-
     def metrics(self) -> Dict[str, object]:
         return {
             "uptime_s": round(time.monotonic() - self.started_at, 3),
@@ -485,7 +443,6 @@ class SessionManager:
             "tenants": {
                 name: tenant.stats() for name, tenant in self.tenants.items()
             },
-            "baselines": self.baselines(),
         }
 
 
@@ -494,5 +451,4 @@ __all__ = [
     "DEFAULT_MAX_QUEUE",
     "SessionManager",
     "Tenant",
-    "find_baselines_dir",
 ]

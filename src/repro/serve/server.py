@@ -6,8 +6,8 @@ Routes (all JSON; DESIGN.md Section 11):
 Method     Path                             Meaning
 =========  ===============================  ===================================
 GET        ``/healthz``                     liveness probe
-GET        ``/metrics``                     uptime, per-tenant stats, committed
-                                            bench baselines served live
+GET        ``/metrics``                     uptime, worker and queue bounds,
+                                            per-tenant stats
 GET        ``/v1``                          tenant listing
 PUT        ``/v1/{tenant}``                 create/resume a tenant
                                             (body ``{"config": {...}}`` or

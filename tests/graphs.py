@@ -1,8 +1,8 @@
-"""Deterministic graph generators for tests and benchmarks.
+"""Deterministic graph generators for the graph and clustering tests.
 
 All generators take an explicit ``seed`` and return
 :class:`~repro.graph.dynamic_graph.DynamicGraph` instances, so property tests
-and ablation benchmarks are reproducible without network or dataset access.
+are reproducible without network or dataset access.
 """
 
 from __future__ import annotations

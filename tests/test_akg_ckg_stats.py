@@ -3,7 +3,6 @@
 import pytest
 
 from repro.akg.ckg_stats import CkgStatsTracker
-from repro.akg.correlation import exact_jaccard
 
 
 class TestCkgStats:
@@ -52,15 +51,3 @@ class TestCkgStats:
             "edge_ratio": 0.0,
         }
 
-
-class TestExactJaccard:
-    def test_basic(self):
-        assert exact_jaccard({1, 2}, {2, 3}) == pytest.approx(1 / 3)
-
-    def test_empty_sets(self):
-        assert exact_jaccard(set(), {1}) == 0.0
-        assert exact_jaccard(set(), set()) == 0.0
-
-    def test_symmetry(self):
-        a, b = {1, 2, 3}, {3, 4}
-        assert exact_jaccard(a, b) == exact_jaccard(b, a)

@@ -322,9 +322,9 @@ class TestCheckpointFile:
 
 
 class TestVersionMigration:
-    """Older checkpoints load through the migration chain (v2 → v3 → v4 →
-    v5 → v6 → v7); truly unknown versions fail with an error naming what
-    *is* readable.
+    """Older checkpoints (v2 to v6) load through one upgrade step to the
+    v7 layout; truly unknown versions fail with an error naming what *is*
+    readable.
 
     ``tests/data/checkpoint_v2.ckpt`` was written by the pre-extractor
     tree (PR 4 head), ``checkpoint_v3.ckpt`` by the last tree with
@@ -433,15 +433,37 @@ class TestVersionMigration:
         }
         assert fingerprint(structure) == self.CONTINUATION
 
-    def test_v4_migration_only_drops_the_sketch_window(self):
-        from repro.api.checkpoint import _MIGRATIONS
+    # ``fingerprint(encode_state(load_checkpoint(asset)))`` as the retired
+    # one-step-per-version migration chain (v2 -> v3 -> ... -> v7) produced
+    # it: the single upgrade step must land on the very same trees.
+    UPGRADED = {
+        "checkpoint_v2.ckpt": (
+            "41d54cac8611a9f02d0c9429cf180e53a9ed3d7f6a5f6235c1a28cf03e90bcfa"
+        ),
+        "checkpoint_v3.ckpt": (
+            "eed9a37e136d6e7f95244b2da22be0428cb044ed9842a282fac70496abc04ab4"
+        ),
+        "checkpoint_v4.ckpt": (
+            "71217bf887a93a107b1119d689c8535950399bdee257eec5e06185411ea15e9c"
+        ),
+        "checkpoint_v5.ckpt": (
+            "1d422092f50cdc52abc08774073b0691dad4a8a0dca71eda3822d0eef211b5ca"
+        ),
+        "checkpoint_v6.ckpt": (
+            "0a1f987ac73e3a73ae05e8d9c7156b0a0315eec07c60f5addcd07bf685ecfe0a"
+        ),
+        "delta_v6": (
+            "09dfba21c8bbb2ac4ab11286276b8781d7ef32ac0eb2d6355ce5a3f26d727afb"
+        ),
+    }
 
-        document = json.loads(self.ASSETS[4].read_text())
-        old = decode_state(document["state"])
-        assert old["builder"]["sketches"]["window"]
-        migrated = _MIGRATIONS[4](decode_state(document["state"]))
-        del old["builder"]["sketches"]
-        assert migrated == old
+    @pytest.mark.parametrize("asset", sorted(UPGRADED))
+    def test_upgrade_reproduces_the_migration_chain(self, asset):
+        from golden import fingerprint
+        from repro.api.checkpoint import load_checkpoint
+
+        state = load_checkpoint(Path(__file__).parent / "data" / asset)
+        assert fingerprint(encode_state(state)) == self.UPGRADED[asset]
 
     @pytest.mark.parametrize("version", VERSIONS)
     def test_v6_migration_drops_the_referee_flags(self, version):

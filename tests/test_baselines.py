@@ -1,13 +1,9 @@
-"""Offline biconnected baseline, snapshot tracking, trending strawman."""
-
-import pytest
+"""Offline biconnected baseline and snapshot tracking."""
 
 from repro.api import open_session
 from repro.baselines.offline_bc import OfflineBcObserver
 from repro.baselines.tracking import SnapshotEventTracker
-from repro.baselines.trending import TrendingTopicsBaseline
 from repro.config import DetectorConfig
-from repro.errors import ConfigError
 from repro.stream.messages import Message
 
 
@@ -141,71 +137,3 @@ class TestOfflineBcObserver:
         observer.observe_quantum()
         assert observer.total_seconds > 0
 
-
-class TestTrendingBaseline:
-    def test_needs_sustained_volume(self):
-        baseline = TrendingTopicsBaseline(
-            quantum_size=10,
-            window_quanta=10,
-            trend_threshold=30,
-            sustain_quanta=2,
-        )
-        messages = [
-            Message(f"u{i}", tokens=("storm",)) for i in range(60)
-        ]
-        topics = baseline.run(messages)
-        assert topics, "a sustained flood should eventually trend"
-        first = topics[0]
-        # it must NOT trend in the first quantum: counts build over time
-        assert first.quantum >= 2
-
-    def test_small_burst_never_trends(self):
-        baseline = TrendingTopicsBaseline(
-            quantum_size=10, trend_threshold=1000
-        )
-        messages = [Message(f"u{i}", tokens=("blip",)) for i in range(50)]
-        assert baseline.run(messages) == []
-
-    def test_keyword_reported_once(self):
-        baseline = TrendingTopicsBaseline(
-            quantum_size=10, trend_threshold=20, sustain_quanta=1
-        )
-        messages = [Message(f"u{i}", tokens=("storm",)) for i in range(100)]
-        topics = baseline.run(messages)
-        assert len([t for t in topics if t.keyword == "storm"]) == 1
-
-    def test_first_trending_message_position(self):
-        baseline = TrendingTopicsBaseline(
-            quantum_size=10, trend_threshold=20, sustain_quanta=1
-        )
-        messages = [Message(f"u{i}", tokens=("storm",)) for i in range(100)]
-        topics = baseline.run(messages)
-        position = baseline.first_trending_message("storm", topics)
-        assert position is not None and position >= 20
-        assert baseline.first_trending_message("never", topics) is None
-
-    def test_invalid_config(self):
-        with pytest.raises(ConfigError):
-            TrendingTopicsBaseline(trend_threshold=0)
-        with pytest.raises(ConfigError):
-            TrendingTopicsBaseline(sustain_quanta=0)
-
-    def test_scp_beats_trending_to_detection(self):
-        """The motivating claim: the detector reports the event far earlier
-        than the popularity-based trending policy."""
-        keywords = ("quake", "coast", "alarm")
-        messages = []
-        for i in range(300):
-            messages.append(Message(f"u{i}", tokens=keywords))
-        detector = open_session(exact_config())
-        detection_message = None
-        for q, report in enumerate(detector.ingest_many(messages, flush=True)):
-            if report.reported and detection_message is None:
-                detection_message = (q + 1) * detector.config.quantum_size
-        baseline = TrendingTopicsBaseline(
-            quantum_size=6, trend_threshold=150, sustain_quanta=3
-        )
-        topics = baseline.run(messages)
-        trending_message = baseline.first_trending_message("quake", topics)
-        assert detection_message is not None
-        assert trending_message is None or detection_message < trending_message

@@ -14,8 +14,8 @@ from repro.core.atoms import (
     satisfies_scp,
 )
 from repro.graph.dynamic_graph import edge_key
-from repro.graph.generators import complete_clique, cycle_graph, gnp_random_graph
 
+from graphs import complete_clique, cycle_graph, gnp_random_graph
 from helpers import graph_from_edges
 
 

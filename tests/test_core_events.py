@@ -122,7 +122,7 @@ class TestEventTracker:
         record = tracker.get(1)
         assert record.alive
 
-    def test_alive_and_top_events(self):
+    def test_alive_events(self):
         tracker = EventTracker()
         tracker.observe_quantum(
             0,
@@ -132,9 +132,9 @@ class TestEventTracker:
                 (cluster(3, "ghi"), 2.0, 5.0),
             ],
         )
-        top = tracker.top_events(2)
-        assert [r.event_id for r in top] == [2, 1]
-        assert len(tracker.alive_events()) == 3
+        assert [r.event_id for r in tracker.alive_events()] == [1, 2, 3]
+        tracker.observe_quantum(1, [(cluster(2, "def"), 9.0, 14.0)])
+        assert [r.event_id for r in tracker.alive_events()] == [2]
 
     def test_real_events_filter(self):
         tracker = EventTracker()

@@ -7,8 +7,8 @@ Each operation is checked against the global decomposition oracle
 import pytest
 
 from repro.core.maintenance import ClusterMaintainer, decompose_graph
-from repro.graph.generators import complete_clique, gnp_random_graph
 
+from graphs import complete_clique, gnp_random_graph
 from helpers import brute_force_decomposition, graph_from_edges
 
 

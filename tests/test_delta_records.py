@@ -161,12 +161,13 @@ def test_record_bytes_do_not_grow_with_stream_length(tmp_path):
 
 def test_window_edit_survives_gaps_jumps_and_empty_quanta():
     """Quantum counters that jump expire several blocks in one slide, and
-    a quantum nobody spoke in contributes no block — the splice must track
-    both."""
-    from repro.akg.builder import window_splice
-    from repro.akg.idsets import IdSetIndex
+    a quantum nobody spoke in contributes no block — the builder's window
+    splice must track both."""
+    from repro.akg.builder import AkgBuilder
+    from repro.config import DetectorConfig
+    from repro.core.maintenance import ClusterMaintainer
 
-    index = IdSetIndex(3)
+    builder = AkgBuilder(DetectorConfig(window_quanta=3), ClusterMaintainer())
     feed = [
         (0, {"a": {"u1", "u2"}, "b": {"u1"}}),
         (1, {"a": {"u3"}}),
@@ -177,14 +178,12 @@ def test_window_edit_survives_gaps_jumps_and_empty_quanta():
         (20, {}),  # everything expires, nothing enters
         (21, {"b": {"u9"}}),
     ]
-    previous = index.to_state()
+    previous = builder.to_state()
     for quantum, keyword_users in feed:
-        index.add_quantum(quantum, keyword_users)
-        splice = window_splice(index.window_edit(quantum), quantum)
-        current = index.to_state()
-        assert canon(patch_tree(previous["window"], splice)) == canon(
-            current["window"]
-        ), quantum
+        builder.process_quantum(quantum, keyword_users)
+        op = over_the_wire(builder.quantum_op(quantum))
+        current = builder.to_state()
+        assert canon(patch_tree(previous, op)) == canon(current), quantum
         previous = current
 
 

@@ -13,8 +13,8 @@ from repro.graph.biconnected import (
     is_biconnected,
 )
 from repro.graph.dynamic_graph import edge_key
-from repro.graph.generators import complete_clique, cycle_graph, gnp_random_graph
 
+from graphs import complete_clique, cycle_graph, gnp_random_graph
 from helpers import graph_from_edges
 
 

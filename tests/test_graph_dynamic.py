@@ -124,21 +124,11 @@ class TestNeighbourhoods:
         assert graph.degree("b") == 2
         assert graph.degree("d") == 0
 
-    def test_common_neighbors(self, graph):
-        assert graph.common_neighbors("a", "c") == ["b"]
-        assert graph.common_neighbors("a", "d") == []
-
     def test_neighbor_weights_view(self, graph):
         assert graph.neighbor_weights("a") == {"b": 0.5}
 
 
 class TestUtilities:
-    def test_subgraph_adjacency(self, graph):
-        sub = graph.subgraph_adjacency(["a", "b"])
-        assert set(sub) == {"a", "b"}
-        assert sub["a"] == {"b": 0.5}
-        assert "c" not in sub["b"]
-
     def test_copy_independent(self, graph):
         clone = graph.copy()
         clone.remove_edge("a", "b")

@@ -1,9 +1,11 @@
-"""Deterministic graph generators used by tests and benchmarks."""
+"""Deterministic graph generators of the test suite (tests/graphs.py)."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.graph.generators import (
+from repro.graph.quasi_clique import is_majority_quasi_clique
+
+from graphs import (
     complete_clique,
     cycle_graph,
     glued_cycles,
@@ -11,7 +13,6 @@ from repro.graph.generators import (
     random_mqc,
     two_triangles_bowtie,
 )
-from repro.graph.quasi_clique import is_majority_quasi_clique
 
 
 class TestGnp:

@@ -4,12 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.generators import (
-    complete_clique,
-    cycle_graph,
-    gnp_random_graph,
-    random_mqc,
-)
 from repro.graph.quasi_clique import (
     gamma_density,
     graph_diameter,
@@ -18,6 +12,12 @@ from repro.graph.quasi_clique import (
     is_quasi_clique,
 )
 
+from graphs import (
+    complete_clique,
+    cycle_graph,
+    gnp_random_graph,
+    random_mqc,
+)
 from helpers import graph_from_edges
 
 

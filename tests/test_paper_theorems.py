@@ -19,7 +19,9 @@ from repro.core.atoms import satisfies_scp
 from repro.core.maintenance import ClusterMaintainer, decompose_graph
 from repro.graph.biconnected import is_biconnected
 from repro.graph.dynamic_graph import edge_key
-from repro.graph.generators import (
+from repro.graph.quasi_clique import is_majority_quasi_clique
+
+from graphs import (
     complete_clique,
     cycle_graph,
     glued_cycles,
@@ -27,8 +29,6 @@ from repro.graph.generators import (
     random_mqc,
     two_triangles_bowtie,
 )
-from repro.graph.quasi_clique import is_majority_quasi_clique
-
 from helpers import graph_from_edges
 
 

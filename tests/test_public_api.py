@@ -34,11 +34,9 @@ MODULES = [
     "repro.graph.dynamic_graph",
     "repro.graph.biconnected",
     "repro.graph.quasi_clique",
-    "repro.graph.generators",
     "repro.akg.idsets",
     "repro.akg.burstiness",
     "repro.akg.minhash",
-    "repro.akg.correlation",
     "repro.akg.builder",
     "repro.akg.ckg_stats",
     "repro.pipeline.reports",
@@ -68,7 +66,6 @@ MODULES = [
     "repro.datasets.figure1",
     "repro.baselines.offline_bc",
     "repro.baselines.tracking",
-    "repro.baselines.trending",
     "repro.eval.matching",
     "repro.eval.metrics",
     "repro.eval.filtering",

@@ -220,14 +220,14 @@ class TestTenantLifecycle:
         with pytest.raises(ServeError, match="unknown event kind"):
             client.subscribe("k", kinds="sideways")
 
-    def test_metrics_exposes_tenants_and_baselines(self, server):
+    def test_metrics_exposes_tenants_not_baselines(self, server):
         client = ServeClient(port=server.port)
         client.create_tenant("m1", CONFIG)
         metrics = client.metrics()
         assert "m1" in metrics["tenants"]
         assert metrics["workers"] == 2
-        # The committed bench baselines ride along on /metrics.
-        assert isinstance(metrics["baselines"], dict)
+        # /metrics reports the running server, never committed bench files.
+        assert set(metrics) == {"uptime_s", "workers", "max_queue", "tenants"}
         tenant = metrics["tenants"]["m1"]
         assert set(tenant) >= {
             "quantum", "queued", "shed", "accepted", "timings", "fanout",
