@@ -5,16 +5,13 @@ Usage::
     python benchmarks/check_regression.py \\
         --baseline /tmp/perf-baseline --current benchmarks/results \\
         --tolerance 0.25 incremental_akg incremental_ranking \\
-        delta_checkpoint serve_fanout
+        serve_fanout
 
 For every named bench the script loads ``<dir>/<name>.json`` (schema of
 ``_results.py``) from both directories and fails (exit 1) when the current
 ``speedup`` ratio has regressed by more than ``--tolerance`` relative to the
 baseline.  Ratios — not wall seconds — are compared because they transfer
-across machines; wall times are printed for context only.  (For
-``delta_checkpoint`` the ratio is snapshot bytes over mean record bytes —
-deterministic for a seed; its append-latency gate is an absolute bound
-asserted inside the bench.)
+across machines; wall times are printed for context only.
 
 A comparison is skipped (with a notice, not a failure) when the baseline
 records no ``speedup`` (ratio-free benches).

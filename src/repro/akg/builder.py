@@ -43,7 +43,7 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Set, Tuple
 
 from repro.akg.burstiness import BurstinessTracker
 from repro.akg.idsets import IdSetIndex, SlideDelta
-from repro.akg.minhash import MinHasher
+from repro.akg.minhash import HASH_SEED, MinHasher
 from repro.akg.oracle import OracleIdSetIndex, OracleSketchIndex
 from repro.config import DetectorConfig
 from repro.core.changelog import NodeWeightChanged
@@ -116,7 +116,7 @@ class AkgBuilder:
         self.config = config
         self.maintainer = maintainer
         self.oracle = oracle
-        self.minhasher = MinHasher(config.effective_minhash_size, seed=config.seed)
+        self.minhasher = MinHasher(config.effective_minhash_size, seed=HASH_SEED)
         if oracle:
             self.idsets = OracleIdSetIndex(config.window_quanta)
             self.sketches = OracleSketchIndex(self.minhasher, self.idsets)
@@ -127,7 +127,7 @@ class AkgBuilder:
                 self.idsets.jaccard(kw1, kw2) for kw1, kw2 in pairs
             ]
         else:
-            self.idsets = IdSetIndex(config.window_quanta, seed=config.seed)
+            self.idsets = IdSetIndex(config.window_quanta, seed=HASH_SEED)
             self._sketches_of = lambda keywords: self.idsets.sketch_many(
                 keywords, self.minhasher.p
             )

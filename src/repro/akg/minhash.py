@@ -33,6 +33,10 @@ from repro.errors import ConfigError
 UserId = Hashable
 Sketch = Tuple[int, ...]
 
+#: The salt every session hashes user ids with; fixed so sketches (and
+#: the checkpoints that replay them) are reproducible across processes.
+HASH_SEED = 0x5C9C1E
+
 
 def user_hash_fn(seed: int) -> Callable[[UserId], int]:
     """The MinHash base-hash as a standalone function of the user id.
@@ -120,4 +124,4 @@ class MinHasher:
         return tuple(heapq.nsmallest(self.p, set(hashes)))
 
 
-__all__ = ["MinHasher", "Sketch", "user_hash_fn"]
+__all__ = ["HASH_SEED", "MinHasher", "Sketch", "user_hash_fn"]

@@ -2,7 +2,7 @@
 
 A checkpoint is a single JSON document::
 
-    {"format": "repro-session-checkpoint", "version": 7, "state": <encoded>}
+    {"format": "repro-session-checkpoint", "version": 8, "state": <encoded>}
 
 ``state`` is the session's composed ``to_state()`` tree (DESIGN.md
 Section 6) run through a small *tagged* encoding, because plain JSON cannot
@@ -44,10 +44,11 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
+from repro.akg.minhash import HASH_SEED
 from repro.errors import CheckpointError
 
 CHECKPOINT_FORMAT = "repro-session-checkpoint"
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 """Bump on any change to the state tree layout, and teach ``_upgrade``
 below the change so supported older snapshots keep loading.
 Version history: 1 — PR 3 layout (no longer readable); 2 — event histories
@@ -62,7 +63,10 @@ per-keyword entry lists (``entries`` / ``minis``); 5 — the builder's
 6 — no referee-mode flags (top-level and config ``oracle_*``, the
 builder's ``oracle``): a session always runs the incremental stages;
 7 — no Section 7.4 CKG counters (top-level ``ckg_stats``, config
-``track_ckg_stats``): the reduction bench assembles its own tracker."""
+``track_ckg_stats``): the reduction bench assembles its own tracker;
+8 — no MinHash sketch-size override or hash salt in the config (the keys
+of ``_SKETCH_CONSTANTS``): the sketch size is always the paper's
+derivation and the salt is :data:`~repro.akg.minhash.HASH_SEED`."""
 
 _SCALARS = (bool, int, float, str)
 
@@ -72,6 +76,9 @@ _UPGRADABLE = range(2, CHECKPOINT_VERSION)
 
 _REFEREE_MODES = ("oracle_akg", "oracle_ranking")
 
+_SKETCH_CONSTANTS = {"minhash_size": None, "seed": HASH_SEED}
+"""Config fields version 8 made constants, with the value each now has."""
+
 
 def _upgrade(state: dict, version: int) -> dict:
     """Reshape a decoded older state tree into the current layout.
@@ -79,11 +86,15 @@ def _upgrade(state: dict, version: int) -> dict:
     A checkpoint taken under a referee mode holds the from-scratch
     referee's state, which no session runs any more (the differential
     tests build the referees), so it is refused by name rather than resumed
-    on the incremental stages.  Every other retired key is dropped: the
+    on the incremental stages.  So is one whose config overrode the MinHash
+    sketch size or salt: its graph was built from sketches no session
+    computes any more, and resuming it under the constants would silently
+    diverge.  Every other retired key is dropped: the
     referee-mode flags (top level, config, builder), the builder's sketch
-    window (sketches are read off the id-set window) and the Section 7.4
+    window (sketches are read off the id-set window), the Section 7.4
     CKG counters (top level, config; the reduction bench assembles its own
-    tracker).  Two reshapes are version-gated:
+    tracker) and the two sketch settings at their constant values.  Two
+    reshapes are version-gated:
 
     * v2 predates extractors, so its identity is the default ``keyword``
       spec (or a custom one where v2 recorded ``custom_tokenizer``) and its
@@ -99,7 +110,17 @@ def _upgrade(state: dict, version: int) -> dict:
                 f"checkpoint was taken under {mode}=True, a from-scratch "
                 f"referee mode sessions no longer run; it cannot be resumed"
             )
-    retired = (*_REFEREE_MODES, "ckg_stats", "track_ckg_stats")
+    for key, constant in _SKETCH_CONSTANTS.items():
+        value = state["config"].get(key, constant)
+        if value != constant:
+            raise CheckpointError(
+                f"checkpoint was taken with {key}={value!r}; sessions now "
+                f"always run with {key}={constant!r}, so it cannot be "
+                f"resumed without diverging"
+            )
+    retired = (
+        *_REFEREE_MODES, "ckg_stats", "track_ckg_stats", *_SKETCH_CONSTANTS
+    )
     state = {k: v for k, v in state.items() if k not in retired}
     state["config"] = {
         k: v for k, v in state["config"].items() if k not in retired

@@ -6,7 +6,7 @@ A *delta checkpoint* is a directory::
         MANIFEST.json      {"format": ..., "version": 6, "generation": g,
                             "base": "base-<g>.ckpt", "log": "deltas-<g>.log",
                             "base_quantum": q}
-        base-<g>.ckpt      ordinary monolithic checkpoint (v5 layout)
+        base-<g>.ckpt      ordinary monolithic checkpoint (current layout)
         deltas-<g>.log     framed, length-prefixed per-quantum edit records
 
 The leader writes the base once, then appends one *edit op* per completed
@@ -36,12 +36,12 @@ quantum-discontinuous record — which a sequential appender cannot produce
 by crashing — raises :class:`~repro.errors.CheckpointError` instead of
 returning silently wrong state.
 
-Compaction bounds replay cost: once the log grows past ``compact_ratio``
-times the base size, the writer rewrites a fresh base from the current
-state, starts an empty log, and atomically flips ``MANIFEST.json`` to the
-new generation (old-generation files are then unlinked; a follower holding
-an open descriptor on POSIX keeps reading safely and switches generations
-at its next manifest poll).
+Compaction bounds replay cost: once the log grows past
+:data:`COMPACT_RATIO` times the base size, the writer rewrites a fresh
+base from the current state, starts an empty log, and atomically flips
+``MANIFEST.json`` to the new generation (old-generation files are then
+unlinked; a follower holding an open descriptor on POSIX keeps reading
+safely and switches generations at its next manifest poll).
 
 The transport seam (:class:`DeltaTransport` / :class:`FileTailTransport`)
 is what a future socket-based replication channel plugs into: a follower
@@ -56,7 +56,9 @@ import struct
 import time
 import zlib
 from pathlib import Path
-from typing import Any, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import (
+    Any, Callable, List, Optional, Protocol, Tuple, runtime_checkable,
+)
 
 from repro.api.checkpoint import (
     atomic_write,
@@ -83,10 +85,49 @@ _LOG_MAGIC = b"RDLG"
 _FRAME_HEADER = struct.Struct(">II")
 _MAX_FRAME = 1 << 31
 
+COMPACT_RATIO = 4.0
+"""The writer rolls a fresh generation once its log outgrows this many
+times the base snapshot: replay then reads at most a few bases' worth."""
+
 
 # =====================================================================
 # Edit ops over decoded state trees: wire codec and patch
 # =====================================================================
+
+
+def _map_op(op: Optional[list], leaf: Callable[[Any], Any]) -> Optional[list]:
+    """Copy an edit op's structure (tags, splice counts, nesting) and apply
+    ``leaf`` to every embedded state value (replacement payloads, inserted
+    elements, set members, dict keys); raises on a malformed script."""
+    if op is None:
+        return None
+    if not isinstance(op, list) or not op:
+        raise CheckpointError(f"malformed state edit op: {op!r}")
+    tag = op[0]
+    if tag == "r":
+        return ["r", leaf(op[1])]
+    if tag == "d":
+        return [
+            "d",
+            [[leaf(k), _map_op(sub, leaf)] for k, sub in op[1]],
+            [leaf(k) for k in op[2]],
+        ]
+    if tag == "s":
+        return ["s", [leaf(x) for x in op[1]], [leaf(x) for x in op[2]]]
+    if tag == "l":
+        edits = []
+        for edit in op[1]:
+            kind = edit[0]
+            if kind in ("k", "x"):
+                edits.append([kind, edit[1]])
+            elif kind == "i":
+                edits.append(["i", [leaf(x) for x in edit[1]]])
+            elif kind == "p":
+                edits.append(["p", [_map_op(sub, leaf) for sub in edit[1]]])
+            else:
+                raise CheckpointError(f"unknown sequence edit {kind!r}")
+        return ["l", edits]
+    raise CheckpointError(f"unknown state edit tag: {tag!r}")
 
 
 def encode_op(op: Optional[list]) -> Optional[list]:
@@ -99,74 +140,12 @@ def encode_op(op: Optional[list]) -> Optional[list]:
     set members, dict keys) need :func:`encode_state`, because they can
     hold tuples/sets/non-string keys that raw JSON cannot represent.
     """
-    if op is None:
-        return None
-    tag = op[0]
-    if tag == "r":
-        return ["r", encode_state(op[1])]
-    if tag == "d":
-        return [
-            "d",
-            [[encode_state(k), encode_op(sub)] for k, sub in op[1]],
-            [encode_state(k) for k in op[2]],
-        ]
-    if tag == "s":
-        return [
-            "s",
-            [encode_state(x) for x in op[1]],
-            [encode_state(x) for x in op[2]],
-        ]
-    if tag == "l":
-        edits = []
-        for edit in op[1]:
-            kind = edit[0]
-            if kind in ("k", "x"):
-                edits.append([kind, edit[1]])
-            elif kind == "i":
-                edits.append(["i", [encode_state(x) for x in edit[1]]])
-            elif kind == "p":
-                edits.append(["p", [encode_op(sub) for sub in edit[1]]])
-            else:
-                raise CheckpointError(f"unknown sequence edit {kind!r}")
-        return ["l", edits]
-    raise CheckpointError(f"unknown state edit tag: {tag!r}")
+    return _map_op(op, encode_state)
 
 
 def decode_op(op: Optional[list]) -> Optional[list]:
     """Inverse of :func:`encode_op`; raises on a malformed script."""
-    if op is None:
-        return None
-    if not isinstance(op, list) or not op:
-        raise CheckpointError(f"malformed state edit op: {op!r}")
-    tag = op[0]
-    if tag == "r":
-        return ["r", decode_state(op[1])]
-    if tag == "d":
-        return [
-            "d",
-            [[decode_state(k), decode_op(sub)] for k, sub in op[1]],
-            [decode_state(k) for k in op[2]],
-        ]
-    if tag == "s":
-        return [
-            "s",
-            [decode_state(x) for x in op[1]],
-            [decode_state(x) for x in op[2]],
-        ]
-    if tag == "l":
-        edits = []
-        for edit in op[1]:
-            kind = edit[0]
-            if kind in ("k", "x"):
-                edits.append([kind, edit[1]])
-            elif kind == "i":
-                edits.append(["i", [decode_state(x) for x in edit[1]]])
-            elif kind == "p":
-                edits.append(["p", [decode_op(sub) for sub in edit[1]]])
-            else:
-                raise CheckpointError(f"unknown sequence edit {kind!r}")
-        return ["l", edits]
-    raise CheckpointError(f"unknown state edit tag: {tag!r}")
+    return _map_op(op, decode_state)
 
 
 def patch_tree(a: Any, op: Optional[list]) -> Any:
@@ -448,7 +427,7 @@ def read_delta_checkpoint(path) -> dict:
 
     The result is bit-identical (through the canonical codec, byte-
     identical on re-serialization) to a monolithic snapshot taken at the
-    same stream position — the v4 reader the monolithic
+    same stream position — the reader the monolithic
     :func:`~repro.api.checkpoint.load_checkpoint` dispatches to for
     directories.
     """
@@ -481,20 +460,15 @@ class DeltaCheckpointWriter:
     when a generation is rolled).  ``start(source)`` opens (or creates) the
     directory and writes a fresh generation; ``append(source)`` logs one
     record and compacts — rewrite base, truncate log, flip manifest — once
-    the log exceeds ``compact_ratio`` times the base size.  Every append
+    the log exceeds :data:`COMPACT_RATIO` times the base size.  Every append
     fsyncs the log file *and* its directory; base and manifest writes are
     atomic-rename durable.  A writer whose append failed mid-frame refuses
     further appends (the tail is torn; the next leader attaches with a
     fresh generation instead).
     """
 
-    def __init__(self, path, *, compact_ratio: float = 4.0) -> None:
-        if compact_ratio <= 0:
-            raise CheckpointError(
-                f"compact_ratio must be positive, got {compact_ratio!r}"
-            )
+    def __init__(self, path) -> None:
         self.path = Path(path)
-        self.compact_ratio = compact_ratio
         self.generation = -1
         self.base_bytes = 0
         self.log_bytes = 0
@@ -551,7 +525,7 @@ class DeltaCheckpointWriter:
         self.log_bytes += len(frame)
         self.records_written += 1
         self.append_seconds += time.perf_counter() - started
-        if self.log_bytes > self.compact_ratio * max(self.base_bytes, 1):
+        if self.log_bytes > COMPACT_RATIO * max(self.base_bytes, 1):
             self._roll(source._state_tree(), self.generation + 1)
             self.compactions += 1
         return len(frame)
@@ -613,6 +587,7 @@ class DeltaCheckpointWriter:
 
 
 __all__ = [
+    "COMPACT_RATIO",
     "DELTA_FORMAT",
     "DELTA_VERSION",
     "MANIFEST_NAME",

@@ -162,13 +162,7 @@ class FollowerSession:
 
     # ------------------------------------------------------------ promote
 
-    def promote(
-        self,
-        *,
-        noun_tagger=None,
-        extractor=None,
-        profile: bool = False,
-    ):
+    def promote(self, *, noun_tagger=None, extractor=None):
         """Turn the warm state into a live :class:`DetectorSession`.
 
         The promote contract (DESIGN.md Section 10): the returned session
@@ -186,7 +180,6 @@ class FollowerSession:
             copy.deepcopy(self._state),
             noun_tagger=noun_tagger,
             extractor=extractor,
-            profile=profile,
         )
         self._promoted = True
         return session

@@ -35,9 +35,6 @@ Typical use::
 
 from __future__ import annotations
 
-import cProfile
-import io
-import pstats
 import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import (
@@ -61,7 +58,7 @@ from repro.core.events import EventRecord, EventTracker
 from repro.core.incremental import IncrementalRanker
 from repro.core.maintenance import ClusterMaintainer
 from repro.core.ranking import minimum_rank
-from repro.errors import CheckpointError, ConfigError, GraphError, PipelineError
+from repro.errors import CheckpointError, GraphError, PipelineError
 from repro.extract import (
     EntityExtractor,
     extractor_spec,
@@ -128,7 +125,6 @@ class DetectorSession:
         *,
         noun_tagger: Optional[NounTagger] = None,
         extractor: Optional[EntityExtractor] = None,
-        profile: bool = False,
     ) -> None:
         """Build a fresh session (use :func:`open_session` in client code).
 
@@ -138,9 +134,7 @@ class DetectorSession:
         :class:`~repro.extract.base.EntityExtractor` instance — e.g.
         ``KeywordExtractor(tokenizer=...)`` around a custom text tokenizer.
         ``noun_tagger`` overrides the report-time noun filter (applied only
-        when the extractor is ``textual``).  ``profile=True`` runs the
-        stage pipeline under cProfile; read the accumulated data with
-        :meth:`profile_stats`.
+        when the extractor is ``textual``).
         """
         self.config = config if config is not None else DetectorConfig()
         # Function-valued state cannot be checkpointed; remember whether the
@@ -182,7 +176,6 @@ class DetectorSession:
             self.config.max_tokens_per_message,
         )
         self.pipeline = Pipeline(stages)
-        self._profiler = cProfile.Profile() if profile else None
         self._quantum = -1
         self.total_messages = 0
         self.total_seconds = 0.0
@@ -274,14 +267,7 @@ class DetectorSession:
         start = time.perf_counter()
         self._quantum += 1
         ctx = QuantumContext(quantum=self._quantum, messages=messages)
-        if self._profiler is not None:
-            self._profiler.enable()
-            try:
-                self.pipeline.run(ctx)
-            finally:
-                self._profiler.disable()
-        else:
-            self.pipeline.run(ctx)
+        self.pipeline.run(ctx)
         report = ctx.report
         report.messages_processed = len(ctx.messages)
         report.timings = ctx.timings
@@ -452,24 +438,6 @@ class DetectorSession:
             return 0.0
         return self.total_messages / self.total_seconds
 
-    def profile_stats(self, top: int = 20) -> str:
-        """Formatted cProfile data for the pipeline work so far.
-
-        Requires the session to have been opened with ``profile=True``;
-        returns the ``top`` hottest functions by cumulative time —
-        ``detect --profile`` prints this after the run, and perf PRs should
-        start from it rather than guessing at the hot path.
-        """
-        if self._profiler is None:
-            raise ConfigError(
-                "profiling is off; open the session with profile=True "
-                "(detect --profile) to collect pipeline profiles"
-            )
-        out = io.StringIO()
-        stats = pstats.Stats(self._profiler, stream=out)
-        stats.sort_stats("cumulative").print_stats(top)
-        return out.getvalue()
-
     # ------------------------------------------------------------ lifecycle
 
     def close(self) -> None:
@@ -527,13 +495,14 @@ class DetectorSession:
         """
         save_checkpoint(path, self._state_tree())
 
-    def enable_delta_log(self, path, *, compact_ratio: float = 4.0) -> None:
+    def enable_delta_log(self, path) -> None:
         """Start incremental checkpointing into the directory ``path``.
 
         Writes a base snapshot of the current state now, then appends one
         framed edit op per completed quantum (compacting — fresh base,
-        truncated log — once the log passes ``compact_ratio`` times the
-        base size).  The directory loads like any checkpoint
+        truncated log — once the log passes
+        :data:`~repro.api.deltalog.COMPACT_RATIO` times the base size).
+        The directory loads like any checkpoint
         (``open_session(resume=path)``) and is what a
         :class:`~repro.api.follower.FollowerSession` tails to stay warm.
         An existing delta checkpoint directory is attached with a fresh
@@ -546,7 +515,7 @@ class DetectorSession:
             raise CheckpointError(
                 "a delta log is already enabled for this session"
             )
-        writer = DeltaCheckpointWriter(path, compact_ratio=compact_ratio)
+        writer = DeltaCheckpointWriter(path)
         writer.start(self)
         self._delta_writer = writer
 
@@ -622,7 +591,6 @@ class DetectorSession:
         *,
         noun_tagger: Optional[NounTagger] = None,
         extractor: Optional[EntityExtractor] = None,
-        profile: bool = False,
     ) -> "DetectorSession":
         """Reconstruct a session from a :meth:`snapshot` file.
 
@@ -635,10 +603,7 @@ class DetectorSession:
         the same objects the original session used.
         """
         return cls._from_state_tree(
-            load_checkpoint(path),
-            noun_tagger=noun_tagger,
-            extractor=extractor,
-            profile=profile,
+            load_checkpoint(path), noun_tagger=noun_tagger, extractor=extractor
         )
 
     @classmethod
@@ -648,7 +613,6 @@ class DetectorSession:
         *,
         noun_tagger: Optional[NounTagger] = None,
         extractor: Optional[EntityExtractor] = None,
-        profile: bool = False,
     ) -> "DetectorSession":
         """Materialize a live session from a decoded state tree.
 
@@ -708,12 +672,7 @@ class DetectorSession:
                 )
             if extractor is None:
                 extractor = make_extractor(spec["name"], spec["options"])
-        session = cls(
-            config,
-            noun_tagger=noun_tagger,
-            extractor=extractor,
-            profile=profile,
-        )
+        session = cls(config, noun_tagger=noun_tagger, extractor=extractor)
         session.maintainer.from_state(state["maintainer"])
         session.builder.from_state(state["builder"])
         session.tracker.from_state(state["tracker"])
@@ -745,9 +704,7 @@ def open_session(
     resume=None,
     noun_tagger: Optional[NounTagger] = None,
     extractor: Optional[EntityExtractor] = None,
-    profile: bool = False,
     delta_log=None,
-    delta_compact_ratio: float = 4.0,
 ) -> DetectorSession:
     """Open a detector session — fresh, or resumed from a checkpoint.
 
@@ -762,16 +719,13 @@ def open_session(
     On resume, registered extractors are rebuilt from the checkpoint;
     custom ones must be passed back in.
 
-    ``profile=True`` collects a cProfile of the stage pipeline
-    (``DetectorSession.profile_stats``).
-
     ``delta_log=path`` enables incremental checkpointing: a base snapshot
     now, then one durable edit-script record per completed quantum into
-    the directory ``path`` (compacted past ``delta_compact_ratio`` times
-    the base size) — the stream a warm-standby
-    :class:`~repro.api.follower.FollowerSession` tails (DESIGN.md
-    Section 10).  ``resume`` accepts a delta-checkpoint directory as well
-    as a monolithic snapshot file.
+    the directory ``path`` (compacted past
+    :data:`~repro.api.deltalog.COMPACT_RATIO` times the base size) — the
+    stream a warm-standby :class:`~repro.api.follower.FollowerSession`
+    tails (DESIGN.md Section 10).  ``resume`` accepts a delta-checkpoint
+    directory as well as a monolithic snapshot file.
     """
     if resume is not None:
         if config is not None:
@@ -780,24 +734,14 @@ def open_session(
                 "runs under its checkpoint's configuration"
             )
         session = DetectorSession.restore(
-            resume,
-            noun_tagger=noun_tagger,
-            extractor=extractor,
-            profile=profile,
+            resume, noun_tagger=noun_tagger, extractor=extractor
         )
-        if delta_log is not None:
-            session.enable_delta_log(
-                delta_log, compact_ratio=delta_compact_ratio
-            )
-        return session
-    session = DetectorSession(
-        config,
-        noun_tagger=noun_tagger,
-        extractor=extractor,
-        profile=profile,
-    )
+    else:
+        session = DetectorSession(
+            config, noun_tagger=noun_tagger, extractor=extractor
+        )
     if delta_log is not None:
-        session.enable_delta_log(delta_log, compact_ratio=delta_compact_ratio)
+        session.enable_delta_log(delta_log)
     return session
 
 

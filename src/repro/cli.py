@@ -91,9 +91,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timing", action="store_true",
                         help="print a per-stage timing breakdown "
                              "(extract/akg/maintain/propagate/rank/report)")
-    parser.add_argument("--profile", action="store_true",
-                        help="run the pipeline under cProfile and print the "
-                             "top-20 cumulative hot functions after the run")
     parser.add_argument("--checkpoint", metavar="PATH",
                         help="write a session checkpoint to PATH after the "
                              "trace is consumed (a trailing partial quantum "
@@ -109,11 +106,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                              "detecting: base snapshot now, then one "
                              "durable delta record per completed quantum "
                              "(tail it with 'repro follow DIR')")
-    parser.add_argument("--delta-compact-ratio", type=float, default=4.0,
-                        metavar="R",
-                        help="compact the delta log (fresh base, truncated "
-                             "log) once it exceeds R x the base size "
-                             "(default 4.0)")
 
 
 def _config_from(args: argparse.Namespace) -> DetectorConfig:
@@ -189,10 +181,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_detect(args: argparse.Namespace) -> int:
     if args.resume_from:
         session = open_session(
-            resume=args.resume_from,
-            profile=args.profile,
-            delta_log=args.delta_log,
-            delta_compact_ratio=args.delta_compact_ratio,
+            resume=args.resume_from, delta_log=args.delta_log
         )
         print(
             f"-- resumed from {args.resume_from} at quantum "
@@ -201,12 +190,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             f"config comes from the checkpoint"
         )
     else:
-        session = open_session(
-            _config_from(args),
-            profile=args.profile,
-            delta_log=args.delta_log,
-            delta_compact_ratio=args.delta_compact_ratio,
-        )
+        session = open_session(_config_from(args), delta_log=args.delta_log)
     if args.delta_log:
         writer = session.delta_writer
         print(
@@ -254,8 +238,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             )
         if args.timing:
             print(_render_timing(session, quanta, cache_hits, recomputed))
-        if args.profile:
-            print(session.profile_stats(top=20))
         if args.checkpoint:
             session.snapshot(args.checkpoint)
             print(

@@ -48,10 +48,6 @@ class DetectorConfig:
     ec_threshold:
         Minimum edge correlation (Jaccard coefficient of the window user-id
         sets) for an AKG edge (``gamma``).
-    minhash_size:
-        Number of minimum hash values kept per keyword.  ``None`` (default)
-        derives ``p = max(1, min(theta // 2, round(1 / gamma)))`` per the
-        paper; an explicit positive integer overrides the derivation.
     use_minhash_filter:
         When True (default), new-edge candidate pairs must share at least one
         of their ``p`` MinHash values before the exact EC is computed.  When
@@ -89,15 +85,16 @@ class DetectorConfig:
         be JSON-serializable: the pair ``(extractor, extractor_options)``
         is the extractor's checkpoint identity, the spec a resumed session
         rebuilds it from.
-    seed:
-        Seed for the MinHash hash-function salt; fixed for reproducibility.
+
+    The MinHash sketch size is not a field: it is always the paper's
+    derivation from ``theta`` and ``gamma`` (:attr:`effective_minhash_size`),
+    and the hash salt is the constant :data:`repro.akg.minhash.HASH_SEED`.
     """
 
     quantum_size: int = 160
     window_quanta: int = 30
     high_state_threshold: int = 4
     ec_threshold: float = 0.20
-    minhash_size: int | None = None
     use_minhash_filter: bool = True
     min_cluster_size: int = 3
     node_grace_quanta: int = 1
@@ -111,7 +108,6 @@ class DetectorConfig:
     extractor_options: Mapping[str, Any] = field(
         default_factory=dict, hash=False
     )
-    seed: int = 0x5C9C1E
 
     def __post_init__(self) -> None:
         if self.quantum_size < 1:
@@ -127,8 +123,6 @@ class DetectorConfig:
             raise ConfigError(
                 f"ec_threshold must be in (0, 1], got {self.ec_threshold}"
             )
-        if self.minhash_size is not None and self.minhash_size < 1:
-            raise ConfigError(f"minhash_size must be >= 1, got {self.minhash_size}")
         if self.min_cluster_size < 2:
             raise ConfigError(
                 f"min_cluster_size must be >= 2, got {self.min_cluster_size}"
@@ -170,8 +164,6 @@ class DetectorConfig:
     @property
     def effective_minhash_size(self) -> int:
         """Number of MinHash values per keyword (``p`` of Section 3.2.2)."""
-        if self.minhash_size is not None:
-            return self.minhash_size
         derived = min(
             self.high_state_threshold // 2,
             int(math.ceil(1.0 / self.ec_threshold)),

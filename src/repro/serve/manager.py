@@ -16,7 +16,7 @@ Backpressure model (DESIGN.md Section 11):
 * under sustained backlog the drainer grows the *effective ingest batch*
   (adaptive quantum sizing): each executor hop feeds
   ``max(quantum_size, backlog)`` messages (capped at
-  ``max_batch_quanta`` quanta), so per-hop overhead amortizes exactly when
+  ``MAX_BATCH_QUANTA`` quanta), so per-hop overhead amortizes exactly when
   the tenant is behind, and shrinks back to one quantum when it catches up.
 """
 
@@ -40,13 +40,24 @@ from repro.stream.messages import Message
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,63}")
 
+
+def _check_name(what: str, name) -> None:
+    """Tenant and checkpoint names become path components under the state
+    dir, so the pattern (no separator, no leading dot) is the traversal
+    guard."""
+    if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+        raise ServeError(
+            f"invalid {what} name {name!r} (want [A-Za-z0-9][A-Za-z0-9_.-]*, "
+            f"max 64 chars)"
+        )
+
 #: Default bound on one tenant's ingest queue, in messages.
 DEFAULT_MAX_QUEUE = 100_000
 
 #: Cap on the adaptive batch, in quanta: a deeply backlogged tenant is fed
 #: at most this many quanta per executor hop, so no single hop starves the
 #: other tenants of the shared worker budget.
-DEFAULT_MAX_BATCH_QUANTA = 64
+MAX_BATCH_QUANTA = 64
 
 
 class Tenant:
@@ -131,7 +142,7 @@ class Tenant:
     def _effective_batch(self, backlog: int) -> int:
         """Adaptive quantum sizing: grow the batch with the backlog."""
         base = self.session.config.quantum_size
-        cap = base * self.manager.max_batch_quanta
+        cap = base * MAX_BATCH_QUANTA
         return max(base, min(backlog, cap))
 
     def _ingest_sync(self, batch: List[Message]) -> int:
@@ -177,16 +188,32 @@ class Tenant:
         """Block until the queue is empty and no batch is in flight."""
         await self._idle.wait()
 
-    async def snapshot(self, path) -> None:
-        """Write a monolithic checkpoint of the tenant's current state."""
+    async def snapshot(self, filename: str) -> Path:
+        """Drain the queue, then write a monolithic checkpoint to
+        ``<state_dir>/<tenant>/snapshots/<filename>``; returns the path.
+
+        ``filename`` must be a bare file name (the tenant-name pattern), so
+        a client can neither write outside the state dir nor overwrite the
+        ``final.ckpt`` and ``delta/`` a resume reads.
+        """
+        if self.manager.state_dir is None:
+            raise ServeError(
+                "checkpoints need a server started with --state-dir"
+            )
+        _check_name("checkpoint", filename)
+        directory = self.manager.state_dir / self.name / "snapshots"
+        path = directory / filename
+        await self.wait_idle()
 
         def _snap() -> None:
+            directory.mkdir(parents=True, exist_ok=True)
             with self._session_lock:
                 self.session.snapshot(path)
 
         await self.manager.loop.run_in_executor(
             self.manager.executor, _snap
         )
+        return path
 
     # ----------------------------------------------------------- teardown
 
@@ -274,7 +301,6 @@ class SessionManager:
         state_dir: Optional[os.PathLike] = None,
         workers: int = 2,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        max_batch_quanta: int = DEFAULT_MAX_BATCH_QUANTA,
         subscriber_buffer: int = 1024,
         stall_deadline: float = 10.0,
     ) -> None:
@@ -282,15 +308,10 @@ class SessionManager:
             raise ServeError(f"workers must be >= 1, got {workers}")
         if max_queue < 1:
             raise ServeError(f"max_queue must be >= 1, got {max_queue}")
-        if max_batch_quanta < 1:
-            raise ServeError(
-                f"max_batch_quanta must be >= 1, got {max_batch_quanta}"
-            )
         self.loop = loop
         self.state_dir = Path(state_dir) if state_dir is not None else None
         self.workers = workers
         self.max_queue = max_queue
-        self.max_batch_quanta = max_batch_quanta
         self.subscriber_buffer = subscriber_buffer
         self.stall_deadline = stall_deadline
         self.executor = ThreadPoolExecutor(
@@ -326,11 +347,7 @@ class SessionManager:
         carries the partial quantum — falling back to the delta log after a
         crash).
         """
-        if not _NAME_RE.fullmatch(name or ""):
-            raise ServeError(
-                f"invalid tenant name {name!r} (want [A-Za-z0-9][A-Za-z0-9_.-]*, "
-                f"max 64 chars)"
-            )
+        _check_name("tenant", name)
         if name in self.tenants and not self.tenants[name].closed:
             raise ServeError(f"tenant {name!r} already exists")
         if config is not None and not isinstance(config, dict):
@@ -447,8 +464,8 @@ class SessionManager:
 
 
 __all__ = [
-    "DEFAULT_MAX_BATCH_QUANTA",
     "DEFAULT_MAX_QUEUE",
+    "MAX_BATCH_QUANTA",
     "SessionManager",
     "Tenant",
 ]

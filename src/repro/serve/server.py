@@ -17,7 +17,9 @@ POST       ``/v1/{tenant}/ingest``          batch ingest: JSONL body (or one
                                             JSON array); ``?wait=1`` blocks
                                             until the tenant's queue drains
 GET        ``/v1/{tenant}/stats``           live per-tenant counters + timings
-POST       ``/v1/{tenant}/checkpoint``      monolithic snapshot to a path
+POST       ``/v1/{tenant}/checkpoint``      monolithic snapshot (body
+                                            ``{"path": <file name>}``) to
+                                            ``<state-dir>/{tenant}/snapshots/``
 GET        ``/v1/{tenant}/events``          WebSocket: subscription fan-out
                                             (``?kinds=...&top_k=...&buffer=...``)
 GET        ``/v1/{tenant}/stream``          WebSocket: frame-per-batch ingest
@@ -223,11 +225,9 @@ class ReproServer:
             return 200, tenant.stats()
         if action == "checkpoint" and method == "POST":
             body = request.json() or {}
-            path = body.get("path")
-            if not path:
-                raise ServeError('checkpoint body needs {"path": ...}')
-            await tenant.wait_idle()
-            await tenant.snapshot(path)
+            if not isinstance(body, dict) or not body.get("path"):
+                raise ServeError('checkpoint body needs {"path": <file name>}')
+            path = await tenant.snapshot(body["path"])
             return 200, {
                 "checkpoint": str(path),
                 "quantum": tenant.session.current_quantum,

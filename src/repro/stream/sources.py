@@ -8,9 +8,9 @@ The compact keys keep multi-million message traces manageable on disk.
 Reading is hardened for unbounded production feeds: a malformed line —
 invalid UTF-8, broken JSON (e.g. a truncated final line), a non-object
 record, or a record failing message validation — is **skipped and counted**
-by default instead of killing the stream mid-iteration.  Callers that want
-the strict behaviour (trusted traces, tests) pass ``on_malformed="raise"``;
-callers that want the tally pass a :class:`TraceReadStats` to fill in.
+instead of killing the stream mid-iteration.  Callers that want the tally
+(and the first few ``file:line: why`` diagnostics) pass a
+:class:`TraceReadStats` to fill in.
 """
 
 from __future__ import annotations
@@ -92,23 +92,15 @@ def write_jsonl_trace(path: "str | Path", messages: Iterable[Message]) -> int:
 
 
 def read_jsonl_trace(
-    path: "str | Path",
-    on_malformed: str = "skip",
-    stats: Optional[TraceReadStats] = None,
+    path: "str | Path", stats: Optional[TraceReadStats] = None
 ) -> Iterator[Message]:
     """Stream messages back from a JSONL trace file.
 
-    ``on_malformed="skip"`` (the default) drops undecodable, unparsable or
-    invalid lines and counts them in ``stats`` (when given);
-    ``on_malformed="raise"`` restores the strict behaviour of raising
-    :class:`~repro.errors.StreamError` with the offending line number.  The
-    file is read in binary and decoded per line so a single corrupt byte
-    sequence costs exactly one line, not the rest of the stream.
+    Undecodable, unparsable or invalid lines are dropped and counted in
+    ``stats`` (when given), each with its line number.  The file is read
+    in binary and decoded per line so a single corrupt byte sequence costs
+    exactly one line, not the rest of the stream.
     """
-    if on_malformed not in ("skip", "raise"):
-        raise StreamError(
-            f"on_malformed must be 'skip' or 'raise', got {on_malformed!r}"
-        )
     tally = stats if stats is not None else TraceReadStats()
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, 1):
@@ -129,8 +121,6 @@ def read_jsonl_trace(
                 except StreamError as exc:
                     why = str(exc)
             if why is not None:
-                if on_malformed == "raise":
-                    raise StreamError(f"{path}:{line_no}: {why}")
                 tally._record_error(path, line_no, why)
                 continue
             tally.messages += 1

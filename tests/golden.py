@@ -16,10 +16,10 @@ Everything here must therefore be **deterministic and layout-agnostic**:
 * checkpoint state is normalized: wall-clock timings are zeroed, the
   keys whose *shape* legitimately changed with the extractor refactor
   (extractor identity, the custom-extractor flag) are dropped, and the
-  referee-mode flags and CKG-counter keys checkpoints no longer carry are
-  put back as the constants they always were on these runs, so the same
-  stream position fingerprints identically before and after each layout
-  change.
+  referee-mode flags, CKG-counter keys and sketch settings checkpoints no
+  longer carry are put back as the constants they always were on these
+  runs, so the same stream position fingerprints identically before and
+  after each layout change.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import hashlib
 import json
 import random
 
-from repro.akg.minhash import MinHasher
+from repro.akg.minhash import HASH_SEED, MinHasher
 from repro.api import QueueSink, open_session
 from repro.api.checkpoint import load_checkpoint
 from repro.config import DetectorConfig
@@ -208,7 +208,9 @@ def normalized_checkpoint_state(path) -> dict:
     The five referee-mode flags (dropped in v6: two top-level, two config
     entries, the builder's) were ``False`` on every pinned run and are
     re-inserted as such, as are the CKG-counter keys dropped in v7
-    (``ckg_stats`` was ``None``, config ``track_ckg_stats`` ``False``)."""
+    (``ckg_stats`` was ``None``, config ``track_ckg_stats`` ``False``) and
+    the sketch settings dropped in v8 (config ``minhash_size`` was
+    ``None``, ``seed`` the constant salt)."""
     state = dict(load_checkpoint(path))
     builder = state["builder"] = dict(state["builder"])
     idsets = builder["idsets"]
@@ -219,7 +221,7 @@ def normalized_checkpoint_state(path) -> dict:
     cfg = DetectorConfig.from_dict(state["config"])
     minis = []
     if cfg.use_minhash_filter:
-        sketch = MinHasher(cfg.effective_minhash_size, cfg.seed).sketch
+        sketch = MinHasher(cfg.effective_minhash_size, HASH_SEED).sketch
         minis = [
             [q, [[kw, list(sketch(users))] for kw, users in block]]
             for q, block in idsets["window"]
@@ -241,6 +243,8 @@ def normalized_checkpoint_state(path) -> dict:
         state[mode] = config[mode] = False
     state["ckg_stats"] = None
     config["track_ckg_stats"] = False
+    config["minhash_size"] = None
+    config["seed"] = HASH_SEED
     state["config"] = config
     return state
 

@@ -235,7 +235,9 @@ class TestResumeDifferential:
 
 class TestCheckpointFile:
     def test_config_round_trips_through_checkpoint(self, tmp_path):
-        config = make_config(quantum_size=33, ec_threshold=0.17, seed=99)
+        config = make_config(
+            quantum_size=33, ec_threshold=0.17, max_tokens_per_message=17
+        )
         session = open_session(config)
         path = tmp_path / "cfg.ckpt"
         session.snapshot(path)
@@ -322,8 +324,8 @@ class TestCheckpointFile:
 
 
 class TestVersionMigration:
-    """Older checkpoints (v2 to v6) load through one upgrade step to the
-    v7 layout; truly unknown versions fail with an error naming what *is*
+    """Older checkpoints (v2 to v7) load through one upgrade step to the
+    v8 layout; truly unknown versions fail with an error naming what *is*
     readable.
 
     ``tests/data/checkpoint_v2.ckpt`` was written by the pre-extractor
@@ -334,7 +336,9 @@ class TestVersionMigration:
     21 head: its timings carry the ``scatter`` / ``exchange`` /
     ``overlap_saved`` slots since deleted) and ``checkpoint_v6.ckpt`` by
     the last tree with CKG counters on the session (PR 25 head: a null
-    ``ckg_stats`` subtree and a ``track_ckg_stats`` config entry), all at
+    ``ckg_stats`` subtree and a ``track_ckg_stats`` config entry) and
+    ``checkpoint_v7.ckpt`` by the last tree whose config carried the
+    MinHash sketch-size override and salt (at their defaults), all at
     message 250 of the same seed-pinned stream, mid-quantum; the
     continuation fingerprint below is what each of those trees produced
     for messages 250..300 — the migrated resume must reproduce it bit for
@@ -342,7 +346,7 @@ class TestVersionMigration:
     base at message 160 and the four records up to message 240.
     """
 
-    VERSIONS = (2, 3, 4, 5, 6)
+    VERSIONS = (2, 3, 4, 5, 6, 7)
     DELTA_DIR = Path(__file__).parent / "data" / "delta_v6"
     ASSETS = {
         version: Path(__file__).parent / "data" / f"checkpoint_v{version}.ckpt"
@@ -361,7 +365,7 @@ class TestVersionMigration:
     def test_asset_is_the_version_it_says(self, version):
         document = json.loads(self.ASSETS[version].read_text())
         assert document["version"] == version
-        assert CHECKPOINT_VERSION == 7
+        assert CHECKPOINT_VERSION == 8
 
     def test_migrated_state_has_extractor_identity(self):
         from repro.api.checkpoint import load_checkpoint
@@ -435,25 +439,29 @@ class TestVersionMigration:
 
     # ``fingerprint(encode_state(load_checkpoint(asset)))`` as the retired
     # one-step-per-version migration chain (v2 -> v3 -> ... -> v7) produced
-    # it: the single upgrade step must land on the very same trees.
+    # it, minus the config's ``minhash_size`` and ``seed`` that v8 drops:
+    # the single upgrade step must land on the very same trees.
     UPGRADED = {
         "checkpoint_v2.ckpt": (
-            "41d54cac8611a9f02d0c9429cf180e53a9ed3d7f6a5f6235c1a28cf03e90bcfa"
+            "2bca839929e1636d5c8c2d3e79b6fe4e7f9ba6837640dfb15de98de2c04f6eee"
         ),
         "checkpoint_v3.ckpt": (
-            "eed9a37e136d6e7f95244b2da22be0428cb044ed9842a282fac70496abc04ab4"
+            "2ca76d4eb6cd44960cd29b1cbb62d6d2d812e70570902fd15960c1eb3bedbf89"
         ),
         "checkpoint_v4.ckpt": (
-            "71217bf887a93a107b1119d689c8535950399bdee257eec5e06185411ea15e9c"
+            "0568bde979e74d2fe396eba03ead32642626c1efa101e3943f02bdcf2f1f218e"
         ),
         "checkpoint_v5.ckpt": (
-            "1d422092f50cdc52abc08774073b0691dad4a8a0dca71eda3822d0eef211b5ca"
+            "99471fa4868a0d17c9370f1d885206a0aa768a8ba3f2ed0a5fd01802799106ce"
         ),
         "checkpoint_v6.ckpt": (
-            "0a1f987ac73e3a73ae05e8d9c7156b0a0315eec07c60f5addcd07bf685ecfe0a"
+            "faed909a50fbec9e0dc818e975bb54921cf5b9fd25033eb30ecb62a0c175fcd3"
+        ),
+        "checkpoint_v7.ckpt": (
+            "64d6f3a1cfa5eb90e4f1eb6b7a732d0b31e77eac7c3b36fb467f1ea41d0e0a29"
         ),
         "delta_v6": (
-            "09dfba21c8bbb2ac4ab11286276b8781d7ef32ac0eb2d6355ce5a3f26d727afb"
+            "4c201020ec45a7852ca3d1be424f4ce21f9425be8681865f1262c25e9c06a001"
         ),
     }
 
@@ -482,6 +490,28 @@ class TestVersionMigration:
         state = load_checkpoint(self.ASSETS[version])
         assert "ckg_stats" not in state
         assert "track_ckg_stats" not in state["config"]
+
+    @pytest.mark.parametrize("version", VERSIONS)
+    def test_v8_migration_drops_the_sketch_settings(self, version):
+        from repro.api.checkpoint import load_checkpoint
+
+        config = load_checkpoint(self.ASSETS[version])["config"]
+        assert not {"minhash_size", "seed"} & set(config)
+
+    @pytest.mark.parametrize("key,value", [("minhash_size", 7), ("seed", 1)])
+    def test_overridden_sketch_setting_is_refused_by_name(
+        self, key, value, tmp_path
+    ):
+        """A v6 checkpoint whose config set the sketch size or salt was
+        built from sketches no session computes any more."""
+        document = json.loads(self.ASSETS[6].read_text())
+        state = decode_state(document["state"])
+        state["config"][key] = value
+        document["state"] = encode_state(state)
+        path = tmp_path / f"{key}.ckpt"
+        path.write_text(json.dumps(document))
+        with pytest.raises(CheckpointError, match=f"{key}={value}"):
+            open_session(resume=path)
 
     def test_tracked_ckg_counters_still_resume(self, tmp_path):
         """A v6 checkpoint taken with ``track_ckg_stats=True`` resumes: the
@@ -581,8 +611,19 @@ class TestVersionMigration:
                 {"format": CHECKPOINT_FORMAT, "version": 1, "state": None}
             )
         )
-        with pytest.raises(CheckpointError, match="migrate versions 2, 3, 4, 5, 6$"):
+        with pytest.raises(
+            CheckpointError, match="migrate versions 2, 3, 4, 5, 6, 7$"
+        ):
             open_session(resume=path)
+
+
+def _case_id(value):
+    # a set's repr follows hash order, which for str members changes with
+    # PYTHONHASHSEED; sort the members so the test id is the same every run
+    if isinstance(value, (set, frozenset)):
+        body = "{" + ", ".join(sorted(map(repr, value))) + "}"
+        return body if type(value) is set else f"frozenset({body})"
+    return repr(value)
 
 
 class TestStateCodec:
@@ -605,7 +646,7 @@ class TestStateCodec:
         (),
     ]
 
-    @pytest.mark.parametrize("value", CASES, ids=repr)
+    @pytest.mark.parametrize("value", CASES, ids=_case_id)
     def test_round_trip(self, value):
         encoded = encode_state(value)
         json.dumps(encoded)  # must be JSON-serializable as-is

@@ -51,7 +51,8 @@ class TestOpenSession:
         "kwarg",
         [
             "workers", "shard_count", "worker_backend", "overlap",
-            "oracle_akg", "oracle_ranking", "tokenizer",
+            "oracle_akg", "oracle_ranking", "tokenizer", "profile",
+            "delta_compact_ratio",
         ],
     )
     def test_no_execution_setting_is_accepted(self, kwarg, tmp_path):

@@ -23,6 +23,7 @@ from repro.api.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.api import deltalog
 from repro.api.deltalog import (
     _LOG_MAGIC,
     DELTA_FORMAT,
@@ -204,7 +205,7 @@ class TestSnapshotFaults:
 
 def build_delta_dir(tmp_path, n_appends=3):
     d = tmp_path / "d"
-    writer = DeltaCheckpointWriter(d, compact_ratio=1e9)
+    writer = DeltaCheckpointWriter(d)
     state = {"quantum": 0, "payload": {"keys": set(), "log": []}}
     source = TreeSource(state)
     writer.start(source)
@@ -224,6 +225,11 @@ def build_delta_dir(tmp_path, n_appends=3):
 
 
 class TestDeltaLogFaults:
+    @pytest.fixture(autouse=True)
+    def one_generation(self, monkeypatch):
+        """No compaction: the faults are injected into generation 0."""
+        monkeypatch.setattr(deltalog, "COMPACT_RATIO", 1e9)
+
     def test_truncation_at_every_byte_loads_a_quantum_boundary(
         self, tmp_path
     ):
@@ -324,7 +330,7 @@ class TestDeltaLogFaults:
 
     def test_failed_append_breaks_the_writer(self, tmp_path, monkeypatch):
         d = tmp_path / "d"
-        writer = DeltaCheckpointWriter(d, compact_ratio=1e9)
+        writer = DeltaCheckpointWriter(d)
         source = TreeSource({"quantum": 0, "x": 1})
         writer.start(source)
 
@@ -357,7 +363,7 @@ class TestDeltaLogFaults:
         import stat
 
         d, _ = build_delta_dir(tmp_path, n_appends=0)
-        writer = DeltaCheckpointWriter(tmp_path / "d2", compact_ratio=1e9)
+        writer = DeltaCheckpointWriter(tmp_path / "d2")
         source = TreeSource({"quantum": 0, "x": 0})
         writer.start(source)
         synced = {"file": 0, "dir": 0}

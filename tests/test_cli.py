@@ -265,17 +265,6 @@ class TestDeltaLogAndFollow:
         assert "resumed from" in capsys.readouterr().out
 
 
-class TestProfileFlag:
-    def test_profile_prints_hot_functions(self, tmp_path, capsys):
-        trace_path = str(tmp_path / "trace.jsonl")
-        main(["generate", "tw", trace_path, "--messages", "3000"])
-        capsys.readouterr()
-        assert main(["detect", trace_path, "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "cumulative" in out  # pstats sort header
-        assert "ncalls" in out
-
-
 class TestErrorsAreOneLine:
     """A failure the user caused is one ``error:`` line and exit status 2,
     never a traceback."""
@@ -324,6 +313,8 @@ class TestParser:
             ["detect", "t.jsonl", "--overlap"],
             ["detect", "t.jsonl", "--oracle-akg"],
             ["detect", "t.jsonl", "--oracle-ranking"],
+            ["detect", "t.jsonl", "--profile"],
+            ["detect", "t.jsonl", "--delta-compact-ratio", "2"],
             ["follow", "d", "--workers", "2"],
             ["shard-worker"],
         ],

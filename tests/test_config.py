@@ -17,7 +17,6 @@ class TestValidation:
             ("high_state_threshold", 0),
             ("ec_threshold", 0.0),
             ("ec_threshold", 1.5),
-            ("minhash_size", 0),
             ("min_cluster_size", 1),
             ("node_grace_quanta", -1),
             ("rank_threshold_scale", -0.1),
@@ -51,10 +50,6 @@ class TestDerivedParameters:
     def test_minhash_size_at_least_one(self):
         config = DetectorConfig(high_state_threshold=1, ec_threshold=0.9)
         assert config.effective_minhash_size == 1
-
-    def test_minhash_override(self):
-        config = DetectorConfig(minhash_size=7)
-        assert config.effective_minhash_size == 7
 
     def test_window_messages(self):
         config = DetectorConfig(quantum_size=160, window_quanta=30)
@@ -96,7 +91,7 @@ class TestDictRoundTrip:
         "field",
         [
             "workers", "shard_count", "oracle_akg", "oracle_ranking",
-            "track_ckg_stats",
+            "track_ckg_stats", "minhash_size", "seed",
         ],
     )
     def test_removed_execution_fields_are_unknown_fields(self, field):
@@ -123,7 +118,6 @@ class TestDictRoundTrip:
                 "ec_threshold": st.floats(
                     0.001, 1.0, exclude_min=False, allow_nan=False
                 ),
-                "minhash_size": st.one_of(st.none(), st.integers(1, 64)),
                 "use_minhash_filter": st.booleans(),
                 "min_cluster_size": st.integers(2, 20),
                 "node_grace_quanta": st.integers(0, 10),
@@ -132,7 +126,6 @@ class TestDictRoundTrip:
                 ),
                 "require_noun": st.booleans(),
                 "max_tokens_per_message": st.integers(1, 200),
-                "seed": st.integers(0, 2**62),
             },
         )
     )

@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from repro.api import open_session
+from repro.api import deltalog, open_session
 from repro.api.deltalog import decode_op, encode_op, patch_tree
 from repro.stream.messages import Message
 
@@ -121,7 +121,7 @@ def test_window_edit_is_drop_heads_insert_one():
     assert seen_steady > 20
 
 
-def test_record_bytes_do_not_grow_with_stream_length(tmp_path):
+def test_record_bytes_do_not_grow_with_stream_length(tmp_path, monkeypatch):
     """A stationary stream's record at quantum 400 costs what it cost at
     quantum 100: histories pile up, the per-quantum edit to them does not
     (the differ-era writer rebuilt and re-walked every history each
@@ -138,9 +138,8 @@ def test_record_bytes_do_not_grow_with_stream_length(tmp_path):
         for u, t in reentry_stream(23, 410 * config.quantum_size, period)
     ]
     sizes = []
-    with open_session(
-        config, delta_log=tmp_path / "d", delta_compact_ratio=1e12
-    ) as session:
+    monkeypatch.setattr(deltalog, "COMPACT_RATIO", 1e12)  # one generation
+    with open_session(config, delta_log=tmp_path / "d") as session:
         writer = session.delta_writer
         logged = writer.log_bytes
         for _ in session.ingest_many(messages):

@@ -17,7 +17,7 @@ import struct
 
 import pytest
 
-from repro.api import open_session
+from repro.api import deltalog, open_session
 from repro.api.checkpoint import load_checkpoint, save_checkpoint
 from repro.api.deltalog import (
     _LOG_MAGIC,
@@ -321,22 +321,23 @@ def logged_record_sizes(tmp_path, config, messages):
     """Frame size of every record a real session logs over ``messages``;
     leaves a monolithic snapshot of the final state at ``full.ckpt``."""
     sizes = []
-    with open_session(
-        config, delta_log=tmp_path / "d", delta_compact_ratio=1e12
-    ) as session:
-        writer = session.delta_writer
-        logged = writer.log_bytes
-        for _ in session.ingest_many(messages):
-            sizes.append(writer.log_bytes - logged)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(deltalog, "COMPACT_RATIO", 1e12)  # one generation
+        with open_session(config, delta_log=tmp_path / "d") as session:
+            writer = session.delta_writer
             logged = writer.log_bytes
-        session.snapshot(tmp_path / "full.ckpt")
+            for _ in session.ingest_many(messages):
+                sizes.append(writer.log_bytes - logged)
+                logged = writer.log_bytes
+            session.snapshot(tmp_path / "full.ckpt")
     return sizes
 
 
 class TestWriterAndReader:
-    def test_replay_equals_monolithic(self, tmp_path):
+    def test_replay_equals_monolithic(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(deltalog, "COMPACT_RATIO", 1e9)
         states = session_states(8)
-        writer = DeltaCheckpointWriter(tmp_path / "d", compact_ratio=1e9)
+        writer = DeltaCheckpointWriter(tmp_path / "d")
         source = TreeSource(states[0])
         writer.start(source)
         for state in states[1:]:
@@ -347,9 +348,12 @@ class TestWriterAndReader:
             load_checkpoint(tmp_path / "mono.ckpt")
         )
 
-    def test_compaction_rolls_generation_and_truncates(self, tmp_path):
+    def test_compaction_rolls_generation_and_truncates(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(deltalog, "COMPACT_RATIO", 0.5)
         states = session_states(8)
-        writer = DeltaCheckpointWriter(tmp_path / "d", compact_ratio=0.5)
+        writer = DeltaCheckpointWriter(tmp_path / "d")
         source = TreeSource(states[0])
         writer.start(source)
         for state in states[1:]:
@@ -385,17 +389,13 @@ class TestWriterAndReader:
         with pytest.raises(CheckpointError, match="not started"):
             writer.append(TreeSource({"quantum": 0}))
 
-    def test_nonpositive_compact_ratio_rejected(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            DeltaCheckpointWriter(tmp_path / "d", compact_ratio=0)
-
     def test_delta_records_are_small(self, tmp_path):
         # A quantum that touches a small fraction of a wide window — the
         # regime delta checkpoints exist for.  (The bursty fixture churns
         # its whole 6-keyword state every quantum, so it exercises
         # correctness, not size.)  Each quantum uses one of 20 rotating
-        # keyword groups over a 12-quantum window.  The hard <=10% gate
-        # lives in the benchmark at 20k-message windows.
+        # keyword groups over a 12-quantum window.  At full scale the
+        # e2e benchmark's api.deltalog.delta_ratio tracks the same size.
         from repro.stream.messages import Message
 
         rng = random.Random(5)

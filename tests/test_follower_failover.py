@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import golden
-from repro.api import FollowerSession, QueueSink, open_session
+from repro.api import FollowerSession, QueueSink, deltalog, open_session
 from repro.api.deltalog import _LOG_MAGIC, decode_frames, read_manifest
 from repro.errors import CheckpointError
 
@@ -88,14 +88,13 @@ class TestPromoteParity:
         )
         session.close()
 
-    def test_live_tail_while_leader_runs(self, tmp_path):
+    def test_live_tail_while_leader_runs(self, tmp_path, monkeypatch):
         """catch_up() mid-stream tracks the leader quantum by quantum,
         across compactions (generation flips)."""
         config = make_config()
         messages = bursty_stream(23, 800)
-        with open_session(
-            config, delta_log=tmp_path / "d", delta_compact_ratio=1.0
-        ) as leader:
+        monkeypatch.setattr(deltalog, "COMPACT_RATIO", 1.0)
+        with open_session(config, delta_log=tmp_path / "d") as leader:
             list(leader.ingest_many(messages[:200]))
             follower = FollowerSession(tmp_path / "d")
             assert follower.current_quantum == leader.current_quantum

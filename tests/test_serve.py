@@ -528,10 +528,43 @@ class TestCrashRestart:
             client = ServeClient(port=thread.port)
             resumed = client.create_tenant("partial", resume=True)
             assert resumed["pending"] == 10
-            ckpt = tmp_path / "served.ckpt"
-            client.checkpoint("partial", ckpt)
+            written = client.checkpoint("partial", "served.ckpt")
+            ckpt = state / "partial" / "snapshots" / "served.ckpt"
+            assert written["checkpoint"] == str(ckpt)
             assert fingerprint(
                 normalized_checkpoint_state(ckpt)
             ) == fingerprint(normalized_checkpoint_state(expected_ckpt))
+        finally:
+            thread.stop(graceful=True)
+
+
+class TestCheckpointRoute:
+    """A client names a checkpoint file; the server picks the directory."""
+
+    def test_paths_outside_the_snapshot_dir_are_refused(
+        self, server, tmp_path, monkeypatch
+    ):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)  # where a relative path would resolve
+        client = ServeClient(port=server.port)
+        client.create_tenant("t", CONFIG)
+        for path in (tmp_path / "abs.ckpt", "../x"):
+            with pytest.raises(ServeError, match="400"):
+                client.checkpoint("t", path)
+        assert not (tmp_path / "abs.ckpt").exists()
+        assert not (tmp_path / "x").exists()
+        assert not (tmp_path / "state" / "t" / "snapshots").exists()
+
+    def test_no_state_dir_means_no_checkpoint(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        thread = ServerThread(workers=1)
+        thread.start()
+        try:
+            client = ServeClient(port=thread.port)
+            client.create_tenant("t", CONFIG)
+            with pytest.raises(ServeError, match="400.*--state-dir"):
+                client.checkpoint("t", "t.ckpt")
+            assert list(tmp_path.iterdir()) == []
         finally:
             thread.stop(graceful=True)

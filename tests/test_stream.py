@@ -123,14 +123,16 @@ class TestJsonlRoundTrip:
     def test_invalid_json_raises_in_strict_mode(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n")
-        with pytest.raises(StreamError):
-            list(read_jsonl_trace(path, on_malformed="raise"))
+        stats = TraceReadStats()
+        assert list(read_jsonl_trace(path, stats=stats)) == []
+        assert stats.errors == [f"{path}:1: invalid JSON"]
 
     def test_missing_user_raises_in_strict_mode(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"k": ["a"]}\n')
-        with pytest.raises(StreamError):
-            list(read_jsonl_trace(path, on_malformed="raise"))
+        stats = TraceReadStats()
+        assert list(read_jsonl_trace(path, stats=stats)) == []
+        assert stats.errors == [f"{path}:1: missing user id"]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -176,7 +178,9 @@ class TestHardenedJsonlReader:
             Message("u2", text="séisme à Port-au-Prince 地震"),
         ]
         write_jsonl_trace(path, originals)
-        loaded = list(read_jsonl_trace(path, on_malformed="raise"))
+        stats = TraceReadStats()
+        loaded = list(read_jsonl_trace(path, stats=stats))
+        assert stats.malformed == 0
         assert loaded[0].tokens == ("café", "日本語", "terremoto")
         assert loaded[1].text == "séisme à Port-au-Prince 地震"
 
@@ -195,14 +199,10 @@ class TestHardenedJsonlReader:
     def test_strict_mode_reports_line_number(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"u": 1, "k": ["a"]}\nbroken\n')
-        with pytest.raises(StreamError, match=":2:"):
-            list(read_jsonl_trace(path, on_malformed="raise"))
-
-    def test_invalid_mode_rejected(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text("")
-        with pytest.raises(StreamError):
-            list(read_jsonl_trace(path, on_malformed="ignore"))
+        stats = TraceReadStats()
+        assert [m.user_id for m in read_jsonl_trace(path, stats=stats)] == [1]
+        assert len(stats.errors) == 1
+        assert stats.errors[0].endswith(":2: invalid JSON")
 
     def test_error_log_capped(self, tmp_path):
         path = tmp_path / "trace.jsonl"
