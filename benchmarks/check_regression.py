@@ -4,8 +4,7 @@ Usage::
 
     python benchmarks/check_regression.py \\
         --baseline /tmp/perf-baseline --current benchmarks/results \\
-        --tolerance 0.25 incremental_akg incremental_ranking \\
-        serve_fanout
+        --tolerance 0.25 incremental_akg incremental_ranking
 
 For every named bench the script loads ``<dir>/<name>.json`` (schema of
 ``_results.py``) from both directories and fails (exit 1) when the current

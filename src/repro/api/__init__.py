@@ -23,7 +23,6 @@ from repro.api.deltalog import (
     DELTA_FORMAT,
     DELTA_VERSION,
     DeltaCheckpointWriter,
-    DeltaTransport,
     FileTailTransport,
     patch_tree,
     read_delta_checkpoint,
@@ -48,7 +47,6 @@ __all__ = [
     "DELTA_FORMAT",
     "DELTA_VERSION",
     "DeltaCheckpointWriter",
-    "DeltaTransport",
     "FileTailTransport",
     "save_checkpoint",
     "load_checkpoint",

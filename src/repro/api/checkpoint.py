@@ -2,7 +2,7 @@
 
 A checkpoint is a single JSON document::
 
-    {"format": "repro-session-checkpoint", "version": 8, "state": <encoded>}
+    {"format": "repro-session-checkpoint", "version": 9, "state": <encoded>}
 
 ``state`` is the session's composed ``to_state()`` tree (DESIGN.md
 Section 6) run through a small *tagged* encoding, because plain JSON cannot
@@ -48,7 +48,7 @@ from repro.akg.minhash import HASH_SEED
 from repro.errors import CheckpointError
 
 CHECKPOINT_FORMAT = "repro-session-checkpoint"
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 """Bump on any change to the state tree layout, and teach ``_upgrade``
 below the change so supported older snapshots keep loading.
 Version history: 1 — PR 3 layout (no longer readable); 2 — event histories
@@ -64,9 +64,11 @@ per-keyword entry lists (``entries`` / ``minis``); 5 — the builder's
 builder's ``oracle``): a session always runs the incremental stages;
 7 — no Section 7.4 CKG counters (top-level ``ckg_stats``, config
 ``track_ckg_stats``): the reduction bench assembles its own tracker;
-8 — no MinHash sketch-size override or hash salt in the config (the keys
-of ``_SKETCH_CONSTANTS``): the sketch size is always the paper's
-derivation and the salt is :data:`~repro.akg.minhash.HASH_SEED`."""
+8 — no MinHash sketch-size override or hash salt in the config: the sketch
+size is always the paper's derivation and the salt is
+:data:`~repro.akg.minhash.HASH_SEED`; 9 — no report-rule settings in the
+config and no ``notified`` state (notifications derive from the report
+index, which restore rebuilds)."""
 
 _SCALARS = (bool, int, float, str)
 
@@ -76,8 +78,13 @@ _UPGRADABLE = range(2, CHECKPOINT_VERSION)
 
 _REFEREE_MODES = ("oracle_akg", "oracle_ranking")
 
-_SKETCH_CONSTANTS = {"minhash_size": None, "seed": HASH_SEED}
-"""Config fields version 8 made constants, with the value each now has."""
+_RETIRED_CONSTANTS = {
+    "minhash_size": None,
+    "seed": HASH_SEED,
+    "min_cluster_size": 3,
+    "rank_threshold_scale": 1.0,
+}
+"""Config fields versions 8 and 9 made constants, and their values."""
 
 
 def _upgrade(state: dict, version: int) -> dict:
@@ -86,14 +93,15 @@ def _upgrade(state: dict, version: int) -> dict:
     A checkpoint taken under a referee mode holds the from-scratch
     referee's state, which no session runs any more (the differential
     tests build the referees), so it is refused by name rather than resumed
-    on the incremental stages.  So is one whose config overrode the MinHash
-    sketch size or salt: its graph was built from sketches no session
-    computes any more, and resuming it under the constants would silently
-    diverge.  Every other retired key is dropped: the
+    on the incremental stages.  So is one whose config set a retired
+    constant to another value: its graph or reports came from a rule no
+    session runs any more, and resuming it under the constants would
+    silently diverge.  Every other retired key is dropped: the
     referee-mode flags (top level, config, builder), the builder's sketch
     window (sketches are read off the id-set window), the Section 7.4
     CKG counters (top level, config; the reduction bench assembles its own
-    tracker) and the two sketch settings at their constant values.  Two
+    tracker), the notified state (restore rebuilds the report index) and
+    the retired constants at their constant values.  Two
     reshapes are version-gated:
 
     * v2 predates extractors, so its identity is the default ``keyword``
@@ -110,7 +118,7 @@ def _upgrade(state: dict, version: int) -> dict:
                 f"checkpoint was taken under {mode}=True, a from-scratch "
                 f"referee mode sessions no longer run; it cannot be resumed"
             )
-    for key, constant in _SKETCH_CONSTANTS.items():
+    for key, constant in _RETIRED_CONSTANTS.items():
         value = state["config"].get(key, constant)
         if value != constant:
             raise CheckpointError(
@@ -119,7 +127,8 @@ def _upgrade(state: dict, version: int) -> dict:
                 f"resumed without diverging"
             )
     retired = (
-        *_REFEREE_MODES, "ckg_stats", "track_ckg_stats", *_SKETCH_CONSTANTS
+        *_REFEREE_MODES, "ckg_stats", "track_ckg_stats", "notified",
+        *_RETIRED_CONSTANTS,
     )
     state = {k: v for k, v in state.items() if k not in retired}
     state["config"] = {

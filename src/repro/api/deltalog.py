@@ -43,9 +43,8 @@ base from the current state, starts an empty log, and atomically flips
 unlinked; a follower holding an open descriptor on POSIX keeps reading
 safely and switches generations at its next manifest poll).
 
-The transport seam (:class:`DeltaTransport` / :class:`FileTailTransport`)
-is what a future socket-based replication channel plugs into: a follower
-only ever calls ``manifest()`` / ``load_base()`` / ``read_records()``.
+A follower reads the directory through :class:`FileTailTransport`, and
+only ever calls its ``manifest()`` / ``load_base()`` / ``read_records()``.
 """
 
 from __future__ import annotations
@@ -56,9 +55,7 @@ import struct
 import time
 import zlib
 from pathlib import Path
-from typing import (
-    Any, Callable, List, Optional, Protocol, Tuple, runtime_checkable,
-)
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.api.checkpoint import (
     atomic_write,
@@ -336,32 +333,8 @@ def read_manifest(directory: Path) -> dict:
 
 
 # =====================================================================
-# Transport seam
+# Tailing a delta checkpoint
 # =====================================================================
-
-
-@runtime_checkable
-class DeltaTransport(Protocol):
-    """How a follower reaches a leader's delta checkpoint.
-
-    ``FileTailTransport`` implements it over a shared filesystem; a socket
-    transport only has to serve the same three calls to plug a follower
-    into a network replication channel.
-    """
-
-    def manifest(self) -> dict:
-        """Current manifest (generation pointer)."""
-        ...
-
-    def load_base(self, manifest: dict) -> dict:
-        """Decoded state tree of the manifest's base snapshot."""
-        ...
-
-    def read_records(
-        self, manifest: dict, offset: int
-    ) -> Tuple[List[dict], int]:
-        """Records appended past ``offset``; returns (records, new offset)."""
-        ...
 
 
 class FileTailTransport:
@@ -371,14 +344,17 @@ class FileTailTransport:
         self.path = Path(path)
 
     def manifest(self) -> dict:
+        """Current manifest (generation pointer)."""
         return read_manifest(self.path)
 
     def load_base(self, manifest: dict) -> dict:
+        """Decoded state tree of the manifest's base snapshot."""
         return load_checkpoint(self.path / manifest["base"])
 
     def read_records(
         self, manifest: dict, offset: int
     ) -> Tuple[List[dict], int]:
+        """Records appended past ``offset``; returns (records, new offset)."""
         path = self.path / manifest["log"]
         try:
             with open(path, "rb") as fh:
@@ -592,7 +568,6 @@ __all__ = [
     "DELTA_VERSION",
     "MANIFEST_NAME",
     "DeltaCheckpointWriter",
-    "DeltaTransport",
     "FileTailTransport",
     "apply_record",
     "decode_frames",

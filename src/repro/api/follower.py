@@ -9,13 +9,11 @@ from the tree, and the resume guarantee (DESIGN.md Section 6) makes the
 promoted session bit-identical to the uninterrupted run from the last
 logged quantum onward.
 
-The follower reads through the :class:`~repro.api.deltalog.DeltaTransport`
-seam; the default :class:`~repro.api.deltalog.FileTailTransport` tails a
-delta-checkpoint directory on a shared filesystem, and a future socket
-transport plugs in without touching this class.  ``catch_up()`` handles
-leader compaction transparently: on a generation flip it fast-forwards
-(keeps its state and restarts the tail) when its position matches the new
-base, otherwise it reloads the fresh base.
+The follower reads through :class:`~repro.api.deltalog.FileTailTransport`,
+which tails a delta-checkpoint directory on a shared filesystem.
+``catch_up()`` handles leader compaction transparently: on a generation
+flip it fast-forwards (keeps its state and restarts the tail) when its
+position matches the new base, otherwise it reloads the fresh base.
 
 Data-loss window: the leader logs one record per *completed* quantum, so a
 crash loses at most the partially ingested quantum in the leader's pending
@@ -27,46 +25,29 @@ from __future__ import annotations
 
 import copy
 import time
-from typing import Optional
 
 from repro.api.checkpoint import save_checkpoint
-from repro.api.deltalog import (
-    DeltaTransport,
-    FileTailTransport,
-    apply_record,
-)
+from repro.api.deltalog import FileTailTransport, apply_record
 from repro.errors import CheckpointError
 
 
 class FollowerSession:
     """Warm standby over a leader's delta checkpoint.
 
-    ``path`` names the delta-checkpoint directory (ignored when an explicit
-    ``transport`` is passed — the seam for non-filesystem replication).
-    Construction loads the current base and replays the log; ``catch_up()``
-    applies anything appended since; ``promote()`` turns the follower into
-    a live session.  A promoted follower is spent: further ``catch_up`` /
-    ``promote`` calls raise :class:`CheckpointError`, because the live
-    session now owns the state and the tree handed over is no longer
-    tracking the log.
+    ``path`` names the delta-checkpoint directory.  Construction loads the
+    current base and replays the log; ``catch_up()`` applies anything
+    appended since; ``promote()`` turns the follower into a live session.
+    A promoted follower is spent: further ``catch_up`` / ``promote`` calls
+    raise :class:`CheckpointError`, because the live session now owns the
+    state and the tree handed over is no longer tracking the log.
     """
 
-    def __init__(
-        self, path=None, *, transport: Optional[DeltaTransport] = None
-    ) -> None:
-        if transport is None:
-            if path is None:
-                raise CheckpointError(
-                    "FollowerSession needs a delta-checkpoint path or an "
-                    "explicit transport"
-                )
-            transport = FileTailTransport(path)
-        self._transport = transport
+    def __init__(self, path) -> None:
+        self._transport = FileTailTransport(path)
         self._promoted = False
         self.records_applied = 0
         self.generations_seen = 0
-        manifest = transport.manifest()
-        self._load_generation(manifest)
+        self._load_generation(self._transport.manifest())
 
     # ------------------------------------------------------------ tailing
 

@@ -42,7 +42,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -79,12 +78,25 @@ from repro.stream.window import QuantumBatcher
 from repro.text.pos import NounTagger
 
 
-class _Notified(NamedTuple):
-    """Last-notified state of one reported event (the lifecycle diff base)."""
-
-    rank: float
-    size: int
-    keywords: frozenset
+def _note(
+    kind: EventKind,
+    quantum: int,
+    entry: ReportedEvent,
+    prev: Optional[ReportedEvent] = None,
+) -> SessionEvent:
+    """The notification of ``kind`` about ``entry``; ``prev`` is the entry
+    reported before, whose rank and size a ``GROWING`` or ``RANK_CHANGED``
+    note carries as the previous values."""
+    return SessionEvent(
+        kind,
+        quantum,
+        entry.event_id,
+        entry.keywords,
+        entry.rank,
+        entry.size,
+        previous_rank=None if prev is None else prev.rank,
+        previous_size=None if prev is None else prev.size,
+    )
 
 
 @dataclass
@@ -158,11 +170,10 @@ class DetectorSession:
             self.maintainer.registry,
             self.maintainer.graph,
             self.builder.node_weights,
-            min_cluster_size=self.config.min_cluster_size,
         )
         self.tracker = EventTracker()
         self.batcher = QuantumBatcher(self.config.quantum_size)
-        self._rank_floor = self.config.rank_threshold_scale * minimum_rank(
+        self._rank_floor = minimum_rank(
             self.config.high_state_threshold, self.config.ec_threshold
         )
         self.report_index = ThresholdIndex(self._passes_filters)
@@ -181,7 +192,6 @@ class DetectorSession:
         self.total_seconds = 0.0
         self.total_timings = StageTimings()
         self._subscriptions: List[Subscription] = []
-        self._notified: Dict[int, _Notified] = {}
         self._delta_writer = None
         self._closed = False
 
@@ -315,71 +325,37 @@ class DetectorSession:
         self._subscriptions.append(subscription)
         return subscription
 
-    def _dispatch(self, report: QuantumReport) -> None:
-        """Diff the report against the notified state; deliver transitions.
-
-        Runs unconditionally (not only when sinks are attached) so the
-        notified state — which is checkpointed — does not depend on who is
-        listening.
-        """
-        notifications: List[SessionEvent] = []
-        reported_ids: Set[int] = set()
-        for event in report.reported:
-            reported_ids.add(event.event_id)
-            prev = self._notified.get(event.event_id)
+    def _notifications(self, quantum: int) -> List[SessionEvent]:
+        """This quantum's transitions, from the report index's delta alone
+        (an untouched id's entry is unchanged): ``report.reported`` order,
+        then ``DYING`` by id."""
+        index = self.report_index
+        live, dead = [], []
+        for cid, prev in index.before().items():
+            event = index.reported_entry(cid)
+            if event is not None:
+                live.append((event, prev))
+            elif prev is not None:
+                dead.append(prev)
+        live.sort(key=lambda pair: (-pair[0].rank, pair[0].event_id))
+        notes: List[SessionEvent] = []
+        for event, prev in live:
             if prev is None:
-                notifications.append(
-                    SessionEvent(
-                        EventKind.EMERGING,
-                        report.quantum,
-                        event.event_id,
-                        event.keywords,
-                        event.rank,
-                        event.size,
-                    )
+                notes.append(_note(EventKind.EMERGING, quantum, event))
+                continue
+            if event.keywords - prev.keywords:
+                notes.append(_note(EventKind.GROWING, quantum, event, prev))
+            if event.rank != prev.rank:
+                notes.append(
+                    _note(EventKind.RANK_CHANGED, quantum, event, prev)
                 )
-            else:
-                if event.keywords - prev.keywords:
-                    notifications.append(
-                        SessionEvent(
-                            EventKind.GROWING,
-                            report.quantum,
-                            event.event_id,
-                            event.keywords,
-                            event.rank,
-                            event.size,
-                            previous_rank=prev.rank,
-                            previous_size=prev.size,
-                        )
-                    )
-                if event.rank != prev.rank:
-                    notifications.append(
-                        SessionEvent(
-                            EventKind.RANK_CHANGED,
-                            report.quantum,
-                            event.event_id,
-                            event.keywords,
-                            event.rank,
-                            event.size,
-                            previous_rank=prev.rank,
-                            previous_size=prev.size,
-                        )
-                    )
-            self._notified[event.event_id] = _Notified(
-                event.rank, event.size, event.keywords
-            )
-        for event_id in sorted(set(self._notified) - reported_ids):
-            prev = self._notified.pop(event_id)
-            notifications.append(
-                SessionEvent(
-                    EventKind.DYING,
-                    report.quantum,
-                    event_id,
-                    prev.keywords,
-                    prev.rank,
-                    prev.size,
-                )
-            )
+        for prev in sorted(dead, key=lambda entry: entry.event_id):
+            notes.append(_note(EventKind.DYING, quantum, prev))
+        return notes
+
+    def _dispatch(self, report: QuantumReport) -> None:
+        """Deliver this quantum's transitions to every subscription."""
+        notifications = self._notifications(report.quantum)
         if not notifications or not self._subscriptions:
             return
         top_ids: Dict[int, Set[int]] = {}
@@ -403,19 +379,13 @@ class DetectorSession:
             # notification-bearing quanta: an empty batch cannot change the
             # reported list, hence cannot change the view.)
             for cid in sorted(ids - announced):
-                entry = self.report_index.entries()[cid]
                 announced.add(cid)
                 if EventKind.EMERGING in subscription.kinds:
-                    subscription.sink.emit(
-                        SessionEvent(
-                            EventKind.EMERGING,
-                            report.quantum,
-                            cid,
-                            entry.keywords,
-                            entry.rank,
-                            entry.size,
-                        )
-                    )
+                    subscription.sink.emit(_note(
+                        EventKind.EMERGING,
+                        report.quantum,
+                        self.report_index.entries()[cid],
+                    ))
             for note in notifications:
                 if note.kind is EventKind.DYING:
                     if note.event_id in announced:
@@ -560,10 +530,6 @@ class DetectorSession:
                 message_to_record(m) for m in self.batcher.pending_messages()
             ],
             "maintainer": maintainer_state,
-            "notified": [
-                [cid, note.rank, note.size, sorted(note.keywords)]
-                for cid, note in sorted(self._notified.items())
-            ],
         }
 
     def _quantum_op(self) -> list:
@@ -683,14 +649,11 @@ class DetectorSession:
         session.total_messages = state["total_messages"]
         session.total_seconds = state["total_seconds"]
         session.total_timings = StageTimings.from_dict(state["timings"])
-        session._notified = {
-            cid: _Notified(rank, size, frozenset(keywords))
-            for cid, rank, size, keywords in state["notified"]
-        }
         # Derived state: recompute the rank cache from the restored graph
         # and window state, then re-seed the report index from it.  Both are
         # bit-identical to their pre-snapshot values because ranks and
-        # filter verdicts are pure functions of the restored inputs.
+        # filter verdicts are pure functions of the restored inputs; the
+        # index is what was notified (a pre-v9 ``notified`` key is ignored).
         ranked = session.ranker.rebuild_cache()
         report_stage = session.pipeline.stage("report")
         assert isinstance(report_stage, ReportStage)

@@ -2,8 +2,8 @@
 
 The paper frames discovery as tracking *emerging, growing and dying*
 clusters in real time (Section 4.2); this module is that framing as a typed
-API.  Once per quantum the session diffs the post-filter report against the
-last notified state and emits one :class:`SessionEvent` per transition:
+API.  Once per quantum the session diffs the report index's per-quantum delta
+and emits one :class:`SessionEvent` per transition:
 
 * ``EMERGING`` — an event id entered the reported set;
 * ``GROWING`` — a reported event gained at least one keyword since its last

@@ -53,16 +53,10 @@ class DetectorConfig:
         of their ``p`` MinHash values before the exact EC is computed.  When
         False, EC is computed for every pair of newly bursty keywords (the
         exact, slower variant used as an ablation baseline).
-    min_cluster_size:
-        Minimum number of nodes for a reported cluster.  Short-cycle atoms
-        have at least 3 nodes, so values below 3 have no effect.
     node_grace_quanta:
         A non-clustered AKG node is lazily dropped once it has not been bursty
         for this many consecutive quanta.  ``1`` reproduces the paper's lazy
         update; larger values add hysteresis.
-    rank_threshold_scale:
-        Scale factor applied to the minimum achievable rank of a cluster of
-        size N when filtering spurious events (Section 7.2.2, filter 1).
     require_noun:
         Drop clusters containing no noun keyword (Section 7.2.2, filter 2).
     max_tokens_per_message:
@@ -89,6 +83,8 @@ class DetectorConfig:
     The MinHash sketch size is not a field: it is always the paper's
     derivation from ``theta`` and ``gamma`` (:attr:`effective_minhash_size`),
     and the hash salt is the constant :data:`repro.akg.minhash.HASH_SEED`.
+    Nor is the Section 7.2.2 report rule: its rank floor is
+    :func:`~repro.core.ranking.minimum_rank` of ``theta`` and ``gamma``.
     """
 
     quantum_size: int = 160
@@ -96,9 +92,7 @@ class DetectorConfig:
     high_state_threshold: int = 4
     ec_threshold: float = 0.20
     use_minhash_filter: bool = True
-    min_cluster_size: int = 3
     node_grace_quanta: int = 1
-    rank_threshold_scale: float = 1.0
     require_noun: bool = True
     max_tokens_per_message: int = 32
     extractor: str = "keyword"
@@ -123,18 +117,9 @@ class DetectorConfig:
             raise ConfigError(
                 f"ec_threshold must be in (0, 1], got {self.ec_threshold}"
             )
-        if self.min_cluster_size < 2:
-            raise ConfigError(
-                f"min_cluster_size must be >= 2, got {self.min_cluster_size}"
-            )
         if self.node_grace_quanta < 0:
             raise ConfigError(
                 f"node_grace_quanta must be >= 0, got {self.node_grace_quanta}"
-            )
-        if self.rank_threshold_scale < 0:
-            raise ConfigError(
-                "rank_threshold_scale must be >= 0, got "
-                f"{self.rank_threshold_scale}"
             )
         if self.max_tokens_per_message < 1:
             raise ConfigError(

@@ -155,10 +155,6 @@ class ChangeLog:
     def __bool__(self) -> bool:
         return bool(self._events)
 
-    def peek(self) -> Tuple[ChangeEvent, ...]:
-        """The pending events without clearing them (tests, debugging)."""
-        return tuple(self._events)
-
 
 @dataclass(frozen=True)
 class ChangeBatch:

@@ -63,11 +63,11 @@ class RankStats:
     """Work counters for one :meth:`IncrementalRanker.rank_all` call.
 
     ``dirty_processed`` counts the clusters the call actually visited; the
-    dirty-only regression tests assert it scales with churn while ``live``
-    (derived from the maintained result list, not from a sweep) does not.
+    dirty-only regression tests assert it scales with churn while
+    ``ranked`` (derived from the maintained result list, not from a sweep)
+    does not.
     """
 
-    live: int = 0
     ranked: int = 0
     recomputed: int = 0
     cache_hits: int = 0
@@ -75,7 +75,7 @@ class RankStats:
     dirty_processed: int = 0
 
     def reset(self) -> None:
-        self.live = self.ranked = self.recomputed = 0
+        self.ranked = self.recomputed = 0
         self.cache_hits = self.evicted = self.dirty_processed = 0
 
 
@@ -89,8 +89,6 @@ class IncrementalRanker:
         maintainer, read-only here).
     node_weight_fn:
         Callable mapping a node iterable to current node weights.
-    min_cluster_size:
-        Clusters below this size are neither ranked nor cached.
     oracle:
         When True, ignore the cache and recompute everything on every call —
         the from-scratch baseline used for verification and benchmarking.
@@ -101,13 +99,11 @@ class IncrementalRanker:
         registry: ClusterRegistry,
         graph: DynamicGraph,
         node_weight_fn: NodeWeightFn,
-        min_cluster_size: int = 3,
         oracle: bool = False,
     ) -> None:
         self.registry = registry
         self.graph = graph
         self.node_weight_fn = node_weight_fn
-        self.min_cluster_size = min_cluster_size
         self.oracle = oracle
         self.stats = RankStats()
         self._cache: Dict[int, RankEntry] = {}
@@ -156,32 +152,25 @@ class IncrementalRanker:
         return RankEntry(rank, support, weights, correlations, cluster)
 
     def rank_all(self) -> List[Tuple[Cluster, float, float]]:
-        """``(cluster, rank, support)`` for every live reportable cluster.
+        """``(cluster, rank, support)`` for every live cluster.
 
         Incremental mode edits the maintained result list: each accumulated
-        dirty id is recomputed (entering or leaving the list as its size
-        crosses ``min_cluster_size`` or it dies), and every untouched entry
-        is returned as-is — no per-cluster work, no registry sweep.  Oracle
-        mode recomputes everything.  Either way the returned ranking
-        reflects the current registry exactly (DESIGN.md Section 3) and is
-        ordered by cluster id, so the two modes emit identically ordered
-        output regardless of cache or registry insertion history.
+        dirty id is recomputed (or leaves the list when it has died), and
+        every untouched entry is returned as-is — no per-cluster work, no
+        registry sweep.  Oracle mode recomputes everything.  Either way the
+        returned ranking reflects the current registry exactly (DESIGN.md
+        Section 3) and is ordered by cluster id, so the two modes emit
+        identically ordered output whatever the insertion history.
         """
         stats = self.stats
         stats.reset()
         if self.oracle:
-            out: List[Tuple[Cluster, float, float]] = []
             results: Dict[int, Tuple[Cluster, float, float]] = {}
             for cluster in self.registry:
-                stats.live += 1
-                if cluster.size < self.min_cluster_size:
-                    continue
                 entry = self._compute(cluster)
-                stats.ranked += 1
-                stats.recomputed += 1
                 results[cluster.cluster_id] = (cluster, entry.rank, entry.support)
-                out.append((cluster, entry.rank, entry.support))
-            out.sort(key=lambda item: item[0].cluster_id)
+            stats.ranked = stats.recomputed = len(results)
+            out = [results[cid] for cid in sorted(results)]
             # The oracle's "delta" is the full ranking: everything was
             # recomputed, and whatever ranked last call but not now is gone.
             self.last_recomputed = set(results)
@@ -204,20 +193,14 @@ class IncrementalRanker:
                     stats.evicted += 1
                     self._removed_pending.add(cid)
                 continue
-            cluster = registry.get(cid)
-            if cluster.size < self.min_cluster_size:
-                if cache.pop(cid, None) is not None:
-                    stats.evicted += 1
-                    self._removed_pending.add(cid)
-                continue
-            cache[cid] = self._compute(cluster)
+            cache[cid] = self._compute(registry.get(cid))
             recomputed.add(cid)
             stats.recomputed += 1
         self._dirty.clear()
         self.last_recomputed = recomputed
         self.last_removed = self._removed_pending
         self._removed_pending = set()
-        stats.live = stats.ranked = len(cache)
+        stats.ranked = len(cache)
         stats.cache_hits = stats.ranked - stats.recomputed
         return [
             (entry.cluster, entry.rank, entry.support)
@@ -237,7 +220,7 @@ class IncrementalRanker:
         return entry.cluster, entry.rank, entry.support
 
     def rebuild_cache(self) -> List[Tuple[Cluster, float, float]]:
-        """Recompute every live reportable cluster from current state.
+        """Recompute every live cluster from current state.
 
         The checkpoint-restore path: ranks are pure functions of the graph
         and window state (DESIGN.md Section 2), so recomputing them after
@@ -253,8 +236,6 @@ class IncrementalRanker:
         self._oracle_results = {}
         out: List[Tuple[Cluster, float, float]] = []
         for cluster in self.registry:
-            if cluster.size < self.min_cluster_size:
-                continue
             entry = self._compute(cluster)
             triple = (cluster, entry.rank, entry.support)
             if self.oracle:
@@ -274,25 +255,19 @@ class IncrementalRanker:
         :meth:`~repro.core.maintenance.ClusterMaintainer.check_against_oracle`:
         raises AssertionError on any divergence between the cache and the
         ground-truth rank of the current state.  Also asserts the maintained
-        result list covers exactly the live reportable clusters — the
-        no-sweep contract.
+        result list covers exactly the live clusters — the no-sweep
+        contract.
         """
-        reportable = {
-            c.cluster_id
-            for c in self.registry
-            if c.size >= self.min_cluster_size
-        }
+        live = {c.cluster_id for c in self.registry}
         cached = set(self._cache)
-        unexpected = cached - reportable - self._dirty
-        missing = reportable - cached - self._dirty
+        unexpected = cached - live - self._dirty
+        missing = live - cached - self._dirty
         assert not unexpected and not missing, (
             f"maintained result list diverged from the registry:\n"
-            f"  entries for dead/short clusters: {sorted(unexpected)}\n"
+            f"  entries for dead clusters:       {sorted(unexpected)}\n"
             f"  live clusters missing an entry:  {sorted(missing)}"
         )
         for cluster in self.registry:
-            if cluster.size < self.min_cluster_size:
-                continue
             entry = self._cache.get(cluster.cluster_id)
             if entry is None:
                 continue  # not ranked yet; nothing stale to check

@@ -135,8 +135,8 @@ def minimum_rank(theta: int, gamma: float) -> float:
     every SCP cluster on N nodes is biconnected and therefore has at least N
     edges, each with correlation >= ``gamma``.  Substituting these minima in
     the closed form gives ``theta * (1 + 2 * gamma)`` independent of N.  The
-    spurious-event filter of Section 7.2.2 discards clusters ranked below a
-    multiple of this bound.
+    spurious-event filter of Section 7.2.2 discards clusters ranked below
+    this bound.
     """
     return theta * (1.0 + 2.0 * gamma)
 

@@ -22,9 +22,7 @@ from repro.text.pos import NounTagger
 
 def passes_rank_floor(record: EventRecord, config: DetectorConfig) -> bool:
     """Did the event's rank ever reach the report threshold?"""
-    floor = config.rank_threshold_scale * minimum_rank(
-        config.high_state_threshold, config.ec_threshold
-    )
+    floor = minimum_rank(config.high_state_threshold, config.ec_threshold)
     return any(snapshot.rank >= floor for snapshot in record.snapshots)
 
 def passes_noun_filter(record: EventRecord, tagger: Optional[NounTagger]) -> bool:

@@ -14,13 +14,14 @@ cannot.
 Materialising the per-quantum output lists remains O(output) — that is the
 size of the answer, not a sweep — and the rank-descending order is cached
 between quanta so a churn-free quantum reuses the previous ordering.  The
-index doubles as the session's default notification filter: the
-``top(k)`` view is what a ``top_k``-limited subscription consults.
+index is also the one record of what was reported: ``before()`` is its
+per-quantum delta, which the session's notifications are derived from, and
+``top(k)`` is the view a ``top_k``-limited subscription consults.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.pipeline.reports import ReportedEvent
 
@@ -48,10 +49,15 @@ class ThresholdIndex:
         self._passing: Dict[int, bool] = {}
         self._reported_cache: Optional[List[ReportedEvent]] = None
         self._suppressed_cache: Optional[List[ReportedEvent]] = None
+        self._before: Dict[int, Optional[ReportedEvent]] = {}
         self.filter_evaluations = 0
         """Total predicate evaluations performed (work counter for tests)."""
 
     # ------------------------------------------------------------- updates
+
+    def begin(self) -> None:
+        """Start a new delta: forget which ids were touched so far."""
+        self._before = {}
 
     def update(self, event: ReportedEvent) -> bool:
         """Insert or refresh one cluster's entry; returns True when it is new.
@@ -60,6 +66,7 @@ class ThresholdIndex:
         and the verdict cached until the cluster is dirtied again.
         """
         cid = event.event_id
+        self._before.setdefault(cid, self.reported_entry(cid))
         fresh = cid not in self._entries
         self._entries[cid] = event
         self._passing[cid] = self.predicate(event)
@@ -69,6 +76,7 @@ class ThresholdIndex:
 
     def remove(self, cluster_id: int) -> bool:
         """Drop a cluster's entry; returns True when it was present."""
+        self._before.setdefault(cluster_id, self.reported_entry(cluster_id))
         if self._entries.pop(cluster_id, None) is None:
             return False
         del self._passing[cluster_id]
@@ -87,13 +95,19 @@ class ThresholdIndex:
     def __contains__(self, cluster_id: int) -> bool:
         return cluster_id in self._entries
 
-    def alive_ids(self) -> Set[int]:
-        """Ids of every live reportable cluster (reported or suppressed)."""
-        return set(self._entries)
-
     def entries(self) -> Mapping[int, ReportedEvent]:
         """Read-only view of the maintained entries (tests, sessions)."""
         return self._entries
+
+    def reported_entry(self, cluster_id: int) -> Optional[ReportedEvent]:
+        """The id's entry if it is currently reported, else None."""
+        passing = self._passing.get(cluster_id)
+        return self._entries[cluster_id] if passing else None
+
+    def before(self) -> Mapping[int, Optional[ReportedEvent]]:
+        """Every id touched since :meth:`begin`, mapped to the entry it
+        reported before its first touch (None if it was not reported)."""
+        return self._before
 
     def reported(self) -> List[ReportedEvent]:
         """Entries passing the filter, rank-descending (stable by id)."""
@@ -123,12 +137,11 @@ class ThresholdIndex:
 
     # ------------------------------------------------------------ rebuild
 
-    def rebuild(self, events: List[ReportedEvent]) -> Tuple[Set[int], Set[int]]:
-        """Replace the whole index; returns ``(new_ids, dead_ids)``.
+    def rebuild(self, events: List[ReportedEvent]) -> None:
+        """Replace the whole index.
 
         Used by checkpoint restore (re-seeding from the ranker cache).
         """
-        previous = set(self._entries)
         self._entries = {}
         self._passing = {}
         for event in events:
@@ -136,8 +149,6 @@ class ThresholdIndex:
             self._passing[event.event_id] = self.predicate(event)
             self.filter_evaluations += 1
         self._invalidate()
-        current = set(self._entries)
-        return current - previous, previous - current
 
 
 __all__ = ["ThresholdIndex", "FilterPredicate"]

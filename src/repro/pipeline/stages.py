@@ -239,7 +239,8 @@ class ReportStage:
     per quantum only the ranker's ``last_recomputed`` / ``last_removed``
     delta is re-filtered, and the report's ``new_event_ids`` /
     ``dead_event_ids`` fall out of the same delta — no per-quantum scan of
-    the live result list (DESIGN.md Section 6).
+    the live result list (DESIGN.md Section 6).  Each run begins a fresh
+    index delta, which the session's notifications are derived from.
     """
 
     name = "report"
@@ -280,6 +281,7 @@ class ReportStage:
         # Histories ride the same edit script as the threshold index: only
         # recomputed/removed events are touched (never the live population).
         self.tracker.observe_edits(ctx.quantum, self.ranker, ctx.batch)
+        self.index.begin()
         new_ids: Set[int] = set()
         dead_ids: Set[int] = set()
         for cid in self.ranker.last_removed:

@@ -156,7 +156,7 @@ class FanoutHub:
         summary["reason"] = reason
         self.closed.append(summary)
 
-    def close_all(self, reason: str = "tenant closed") -> None:
+    def close_all(self) -> None:
         """Mark every subscriber closing and wake its sender task."""
         for subscriber in list(self.subscribers):
             subscriber.closing = True

@@ -193,17 +193,28 @@ class ReproServer:
                 body = request.json() or {}
                 if not isinstance(body, dict):
                     raise ServeError("tenant body must be a JSON object")
+                resume = body.get("resume", False)
+                if not isinstance(resume, bool):
+                    raise ServeError(
+                        f'"resume" must be a JSON boolean, got {resume!r}'
+                    )
+                persist = body.get("persist")
+                if persist is not None and not isinstance(persist, bool):
+                    raise ServeError(
+                        f'"persist" must be a JSON boolean or null, got '
+                        f"{persist!r}"
+                    )
                 tenant = await manager.create(
                     name,
                     config=body.get("config"),
-                    resume=bool(body.get("resume", False)),
-                    persist=body.get("persist"),
+                    resume=resume,
+                    persist=persist,
                 )
                 return 200, {
                     "tenant": name,
                     "quantum": tenant.session.current_quantum,
                     "pending": tenant.session.batcher.pending,
-                    "resumed": bool(body.get("resume", False)),
+                    "resumed": resume,
                 }
             if method == "DELETE":
                 drain = request.query.get("drain", "1") not in ("0", "false")

@@ -83,17 +83,6 @@ class QuantumBatcher:
             )
         self._buffer = buffer
 
-    def batches(self, messages: Iterable[Message]) -> Iterator[List[Message]]:
-        """Iterate full quanta from a message iterable (drops the remainder
-        only if it is empty; a final partial quantum is yielded)."""
-        for message in messages:
-            quantum = self.push(message)
-            if quantum is not None:
-                yield quantum
-        tail = self.flush()
-        if tail:
-            yield tail
-
 
 class QuantumColumns:
     """One quantum reduced to flat, interned, deduplicated pair columns.

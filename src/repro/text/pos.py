@@ -42,9 +42,6 @@ class NounTagger:
         (case-insensitive: "n", "noun", "NN", "NNP"...) counts as a noun."""
         self._lexicon = dict(lexicon) if lexicon else {}
 
-    def extend_lexicon(self, lexicon: Mapping[str, str]) -> None:
-        self._lexicon.update(lexicon)
-
     def is_noun(self, word: str) -> bool:
         token = word.lower().lstrip("#@")
         tag = self._lexicon.get(token)

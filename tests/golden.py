@@ -16,10 +16,11 @@ Everything here must therefore be **deterministic and layout-agnostic**:
 * checkpoint state is normalized: wall-clock timings are zeroed, the
   keys whose *shape* legitimately changed with the extractor refactor
   (extractor identity, the custom-extractor flag) are dropped, and the
-  referee-mode flags, CKG-counter keys and sketch settings checkpoints no
-  longer carry are put back as the constants they always were on these
-  runs, so the same stream position fingerprints identically before and
-  after each layout change.
+  referee-mode flags, CKG-counter keys, sketch settings and report-rule
+  settings checkpoints no longer carry are put back as the constants they
+  always were on these runs, and the notified state they no longer carry
+  is rebuilt from the restored report index, so the same stream position
+  fingerprints identically before and after each layout change.
 """
 
 from __future__ import annotations
@@ -210,8 +211,20 @@ def normalized_checkpoint_state(path) -> dict:
     re-inserted as such, as are the CKG-counter keys dropped in v7
     (``ckg_stats`` was ``None``, config ``track_ckg_stats`` ``False``) and
     the sketch settings dropped in v8 (config ``minhash_size`` was
-    ``None``, ``seed`` the constant salt)."""
+    ``None``, ``seed`` the constant salt) and the report-rule settings
+    dropped in v9 (config ``min_cluster_size`` was 3,
+    ``rank_threshold_scale`` 1.0).  The notified state v9 dropped —
+    ``[id, rank, size, sorted keywords]`` per reported event, by id — was
+    the report index's reported entries at the snapshot, so it is listed
+    from a session restored from ``path``: the pinned fingerprints check
+    that the restored index is what the notifications were diffed
+    against."""
     state = dict(load_checkpoint(path))
+    reported = open_session(resume=path).report_index.reported()
+    state["notified"] = [
+        [e.event_id, e.rank, e.size, sorted(e.keywords)]
+        for e in sorted(reported, key=lambda e: e.event_id)
+    ]
     builder = state["builder"] = dict(state["builder"])
     idsets = builder["idsets"]
     builder["idsets"] = {
@@ -245,6 +258,8 @@ def normalized_checkpoint_state(path) -> dict:
     config["track_ckg_stats"] = False
     config["minhash_size"] = None
     config["seed"] = HASH_SEED
+    config["min_cluster_size"] = 3
+    config["rank_threshold_scale"] = 1.0
     state["config"] = config
     return state
 

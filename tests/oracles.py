@@ -20,11 +20,15 @@ into that mapping for the unchanged :class:`AkgUpdateStage`.
 A referee session is for comparing reports, notes and histories; the
 from-scratch builder keeps no checkpointable state, so it is never
 snapshotted or delta-logged.
+
+:class:`NotifiedReferee` is the referee of a session's notifications: the
+stored-state diff of every report against a kept copy of what was last
+notified, which the session derives from the report index's delta instead.
 """
 
 from helpers import entity_actors
 from repro.akg.builder import AkgBuilder
-from repro.api import open_session
+from repro.api import EventKind, SessionEvent, open_session
 from repro.core.incremental import IncrementalRanker
 from repro.core.maintenance import ClusterMaintainer
 from repro.interning import Interner
@@ -66,7 +70,6 @@ def oracle_session(config=None, *, akg=True, ranking=False, **session_kwargs):
         maintainer.registry,
         maintainer.graph,
         builder.node_weights,
-        min_cluster_size=config.min_cluster_size,
         oracle=ranking,
     )
     if akg:
@@ -91,3 +94,99 @@ def oracle_session(config=None, *, akg=True, ranking=False, **session_kwargs):
         ]
     )
     return session
+
+
+class RefereeSubscription:
+    """One subscription of a :class:`NotifiedReferee`: what it was asked
+    for, the ids its top-k view has announced, and the notes it received."""
+
+    def __init__(self, kinds, top_k):
+        self.kinds = frozenset(EventKind if kinds is None else kinds)
+        self.top_k = top_k
+        self.announced = set()
+        self.notes = []
+
+
+class NotifiedReferee:
+    """Session notifications as a diff against stored state.
+
+    ``notified`` maps every reported event id to the entry it was last
+    notified with.  :meth:`observe` diffs one report's reported list
+    against it — ``EMERGING`` / ``GROWING`` / ``RANK_CHANGED`` in the
+    report's order, then ``DYING`` by id — and delivers to the
+    subscriptions, a top-k subscription seeing the report's first ``k``
+    reported events as its view.  The state lives as long as the referee,
+    so one referee spans a session's snapshot and restore: it is what the
+    checkpoint would have carried.
+    """
+
+    def __init__(self):
+        self.notified = {}
+        self.subscriptions = []
+
+    def subscribe(self, kinds=None, top_k=None):
+        subscription = RefereeSubscription(kinds, top_k)
+        self.subscriptions.append(subscription)
+        return subscription
+
+    def observe(self, report):
+        quantum = report.quantum
+        notes = []
+        for event in report.reported:
+            prev = self.notified.get(event.event_id)
+            if prev is None:
+                notes.append(SessionEvent(
+                    EventKind.EMERGING, quantum, event.event_id,
+                    event.keywords, event.rank, event.size,
+                ))
+            else:
+                if event.keywords - prev.keywords:
+                    notes.append(SessionEvent(
+                        EventKind.GROWING, quantum, event.event_id,
+                        event.keywords, event.rank, event.size,
+                        previous_rank=prev.rank, previous_size=prev.size,
+                    ))
+                if event.rank != prev.rank:
+                    notes.append(SessionEvent(
+                        EventKind.RANK_CHANGED, quantum, event.event_id,
+                        event.keywords, event.rank, event.size,
+                        previous_rank=prev.rank, previous_size=prev.size,
+                    ))
+            self.notified[event.event_id] = event
+        reported_ids = {event.event_id for event in report.reported}
+        for event_id in sorted(set(self.notified) - reported_ids):
+            prev = self.notified.pop(event_id)
+            notes.append(SessionEvent(
+                EventKind.DYING, quantum, event_id,
+                prev.keywords, prev.rank, prev.size,
+            ))
+        if not notes:
+            return
+        for subscription in self.subscriptions:
+            if subscription.top_k is None:
+                subscription.notes += [
+                    n for n in notes if n.kind in subscription.kinds
+                ]
+                continue
+            top = report.reported[:subscription.top_k]
+            view = {e.event_id: e for e in top}
+            for cid in sorted(set(view) - subscription.announced):
+                subscription.announced.add(cid)
+                entry = view[cid]
+                if EventKind.EMERGING in subscription.kinds:
+                    subscription.notes.append(SessionEvent(
+                        EventKind.EMERGING, quantum, cid,
+                        entry.keywords, entry.rank, entry.size,
+                    ))
+            for note in notes:
+                if note.kind is EventKind.DYING:
+                    if note.event_id in subscription.announced:
+                        subscription.announced.discard(note.event_id)
+                        if EventKind.DYING in subscription.kinds:
+                            subscription.notes.append(note)
+                elif (
+                    note.event_id in view
+                    and note.kind is not EventKind.EMERGING
+                    and note.kind in subscription.kinds
+                ):
+                    subscription.notes.append(note)

@@ -44,7 +44,6 @@ def make_config(**overrides):
         ec_threshold=0.3,
         node_grace_quanta=1,
         use_minhash_filter=False,
-        min_cluster_size=3,
     )
     base.update(overrides)
     return DetectorConfig(**base)

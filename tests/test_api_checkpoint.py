@@ -324,8 +324,8 @@ class TestCheckpointFile:
 
 
 class TestVersionMigration:
-    """Older checkpoints (v2 to v7) load through one upgrade step to the
-    v8 layout; truly unknown versions fail with an error naming what *is*
+    """Older checkpoints (v2 to v8) load through one upgrade step to the
+    v9 layout; truly unknown versions fail with an error naming what *is*
     readable.
 
     ``tests/data/checkpoint_v2.ckpt`` was written by the pre-extractor
@@ -338,7 +338,10 @@ class TestVersionMigration:
     the last tree with CKG counters on the session (PR 25 head: a null
     ``ckg_stats`` subtree and a ``track_ckg_stats`` config entry) and
     ``checkpoint_v7.ckpt`` by the last tree whose config carried the
-    MinHash sketch-size override and salt (at their defaults), all at
+    MinHash sketch-size override and salt (at their defaults) and
+    ``checkpoint_v8.ckpt`` by the last tree that stored the notified state
+    and whose config carried the cluster-size minimum and rank-floor scale
+    (at their defaults), all at
     message 250 of the same seed-pinned stream, mid-quantum; the
     continuation fingerprint below is what each of those trees produced
     for messages 250..300 — the migrated resume must reproduce it bit for
@@ -346,7 +349,7 @@ class TestVersionMigration:
     base at message 160 and the four records up to message 240.
     """
 
-    VERSIONS = (2, 3, 4, 5, 6, 7)
+    VERSIONS = (2, 3, 4, 5, 6, 7, 8)
     DELTA_DIR = Path(__file__).parent / "data" / "delta_v6"
     ASSETS = {
         version: Path(__file__).parent / "data" / f"checkpoint_v{version}.ckpt"
@@ -365,7 +368,7 @@ class TestVersionMigration:
     def test_asset_is_the_version_it_says(self, version):
         document = json.loads(self.ASSETS[version].read_text())
         assert document["version"] == version
-        assert CHECKPOINT_VERSION == 8
+        assert CHECKPOINT_VERSION == 9
 
     def test_migrated_state_has_extractor_identity(self):
         from repro.api.checkpoint import load_checkpoint
@@ -422,9 +425,13 @@ class TestVersionMigration:
         assert len(records) == 4
         assert "overlap_saved" in json.dumps(records[-1])
         # every record replaces the ``ckg_stats`` subtree checkpoint v7
-        # dropped; the replayed tree carries it again and restore ignores it
+        # dropped and the ``notified`` subtree v9 dropped; the replayed tree
+        # carries both again and restore ignores them
         assert all('"ckg_stats"' in json.dumps(r) for r in records)
-        assert load_checkpoint(self.DELTA_DIR)["ckg_stats"] is None
+        assert all('"notified"' in json.dumps(r) for r in records)
+        replayed = load_checkpoint(self.DELTA_DIR)
+        assert replayed["ckg_stats"] is None
+        assert replayed["notified"]
         session = open_session(resume=self.DELTA_DIR)
         assert session.current_quantum == 11
         assert session.batcher.pending == 0
@@ -439,29 +446,35 @@ class TestVersionMigration:
 
     # ``fingerprint(encode_state(load_checkpoint(asset)))`` as the retired
     # one-step-per-version migration chain (v2 -> v3 -> ... -> v7) produced
-    # it, minus the config's ``minhash_size`` and ``seed`` that v8 drops:
-    # the single upgrade step must land on the very same trees.
+    # it, minus the config's ``minhash_size`` and ``seed`` that v8 drops and
+    # the config's ``min_cluster_size`` and ``rank_threshold_scale`` and the
+    # top-level ``notified`` that v9 drops (``delta_v6`` keeps ``notified``:
+    # its records put it back): the single upgrade step must land on the
+    # very same trees.
     UPGRADED = {
         "checkpoint_v2.ckpt": (
-            "2bca839929e1636d5c8c2d3e79b6fe4e7f9ba6837640dfb15de98de2c04f6eee"
+            "b067029a0fc7c53b00a8b51039d76f1827692d876431a7251fb241357dc7cac9"
         ),
         "checkpoint_v3.ckpt": (
-            "2ca76d4eb6cd44960cd29b1cbb62d6d2d812e70570902fd15960c1eb3bedbf89"
+            "e6eedc9f667b2e79fb836391e8012395b6b5c00b7b0654108dbc2663f77149a5"
         ),
         "checkpoint_v4.ckpt": (
-            "0568bde979e74d2fe396eba03ead32642626c1efa101e3943f02bdcf2f1f218e"
+            "74f33244494c6c988c54b05e6e7aa0b1d591f139347400e13159f364408971f6"
         ),
         "checkpoint_v5.ckpt": (
-            "99471fa4868a0d17c9370f1d885206a0aa768a8ba3f2ed0a5fd01802799106ce"
+            "03dd2b04cb30203594992df534dd6b406b583bb9d890eb4ec97a308c516a5cbd"
         ),
         "checkpoint_v6.ckpt": (
-            "faed909a50fbec9e0dc818e975bb54921cf5b9fd25033eb30ecb62a0c175fcd3"
+            "05f31ecfa36e6df3d2bb2c0dbc3a69710fccfbc9c94c066ab548011a650a5d08"
         ),
         "checkpoint_v7.ckpt": (
-            "64d6f3a1cfa5eb90e4f1eb6b7a732d0b31e77eac7c3b36fb467f1ea41d0e0a29"
+            "c69f35cfff8a50b962e2e2bc0fd100c82081796a4843d94879f9e2e6fedef4ef"
+        ),
+        "checkpoint_v8.ckpt": (
+            "a097486c74451a34e15005bc451b3c5636f1796f675bec2b9ad127d77f595558"
         ),
         "delta_v6": (
-            "4c201020ec45a7852ca3d1be424f4ce21f9425be8681865f1262c25e9c06a001"
+            "de2736475db0dc57a4ee1843180b2e1696547d81cdf66234fa869079089acb63"
         ),
     }
 
@@ -498,6 +511,17 @@ class TestVersionMigration:
         config = load_checkpoint(self.ASSETS[version])["config"]
         assert not {"minhash_size", "seed"} & set(config)
 
+    @pytest.mark.parametrize("version", VERSIONS)
+    def test_v9_migration_drops_the_report_rule(self, version):
+        """... and the notified state, which the restored index replaces."""
+        from repro.api.checkpoint import load_checkpoint
+
+        state = load_checkpoint(self.ASSETS[version])
+        assert "notified" not in state
+        assert not {"min_cluster_size", "rank_threshold_scale"} & set(
+            state["config"]
+        )
+
     @pytest.mark.parametrize("key,value", [("minhash_size", 7), ("seed", 1)])
     def test_overridden_sketch_setting_is_refused_by_name(
         self, key, value, tmp_path
@@ -505,6 +529,23 @@ class TestVersionMigration:
         """A v6 checkpoint whose config set the sketch size or salt was
         built from sketches no session computes any more."""
         document = json.loads(self.ASSETS[6].read_text())
+        state = decode_state(document["state"])
+        state["config"][key] = value
+        document["state"] = encode_state(state)
+        path = tmp_path / f"{key}.ckpt"
+        path.write_text(json.dumps(document))
+        with pytest.raises(CheckpointError, match=f"{key}={value}"):
+            open_session(resume=path)
+
+    @pytest.mark.parametrize(
+        "key,value", [("min_cluster_size", 5), ("rank_threshold_scale", 2.0)]
+    )
+    def test_overridden_report_rule_is_refused_by_name(
+        self, key, value, tmp_path
+    ):
+        """A v8 checkpoint whose config set the cluster-size minimum or the
+        rank-floor scale reported under a rule no session runs any more."""
+        document = json.loads(self.ASSETS[8].read_text())
         state = decode_state(document["state"])
         state["config"][key] = value
         document["state"] = encode_state(state)
@@ -612,7 +653,7 @@ class TestVersionMigration:
             )
         )
         with pytest.raises(
-            CheckpointError, match="migrate versions 2, 3, 4, 5, 6, 7$"
+            CheckpointError, match="migrate versions 2, 3, 4, 5, 6, 7, 8$"
         ):
             open_session(resume=path)
 

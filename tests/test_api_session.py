@@ -13,6 +13,7 @@ from repro.config import DetectorConfig
 from repro.datasets.figure1 import figure1_messages
 from repro.errors import CheckpointError, ConfigError
 from repro.stream.messages import Message
+from repro.text.pos import NounTagger
 
 
 def exact_config(**overrides):
@@ -324,7 +325,8 @@ class TestSubscription:
         assert dying[0].keywords == {"s1", "s2", "s3"}
 
     def test_suppressed_clusters_do_not_notify(self):
-        session = open_session(exact_config(rank_threshold_scale=100.0))
+        verbs = NounTagger({"a1": "verb", "b1": "verb", "c1": "verb"})
+        session = open_session(exact_config(), noun_tagger=verbs)
         sink = QueueSink()
         session.subscribe(sink)
         report = session.process_quantum(burst(["a1", "b1", "c1"], range(6)))
@@ -332,7 +334,7 @@ class TestSubscription:
         assert sink.drain() == []
 
     def test_notifications_identical_with_and_without_sinks(self):
-        """The notified state must not depend on who is listening: a sink
+        """Notifications must not depend on who is listening: a sink
         attached late sees the same transitions as one attached early."""
         early = open_session(exact_config())
         late = open_session(exact_config())
@@ -350,6 +352,103 @@ class TestSubscription:
         assert [key(e) for e in early_sink.drain()] == [
             key(e) for e in late_sink.drain()
         ]
+
+
+class TestNotificationDerivation:
+    """The session derives its notifications from the report index's
+    per-quantum delta; the referee diffs every report against a stored copy
+    of what was notified.  Both must deliver the same sequences to every
+    kind of subscription, across a mid-quantum snapshot and restore."""
+
+    SUBSCRIPTIONS = [
+        (None, None),
+        (None, 1),
+        ({EventKind.EMERGING, EventKind.DYING}, 2),
+        ({EventKind.GROWING, EventKind.RANK_CHANGED}, None),
+    ]
+
+    @staticmethod
+    def messages(regime, use_minhash_filter):
+        import golden
+
+        config = DetectorConfig(
+            quantum_size=20,
+            window_quanta=3,
+            high_state_threshold=3,
+            ec_threshold=0.2,
+            use_minhash_filter=use_minhash_filter,
+            require_noun=False,
+        )
+        if regime == "bursty":
+            pairs = golden.bursty_stream(7, 900)
+        elif regime == "uniform":
+            pairs = golden.uniform_stream(7, 900)
+        else:
+            period = config.quantum_size * config.window_quanta
+            pairs = golden.reentry_stream(7, 900, period)
+        return config, [Message(u, tokens=t) for u, t in pairs]
+
+    def drive(self, session, referee, messages):
+        pairs = []
+        for kinds, top_k in self.SUBSCRIPTIONS:
+            sink = QueueSink()
+            session.subscribe(sink, kinds=kinds, top_k=top_k)
+            pairs.append((sink, referee.subscribe(kinds, top_k)))
+        for report in session.ingest_many(messages):
+            referee.observe(report)
+        return [(sink.drain(), expected.notes) for sink, expected in pairs]
+
+    @pytest.mark.parametrize("use_minhash_filter", [True, False])
+    @pytest.mark.parametrize("regime", ["bursty", "uniform", "reentry"])
+    def test_sinks_match_the_referee(
+        self, regime, use_minhash_filter, tmp_path
+    ):
+        from oracles import NotifiedReferee
+
+        config, messages = self.messages(regime, use_minhash_filter)
+        split = 437  # mid-quantum: the partial quantum rides the checkpoint
+        referee = NotifiedReferee()
+        session = open_session(config)
+        runs = self.drive(session, referee, messages[:split])
+        session.snapshot(tmp_path / "mid.ckpt")
+        resumed = open_session(resume=tmp_path / "mid.ckpt")
+        referee.subscriptions.clear()  # sinks re-subscribe after a restore
+        runs += self.drive(resumed, referee, messages[split:])
+        delivered = 0
+        for got, expected in runs:
+            assert got == expected
+            delivered += len(got)
+        assert delivered
+        kinds = {note.kind for got, _ in runs for note in got}
+        assert {EventKind.EMERGING, EventKind.RANK_CHANGED} <= kinds
+        if regime != "bursty":  # its six keywords never fall silent
+            assert EventKind.DYING in kinds
+
+    def test_noun_check_moves_a_live_cluster_out_and_back(self):
+        """A cluster that loses its one noun stays live but leaves the
+        reported set (``DYING``), and re-enters it (``EMERGING``) when the
+        noun joins again."""
+        from oracles import NotifiedReferee
+
+        verbs = NounTagger({"v1": "verb", "v2": "verb", "v3": "verb"})
+        session = open_session(
+            exact_config(quantum_size=12, window_quanta=1), noun_tagger=verbs
+        )
+        sink = QueueSink()
+        session.subscribe(sink)
+        referee = NotifiedReferee()
+        expected = referee.subscribe()
+        for keywords in (["v1", "v2", "v3", "n1"], ["v1", "v2", "v3"]) * 2:
+            report = session.process_quantum(burst(keywords, range(6)))
+            referee.observe(report)
+        got = sink.drain()
+        assert got == expected.notes
+        assert [n.kind for n in got] == [
+            EventKind.EMERGING, EventKind.DYING,
+            EventKind.EMERGING, EventKind.DYING,
+        ]
+        assert len({n.event_id for n in got}) == 1
+        assert len(session.report_index) == 1
 
 
 class TestClose:

@@ -17,9 +17,7 @@ class TestValidation:
             ("high_state_threshold", 0),
             ("ec_threshold", 0.0),
             ("ec_threshold", 1.5),
-            ("min_cluster_size", 1),
             ("node_grace_quanta", -1),
-            ("rank_threshold_scale", -0.1),
         ],
     )
     def test_out_of_range_rejected(self, field, value):
@@ -91,7 +89,8 @@ class TestDictRoundTrip:
         "field",
         [
             "workers", "shard_count", "oracle_akg", "oracle_ranking",
-            "track_ckg_stats", "minhash_size", "seed",
+            "track_ckg_stats", "minhash_size", "seed", "min_cluster_size",
+            "rank_threshold_scale",
         ],
     )
     def test_removed_execution_fields_are_unknown_fields(self, field):
@@ -119,11 +118,7 @@ class TestDictRoundTrip:
                     0.001, 1.0, exclude_min=False, allow_nan=False
                 ),
                 "use_minhash_filter": st.booleans(),
-                "min_cluster_size": st.integers(2, 20),
                 "node_grace_quanta": st.integers(0, 10),
-                "rank_threshold_scale": st.floats(
-                    0.0, 100.0, allow_nan=False
-                ),
                 "require_noun": st.booleans(),
                 "max_tokens_per_message": st.integers(1, 200),
             },

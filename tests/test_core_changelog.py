@@ -43,12 +43,6 @@ class TestChangeLog:
         assert not log
         assert len(log.drain()) == 0
 
-    def test_peek_does_not_clear(self):
-        log = ChangeLog()
-        log.record(ClusterDissolved(3))
-        assert log.peek() == (ClusterDissolved(3),)
-        assert len(log) == 1
-
     def test_subscribe_sees_every_event(self):
         log = ChangeLog()
         seen = []

@@ -1,8 +1,12 @@
 """End-to-end detector behaviour on controlled micro-streams."""
 
+import math
+from dataclasses import replace
+
 from oracles import oracle_session
 from repro.api import open_session
 from repro.config import DetectorConfig
+from repro.core.ranking import minimum_rank
 from repro.datasets.figure1 import figure1_messages
 from repro.stream.messages import Message
 from repro.text.pos import NounTagger
@@ -96,11 +100,17 @@ class TestDetectorLifecycle:
 
 class TestReportFilters:
     def test_rank_floor_suppresses_weak_clusters(self):
-        config = exact_config(rank_threshold_scale=100.0)
+        """The Section 7.2.2 floor is the paper's minimum rank of a
+        qualifying cluster: an entry at it is reported, one just below it
+        is suppressed."""
+        config = exact_config()
         detector = open_session(config)
         report = detector.process_quantum(burst(["a1", "b1", "c1"], range(6)))
-        assert report.reported == []
-        assert len(report.suppressed) == 1
+        [event] = report.reported
+        floor = minimum_rank(config.high_state_threshold, config.ec_threshold)
+        passes = detector.report_index.predicate
+        assert passes(replace(event, rank=floor))
+        assert not passes(replace(event, rank=math.nextafter(floor, 0.0)))
 
     def test_noun_filter(self):
         tagger = NounTagger({"quickly": "adv", "running": "verb", "slowly": "adv"})
@@ -120,13 +130,6 @@ class TestReportFilters:
             burst(["quickly", "running", "slowly"], range(6))
         )
         assert len(report.reported) == 1
-
-    def test_min_cluster_size_respected(self):
-        config = exact_config(min_cluster_size=5)
-        detector = open_session(config)
-        report = detector.process_quantum(burst(["a1", "b1", "c1"], range(6)))
-        assert report.reported == []
-        assert report.suppressed == []  # too small to even rank
 
 
 class TestSpatialCorrelation:

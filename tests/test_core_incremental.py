@@ -20,7 +20,7 @@ def build(maintainer, edges):
     return maintainer
 
 
-def make_rankers(maintainer, weights, min_size=3):
+def make_rankers(maintainer, weights):
     """An incremental ranker and a from-scratch oracle over shared state."""
 
     def weight_fn(nodes):
@@ -28,11 +28,9 @@ def make_rankers(maintainer, weights, min_size=3):
 
     incremental = IncrementalRanker(
         maintainer.registry, maintainer.graph, weight_fn,
-        min_cluster_size=min_size,
     )
     oracle = IncrementalRanker(
-        maintainer.registry, maintainer.graph, weight_fn,
-        min_cluster_size=min_size, oracle=True,
+        maintainer.registry, maintainer.graph, weight_fn, oracle=True,
     )
     return incremental, oracle
 
@@ -148,12 +146,6 @@ class TestIncrementalRanking:
         incremental.apply(maintainer.drain_changes())
         assert ranks_of(incremental) == ranks_of(oracle)
 
-    def test_min_cluster_size_skips_and_drops(self, maintainer):
-        build(maintainer, [("a", "b"), ("b", "c"), ("a", "c")])
-        incremental, oracle = make_rankers(maintainer, {}, min_size=4)
-        incremental.apply(maintainer.drain_changes())
-        assert ranks_of(incremental) == ranks_of(oracle) == {}
-
     def test_verify_against_oracle_passes_when_clean(self, maintainer):
         build(maintainer, [("a", "b"), ("b", "c"), ("a", "c")])
         incremental, _ = make_rankers(maintainer, {})
@@ -198,7 +190,7 @@ class TestIncrementalRanking:
         stats = incremental.stats
         assert stats.dirty_processed == 1
         assert stats.recomputed == 1
-        assert stats.live == stats.ranked == n_clusters
+        assert stats.ranked == n_clusters
         assert stats.cache_hits == n_clusters - 1
         # the one dirty cluster's nodes are the only weight lookups made
         assert weight_calls == [{"k7_0", "k7_1", "k7_2"}]
@@ -212,30 +204,34 @@ class TestIncrementalRanking:
         assert incremental.stats.recomputed == 0
         assert weight_calls == []
 
-    def test_cluster_growth_across_min_size_enters_result_list(self, maintainer):
+    def test_cluster_birth_and_death_drive_result_list(self, maintainer):
         """Without a registry sweep, list membership must be driven purely
-        by dirty events: a cluster crossing min_cluster_size in either
-        direction enters/leaves the maintained results."""
-        build(maintainer, [("a", "b"), ("b", "c"), ("a", "c")])
-        incremental, oracle = make_rankers(maintainer, {}, min_size=4)
-        incremental.apply(maintainer.drain_changes())
+        by dirty events: a cluster that is born, grows and dies enters,
+        is refreshed in, and leaves the maintained results."""
+        incremental, oracle = make_rankers(maintainer, {})
         assert ranks_of(incremental) == ranks_of(oracle) == {}
-        # grow the triangle into a K4: size 4 now clears min_cluster_size
+        build(maintainer, [("a", "b"), ("b", "c"), ("a", "c")])
+        incremental.apply(maintainer.drain_changes())
+        assert ranks_of(incremental) == ranks_of(oracle)
+        assert len(ranks_of(incremental)) == 1
+        # grow the triangle into a K4: the same entry is recomputed
         maintainer.graph.ensure_node("d")
         for other in ("a", "b", "c"):
             maintainer.add_edge("d", other)
         incremental.apply(maintainer.drain_changes())
         assert ranks_of(incremental) == ranks_of(oracle)
         assert len(ranks_of(incremental)) == 1
-        # shrink back below the threshold
+        # remove two nodes: what is left is no cycle, so the cluster dies
         maintainer.remove_node("d")
+        maintainer.remove_node("c")
         incremental.apply(maintainer.drain_changes())
         assert ranks_of(incremental) == ranks_of(oracle) == {}
 
     def test_output_order_stable_under_evict_and_reenter(self, maintainer):
-        """An entry evicted (size dip) and re-inserted must not migrate to
-        the end of the returned ranking: both modes order by cluster id, so
-        tie-ranked events downstream are emitted identically."""
+        """An entry recomputed after a shrink and a regrowth must not
+        migrate to the end of the returned ranking: both modes order by
+        cluster id, so tie-ranked events downstream are emitted
+        identically."""
         nodes1 = ["a", "b", "c", "d"]
         nodes2 = ["w", "x", "y", "z"]
         for group in (nodes1, nodes2):
@@ -244,10 +240,10 @@ class TestIncrementalRanking:
             for i, u in enumerate(group):
                 for v in group[i + 1:]:
                     maintainer.add_edge(u, v)
-        incremental, oracle = make_rankers(maintainer, {}, min_size=4)
+        incremental, oracle = make_rankers(maintainer, {})
         incremental.apply(maintainer.drain_changes())
         incremental.rank_all()
-        # cluster 1 dips below min size (evicted) and regrows (re-inserted)
+        # cluster 1 shrinks to a triangle and regrows into a K4
         maintainer.remove_node("d")
         incremental.apply(maintainer.drain_changes())
         incremental.rank_all()

@@ -32,11 +32,10 @@ class IncrementalRankingMachine(RuleBasedStateMachine):
 
         self.incremental = IncrementalRanker(
             self.maintainer.registry, self.maintainer.graph, weight_fn,
-            min_cluster_size=3,
         )
         self.oracle = IncrementalRanker(
             self.maintainer.registry, self.maintainer.graph, weight_fn,
-            min_cluster_size=3, oracle=True,
+            oracle=True,
         )
 
     # ------------------------------------------------------------- helpers

@@ -113,10 +113,10 @@ class TestFiltering:
         assert [r.event_id for r in out] == [2]
 
     def test_noun_filter(self):
-        tagger = NounTagger({"a": "verb", "b": "adj", "x": "noun", "y": "verb"})
+        tagger = NounTagger({"a": "verb", "b": "adj", "x": "noun", "y": "verb",
+                             "a2": "verb", "x2": "verb"})
         rec1 = record(1, [(0, ["a", "b"]), (1, ["a", "b", "a2"])], ranks=[9.0, 10.0])
         rec2 = record(2, [(0, ["x", "y"]), (1, ["x", "y", "x2"])], ranks=[9.0, 10.0])
-        tagger.extend_lexicon({"a2": "verb", "x2": "verb"})
         out = reported_records([rec1, rec2], self.config(), tagger)
         assert [r.event_id for r in out] == [2]
 

@@ -206,9 +206,13 @@ class TestFollowerLifecycle:
         with pytest.raises(CheckpointError, match="MANIFEST"):
             FollowerSession(tmp_path / "nothing")
 
-    def test_needs_path_or_transport(self):
-        with pytest.raises(CheckpointError, match="path"):
+    def test_needs_a_path(self, tmp_path):
+        """A follower tails one delta-checkpoint directory; there is no
+        other way to reach a leader."""
+        with pytest.raises(TypeError):
             FollowerSession()
+        with pytest.raises(TypeError):
+            FollowerSession(tmp_path, transport=object())
 
     def test_wait_for_quantum_times_out_readably(self, tmp_path):
         config = make_config()

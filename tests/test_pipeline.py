@@ -17,6 +17,7 @@ from repro.pipeline import (
     ThresholdIndex,
 )
 from repro.stream.messages import Message
+from repro.text.pos import NounTagger
 
 
 def exact_config(**overrides):
@@ -195,7 +196,7 @@ class TestThresholdIndex:
         assert index.update(event(1, rank=25.0)) is False  # refresh, not new
         assert [e.event_id for e in index.reported()] == [1]
         assert [e.event_id for e in index.suppressed()] == [2]
-        assert index.alive_ids() == {1, 2}
+        assert set(index.entries()) == {1, 2}
 
     def test_reported_order_rank_desc_stable_by_id(self):
         index = ThresholdIndex(lambda e: True)
@@ -219,14 +220,31 @@ class TestThresholdIndex:
         # suppressed entries never appear in the top-k view
         assert all(e.rank >= 2.0 for e in index.top(10))
 
-    def test_rebuild_reports_membership_delta(self):
+    def test_rebuild_replaces_entries(self):
         index = ThresholdIndex(lambda e: True)
         index.update(event(1, rank=1.0))
         index.update(event(2, rank=2.0))
-        new, dead = index.rebuild([event(2, rank=3.0), event(5, rank=5.0)])
-        assert new == {5}
-        assert dead == {1}
-        assert index.alive_ids() == {2, 5}
+        index.rebuild([event(2, rank=3.0), event(5, rank=5.0)])
+        assert set(index.entries()) == {2, 5}
+        assert index.entries()[2].rank == 3.0
+
+    def test_before_is_the_entry_reported_before_first_touch(self):
+        index = ThresholdIndex(lambda e: e.rank >= 2.0)
+        index.update(event(1, rank=5.0))
+        index.update(event(2, rank=1.0))
+        index.update(event(4, rank=9.0))
+        index.begin()
+        assert index.before() == {}
+        index.update(event(1, rank=6.0))
+        index.update(event(1, rank=7.0))
+        index.update(event(2, rank=3.0))  # suppressed before: None
+        index.update(event(3, rank=4.0))  # new: None
+        index.remove(4)
+        assert index.before() == {
+            1: event(1, rank=5.0), 2: None, 3: None, 4: event(4, rank=9.0),
+        }
+        assert index.reported_entry(1) == event(1, rank=7.0)
+        assert index.reported_entry(4) is None
 
     def test_returned_lists_are_copies(self):
         index = ThresholdIndex(lambda e: True)
@@ -258,8 +276,9 @@ class TestChurnProportionalReporting:
         assert session.report_index.filter_evaluations == baseline + 1
 
     def test_index_matches_report_contents(self):
-        session = open_session(exact_config(rank_threshold_scale=100.0))
+        verbs = NounTagger({"a1": "verb", "b1": "verb", "c1": "verb"})
+        session = open_session(exact_config(), noun_tagger=verbs)
         report = session.process_quantum(burst(["a1", "b1", "c1"], range(6)))
         assert report.reported == []
         assert len(report.suppressed) == 1
-        assert session.report_index.alive_ids() == {1}
+        assert set(session.report_index.entries()) == {1}

@@ -298,11 +298,7 @@ class TestMultiTenantGoldenParity:
     def test_many_subscribers_zero_loss_for_keep_up_consumers(
         self, server, tmp_path
     ):
-        """2 tenants x 30 subscribers, every one sees the full sequence.
-
-        (The 2 x 100 scale point is benchmarks/bench_serve_fanout.py,
-        which asserts the same invariant at fan-out 100.)
-        """
+        """2 tenants x 30 subscribers, every one sees the full sequence."""
         client = ServeClient(port=server.port)
         pairs = bursty_stream(47, 360)
         expected = library_run(pairs, tmp_path / "lib.ckpt")
@@ -568,3 +564,33 @@ class TestCheckpointRoute:
             assert list(tmp_path.iterdir()) == []
         finally:
             thread.stop(graceful=True)
+
+
+class TestTenantFlags:
+    """``resume`` and ``persist`` are JSON booleans: a string such as
+    ``"false"`` is refused by name instead of being read as truthy."""
+
+    def test_non_boolean_flags_are_400_naming_the_field(self, tmp_path):
+        thread = ServerThread(workers=1)
+        thread.start()
+        try:
+            client = ServeClient(port=thread.port)
+            for field, value in (
+                ("resume", "false"), ("resume", 1), ("resume", None),
+                ("persist", "false"), ("persist", 0),
+            ):
+                with pytest.raises(ServeError, match=f'400.*"{field}"'):
+                    client._request("PUT", "/v1/t", {field: value})
+            assert client.tenants() == []
+            client._request("PUT", "/v1/t", {"resume": False, "persist": None})
+            client._request("PUT", "/v1/u", {"persist": False})
+            assert client.tenants() == ["t", "u"]
+        finally:
+            thread.stop(graceful=True)
+
+    def test_string_false_does_not_persist(self, server, tmp_path):
+        client = ServeClient(port=server.port)
+        with pytest.raises(ServeError, match='400.*"persist"'):
+            client._request("PUT", "/v1/t", {"persist": "false"})
+        assert client.tenants() == []
+        assert not (tmp_path / "state" / "t").exists()

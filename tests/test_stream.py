@@ -54,11 +54,15 @@ class TestQuantumBatcher:
         assert len(batcher.flush()) == 1
         assert batcher.flush() == []
 
-    def test_batches_yields_trailing_partial(self):
+    def test_fill_then_flush_yields_trailing_partial(self):
         batcher = QuantumBatcher(4)
-        messages = [Message(i, tokens=("a",)) for i in range(10)]
-        batches = list(batcher.batches(messages))
-        assert [len(b) for b in batches] == [4, 4, 2]
+        stream = iter([Message(i, tokens=("a",)) for i in range(10)])
+        sizes = []
+        while (quantum := batcher.fill(stream)) is not None:
+            sizes.append(len(quantum))
+        assert batcher.pending == 2
+        sizes.append(len(batcher.flush()))
+        assert sizes == [4, 4, 2]
 
     def test_invalid_size(self):
         with pytest.raises(StreamError):

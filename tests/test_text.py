@@ -90,11 +90,6 @@ class TestNounTagger:
         assert not tagger.has_noun(["quickly", "running"])
         assert not tagger.has_noun([])
 
-    def test_extend_lexicon(self):
-        tagger = NounTagger()
-        tagger.extend_lexicon({"zorgly": "noun"})
-        assert tagger.is_noun("zorgly")
-
     def test_closed_class_words(self):
         tagger = NounTagger()
         assert not tagger.is_noun("massive")
