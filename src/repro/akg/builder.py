@@ -420,13 +420,6 @@ class AkgBuilder:
         """
         return {
             "idsets": self.idsets.to_state(),
-            **self._small_state(),
-        }
-
-    def _small_state(self) -> dict:
-        """The non-window state: small, and volatile enough that the delta
-        log ships it whole instead of diffing it."""
-        return {
             "burstiness": self.burstiness.to_state(),
             "grace_deadlines": [
                 [deadline, sorted(kws)]
@@ -434,32 +427,6 @@ class AkgBuilder:
             ],
             "newly_unclustered": sorted(self._newly_unclustered),
         }
-
-    def quantum_op(self, quantum: int) -> list:
-        """Edit op turning the previous quantum's :meth:`to_state` tree
-        into the current one (DESIGN.md Section 10).
-
-        The window travels as a list splice of its block queue: drop the
-        expired head blocks (``x``), keep the rest (``k``), insert the
-        entering block (``i``) — no splice when the slide left the queue
-        untouched.  The small state is replaced whole.
-        """
-        dropped, live, entries = self.idsets.window_edit(quantum)
-        splice: list = []
-        if dropped:
-            splice.append(["x", len(dropped)])
-        if entries is not None:
-            if len(live) > 1:
-                splice.append(["k", len(live) - 1])
-            splice.append(["i", [[quantum, entries]]])
-        idsets_sets = [["last_quantum", ["r", quantum]]]
-        if splice:
-            idsets_sets.append(["window", ["l", splice]])
-        sets = [
-            [key, ["r", value]] for key, value in self._small_state().items()
-        ]
-        sets.append(["idsets", ["d", idsets_sets, []]])
-        return ["d", sets, []]
 
     def from_state(self, state: dict) -> None:
         """Restore the AKG stage in place from :meth:`to_state` output."""

@@ -23,9 +23,7 @@ supports and live users before and after and reports exactly what moved as
 a :class:`SlideDelta`, so downstream stages stay delta-driven.
 
 Serialized, the window is that same queue of per-quantum blocks ``[[q,
-[[kw, users], ...]], ...]``, oldest first, each sorted by keyword — so a
-slide edits it by dropping head blocks and appending one, which
-``window_edit`` reports and the delta log records (DESIGN.md Section 10).
+[[kw, users], ...]], ...]``, oldest first, each sorted by keyword.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from typing import (
     Iterable,
     List,
     Mapping,
-    Optional,
     Sequence,
     Set,
     Tuple,
@@ -64,13 +61,6 @@ UserId = Hashable
 _KEYWORD = itemgetter(0)  # sort key of a ``[keyword, users]`` block entry
 _AID_MASK = 0xFFFFFFFF  # low half of a packed pair key
 _SCRATCH_BYTES = 1 << 22  # ceiling on jaccard_many's byte-per-bit scratch
-
-WindowEdit = Tuple[Sequence[int], Sequence[int], Optional[list]]
-"""The last slide's edit to a serialized window queue: ``(dropped, live,
-entries)`` — the quanta of the head blocks it expired, the quanta of the
-blocks now live (oldest first), and the newest block's keyword-sorted
-entries (``None`` when the quantum contributed no block)."""
-
 
 @dataclass(frozen=True, slots=True)
 class SlideDelta:
@@ -151,8 +141,10 @@ class IdSetIndex:
     The window state is ``_quanta`` — a deque of ``(quantum, keys)``
     packed columns, oldest first, holding each quantum's contribution
     verbatim (the extraction stage's own key arrays, kept by reference —
-    they are never mutated).  Derived from it by :meth:`_rebuild`, after
-    every slide and on restore alike:
+    they are never mutated).  ``_entries`` memoizes each block's snapshot
+    form by quantum: a block never changes, so a snapshot resolves only
+    the blocks that entered since the last one.  Derived from the blocks
+    by :meth:`_rebuild`, after every slide and on restore alike:
 
     * ``_pair_keys`` — the packed ``(eid << 32) | aid`` key of every live
       *distinct* (keyword, user) pair, ascending — so a keyword's id set is
@@ -179,11 +171,11 @@ class IdSetIndex:
         "ents",
         "acts",
         "_quanta",
+        "_entries",
         "_pair_keys",
         "_support",
         "_present",
         "_last_quantum",
-        "_dropped",
     )
 
     def __init__(self, window_quanta: int, seed: int = 0) -> None:
@@ -194,12 +186,11 @@ class IdSetIndex:
         self.acts = Interner(hash_fn=user_hash_fn(seed))
         # (quantum, packed int64 keys) — oldest first, keys sorted/distinct
         self._quanta: Deque[Tuple[int, np.ndarray]] = deque()
+        self._entries: Dict[int, list] = {}
         self._pair_keys = _empty_keys()
         self._support = _empty_keys()
         self._present = np.zeros(0, dtype=bool)
         self._last_quantum: int | None = None
-        # quanta of the window blocks the last slide expired
-        self._dropped: List[int] = []
 
     # ------------------------------------------------------------- updates
 
@@ -264,10 +255,9 @@ class IdSetIndex:
         cutoff = quantum - self.window_quanta
         quanta = self._quanta
         expiring: List[np.ndarray] = []
-        dropped = self._dropped = []
         while quanta and quanta[0][0] <= cutoff:
             old, keys = quanta.popleft()
-            dropped.append(old)
+            self._entries.pop(old, None)
             expiring.append(keys >> 32)
         if len(columns.keys):
             quanta.append((quantum, columns.keys))
@@ -338,19 +328,22 @@ class IdSetIndex:
         :meth:`from_state` derives the rest exactly as a slide does.  Blocks
         are oldest first and each is sorted by keyword, and interner ids
         never appear, so the snapshot is a pure function of the window
-        *contents* (DESIGN.md Section 6).
+        *contents* (DESIGN.md Section 6).  The block entry lists are the
+        memo's own, shared by every snapshot while the block is live:
+        read them, never mutate them.
         """
-        return {
-            "last_quantum": self._last_quantum,
-            "window": [
-                [q, self._block_entries(keys)] for q, keys in self._quanta
-            ],
-        }
+        entries = self._entries
+        window = []
+        for q, keys in self._quanta:
+            block = entries.get(q)
+            if block is None:
+                block = entries[q] = self._block_entries(keys)
+            window.append([q, block])
+        return {"last_quantum": self._last_quantum, "window": window}
 
     def from_state(self, state: dict) -> None:
         """Rebuild the index in place from :meth:`to_state` output."""
         self._last_quantum = state["last_quantum"]
-        self._dropped = []
         # Cleared *in place*: the extract stage holds references to these
         # same interners (shared id space), so replacing them here would
         # silently fork the interning.
@@ -359,6 +352,7 @@ class IdSetIndex:
         ent_intern = self.ents.intern
         act_intern = self.acts.intern
         self._quanta = deque()
+        self._entries = {}
         for q, block in state["window"]:
             packed = [
                 (ent_intern(kw) << 32) | act_intern(user)
@@ -367,16 +361,6 @@ class IdSetIndex:
             ]
             self._quanta.append((q, np.sort(np.array(packed, dtype=np.int64))))
         self._rebuild()
-
-    def window_edit(self, quantum: int) -> WindowEdit:
-        """What the slide to ``quantum`` (the last one) did to the
-        serialized window — read off the quantum queue on demand; nothing
-        is recorded for it beyond the block quanta the slide pops anyway."""
-        quanta = self._quanta
-        entries = None
-        if quanta and quanta[-1][0] == quantum:
-            entries = self._block_entries(quanta[-1][1])
-        return self._dropped, [q for q, _ in quanta], entries
 
     # ------------------------------------------------------------- queries
 
@@ -579,4 +563,4 @@ class IdSetIndex:
         return out.tolist()
 
 
-__all__ = ["IdSetIndex", "SlideDelta", "WindowEdit"]
+__all__ = ["IdSetIndex", "SlideDelta"]

@@ -24,7 +24,6 @@ from repro.api.deltalog import (
     DELTA_VERSION,
     DeltaCheckpointWriter,
     FileTailTransport,
-    patch_tree,
     read_delta_checkpoint,
 )
 from repro.api.follower import FollowerSession
@@ -53,6 +52,5 @@ __all__ = [
     "read_delta_checkpoint",
     "encode_state",
     "decode_state",
-    "patch_tree",
     "fsync_dir",
 ]

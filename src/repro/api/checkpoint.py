@@ -16,10 +16,9 @@ trip exact, which the bit-identical resume guarantee relies on.
 
 The encoding is **canonical**: set members and dict pairs serialize in a
 deterministic sorted order, so two state trees that compare equal encode
-to identical bytes no matter how their containers were built.  The delta
-checkpoint format (:mod:`repro.api.deltalog`) leans on this — a state tree
-reconstructed by replaying base + per-quantum edit scripts re-serializes
-byte-for-byte like a monolithic snapshot taken at the same position.
+to identical bytes no matter how their containers were built, and a
+session restored from a checkpoint re-serializes byte-for-byte like the
+one that wrote it.
 
 Compatibility is handled loudly and explicitly: an unknown format, a newer
 ``version``, an unmigratable older ``version``, or an unknown tag raises
@@ -177,7 +176,7 @@ def encode_state(obj: Any) -> Any:
         # Canonical pair order: sort by the JSON rendering of the encoded
         # key.  Keys are unique, so the order is total and deterministic —
         # equal dicts encode identically however they were assembled
-        # (fresh ``to_state()`` vs. a replayed delta-log patch).
+        # (a live ``to_state()`` vs. one restored from a checkpoint).
         pairs = [[encode_state(k), encode_state(v)] for k, v in obj.items()]
         pairs.sort(
             key=lambda pair: json.dumps(
@@ -287,10 +286,11 @@ def save_checkpoint(path: "str | Path", state: dict) -> None:
 def load_checkpoint(path: "str | Path") -> dict:
     """Read and validate a checkpoint; returns the decoded state tree.
 
-    A directory is read as a *delta checkpoint* (base snapshot
-    plus per-quantum edit log — :mod:`repro.api.deltalog`): the log's
-    consistent prefix is replayed onto the base, yielding a state tree
-    bit-identical to a monolithic snapshot at the same stream position.
+    A directory is read as a *delta checkpoint* (base snapshot plus
+    per-quantum input log — :mod:`repro.api.deltalog`): the base is
+    restored and the log's consistent prefix replayed through the
+    pipeline, yielding the state tree of a monolithic snapshot at the same
+    stream position (wall clocks aside).
     """
     if Path(path).is_dir():
         from repro.api.deltalog import read_delta_checkpoint

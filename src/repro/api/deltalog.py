@@ -1,31 +1,24 @@
-"""Incremental (delta) checkpoints: base snapshot + per-quantum edit log.
+"""Incremental (delta) checkpoints: base snapshot + per-quantum input log.
 
 A *delta checkpoint* is a directory::
 
     <path>/
-        MANIFEST.json      {"format": ..., "version": 6, "generation": g,
+        MANIFEST.json      {"format": ..., "version": 7, "generation": g,
                             "base": "base-<g>.ckpt", "log": "deltas-<g>.log",
                             "base_quantum": q}
         base-<g>.ckpt      ordinary monolithic checkpoint (current layout)
-        deltas-<g>.log     framed, length-prefixed per-quantum edit records
+        deltas-<g>.log     framed, length-prefixed per-quantum input records
 
-The leader writes the base once, then appends one *edit op* per completed
-quantum, turning the previous quantum's serialized state tree into the
-current one.  The op is not discovered by diffing trees: every large
-stateful layer reports its own edit for the quantum it just processed (the
-id-set window drops head blocks and inserts one, the event tracker patches
-the records the ranker touched), and the session ships its small volatile
-subtrees whole — so a record costs what the quantum *touched*, not what
-the window holds, to compute as well as to store.  Ops stay structural and
-engine-free on the way back in: a follower applies records with
-:func:`patch_tree` alone, and replay is bit-identical to a monolithic
-snapshot because each layer's op is pinned, quantum by quantum, against an
-exhaustive tree differ kept as a test oracle (``tests/tree_diff.py``).
-
-The op vocabulary: ``["r", value]`` replaces a subtree, ``["d", sets,
-dels]`` patches/deletes dict keys, ``["s", added, removed]`` edits a set,
-``["l", edits]`` splices a sequence with runs of ``k`` (keep), ``x``
-(drop), ``i`` (insert) and ``p`` (patch in place).
+The leader writes the base once, then appends one record per completed
+quantum: the quantum's *input*, ``{"q": q, "in": [message records]}`` in
+the compact JSONL form of :func:`~repro.stream.sources.message_to_record`.
+The detector is deterministic — a restored session fed the same messages
+continues bit-identically (DESIGN.md Section 6) — so the input is a
+complete record of the step: recovery loads the base into a live session
+and feeds every record through ``process_quantum`` (:func:`replay`).  A
+record costs what came in, never what the window holds.  A record's input
+subsumes the batcher's pending buffer (a quantum completes *from* it), so
+replay drops the buffer before each record.
 
 Log framing is crash-oriented: each record is ``>II`` (payload length,
 CRC32) followed by the JSON payload, the file opens with a 4-byte magic,
@@ -36,12 +29,15 @@ quantum-discontinuous record — which a sequential appender cannot produce
 by crashing — raises :class:`~repro.errors.CheckpointError` instead of
 returning silently wrong state.
 
-Compaction bounds replay cost: once the log grows past
-:data:`COMPACT_RATIO` times the base size, the writer rewrites a fresh
-base from the current state, starts an empty log, and atomically flips
-``MANIFEST.json`` to the new generation (old-generation files are then
-unlinked; a follower holding an open descriptor on POSIX keeps reading
-safely and switches generations at its next manifest poll).
+Compaction bounds recovery time: the writer sums the processing seconds of
+the quanta it logged — what replaying them costs — and once that passes
+:data:`REPLAY_BUDGET_S` it rewrites a fresh base from the current state,
+starts an empty log, and atomically flips ``MANIFEST.json`` to the new
+generation (old-generation files are then unlinked; a follower holding an
+open descriptor on POSIX keeps reading safely and switches generations at
+its next manifest poll).  A session resumed from a directory appends to
+the generation it replayed, after cutting a torn tail back to the
+consistent prefix.
 
 A follower reads the directory through :class:`FileTailTransport`, and
 only ever calls its ``manifest()`` / ``load_base()`` / ``read_records()``.
@@ -54,181 +50,38 @@ import os
 import struct
 import time
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.api.checkpoint import (
     atomic_write,
-    decode_state,
-    encode_state,
     fsync_dir,
     load_checkpoint,
     save_checkpoint,
 )
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, StreamError
+from repro.stream.sources import message_from_record
 
 DELTA_FORMAT = "repro-session-delta-checkpoint"
-DELTA_VERSION = 6
+DELTA_VERSION = 7
 """Directory-format version, counted apart from the monolithic snapshot
 versions of :mod:`repro.api.checkpoint`.  4 — base-plus-delta-log over v3
 bases, records diffed from whole trees; 5 — bases are v4 snapshots (windows
 as queues of quanta) and records are layer-emitted ops over that layout;
-6 — bases are v5 snapshots and records carry no sketch-window splice.
-Records only patch the layout they were written against, so an older
-directory is refused by name rather than replayed onto a migrated base."""
+6 — bases are v5 snapshots and records carry no sketch-window splice;
+7 — records are the quanta's input, replayed through the pipeline.  An
+older directory's records are state edits no reader applies any more, so
+it is refused by number (its base still loads as a checkpoint)."""
 
 MANIFEST_NAME = "MANIFEST.json"
 _LOG_MAGIC = b"RDLG"
 _FRAME_HEADER = struct.Struct(">II")
 _MAX_FRAME = 1 << 31
 
-COMPACT_RATIO = 4.0
-"""The writer rolls a fresh generation once its log outgrows this many
-times the base snapshot: replay then reads at most a few bases' worth."""
-
-
-# =====================================================================
-# Edit ops over decoded state trees: wire codec and patch
-# =====================================================================
-
-
-def _map_op(op: Optional[list], leaf: Callable[[Any], Any]) -> Optional[list]:
-    """Copy an edit op's structure (tags, splice counts, nesting) and apply
-    ``leaf`` to every embedded state value (replacement payloads, inserted
-    elements, set members, dict keys); raises on a malformed script."""
-    if op is None:
-        return None
-    if not isinstance(op, list) or not op:
-        raise CheckpointError(f"malformed state edit op: {op!r}")
-    tag = op[0]
-    if tag == "r":
-        return ["r", leaf(op[1])]
-    if tag == "d":
-        return [
-            "d",
-            [[leaf(k), _map_op(sub, leaf)] for k, sub in op[1]],
-            [leaf(k) for k in op[2]],
-        ]
-    if tag == "s":
-        return ["s", [leaf(x) for x in op[1]], [leaf(x) for x in op[2]]]
-    if tag == "l":
-        edits = []
-        for edit in op[1]:
-            kind = edit[0]
-            if kind in ("k", "x"):
-                edits.append([kind, edit[1]])
-            elif kind == "i":
-                edits.append(["i", [leaf(x) for x in edit[1]]])
-            elif kind == "p":
-                edits.append(["p", [_map_op(sub, leaf) for sub in edit[1]]])
-            else:
-                raise CheckpointError(f"unknown sequence edit {kind!r}")
-        return ["l", edits]
-    raise CheckpointError(f"unknown state edit tag: {tag!r}")
-
-
-def encode_op(op: Optional[list]) -> Optional[list]:
-    """JSON-safe form of an edit script: plain structure, tagged payloads.
-
-    The script *structure* (tags, splice counts, nesting) is plain JSON
-    arrays — running it through the tagged state codec would roughly
-    triple its size, and structure is most of a churn-heavy record.  Only
-    the embedded *state values* (replacement payloads, inserted elements,
-    set members, dict keys) need :func:`encode_state`, because they can
-    hold tuples/sets/non-string keys that raw JSON cannot represent.
-    """
-    return _map_op(op, encode_state)
-
-
-def decode_op(op: Optional[list]) -> Optional[list]:
-    """Inverse of :func:`encode_op`; raises on a malformed script."""
-    return _map_op(op, decode_state)
-
-
-def patch_tree(a: Any, op: Optional[list]) -> Any:
-    """Apply an edit op (see the module docstring for the vocabulary).
-
-    Non-mutating: returns a new tree sharing unchanged substructure with
-    ``a``.  A script that does not fit the tree (missing dict key, splice
-    overrun, unknown tag) raises :class:`CheckpointError` — a delta log
-    must never be applied to the wrong base state silently.
-    """
-    if op is None:
-        return a
-    if not isinstance(op, list) or not op:
-        raise CheckpointError(f"malformed state edit op: {op!r}")
-    tag = op[0]
-    if tag == "r":
-        return op[1]
-    if tag == "d":
-        if not isinstance(a, dict):
-            raise CheckpointError(
-                f"dict edit applied to {type(a).__name__} state"
-            )
-        out = dict(a)
-        for key in op[2]:
-            if key not in out:
-                raise CheckpointError(
-                    f"state edit deletes missing dict key {key!r}"
-                )
-            del out[key]
-        for key, sub in op[1]:
-            if key in out:
-                out[key] = patch_tree(out[key], sub)
-            elif isinstance(sub, list) and sub and sub[0] == "r":
-                out[key] = sub[1]
-            else:
-                raise CheckpointError(
-                    f"state edit patches missing dict key {key!r}"
-                )
-        return out
-    if tag == "s":
-        if not isinstance(a, (set, frozenset)):
-            raise CheckpointError(
-                f"set edit applied to {type(a).__name__} state"
-            )
-        out = set(a)
-        for value in op[2]:
-            if value not in out:
-                raise CheckpointError(
-                    f"state edit removes missing set member {value!r}"
-                )
-            out.discard(value)
-        out.update(op[1])
-        return frozenset(out) if isinstance(a, frozenset) else out
-    if tag == "l":
-        if not isinstance(a, (list, tuple)):
-            raise CheckpointError(
-                f"sequence edit applied to {type(a).__name__} state"
-            )
-        out: List[Any] = []
-        i = 0
-        for edit in op[1]:
-            kind = edit[0]
-            if kind == "k":
-                out.extend(a[i : i + edit[1]])
-                i += edit[1]
-            elif kind == "x":
-                i += edit[1]
-            elif kind == "i":
-                out.extend(edit[1])
-            elif kind == "p":
-                for sub in edit[1]:
-                    if i >= len(a):
-                        raise CheckpointError(
-                            "sequence edit script overruns the state"
-                        )
-                    out.append(patch_tree(a[i], sub))
-                    i += 1
-            else:
-                raise CheckpointError(f"unknown sequence edit {kind!r}")
-            if i > len(a):
-                raise CheckpointError(
-                    "sequence edit script overruns the state"
-                )
-        out.extend(a[i:])
-        return tuple(out) if isinstance(a, tuple) else out
-    raise CheckpointError(f"unknown state edit tag: {tag!r}")
+REPLAY_BUDGET_S = 0.2
+"""The writer rolls a fresh generation once replaying its log — the summed
+processing seconds of the logged quanta — would take longer than this."""
 
 
 # =====================================================================
@@ -349,7 +202,14 @@ class FileTailTransport:
 
     def load_base(self, manifest: dict) -> dict:
         """Decoded state tree of the manifest's base snapshot."""
-        return load_checkpoint(self.path / manifest["base"])
+        state = load_checkpoint(self.path / manifest["base"])
+        if state.get("quantum") != manifest["base_quantum"]:
+            raise CheckpointError(
+                f"{self.path}: base snapshot is at quantum "
+                f"{state.get('quantum')!r} but the manifest says "
+                f"{manifest['base_quantum']!r}"
+            )
+        return state
 
     def read_records(
         self, manifest: dict, offset: int
@@ -376,49 +236,91 @@ class FileTailTransport:
 
 
 # =====================================================================
-# Reader: replay base + deltas into one state tree
+# Replay: base session + logged input
 # =====================================================================
 
 
-def apply_record(state: dict, record: dict) -> dict:
-    """Apply one log record to a state tree, enforcing quantum continuity."""
-    if not isinstance(record, dict) or "q" not in record or "op" not in record:
-        raise CheckpointError(f"malformed delta log record: {record!r}")
-    expected = state["quantum"] + 1
-    if record["q"] != expected:
-        raise CheckpointError(
-            f"delta log is discontinuous: expected the record for quantum "
-            f"{expected}, found quantum {record['q']!r}"
-        )
-    try:
-        return patch_tree(state, decode_op(record["op"]))
-    except CheckpointError as exc:
-        raise CheckpointError(
-            f"cannot apply delta record for quantum {record['q']}: {exc}"
-        ) from exc
+def replay(session, records: List[dict]) -> float:
+    """Feed logged quanta through ``session`` in order; returns their summed
+    processing seconds.  Each record must be the quantum right after the
+    session's; a malformed or discontinuous one raises."""
+    seconds = 0.0
+    for record in records:
+        if not isinstance(record, dict) or not isinstance(
+            record.get("in"), list
+        ):
+            raise CheckpointError(f"malformed delta log record: {record!r}")
+        expected = session.current_quantum + 1
+        if record.get("q") != expected:
+            raise CheckpointError(
+                f"delta log is discontinuous: expected the record for "
+                f"quantum {expected}, found quantum {record.get('q')!r}"
+            )
+        try:
+            messages = [message_from_record(raw) for raw in record["in"]]
+        except StreamError as exc:
+            raise CheckpointError(
+                f"bad message in the delta log record for quantum "
+                f"{expected}: {exc}"
+            ) from exc
+        session.batcher.flush()
+        seconds += session.process_quantum(messages).elapsed_seconds
+    return seconds
+
+
+def base_session(transport, manifest: dict, **overrides):
+    """A live session restored from the manifest's base snapshot
+    (``overrides``: the ``noun_tagger`` / ``extractor`` restore takes)."""
+    from repro.api.session import DetectorSession
+
+    return DetectorSession._from_state_tree(
+        transport.load_base(manifest), **overrides
+    )
+
+
+@dataclass(frozen=True)
+class LogTail:
+    """Where a replay of a directory ended: what a writer needs to append
+    to the generation that was replayed instead of starting a new one."""
+
+    path: Path
+    generation: int
+    offset: int
+    quantum: int
+    replay_seconds: float
+
+
+def open_replayed(path, **overrides):
+    """The session a delta checkpoint holds: its base, restored, with the
+    log's consistent prefix replayed through the pipeline.  The session
+    remembers the :class:`LogTail` it stands at, so a delta log enabled on
+    the same directory appends to that generation."""
+    transport = FileTailTransport(path)
+    manifest = transport.manifest()
+    session = base_session(transport, manifest, **overrides)
+    records, offset = transport.read_records(manifest, 0)
+    seconds = replay(session, records)
+    session._log_tail = LogTail(
+        transport.path.resolve(),
+        manifest["generation"],
+        offset,
+        session.current_quantum,
+        seconds,
+    )
+    return session
 
 
 def read_delta_checkpoint(path) -> dict:
     """Replay a delta-checkpoint directory into one decoded state tree.
 
-    The result is bit-identical (through the canonical codec, byte-
-    identical on re-serialization) to a monolithic snapshot taken at the
-    same stream position — the reader the monolithic
-    :func:`~repro.api.checkpoint.load_checkpoint` dispatches to for
-    directories.
+    The tree of the replayed session: equal to a monolithic snapshot taken
+    by the leader at the same stream position, wall clocks aside — the
+    reader the monolithic :func:`~repro.api.checkpoint.load_checkpoint`
+    dispatches to for directories.  A base taken with a custom extractor or
+    noun tagger cannot be replayed without it; resume those with
+    ``open_session(resume=path, extractor=...)``.
     """
-    transport = FileTailTransport(path)
-    manifest = transport.manifest()
-    state = transport.load_base(manifest)
-    if state.get("quantum") != manifest["base_quantum"]:
-        raise CheckpointError(
-            f"{path}: base snapshot is at quantum {state.get('quantum')!r} "
-            f"but the manifest says {manifest['base_quantum']!r}"
-        )
-    records, _ = transport.read_records(manifest, 0)
-    for record in records:
-        state = apply_record(state, record)
-    return state
+    return open_replayed(path)._state_tree()
 
 
 # =====================================================================
@@ -427,27 +329,30 @@ def read_delta_checkpoint(path) -> dict:
 
 
 class DeltaCheckpointWriter:
-    """Leader-side delta checkpoint: base snapshot + append-only edit log.
+    """Leader-side delta checkpoint: base snapshot + append-only input log.
 
     The writer only frames, writes and fsyncs; a record's content comes
     from the ``source`` it is handed — the session, or anything with its
-    ``current_quantum``, ``_quantum_op()`` (the edit op for the quantum
-    just finished) and ``_state_tree()`` (the full tree, asked for only
-    when a generation is rolled).  ``start(source)`` opens (or creates) the
-    directory and writes a fresh generation; ``append(source)`` logs one
-    record and compacts — rewrite base, truncate log, flip manifest — once
-    the log exceeds :data:`COMPACT_RATIO` times the base size.  Every append
-    fsyncs the log file *and* its directory; base and manifest writes are
-    atomic-rename durable.  A writer whose append failed mid-frame refuses
-    further appends (the tail is torn; the next leader attaches with a
-    fresh generation instead).
+    ``current_quantum``, ``_quantum_record()`` (the record of the quantum
+    just finished and its processing seconds) and ``_state_tree()`` (the
+    full tree, asked for only when a generation is rolled).
+    ``start(source)`` opens (or creates) the directory: it appends to the
+    generation ``source`` was replayed from when it still stands at that
+    log's end, and writes a fresh generation otherwise.  ``append(source)``
+    logs one record and compacts — rewrite base, truncate log, flip
+    manifest — once the logged quanta would take longer than
+    :data:`REPLAY_BUDGET_S` to replay.  Every append fsyncs the log file
+    *and* its directory; base and manifest writes are atomic-rename
+    durable.  A writer whose append failed mid-frame refuses further
+    appends (the tail is torn; the next leader resumes from the directory,
+    which cuts the tail back).
     """
 
     def __init__(self, path) -> None:
         self.path = Path(path)
         self.generation = -1
-        self.base_bytes = 0
         self.log_bytes = 0
+        self.replay_seconds = 0.0
         self.records_written = 0
         self.compactions = 0
         self.append_seconds = 0.0
@@ -457,7 +362,7 @@ class DeltaCheckpointWriter:
     # ------------------------------------------------------------ lifecycle
 
     def start(self, source) -> None:
-        """Create or attach to the directory; write a new generation."""
+        """Attach to the replayed generation, or write a new one."""
         try:
             self.path.mkdir(exist_ok=True)
         except OSError as exc:
@@ -467,7 +372,17 @@ class DeltaCheckpointWriter:
             ) from exc
         generation = 0
         if (self.path / MANIFEST_NAME).exists():
-            generation = read_manifest(self.path)["generation"] + 1
+            generation = read_manifest(self.path)["generation"]
+            tail = getattr(source, "_log_tail", None)
+            if (
+                tail is not None
+                and tail.path == self.path.resolve()
+                and tail.generation == generation
+                and tail.quantum == source.current_quantum
+            ):
+                self._attach(tail)
+                return
+            generation += 1
         self._roll(source._state_tree(), generation)
 
     def append(self, source) -> int:
@@ -478,30 +393,30 @@ class DeltaCheckpointWriter:
         if self._broken:
             raise CheckpointError(
                 "delta log writer is broken after a failed append; the log "
-                "tail may be torn — start a new leader (fresh generation) "
+                "tail may be torn — resume a new leader from the directory "
                 "instead of appending further"
             )
         started = time.perf_counter()
-        frame = encode_frame(
-            {
-                "q": source.current_quantum,
-                "op": encode_op(source._quantum_op()),
-            }
-        )
         try:
+            record, seconds = source._quantum_record()
+            frame = encode_frame(record)
             self._fh.write(frame)
             self._fh.flush()
             os.fsync(self._fh.fileno())
             fsync_dir(self.path)
-        except OSError as exc:
+        except (OSError, CheckpointError, TypeError, ValueError) as exc:
+            # Nothing after this quantum may be logged: a gap (an unlogged
+            # quantum) would replay as a discontinuity, a torn frame as a
+            # shorter log.
             self._broken = True
             raise CheckpointError(
                 f"cannot append to delta log in {self.path}: {exc}"
             ) from exc
         self.log_bytes += len(frame)
+        self.replay_seconds += seconds
         self.records_written += 1
         self.append_seconds += time.perf_counter() - started
-        if self.log_bytes > COMPACT_RATIO * max(self.base_bytes, 1):
+        if self.replay_seconds > REPLAY_BUDGET_S:
             self._roll(source._state_tree(), self.generation + 1)
             self.compactions += 1
         return len(frame)
@@ -513,6 +428,24 @@ class DeltaCheckpointWriter:
             self._fh = None
 
     # ------------------------------------------------------------ internals
+
+    def _attach(self, tail: LogTail) -> None:
+        """Append to the replayed generation: cut the log back to the
+        consistent prefix the replay ended at (a torn tail after a crash)."""
+        log = self.path / _log_name(tail.generation)
+        try:
+            fh = open(log, "r+b")
+            fh.truncate(tail.offset)
+            fh.seek(tail.offset)
+            os.fsync(fh.fileno())
+        except OSError as exc:
+            raise CheckpointError(
+                f"cannot reopen delta log {log}: {exc}"
+            ) from exc
+        self._fh = fh
+        self.generation = tail.generation
+        self.log_bytes = tail.offset - len(_LOG_MAGIC)
+        self.replay_seconds = tail.replay_seconds
 
     def _roll(self, state: dict, generation: int) -> None:
         """Write a fresh generation (new base, empty log, manifest flip)."""
@@ -546,8 +479,8 @@ class DeltaCheckpointWriter:
         self._fh = fh
         previous = self.generation
         self.generation = generation
-        self.base_bytes = base.stat().st_size
         self.log_bytes = 0
+        self.replay_seconds = 0.0
         if previous >= 0 and previous != generation:
             # Old-generation files are garbage after the manifest flip; a
             # follower mid-read keeps its open descriptor (POSIX) and picks
@@ -563,19 +496,18 @@ class DeltaCheckpointWriter:
 
 
 __all__ = [
-    "COMPACT_RATIO",
     "DELTA_FORMAT",
     "DELTA_VERSION",
     "MANIFEST_NAME",
+    "REPLAY_BUDGET_S",
     "DeltaCheckpointWriter",
     "FileTailTransport",
-    "apply_record",
+    "LogTail",
     "decode_frames",
-    "decode_op",
     "encode_frame",
-    "encode_op",
-    "patch_tree",
+    "open_replayed",
     "read_delta_checkpoint",
     "read_manifest",
+    "replay",
     "write_manifest",
 ]

@@ -1,19 +1,19 @@
-"""Hot-standby follower: tail a delta log, stay warm, promote on demand.
+"""Hot-standby follower: a replica that replays a leader's input log.
 
-A :class:`FollowerSession` holds the leader's *serialized state tree* and
-keeps it current by applying delta-log records (:mod:`repro.api.deltalog`)
-— it never runs the detection pipeline, so staying warm costs patch
-application only, no tokenization/AKG/ranking work.  When the leader dies,
-``promote()`` rebuilds a live :class:`~repro.api.session.DetectorSession`
-from the tree, and the resume guarantee (DESIGN.md Section 6) makes the
-promoted session bit-identical to the uninterrupted run from the last
-logged quantum onward.
+A :class:`FollowerSession` holds a live
+:class:`~repro.api.session.DetectorSession` restored from the leader's
+base snapshot and keeps it current by feeding every logged quantum's input
+through the pipeline (:mod:`repro.api.deltalog`) — it runs the same
+detection work the leader did, one quantum behind at most.  When the
+leader dies, ``promote()`` hands that session over as it stands, in O(1),
+and the resume guarantee (DESIGN.md Section 6) makes it bit-identical to
+the uninterrupted run from the last logged quantum onward.
 
 The follower reads through :class:`~repro.api.deltalog.FileTailTransport`,
 which tails a delta-checkpoint directory on a shared filesystem.
 ``catch_up()`` handles leader compaction transparently: on a generation
-flip it fast-forwards (keeps its state and restarts the tail) when its
-position matches the new base, otherwise it reloads the fresh base.
+flip it fast-forwards (keeps its session and restarts the tail) when its
+position matches the new base, otherwise it restores the fresh base.
 
 Data-loss window: the leader logs one record per *completed* quantum, so a
 crash loses at most the partially ingested quantum in the leader's pending
@@ -23,28 +23,29 @@ quantum boundary (``current_quantum``) to continue exactly.
 
 from __future__ import annotations
 
-import copy
 import time
 
-from repro.api.checkpoint import save_checkpoint
-from repro.api.deltalog import FileTailTransport, apply_record
+from repro.api.deltalog import FileTailTransport, base_session, replay
 from repro.errors import CheckpointError
 
 
 class FollowerSession:
     """Warm standby over a leader's delta checkpoint.
 
-    ``path`` names the delta-checkpoint directory.  Construction loads the
-    current base and replays the log; ``catch_up()`` applies anything
-    appended since; ``promote()`` turns the follower into a live session.
-    A promoted follower is spent: further ``catch_up`` / ``promote`` calls
-    raise :class:`CheckpointError`, because the live session now owns the
-    state and the tree handed over is no longer tracking the log.
+    ``path`` names the delta-checkpoint directory.  ``noun_tagger`` and
+    ``extractor`` are the function-valued state a restore cannot read off
+    the base — pass the leader's, exactly as with
+    ``open_session(resume=...)``.  Construction restores the current base
+    and replays the log; ``catch_up()`` replays anything appended since;
+    ``promote()`` hands the live session over.  A promoted follower is
+    spent: further ``catch_up`` / ``promote`` / ``snapshot`` calls raise
+    :class:`CheckpointError`, because the caller now owns the session.
     """
 
-    def __init__(self, path) -> None:
+    def __init__(self, path, *, noun_tagger=None, extractor=None) -> None:
         self._transport = FileTailTransport(path)
-        self._promoted = False
+        self._overrides = {"noun_tagger": noun_tagger, "extractor": extractor}
+        self._session = None
         self.records_applied = 0
         self.generations_seen = 0
         self._load_generation(self._transport.manifest())
@@ -52,16 +53,14 @@ class FollowerSession:
     # ------------------------------------------------------------ tailing
 
     def _load_generation(self, manifest: dict) -> None:
-        """Load a generation's base and replay its whole log."""
-        state = self._transport.load_base(manifest)
-        if state.get("quantum") != manifest["base_quantum"]:
-            raise CheckpointError(
-                f"delta checkpoint base is at quantum "
-                f"{state.get('quantum')!r} but the manifest says "
-                f"{manifest['base_quantum']!r}"
-            )
+        """Restore a generation's base and replay its whole log."""
+        self._session = base_session(
+            self._transport, manifest, **self._overrides
+        )
+        self._tail_generation(manifest)
+
+    def _tail_generation(self, manifest: dict) -> None:
         self._manifest = manifest
-        self._state = state
         self._offset = 0
         self.generations_seen += 1
         self._apply_new_records()
@@ -70,44 +69,43 @@ class FollowerSession:
         records, self._offset = self._transport.read_records(
             self._manifest, self._offset
         )
-        for record in records:
-            self._state = apply_record(self._state, record)
-            self.records_applied += 1
+        replay(self._session, records)
+        self.records_applied += len(records)
+        self._quantum = self._session.current_quantum
         return len(records)
 
-    def catch_up(self) -> int:
-        """Apply every record the leader has logged since the last call.
-
-        Returns the number of quanta applied.  Handles a leader compaction
-        (generation flip) transparently: if the new base is exactly where
-        the follower already stands, only the tail position resets
-        (fast-forward — no base reload); otherwise the fresh base is
-        loaded.  A log that vanishes mid-read because the leader compacted
-        between the manifest poll and the log read is retried once against
-        the new manifest.
-        """
-        if self._promoted:
+    def _live(self):
+        if self._session is None:
             raise CheckpointError(
                 "this follower was promoted; the live session owns the "
                 "state now — open a new FollowerSession to keep tailing"
             )
-        applied = 0
+        return self._session
+
+    def catch_up(self) -> int:
+        """Replay every record the leader has logged since the last call.
+
+        Returns the number of quanta replayed.  Handles a leader compaction
+        (generation flip) transparently: if the new base is exactly where
+        the follower already stands, only the tail position resets
+        (fast-forward — no restore); otherwise the fresh base is restored.
+        A log that vanishes mid-read because the leader compacted between
+        the manifest poll and the log read is retried once against the new
+        manifest.
+        """
+        session = self._live()
+        before = self.records_applied
         manifest = self._transport.manifest()
         if manifest["generation"] != self._manifest["generation"]:
-            if manifest["base_quantum"] == self._state["quantum"]:
+            if manifest["base_quantum"] == session.current_quantum:
                 # Compaction snapshotted exactly our position: keep the
-                # warm state, just tail the new log from its start.
-                before = self.records_applied
-                self._manifest = manifest
-                self._offset = 0
-                self.generations_seen += 1
-                self._apply_new_records()
-                return self.records_applied - before
-            before = self.records_applied
-            self._load_generation(manifest)
+                # warm session, just tail the new log from its start.
+                self._tail_generation(manifest)
+            else:
+                self._load_generation(manifest)
             return self.records_applied - before
         try:
-            applied = self._apply_new_records()
+            self._apply_new_records()
         except CheckpointError:
             # The leader may have compacted between our manifest poll and
             # the log read, unlinking the log we were tailing.  Retry once
@@ -115,70 +113,61 @@ class FollowerSession:
             fresh = self._transport.manifest()
             if fresh["generation"] == self._manifest["generation"]:
                 raise
-            before = self.records_applied
             self._load_generation(fresh)
-            return self.records_applied - before
-        return applied
+        return self.records_applied - before
 
     def wait_for_quantum(
         self, quantum: int, *, timeout: float = 30.0, poll: float = 0.05
     ) -> None:
-        """Poll ``catch_up`` until the state reaches ``quantum``.
+        """Poll ``catch_up`` until the replica reaches ``quantum``.
 
         Test/benchmark convenience for file-transport followers; raises
         :class:`CheckpointError` on timeout so a stuck leader surfaces as
         a readable failure instead of a hang.
         """
         deadline = time.monotonic() + timeout
-        while self._state["quantum"] < quantum:
+        while self._quantum < quantum:
             self.catch_up()
-            if self._state["quantum"] >= quantum:
+            if self._quantum >= quantum:
                 break
             if time.monotonic() >= deadline:
                 raise CheckpointError(
                     f"follower timed out waiting for quantum {quantum}; "
-                    f"still at quantum {self._state['quantum']}"
+                    f"still at quantum {self._quantum}"
                 )
             time.sleep(poll)
 
     # ------------------------------------------------------------ promote
 
-    def promote(self, *, noun_tagger=None, extractor=None):
-        """Turn the warm state into a live :class:`DetectorSession`.
+    def promote(self):
+        """Hand the replica over as a live :class:`DetectorSession`.
 
         The promote contract (DESIGN.md Section 10): the returned session
         continues from the last logged quantum with an empty pending
         buffer, and — fed the stream from that quantum boundary on — emits
         reports, sink events, histories, and checkpoints bit-identical to
-        the uninterrupted run.  Custom extractors/taggers must be
-        re-supplied, exactly as with ``open_session(resume=...)``.
+        the uninterrupted run.
         """
-        if self._promoted:
+        if self._session is None:
             raise CheckpointError("this follower was already promoted")
-        from repro.api.session import DetectorSession
-
-        session = DetectorSession._from_state_tree(
-            copy.deepcopy(self._state),
-            noun_tagger=noun_tagger,
-            extractor=extractor,
-        )
-        self._promoted = True
+        session, self._session = self._session, None
         return session
 
     def snapshot(self, path) -> None:
-        """Write the follower's current state as a monolithic checkpoint.
+        """Write the replica's current state as a monolithic checkpoint.
 
         Useful for off-leader snapshotting: the follower pays the full
         serialization cost so the leader never has to.
         """
-        save_checkpoint(path, self._state)
+        self._live().snapshot(path)
 
     # ------------------------------------------------------------ introspection
 
     @property
     def current_quantum(self) -> int:
-        """Quantum index of the last applied record (or the base)."""
-        return self._state["quantum"]
+        """Quantum index of the last replayed record (or the base); after
+        promotion, the quantum the session was handed over at."""
+        return self._quantum
 
     @property
     def generation(self) -> int:
@@ -187,7 +176,7 @@ class FollowerSession:
 
     @property
     def promoted(self) -> bool:
-        return self._promoted
+        return self._session is None
 
 
 __all__ = ["FollowerSession"]

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dataclass_field
+from pathlib import Path
 from typing import (
     Dict,
     Iterable,
@@ -45,6 +46,7 @@ from typing import (
     Optional,
     Sequence,
     Set,
+    Tuple,
     Union,
 )
 
@@ -193,6 +195,8 @@ class DetectorSession:
         self.total_timings = StageTimings()
         self._subscriptions: List[Subscription] = []
         self._delta_writer = None
+        self._logged = None
+        self._log_tail = None
         self._closed = False
 
     # ------------------------------------------------------------- access
@@ -291,10 +295,11 @@ class DetectorSession:
         self.total_timings.add(ctx.timings)
         self._dispatch(report)
         if self._delta_writer is not None:
-            # One framed edit op per completed quantum: the durable
-            # stream a FollowerSession tails to stay warm (DESIGN.md
+            # One framed input record per completed quantum: the durable
+            # stream recovery and a FollowerSession replay (DESIGN.md
             # Section 10).  An append failure propagates — a leader whose
             # durability channel broke must not keep running silently.
+            self._logged = (messages, report.elapsed_seconds)
             self._delta_writer.append(self)
         return report
 
@@ -469,15 +474,16 @@ class DetectorSession:
         """Start incremental checkpointing into the directory ``path``.
 
         Writes a base snapshot of the current state now, then appends one
-        framed edit op per completed quantum (compacting — fresh base,
-        truncated log — once the log passes
-        :data:`~repro.api.deltalog.COMPACT_RATIO` times the base size).
-        The directory loads like any checkpoint
-        (``open_session(resume=path)``) and is what a
-        :class:`~repro.api.follower.FollowerSession` tails to stay warm.
-        An existing delta checkpoint directory is attached with a fresh
-        generation (new base from this session's state), which is how a
-        promoted follower chains its own standby.
+        framed record of each completed quantum's input (compacting —
+        fresh base, truncated log — once replaying the log would take
+        longer than :data:`~repro.api.deltalog.REPLAY_BUDGET_S`).  The
+        directory loads like any checkpoint (``open_session(resume=path)``)
+        and is what a :class:`~repro.api.follower.FollowerSession` replays
+        to stay warm.  A session resumed from ``path`` that has not moved
+        since appends to the generation it replayed; any other existing
+        delta checkpoint directory is attached with a fresh generation (new
+        base from this session's state), which is how a promoted follower
+        chains its own standby.
         """
         from repro.api.deltalog import DeltaCheckpointWriter
 
@@ -496,6 +502,10 @@ class DetectorSession:
 
     def _state_tree(self) -> dict:
         """Compose the full serializable session state (DESIGN.md S6/S10)."""
+        try:
+            maintainer_state = self.maintainer.to_state()
+        except GraphError as exc:
+            raise CheckpointError(str(exc)) from exc
         return {
             "config": self.config.to_dict(),
             # Extractor identity: the registry spec that rebuilds the
@@ -511,17 +521,7 @@ class DetectorSession:
             "custom_noun_tagger": self._custom_noun_tagger,
             "builder": self.builder.to_state(),
             "tracker": self.tracker.to_state(),
-            **self._volatile_state(),
-        }
-
-    def _volatile_state(self) -> dict:
-        """The small subtrees every quantum rewrites: a delta-log record
-        ships them whole (diffing them would cost more than it saves)."""
-        try:
-            maintainer_state = self.maintainer.to_state()
-        except GraphError as exc:
-            raise CheckpointError(str(exc)) from exc
-        return {
+            "maintainer": maintainer_state,
             "quantum": self._quantum,
             "total_messages": self.total_messages,
             "total_seconds": self.total_seconds,
@@ -529,26 +529,24 @@ class DetectorSession:
             "pending": [
                 message_to_record(m) for m in self.batcher.pending_messages()
             ],
-            "maintainer": maintainer_state,
         }
 
-    def _quantum_op(self) -> list:
-        """Edit op turning the previous quantum boundary's
-        :meth:`_state_tree` into the current one — the delta-log record.
-
-        The layers' own ops for the quantum just finished (the AKG stage's
-        window splices, the tracker's record patches) plus
-        :meth:`_volatile_state` replaced whole; the identity keys (config,
-        extractor) never change within a session.
-        """
-        sets = [
-            [key, ["r", value]]
-            for key, value in self._volatile_state().items()
-        ]
-        touched = self.ranker.last_recomputed | self.ranker.last_removed
-        sets.append(["builder", self.builder.quantum_op(self._quantum)])
-        sets.append(["tracker", self.tracker.quantum_op(self._quantum, touched)])
-        return ["d", sets, []]
+    def _quantum_record(self) -> Tuple[dict, float]:
+        """The delta-log record of the quantum just processed — its input
+        — and the seconds processing it took (what replaying it costs)."""
+        messages, seconds = self._logged
+        for message in messages:
+            if type(message.user_id) not in (str, int):
+                raise CheckpointError(
+                    f"a delta log records user ids as strings or integers; "
+                    f"quantum {self._quantum} has user id "
+                    f"{message.user_id!r}"
+                )
+        record = {
+            "q": self._quantum,
+            "in": [message_to_record(m) for m in messages],
+        }
+        return record, seconds
 
     @classmethod
     def restore(
@@ -558,7 +556,8 @@ class DetectorSession:
         noun_tagger: Optional[NounTagger] = None,
         extractor: Optional[EntityExtractor] = None,
     ) -> "DetectorSession":
-        """Reconstruct a session from a :meth:`snapshot` file.
+        """Reconstruct a session from a :meth:`snapshot` file or a delta
+        checkpoint directory (its base restored, its logged input replayed).
 
         Registered extractors are rebuilt by value from the spec the
         checkpoint records.  ``noun_tagger`` and custom ``extractor``
@@ -568,6 +567,12 @@ class DetectorSession:
         extractor would silently break the bit-identical guarantee.  Pass
         the same objects the original session used.
         """
+        if Path(path).is_dir():
+            from repro.api.deltalog import open_replayed
+
+            return open_replayed(
+                path, noun_tagger=noun_tagger, extractor=extractor
+            )
         return cls._from_state_tree(
             load_checkpoint(path), noun_tagger=noun_tagger, extractor=extractor
         )
@@ -582,10 +587,10 @@ class DetectorSession:
     ) -> "DetectorSession":
         """Materialize a live session from a decoded state tree.
 
-        The common trunk under :meth:`restore` and
-        :meth:`~repro.api.follower.FollowerSession.promote`: the tree may
-        come from a monolithic snapshot, a replayed delta log, or a warm
-        follower — the resume guarantees apply identically.  The caller
+        The common trunk under :meth:`restore` and the delta log's replay
+        (recovery and :class:`~repro.api.follower.FollowerSession` restore
+        a base through it, then feed it the logged input) — the resume
+        guarantees apply identically.  The caller
         yields ownership of ``state``; layers may keep references into it.
         """
         config = DetectorConfig.from_dict(state["config"])
@@ -683,12 +688,13 @@ def open_session(
     custom ones must be passed back in.
 
     ``delta_log=path`` enables incremental checkpointing: a base snapshot
-    now, then one durable edit-script record per completed quantum into
-    the directory ``path`` (compacted past
-    :data:`~repro.api.deltalog.COMPACT_RATIO` times the base size) — the
-    stream a warm-standby :class:`~repro.api.follower.FollowerSession`
-    tails (DESIGN.md Section 10).  ``resume`` accepts a delta-checkpoint
-    directory as well as a monolithic snapshot file.
+    now, then one durable record of each completed quantum's input into
+    the directory ``path`` (compacted once replaying it would pass
+    :data:`~repro.api.deltalog.REPLAY_BUDGET_S`) — the stream a
+    warm-standby :class:`~repro.api.follower.FollowerSession` replays
+    (DESIGN.md Section 10).  ``resume`` accepts a delta-checkpoint
+    directory as well as a monolithic snapshot file; resuming from and
+    logging to the same directory appends to the generation replayed.
     """
     if resume is not None:
         if config is not None:

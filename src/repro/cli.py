@@ -14,9 +14,10 @@ full detector state after the trace (including a buffered partial quantum),
 and ``--resume-from PATH`` continues a checkpointed session over more data —
 the resumed stream is bit-identical to one that never stopped (DESIGN.md
 Section 6).  ``--delta-log DIR`` switches durability to the incremental
-checkpoint format (base snapshot + per-quantum delta records, DESIGN.md
-Section 10); ``follow DIR --promote`` is the matching failover move: a warm
-standby replays the log and takes over bit-identically mid-stream.
+checkpoint format (base snapshot + each completed quantum's input,
+DESIGN.md Section 10); ``follow DIR --promote`` is the matching failover
+move: a warm standby replays the log through its own pipeline and takes
+over bit-identically mid-stream.
 
 The engine is entity-agnostic: ``detect --extractor edges`` runs a raw
 actor–entity interaction stream (``generate edge``), ``--extractor fields``
@@ -104,8 +105,10 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delta-log", metavar="DIR",
                         help="write an incremental checkpoint to DIR while "
                              "detecting: base snapshot now, then one "
-                             "durable delta record per completed quantum "
-                             "(tail it with 'repro follow DIR')")
+                             "durable record of each completed quantum's "
+                             "input (tail it with 'repro follow DIR'); "
+                             "with --resume-from DIR the log is appended "
+                             "to")
 
 
 def _config_from(args: argparse.Namespace) -> DetectorConfig:
@@ -196,7 +199,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         print(
             f"-- delta log enabled at {args.delta_log} "
             f"(generation {writer.generation}, "
-            f"base quantum {session.current_quantum})"
+            f"at quantum {session.current_quantum})"
         )
     printed = 0
     quanta = 0
@@ -265,7 +268,7 @@ def _cmd_follow(args: argparse.Namespace) -> int:
     print(
         f"-- following {args.delta_log}: generation {follower.generation}, "
         f"quantum {follower.current_quantum} "
-        f"({follower.records_applied} delta record(s) replayed)"
+        f"({follower.records_applied} logged quanta replayed)"
     )
     if args.until_quantum is not None:
         follower.wait_for_quantum(
@@ -278,7 +281,7 @@ def _cmd_follow(args: argparse.Namespace) -> int:
             applied = follower.catch_up()
             if applied:
                 print(
-                    f"-- applied {applied} record(s), now at quantum "
+                    f"-- replayed {applied} record(s), now at quantum "
                     f"{follower.current_quantum} "
                     f"(generation {follower.generation})"
                 )

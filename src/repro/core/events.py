@@ -64,9 +64,6 @@ class EventRecord:
     absorbed_into: Optional[int] = None
     gaps: List[Tuple[int, int]] = field(default_factory=list)
     _observed_until: Optional[int] = field(default=None, repr=False)
-    #: index of this record in its tracker's (insertion-ordered, append-
-    #: only) record list — where :meth:`EventTracker.quantum_op` patches it
-    _position: int = field(default=-1, repr=False, compare=False)
 
     @property
     def alive(self) -> bool:
@@ -178,15 +175,6 @@ class EventRecord:
         return (not self.evolved()) and self.rank_monotonically_decreasing()
 
 
-def _tail_insert(sequence: list, encoded_last) -> list:
-    """List edit op for "``sequence`` just gained its last element"."""
-    edits: List[list] = []
-    if len(sequence) > 1:
-        edits.append(["k", len(sequence) - 1])
-    edits.append(["i", [encoded_last]])
-    return ["l", edits]
-
-
 class EventTracker:
     """Maintains :class:`EventRecord` objects from per-quantum cluster state."""
 
@@ -222,9 +210,7 @@ class EventTracker:
         record = self._records.get(event_id)
         reopened = False
         if record is None:
-            record = EventRecord(
-                event_id, quantum, _position=len(self._records)
-            )
+            record = EventRecord(event_id, quantum)
             self._records[event_id] = record
         elif record.died_quantum is not None:
             # A retired id re-appeared (id reuse after a dissolve is
@@ -372,75 +358,17 @@ class EventTracker:
             ],
         }
 
-    def quantum_op(self, quantum: int, touched: Iterable[int]) -> list:
-        """Edit op turning the previous quantum's :meth:`to_state` tree
-        into the current one (DESIGN.md Section 10).
-
-        ``touched`` must cover every event id the observation of
-        ``quantum`` visited (the ranker's ``last_recomputed`` and
-        ``last_removed``).  What happened to each is read back off the
-        record — it was born, died, reopened or gained a change point *at*
-        ``quantum``, or it is unchanged — so the cost follows the quantum's
-        churn, never the number of histories kept.  Records are append-only
-        and gain at most one snapshot and one gap per quantum: every edit
-        is a key replacement or a tail insert.
-        """
-        records = self._records
-        edits: List[list] = []
-        cursor = 0
-        for record in sorted(
-            (records[eid] for eid in touched if eid in records),
-            key=lambda record: record._position,
-        ):
-            if record.born_quantum == quantum:
-                kind, item = "i", self._record_state(record)
-            else:
-                sets: List[list] = []
-                reopened = bool(record.gaps) and record.gaps[-1][1] == quantum
-                if reopened or record.died_quantum == quantum:
-                    # A live record's absorbed_into is None, so a death
-                    # writes it only when a merge set it; what a reopen
-                    # cleared is no longer known, so it always writes.
-                    if reopened or record.absorbed_into is not None:
-                        sets.append(
-                            ["absorbed_into", ["r", record.absorbed_into]]
-                        )
-                    sets.append(["died_quantum", ["r", record.died_quantum]])
-                if reopened:
-                    gap = list(record.gaps[-1])
-                    sets.append(["gaps", _tail_insert(record.gaps, gap)])
-                if record.snapshots[-1].quantum == quantum:
-                    snapshot = self._snapshot_state(record.snapshots[-1])
-                    sets.append(
-                        ["snapshots", _tail_insert(record.snapshots, snapshot)]
-                    )
-                if not sets:
-                    continue
-                kind, item = "p", ["d", sets, []]
-            if record._position > cursor:
-                edits.append(["k", record._position - cursor])
-            if edits and edits[-1][0] == kind:
-                edits[-1][1].append(item)
-            else:
-                edits.append([kind, [item]])
-            cursor = record._position + 1
-        sets = [["last_quantum", ["r", self._last_quantum]]]
-        if edits:
-            sets.append(["records", ["l", edits]])
-        return ["d", sets, []]
-
     def from_state(self, state: dict) -> None:
         """Rebuild the tracker in place from :meth:`to_state` output."""
         self._records = {}
         self._last_quantum = state["last_quantum"]
-        for position, record in enumerate(state["records"]):
+        for record in state["records"]:
             out = EventRecord(
                 event_id=record["event_id"],
                 born_quantum=record["born_quantum"],
                 died_quantum=record["died_quantum"],
                 absorbed_into=record["absorbed_into"],
                 gaps=[tuple(gap) for gap in record["gaps"]],
-                _position=position,
             )
             for quantum, keywords, rank, support, num_edges in record[
                 "snapshots"

@@ -25,6 +25,7 @@ from __future__ import annotations
 import asyncio
 import os
 import re
+import logging
 import threading
 import time
 from collections import deque
@@ -34,11 +35,12 @@ from typing import Deque, Dict, List, Optional
 
 from repro.api import open_session
 from repro.config import DetectorConfig
-from repro.errors import CheckpointError, ConfigError, ReproError, ServeError
+from repro.errors import CheckpointError, ConfigError, ServeError
 from repro.serve.hub import FanoutHub
 from repro.stream.messages import Message
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,63}")
+_log = logging.getLogger(__name__)
 
 
 def _check_name(what: str, name) -> None:
@@ -177,9 +179,15 @@ class Tenant:
                 self.reports += await loop.run_in_executor(
                     self.manager.executor, self._ingest_sync, batch
                 )
-            except ReproError as exc:
+            except Exception as exc:
                 # A poisoned batch must not kill the tenant: count it,
-                # remember why, keep draining.
+                # remember why, keep draining.  Any exception — the
+                # drainer is the tenant's only consumer, and a dead one
+                # leaves every later ``?wait=1`` ingest hanging.
+                _log.exception(
+                    "tenant %s: a batch of %d messages failed",
+                    self.name, len(batch),
+                )
                 self.errors += 1
                 self.failed += len(batch)
                 self.last_error = f"{type(exc).__name__}: {exc}"

@@ -41,22 +41,44 @@ def message_to_record(message: Message) -> dict:
 
 
 def message_from_record(record: dict) -> Message:
-    """Inverse of :func:`message_to_record`; raises ``StreamError`` on bad
-    records (missing user id, neither tokens nor text)."""
+    """Inverse of :func:`message_to_record`; raises ``StreamError`` naming
+    the field of a bad record.  ``u`` (required) is a string or an integer,
+    ``k`` a list of strings, ``t`` a string, ``f`` an object and ``ts`` a
+    number; one of ``k``, ``t`` and ``f`` must be present."""
     if not isinstance(record, dict):
         raise StreamError(f"record is not an object: {record!r}")
     if "u" not in record:
         raise StreamError("missing user id")
-    tokens = record.get("k")
-    fields = record.get("f")
+    user, tokens = record["u"], record.get("k")
+    text, fields, timestamp = record.get("t"), record.get("f"), record.get("ts")
+    if isinstance(user, bool) or not isinstance(user, (str, int)):
+        raise StreamError(
+            f"field 'u' (user id) must be a string or an integer: {user!r}"
+        )
+    if tokens is not None and not (
+        isinstance(tokens, list) and all(type(t) is str for t in tokens)
+    ):
+        raise StreamError(
+            f"field 'k' (tokens) must be a list of strings: {tokens!r}"
+        )
+    if text is not None and not isinstance(text, str):
+        raise StreamError(f"field 't' (text) must be a string: {text!r}")
     if fields is not None and not isinstance(fields, dict):
-        raise StreamError(f"fields payload is not an object: {fields!r}")
+        raise StreamError(
+            f"field 'f' (fields payload) must be an object: {fields!r}"
+        )
+    if timestamp is not None and (
+        isinstance(timestamp, bool) or not isinstance(timestamp, (int, float))
+    ):
+        raise StreamError(
+            f"field 'ts' (timestamp) must be a number: {timestamp!r}"
+        )
     return Message(
-        user_id=record["u"],
+        user_id=user,
         tokens=tuple(tokens) if tokens is not None else None,
-        text=record.get("t"),
+        text=text,
         fields=fields,
-        timestamp=record.get("ts"),
+        timestamp=timestamp,
     )
 
 

@@ -346,7 +346,10 @@ class TestVersionMigration:
     continuation fingerprint below is what each of those trees produced
     for messages 250..300 — the migrated resume must reproduce it bit for
     bit.  ``delta_v6/`` is the PR 21 tree's delta log of the same stream: a
-    base at message 160 and the four records up to message 240.
+    base at message 160 and the four records up to message 240.  Its
+    records are state edits, which delta-log version 7 (records are the
+    quanta's input) no longer applies: the directory is refused by manifest
+    version, and its base still loads as a checkpoint.
     """
 
     VERSIONS = (2, 3, 4, 5, 6, 7, 8)
@@ -416,25 +419,18 @@ class TestVersionMigration:
         assert session.total_timings.akg_update == stored["akg_update"] > 0.0
 
     def test_parent_written_delta_directory_continues_bit_identically(self):
+        """The v6 records are refused, but its base resumes and — re-fed
+        the input those records logged, which is what a version-7 record
+        holds — continues bit-identically."""
         from golden import fingerprint, note_record, report_record
-        from repro.api.checkpoint import load_checkpoint
-        from repro.api.deltalog import FileTailTransport
 
-        transport = FileTailTransport(self.DELTA_DIR)
-        records, _ = transport.read_records(transport.manifest(), 0)
-        assert len(records) == 4
-        assert "overlap_saved" in json.dumps(records[-1])
-        # every record replaces the ``ckg_stats`` subtree checkpoint v7
-        # dropped and the ``notified`` subtree v9 dropped; the replayed tree
-        # carries both again and restore ignores them
-        assert all('"ckg_stats"' in json.dumps(r) for r in records)
-        assert all('"notified"' in json.dumps(r) for r in records)
-        replayed = load_checkpoint(self.DELTA_DIR)
-        assert replayed["ckg_stats"] is None
-        assert replayed["notified"]
-        session = open_session(resume=self.DELTA_DIR)
-        assert session.current_quantum == 11
+        with pytest.raises(CheckpointError, match="version 6"):
+            open_session(resume=self.DELTA_DIR)
+        session = open_session(resume=self.DELTA_DIR / "base-0.ckpt")
+        assert session.current_quantum == 7
         assert session.batcher.pending == 0
+        list(session.ingest_many(self.stream()[160:240]))
+        assert session.current_quantum == 11
         inbox = QueueSink()
         session.subscribe(inbox)
         reports = list(session.ingest_many(self.stream()[240:]))
@@ -444,13 +440,27 @@ class TestVersionMigration:
         }
         assert fingerprint(structure) == self.CONTINUATION
 
+    def test_v6_delta_directory_is_refused_by_manifest_version(self):
+        from repro.api.checkpoint import load_checkpoint
+        from repro.api.deltalog import DELTA_VERSION
+
+        assert DELTA_VERSION == 7
+        for load in (load_checkpoint, lambda p: open_session(resume=p)):
+            with pytest.raises(
+                CheckpointError,
+                match="delta-checkpoint version 6; this build reads "
+                "version 7",
+            ):
+                load(self.DELTA_DIR)
+        base = load_checkpoint(self.DELTA_DIR / "base-0.ckpt")
+        assert base["quantum"] == 7 and "notified" not in base
+
     # ``fingerprint(encode_state(load_checkpoint(asset)))`` as the retired
     # one-step-per-version migration chain (v2 -> v3 -> ... -> v7) produced
     # it, minus the config's ``minhash_size`` and ``seed`` that v8 drops and
     # the config's ``min_cluster_size`` and ``rank_threshold_scale`` and the
-    # top-level ``notified`` that v9 drops (``delta_v6`` keeps ``notified``:
-    # its records put it back): the single upgrade step must land on the
-    # very same trees.
+    # top-level ``notified`` that v9 drops: the single upgrade step must
+    # land on the very same trees.
     UPGRADED = {
         "checkpoint_v2.ckpt": (
             "b067029a0fc7c53b00a8b51039d76f1827692d876431a7251fb241357dc7cac9"
@@ -472,9 +482,6 @@ class TestVersionMigration:
         ),
         "checkpoint_v8.ckpt": (
             "a097486c74451a34e15005bc451b3c5636f1796f675bec2b9ad127d77f595558"
-        ),
-        "delta_v6": (
-            "de2736475db0dc57a4ee1843180b2e1696547d81cdf66234fa869079089acb63"
         ),
     }
 
@@ -601,12 +608,20 @@ class TestVersionMigration:
             open_session(resume=path)
 
     def test_referee_mode_delta_base_is_refused_by_name(self, tmp_path):
+        """A current-version directory over the v6 asset's base (a v5
+        snapshot) rewritten as a referee-mode one, with an empty log."""
         import shutil
+
+        from repro.api.deltalog import _LOG_MAGIC, DELTA_VERSION
 
         delta = tmp_path / "delta"
         shutil.copytree(self.DELTA_DIR, delta)
         base = delta / "base-0.ckpt"
         self.with_referee_mode(base, base, "oracle_akg")
+        (delta / "deltas-0.log").write_bytes(_LOG_MAGIC)
+        manifest = json.loads((delta / "MANIFEST.json").read_text())
+        manifest["version"] = DELTA_VERSION
+        (delta / "MANIFEST.json").write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match="oracle_akg=True"):
             open_session(resume=delta)
 

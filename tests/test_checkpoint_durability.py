@@ -18,24 +18,24 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import deltalog, open_session
 from repro.api.checkpoint import (
+    encode_state,
     fsync_dir,
     load_checkpoint,
     save_checkpoint,
 )
-from repro.api import deltalog
 from repro.api.deltalog import (
     _LOG_MAGIC,
     DELTA_FORMAT,
     DELTA_VERSION,
-    DeltaCheckpointWriter,
     encode_frame,
     read_manifest,
     write_manifest,
 )
 from repro.errors import CheckpointError
 
-from tree_diff import TreeSource
+from test_api_checkpoint import bursty_stream, make_config
 
 STATE = {"quantum": 3, "payload": [1, 2.5, ("a", "b"), {"x": {1, 2}}]}
 NEXT = {"quantum": 4, "payload": [2, 2.5, ("a", "c"), {"x": {1, 2, 3}}]}
@@ -203,24 +203,24 @@ class TestSnapshotFaults:
 # ------------------------------------------------------------- delta log
 
 
+def clocks_zeroed(state: dict) -> str:
+    """A session state tree, wall clocks zeroed, as canonical JSON: what
+    replaying a log must reproduce (processing times are not)."""
+    state = dict(state, total_seconds=0.0, timings=None)
+    state["maintainer"] = dict(state["maintainer"], clustering_seconds=0.0)
+    return json.dumps(encode_state(state), sort_keys=True)
+
+
 def build_delta_dir(tmp_path, n_appends=3):
+    """A real leader's log of ``n_appends`` four-message quanta, and the
+    leader's state at each quantum boundary from the base on."""
     d = tmp_path / "d"
-    writer = DeltaCheckpointWriter(d)
-    state = {"quantum": 0, "payload": {"keys": set(), "log": []}}
-    source = TreeSource(state)
-    writer.start(source)
-    states = [state]
-    for q in range(1, n_appends + 1):
-        state = {
-            "quantum": q,
-            "payload": {
-                "keys": set(range(q * 3)),
-                "log": [[f"k{i}", i * 1.5] for i in range(q * 4)],
-            },
-        }
-        writer.append(source.advance(state))
-        states.append(state)
-    writer.close()
+    messages = bursty_stream(3, 4 * n_appends)
+    with open_session(make_config(quantum_size=4), delta_log=d) as session:
+        states = [clocks_zeroed(session._state_tree())]
+        for q in range(n_appends):
+            session.process_quantum(messages[4 * q : 4 * q + 4])
+            states.append(clocks_zeroed(session._state_tree()))
     return d, states
 
 
@@ -228,7 +228,7 @@ class TestDeltaLogFaults:
     @pytest.fixture(autouse=True)
     def one_generation(self, monkeypatch):
         """No compaction: the faults are injected into generation 0."""
-        monkeypatch.setattr(deltalog, "COMPACT_RATIO", 1e9)
+        monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 1e9)
 
     def test_truncation_at_every_byte_loads_a_quantum_boundary(
         self, tmp_path
@@ -242,9 +242,9 @@ class TestDeltaLogFaults:
             state = load_checkpoint(d)
             # whatever the tear, the result is one of the exact states
             # the leader logged — never a blend
-            assert state in states
+            assert clocks_zeroed(state) in states
         log.write_bytes(data)
-        assert load_checkpoint(d) == states[-1]
+        assert clocks_zeroed(load_checkpoint(d)) == states[-1]
 
     def test_corrupted_mid_log_record_loads_prefix(self, tmp_path):
         d, states = build_delta_dir(tmp_path)
@@ -257,14 +257,14 @@ class TestDeltaLogFaults:
         second_payload = len(_LOG_MAGIC) + header.size + first_len + header.size
         data[second_payload + 1] ^= 0xFF
         log.write_bytes(bytes(data))
-        assert load_checkpoint(d) == states[1]
+        assert clocks_zeroed(load_checkpoint(d)) == states[1]
 
     def test_discontinuous_log_raises(self, tmp_path):
         d, states = build_delta_dir(tmp_path)
         manifest = read_manifest(d)
         log = d / manifest["log"]
         with open(log, "ab") as fh:
-            fh.write(encode_frame({"q": 99, "op": None}))
+            fh.write(encode_frame({"q": 99, "in": []}))
         with pytest.raises(CheckpointError, match="discontinuous"):
             load_checkpoint(d)
 
@@ -330,42 +330,35 @@ class TestDeltaLogFaults:
 
     def test_failed_append_breaks_the_writer(self, tmp_path, monkeypatch):
         d = tmp_path / "d"
-        writer = DeltaCheckpointWriter(d)
-        source = TreeSource({"quantum": 0, "x": 1})
-        writer.start(source)
+        messages = bursty_stream(5, 12)
+        leader = open_session(make_config(quantum_size=4), delta_log=d)
 
         def exploding_fsync(fd):
             raise OSError("injected: fsync failed")
 
         monkeypatch.setattr(os, "fsync", exploding_fsync)
         with pytest.raises(CheckpointError, match="injected"):
-            writer.append(source.advance({"quantum": 1, "x": 2}))
+            leader.process_quantum(messages[:4])
         monkeypatch.undo()
         # the tail may be torn now: the writer must refuse to continue
         with pytest.raises(CheckpointError, match="broken"):
-            writer.append(source.advance({"quantum": 2, "x": 3}))
-        writer.close()
+            leader.process_quantum(messages[4:8])
+        leader.close()
         # the directory still loads (torn tail = consistent prefix) and a
-        # fresh leader attaches with a new generation
+        # new leader resumed from it appends to the generation it replayed
         state = load_checkpoint(d)
-        assert state["quantum"] in (0, 1)
-        successor = DeltaCheckpointWriter(d)
-        source = TreeSource(state)
-        successor.start(source)
-        assert successor.generation == 1
-        successor.append(
-            source.advance({**state, "quantum": state["quantum"] + 1})
-        )
-        successor.close()
+        assert state["quantum"] in (-1, 0)
+        with open_session(resume=d, delta_log=d) as successor:
+            assert successor.delta_writer.generation == 0
+            successor.process_quantum(messages[8:])
         assert load_checkpoint(d)["quantum"] == state["quantum"] + 1
 
     def test_append_fsyncs_log_and_directory(self, tmp_path, monkeypatch):
         import stat
 
-        d, _ = build_delta_dir(tmp_path, n_appends=0)
-        writer = DeltaCheckpointWriter(tmp_path / "d2")
-        source = TreeSource({"quantum": 0, "x": 0})
-        writer.start(source)
+        session = open_session(
+            make_config(quantum_size=4), delta_log=tmp_path / "d"
+        )
         synced = {"file": 0, "dir": 0}
         real_fsync = os.fsync
         real_fstat = os.fstat
@@ -380,6 +373,6 @@ class TestDeltaLogFaults:
             return real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", spying_fsync)
-        writer.append(source.advance({"quantum": 1, "x": 1}))
+        session.process_quantum(bursty_stream(7, 4))
         assert synced["file"] >= 1 and synced["dir"] >= 1
-        writer.close()
+        session.close()

@@ -1,244 +1,54 @@
-"""Delta checkpoints: patch exactness, framing, writer, directory reader.
+"""Delta checkpoints: framing, writer, directory reader and replay.
 
-``patch_tree`` is the whole of the reader's logic, so it is exercised over
-every op shape the vocabulary has — generated by the exhaustive differ
-kept as a test oracle (``tests/tree_diff.py``): ``patch_tree(a,
-diff_trees(a, b)) == b`` at the *byte* level of the canonical checkpoint
-codec, on deterministic corner cases and a seeded structural fuzzer.  (That
-the ops the *layers* emit patch exactly is ``test_delta_records.py``.)
-Framing is tested the way crashes tear it: truncation at every byte offset
-of a real log must yield a consistent prefix, never an exception and never
-a wrong record.
+A record is the completed quantum's input, and recovery replays it through
+the pipeline, so the contract is *lossless replay*: a session resumed from
+a delta directory and fed the rest of the stream equals the uninterrupted
+run — reports, and the final checkpoint under
+``golden.normalized_checkpoint_state`` (wall clocks are not deterministic,
+so they are zeroed) — whatever the records carry: integer user ids,
+structured ``fields`` payloads, timestamps, and a base that holds a partial
+pending quantum.  Framing is tested the way crashes tear it: truncation at
+every byte offset of a real log must yield a consistent prefix, never an
+exception and never a wrong record.
 """
 
-import json
+import os
 import random
+import signal
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import golden
 from repro.api import deltalog, open_session
-from repro.api.checkpoint import load_checkpoint, save_checkpoint
 from repro.api.deltalog import (
     _LOG_MAGIC,
     DeltaCheckpointWriter,
     FileTailTransport,
-    apply_record,
     decode_frames,
     encode_frame,
-    patch_tree,
     read_manifest,
+    replay,
 )
+from repro.config import DetectorConfig
+from repro.datasets.entity_streams import build_structured_trace
 from repro.errors import CheckpointError
+from repro.stream.messages import Message
+from repro.stream.sources import message_from_record
 
-from test_api_checkpoint import bursty_stream, make_config
-from tree_diff import TreeSource, canon, diff_trees
-
-
-def roundtrip(a, b):
-    """Assert diff/patch reproduces ``b`` exactly, bytes included."""
-    op = diff_trees(a, b)
-    patched = patch_tree(a, op)
-    assert canon(patched) == canon(b)
-    return op
+from test_api_checkpoint import bursty_stream, make_config, report_key
 
 
-# ---------------------------------------------------------------- diff/patch
-
-
-class TestDiffPatch:
-    def test_identical_trees_diff_to_none(self):
-        tree = {"a": [1, 2, {3}], "b": (1.5, "x")}
-        assert diff_trees(tree, {"a": [1, 2, {3}], "b": (1.5, "x")}) is None
-
-    def test_patch_none_is_identity(self):
-        tree = {"a": 1}
-        assert patch_tree(tree, None) is tree
-
-    def test_scalar_replacement(self):
-        roundtrip(1, 2)
-        roundtrip("a", "b")
-        roundtrip(None, 0)
-
-    def test_type_switch_is_replacement(self):
-        # 1 == 1.0 and True == 1 under ==, but they serialize differently;
-        # the diff must not treat them as equal.
-        for a, b in [(1, 1.0), (1.0, 1), (True, 1), (0, False)]:
-            op = diff_trees(a, b)
-            assert op is not None
-            assert canon(patch_tree(a, op)) == canon(b)
-
-    def test_negative_zero_is_a_change(self):
-        assert diff_trees(0.0, -0.0) is not None
-        roundtrip(0.0, -0.0)
-        roundtrip([0.0], [-0.0])
-
-    def test_dict_set_delete_nested(self):
-        a = {"keep": 1, "drop": 2, "edit": {"x": [1, 2]}}
-        b = {"keep": 1, "new": 3, "edit": {"x": [1, 2, 3]}}
-        roundtrip(a, b)
-
-    def test_set_add_remove(self):
-        roundtrip({1, 2, 3}, {2, 3, 4})
-        roundtrip(frozenset({("a", 1)}), frozenset({("a", 1), ("b", 2)}))
-
-    def test_list_head_expiry_tail_append(self):
-        # the sliding-window shape: drop from the head, append at the tail
-        a = list(range(100))
-        b = list(range(10, 110))
-        op = roundtrip(a, b)
-        # the edit script must be splice-sized, not a wholesale replace:
-        # only the 10 appended elements ride the op
-        assert op[0] == "l"
-        inserted = sum(
-            len(edit[1]) for edit in op[1] if edit[0] == "i"
-        )
-        assert inserted == 10
-
-    def test_list_single_element_edit_is_small(self):
-        a = [["k%d" % i, [i, i + 1]] for i in range(200)]
-        b = [list(pair) for pair in a]
-        b[77] = ["k77", [77, 999]]
-        op = roundtrip(a, b)
-        assert len(canon(op)) < len(canon(b)) / 10
-
-    def test_tuple_preserved_through_patch(self):
-        a = {"t": (1, 2, 3)}
-        b = {"t": (1, 2, 4)}
-        patched = patch_tree(a, diff_trees(a, b))
-        assert isinstance(patched["t"], tuple)
-
-    def test_frozenset_preserved_through_patch(self):
-        a = frozenset({1})
-        patched = patch_tree(a, diff_trees(a, frozenset({1, 2})))
-        assert isinstance(patched, frozenset)
-
-    def test_patch_does_not_mutate_input(self):
-        a = {"x": [1, 2], "s": {1}}
-        snapshot = canon(a)
-        patch_tree(a, diff_trees(a, {"x": [1, 2, 3], "s": {1, 2}}))
-        assert canon(a) == snapshot
-
-    def test_misapplied_patch_raises(self):
-        # nested edit against a key the state does not have (the inner
-        # dict is padded so the script beats plain replacement and stays
-        # a nested edit instead of shrinking to a replace op)
-        pad = {f"pad{i}": i for i in range(30)}
-        op = diff_trees(
-            {"a": {"x": 1, **pad}}, {"a": {"x": 2, **pad}}
-        )
-        with pytest.raises(CheckpointError):
-            patch_tree({"b": {"x": 1, **pad}}, op)
-        # deleting a key the state does not have
-        op = diff_trees({"a": 1, **pad}, pad)
-        with pytest.raises(CheckpointError):
-            patch_tree(pad, op)
-        # removing a set member the state does not have
-        big = set(range(40))
-        op = diff_trees(big | {99}, big)
-        with pytest.raises(CheckpointError):
-            patch_tree(big, op)
-        # dict edit against a non-dict
-        op = diff_trees(
-            {"a": 1, **pad}, {"a": 2, **pad}
-        )
-        with pytest.raises(CheckpointError):
-            patch_tree([1, 2], op)
-
-    def test_malformed_op_raises(self):
-        for bad in [[], ["nope", 1], ["l", [["?", 1]]], 42]:
-            with pytest.raises(CheckpointError):
-                patch_tree({"a": 1}, bad)
-
-    def test_op_round_trips_through_the_wire_codec(self):
-        from repro.api.deltalog import decode_op, encode_op
-
-        a = {"m": {("u", 1): {1.5, 2.5}}, "l": [1, "x", None]}
-        b = {"m": {("u", 1): {1.5, 3.5}, ("v", 2): {9.0}}, "l": [1, "y"]}
-        op = diff_trees(a, b)
-        revived = decode_op(
-            json.loads(json.dumps(encode_op(op), sort_keys=True))
-        )
-        assert canon(patch_tree(a, revived)) == canon(b)
-
-    def test_wire_codec_rejects_garbage(self):
-        from repro.api.deltalog import decode_op
-
-        for bad in [["?", 1], 42, ["l", [["?", 1]]]]:
-            with pytest.raises(CheckpointError):
-                decode_op(bad)
-
-
-def random_tree(rng, depth=0):
-    kind = rng.randrange(8 if depth < 3 else 5)
-    if kind == 0:
-        return rng.randrange(-50, 50)
-    if kind == 1:
-        return rng.choice([None, True, False])
-    if kind == 2:
-        return rng.choice([0.0, -0.0, 1.5, 2.25, -3.125, 1e300])
-    if kind == 3:
-        return "s%d" % rng.randrange(30)
-    if kind == 4:
-        return frozenset(rng.sample(range(20), rng.randrange(4)))
-    if kind == 5:
-        return [random_tree(rng, depth + 1) for _ in range(rng.randrange(5))]
-    if kind == 6:
-        return tuple(
-            random_tree(rng, depth + 1) for _ in range(rng.randrange(4))
-        )
-    return {
-        "k%d" % i: random_tree(rng, depth + 1)
-        for i in range(rng.randrange(4))
-    }
-
-
-def mutate_tree(rng, tree, depth=0):
-    """A structurally similar tree: edit some substructure in place."""
-    if rng.random() < 0.25 or not isinstance(tree, (list, tuple, dict)):
-        return random_tree(rng, depth)
-    if isinstance(tree, dict):
-        out = dict(tree)
-        for key in list(out):
-            roll = rng.random()
-            if roll < 0.15:
-                del out[key]
-            elif roll < 0.5:
-                out[key] = mutate_tree(rng, out[key], depth + 1)
-        if rng.random() < 0.4:
-            out["k%d" % rng.randrange(8)] = random_tree(rng, depth + 1)
-        return out
-    items = [
-        mutate_tree(rng, x, depth + 1) if rng.random() < 0.4 else x
-        for x in tree
-    ]
-    if rng.random() < 0.4 and items:
-        del items[rng.randrange(len(items))]
-    if rng.random() < 0.4:
-        items.insert(
-            rng.randrange(len(items) + 1), random_tree(rng, depth + 1)
-        )
-    return tuple(items) if isinstance(tree, tuple) else items
-
-
-class TestDiffPatchFuzz:
-    @pytest.mark.parametrize("seed", range(30))
-    def test_patch_of_diff_is_exact_on_random_trees(self, seed):
-        rng = random.Random(seed)
-        a = random_tree(rng)
-        b = mutate_tree(rng, a)
-        roundtrip(a, b)
-        roundtrip(b, a)
-
-    def test_chained_patches_track_a_drifting_tree(self):
-        rng = random.Random(99)
-        current = random_tree(rng)
-        follower = current
-        for _ in range(40):
-            nxt = mutate_tree(rng, current)
-            follower = patch_tree(follower, diff_trees(current, nxt))
-            current = nxt
-        assert canon(follower) == canon(current)
+def same_state(a, b) -> bool:
+    """Two checkpoints (files or delta directories) hold the same session
+    state, wall clocks aside."""
+    return golden.fingerprint(
+        golden.normalized_checkpoint_state(a)
+    ) == golden.fingerprint(golden.normalized_checkpoint_state(b))
 
 
 # ------------------------------------------------------------------ framing
@@ -247,9 +57,9 @@ class TestDiffPatchFuzz:
 class TestFraming:
     def records(self):
         return [
-            {"q": 1, "op": {"t": "dict", "v": []}},
-            {"q": 2, "op": None},
-            {"q": 3, "op": {"t": "list", "v": [1, 2, "x"]}},
+            {"q": 1, "in": [{"u": "a", "k": ["x", "y"]}]},
+            {"q": 2, "in": []},
+            {"q": 3, "in": [{"u": 7, "t": "text", "ts": 1.5}]},
         ]
 
     def test_round_trip(self):
@@ -298,31 +108,12 @@ class TestFraming:
 # ------------------------------------------------ writer + directory reader
 
 
-def session_states(n_quanta, config=None, seed=3, messages=None):
-    """State trees of a real session at consecutive quantum boundaries."""
-    config = config or make_config()
-    if messages is None:
-        messages = bursty_stream(seed, n_quanta * config.quantum_size)
-    session = open_session(config)
-    states = []
-    for i in range(n_quanta):
-        list(
-            session.ingest_many(
-                messages[
-                    i * config.quantum_size : (i + 1) * config.quantum_size
-                ]
-            )
-        )
-        states.append(session._state_tree())
-    return states
-
-
 def logged_record_sizes(tmp_path, config, messages):
     """Frame size of every record a real session logs over ``messages``;
     leaves a monolithic snapshot of the final state at ``full.ckpt``."""
     sizes = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(deltalog, "COMPACT_RATIO", 1e12)  # one generation
+        patch.setattr(deltalog, "REPLAY_BUDGET_S", 1e12)  # one generation
         with open_session(config, delta_log=tmp_path / "d") as session:
             writer = session.delta_writer
             logged = writer.log_bytes
@@ -333,71 +124,81 @@ def logged_record_sizes(tmp_path, config, messages):
     return sizes
 
 
+def lead(tmp_path, n_messages, seed=3, config=None):
+    """A leader that logged ``n_messages`` of a bursty stream to
+    ``tmp_path/d`` and snapshotted the same position to ``mono.ckpt``."""
+    config = config or make_config()
+    with open_session(config, delta_log=tmp_path / "d") as session:
+        list(session.ingest_many(bursty_stream(seed, n_messages)))
+        session.snapshot(tmp_path / "mono.ckpt")
+        return session.delta_writer
+
+
 class TestWriterAndReader:
     def test_replay_equals_monolithic(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(deltalog, "COMPACT_RATIO", 1e9)
-        states = session_states(8)
-        writer = DeltaCheckpointWriter(tmp_path / "d")
-        source = TreeSource(states[0])
-        writer.start(source)
-        for state in states[1:]:
-            writer.append(source.advance(state))
-        writer.close()
-        save_checkpoint(tmp_path / "mono.ckpt", states[-1])
-        assert canon(load_checkpoint(tmp_path / "d")) == canon(
-            load_checkpoint(tmp_path / "mono.ckpt")
-        )
+        monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 1e9)
+        writer = lead(tmp_path, 8 * 20)
+        assert writer.records_written == 8 and writer.compactions == 0
+        assert same_state(tmp_path / "d", tmp_path / "mono.ckpt")
 
     def test_compaction_rolls_generation_and_truncates(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setattr(deltalog, "COMPACT_RATIO", 0.5)
-        states = session_states(8)
-        writer = DeltaCheckpointWriter(tmp_path / "d")
-        source = TreeSource(states[0])
-        writer.start(source)
-        for state in states[1:]:
-            writer.append(source.advance(state))
-        assert writer.compactions > 0
+        monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 0.0)
+        writer = lead(tmp_path, 8 * 20)
+        assert writer.compactions == 8
         manifest = read_manifest(tmp_path / "d")
         assert manifest["generation"] == writer.generation > 0
+        assert manifest["base_quantum"] == 7
         # old-generation files are gone, current ones exist
         names = {p.name for p in (tmp_path / "d").iterdir()}
         assert manifest["base"] in names and manifest["log"] in names
         assert not any(
             n.startswith(("base-0", "deltas-0")) for n in names
         )
-        writer.close()
-        assert canon(load_checkpoint(tmp_path / "d")) == canon(states[-1])
+        assert same_state(tmp_path / "d", tmp_path / "mono.ckpt")
+
+    def test_compaction_follows_the_replay_cost(self, tmp_path, monkeypatch):
+        """A generation rolls once the logged quanta's processing seconds
+        pass the budget, and the log then restarts from zero cost."""
+        seconds = []
+        monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 1e9)
+        with open_session(make_config(), delta_log=tmp_path / "d") as s:
+            for report in s.ingest_many(bursty_stream(3, 6 * 20)):
+                seconds.append(report.elapsed_seconds)
+            writer = s.delta_writer
+            assert writer.replay_seconds == pytest.approx(sum(seconds))
+            monkeypatch.setattr(
+                deltalog, "REPLAY_BUDGET_S", writer.replay_seconds
+            )
+            list(s.ingest_many(bursty_stream(4, 20)))
+            assert writer.compactions == 1
+            assert writer.replay_seconds == 0.0
+            assert read_manifest(tmp_path / "d")["base_quantum"] == 6
 
     def test_attach_starts_a_fresh_generation(self, tmp_path):
-        states = session_states(6)
-        source = TreeSource(states[0])
-        first = DeltaCheckpointWriter(tmp_path / "d")
-        first.start(source)
-        first.append(source.advance(states[1]))
-        first.close()
-        second = DeltaCheckpointWriter(tmp_path / "d")
-        second.start(source)
-        assert second.generation == first.generation + 1
-        second.append(source.advance(states[2]))
-        second.close()
-        assert canon(load_checkpoint(tmp_path / "d")) == canon(states[2])
+        """A session that was not replayed from the directory (here: a
+        fresh one) attaches with a new generation and its own base."""
+        first = lead(tmp_path, 2 * 20)
+        config = make_config()
+        with open_session(config, delta_log=tmp_path / "d") as second:
+            assert second.delta_writer.generation == first.generation + 1
+            list(second.ingest_many(bursty_stream(5, 20)))
+            second.snapshot(tmp_path / "second.ckpt")
+        assert same_state(tmp_path / "d", tmp_path / "second.ckpt")
 
     def test_append_before_start_raises(self, tmp_path):
         writer = DeltaCheckpointWriter(tmp_path / "d")
         with pytest.raises(CheckpointError, match="not started"):
-            writer.append(TreeSource({"quantum": 0}))
+            writer.append(open_session(make_config()))
 
     def test_delta_records_are_small(self, tmp_path):
         # A quantum that touches a small fraction of a wide window — the
-        # regime delta checkpoints exist for.  (The bursty fixture churns
-        # its whole 6-keyword state every quantum, so it exercises
-        # correctness, not size.)  Each quantum uses one of 20 rotating
-        # keyword groups over a 12-quantum window.  At full scale the
-        # e2e benchmark's api.deltalog.delta_ratio tracks the same size.
-        from repro.stream.messages import Message
-
+        # regime delta checkpoints exist for.  Each quantum uses one of 20
+        # rotating keyword groups over a 12-quantum window.  A record is
+        # the quantum's input, so its size is the input's whatever the
+        # window holds; at full scale the e2e benchmark's
+        # api.deltalog.delta_ratio tracks the same size.
         rng = random.Random(5)
         config = make_config(quantum_size=40, window_quanta=12)
         n_quanta = 30
@@ -415,15 +216,15 @@ class TestWriterAndReader:
                     )
                 )
         sizes = logged_record_sizes(tmp_path, config, messages)
-        # compare steady-state deltas to a full snapshot at the same
+        # compare steady-state records to a full snapshot at the same
         # stream position (the gen-0 base predates the full window)
         full = (tmp_path / "full.ckpt").stat().st_size
         assert max(sizes[12:]) < full / 2
 
     def test_delta_record_never_larger_than_a_snapshot(self, tmp_path):
         # worst case — a tiny window that churns completely every few
-        # quanta: a record is a window block plus the small subtrees
-        # whole, never more than the state it moves
+        # quanta: a record is the quantum's messages, never more than the
+        # state it moves
         config = make_config()
         sizes = logged_record_sizes(
             tmp_path, config, bursty_stream(3, 6 * config.quantum_size)
@@ -431,11 +232,14 @@ class TestWriterAndReader:
         assert max(sizes) < (tmp_path / "full.ckpt").stat().st_size
 
     def test_discontinuous_record_raises(self):
-        state = {"quantum": 5}
+        session = open_session(make_config())
         with pytest.raises(CheckpointError, match="discontinuous"):
-            apply_record(state, {"q": 7, "op": None})
+            replay(session, [{"q": 7, "in": []}])
         with pytest.raises(CheckpointError, match="malformed"):
-            apply_record(state, {"op": None})
+            replay(session, [{"q": 0}])
+        with pytest.raises(CheckpointError, match="field 'u'"):
+            replay(session, [{"q": 0, "in": [{"u": [1], "k": ["a"]}]}])
+        assert session.current_quantum == -1
 
     def test_transport_rejects_bad_magic(self, tmp_path):
         d = tmp_path / "d"
@@ -457,13 +261,9 @@ class TestSessionIntegration:
         with open_session(config, delta_log=tmp_path / "d") as session:
             list(session.ingest_many(messages))
             session.snapshot(tmp_path / "mono.ckpt")
-        assert canon(load_checkpoint(tmp_path / "d")) == canon(
-            load_checkpoint(tmp_path / "mono.ckpt")
-        )
+        assert same_state(tmp_path / "d", tmp_path / "mono.ckpt")
 
     def test_resume_from_delta_directory_is_bit_identical(self, tmp_path):
-        from test_api_checkpoint import report_key
-
         config = make_config()
         messages = bursty_stream(13, 900)
         whole = open_session(config)
@@ -479,3 +279,214 @@ class TestSessionIntegration:
         with open_session(make_config(), delta_log=tmp_path / "d") as s:
             with pytest.raises(CheckpointError):
                 s.enable_delta_log(tmp_path / "d2")
+
+
+# ------------------------------------------------------- resume appends
+
+
+class TestResumeAppends:
+    def test_resume_appends_to_the_replayed_generation(self, tmp_path):
+        """No fresh base on resume: the log keeps growing in place, and a
+        second resume replays the records of both runs."""
+        config = make_config()
+        messages = bursty_stream(17, 900)
+        whole = open_session(config)
+        list(whole.ingest_many(messages))
+        whole.snapshot(tmp_path / "whole.ckpt")
+        lead_writer = None
+        with open_session(config, delta_log=tmp_path / "d") as leader:
+            list(leader.ingest_many(messages[:300]))
+            lead_writer = leader.delta_writer
+        base = (tmp_path / "d" / "base-0.ckpt").read_bytes()
+        with open_session(resume=tmp_path / "d", delta_log=tmp_path / "d") as s:
+            writer = s.delta_writer
+            assert writer.generation == lead_writer.generation == 0
+            assert writer.log_bytes == lead_writer.log_bytes
+            list(s.ingest_many(messages[300:600]))
+        assert (tmp_path / "d" / "base-0.ckpt").read_bytes() == base
+        records, _ = FileTailTransport(tmp_path / "d").read_records(
+            read_manifest(tmp_path / "d"), 0
+        )
+        assert [r["q"] for r in records] == list(range(30))
+        resumed = open_session(resume=tmp_path / "d")
+        list(resumed.ingest_many(messages[600:]))
+        resumed.snapshot(tmp_path / "resumed.ckpt")
+        assert same_state(tmp_path / "resumed.ckpt", tmp_path / "whole.ckpt")
+
+    def test_resume_cuts_a_torn_tail_before_appending(self, tmp_path):
+        config = make_config()
+        messages = bursty_stream(19, 400)
+        with open_session(config, delta_log=tmp_path / "d") as leader:
+            list(leader.ingest_many(messages[:200]))
+        log = tmp_path / "d" / read_manifest(tmp_path / "d")["log"]
+        intact = log.read_bytes()
+        log.write_bytes(intact + encode_frame({"q": 10, "in": []})[:-3])
+        with open_session(resume=tmp_path / "d", delta_log=tmp_path / "d") as s:
+            assert s.current_quantum == 9
+            assert log.read_bytes() == intact
+            list(s.ingest_many(messages[200:]))
+        assert open_session(resume=tmp_path / "d").current_quantum == 19
+
+    def test_moved_session_does_not_append_to_the_old_log(self, tmp_path):
+        """A resumed session that processed quanta before enabling the log
+        no longer stands at the log's end: it starts a new generation."""
+        config = make_config()
+        messages = bursty_stream(23, 400)
+        with open_session(config, delta_log=tmp_path / "d") as leader:
+            list(leader.ingest_many(messages[:200]))
+        resumed = open_session(resume=tmp_path / "d")
+        list(resumed.ingest_many(messages[200:300]))
+        resumed.enable_delta_log(tmp_path / "d")
+        assert resumed.delta_writer.generation == 1
+        resumed.snapshot(tmp_path / "mono.ckpt")
+        resumed.close()
+        assert same_state(tmp_path / "d", tmp_path / "mono.ckpt")
+
+
+# ------------------------------------------------------ lossless replay
+
+
+def crash_and_resume(tmp_path, config, messages, split):
+    """The uninterrupted run, and a leader that logs ``messages[:split]``
+    and stops, resumed from its log over the rest: (expected reports, got
+    reports, whole.ckpt, resumed.ckpt)."""
+    whole = open_session(config)
+    expected = [report_key(r) for r in whole.ingest_many(messages)]
+    whole.snapshot(tmp_path / "whole.ckpt")
+    with open_session(config, delta_log=tmp_path / "d") as leader:
+        got = [report_key(r) for r in leader.ingest_many(messages[:split])]
+    resumed = open_session(resume=tmp_path / "d")
+    got += [report_key(r) for r in resumed.ingest_many(messages[split:])]
+    resumed.snapshot(tmp_path / "resumed.ckpt")
+    return expected, got, resumed
+
+
+def logged_messages(path):
+    """Every message the log holds, decoded."""
+    records, _ = FileTailTransport(path).read_records(read_manifest(path), 0)
+    return [message_from_record(m) for r in records for m in r["in"]]
+
+
+class TestLosslessReplay:
+    def test_integer_user_ids_come_back_as_ints(self, tmp_path):
+        config = make_config()
+        messages = [
+            Message(int(m.user_id[1:]), tokens=m.tokens)
+            for m in bursty_stream(41, 600)
+        ]
+        expected, got, resumed = crash_and_resume(
+            tmp_path, config, messages, 400
+        )
+        assert got == expected
+        assert logged_messages(tmp_path / "d") == messages[:400]
+        users = {
+            user
+            for _, block in resumed.builder.idsets.to_state()["window"]
+            for _, block_users in block
+            for user in block_users
+        }
+        assert users and all(type(u) is int for u in users)
+        assert same_state(tmp_path / "resumed.ckpt", tmp_path / "whole.ckpt")
+
+    def test_fields_payloads_through_the_structured_extractor(
+        self, tmp_path
+    ):
+        trace = build_structured_trace(
+            total_messages=1200, n_events=3, seed=5
+        )
+        config = DetectorConfig(
+            quantum_size=80,
+            window_quanta=5,
+            high_state_threshold=3,
+            extractor="fields",
+            extractor_options={"fields": ["tags"]},
+            require_noun=False,
+        )
+        messages = trace.messages[:1200]
+        expected, got, _ = crash_and_resume(tmp_path, config, messages, 800)
+        assert got == expected
+        assert any(r[2] for r in expected)  # events were reported
+        assert logged_messages(tmp_path / "d") == messages[:800]
+        assert same_state(tmp_path / "resumed.ckpt", tmp_path / "whole.ckpt")
+
+    def test_timestamps_survive_the_log(self, tmp_path):
+        config = make_config()
+        messages = [
+            Message(m.user_id, tokens=m.tokens, timestamp=1e9 + i * 0.25)
+            for i, m in enumerate(bursty_stream(43, 600))
+        ]
+        messages[5] = Message("u5", tokens=("k1", "k2"), timestamp=7)
+        expected, got, _ = crash_and_resume(tmp_path, config, messages, 400)
+        assert got == expected
+        logged = logged_messages(tmp_path / "d")
+        assert logged == messages[:400]
+        assert type(logged[5].timestamp) is int
+        assert same_state(tmp_path / "resumed.ckpt", tmp_path / "whole.ckpt")
+
+    def test_base_with_a_partial_pending_quantum(self, tmp_path):
+        """Resume from a snapshot holding a partial quantum, log, kill -9,
+        resume from the log.  The first record's input begins with the
+        base's pending messages; replay must not count them twice."""
+        config = make_config()
+        messages = bursty_stream(47, 900)
+        whole = open_session(config)
+        expected = [report_key(r) for r in whole.ingest_many(messages)]
+        whole.snapshot(tmp_path / "whole.ckpt")
+
+        first = open_session(config)
+        got = [report_key(r) for r in first.ingest_many(messages[:317])]
+        assert first.batcher.pending == 17
+        first.snapshot(tmp_path / "final.ckpt")
+        first.close()
+
+        script = textwrap.dedent(
+            """
+            import sys, time
+            sys.path.insert(0, {src!r})
+            sys.path.insert(0, {tests!r})
+            from repro.api import open_session
+            from test_api_checkpoint import bursty_stream
+
+            session = open_session(resume={final!r}, delta_log={dlog!r})
+            for message in bursty_stream(47, 900)[317:617]:
+                session.ingest(message)
+            print("ready", flush=True)
+            time.sleep(60)
+            """
+        ).format(
+            src=str(Path("src").resolve()),
+            tests=str(Path("tests").resolve()),
+            final=str(tmp_path / "final.ckpt"),
+            dlog=str(tmp_path / "d"),
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline().strip() == b"ready"
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+
+        manifest = read_manifest(tmp_path / "d")
+        assert manifest["base_quantum"] == 14
+        records, _ = FileTailTransport(tmp_path / "d").read_records(
+            manifest, 0
+        )
+        assert records[0]["q"] == 15
+        assert [message_from_record(m) for m in records[0]["in"]] == (
+            messages[300:320]
+        )
+        resumed = open_session(resume=tmp_path / "d")
+        assert resumed.current_quantum == 29
+        assert resumed.batcher.pending == 0
+        # quanta 15-29 were reported by the killed process
+        got += [report_key(r) for r in resumed.ingest_many(messages[600:])]
+        assert got == expected[:15] + expected[30:]
+        resumed.snapshot(tmp_path / "resumed.ckpt")
+        assert same_state(tmp_path / "resumed.ckpt", tmp_path / "whole.ckpt")

@@ -93,7 +93,7 @@ class TestPromoteParity:
         across compactions (generation flips)."""
         config = make_config()
         messages = bursty_stream(23, 800)
-        monkeypatch.setattr(deltalog, "COMPACT_RATIO", 1.0)
+        monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 0.0)
         with open_session(config, delta_log=tmp_path / "d") as leader:
             list(leader.ingest_many(messages[:200]))
             follower = FollowerSession(tmp_path / "d")

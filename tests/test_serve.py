@@ -594,3 +594,100 @@ class TestTenantFlags:
             client._request("PUT", "/v1/t", {"persist": "false"})
         assert client.tenants() == []
         assert not (tmp_path / "state" / "t").exists()
+
+
+class TestIngestValidation:
+    """A malformed record is refused at the door with a 400 naming its
+    field, and nothing a batch raises kills the tenant's drainer."""
+
+    BAD = (
+        ({"u": "b", "k": [1, [2]]}, "'k'"),
+        ({"u": "b", "k": "abc"}, "'k'"),
+        ({"u": "b", "t": 5}, "'t'"),
+        ({"u": True, "k": ["a"]}, "'u'"),
+        ({"u": [1], "k": ["a"]}, "'u'"),
+        ({"u": "b", "f": ["a"]}, "'f'"),
+        ({"u": "b", "k": ["a"], "ts": "noon"}, "'ts'"),
+    )
+
+    def test_bad_records_are_400_and_the_tenant_keeps_draining(
+        self, server
+    ):
+        client = ServeClient(port=server.port, timeout=10)
+        client.create_tenant("v", CONFIG)
+        for record, field in self.BAD:
+            with pytest.raises(ServeError, match=f"400.*field {field}"):
+                client._request(
+                    "POST", "/v1/v/ingest?wait=1", [record]
+                )
+        pairs = bursty_stream(3, 48)
+        client.ingest("v", materialize(pairs), wait=True)
+        stats = client.stats("v")
+        assert stats["accepted"] == 48 and stats["queued"] == 0
+        assert stats["quantum"] == 1
+        assert stats["errors"] == 0 and stats["last_error"] is None
+
+    def test_bad_stream_frame_is_an_error_ack_naming_the_field(
+        self, server
+    ):
+        client = ServeClient(port=server.port, timeout=10)
+        client.create_tenant("w", CONFIG)
+        with client.stream("w") as ws:
+            ws.send_json([{"u": "b", "k": [1, [2]]}])
+            assert "field 'k'" in ws.recv_json()["error"]
+            ws.send_messages(materialize(bursty_stream(3, 24)))
+            assert ws.recv_json()["accepted"] == 24
+        client.ingest("w", [], wait=True)
+        assert client.stats("w")["quantum"] == 0
+
+    def test_any_exception_in_a_batch_is_counted_not_fatal(self, server):
+        client = ServeClient(port=server.port, timeout=10)
+        client.create_tenant("x", CONFIG)
+        session = server._server.manager.get("x").session
+        real = session.process_quantum
+        calls = []
+
+        def flaky(messages):
+            calls.append(len(messages))
+            if len(calls) == 1:
+                raise RuntimeError("injected: not a ReproError")
+            return real(messages)
+
+        session.process_quantum = flaky
+        client.ingest("x", materialize(bursty_stream(3, 24)), wait=True)
+        stats = client.stats("x")
+        assert stats["errors"] == 1 and stats["failed"] == 24
+        assert stats["last_error"] == (
+            "RuntimeError: injected: not a ReproError"
+        )
+        client.ingest("x", materialize(bursty_stream(4, 24)), wait=True)
+        stats = client.stats("x")
+        assert stats["queued"] == 0 and stats["quantum"] == 0
+        assert stats["errors"] == 1
+
+
+class TestRefusedDeltaFormat:
+    def test_v6_delta_directory_resume_is_400_naming_both_versions(
+        self, tmp_path
+    ):
+        import shutil
+        from pathlib import Path
+
+        state = tmp_path / "state"
+        shutil.copytree(
+            Path(__file__).parent / "data" / "delta_v6",
+            state / "old" / "delta",
+        )
+        thread = ServerThread(state_dir=state, workers=1)
+        thread.start()
+        try:
+            client = ServeClient(port=thread.port)
+            with pytest.raises(
+                ServeError,
+                match="400.*delta-checkpoint version 6; this build reads "
+                "version 7",
+            ):
+                client.create_tenant("old", resume=True)
+            assert client.tenants() == []
+        finally:
+            thread.stop(graceful=True)
