@@ -7,11 +7,14 @@ run — reports, and the final checkpoint under
 ``golden.normalized_checkpoint_state`` (wall clocks are not deterministic,
 so they are zeroed) — whatever the records carry: integer user ids,
 structured ``fields`` payloads, timestamps, and a base that holds a partial
-pending quantum.  Framing is tested the way crashes tear it: truncation at
-every byte offset of a real log must yield a consistent prefix, never an
-exception and never a wrong record.
+pending quantum.  A seeded fuzzer checks the same per record: replaying
+record *q* onto the state taken while *q* was filling gives the state after
+*q*, in canonical codec bytes.  Framing is tested the way crashes tear
+it: truncation at every byte offset of a real log must yield a consistent
+prefix, never an exception and never a wrong record.
 """
 
+import json
 import os
 import random
 import signal
@@ -25,6 +28,7 @@ import pytest
 
 import golden
 from repro.api import deltalog, open_session
+from repro.api.checkpoint import decode_state, encode_state
 from repro.api.deltalog import (
     _LOG_MAGIC,
     DeltaCheckpointWriter,
@@ -34,6 +38,8 @@ from repro.api.deltalog import (
     read_manifest,
     replay,
 )
+from repro.api.follower import FollowerSession
+from repro.api.session import DetectorSession
 from repro.config import DetectorConfig
 from repro.datasets.entity_streams import build_structured_trace
 from repro.errors import CheckpointError
@@ -490,3 +496,125 @@ class TestLosslessReplay:
         assert got == expected[:15] + expected[30:]
         resumed.snapshot(tmp_path / "resumed.ckpt")
         assert same_state(tmp_path / "resumed.ckpt", tmp_path / "whole.ckpt")
+
+
+# ------------------------------------------------ record/replay fuzz
+
+
+def random_stream(rng):
+    """A random small config and a stream over it: user ids all ints or
+    all strings, a drifting hot vocabulary, and by the roll timestamps and
+    ``fields`` payloads through the structured extractor."""
+    structured = rng.random() < 0.3
+    overrides = dict(
+        quantum_size=rng.randint(8, 30),
+        window_quanta=rng.randint(2, 5),
+        high_state_threshold=rng.randint(2, 4),
+    )
+    if structured:
+        overrides.update(
+            extractor="fields", extractor_options={"fields": ["tags"]}
+        )
+    config = make_config(**overrides)
+    int_ids = rng.random() < 0.5
+    stamped = rng.random() < 0.5
+    vocabulary = [f"k{i}" for i in range(rng.randint(4, 20))]
+    n_users = rng.randint(5, 40)
+    messages = []
+    for q in range(rng.randint(3, 8)):
+        hot = rng.sample(vocabulary, rng.randint(2, min(6, len(vocabulary))))
+        for i in range(config.quantum_size):
+            pool = hot if rng.random() < 0.7 else vocabulary
+            tokens = tuple(rng.sample(pool, rng.randint(1, min(4, len(pool)))))
+            user = rng.randrange(n_users)
+            messages.append(
+                Message(
+                    user if int_ids else f"u{user}",
+                    tokens=None if structured else tokens,
+                    fields={"tags": list(tokens)} if structured else None,
+                    timestamp=q * 60.0 + i if stamped else None,
+                )
+            )
+    return config, messages
+
+
+def encoded(tree) -> str:
+    return json.dumps(encode_state(tree), sort_keys=True)
+
+
+def state_bytes(session) -> str:
+    """The session's state tree in canonical codec form, wall clocks
+    zeroed (they are the one thing replay does not reproduce)."""
+    tree = session._state_tree()
+    tree["total_seconds"] = 0.0
+    tree["timings"] = None
+    tree["maintainer"] = dict(tree["maintainer"], clustering_seconds=0.0)
+    return encoded(tree)
+
+
+class TestDiffPatchFuzz:
+    """A record is the diff between the session states on either side of
+    a quantum, and replay is the patch: replaying record *q* onto the state
+    the leader held while quantum *q* was still filling must give the state
+    it held once *q* completed — exactly, in canonical codec bytes, on
+    random configs and streams."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_patch_of_diff_is_exact_on_random_trees(
+        self, seed, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 1e12)
+        rng = random.Random(seed)
+        config, messages = random_stream(rng)
+        size = config.quantum_size
+        # how many of quantum q's messages are buffered when "before" is
+        # taken: 0 is a quantum boundary, more is a partial pending quantum
+        cuts = [rng.randrange(size) for _ in range(len(messages) // size)]
+        before, after = [], []
+        with open_session(config, delta_log=tmp_path / "d") as leader:
+            for i, message in enumerate(messages):
+                if i % size == cuts[i // size]:
+                    before.append(encoded(leader._state_tree()))
+                if leader.ingest(message) is not None:
+                    after.append(state_bytes(leader))
+        records, _ = FileTailTransport(tmp_path / "d").read_records(
+            read_manifest(tmp_path / "d"), 0
+        )
+        assert [r["q"] for r in records] == list(range(len(after)))
+        for tree, record, expected in zip(before, records, after):
+            patched = DetectorSession._from_state_tree(
+                decode_state(json.loads(tree))
+            )
+            replay(patched, [record])
+            assert patched.batcher.pending == 0
+            assert state_bytes(patched) == expected
+
+    def test_chained_patches_track_a_drifting_tree(
+        self, tmp_path, monkeypatch
+    ):
+        """A follower that catches up every other quantum stays equal to
+        the leader across one long generation and then a compaction on
+        every quantum (each one a fast-forward or a fresh base)."""
+        monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 1e12)
+        rng = random.Random(99)
+        config = make_config()
+        messages = bursty_stream(99, 24 * config.quantum_size)
+        checked = 0
+        with open_session(config, delta_log=tmp_path / "d") as leader:
+            follower = FollowerSession(tmp_path / "d")
+            for message in messages:
+                report = leader.ingest(message)
+                if report is None:
+                    continue
+                if report.quantum == 12:
+                    monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 0.0)
+                if rng.random() < 0.5:
+                    follower.catch_up()
+                    assert follower.current_quantum == report.quantum
+                    assert state_bytes(follower._live()) == (
+                        state_bytes(leader)
+                    )
+                    checked += 1
+            assert leader.delta_writer.compactions >= 10
+        assert checked >= 8
+        assert follower.generations_seen > 1
