@@ -141,10 +141,8 @@ class IdSetIndex:
     The window state is ``_quanta`` — a deque of ``(quantum, keys)``
     packed columns, oldest first, holding each quantum's contribution
     verbatim (the extraction stage's own key arrays, kept by reference —
-    they are never mutated).  ``_entries`` memoizes each block's snapshot
-    form by quantum: a block never changes, so a snapshot resolves only
-    the blocks that entered since the last one.  Derived from the blocks
-    by :meth:`_rebuild`, after every slide and on restore alike:
+    they are never mutated).  Derived from it by :meth:`_rebuild`, after
+    every slide and on restore alike:
 
     * ``_pair_keys`` — the packed ``(eid << 32) | aid`` key of every live
       *distinct* (keyword, user) pair, ascending — so a keyword's id set is
@@ -171,7 +169,6 @@ class IdSetIndex:
         "ents",
         "acts",
         "_quanta",
-        "_entries",
         "_pair_keys",
         "_support",
         "_present",
@@ -186,7 +183,6 @@ class IdSetIndex:
         self.acts = Interner(hash_fn=user_hash_fn(seed))
         # (quantum, packed int64 keys) — oldest first, keys sorted/distinct
         self._quanta: Deque[Tuple[int, np.ndarray]] = deque()
-        self._entries: Dict[int, list] = {}
         self._pair_keys = _empty_keys()
         self._support = _empty_keys()
         self._present = np.zeros(0, dtype=bool)
@@ -256,8 +252,7 @@ class IdSetIndex:
         quanta = self._quanta
         expiring: List[np.ndarray] = []
         while quanta and quanta[0][0] <= cutoff:
-            old, keys = quanta.popleft()
-            self._entries.pop(old, None)
+            _, keys = quanta.popleft()
             expiring.append(keys >> 32)
         if len(columns.keys):
             quanta.append((quantum, columns.keys))
@@ -328,18 +323,14 @@ class IdSetIndex:
         :meth:`from_state` derives the rest exactly as a slide does.  Blocks
         are oldest first and each is sorted by keyword, and interner ids
         never appear, so the snapshot is a pure function of the window
-        *contents* (DESIGN.md Section 6).  The block entry lists are the
-        memo's own, shared by every snapshot while the block is live:
-        read them, never mutate them.
+        *contents* (DESIGN.md Section 6).
         """
-        entries = self._entries
-        window = []
-        for q, keys in self._quanta:
-            block = entries.get(q)
-            if block is None:
-                block = entries[q] = self._block_entries(keys)
-            window.append([q, block])
-        return {"last_quantum": self._last_quantum, "window": window}
+        return {
+            "last_quantum": self._last_quantum,
+            "window": [
+                [q, self._block_entries(keys)] for q, keys in self._quanta
+            ],
+        }
 
     def from_state(self, state: dict) -> None:
         """Rebuild the index in place from :meth:`to_state` output."""
@@ -352,7 +343,6 @@ class IdSetIndex:
         ent_intern = self.ents.intern
         act_intern = self.acts.intern
         self._quanta = deque()
-        self._entries = {}
         for q, block in state["window"]:
             packed = [
                 (ent_intern(kw) << 32) | act_intern(user)

@@ -290,7 +290,11 @@ def load_checkpoint(path: "str | Path") -> dict:
     per-quantum input log — :mod:`repro.api.deltalog`): the base is
     restored and the log's consistent prefix replayed through the
     pipeline, yielding the state tree of a monolithic snapshot at the same
-    stream position (wall clocks aside).
+    stream position (wall clocks aside).  Replay needs the session's
+    function-valued parts, so a directory whose base was taken with a
+    custom extractor or noun tagger raises :class:`CheckpointError` here;
+    read it with :func:`~repro.api.deltalog.read_delta_checkpoint`, passing
+    them.
     """
     if Path(path).is_dir():
         from repro.api.deltalog import read_delta_checkpoint

@@ -79,7 +79,7 @@ _LOG_MAGIC = b"RDLG"
 _FRAME_HEADER = struct.Struct(">II")
 _MAX_FRAME = 1 << 31
 
-REPLAY_BUDGET_S = 0.2
+REPLAY_BUDGET_S = 0.15
 """The writer rolls a fresh generation once replaying its log — the summed
 processing seconds of the logged quanta — would take longer than this."""
 
@@ -310,17 +310,19 @@ def open_replayed(path, **overrides):
     return session
 
 
-def read_delta_checkpoint(path) -> dict:
+def read_delta_checkpoint(path, *, noun_tagger=None, extractor=None) -> dict:
     """Replay a delta-checkpoint directory into one decoded state tree.
 
     The tree of the replayed session: equal to a monolithic snapshot taken
     by the leader at the same stream position, wall clocks aside — the
     reader the monolithic :func:`~repro.api.checkpoint.load_checkpoint`
-    dispatches to for directories.  A base taken with a custom extractor or
-    noun tagger cannot be replayed without it; resume those with
-    ``open_session(resume=path, extractor=...)``.
+    dispatches to for directories.  Replay runs the pipeline, so a base
+    taken with a custom ``noun_tagger`` or ``extractor`` needs the same
+    objects passed here, as to ``open_session(resume=path)``.
     """
-    return open_replayed(path)._state_tree()
+    return open_replayed(
+        path, noun_tagger=noun_tagger, extractor=extractor
+    )._state_tree()
 
 
 # =====================================================================

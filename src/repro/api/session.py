@@ -59,7 +59,12 @@ from repro.core.events import EventRecord, EventTracker
 from repro.core.incremental import IncrementalRanker
 from repro.core.maintenance import ClusterMaintainer
 from repro.core.ranking import minimum_rank
-from repro.errors import CheckpointError, GraphError, PipelineError
+from repro.errors import (
+    CheckpointError,
+    GraphError,
+    PipelineError,
+    StreamError,
+)
 from repro.extract import (
     EntityExtractor,
     extractor_spec,
@@ -75,7 +80,11 @@ from repro.pipeline.stages import (
     build_stages,
 )
 from repro.stream.messages import Message
-from repro.stream.sources import message_from_record, message_to_record
+from repro.stream.sources import (
+    check_record,
+    message_from_record,
+    message_to_record,
+)
 from repro.stream.window import QuantumBatcher
 from repro.text.pos import NounTagger
 
@@ -99,6 +108,22 @@ def _note(
         previous_rank=None if prev is None else prev.rank,
         previous_size=None if prev is None else prev.size,
     )
+
+
+def _records(messages: Sequence[Message], where: str) -> List[dict]:
+    """The messages' JSONL records for a checkpoint or the delta log,
+    each checked by the rules its reader applies (``where`` names the
+    records in the error)."""
+    records = [message_to_record(m) for m in messages]
+    try:
+        for record in records:
+            check_record(record)
+    except StreamError as exc:
+        raise CheckpointError(
+            f"cannot record {where}: a checkpoint reads this message back "
+            f"as invalid: {exc}"
+        ) from exc
+    return records
 
 
 @dataclass
@@ -278,6 +303,11 @@ class DetectorSession:
                 "session is closed; open a new session (or resume from a "
                 "checkpoint) to keep ingesting"
             )
+        if self._delta_writer is not None:
+            # The quantum's log record, held to the rules its reader
+            # applies *before* the state moves: a message the log could not
+            # replay is refused here, not found missing at recovery.
+            inputs = _records(messages, f"quantum {self._quantum + 1}")
         start = time.perf_counter()
         self._quantum += 1
         ctx = QuantumContext(quantum=self._quantum, messages=messages)
@@ -299,7 +329,7 @@ class DetectorSession:
             # stream recovery and a FollowerSession replay (DESIGN.md
             # Section 10).  An append failure propagates — a leader whose
             # durability channel broke must not keep running silently.
-            self._logged = (messages, report.elapsed_seconds)
+            self._logged = (inputs, report.elapsed_seconds)
             self._delta_writer.append(self)
         return report
 
@@ -526,27 +556,16 @@ class DetectorSession:
             "total_messages": self.total_messages,
             "total_seconds": self.total_seconds,
             "timings": self.total_timings.as_dict(),
-            "pending": [
-                message_to_record(m) for m in self.batcher.pending_messages()
-            ],
+            "pending": _records(
+                self.batcher.pending_messages(), "the pending buffer"
+            ),
         }
 
     def _quantum_record(self) -> Tuple[dict, float]:
         """The delta-log record of the quantum just processed — its input
         — and the seconds processing it took (what replaying it costs)."""
-        messages, seconds = self._logged
-        for message in messages:
-            if type(message.user_id) not in (str, int):
-                raise CheckpointError(
-                    f"a delta log records user ids as strings or integers; "
-                    f"quantum {self._quantum} has user id "
-                    f"{message.user_id!r}"
-                )
-        record = {
-            "q": self._quantum,
-            "in": [message_to_record(m) for m in messages],
-        }
-        return record, seconds
+        inputs, seconds = self._logged
+        return {"q": self._quantum, "in": inputs}, seconds
 
     @classmethod
     def restore(

@@ -13,7 +13,10 @@ system.
 Records carry their entities either in the ``fields`` payload (under
 ``entities_field``, default ``"entities"``) or — the compact wire form —
 as the message's pre-extracted ``tokens``.  Both forms are equivalent;
-the JSONL trace format uses ``"k"`` (tokens) for exactly this reason.
+the JSONL trace format uses ``"k"`` (tokens) for exactly this reason.  A
+record's ``"k"`` holds strings (:func:`~repro.stream.sources.check_record`);
+integer entity ids travel in the payload, ``{"f": {"entities": [1001]}}``,
+which is read as ``"1001"``.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ class EdgeStreamAdapter:
             # Coerce like the fields path: the engine's string-entity
             # contract (sorted checkpoints) and the
             # "both forms are equivalent" promise both need one canonical
-            # form — {"k": [1001]} and {"entities": [1001]} must land on
-            # the same graph node.
+            # form — an in-process Message(tokens=(1001,)) and
+            # {"entities": [1001]} must land on the same graph node.
             return tuple(s for v in message.tokens if (s := str(v)))
         return ()
 

@@ -40,11 +40,15 @@ def message_to_record(message: Message) -> dict:
     return record
 
 
-def message_from_record(record: dict) -> Message:
-    """Inverse of :func:`message_to_record`; raises ``StreamError`` naming
-    the field of a bad record.  ``u`` (required) is a string or an integer,
-    ``k`` a list of strings, ``t`` a string, ``f`` an object and ``ts`` a
-    number; one of ``k``, ``t`` and ``f`` must be present."""
+def check_record(record: dict) -> None:
+    """Raise ``StreamError`` naming the field of a bad message record.
+
+    The one rule set for every record the engine reads back — an ingest
+    frame, a JSONL line, a delta-log record, a checkpoint's pending buffer
+    — and checked by their writers before they write: ``u`` (required) is
+    a string or an integer (not a bool), ``k`` a list of strings, ``t`` a
+    string, ``f`` an object and ``ts`` a number.
+    """
     if not isinstance(record, dict):
         raise StreamError(f"record is not an object: {record!r}")
     if "u" not in record:
@@ -73,12 +77,18 @@ def message_from_record(record: dict) -> Message:
         raise StreamError(
             f"field 'ts' (timestamp) must be a number: {timestamp!r}"
         )
+
+
+def message_from_record(record: dict) -> Message:
+    """Inverse of :func:`message_to_record`, after :func:`check_record`."""
+    check_record(record)
+    tokens = record.get("k")
     return Message(
-        user_id=user,
+        user_id=record["u"],
         tokens=tuple(tokens) if tokens is not None else None,
-        text=text,
-        fields=fields,
-        timestamp=timestamp,
+        text=record.get("t"),
+        fields=record.get("f"),
+        timestamp=record.get("ts"),
     )
 
 
@@ -153,6 +163,7 @@ __all__ = [
     "write_jsonl_trace",
     "read_jsonl_trace",
     "TraceReadStats",
+    "check_record",
     "message_to_record",
     "message_from_record",
 ]

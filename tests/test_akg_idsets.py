@@ -481,23 +481,3 @@ class TestRebuild:
         assert index._pair_keys is not column
         assert index.support("a") == 0
 
-
-class TestSnapshotMemo:
-    def test_snapshot_blocks_follow_slides_and_restores(self):
-        """Each block's snapshot form is resolved once and reused; an
-        expired block leaves the memo, and a restore replaces it."""
-        index = IdSetIndex(window_quanta=2)
-        index.add_quantum(0, {"a": {1, 2}})
-        index.add_quantum(1, {"b": {3}})
-        first = index.to_state()["window"]
-        assert index.to_state()["window"][1][1] is first[1][1]
-        index.add_quantum(2, {"c": {4}})  # block 0 expires
-        assert index.to_state()["window"] == [
-            [1, [["b", [3]]]], [2, [["c", [4]]]],
-        ]
-        assert sorted(index._entries) == [1, 2]
-        other = IdSetIndex(window_quanta=2)
-        other.add_quantum(1, {"x": {9}})
-        other.add_quantum(2, {"y": {8}})
-        index.from_state(other.to_state())
-        assert index.to_state() == other.to_state()

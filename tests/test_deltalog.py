@@ -28,7 +28,7 @@ import pytest
 
 import golden
 from repro.api import deltalog, open_session
-from repro.api.checkpoint import decode_state, encode_state
+from repro.api.checkpoint import decode_state, encode_state, load_checkpoint
 from repro.api.deltalog import (
     _LOG_MAGIC,
     DeltaCheckpointWriter,
@@ -43,6 +43,7 @@ from repro.api.session import DetectorSession
 from repro.config import DetectorConfig
 from repro.datasets.entity_streams import build_structured_trace
 from repro.errors import CheckpointError
+from repro.extract import KeywordExtractor
 from repro.stream.messages import Message
 from repro.stream.sources import message_from_record
 
@@ -281,6 +282,26 @@ class TestSessionIntegration:
         got += [report_key(r) for r in resumed.ingest_many(messages[600:])]
         assert got == expected
 
+    def test_custom_extractor_directory_reads_with_the_extractor(
+        self, tmp_path
+    ):
+        extractor = KeywordExtractor(tokenizer=str.split)
+        messages = [
+            Message(m.user_id, text=" ".join(m.tokens))
+            for m in bursty_stream(5, 300)
+        ]
+        with open_session(
+            make_config(), extractor=extractor, delta_log=tmp_path / "d"
+        ) as session:
+            list(session.ingest_many(messages))
+            expected = state_bytes(session)
+        with pytest.raises(CheckpointError, match="custom extractor"):
+            load_checkpoint(tmp_path / "d")
+        tree = deltalog.read_delta_checkpoint(
+            tmp_path / "d", extractor=extractor
+        )
+        assert tree_bytes(tree) == expected
+
     def test_enable_delta_log_twice_raises(self, tmp_path):
         with open_session(make_config(), delta_log=tmp_path / "d") as s:
             with pytest.raises(CheckpointError):
@@ -429,6 +450,33 @@ class TestLosslessReplay:
         assert type(logged[5].timestamp) is int
         assert same_state(tmp_path / "resumed.ckpt", tmp_path / "whole.ckpt")
 
+    def test_unrecordable_message_is_refused_before_the_state_moves(
+        self, tmp_path
+    ):
+        """Integer tokens pass the edge extractor in process but a record's
+        ``k`` holds strings: a durable session refuses the quantum up
+        front, so its log still replays to exactly its state."""
+        config = make_config(extractor="edges")
+        messages = bursty_stream(49, 300)
+        with open_session(config, delta_log=tmp_path / "d") as session:
+            list(session.ingest_many(messages[:200]))
+            before = session.current_quantum
+            bad = [Message("u1", tokens=(1001, "x"))] * config.quantum_size
+            with pytest.raises(CheckpointError, match="field 'k'"):
+                session.process_quantum(bad)
+            assert session.current_quantum == before
+            list(session.ingest_many(messages[200:]))
+            session.snapshot(tmp_path / "leader.ckpt")
+        assert logged_messages(tmp_path / "d") == messages
+        assert same_state(tmp_path / "d", tmp_path / "leader.ckpt")
+
+    def test_unrecordable_pending_message_fails_the_snapshot(self, tmp_path):
+        session = open_session(make_config(extractor="edges"))
+        session.ingest(Message("u1", tokens=(1001,)))
+        with pytest.raises(CheckpointError, match="pending buffer.*'k'"):
+            session.snapshot(tmp_path / "s.ckpt")
+        assert not (tmp_path / "s.ckpt").exists()
+
     def test_base_with_a_partial_pending_quantum(self, tmp_path):
         """Resume from a snapshot holding a partial quantum, log, kill -9,
         resume from the log.  The first record's input begins with the
@@ -543,9 +591,12 @@ def encoded(tree) -> str:
 
 
 def state_bytes(session) -> str:
-    """The session's state tree in canonical codec form, wall clocks
-    zeroed (they are the one thing replay does not reproduce)."""
-    tree = session._state_tree()
+    return tree_bytes(session._state_tree())
+
+
+def tree_bytes(tree) -> str:
+    """A state tree in canonical codec form, wall clocks zeroed (they are
+    the one thing replay does not reproduce)."""
     tree["total_seconds"] = 0.0
     tree["timings"] = None
     tree["maintainer"] = dict(tree["maintainer"], clustering_seconds=0.0)

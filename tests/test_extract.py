@@ -141,8 +141,8 @@ class TestEdgeStreamAdapter:
         assert EdgeStreamAdapter().entities(message) == ("17", "x")
 
     def test_token_wire_form_coerced_like_fields(self):
-        """{"k": [1001]} and {"entities": [1001]} must land on the same
-        graph node: both paths emit canonical strings."""
+        """Message(tokens=(1001,)) and {"entities": [1001]} must land on
+        the same graph node: both paths emit canonical strings."""
         via_tokens = EdgeStreamAdapter().entities(Message("u", tokens=(1001, "x")))
         via_fields = EdgeStreamAdapter().entities(
             Message("u", fields={"entities": [1001, "x"]})

@@ -165,6 +165,18 @@ class TestHardenedJsonlReader:
         assert any("invalid JSON" in e for e in stats.errors)
         assert any("missing user id" in e for e in stats.errors)
 
+    def test_a_line_breaking_a_field_rule_is_counted_by_name(self, tmp_path):
+        """Integer ids belong in the payload; ``k`` holds strings."""
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            '{"u": 1, "k": [1001]}\n{"u": 1, "f": {"entities": [1001]}}\n'
+        )
+        stats = TraceReadStats()
+        messages = list(read_jsonl_trace(path, stats=stats))
+        assert [m.fields for m in messages] == [{"entities": [1001]}]
+        assert stats.malformed == 1
+        assert "trace.jsonl:1: field 'k'" in stats.errors[0]
+
     def test_truncated_final_line_skipped(self, tmp_path):
         """A crash mid-write leaves a partial JSON object on the last line;
         the reader must deliver everything before it."""
