@@ -26,7 +26,6 @@ from repro.api.deltalog import (
     FileTailTransport,
     read_delta_checkpoint,
 )
-from repro.api.follower import FollowerSession
 from repro.api.session import DetectorSession, Subscription, open_session
 from repro.api.session_events import EventKind, SessionEvent
 from repro.api.sinks import CallbackSink, QueueSink, Sink
@@ -34,7 +33,6 @@ from repro.api.sinks import CallbackSink, QueueSink, Sink
 __all__ = [
     "open_session",
     "DetectorSession",
-    "FollowerSession",
     "Subscription",
     "EventKind",
     "SessionEvent",

@@ -37,10 +37,13 @@ generation (old-generation files are then unlinked; a follower holding an
 open descriptor on POSIX keeps reading safely and switches generations at
 its next manifest poll).  A session resumed from a directory appends to
 the generation it replayed, after cutting a torn tail back to the
-consistent prefix.
+consistent prefix; complete records past that prefix (another writer's)
+are never cut — the append is refused instead.
 
-A follower reads the directory through :class:`FileTailTransport`, and
-only ever calls its ``manifest()`` / ``load_base()`` / ``read_records()``.
+There is one replay, and one cursor (the session's :class:`LogTail`).  A
+warm standby is a session resumed from the directory that :func:`catch_up`
+keeps at the log's end; taking over is keeping that session.  Reads go
+through :class:`FileTailTransport`.
 """
 
 from __future__ import annotations
@@ -268,20 +271,10 @@ def replay(session, records: List[dict]) -> float:
     return seconds
 
 
-def base_session(transport, manifest: dict, **overrides):
-    """A live session restored from the manifest's base snapshot
-    (``overrides``: the ``noun_tagger`` / ``extractor`` restore takes)."""
-    from repro.api.session import DetectorSession
-
-    return DetectorSession._from_state_tree(
-        transport.load_base(manifest), **overrides
-    )
-
-
 @dataclass(frozen=True)
 class LogTail:
-    """Where a replay of a directory ended: what a writer needs to append
-    to the generation that was replayed instead of starting a new one."""
+    """Where a replay of a directory ended: :func:`catch_up` reads on from
+    it, and a writer appends to its generation."""
 
     path: Path
     generation: int
@@ -290,16 +283,12 @@ class LogTail:
     replay_seconds: float
 
 
-def open_replayed(path, **overrides):
-    """The session a delta checkpoint holds: its base, restored, with the
-    log's consistent prefix replayed through the pipeline.  The session
-    remembers the :class:`LogTail` it stands at, so a delta log enabled on
-    the same directory appends to that generation."""
-    transport = FileTailTransport(path)
-    manifest = transport.manifest()
-    session = base_session(transport, manifest, **overrides)
-    records, offset = transport.read_records(manifest, 0)
-    seconds = replay(session, records)
+def _replay_log(session, transport, manifest, offset=0, seconds=0.0):
+    """Replay the manifest's log past ``offset`` onto ``session`` and leave
+    its :class:`LogTail` at the end; ``seconds`` is what the records before
+    ``offset`` cost to replay."""
+    records, offset = transport.read_records(manifest, offset)
+    seconds += replay(session, records)
     session._log_tail = LogTail(
         transport.path.resolve(),
         manifest["generation"],
@@ -308,6 +297,67 @@ def open_replayed(path, **overrides):
         seconds,
     )
     return session
+
+
+def open_replayed(path, **overrides):
+    """The session a delta checkpoint holds: its base, restored (with the
+    ``noun_tagger`` / ``extractor`` overrides a restore takes), and the
+    log's consistent prefix replayed, standing at its :class:`LogTail`."""
+    from repro.api.session import DetectorSession
+
+    transport = FileTailTransport(path)
+    manifest = transport.manifest()
+    session = DetectorSession._from_state_tree(
+        transport.load_base(manifest), **overrides
+    )
+    return _replay_log(session, transport, manifest)
+
+
+def catch_up(session):
+    """Replay what the leader logged since ``session`` (from
+    ``open_session(resume=dir)`` or an earlier ``catch_up``) last read its
+    directory; returns the session standing at the log's end.
+
+    That is the same object unless a compaction moved the base off the
+    session's quantum, when the new base is restored instead.  Raises
+    :class:`CheckpointError` for a session not resumed from a directory,
+    or one that processed quanta past its tail (it leads now).
+    """
+    tail = session._log_tail
+    if tail is None:
+        raise CheckpointError(
+            "catch_up needs a session opened with open_session(resume=DIR)"
+        )
+    if session.current_quantum != tail.quantum:
+        raise CheckpointError(
+            f"this session processed quanta past its log tail (quantum "
+            f"{tail.quantum}): it leads now, and has nothing to follow"
+        )
+    transport = FileTailTransport(tail.path)
+    manifest = transport.manifest()
+    if manifest["generation"] == tail.generation:
+        try:
+            return _replay_log(
+                session, transport, manifest, tail.offset, tail.replay_seconds
+            )
+        except CheckpointError:
+            # The leader may have compacted between our manifest poll and
+            # the log read, unlinking the log we were tailing.  Retry once
+            # against the fresh manifest; a genuine error recurs.
+            manifest = transport.manifest()
+            if manifest["generation"] == tail.generation:
+                raise
+    if manifest["base_quantum"] == session.current_quantum:
+        # Compaction snapshotted exactly our position: keep the warm
+        # session and tail the new log from its start.
+        return _replay_log(session, transport, manifest)
+    return open_replayed(
+        tail.path,
+        noun_tagger=(
+            session.noun_tagger if session._custom_noun_tagger else None
+        ),
+        extractor=session.extractor if session._custom_extractor else None,
+    )
 
 
 def read_delta_checkpoint(path, *, noun_tagger=None, extractor=None) -> dict:
@@ -340,7 +390,8 @@ class DeltaCheckpointWriter:
     full tree, asked for only when a generation is rolled).
     ``start(source)`` opens (or creates) the directory: it appends to the
     generation ``source`` was replayed from when it still stands at that
-    log's end, and writes a fresh generation otherwise.  ``append(source)``
+    log's end (refusing if complete records now lie past it), and writes a
+    fresh generation otherwise.  ``append(source)``
     logs one record and compacts — rewrite base, truncate log, flip
     manifest — once the logged quanta would take longer than
     :data:`REPLAY_BUDGET_S` to replay.  Every append fsyncs the log file
@@ -432,18 +483,34 @@ class DeltaCheckpointWriter:
     # ------------------------------------------------------------ internals
 
     def _attach(self, tail: LogTail) -> None:
-        """Append to the replayed generation: cut the log back to the
-        consistent prefix the replay ended at (a torn tail after a crash)."""
+        """Append to the replayed generation, cutting a torn tail back to
+        where the replay ended; complete records past it (another writer's)
+        refuse the attach and leave the log untouched."""
         log = self.path / _log_name(tail.generation)
         try:
             fh = open(log, "r+b")
-            fh.truncate(tail.offset)
-            fh.seek(tail.offset)
-            os.fsync(fh.fileno())
+            try:
+                fh.seek(tail.offset)
+                newer, _ = decode_frames(fh.read())
+                if not newer:
+                    fh.truncate(tail.offset)
+                    fh.seek(tail.offset)
+                    os.fsync(fh.fileno())
+            except BaseException:
+                fh.close()
+                raise
         except OSError as exc:
             raise CheckpointError(
                 f"cannot reopen delta log {log}: {exc}"
             ) from exc
+        if newer:
+            fh.close()
+            raise CheckpointError(
+                f"{log} holds {len(newer)} complete record(s) past quantum "
+                f"{tail.quantum}, where this session's replay ended: another "
+                f"writer logged them since; resume from the directory again "
+                f"instead of appending"
+            )
         self._fh = fh
         self.generation = tail.generation
         self.log_bytes = tail.offset - len(_LOG_MAGIC)
@@ -505,6 +572,7 @@ __all__ = [
     "DeltaCheckpointWriter",
     "FileTailTransport",
     "LogTail",
+    "catch_up",
     "decode_frames",
     "encode_frame",
     "open_replayed",

@@ -326,7 +326,7 @@ class DetectorSession:
         self._dispatch(report)
         if self._delta_writer is not None:
             # One framed input record per completed quantum: the durable
-            # stream recovery and a FollowerSession replay (DESIGN.md
+            # stream recovery and a follower replay (DESIGN.md
             # Section 10).  An append failure propagates — a leader whose
             # durability channel broke must not keep running silently.
             self._logged = (inputs, report.elapsed_seconds)
@@ -507,13 +507,13 @@ class DetectorSession:
         framed record of each completed quantum's input (compacting —
         fresh base, truncated log — once replaying the log would take
         longer than :data:`~repro.api.deltalog.REPLAY_BUDGET_S`).  The
-        directory loads like any checkpoint (``open_session(resume=path)``)
-        and is what a :class:`~repro.api.follower.FollowerSession` replays
-        to stay warm.  A session resumed from ``path`` that has not moved
-        since appends to the generation it replayed; any other existing
-        delta checkpoint directory is attached with a fresh generation (new
-        base from this session's state), which is how a promoted follower
-        chains its own standby.
+        directory loads like any checkpoint (``open_session(resume=path)``),
+        which :func:`~repro.api.deltalog.catch_up` keeps warm as a
+        follower.  A session resumed from ``path`` that stands at its log's
+        end appends to that generation; any other existing delta checkpoint
+        directory is attached with a fresh generation (new base from this
+        session's state), which is how a follower that took over chains its
+        own standby.
         """
         from repro.api.deltalog import DeltaCheckpointWriter
 
@@ -607,10 +607,9 @@ class DetectorSession:
         """Materialize a live session from a decoded state tree.
 
         The common trunk under :meth:`restore` and the delta log's replay
-        (recovery and :class:`~repro.api.follower.FollowerSession` restore
-        a base through it, then feed it the logged input) — the resume
-        guarantees apply identically.  The caller
-        yields ownership of ``state``; layers may keep references into it.
+        (which restores a base through it, then feeds it the logged input)
+        — the resume guarantees apply identically.  The caller yields
+        ownership of ``state``; layers may keep references into it.
         """
         config = DetectorConfig.from_dict(state["config"])
         if state["custom_noun_tagger"] and noun_tagger is None:
@@ -709,11 +708,12 @@ def open_session(
     ``delta_log=path`` enables incremental checkpointing: a base snapshot
     now, then one durable record of each completed quantum's input into
     the directory ``path`` (compacted once replaying it would pass
-    :data:`~repro.api.deltalog.REPLAY_BUDGET_S`) — the stream a
-    warm-standby :class:`~repro.api.follower.FollowerSession` replays
-    (DESIGN.md Section 10).  ``resume`` accepts a delta-checkpoint
-    directory as well as a monolithic snapshot file; resuming from and
-    logging to the same directory appends to the generation replayed.
+    :data:`~repro.api.deltalog.REPLAY_BUDGET_S`) — the stream a warm
+    standby replays (DESIGN.md Section 10).  ``resume`` accepts a
+    delta-checkpoint directory as well as a monolithic snapshot file; a
+    session resumed from a directory is a follower of it, kept current by
+    :func:`~repro.api.deltalog.catch_up`, and resuming from and logging to
+    the same directory appends to the generation replayed.
     """
     if resume is not None:
         if config is not None:

@@ -5,7 +5,7 @@ Commands
 ``demo``       run the Figure 1 quickstart scenario
 ``generate``   build a synthetic trace (tw / es / ground-truth) as JSONL
 ``detect``     run the detector over a JSONL trace and print events
-``follow``     tail a delta log as a warm standby; optionally promote
+``follow``     tail a delta log as a warm standby
 ``sweep``      print a small precision/recall parameter grid for a preset
 ``serve``      run the multi-tenant serving layer (HTTP + WebSocket)
 
@@ -15,8 +15,9 @@ and ``--resume-from PATH`` continues a checkpointed session over more data —
 the resumed stream is bit-identical to one that never stopped (DESIGN.md
 Section 6).  ``--delta-log DIR`` switches durability to the incremental
 checkpoint format (base snapshot + each completed quantum's input,
-DESIGN.md Section 10); ``follow DIR --promote`` is the matching failover
-move: a warm standby replays the log through its own pipeline and takes
+DESIGN.md Section 10).  ``follow DIR`` keeps a warm standby that replays
+the log through its own pipeline; the failover move is ``detect TRACE
+--resume-from DIR`` (or from the standby's ``--checkpoint``), which takes
 over bit-identically mid-stream.
 
 The engine is entity-agnostic: ``detect --extractor edges`` runs a raw
@@ -45,7 +46,7 @@ from repro.datasets.traces import (
     build_ground_truth_trace,
     build_tw_trace,
 )
-from repro.errors import ConfigError, ReproError
+from repro.errors import CheckpointError, ConfigError, ReproError
 from repro.extract import extractor_names
 from repro.eval.reporting import render_grid, render_table
 from repro.eval.runner import evaluate_run, run_detector
@@ -262,71 +263,40 @@ def _cmd_follow(args: argparse.Namespace) -> int:
     """Warm-standby follower over a delta-checkpoint directory."""
     import time
 
-    from repro.api import FollowerSession
+    from repro.api.deltalog import catch_up, read_manifest
 
-    follower = FollowerSession(args.delta_log)
+    session = open_session(resume=args.delta_log)
     print(
-        f"-- following {args.delta_log}: generation {follower.generation}, "
-        f"quantum {follower.current_quantum} "
-        f"({follower.records_applied} logged quanta replayed)"
+        f"-- following {args.delta_log}: generation "
+        f"{read_manifest(args.delta_log)['generation']}, "
+        f"quantum {session.current_quantum}"
     )
     if args.until_quantum is not None:
-        follower.wait_for_quantum(
-            args.until_quantum, timeout=args.timeout
-        )
-        print(f"-- caught up to quantum {follower.current_quantum}")
+        deadline = time.monotonic() + args.timeout
+        while session.current_quantum < args.until_quantum:
+            if time.monotonic() >= deadline:
+                raise CheckpointError(
+                    f"timed out after {args.timeout:g}s waiting for "
+                    f"quantum {args.until_quantum}; still at quantum "
+                    f"{session.current_quantum}"
+                )
+            time.sleep(args.poll)
+            session = catch_up(session)
+        print(f"-- caught up to quantum {session.current_quantum}")
     elif args.watch is not None:
         deadline = time.monotonic() + args.watch
         while time.monotonic() < deadline:
-            applied = follower.catch_up()
-            if applied:
-                print(
-                    f"-- replayed {applied} record(s), now at quantum "
-                    f"{follower.current_quantum} "
-                    f"(generation {follower.generation})"
-                )
+            before = session.current_quantum
+            session = catch_up(session)
+            if session.current_quantum != before:
+                print(f"-- now at quantum {session.current_quantum}")
             time.sleep(args.poll)
     if args.checkpoint:
-        follower.snapshot(args.checkpoint)
+        session.snapshot(args.checkpoint)
         print(
             f"-- follower checkpoint written to {args.checkpoint} "
-            f"(quantum {follower.current_quantum})"
+            f"(quantum {session.current_quantum})"
         )
-    if args.promote:
-        session = follower.promote()
-        print(
-            f"-- promoted to a live session at quantum "
-            f"{session.current_quantum}; feed the stream from this "
-            f"quantum boundary to continue bit-identically"
-        )
-        with session:
-            if args.trace:
-                printed = 0
-                read_stats = TraceReadStats()
-                for report in session.ingest_many(
-                    read_jsonl_trace(args.trace, stats=read_stats),
-                    flush=not args.promote_checkpoint,
-                ):
-                    for event in report.reported:
-                        if event.event_id in report.new_event_ids:
-                            printed += 1
-                            print(
-                                f"q{report.quantum:<5} NEW event "
-                                f"#{event.event_id}: "
-                                f"{', '.join(sorted(event.keywords))} "
-                                f"(rank {event.rank:.1f})"
-                            )
-                print(
-                    f"-- {printed} events, {session.total_messages} "
-                    f"messages total"
-                )
-            if args.promote_checkpoint:
-                session.snapshot(args.promote_checkpoint)
-                print(
-                    f"-- promoted-session checkpoint written to "
-                    f"{args.promote_checkpoint} "
-                    f"(quantum {session.current_quantum})"
-                )
     return 0
 
 
@@ -444,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     follow = sub.add_parser(
         "follow",
-        help="tail a delta log as a warm standby; optionally promote",
+        help="tail a delta log as a warm standby (take over with "
+             "'detect TRACE --resume-from DIR')",
     )
     follow.add_argument(
         "delta_log", metavar="DIR",
@@ -463,20 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="give up on --until-quantum after SECS "
                              "(default 30)")
     follow.add_argument("--poll", type=float, default=0.2, metavar="SECS",
-                        help="poll interval while watching (default 0.2)")
+                        help="poll interval while waiting or watching "
+                             "(default 0.2)")
     follow.add_argument("--checkpoint", metavar="PATH",
                         help="write the follower's state as a monolithic "
-                             "checkpoint (off-leader snapshotting)")
-    follow.add_argument("--promote", action="store_true",
-                        help="promote into a live session after catching "
-                             "up (the failover move)")
-    follow.add_argument("--trace", metavar="PATH",
-                        help="with --promote: JSONL trace to ingest on the "
-                             "promoted session (the stream from the last "
-                             "logged quantum boundary on)")
-    follow.add_argument("--promote-checkpoint", metavar="PATH",
-                        help="with --promote: snapshot the promoted "
-                             "session after the trace")
+                             "checkpoint (off-leader snapshotting; "
+                             "'detect --resume-from PATH' takes over)")
     follow.set_defaults(func=_cmd_follow)
 
     serve = sub.add_parser(

@@ -140,6 +140,8 @@ def websocket_accept_key(client_key: str) -> str:
 
 
 def websocket_upgrade_response(client_key: str) -> bytes:
+    """The ``101 Switching Protocols`` reply that completes a client's
+    WebSocket handshake (RFC 6455 Section 4.2.2)."""
     return (
         "HTTP/1.1 101 Switching Protocols\r\n"
         "Upgrade: websocket\r\n"

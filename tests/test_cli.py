@@ -199,9 +199,10 @@ class TestDeltaLogAndFollow:
     def test_follow_promote_equals_uninterrupted_run(
         self, tmp_path, capsys
     ):
-        """The CLI face of the failover gate: leader killed mid-stream,
-        follower promotes, continuation prints the same detection lines
-        the uninterrupted run prints past the takeover point."""
+        """The CLI face of the failover gate: leader killed mid-stream, a
+        follower tails its log, and taking over — ``detect --resume-from``
+        the log over the rest of the stream — prints the same detection
+        lines the uninterrupted run prints past the takeover point."""
         trace_path = tmp_path / "trace.jsonl"
         dlog = str(tmp_path / "dlog")
         main(["generate", "tw", str(trace_path), "--messages", "3000"])
@@ -216,8 +217,8 @@ class TestDeltaLogAndFollow:
             l for l in whole_out.splitlines() if "NEW event" in l
         ]
 
-        # Split at an exact quantum boundary: promote continues from the
-        # last *logged* quantum, and a clean split means the leader's
+        # Split at an exact quantum boundary: the takeover continues from
+        # the last *logged* quantum, and a clean split means the leader's
         # pending buffer (the data-loss window) is empty.
         lines = trace_path.read_text().splitlines(keepends=True)
         half_a = tmp_path / "a.jsonl"
@@ -230,12 +231,11 @@ class TestDeltaLogAndFollow:
             "--checkpoint", str(tmp_path / "lead.ckpt"),
         ]) == 0
         first = capsys.readouterr().out
-        assert main([
-            "follow", dlog, "--promote", "--trace", str(half_b),
-        ]) == 0
+        assert main(["follow", dlog, "--until-quantum", "14"]) == 0
+        assert "caught up to quantum 14" in capsys.readouterr().out
+        assert main(["detect", str(half_b), "--resume-from", dlog]) == 0
         second = capsys.readouterr().out
-        assert "following" in second
-        assert "promoted to a live session at quantum 14" in second
+        assert "resumed from" in second
         split_events = [
             l for l in (first + second).splitlines() if "NEW event" in l
         ]
@@ -278,6 +278,24 @@ class TestErrorsAreOneLine:
         assert lines[0].startswith("error: ") and missing in lines[0]
         assert "Traceback" not in captured.out + captured.err
 
+    def test_follow_until_quantum_times_out(self, tmp_path, capsys):
+        trace_path = str(tmp_path / "trace.jsonl")
+        dlog = str(tmp_path / "dlog")
+        main(["generate", "tw", trace_path, "--messages", "1000"])
+        assert main([
+            "detect", trace_path, "--quantum-size", "100",
+            "--delta-log", dlog,
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "follow", dlog, "--until-quantum", "1000", "--timeout", "0.05",
+        ]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and "timed out" in lines[0]
+        assert "Traceback" not in captured.out + captured.err
+
     def test_follow_missing_directory(self, tmp_path, capsys):
         missing = str(tmp_path / "nonexistent-dir")
         assert main(["follow", missing]) == 2
@@ -317,6 +335,9 @@ class TestParser:
             ["detect", "t.jsonl", "--delta-compact-ratio", "2"],
             ["follow", "d", "--workers", "2"],
             ["shard-worker"],
+            ["follow", "d", "--promote"],
+            ["follow", "d", "--trace", "t.jsonl"],
+            ["follow", "d", "--promote-checkpoint", "p.ckpt"],
         ],
     )
     def test_removed_execution_options_are_usage_errors(self, argv, capsys):

@@ -38,7 +38,6 @@ from repro.api.deltalog import (
     read_manifest,
     replay,
 )
-from repro.api.follower import FollowerSession
 from repro.api.session import DetectorSession
 from repro.config import DetectorConfig
 from repro.datasets.entity_streams import build_structured_trace
@@ -302,6 +301,31 @@ class TestSessionIntegration:
         )
         assert tree_bytes(tree) == expected
 
+    def test_catch_up_restores_a_flip_with_the_custom_extractor(
+        self, tmp_path, monkeypatch
+    ):
+        """A follower behind a compaction gets the new base restored, and
+        the fresh session keeps the follower's own custom extractor."""
+        monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 0.0)
+        extractor = KeywordExtractor(tokenizer=str.split)
+        messages = [
+            Message(m.user_id, text=" ".join(m.tokens))
+            for m in bursty_stream(7, 300)
+        ]
+        with open_session(
+            make_config(), extractor=extractor, delta_log=tmp_path / "d"
+        ) as leader:
+            list(leader.ingest_many(messages[:200]))
+            follower = open_session(
+                resume=tmp_path / "d", extractor=extractor
+            )
+            list(leader.ingest_many(messages[200:]))
+            caught_up = deltalog.catch_up(follower)
+            assert caught_up is not follower
+            assert caught_up.extractor is extractor
+            assert caught_up.current_quantum == leader.current_quantum
+            assert state_bytes(caught_up) == state_bytes(leader)
+
     def test_enable_delta_log_twice_raises(self, tmp_path):
         with open_session(make_config(), delta_log=tmp_path / "d") as s:
             with pytest.raises(CheckpointError):
@@ -352,6 +376,29 @@ class TestResumeAppends:
             assert s.current_quantum == 9
             assert log.read_bytes() == intact
             list(s.ingest_many(messages[200:]))
+        assert open_session(resume=tmp_path / "d").current_quantum == 19
+
+    def test_attach_never_cuts_complete_records(
+        self, tmp_path, monkeypatch
+    ):
+        """A resumed session whose directory grew after its replay (another
+        writer logged on) must not truncate those fsynced records when it
+        enables the log there: the attach is refused, the directory kept."""
+        monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 1e12)
+        config = make_config()
+        messages = bursty_stream(43, 400)
+        with open_session(config, delta_log=tmp_path / "d") as leader:
+            list(leader.ingest_many(messages[:200]))
+            s = open_session(resume=tmp_path / "d")
+            assert s.current_quantum == 9
+            list(leader.ingest_many(messages[200:]))
+        log = tmp_path / "d" / read_manifest(tmp_path / "d")["log"]
+        logged = log.read_bytes()
+        assert open_session(resume=tmp_path / "d").current_quantum == 19
+        with pytest.raises(CheckpointError, match="10 complete record"):
+            s.enable_delta_log(tmp_path / "d")
+        assert s.delta_writer is None
+        assert log.read_bytes() == logged
         assert open_session(resume=tmp_path / "d").current_quantum == 19
 
     def test_moved_session_does_not_append_to_the_old_log(self, tmp_path):
@@ -652,7 +699,8 @@ class TestDiffPatchFuzz:
         messages = bursty_stream(99, 24 * config.quantum_size)
         checked = 0
         with open_session(config, delta_log=tmp_path / "d") as leader:
-            follower = FollowerSession(tmp_path / "d")
+            follower = open_session(resume=tmp_path / "d")
+            first_generation = follower._log_tail.generation
             for message in messages:
                 report = leader.ingest(message)
                 if report is None:
@@ -660,12 +708,10 @@ class TestDiffPatchFuzz:
                 if report.quantum == 12:
                     monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 0.0)
                 if rng.random() < 0.5:
-                    follower.catch_up()
+                    follower = deltalog.catch_up(follower)
                     assert follower.current_quantum == report.quantum
-                    assert state_bytes(follower._live()) == (
-                        state_bytes(leader)
-                    )
+                    assert state_bytes(follower) == state_bytes(leader)
                     checked += 1
             assert leader.delta_writer.compactions >= 10
         assert checked >= 8
-        assert follower.generations_seen > 1
+        assert follower._log_tail.generation > first_generation

@@ -1,12 +1,13 @@
-"""Hot-standby failover: a promoted follower equals the uninterrupted run.
+"""Hot-standby failover: a follower that takes over equals the
+uninterrupted run.
 
-The contract under test (DESIGN.md Section 10): a ``FollowerSession``
-tailing a leader's delta log, promoted mid-stream and fed the stream from
-the last logged quantum boundary, produces reports, sink notifications,
-event histories, and a final checkpoint bit-identical to a session that
-never stopped.  A crashed leader (SIGKILL mid-append in a
-subprocess) must leave a log the follower loads to a consistent quantum
-boundary.
+The contract under test (DESIGN.md Section 10): a follower — a session
+resumed from a leader's delta-log directory and kept current by
+``deltalog.catch_up`` — taking over mid-stream and fed the stream from the
+last logged quantum boundary, produces reports, sink notifications, event
+histories, and a final checkpoint bit-identical to a session that never
+stopped.  A crashed leader (SIGKILL mid-append in a subprocess) must leave
+a log the follower loads to a consistent quantum boundary.
 """
 
 import json
@@ -21,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import golden
-from repro.api import FollowerSession, QueueSink, deltalog, open_session
+from repro.api import QueueSink, deltalog, open_session
 from repro.api.deltalog import _LOG_MAGIC, decode_frames, read_manifest
 from repro.errors import CheckpointError
 
@@ -61,10 +62,9 @@ class TestPromoteParity:
             ]
             notes = [notification_key(e) for e in lead_sink.drain()]
 
-        follower = FollowerSession(tmp_path / "d")
-        takeover = follower.current_quantum
+        session = open_session(resume=tmp_path / "d")
+        takeover = session.current_quantum
         assert takeover == 29  # all 30 leader quanta were logged
-        session = follower.promote()
         sink = QueueSink()
         session.subscribe(sink)
         reports += [
@@ -89,25 +89,27 @@ class TestPromoteParity:
         session.close()
 
     def test_live_tail_while_leader_runs(self, tmp_path, monkeypatch):
-        """catch_up() mid-stream tracks the leader quantum by quantum,
+        """catch_up mid-stream tracks the leader quantum by quantum,
         across compactions (generation flips)."""
         config = make_config()
         messages = bursty_stream(23, 800)
         monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 0.0)
         with open_session(config, delta_log=tmp_path / "d") as leader:
             list(leader.ingest_many(messages[:200]))
-            follower = FollowerSession(tmp_path / "d")
+            follower = open_session(resume=tmp_path / "d")
+            first_generation = follower._log_tail.generation
             assert follower.current_quantum == leader.current_quantum
             for lo in range(200, 800, 100):
                 list(leader.ingest_many(messages[lo : lo + 100]))
-                follower.catch_up()
+                follower = deltalog.catch_up(follower)
                 assert follower.current_quantum == leader.current_quantum
             assert leader.delta_writer.compactions > 0
-            assert follower.generations_seen > 1
+            assert follower._log_tail.generation > first_generation
 
     def test_chained_failover(self, tmp_path):
-        """The promoted session can itself lead: enable a delta log, die,
-        and promote a second follower — still equal to the straight run."""
+        """The follower that took over can itself lead: enable a delta
+        log, die, and a second follower takes over — still equal to the
+        straight run."""
         config = make_config()
         messages = bursty_stream(27, 900)
         expected_reports, _, whole = uninterrupted_run(config, messages)
@@ -117,7 +119,7 @@ class TestPromoteParity:
             reports = [
                 report_key(r) for r in first.ingest_many(messages[:300])
             ]
-        second = FollowerSession(tmp_path / "d1").promote()
+        second = open_session(resume=tmp_path / "d1")
         q1 = second.current_quantum
         second.enable_delta_log(tmp_path / "d2")
         reports += [
@@ -127,7 +129,7 @@ class TestPromoteParity:
             )
         ]
         second.close()
-        third = FollowerSession(tmp_path / "d2").promote()
+        third = open_session(resume=tmp_path / "d2")
         q2 = third.current_quantum
         reports += [
             report_key(r)
@@ -160,13 +162,12 @@ class TestPromoteParity:
                 report_key(r) for r in leader.ingest_many(messages[:split])
             ]
             assert leader.batcher.pending == 17
-        follower = FollowerSession(tmp_path / "d")
-        assert follower.current_quantum == 29  # quantum 30 never completed
-        session = follower.promote()
+        session = open_session(resume=tmp_path / "d")
+        assert session.current_quantum == 29  # quantum 30 never completed
         reports += [
             report_key(r)
             for r in session.ingest_many(
-                messages[(follower.current_quantum + 1) * 20 :]
+                messages[(session.current_quantum + 1) * 20 :]
             )
         ]
         assert reports == expected_reports
@@ -174,17 +175,18 @@ class TestPromoteParity:
 
 
 class TestFollowerLifecycle:
-    def test_promote_is_one_shot(self, tmp_path):
+    def test_catch_up_refuses_a_session_that_leads(self, tmp_path):
+        """A follower that ingested past its tail leads now: catch_up
+        has nothing to follow and says so."""
         config = make_config()
+        messages = bursty_stream(1, 200)
         with open_session(config, delta_log=tmp_path / "d") as leader:
-            list(leader.ingest_many(bursty_stream(1, 100)))
-        follower = FollowerSession(tmp_path / "d")
-        follower.promote().close()
-        assert follower.promoted
-        with pytest.raises(CheckpointError, match="promoted"):
-            follower.promote()
-        with pytest.raises(CheckpointError, match="promoted"):
-            follower.catch_up()
+            list(leader.ingest_many(messages[:100]))
+        session = open_session(resume=tmp_path / "d")
+        assert deltalog.catch_up(session) is session
+        list(session.ingest_many(messages[100:]))
+        with pytest.raises(CheckpointError, match="leads now"):
+            deltalog.catch_up(session)
 
     def test_follower_snapshot_resumes_like_any_checkpoint(self, tmp_path):
         config = make_config()
@@ -194,7 +196,7 @@ class TestFollowerLifecycle:
             reports = [
                 report_key(r) for r in leader.ingest_many(messages[:400])
             ]
-        follower = FollowerSession(tmp_path / "d")
+        follower = open_session(resume=tmp_path / "d")
         follower.snapshot(tmp_path / "standby.ckpt")
         resumed = open_session(resume=tmp_path / "standby.ckpt")
         reports += [
@@ -203,26 +205,65 @@ class TestFollowerLifecycle:
         assert reports == expected_reports
 
     def test_missing_directory_is_a_readable_error(self, tmp_path):
+        with pytest.raises(CheckpointError, match="nothing"):
+            open_session(resume=tmp_path / "nothing")
+        (tmp_path / "empty").mkdir()
         with pytest.raises(CheckpointError, match="MANIFEST"):
-            FollowerSession(tmp_path / "nothing")
+            open_session(resume=tmp_path / "empty")
 
     def test_needs_a_path(self, tmp_path):
-        """A follower tails one delta-checkpoint directory; there is no
-        other way to reach a leader."""
-        with pytest.raises(TypeError):
-            FollowerSession()
-        with pytest.raises(TypeError):
-            FollowerSession(tmp_path, transport=object())
+        """A follower tails the delta-checkpoint directory it was resumed
+        from; a fresh session, or one resumed from a monolithic snapshot,
+        has none."""
+        with pytest.raises(CheckpointError, match="resume"):
+            deltalog.catch_up(open_session(make_config()))
+        with open_session(make_config()) as session:
+            list(session.ingest_many(bursty_stream(1, 100)))
+            session.snapshot(tmp_path / "mono.ckpt")
+        with pytest.raises(CheckpointError, match="resume"):
+            deltalog.catch_up(open_session(resume=tmp_path / "mono.ckpt"))
 
-    def test_wait_for_quantum_times_out_readably(self, tmp_path):
+    def test_followed_session_appends_to_the_followed_generation(
+        self, tmp_path, monkeypatch
+    ):
+        """A follower that enables a delta log on the directory it follows,
+        standing at the log's end, keeps appending to that generation, and
+        the directory then resumes equal to the uninterrupted run."""
+        monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 1e12)
         config = make_config()
+        messages = bursty_stream(33, 900)
+        expected_reports, _, whole = uninterrupted_run(config, messages)
+        whole.snapshot(tmp_path / "whole.ckpt")
         with open_session(config, delta_log=tmp_path / "d") as leader:
-            list(leader.ingest_many(bursty_stream(1, 100)))
-        follower = FollowerSession(tmp_path / "d")
-        with pytest.raises(CheckpointError, match="timed out"):
-            follower.wait_for_quantum(
-                follower.current_quantum + 1, timeout=0.05, poll=0.01
-            )
+            reports = [
+                report_key(r) for r in leader.ingest_many(messages[:200])
+            ]
+            follower = open_session(resume=tmp_path / "d")
+            reports += [
+                report_key(r) for r in leader.ingest_many(messages[200:400])
+            ]
+        follower = deltalog.catch_up(follower)
+        assert follower.current_quantum == 19
+        base = (tmp_path / "d" / "base-0.ckpt").read_bytes()
+        follower.enable_delta_log(tmp_path / "d")
+        assert follower.delta_writer.generation == 0
+        reports += [
+            report_key(r) for r in follower.ingest_many(messages[400:600])
+        ]
+        follower.close()
+        assert (tmp_path / "d" / "base-0.ckpt").read_bytes() == base
+        resumed = open_session(resume=tmp_path / "d")
+        assert resumed.current_quantum == 29
+        reports += [
+            report_key(r) for r in resumed.ingest_many(messages[600:])
+        ]
+        assert reports == expected_reports
+        resumed.snapshot(tmp_path / "resumed.ckpt")
+        assert golden.fingerprint(
+            golden.normalized_checkpoint_state(tmp_path / "resumed.ckpt")
+        ) == golden.fingerprint(
+            golden.normalized_checkpoint_state(tmp_path / "whole.ckpt")
+        )
 
 
 class TestCrashedLeader:
@@ -287,8 +328,8 @@ class TestCrashedLeader:
                 proc.kill()
                 proc.wait(timeout=30)
 
-        follower = FollowerSession(tmp_path / "d")
-        q = follower.current_quantum
+        promoted = open_session(resume=tmp_path / "d")
+        q = promoted.current_quantum
         assert q >= 1  # it logged something before dying
 
         # reference: uninterrupted run over the same prefix of the stream
@@ -297,7 +338,6 @@ class TestCrashedLeader:
         reference = open_session(config)
         list(reference.ingest_many(messages))
         reference.snapshot(tmp_path / "ref.ckpt")
-        promoted = follower.promote()
         promoted.snapshot(tmp_path / "prom.ckpt")
         assert golden.fingerprint(
             golden.normalized_checkpoint_state(tmp_path / "prom.ckpt")

@@ -24,12 +24,15 @@ SUBPACKAGES = [
 MODULES = [
     "repro.config",
     "repro.errors",
+    "repro.interning",
     "repro.cli",
     "repro.core.atoms",
     "repro.core.clusters",
     "repro.core.maintenance",
     "repro.core.ranking",
     "repro.core.events",
+    "repro.core.changelog",
+    "repro.core.incremental",
     "repro.core.postprocess",
     "repro.graph.dynamic_graph",
     "repro.graph.biconnected",
@@ -46,6 +49,7 @@ MODULES = [
     "repro.api.session_events",
     "repro.api.sinks",
     "repro.api.checkpoint",
+    "repro.api.deltalog",
     "repro.stream.messages",
     "repro.stream.window",
     "repro.stream.sources",
@@ -73,6 +77,11 @@ MODULES = [
     "repro.eval.runner",
     "repro.eval.comparison",
     "repro.eval.reporting",
+    "repro.serve.client",
+    "repro.serve.hub",
+    "repro.serve.manager",
+    "repro.serve.server",
+    "repro.serve.wire",
 ]
 
 
