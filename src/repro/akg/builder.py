@@ -39,7 +39,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, Set, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
+
+import numpy as np
 
 from repro.akg.burstiness import BurstinessTracker
 from repro.akg.idsets import IdSetIndex, SlideDelta
@@ -410,16 +421,17 @@ class AkgBuilder:
 
     # ---------------------------------------------------------- persistence
 
-    def to_state(self) -> dict:
+    def to_state(self, window_from: Optional[int] = None) -> dict:
         """Checkpointable snapshot of the AKG stage's window bookkeeping.
 
         Composes the child components' states (id sets, burstiness
         automaton) with the builder's own lazy-removal schedule.  Sketches
         are read off the id sets when asked for and hashes are a pure
         salted function of the user id, so neither is state.
+        ``window_from`` is the id-set window's (:meth:`IdSetIndex.to_state`).
         """
         return {
-            "idsets": self.idsets.to_state(),
+            "idsets": self.idsets.to_state(window_from),
             "burstiness": self.burstiness.to_state(),
             "grace_deadlines": [
                 [deadline, sorted(kws)]
@@ -428,9 +440,14 @@ class AkgBuilder:
             "newly_unclustered": sorted(self._newly_unclustered),
         }
 
-    def from_state(self, state: dict) -> None:
-        """Restore the AKG stage in place from :meth:`to_state` output."""
-        self.idsets.from_state(state["idsets"])
+    def from_state(
+        self,
+        state: dict,
+        window: Iterable[Tuple[int, np.ndarray]] = (),
+    ) -> None:
+        """Restore the AKG stage in place from :meth:`to_state` output;
+        ``window`` is the id-set window's (:meth:`IdSetIndex.from_state`)."""
+        self.idsets.from_state(state["idsets"], window)
         self.burstiness.from_state(state["burstiness"])
         self._grace_deadlines = {
             deadline: set(kws) for deadline, kws in state["grace_deadlines"]

@@ -316,24 +316,39 @@ class IdSetIndex:
         block.sort(key=_KEYWORD)
         return block
 
-    def to_state(self) -> dict:
+    def to_state(self, window_from: int | None = None) -> dict:
         """Checkpointable snapshot: the window as a queue of quantum blocks.
 
         The blocks *are* the window state (plus the slide cursor);
         :meth:`from_state` derives the rest exactly as a slide does.  Blocks
         are oldest first and each is sorted by keyword, and interner ids
         never appear, so the snapshot is a pure function of the window
-        *contents* (DESIGN.md Section 6).
+        *contents* (DESIGN.md Section 6).  ``window_from`` leaves out the
+        blocks of that quantum and later ones — a delta-log base, whose
+        directory holds those quanta's input (DESIGN.md Section 10).
         """
         return {
             "last_quantum": self._last_quantum,
             "window": [
-                [q, self._block_entries(keys)] for q, keys in self._quanta
+                [q, self._block_entries(keys)]
+                for q, keys in self._quanta
+                if window_from is None or q < window_from
             ],
         }
 
-    def from_state(self, state: dict) -> None:
-        """Rebuild the index in place from :meth:`to_state` output."""
+    def from_state(
+        self,
+        state: dict,
+        window: Iterable[Tuple[int, np.ndarray]] = (),
+    ) -> None:
+        """Rebuild the index in place from :meth:`to_state` output.
+
+        ``window`` continues the state's blocks with ``(quantum, keys)``
+        of the later quanta, in order.  It is consumed after the state's
+        own blocks are interned, so a generator may intern into this
+        index's tables as it goes (a delta-log restore runs the extract
+        stage there); one :meth:`_rebuild` then derives the rest.
+        """
         self._last_quantum = state["last_quantum"]
         # Cleared *in place*: the extract stage holds references to these
         # same interners (shared id space), so replacing them here would
@@ -350,6 +365,7 @@ class IdSetIndex:
                 for user in users
             ]
             self._quanta.append((q, np.sort(np.array(packed, dtype=np.int64))))
+        self._quanta.extend((q, keys) for q, keys in window if len(keys))
         self._rebuild()
 
     # ------------------------------------------------------------- queries

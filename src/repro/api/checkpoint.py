@@ -283,23 +283,11 @@ def save_checkpoint(path: "str | Path", state: dict) -> None:
     atomic_write(path, data, "checkpoint")
 
 
-def load_checkpoint(path: "str | Path") -> dict:
-    """Read and validate a checkpoint; returns the decoded state tree.
-
-    A directory is read as a *delta checkpoint* (base snapshot plus
-    per-quantum input log — :mod:`repro.api.deltalog`): the base is
-    restored and the log's consistent prefix replayed through the
-    pipeline, yielding the state tree of a monolithic snapshot at the same
-    stream position (wall clocks aside).  Replay needs the session's
-    function-valued parts, so a directory whose base was taken with a
-    custom extractor or noun tagger raises :class:`CheckpointError` here;
-    read it with :func:`~repro.api.deltalog.read_delta_checkpoint`, passing
-    them.
-    """
-    if Path(path).is_dir():
-        from repro.api.deltalog import read_delta_checkpoint
-
-        return read_delta_checkpoint(path)
+def read_checkpoint_file(path: "str | Path") -> dict:
+    """Read and validate one checkpoint file; returns the decoded state
+    tree, upgraded to the current layout.  Unlike :func:`load_checkpoint`
+    it does not refuse a delta-checkpoint base, whose reader
+    (:mod:`repro.api.deltalog`) completes it from its directory."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
@@ -325,6 +313,36 @@ def load_checkpoint(path: "str | Path") -> dict:
     return state
 
 
+def load_checkpoint(path: "str | Path") -> dict:
+    """Read and validate a checkpoint; returns the decoded state tree.
+
+    A directory is read as a *delta checkpoint* (base snapshot plus
+    per-quantum input log — :mod:`repro.api.deltalog`): the base is
+    restored and the log's consistent prefix replayed through the
+    pipeline, yielding the state tree of a monolithic snapshot at the same
+    stream position (wall clocks aside).  Replay needs the session's
+    function-valued parts, so a directory whose base was taken with a
+    custom extractor or noun tagger raises :class:`CheckpointError` here;
+    read it with :func:`~repro.api.deltalog.read_delta_checkpoint`, passing
+    them.  The base file of such a directory is refused on its own: the
+    input of its window's last quanta lives in the directory's window file.
+    """
+    if Path(path).is_dir():
+        from repro.api.deltalog import read_delta_checkpoint
+
+        return read_delta_checkpoint(path)
+    state = read_checkpoint_file(path)
+    if "window_from" in state:
+        raise CheckpointError(
+            f"{path} is the base of a delta-checkpoint directory and not a "
+            f"complete state on its own: the input of its window from "
+            f"quantum {state['window_from']} on is in the directory's "
+            f"window file; resume the directory instead "
+            f"(open_session(resume=DIR))"
+        )
+    return state
+
+
 __all__ = [
     "CHECKPOINT_FORMAT",
     "CHECKPOINT_VERSION",
@@ -334,4 +352,5 @@ __all__ = [
     "fsync_dir",
     "save_checkpoint",
     "load_checkpoint",
+    "read_checkpoint_file",
 ]

@@ -3,11 +3,15 @@
 A *delta checkpoint* is a directory::
 
     <path>/
-        MANIFEST.json      {"format": ..., "version": 7, "generation": g,
+        MANIFEST.json      {"format": ..., "version": 8, "generation": g,
                             "base": "base-<g>.ckpt", "log": "deltas-<g>.log",
-                            "base_quantum": q}
-        base-<g>.ckpt      ordinary monolithic checkpoint (current layout)
-        deltas-<g>.log     framed, length-prefixed per-quantum input records
+                            "window": "window-<g>.log", "base_quantum": q,
+                            "window_from": f}
+        window-<g>.log     the input records of quanta f..q (the window's
+                           last quanta, at most ``window_quanta`` of them)
+        base-<g>.ckpt      monolithic checkpoint (current layout) whose
+                           id-set window holds only the blocks before f
+        deltas-<g>.log     the input records of the quanta after q
 
 The leader writes the base once, then appends one record per completed
 quantum: the quantum's *input*, ``{"q": q, "in": [message records]}`` in
@@ -20,6 +24,18 @@ record costs what came in, never what the window holds.  A record's input
 subsumes the batcher's pending buffer (a quantum completes *from* it), so
 replay drops the buffer before each record.
 
+The id-set window is a pure function of the last ``window_quanta`` quanta's
+input (the extractor purity contract, DESIGN.md Section 8), so a base does
+not carry it: the writer keeps the frames of the last ``window_quanta``
+quanta it appended, and a roll copies them verbatim into the new
+generation's window file.  The base keeps only the blocks of quanta those
+frames do not cover — none once the writer has appended a full window, all
+of them for the first base of a fresh writer — and records where the
+window file starts (``window_from``).  Recovery restores the base and runs
+the window file's records through the session's own extract stage into the
+same id-set window before anything is derived from it.  A base is therefore
+not a complete state on its own: loading one outside its directory raises.
+
 Log framing is crash-oriented: each record is ``>II`` (payload length,
 CRC32) followed by the JSON payload, the file opens with a 4-byte magic,
 and every append fsyncs the file and its directory.  A torn tail (short
@@ -27,23 +43,28 @@ header, short payload, or CRC mismatch on the final frame) is *expected*
 after a crash and the reader silently loads the last consistent prefix; a
 quantum-discontinuous record — which a sequential appender cannot produce
 by crashing — raises :class:`~repro.errors.CheckpointError` instead of
-returning silently wrong state.
+returning silently wrong state.  The window file is written whole and
+fsynced before the manifest names it, so a torn one is corruption and
+raises too.
 
 Compaction bounds recovery time: the writer sums the processing seconds of
 the quanta it logged — what replaying them costs — and once that passes
-:data:`REPLAY_BUDGET_S` it rewrites a fresh base from the current state,
-starts an empty log, and atomically flips ``MANIFEST.json`` to the new
-generation (old-generation files are then unlinked; a follower holding an
-open descriptor on POSIX keeps reading safely and switches generations at
-its next manifest poll).  A session resumed from a directory appends to
-the generation it replayed, after cutting a torn tail back to the
-consistent prefix; complete records past that prefix (another writer's)
-are never cut — the append is refused instead.
+:data:`REPLAY_BUDGET_S` it writes the window file and a fresh base from the
+current state, starts an empty log, and atomically flips ``MANIFEST.json``
+to the new generation (old-generation files are then unlinked; a follower
+holding an open descriptor on POSIX keeps reading safely and switches
+generations at its next manifest poll).  A session resumed from a
+directory appends to the generation it replayed, after cutting a torn tail
+back to the consistent prefix; complete records past that prefix (another
+writer's) are never cut — the append is refused instead — and a session
+behind the directory's base never starts a generation there.
 
 There is one replay, and one cursor (the session's :class:`LogTail`).  A
 warm standby is a session resumed from the directory that :func:`catch_up`
-keeps at the log's end; taking over is keeping that session.  Reads go
-through :class:`FileTailTransport`.
+keeps at the log's end; taking over is keeping that session.  Across a
+generation flip it keeps the session whenever the window file and the new
+log hold every quantum after it.  Reads go through
+:class:`FileTailTransport`.
 """
 
 from __future__ import annotations
@@ -53,29 +74,34 @@ import os
 import struct
 import time
 import zlib
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Tuple
+from typing import Deque, Iterable, List, Tuple
 
 from repro.api.checkpoint import (
     atomic_write,
     fsync_dir,
-    load_checkpoint,
+    read_checkpoint_file,
     save_checkpoint,
 )
 from repro.errors import CheckpointError, StreamError
+from repro.stream.messages import Message
 from repro.stream.sources import message_from_record
 
 DELTA_FORMAT = "repro-session-delta-checkpoint"
-DELTA_VERSION = 7
+DELTA_VERSION = 8
 """Directory-format version, counted apart from the monolithic snapshot
 versions of :mod:`repro.api.checkpoint`.  4 — base-plus-delta-log over v3
 bases, records diffed from whole trees; 5 — bases are v4 snapshots (windows
 as queues of quanta) and records are layer-emitted ops over that layout;
 6 — bases are v5 snapshots and records carry no sketch-window splice;
-7 — records are the quanta's input, replayed through the pipeline.  An
-older directory's records are state edits no reader applies any more, so
-it is refused by number (its base still loads as a checkpoint)."""
+7 — records are the quanta's input, replayed through the pipeline;
+8 — each generation opens with a window file holding the input of the
+window's last quanta, and its base leaves their id-set blocks out.  An
+older directory is refused by number: up to 6 its records are state edits
+no reader applies any more, and a 7 base carries a window an 8 reader
+would rebuild twice (its base still loads as a checkpoint)."""
 
 MANIFEST_NAME = "MANIFEST.json"
 _LOG_MAGIC = b"RDLG"
@@ -100,38 +126,51 @@ def encode_frame(record: dict) -> bytes:
     return _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
+def _split_frames(data: bytes, *, offset: int = 0) -> Tuple[List[bytes], int]:
+    """The complete, checksummed frames of ``data[offset:]``, header
+    included, and the byte position after the last of them — the
+    consistent prefix.  A short header, a payload extending past EOF, an
+    absurd length, or a CRC mismatch all mark the torn tail a crash can
+    leave, and end the scan."""
+    frames: List[bytes] = []
+    position = offset
+    size = len(data)
+    while position + _FRAME_HEADER.size <= size:
+        length, crc = _FRAME_HEADER.unpack_from(data, position)
+        end = position + _FRAME_HEADER.size + length
+        if length > _MAX_FRAME or end > size:
+            break
+        frame = data[position:end]
+        if zlib.crc32(frame[_FRAME_HEADER.size :]) != crc:
+            break
+        frames.append(frame)
+        position = end
+    return frames, position
+
+
 def decode_frames(data: bytes, *, offset: int = 0) -> Tuple[List[dict], int]:
     """Parse frames from ``data[offset:]``; stops at the first torn frame.
 
     Returns ``(records, end_offset)`` where ``end_offset`` is the byte
-    position after the last *complete, checksummed* frame — the consistent
-    prefix.  A short header, a payload extending past EOF, an absurd
-    length, or a CRC mismatch all mark the torn tail a crash can leave; a
-    checksummed frame that is not valid JSON means the writer itself was
-    broken and raises :class:`CheckpointError`.
+    position after the last *complete, checksummed* frame — the
+    consistent prefix; a checksummed frame that is not valid JSON means
+    the writer itself was broken and raises :class:`CheckpointError`.
     """
+    frames, end = _split_frames(data, offset=offset)
     records: List[dict] = []
     position = offset
-    size = len(data)
-    while True:
-        if position + _FRAME_HEADER.size > size:
-            break
-        length, crc = _FRAME_HEADER.unpack_from(data, position)
-        if length > _MAX_FRAME or position + _FRAME_HEADER.size + length > size:
-            break
-        start = position + _FRAME_HEADER.size
-        payload = data[start : start + length]
-        if zlib.crc32(payload) != crc:
-            break
+    for frame in frames:
         try:
-            records.append(json.loads(payload.decode("utf-8")))
+            records.append(
+                json.loads(frame[_FRAME_HEADER.size :].decode("utf-8"))
+            )
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(
                 f"delta log record at byte {position} passed its checksum "
                 f"but is not valid JSON: {exc}"
             ) from exc
-        position = start + length
-    return records, position
+        position += len(frame)
+    return records, end
 
 
 # =====================================================================
@@ -145,6 +184,10 @@ def _base_name(generation: int) -> str:
 
 def _log_name(generation: int) -> str:
     return f"deltas-{generation}.log"
+
+
+def _window_name(generation: int) -> str:
+    return f"window-{generation}.log"
 
 
 def write_manifest(directory: Path, manifest: dict) -> None:
@@ -180,7 +223,9 @@ def read_manifest(directory: Path) -> dict:
             f"{manifest.get('version')!r}; this build reads version "
             f"{DELTA_VERSION}"
         )
-    for field in ("generation", "base", "log", "base_quantum"):
+    for field in (
+        "generation", "base", "log", "window", "base_quantum", "window_from"
+    ):
         if field not in manifest:
             raise CheckpointError(
                 f"{path} is missing the {field!r} manifest field"
@@ -191,6 +236,25 @@ def read_manifest(directory: Path) -> dict:
 # =====================================================================
 # Tailing a delta checkpoint
 # =====================================================================
+
+
+def _record_input(record, expected: int) -> List[Message]:
+    """The messages of ``record``, which must be quantum ``expected``'s
+    log record; a malformed or out-of-place record raises."""
+    if not isinstance(record, dict) or not isinstance(record.get("in"), list):
+        raise CheckpointError(f"malformed delta log record: {record!r}")
+    if record.get("q") != expected:
+        raise CheckpointError(
+            f"delta log is discontinuous: expected the record for "
+            f"quantum {expected}, found quantum {record.get('q')!r}"
+        )
+    try:
+        return [message_from_record(raw) for raw in record["in"]]
+    except StreamError as exc:
+        raise CheckpointError(
+            f"bad message in the delta log record for quantum "
+            f"{expected}: {exc}"
+        ) from exc
 
 
 class FileTailTransport:
@@ -204,15 +268,61 @@ class FileTailTransport:
         return read_manifest(self.path)
 
     def load_base(self, manifest: dict) -> dict:
-        """Decoded state tree of the manifest's base snapshot."""
-        state = load_checkpoint(self.path / manifest["base"])
-        if state.get("quantum") != manifest["base_quantum"]:
-            raise CheckpointError(
-                f"{self.path}: base snapshot is at quantum "
-                f"{state.get('quantum')!r} but the manifest says "
-                f"{manifest['base_quantum']!r}"
-            )
+        """Decoded state tree of the manifest's base snapshot: the state at
+        ``base_quantum`` less the window quanta of :meth:`read_window`."""
+        path = self.path / manifest["base"]
+        state = read_checkpoint_file(path)
+        for key, field in (
+            ("quantum", "base_quantum"), ("window_from", "window_from")
+        ):
+            if state.get(key) != manifest[field]:
+                raise CheckpointError(
+                    f"{path}: base snapshot has {key} {state.get(key)!r} "
+                    f"but the manifest says {field} {manifest[field]!r}"
+                )
         return state
+
+    def window_frames(self, manifest: dict) -> List[bytes]:
+        """The window file's frames as written, one per quantum
+        ``window_from``..``base_quantum``.  The file is complete before
+        the manifest names it, so a torn, corrupt or short one raises."""
+        path = self.path / manifest["window"]
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise CheckpointError(
+                f"cannot read window file {path}: {exc}"
+            ) from exc
+        if data[: len(_LOG_MAGIC)] != _LOG_MAGIC:
+            raise CheckpointError(
+                f"{path} is not a repro delta log (bad magic)"
+            )
+        frames, end = _split_frames(data, offset=len(_LOG_MAGIC))
+        count = manifest["base_quantum"] - manifest["window_from"] + 1
+        if end != len(data) or len(frames) != count:
+            raise CheckpointError(
+                f"{path} is damaged: it should hold the input of quanta "
+                f"{manifest['window_from']}..{manifest['base_quantum']} "
+                f"({count} record(s)) and holds {len(frames)} complete "
+                f"record(s) and {len(data) - end} byte(s) after them"
+            )
+        return frames
+
+    def read_window(self, manifest: dict) -> List[Tuple[int, List[Message]]]:
+        """The window file's input, ``(quantum, messages)`` for quanta
+        ``window_from``..``base_quantum`` in order; a misnumbered or
+        malformed record raises."""
+        records, _ = decode_frames(b"".join(self.window_frames(manifest)))
+        try:
+            return [
+                (q, _record_input(record, q))
+                for q, record in enumerate(records, manifest["window_from"])
+            ]
+        except CheckpointError as exc:
+            raise CheckpointError(
+                f"{self.path / manifest['window']}: {exc}"
+            ) from exc
 
     def read_records(
         self, manifest: dict, offset: int
@@ -243,31 +353,21 @@ class FileTailTransport:
 # =====================================================================
 
 
+def _advance(session, messages: List[Message]) -> float:
+    """Process one logged quantum's input; returns its processing seconds.
+    The input subsumes the pending buffer, which is dropped first."""
+    session.batcher.flush()
+    return session.process_quantum(messages).elapsed_seconds
+
+
 def replay(session, records: List[dict]) -> float:
     """Feed logged quanta through ``session`` in order; returns their summed
     processing seconds.  Each record must be the quantum right after the
     session's; a malformed or discontinuous one raises."""
     seconds = 0.0
     for record in records:
-        if not isinstance(record, dict) or not isinstance(
-            record.get("in"), list
-        ):
-            raise CheckpointError(f"malformed delta log record: {record!r}")
-        expected = session.current_quantum + 1
-        if record.get("q") != expected:
-            raise CheckpointError(
-                f"delta log is discontinuous: expected the record for "
-                f"quantum {expected}, found quantum {record.get('q')!r}"
-            )
-        try:
-            messages = [message_from_record(raw) for raw in record["in"]]
-        except StreamError as exc:
-            raise CheckpointError(
-                f"bad message in the delta log record for quantum "
-                f"{expected}: {exc}"
-            ) from exc
-        session.batcher.flush()
-        seconds += session.process_quantum(messages).elapsed_seconds
+        messages = _record_input(record, session.current_quantum + 1)
+        seconds += _advance(session, messages)
     return seconds
 
 
@@ -283,11 +383,20 @@ class LogTail:
     replay_seconds: float
 
 
-def _replay_log(session, transport, manifest, offset=0, seconds=0.0):
-    """Replay the manifest's log past ``offset`` onto ``session`` and leave
-    its :class:`LogTail` at the end; ``seconds`` is what the records before
-    ``offset`` cost to replay."""
+def _replay_log(
+    session, transport, manifest, offset=0, seconds=0.0, window=()
+):
+    """Replay the manifest's log past ``offset`` onto ``session`` — after
+    the quanta of ``window`` (:meth:`FileTailTransport.read_window`) past
+    the session's — and leave its :class:`LogTail` at the end; ``seconds``
+    is what the records before ``offset`` cost to replay.  Everything is
+    read before the session moves, so a failed read leaves it where it
+    was."""
     records, offset = transport.read_records(manifest, offset)
+    position = session.current_quantum
+    for q, messages in window:
+        if q > position:
+            _advance(session, messages)
     seconds += replay(session, records)
     session._log_tail = LogTail(
         transport.path.resolve(),
@@ -300,15 +409,18 @@ def _replay_log(session, transport, manifest, offset=0, seconds=0.0):
 
 
 def open_replayed(path, **overrides):
-    """The session a delta checkpoint holds: its base, restored (with the
-    ``noun_tagger`` / ``extractor`` overrides a restore takes), and the
-    log's consistent prefix replayed, standing at its :class:`LogTail`."""
+    """The session a delta checkpoint holds: its base restored (with the
+    ``noun_tagger`` / ``extractor`` overrides a restore takes) with the
+    window file's input extracted into its id-set window, and the log's
+    consistent prefix replayed, standing at its :class:`LogTail`."""
     from repro.api.session import DetectorSession
 
     transport = FileTailTransport(path)
     manifest = transport.manifest()
+    base = transport.load_base(manifest)
+    window = transport.read_window(manifest)
     session = DetectorSession._from_state_tree(
-        transport.load_base(manifest), **overrides
+        base, window=window, **overrides
     )
     return _replay_log(session, transport, manifest)
 
@@ -318,8 +430,9 @@ def catch_up(session):
     ``open_session(resume=dir)`` or an earlier ``catch_up``) last read its
     directory; returns the session standing at the log's end.
 
-    That is the same object unless a compaction moved the base off the
-    session's quantum, when the new base is restored instead.  Raises
+    That is the same object unless a compaction moved the base past what
+    the new generation's window file and log hold — the session is more
+    than a window behind — when the new base is restored instead.  Raises
     :class:`CheckpointError` for a session not resumed from a directory,
     or one that processed quanta past its tail (it leads now).
     """
@@ -347,10 +460,12 @@ def catch_up(session):
             manifest = transport.manifest()
             if manifest["generation"] == tail.generation:
                 raise
-    if manifest["base_quantum"] == session.current_quantum:
-        # Compaction snapshotted exactly our position: keep the warm
-        # session and tail the new log from its start.
-        return _replay_log(session, transport, manifest)
+    position = session.current_quantum
+    if manifest["window_from"] - 1 <= position <= manifest["base_quantum"]:
+        # The window file holds every quantum between us and the new base:
+        # keep the warm session, feed it those, and tail the new log.
+        window = transport.read_window(manifest)
+        return _replay_log(session, transport, manifest, window=window)
     return open_replayed(
         tail.path,
         noun_tagger=(
@@ -380,25 +495,46 @@ def read_delta_checkpoint(path, *, noun_tagger=None, extractor=None) -> dict:
 # =====================================================================
 
 
+def _create_log(path: Path, frames: Iterable[bytes]):
+    """Write a log file — the magic, then ``frames`` — and fsync it;
+    returns the handle, open for appending."""
+    try:
+        fh = open(path, "wb")
+        try:
+            fh.write(_LOG_MAGIC)
+            fh.writelines(frames)
+            fh.flush()
+            os.fsync(fh.fileno())
+        except BaseException:
+            fh.close()
+            raise
+    except OSError as exc:
+        raise CheckpointError(f"cannot write delta log {path}: {exc}") from exc
+    return fh
+
+
 class DeltaCheckpointWriter:
     """Leader-side delta checkpoint: base snapshot + append-only input log.
 
     The writer only frames, writes and fsyncs; a record's content comes
     from the ``source`` it is handed — the session, or anything with its
-    ``current_quantum``, ``_quantum_record()`` (the record of the quantum
-    just finished and its processing seconds) and ``_state_tree()`` (the
-    full tree, asked for only when a generation is rolled).
+    ``config.window_quanta``, ``current_quantum``, ``_quantum_record()``
+    (the record of the quantum just finished and its processing seconds)
+    and ``_state_tree(window_from)`` (the tree less the window blocks from
+    ``window_from`` on, asked for only when a generation is rolled).
     ``start(source)`` opens (or creates) the directory: it appends to the
     generation ``source`` was replayed from when it still stands at that
-    log's end (refusing if complete records now lie past it), and writes a
-    fresh generation otherwise.  ``append(source)``
-    logs one record and compacts — rewrite base, truncate log, flip
-    manifest — once the logged quanta would take longer than
-    :data:`REPLAY_BUDGET_S` to replay.  Every append fsyncs the log file
-    *and* its directory; base and manifest writes are atomic-rename
-    durable.  A writer whose append failed mid-frame refuses further
-    appends (the tail is torn; the next leader resumes from the directory,
-    which cuts the tail back).
+    log's end (refusing if complete records now lie past it), refuses a
+    ``source`` behind the directory's base, and writes a fresh generation
+    otherwise.  ``append(source)`` logs one record, keeps its frame among
+    the last ``window_quanta`` (the next window file), and compacts —
+    window file, base, empty log, manifest flip — once the logged quanta
+    would take longer than :data:`REPLAY_BUDGET_S` to replay.  Every append
+    fsyncs the log file *and* its directory; the window file is fsynced and
+    base and manifest writes are atomic-rename durable before the flip, so
+    a failed roll leaves the previous generation current.  A writer whose
+    append failed mid-frame refuses further appends (the tail is torn; the
+    next leader resumes from the directory, which cuts the tail back).
     """
 
     def __init__(self, path) -> None:
@@ -411,6 +547,7 @@ class DeltaCheckpointWriter:
         self.append_seconds = 0.0
         self._fh = None
         self._broken = False
+        self._frames: Deque[bytes] = deque()
 
     # ------------------------------------------------------------ lifecycle
 
@@ -423,9 +560,11 @@ class DeltaCheckpointWriter:
                 f"cannot create delta checkpoint directory "
                 f"{self.path}: {exc}"
             ) from exc
+        self._frames = deque(maxlen=source.config.window_quanta)
         generation = 0
         if (self.path / MANIFEST_NAME).exists():
-            generation = read_manifest(self.path)["generation"]
+            manifest = read_manifest(self.path)
+            generation = manifest["generation"]
             tail = getattr(source, "_log_tail", None)
             if (
                 tail is not None
@@ -433,10 +572,18 @@ class DeltaCheckpointWriter:
                 and tail.generation == generation
                 and tail.quantum == source.current_quantum
             ):
-                self._attach(tail)
+                self._attach(tail, manifest)
                 return
+            if manifest["base_quantum"] > source.current_quantum:
+                raise CheckpointError(
+                    f"{self.path} holds a base at quantum "
+                    f"{manifest['base_quantum']}, past this session's "
+                    f"quantum {source.current_quantum}: a new generation "
+                    f"from this session would rewind the directory; resume "
+                    f"from it again instead"
+                )
             generation += 1
-        self._roll(source._state_tree(), generation)
+        self._roll(source, generation)
 
     def append(self, source) -> int:
         """Log the quantum ``source`` just finished; returns the frame size
@@ -465,12 +612,13 @@ class DeltaCheckpointWriter:
             raise CheckpointError(
                 f"cannot append to delta log in {self.path}: {exc}"
             ) from exc
+        self._frames.append(frame)
         self.log_bytes += len(frame)
         self.replay_seconds += seconds
         self.records_written += 1
         self.append_seconds += time.perf_counter() - started
         if self.replay_seconds > REPLAY_BUDGET_S:
-            self._roll(source._state_tree(), self.generation + 1)
+            self._roll(source, self.generation + 1)
             self.compactions += 1
         return len(frame)
 
@@ -482,16 +630,18 @@ class DeltaCheckpointWriter:
 
     # ------------------------------------------------------------ internals
 
-    def _attach(self, tail: LogTail) -> None:
+    def _attach(self, tail: LogTail, manifest: dict) -> None:
         """Append to the replayed generation, cutting a torn tail back to
         where the replay ended; complete records past it (another writer's)
-        refuse the attach and leave the log untouched."""
+        refuse the attach and leave the log untouched.  The frame ring is
+        seeded from the generation's window file and log."""
+        window = FileTailTransport(self.path).window_frames(manifest)
         log = self.path / _log_name(tail.generation)
         try:
             fh = open(log, "r+b")
             try:
-                fh.seek(tail.offset)
-                newer, _ = decode_frames(fh.read())
+                data = fh.read()
+                newer, _ = decode_frames(data, offset=tail.offset)
                 if not newer:
                     fh.truncate(tail.offset)
                     fh.seek(tail.offset)
@@ -511,55 +661,65 @@ class DeltaCheckpointWriter:
                 f"writer logged them since; resume from the directory again "
                 f"instead of appending"
             )
+        self._frames.extend(window)
+        self._frames.extend(
+            _split_frames(data[: tail.offset], offset=len(_LOG_MAGIC))[0]
+        )
         self._fh = fh
         self.generation = tail.generation
         self.log_bytes = tail.offset - len(_LOG_MAGIC)
         self.replay_seconds = tail.replay_seconds
 
-    def _roll(self, state: dict, generation: int) -> None:
-        """Write a fresh generation (new base, empty log, manifest flip)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-        base = self.path / _base_name(generation)
-        log = self.path / _log_name(generation)
-        save_checkpoint(base, state)
+    def _roll(self, source, generation: int) -> None:
+        """Write a fresh generation — window file, base, empty log — and
+        flip the manifest to it; on failure the previous one stays current
+        and the writer keeps appending to it."""
+        window_from = source.current_quantum - len(self._frames) + 1
+        state = source._state_tree(window_from)
+        files = [
+            self.path / name(generation)
+            for name in (_window_name, _base_name, _log_name)
+        ]
+        window, base, log = files
+        fh = None
         try:
-            fh = open(log, "wb")
-            fh.write(_LOG_MAGIC)
-            fh.flush()
-            os.fsync(fh.fileno())
-            fsync_dir(self.path)
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot create delta log {log}: {exc}"
-            ) from exc
-        write_manifest(
-            self.path,
-            {
-                "format": DELTA_FORMAT,
-                "version": DELTA_VERSION,
-                "generation": generation,
-                "base": base.name,
-                "log": log.name,
-                "base_quantum": state["quantum"],
-            },
-        )
+            _create_log(window, self._frames).close()
+            fh = _create_log(log, ())
+            # the base's atomic write fsyncs the directory, making the two
+            # log files' entries durable before the manifest names them
+            save_checkpoint(base, state)
+            write_manifest(
+                self.path,
+                {
+                    "format": DELTA_FORMAT,
+                    "version": DELTA_VERSION,
+                    "generation": generation,
+                    "base": base.name,
+                    "log": log.name,
+                    "window": window.name,
+                    "base_quantum": state["quantum"],
+                    "window_from": window_from,
+                },
+            )
+        except CheckpointError:
+            if fh is not None:
+                fh.close()
+            for path in files:
+                path.unlink(missing_ok=True)
+            raise
+        self.close()
         self._fh = fh
         previous = self.generation
         self.generation = generation
         self.log_bytes = 0
         self.replay_seconds = 0.0
-        if previous >= 0 and previous != generation:
+        if previous >= 0:
             # Old-generation files are garbage after the manifest flip; a
             # follower mid-read keeps its open descriptor (POSIX) and picks
             # up the new generation at its next manifest poll.
-            for stale in (
-                self.path / _base_name(previous),
-                self.path / _log_name(previous),
-            ):
+            for name in (_window_name, _base_name, _log_name):
                 try:
-                    stale.unlink(missing_ok=True)
+                    (self.path / name(previous)).unlink(missing_ok=True)
                 except OSError:
                     pass
 

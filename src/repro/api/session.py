@@ -50,6 +50,8 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro.akg.builder import AkgBuilder
 from repro.api.checkpoint import load_checkpoint, save_checkpoint
 from repro.api.session_events import EventKind, SessionEvent
@@ -530,13 +532,18 @@ class DetectorSession:
         """The active delta-log writer, or None (read-only by convention)."""
         return self._delta_writer
 
-    def _state_tree(self) -> dict:
-        """Compose the full serializable session state (DESIGN.md S6/S10)."""
+    def _state_tree(self, window_from: Optional[int] = None) -> dict:
+        """Compose the full serializable session state (DESIGN.md S6/S10).
+
+        With ``window_from`` — a delta-log base, whose directory holds the
+        input of quanta ``window_from`` on — the id-set window leaves out
+        those quanta's blocks and the tree records where they start.
+        """
         try:
             maintainer_state = self.maintainer.to_state()
         except GraphError as exc:
             raise CheckpointError(str(exc)) from exc
-        return {
+        tree = {
             "config": self.config.to_dict(),
             # Extractor identity: the registry spec that rebuilds the
             # ingestion stage on resume (None when function-valued state
@@ -549,7 +556,7 @@ class DetectorSession:
             ),
             "custom_extractor": self._custom_extractor,
             "custom_noun_tagger": self._custom_noun_tagger,
-            "builder": self.builder.to_state(),
+            "builder": self.builder.to_state(window_from),
             "tracker": self.tracker.to_state(),
             "maintainer": maintainer_state,
             "quantum": self._quantum,
@@ -560,6 +567,9 @@ class DetectorSession:
                 self.batcher.pending_messages(), "the pending buffer"
             ),
         }
+        if window_from is not None:
+            tree["window_from"] = window_from
+        return tree
 
     def _quantum_record(self) -> Tuple[dict, float]:
         """The delta-log record of the quantum just processed — its input
@@ -596,11 +606,24 @@ class DetectorSession:
             load_checkpoint(path), noun_tagger=noun_tagger, extractor=extractor
         )
 
+    def _window_blocks(
+        self, window: Iterable[Tuple[int, Sequence[Message]]]
+    ) -> Iterator[Tuple[int, np.ndarray]]:
+        """Each logged quantum's id-set block, ``(quantum, pair keys)``,
+        extracted by this session's own extract stage — its extractor and
+        cap, into the builder's interner tables — as the live run did."""
+        extract = self.pipeline.stage("extract")
+        for quantum, messages in window:
+            ctx = QuantumContext(quantum=quantum, messages=messages)
+            extract.run(ctx)
+            yield quantum, ctx.columns.keys
+
     @classmethod
     def _from_state_tree(
         cls,
         state: dict,
         *,
+        window: Iterable[Tuple[int, Sequence[Message]]] = (),
         noun_tagger: Optional[NounTagger] = None,
         extractor: Optional[EntityExtractor] = None,
     ) -> "DetectorSession":
@@ -608,8 +631,12 @@ class DetectorSession:
 
         The common trunk under :meth:`restore` and the delta log's replay
         (which restores a base through it, then feeds it the logged input)
-        — the resume guarantees apply identically.  The caller yields
-        ownership of ``state``; layers may keep references into it.
+        — the resume guarantees apply identically.  ``window`` is the
+        input of a delta-log base's last window quanta, ``(quantum,
+        messages)`` oldest first: their id-set blocks are extracted into
+        the restored window before anything is derived from it.  The
+        caller yields ownership of ``state``; layers may keep references
+        into it.
         """
         config = DetectorConfig.from_dict(state["config"])
         if state["custom_noun_tagger"] and noun_tagger is None:
@@ -663,7 +690,9 @@ class DetectorSession:
                 extractor = make_extractor(spec["name"], spec["options"])
         session = cls(config, noun_tagger=noun_tagger, extractor=extractor)
         session.maintainer.from_state(state["maintainer"])
-        session.builder.from_state(state["builder"])
+        session.builder.from_state(
+            state["builder"], session._window_blocks(window)
+        )
         session.tracker.from_state(state["tracker"])
         session.batcher.load_pending(
             message_from_record(record) for record in state["pending"]

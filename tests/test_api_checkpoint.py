@@ -349,11 +349,16 @@ class TestVersionMigration:
     base at message 160 and the four records up to message 240.  Its
     records are state edits, which delta-log version 7 (records are the
     quanta's input) no longer applies: the directory is refused by manifest
-    version, and its base still loads as a checkpoint.
+    version, and its base still loads as a checkpoint.  ``delta_v7/`` is
+    the last version-7 tree's log of the same positions and config: its
+    records are input, but its base carries the whole window and it has no
+    window file, so version 8 refuses it by number as well; its base
+    resumes like any checkpoint.
     """
 
     VERSIONS = (2, 3, 4, 5, 6, 7, 8)
     DELTA_DIR = Path(__file__).parent / "data" / "delta_v6"
+    DELTA_V7_DIR = Path(__file__).parent / "data" / "delta_v7"
     ASSETS = {
         version: Path(__file__).parent / "data" / f"checkpoint_v{version}.ckpt"
         for version in VERSIONS
@@ -444,16 +449,55 @@ class TestVersionMigration:
         from repro.api.checkpoint import load_checkpoint
         from repro.api.deltalog import DELTA_VERSION
 
-        assert DELTA_VERSION == 7
+        assert DELTA_VERSION == 8
         for load in (load_checkpoint, lambda p: open_session(resume=p)):
             with pytest.raises(
                 CheckpointError,
                 match="delta-checkpoint version 6; this build reads "
-                "version 7",
+                "version 8",
             ):
                 load(self.DELTA_DIR)
         base = load_checkpoint(self.DELTA_DIR / "base-0.ckpt")
         assert base["quantum"] == 7 and "notified" not in base
+
+    def test_v7_delta_directory_is_refused_by_manifest_version(self):
+        from repro.api.checkpoint import load_checkpoint
+
+        for load in (load_checkpoint, lambda p: open_session(resume=p)):
+            with pytest.raises(
+                CheckpointError,
+                match="delta-checkpoint version 7; this build reads "
+                "version 8",
+            ):
+                load(self.DELTA_V7_DIR)
+        base = load_checkpoint(self.DELTA_V7_DIR / "base-0.ckpt")
+        assert base["quantum"] == 7 and "window_from" not in base
+        assert len(base["builder"]["idsets"]["window"]) == 3
+
+    def test_v7_delta_base_continues_bit_identically(self):
+        """The v7 base holds its whole window: it resumes on its own and,
+        re-fed the input its four records logged, continues bit for bit."""
+        from golden import fingerprint, note_record, report_record
+
+        from repro.api.deltalog import FileTailTransport
+        from repro.stream.sources import message_from_record
+
+        transport = FileTailTransport(self.DELTA_V7_DIR)
+        records, _ = transport.read_records({"log": "deltas-0.log"}, 0)
+        logged = [message_from_record(m) for r in records for m in r["in"]]
+        assert [r["q"] for r in records] == [8, 9, 10, 11]
+        assert logged == self.stream()[160:240]
+        session = open_session(resume=self.DELTA_V7_DIR / "base-0.ckpt")
+        assert session.current_quantum == 7
+        list(session.ingest_many(logged))
+        inbox = QueueSink()
+        session.subscribe(inbox)
+        reports = list(session.ingest_many(self.stream()[240:]))
+        structure = {
+            "reports": [report_record(r) for r in reports],
+            "notes": [note_record(e) for e in inbox.drain()],
+        }
+        assert fingerprint(structure) == self.CONTINUATION
 
     # ``fingerprint(encode_state(load_checkpoint(asset)))`` as the retired
     # one-step-per-version migration chain (v2 -> v3 -> ... -> v7) produced
@@ -619,8 +663,11 @@ class TestVersionMigration:
         base = delta / "base-0.ckpt"
         self.with_referee_mode(base, base, "oracle_akg")
         (delta / "deltas-0.log").write_bytes(_LOG_MAGIC)
+        (delta / "window-0.log").write_bytes(_LOG_MAGIC)
         manifest = json.loads((delta / "MANIFEST.json").read_text())
         manifest["version"] = DELTA_VERSION
+        manifest["window"] = "window-0.log"
+        manifest["window_from"] = manifest["base_quantum"] + 1
         (delta / "MANIFEST.json").write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match="oracle_akg=True"):
             open_session(resume=delta)

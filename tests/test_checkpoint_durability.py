@@ -29,6 +29,7 @@ from repro.api.deltalog import (
     _LOG_MAGIC,
     DELTA_FORMAT,
     DELTA_VERSION,
+    decode_frames,
     encode_frame,
     read_manifest,
     write_manifest,
@@ -376,3 +377,102 @@ class TestDeltaLogFaults:
         session.process_quantum(bursty_stream(7, 4))
         assert synced["file"] >= 1 and synced["dir"] >= 1
         session.close()
+
+
+class TestWindowFileFaults:
+    """The window file is written whole and fsynced before the manifest
+    flip names it: anything short of the frames the manifest promises is
+    corruption, never a crash tail, and raises."""
+
+    @pytest.fixture()
+    def rolled(self, tmp_path, monkeypatch):
+        """A directory whose last roll copied a full window (3 frames)."""
+        d = tmp_path / "d"
+        config = make_config(quantum_size=4)
+        messages = bursty_stream(3, 4 * 6)
+        monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 1e9)
+        with open_session(config, delta_log=d) as session:
+            list(session.ingest_many(messages[:20]))
+            monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 0.0)
+            list(session.ingest_many(messages[20:]))
+        manifest = read_manifest(d)
+        assert manifest["base_quantum"] == 5
+        assert manifest["window_from"] == 3
+        return d, d / manifest["window"]
+
+    def test_intact_window_loads(self, rolled):
+        d, _ = rolled
+        assert load_checkpoint(d)["quantum"] == 5
+
+    def test_torn_window_file_raises(self, rolled):
+        d, window = rolled
+        data = window.read_bytes()
+        for cut in (len(data) - 1, len(data) - 20, len(_LOG_MAGIC)):
+            window.write_bytes(data[:cut])
+            with pytest.raises(CheckpointError, match="damaged"):
+                load_checkpoint(d)
+
+    def test_crc_bad_window_file_raises(self, rolled):
+        d, window = rolled
+        data = bytearray(window.read_bytes())
+        data[len(_LOG_MAGIC) + 8 + 2] ^= 0xFF  # inside the first payload
+        window.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="damaged"):
+            load_checkpoint(d)
+
+    def test_window_not_ending_at_the_base_raises(self, rolled):
+        d, window = rolled
+        records, _ = decode_frames(window.read_bytes(), offset=len(_LOG_MAGIC))
+        shifted = [dict(r, q=r["q"] - 1) for r in records]
+        window.write_bytes(
+            _LOG_MAGIC + b"".join(encode_frame(r) for r in shifted)
+        )
+        with pytest.raises(CheckpointError, match="discontinuous"):
+            load_checkpoint(d)
+
+    def test_stand_alone_base_is_refused(self, rolled):
+        d, _ = rolled
+        base = d / read_manifest(d)["base"]
+        for load in (load_checkpoint, lambda p: open_session(resume=p)):
+            with pytest.raises(CheckpointError, match="resume the directory"):
+                load(base)
+
+    def test_failed_window_fsync_leaves_the_previous_generation(
+        self, tmp_path, monkeypatch
+    ):
+        d = tmp_path / "d"
+        messages = bursty_stream(5, 4 * 6)
+        monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 1e9)
+        leader = open_session(make_config(quantum_size=4), delta_log=d)
+        list(leader.ingest_many(messages[:16]))
+        manifest = read_manifest(d)
+        names = sorted(p.name for p in d.iterdir())
+        real_fsync = os.fsync
+
+        def window_fsync_fails(fd):
+            if os.path.basename(os.readlink(f"/proc/self/fd/{fd}")).startswith(
+                "window-1"
+            ):
+                raise OSError("injected: fsync failed")
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", window_fsync_fails)
+        monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 0.0)
+        with pytest.raises(CheckpointError, match="injected"):
+            leader.process_quantum(messages[16:20])
+        assert read_manifest(d) == manifest
+        assert sorted(p.name for p in d.iterdir()) == names
+        leader.snapshot(tmp_path / "leader.ckpt")
+        assert clocks_zeroed(load_checkpoint(d)) == clocks_zeroed(
+            load_checkpoint(tmp_path / "leader.ckpt")
+        )
+        # the writer still appends to the current generation, and rolls
+        # once the disk is healthy again
+        monkeypatch.setattr(os, "fsync", real_fsync)
+        leader.process_quantum(messages[20:24])
+        assert read_manifest(d)["generation"] == 1
+        leader.snapshot(tmp_path / "leader.ckpt")
+        leader.close()
+        assert clocks_zeroed(load_checkpoint(d)) == clocks_zeroed(
+            load_checkpoint(tmp_path / "leader.ckpt")
+        )

@@ -401,6 +401,33 @@ class TestResumeAppends:
         assert log.read_bytes() == logged
         assert open_session(resume=tmp_path / "d").current_quantum == 19
 
+    def test_stale_session_cannot_rewind_a_rolled_directory(
+        self, tmp_path, monkeypatch
+    ):
+        """A session resumed before the leader rolled stands behind the new
+        base: logging it there would start a generation from its older
+        state and silently drop every quantum since.  It is refused."""
+        monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 1e12)
+        config = make_config()
+        messages = bursty_stream(59, 600)
+        d = tmp_path / "d"
+        with open_session(config, delta_log=d) as leader:
+            list(leader.ingest_many(messages[:200]))
+            stale = open_session(resume=d)
+            assert stale.current_quantum == 9
+            list(leader.ingest_many(messages[200:380]))
+            monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 0.0)
+            list(leader.ingest_many(messages[380:400]))
+            monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 1e12)
+            list(leader.ingest_many(messages[400:]))
+        manifest = read_manifest(d)
+        assert manifest["base_quantum"] == 19
+        with pytest.raises(CheckpointError, match="rewind"):
+            stale.enable_delta_log(d)
+        assert stale.delta_writer is None
+        assert read_manifest(d) == manifest
+        assert open_session(resume=d).current_quantum == 29
+
     def test_moved_session_does_not_append_to_the_old_log(self, tmp_path):
         """A resumed session that processed quanta before enabling the log
         no longer stands at the log's end: it starts a new generation."""
@@ -596,11 +623,13 @@ class TestLosslessReplay:
 # ------------------------------------------------ record/replay fuzz
 
 
-def random_stream(rng):
+def random_stream(rng, quanta=(3, 8), edges=False):
     """A random small config and a stream over it: user ids all ints or
     all strings, a drifting hot vocabulary, and by the roll timestamps and
-    ``fields`` payloads through the structured extractor."""
+    ``fields`` payloads through the structured extractor — or, with
+    ``edges``, entity lists through the edge-stream adapter."""
     structured = rng.random() < 0.3
+    edge = edges and not structured and rng.random() < 0.4
     overrides = dict(
         quantum_size=rng.randint(8, 30),
         window_quanta=rng.randint(2, 5),
@@ -610,23 +639,29 @@ def random_stream(rng):
         overrides.update(
             extractor="fields", extractor_options={"fields": ["tags"]}
         )
+    if edge:
+        overrides.update(extractor="edges")
     config = make_config(**overrides)
     int_ids = rng.random() < 0.5
     stamped = rng.random() < 0.5
     vocabulary = [f"k{i}" for i in range(rng.randint(4, 20))]
     n_users = rng.randint(5, 40)
     messages = []
-    for q in range(rng.randint(3, 8)):
+    for q in range(rng.randint(*quanta)):
         hot = rng.sample(vocabulary, rng.randint(2, min(6, len(vocabulary))))
         for i in range(config.quantum_size):
             pool = hot if rng.random() < 0.7 else vocabulary
             tokens = tuple(rng.sample(pool, rng.randint(1, min(4, len(pool)))))
             user = rng.randrange(n_users)
+            if edge:
+                payload = {"entities": list(tokens)}
+            else:
+                payload = {"tags": list(tokens)} if structured else None
             messages.append(
                 Message(
                     user if int_ids else f"u{user}",
-                    tokens=None if structured else tokens,
-                    fields={"tags": list(tokens)} if structured else None,
+                    tokens=None if structured or edge else tokens,
+                    fields=payload,
                     timestamp=q * 60.0 + i if stamped else None,
                 )
             )
@@ -715,3 +750,153 @@ class TestDiffPatchFuzz:
             assert leader.delta_writer.compactions >= 10
         assert checked >= 8
         assert follower._log_tail.generation > first_generation
+
+
+class TestRollFuzz:
+    """Every roll writes the window as input frames and the base without
+    their blocks; the directory must replay to the leader's exact state
+    after each quantum, whatever the roll left in the base — some blocks
+    (a roll before the writer appended a full window) or none."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_directory_equals_the_leader_across_every_roll(
+        self, seed, tmp_path, monkeypatch
+    ):
+        """The log is enabled a few quanta in, so the first base and the
+        rolls before a full window carry blocks; the last quantum always
+        rolls, with a full window of frames."""
+        rng = random.Random(1000 + seed)
+        config, messages = random_stream(rng, quanta=(12, 18), edges=True)
+        size, w = config.quantum_size, config.window_quanta
+        head = rng.randint(1, w) * size
+        d = tmp_path / "d"
+        carried = full = 0
+
+        def check(leader):
+            nonlocal carried, full
+            tree = deltalog.read_delta_checkpoint(d)
+            assert tree_bytes(tree) == state_bytes(leader)
+            manifest = read_manifest(d)
+            base = FileTailTransport(d).load_base(manifest)
+            window = base["builder"]["idsets"]["window"]
+            if manifest["base_quantum"] - manifest["window_from"] + 1 < w:
+                carried += bool(window)
+            else:
+                assert window == []
+                full += 1
+
+        with open_session(config) as leader:
+            list(leader.ingest_many(messages[:head]))
+            leader.enable_delta_log(d)
+            check(leader)
+            for i, message in enumerate(messages[head:], head):
+                roll = rng.random() < 0.5 or i >= len(messages) - size
+                monkeypatch.setattr(
+                    deltalog, "REPLAY_BUDGET_S", 0.0 if roll else 1e12
+                )
+                if leader.ingest(message) is not None:
+                    check(leader)
+            assert leader.delta_writer.compactions > 0
+        assert carried > 0 and full > 0
+        resumed = open_session(resume=d)
+        assert state_bytes(resumed) == state_bytes(leader)
+
+
+class TestWindowFile:
+    def roll_after(self, tmp_path, monkeypatch, n_quanta):
+        """A leader that logs ``n_quanta`` quanta in one generation, then
+        rolls on the next; returns it and the old log's bytes, read
+        through a descriptor held across the roll's unlink."""
+        config = make_config()
+        monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 1e12)
+        messages = bursty_stream(51, (n_quanta + 1) * config.quantum_size)
+        leader = open_session(config, delta_log=tmp_path / "d")
+        list(leader.ingest_many(messages[: n_quanta * config.quantum_size]))
+        old = open(tmp_path / "d" / read_manifest(tmp_path / "d")["log"], "rb")
+        monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 0.0)
+        list(leader.ingest_many(messages[n_quanta * config.quantum_size :]))
+        with old:
+            return leader, old.read()
+
+    def test_a_full_window_leaves_the_base_and_is_copied_verbatim(
+        self, tmp_path, monkeypatch
+    ):
+        leader, old_log = self.roll_after(tmp_path, monkeypatch, 5)
+        d = tmp_path / "d"
+        manifest = read_manifest(d)
+        assert manifest["generation"] == 1
+        assert manifest["base_quantum"] == 5
+        assert manifest["window_from"] == 3
+        base = FileTailTransport(d).load_base(manifest)
+        assert base["builder"]["idsets"]["window"] == []
+        frames, _ = deltalog._split_frames(old_log, offset=len(_LOG_MAGIC))
+        assert len(frames) == 6
+        assert (d / manifest["window"]).read_bytes() == _LOG_MAGIC + b"".join(
+            frames[-3:]
+        )
+        assert (d / manifest["log"]).read_bytes() == _LOG_MAGIC
+        resumed = open_session(resume=d)
+        assert resumed.builder.idsets.to_state() == (
+            leader.builder.idsets.to_state()
+        )
+        assert state_bytes(resumed) == state_bytes(leader)
+        leader.close()
+
+    def test_an_early_roll_keeps_the_blocks_the_frames_miss(
+        self, tmp_path, monkeypatch
+    ):
+        """One append into a fresh writer, then a roll: the window file
+        holds that quantum and the base every block before it."""
+        config = make_config()
+        monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 1e12)
+        messages = bursty_stream(53, 5 * config.quantum_size)
+        session = open_session(config)
+        list(session.ingest_many(messages[: 4 * config.quantum_size]))
+        session.enable_delta_log(tmp_path / "d")
+        d = tmp_path / "d"
+        manifest = read_manifest(d)
+        assert (manifest["window_from"], manifest["base_quantum"]) == (4, 3)
+        assert (d / manifest["window"]).read_bytes() == _LOG_MAGIC
+        base = FileTailTransport(d).load_base(manifest)
+        assert [q for q, _ in base["builder"]["idsets"]["window"]] == [
+            1, 2, 3
+        ]
+        monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 0.0)
+        list(session.ingest_many(messages[4 * config.quantum_size :]))
+        manifest = read_manifest(d)
+        assert (manifest["window_from"], manifest["base_quantum"]) == (4, 4)
+        base = FileTailTransport(d).load_base(manifest)
+        assert [q for q, _ in base["builder"]["idsets"]["window"]] == [2, 3]
+        assert same_state(d, _snapshot(session, tmp_path / "mono.ckpt"))
+        session.close()
+
+    def test_attach_seeds_the_frames_from_window_file_and_log(
+        self, tmp_path, monkeypatch
+    ):
+        """A resumed writer's first roll copies the same last frames the
+        leader would have: one it found in the window file, one in the
+        log, and the one it appended."""
+        leader, _ = self.roll_after(tmp_path, monkeypatch, 5)
+        monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 1e12)
+        config = leader.config
+        rest = bursty_stream(57, 2 * config.quantum_size)
+        list(leader.ingest_many(rest[: config.quantum_size]))
+        leader.close()
+        d = tmp_path / "d"
+        before = (d / read_manifest(d)["log"]).read_bytes()
+        with open_session(resume=d, delta_log=d) as successor:
+            assert successor.current_quantum == 6
+            monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 0.0)
+            list(successor.ingest_many(rest[config.quantum_size :]))
+            assert successor.delta_writer.generation == 2
+            manifest = read_manifest(d)
+            window = (d / manifest["window"]).read_bytes()
+            records, _ = decode_frames(window, offset=len(_LOG_MAGIC))
+            assert [r["q"] for r in records] == [5, 6, 7]
+            assert before[len(_LOG_MAGIC) :] in window
+            assert same_state(d, _snapshot(successor, tmp_path / "s.ckpt"))
+
+
+def _snapshot(session, path):
+    session.snapshot(path)
+    return path

@@ -106,6 +106,57 @@ class TestPromoteParity:
             assert leader.delta_writer.compactions > 0
             assert follower._log_tail.generation > first_generation
 
+    def test_a_roll_keeps_a_follower_less_than_a_window_behind(
+        self, tmp_path, monkeypatch
+    ):
+        """The new generation's window file holds the quanta the follower
+        missed, so catch_up feeds it those instead of restoring the new
+        base, and it equals the leader after."""
+        config = make_config()  # a 3-quantum window
+        messages = bursty_stream(27, 600)
+        monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 1e12)
+        with open_session(config, delta_log=tmp_path / "d") as leader:
+            list(leader.ingest_many(messages[:200]))
+            follower = open_session(resume=tmp_path / "d")
+            assert follower.current_quantum == 9
+            list(leader.ingest_many(messages[200:240]))
+            monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 0.0)
+            list(leader.ingest_many(messages[240:260]))
+            manifest = read_manifest(tmp_path / "d")
+            assert manifest["generation"] == 1
+            assert (manifest["window_from"], manifest["base_quantum"]) == (
+                10, 12
+            )
+            assert deltalog.catch_up(follower) is follower
+            assert follower.current_quantum == 12
+            monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 1e12)
+            list(leader.ingest_many(messages[260:300]))
+            assert deltalog.catch_up(follower) is follower
+            assert follower.current_quantum == leader.current_quantum == 14
+            leader.snapshot(tmp_path / "leader.ckpt")
+        follower.snapshot(tmp_path / "follower.ckpt")
+        assert golden.fingerprint(
+            golden.normalized_checkpoint_state(tmp_path / "follower.ckpt")
+        ) == golden.fingerprint(
+            golden.normalized_checkpoint_state(tmp_path / "leader.ckpt")
+        )
+
+    def test_a_follower_more_than_a_window_behind_restores(
+        self, tmp_path, monkeypatch
+    ):
+        config = make_config()
+        messages = bursty_stream(29, 600)
+        monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 1e12)
+        with open_session(config, delta_log=tmp_path / "d") as leader:
+            list(leader.ingest_many(messages[:200]))
+            follower = open_session(resume=tmp_path / "d")
+            list(leader.ingest_many(messages[200:280]))
+            monkeypatch.setattr(deltalog, "REPLAY_BUDGET_S", 0.0)
+            list(leader.ingest_many(messages[280:300]))
+            caught_up = deltalog.catch_up(follower)
+            assert caught_up is not follower
+            assert caught_up.current_quantum == leader.current_quantum == 14
+
     def test_chained_failover(self, tmp_path):
         """The follower that took over can itself lead: enable a delta
         log, die, and a second follower takes over — still equal to the

@@ -685,7 +685,7 @@ class TestRefusedDeltaFormat:
             with pytest.raises(
                 ServeError,
                 match="400.*delta-checkpoint version 6; this build reads "
-                "version 7",
+                "version 8",
             ):
                 client.create_tenant("old", resume=True)
             assert client.tenants() == []
