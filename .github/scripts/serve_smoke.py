@@ -2,9 +2,11 @@
 
 Start the server as a subprocess, create a tenant, ingest a canned trace
 through the stdlib client, assert subscriber events and /metrics sanity,
-kill -9 the process, restart it, and resume the tenant from its delta
+check the queue's byte count and a JSONL body holding a raw U+2028, kill
+-9 the process, restart it, and resume the tenant from its delta
 checkpoint.  Exits non-zero on any failed assertion.
 """
+import json
 import os
 import signal
 import subprocess
@@ -76,6 +78,22 @@ assert sent["sent"] == len(events) and sent["dropped"] == 0, sent
 metrics = client.metrics()
 assert metrics["tenants"]["smoke"]["messages"] == half, metrics
 assert set(metrics) == {"uptime_s", "workers", "max_queue", "tenants"}, metrics
+assert metrics["tenants"]["smoke"]["queued_bytes"] == 0, metrics
+
+# A JSONL body may carry a raw U+2028 inside a string: JSON allows it, and
+# U+2028 does not end a line of a body.
+client.create_tenant("lsep", CONFIG, persist=False)
+body = "\n".join(
+    json.dumps({"u": f"u{i}", "t": f"quake\u2028alert {i}"}, ensure_ascii=False)
+    for i in range(100)
+).encode("utf-8")
+assert "\u2028".encode("utf-8") in body
+ack = client._request("POST", "/v1/lsep/ingest?wait=1", body)
+assert ack["accepted"] == 100 and ack["shed"] == 0, ack
+stats = client.stats("lsep")
+assert stats["messages"] + stats["pending"] == 100, stats
+assert stats["queued"] == 0 and stats["queued_bytes"] == 0, stats
+client.close_tenant("lsep")
 
 proc.send_signal(signal.SIGKILL)
 proc.wait(timeout=30)

@@ -33,9 +33,13 @@ from repro.core.changelog import ChangeBatch, ChangeEvent, ClusterMerged
 from repro.core.clusters import Cluster
 
 
-@dataclass
+@dataclass(slots=True)
 class EventSnapshot:
-    """State of one event from ``quantum`` until its next change point."""
+    """State of one event from ``quantum`` until its next change point.
+
+    Consecutive snapshots of one event whose keyword sets are equal share
+    one ``keywords`` object (a rank-only change point stores no new set).
+    """
 
     quantum: int
     keywords: FrozenSet[str]
@@ -220,15 +224,17 @@ class EventTracker:
             record.died_quantum = None
             record.absorbed_into = None
             reopened = True
-        if not reopened and record.snapshots:
+        if record.snapshots:
             last = record.snapshots[-1]
-            if (
-                last.keywords == keywords
-                and last.rank == rank
-                and last.support == support
-                and last.num_edges == num_edges
-            ):
-                return
+            if last.keywords == keywords:
+                keywords = last.keywords
+                if (
+                    not reopened
+                    and last.rank == rank
+                    and last.support == support
+                    and last.num_edges == num_edges
+                ):
+                    return
         record.snapshots.append(
             EventSnapshot(
                 quantum=quantum,
@@ -370,13 +376,16 @@ class EventTracker:
                 absorbed_into=record["absorbed_into"],
                 gaps=[tuple(gap) for gap in record["gaps"]],
             )
+            listed = shared = None
             for quantum, keywords, rank, support, num_edges in record[
                 "snapshots"
             ]:
+                if keywords != listed:
+                    listed, shared = keywords, frozenset(keywords)
                 out.snapshots.append(
                     EventSnapshot(
                         quantum=quantum,
-                        keywords=frozenset(keywords),
+                        keywords=shared,
                         rank=rank,
                         support=support,
                         num_edges=num_edges,

@@ -10,6 +10,10 @@ snapshot on graceful close).
 
 Backpressure model (DESIGN.md Section 11):
 
+* the ingest queue holds checked wire frames, not messages: the door
+  decodes a frame and checks every record, then queues the frame's bytes
+  with its record count, and the executor decodes the bytes again, one
+  frame at a time, as the session consumes them;
 * the ingest queue is bounded (``max_queue`` messages); a producer that
   overruns it gets the overflow **shed** — counted and reported in the
   ingest response and ``/stats``, never an OOM;
@@ -31,12 +35,13 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.api import open_session
 from repro.config import DetectorConfig
 from repro.errors import CheckpointError, ConfigError, ServeError
 from repro.serve.hub import FanoutHub
+from repro.serve.wire import encode_records, ingest_records, parse_ingest_body
 from repro.stream.messages import Message
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,63}")
@@ -62,8 +67,22 @@ DEFAULT_MAX_QUEUE = 100_000
 MAX_BATCH_QUANTA = 64
 
 
+#: A queued slice of one ingest frame: its bytes and the record range
+#: ``[lo, hi)`` still to be ingested.
+Frame = Tuple[bytes, int, int]
+
+
 class Tenant:
-    """One named detector session and its serving state."""
+    """One named detector session and its serving state.
+
+    The ingest queue holds :data:`Frame` entries — checked wire bytes and a
+    record range — so a queued message costs its share of the frame's
+    bytes, not a :class:`~repro.stream.messages.Message`.  Every counter
+    (``queued``, ``queue_hwm``, ``accepted``, ``shed``, ``deferred``,
+    ``failed``) is in messages; ``queued_bytes`` is the bytes of the frames
+    the queue holds (a frame the drainer split counts whole until its tail
+    leaves the queue).
+    """
 
     def __init__(
         self,
@@ -82,7 +101,9 @@ class Tenant:
             default_buffer=manager.subscriber_buffer,
             stall_deadline=manager.stall_deadline,
         )
-        self._queue: Deque[Message] = deque()
+        self._queue: Deque[Frame] = deque()
+        self._queued = 0
+        self._queued_bytes = 0
         # Serializes session access across executor threads: the drainer's
         # ingest batches, on-demand snapshots, and final teardown never
         # interleave on the (thread-unsafe) DetectorSession.
@@ -108,28 +129,42 @@ class Tenant:
 
     # ------------------------------------------------------------- ingest
 
-    def enqueue(self, messages: List[Message]) -> Dict[str, int]:
-        """Queue messages for ingestion (event-loop thread only).
+    def enqueue(self, frame: bytes) -> Dict[str, int]:
+        """Check one ingest frame and queue it (event-loop thread only).
 
-        Messages beyond the queue bound are shed — counted, reported,
-        dropped.  Returns the per-call accounting.
+        Every record is decoded and checked here, so a bad record is
+        refused (``ServeError``) before anything is queued.  Records beyond
+        the queue bound are shed — counted, reported, dropped; a frame
+        accepted in part is queued as the re-encoded accepted prefix, so
+        the queue never holds the bytes of a shed record.  A frame of more
+        records than one drainer batch takes is queued as re-encoded chunks
+        of at most one batch, so no queued frame spans more than two batches
+        and the executor decodes each at most twice.  Returns the per-call
+        accounting.
         """
         if self._closing or self.closed:
             raise ServeError(f"tenant {self.name!r} is closed")
-        accepted = 0
-        shed = 0
-        max_queue = self.manager.max_queue
-        for message in messages:
-            if len(self._queue) >= max_queue:
-                shed += 1
-                continue
-            if self._queue:
-                self.deferred += 1
-            self._queue.append(message)
-            accepted += 1
+        records = ingest_records(frame)
+        accepted = min(len(records), self.manager.max_queue - self._queued)
+        shed = len(records) - accepted
+        if accepted:
+            # A message is deferred when it queues behind another one.
+            self.deferred += accepted if self._queue else accepted - 1
+            cap = self._batch_cap()
+            if shed or accepted > cap:
+                frames = [
+                    encode_records(records[lo:min(lo + cap, accepted)])
+                    for lo in range(0, accepted, cap)
+                ]
+            else:
+                frames = [frame]
+            for lo, chunk in zip(range(0, accepted, cap), frames):
+                self._queue.append((chunk, 0, min(cap, accepted - lo)))
+                self._queued_bytes += len(chunk)
+            self._queued += accepted
         self.accepted += accepted
         self.shed += shed
-        depth = len(self._queue)
+        depth = self._queued
         if depth > self.queue_hwm:
             self.queue_hwm = depth
         if accepted:
@@ -141,17 +176,44 @@ class Tenant:
             "queued": depth,
         }
 
+    def _take(self, count: int) -> List[Frame]:
+        """Dequeue ``count`` messages: whole frames, then the head of the
+        next one (its tail stays queued, sharing the frame's bytes)."""
+        batch: List[Frame] = []
+        self._queued -= count
+        while count:
+            frame, lo, hi = self._queue[0]
+            if hi - lo > count:
+                self._queue[0] = (frame, lo + count, hi)
+                batch.append((frame, lo, lo + count))
+                break
+            self._queue.popleft()
+            self._queued_bytes -= len(frame)
+            batch.append((frame, lo, hi))
+            count -= hi - lo
+        return batch
+
+    def _batch_cap(self) -> int:
+        """The most messages one drainer batch takes."""
+        return self.session.config.quantum_size * MAX_BATCH_QUANTA
+
     def _effective_batch(self, backlog: int) -> int:
         """Adaptive quantum sizing: grow the batch with the backlog."""
         base = self.session.config.quantum_size
-        cap = base * MAX_BATCH_QUANTA
-        return max(base, min(backlog, cap))
+        return max(base, min(backlog, self._batch_cap()))
 
-    def _ingest_sync(self, batch: List[Message]) -> int:
+    @staticmethod
+    def _messages(batch: List[Frame]) -> Iterator[Message]:
+        """The batch's messages, decoded one frame at a time as the
+        session pulls them."""
+        for frame, lo, hi in batch:
+            yield from parse_ingest_body(frame, lo, hi)
+
+    def _ingest_sync(self, batch: List[Frame]) -> int:
         """Run on the shared executor: feed one batch through the session."""
         produced = 0
         with self._session_lock:
-            for _report in self.session.ingest_many(batch):
+            for _report in self.session.ingest_many(self._messages(batch)):
                 produced += 1
         return produced
 
@@ -168,13 +230,13 @@ class Tenant:
                     await self._wake.wait()
                 continue
             self._idle.clear()
-            backlog = len(self._queue)
+            backlog = self._queued
             size = self._effective_batch(backlog)
             self.batch_size = size
             if size > self.batch_hwm:
                 self.batch_hwm = size
             take = min(backlog, size)
-            batch = [self._queue.popleft() for _ in range(take)]
+            batch = self._take(take)
             try:
                 self.reports += await loop.run_in_executor(
                     self.manager.executor, self._ingest_sync, batch
@@ -186,10 +248,10 @@ class Tenant:
                 # leaves every later ``?wait=1`` ingest hanging.
                 _log.exception(
                     "tenant %s: a batch of %d messages failed",
-                    self.name, len(batch),
+                    self.name, take,
                 )
                 self.errors += 1
-                self.failed += len(batch)
+                self.failed += take
                 self.last_error = f"{type(exc).__name__}: {exc}"
 
     async def wait_idle(self) -> None:
@@ -239,9 +301,9 @@ class Tenant:
             return {"closed": True, "quantum": self.session.current_quantum}
         self._closing = True
         if not drain:
-            shed = len(self._queue)
-            self.shed += shed
+            self.shed += self._queued
             self._queue.clear()
+            self._queued = self._queued_bytes = 0
         self._wake.set()
         await self._idle.wait()
         await self._runner
@@ -276,7 +338,8 @@ class Tenant:
             "messages": session.total_messages,
             "pending": session.batcher.pending,
             "throughput": round(session.throughput(), 1),
-            "queued": len(self._queue),
+            "queued": self._queued,
+            "queued_bytes": self._queued_bytes,
             "queue_hwm": self.queue_hwm,
             "accepted": self.accepted,
             "shed": self.shed,

@@ -39,11 +39,11 @@ import sys
 import threading
 from typing import Optional, Tuple
 
-from repro.errors import ServeError, StreamError
+from repro.errors import ServeError
 from repro.serve import wire
 from repro.serve.hub import parse_kinds
 from repro.serve.manager import SessionManager
-from repro.stream.sources import message_from_record
+from repro.serve.wire import parse_ingest_body  # re-exported: see __all__
 
 
 def _error_status(exc: ServeError) -> int:
@@ -53,30 +53,6 @@ def _error_status(exc: ServeError) -> int:
     if "already exists" in text or "existing state" in text:
         return 409
     return 400
-
-
-def parse_ingest_body(body: bytes) -> list:
-    """Decode an ingest payload: JSONL lines, or one JSON array of records."""
-    try:
-        text = body.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ServeError(f"ingest body is not UTF-8: {exc}") from exc
-    stripped = text.lstrip()
-    try:
-        if stripped.startswith("["):
-            records = json.loads(text)
-        else:
-            records = [
-                json.loads(line)
-                for line in text.splitlines()
-                if line.strip()
-            ]
-    except json.JSONDecodeError as exc:
-        raise ServeError(f"ingest body is not valid JSON(L): {exc}") from exc
-    try:
-        return [message_from_record(record) for record in records]
-    except StreamError as exc:
-        raise ServeError(f"bad ingest record: {exc}") from exc
 
 
 class ReproServer:
@@ -224,8 +200,7 @@ class ReproServer:
             return 405, {"error": f"{method} not allowed on /v1/{name}"}
         tenant = manager.get(name)
         if action == "ingest" and method == "POST":
-            messages = parse_ingest_body(request.body)
-            result = tenant.enqueue(messages)
+            result = tenant.enqueue(request.body)
             if request.query.get("wait") in ("1", "true"):
                 await tenant.wait_idle()
                 result = dict(result)
@@ -372,8 +347,7 @@ class ReproServer:
                 if opcode != wire.OP_TEXT:
                     continue
                 try:
-                    messages = parse_ingest_body(payload)
-                    result = tenant.enqueue(messages)
+                    result = tenant.enqueue(payload)
                     result["quantum"] = tenant.session.current_quantum
                 except ServeError as exc:
                     result = {"error": str(exc)}

@@ -1,4 +1,5 @@
-"""Wire primitives of the serving layer: HTTP/1.1 parsing + WebSocket frames.
+"""Wire primitives of the serving layer: HTTP/1.1 parsing, WebSocket frames
+and the ingest frame codec.
 
 Everything here is stdlib-only (DESIGN.md Section 11): the front door must
 run on a bare python install, so instead of depending on an HTTP framework
@@ -7,6 +8,10 @@ request line + headers + ``Content-Length`` bodies on the REST side, and
 unfragmented text/close/ping/pong frames on the WebSocket side.  The frame
 codec is pure functions over bytes so the asyncio server and the blocking
 :mod:`repro.serve.client` share one implementation (and one set of tests).
+An ingest frame (an HTTP ingest body or one WebSocket text frame) is decoded
+twice by one function pair here: at the door, where every record is checked
+and the frame is queued as its bytes, and on the executor, where the queued
+bytes become :class:`~repro.stream.messages.Message` objects.
 """
 
 from __future__ import annotations
@@ -16,12 +21,14 @@ import base64
 import hashlib
 import json
 import os
+import re
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.errors import ServeError
+from repro.errors import ServeError, StreamError
+from repro.stream.sources import check_record, message_from_record
 
 # RFC 6455 Section 1.3: the fixed GUID concatenated to the client key.
 WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
@@ -244,6 +251,71 @@ def read_frame_blocking(rfile) -> Tuple[int, bytes]:
     return opcode, payload
 
 
+# The JSONL line breaks: every break of :meth:`str.splitlines` that JSON
+# never allows raw inside a string.  U+0085, U+2028 and U+2029 may stand
+# raw in a JSON string, so they do not end a line.
+_JSONL_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c-\x1e]")
+
+
+def _decode_frame(body: bytes) -> list:
+    """The JSON values of an ingest frame: one JSON array, or JSONL lines.
+
+    Lines break where :meth:`str.splitlines` breaks them, except at U+0085,
+    U+2028 and U+2029 (see :data:`_JSONL_BREAK`); a line blank under
+    :meth:`str.strip` is skipped.
+    """
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ServeError(f"ingest body is not UTF-8: {exc}") from exc
+    try:
+        if text.lstrip().startswith("["):
+            return json.loads(text)
+        return [
+            json.loads(line)
+            for line in _JSONL_BREAK.split(text)
+            if line.strip()
+        ]
+    except json.JSONDecodeError as exc:
+        raise ServeError(f"ingest body is not valid JSON(L): {exc}") from exc
+
+
+def ingest_records(body: bytes) -> list:
+    """The door's decode: an ingest frame's records, each checked by
+    :func:`~repro.stream.sources.check_record` (a record that passes builds
+    a message, so a queued frame cannot fail its executor batch)."""
+    records = _decode_frame(body)
+    try:
+        for record in records:
+            check_record(record)
+    except StreamError as exc:
+        raise ServeError(f"bad ingest record: {exc}") from exc
+    return records
+
+
+def encode_records(records: list) -> bytes:
+    """An ingest frame holding ``records``: one compact JSON array,
+    ASCII-escaped so any string a record holds (a lone surrogate too)
+    encodes."""
+    return json.dumps(records, separators=(",", ":")).encode("ascii")
+
+
+def parse_ingest_body(
+    body: bytes, lo: int = 0, hi: Optional[int] = None
+) -> list:
+    """Decode an ingest frame into its messages (the executor's decode).
+
+    Only the records in ``[lo, hi)`` become messages.
+    """
+    try:
+        return [
+            message_from_record(record)
+            for record in _decode_frame(body)[lo:hi]
+        ]
+    except StreamError as exc:
+        raise ServeError(f"bad ingest record: {exc}") from exc
+
+
 __all__ = [
     "OP_CLOSE",
     "OP_PING",
@@ -251,7 +323,10 @@ __all__ = [
     "OP_TEXT",
     "Request",
     "encode_frame",
+    "encode_records",
     "http_response",
+    "ingest_records",
+    "parse_ingest_body",
     "read_frame",
     "read_frame_blocking",
     "read_request",

@@ -47,7 +47,9 @@ def check_record(record: dict) -> None:
     frame, a JSONL line, a delta-log record, a checkpoint's pending buffer
     — and checked by their writers before they write: ``u`` (required) is
     a string or an integer (not a bool), ``k`` a list of strings, ``t`` a
-    string, ``f`` an object and ``ts`` a number.
+    string, ``f`` an object and ``ts`` a number, and at least one of ``k``,
+    ``t`` and ``f`` carries the payload.  A record that passes builds a
+    :class:`Message`: nothing past this check refuses it.
     """
     if not isinstance(record, dict):
         raise StreamError(f"record is not an object: {record!r}")
@@ -76,6 +78,11 @@ def check_record(record: dict) -> None:
     ):
         raise StreamError(
             f"field 'ts' (timestamp) must be a number: {timestamp!r}"
+        )
+    if tokens is None and text is None and fields is None:
+        raise StreamError(
+            "record has no payload: one of 'k' (tokens), 't' (text) or "
+            "'f' (fields) is required"
         )
 
 

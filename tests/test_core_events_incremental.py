@@ -172,3 +172,45 @@ class TestChangePointEncoding:
         # quanta -> spurious iff not evolved, despite the non-monotone rank
         assert record.is_spurious(min_lifetime=3)
         assert not record.is_spurious(min_lifetime=2)  # rank rose -> real
+
+
+class TestSharedKeywordSets:
+    """A change point that keeps its keyword set stores no new set: the
+    snapshot reuses the previous one's object, live and after a restore."""
+
+    @staticmethod
+    def shared_and_fresh(tracker):
+        shared = fresh = 0
+        for record in tracker.all_events():
+            for prev, snap in zip(record.snapshots, record.snapshots[1:]):
+                if prev.keywords == snap.keywords:
+                    assert snap.keywords is prev.keywords, record.event_id
+                    shared += 1
+                else:
+                    fresh += 1
+        return shared, fresh
+
+    @pytest.mark.parametrize("regime", ["bursty", "reentry"])
+    def test_equal_consecutive_keyword_sets_are_one_object(self, regime):
+        config = make_config()
+        session = open_session(config)
+        for _ in session.ingest_many(STREAMS[regime](config)):
+            pass
+        shared, fresh = self.shared_and_fresh(session.tracker)
+        assert shared > 0, "the stream must have rank-only change points"
+        restored = EventTracker()
+        restored.from_state(session.tracker.to_state())
+        assert self.shared_and_fresh(restored) == (shared, fresh)
+        assert restored.to_state() == session.tracker.to_state()
+
+    def test_reopened_event_shares_its_last_set(self):
+        tracker = EventTracker()
+        tracker._touch(1, 0, frozenset("ab"), 5.0, 1.0, 3)
+        tracker._records[1].died_quantum = 2
+        tracker._touch(1, 4, frozenset("ab"), 5.0, 1.0, 3)
+        first, second = tracker._records[1].snapshots
+        assert second.quantum == 4 and second.keywords is first.keywords
+
+    def test_snapshots_have_no_instance_dict(self):
+        snap = EventSnapshot(0, frozenset("ab"), 1.0, 1.0, 1)
+        assert not hasattr(snap, "__dict__")

@@ -6,14 +6,19 @@ same stream — same lifecycle events on the wire (exact floats, via JSON
 shortest-roundtrip), same checkpoint fingerprint.  Around it: multi-tenant
 isolation, slow-consumer backpressure (drop-oldest then disconnect),
 load-shed accounting under a burst, and crash-restart of a tenant from its
-delta log through the server.
+delta log through the server.  The ingest queue holds checked wire frames:
+its counters stay in messages, a frame cut at the bound keeps only its
+accepted prefix, and a queued message costs about its wire bytes.
 """
 
+import asyncio
+import gc
 import io
 import json
 import random
 import socket
 import time
+import tracemalloc
 
 import pytest
 
@@ -28,7 +33,10 @@ from repro.api import EventKind, QueueSink, open_session
 from repro.config import DetectorConfig
 from repro.errors import ServeError
 from repro.serve import ServeClient, ServerThread, WebSocketClient
+from repro.serve import manager as manager_module
 from repro.serve import wire
+from repro.serve.manager import SessionManager
+from repro.serve.server import parse_ingest_body
 from repro.stream.messages import Message
 
 CONFIG = {
@@ -230,7 +238,8 @@ class TestTenantLifecycle:
         assert set(metrics) == {"uptime_s", "workers", "max_queue", "tenants"}
         tenant = metrics["tenants"]["m1"]
         assert set(tenant) >= {
-            "quantum", "queued", "shed", "accepted", "timings", "fanout",
+            "quantum", "queued", "queued_bytes", "shed", "accepted",
+            "timings", "fanout",
         }
         # The sub-spans of akg_update ride along on the stage timings.
         assert set(tenant["timings"]) == {
@@ -664,6 +673,314 @@ class TestIngestValidation:
         stats = client.stats("x")
         assert stats["queued"] == 0 and stats["quantum"] == 0
         assert stats["errors"] == 1
+
+
+def frame_of(pairs):
+    """One JSONL ingest frame of ``(user, tokens)`` pairs."""
+    return "\n".join(
+        json.dumps({"u": u, "k": list(t)}) for u, t in pairs
+    ).encode("utf-8")
+
+
+def with_tenant(body, *, max_queue=1000, config=CONFIG):
+    """Run coroutine function ``body(tenant)`` against one in-process
+    tenant.  The drainer runs only while ``body`` awaits, so what a test
+    enqueues between two awaits is exactly what the queue holds."""
+    loop = asyncio.new_event_loop()
+
+    async def main():
+        manager = SessionManager(loop, workers=1, max_queue=max_queue)
+        try:
+            return await body(await manager.create("t", config=config))
+        finally:
+            await manager.shutdown()
+
+    try:
+        return loop.run_until_complete(main())
+    finally:
+        loop.close()
+
+
+class TestFrameQueue:
+    """The queue holds checked frames; its counters stay in messages."""
+
+    def test_frame_accepted_in_part_keeps_only_the_prefix(self):
+        pairs = bursty_stream(3, 40)
+        body = frame_of(pairs)
+
+        async def run(tenant):
+            assert tenant.enqueue(frame_of(pairs[:25])) == {
+                "accepted": 25, "shed": 0, "queued": 25,
+            }
+            assert tenant.enqueue(body) == {
+                "accepted": 5, "shed": 35, "queued": 30,
+            }
+            assert tenant.enqueue(body) == {
+                "accepted": 0, "shed": 40, "queued": 30,
+            }
+            kept, lo, hi = tenant._queue[-1]
+            assert len(tenant._queue) == 2 and (lo, hi) == (0, 5)
+            assert [(m.user_id, m.tokens) for m in parse_ingest_body(kept)] \
+                == pairs[:5]
+            assert len(kept) < len(frame_of(pairs[:6]))
+            stats = tenant.stats()
+            assert stats["queued_bytes"] == len(frame_of(pairs[:25])) + len(
+                kept
+            )
+            await tenant.wait_idle()
+            return tenant.stats()
+
+        stats = with_tenant(run, max_queue=30)
+        assert (stats["accepted"], stats["shed"]) == (30, 75)
+        assert stats["queued"] == stats["queued_bytes"] == 0
+        assert stats["queue_hwm"] == 30 and stats["messages"] == 24
+
+    def test_frame_split_across_drainer_batches(self, tmp_path, monkeypatch):
+        # A batch is at most two quanta (48 messages), so 30-message frames
+        # are split across batches at every other frame.
+        monkeypatch.setattr(manager_module, "MAX_BATCH_QUANTA", 2)
+        pairs = bursty_stream(11, 480)
+        expected = library_run(pairs, tmp_path / "lib.ckpt")
+        assert expected
+
+        async def run(tenant):
+            inbox = QueueSink()
+            tenant.session.subscribe(inbox)
+            for lo in range(0, len(pairs), 30):
+                tenant.enqueue(frame_of(pairs[lo:lo + 30]))
+            await tenant.wait_idle()
+            tenant.session.snapshot(tmp_path / "served.ckpt")
+            return [note_record(e) for e in inbox.drain()], tenant.stats()
+
+        notes, stats = with_tenant(run)
+        assert notes == expected
+        assert stats["batch_hwm"] == 48 and stats["messages"] == 480
+        assert fingerprint(
+            normalized_checkpoint_state(tmp_path / "served.ckpt")
+        ) == fingerprint(normalized_checkpoint_state(tmp_path / "lib.ckpt"))
+
+    def test_body_of_many_batches_is_decoded_a_bounded_number_of_times(
+        self, tmp_path, monkeypatch
+    ):
+        """A body ten batches long (a batch is at most 48 messages) is
+        queued as chunks of one batch: the executor decodes each chunk at
+        most twice and builds each message once."""
+        monkeypatch.setattr(manager_module, "MAX_BATCH_QUANTA", 2)
+        pairs = bursty_stream(11, 480)
+        expected = library_run(pairs, tmp_path / "lib.ckpt")
+        decoded, built = [], []
+        real_decode, real_build = wire._decode_frame, wire.message_from_record
+
+        def counting_decode(body):
+            records = real_decode(body)
+            decoded.append(len(records))
+            return records
+
+        def counting_build(record):
+            built.append(record)
+            return real_build(record)
+
+        monkeypatch.setattr(wire, "_decode_frame", counting_decode)
+        monkeypatch.setattr(wire, "message_from_record", counting_build)
+
+        async def run(tenant):
+            inbox = QueueSink()
+            tenant.session.subscribe(inbox)
+            tenant.enqueue(frame_of(pairs))
+            assert [hi - lo for _, lo, hi in tenant._queue] == [48] * 10
+            assert tenant.stats()["queued_bytes"] == sum(
+                len(frame) for frame, _, _ in tenant._queue
+            )
+            await tenant.wait_idle()
+            tenant.session.snapshot(tmp_path / "served.ckpt")
+            return [note_record(e) for e in inbox.drain()]
+
+        assert with_tenant(run) == expected
+        assert decoded[0] == 480 and sum(decoded) <= 3 * 480
+        assert len(built) == 480
+        assert fingerprint(
+            normalized_checkpoint_state(tmp_path / "served.ckpt")
+        ) == fingerprint(normalized_checkpoint_state(tmp_path / "lib.ckpt"))
+
+        async def prefix(tenant):
+            assert tenant.enqueue(frame_of(pairs))["accepted"] == 100
+            assert [hi - lo for _, lo, hi in tenant._queue] == [48, 48, 4]
+            return [
+                (m.user_id, m.tokens)
+                for frame, lo, hi in tenant._queue
+                for m in parse_ingest_body(frame, lo, hi)
+            ]
+
+        assert with_tenant(prefix, max_queue=100) == pairs[:100]
+
+    def test_close_without_drain_sheds_the_queued_count(self):
+        async def run(tenant):
+            for seed in (1, 2, 3):
+                tenant.enqueue(frame_of(bursty_stream(seed, 17)))
+            summary = await tenant.close(drain=False)
+            return summary, tenant.stats()
+
+        summary, stats = with_tenant(run)
+        assert summary["shed"] == 51
+        assert stats["queued"] == stats["queued_bytes"] == 0
+        assert stats["messages"] == 0 and stats["pending"] == 0
+
+    def test_deferred_matches_the_per_message_rule(self):
+        """A message is deferred when it queues behind another one — the
+        count a queue of single messages kept, replayed over a script of
+        frames, empty frames, drains and the bound."""
+        script = [5, 0, 3, "drain", 1, "drain", 4, 1, 9, "drain", 0, 12]
+        max_queue = 16
+
+        def reference():
+            depth = deferred = shed = 0
+            for step in script:
+                if step == "drain":
+                    depth = 0
+                    continue
+                for _ in range(step):
+                    if depth >= max_queue:
+                        shed += 1
+                        continue
+                    deferred += depth > 0
+                    depth += 1
+            return deferred, shed
+
+        async def run(tenant):
+            stream = iter(bursty_stream(5, 40))
+            for step in script:
+                if step == "drain":
+                    await tenant.wait_idle()
+                else:
+                    tenant.enqueue(
+                        frame_of([next(stream) for _ in range(step)])
+                    )
+            await tenant.wait_idle()
+            return tenant.stats()
+
+        stats = with_tenant(run, max_queue=max_queue)
+        assert (stats["deferred"], stats["shed"]) == reference()
+        assert stats["accepted"] + stats["shed"] == 35
+
+    def test_poisoned_batch_counts_failed_in_messages(self):
+        async def run(tenant):
+            session = tenant.session
+            real, calls = session.process_quantum, []
+
+            def flaky(messages):
+                calls.append(len(messages))
+                if len(calls) == 1:
+                    raise RuntimeError("injected")
+                return real(messages)
+
+            session.process_quantum = flaky
+            for lo in range(0, 30, 10):
+                tenant.enqueue(frame_of(bursty_stream(7, 30)[lo:lo + 10]))
+            await tenant.wait_idle()
+            return tenant.stats()
+
+        stats = with_tenant(run)
+        assert stats["errors"] == 1 and stats["failed"] == 30
+        assert stats["queued"] == stats["queued_bytes"] == 0
+
+    def test_queued_messages_cost_their_wire_bytes(self):
+        """A queue of N ES-text messages retains at most 1.1x their wire
+        bytes plus 1 kB (a queue of ``Message`` objects held ~4.5x)."""
+        from repro.datasets.traces import build_es_trace
+
+        trace = build_es_trace(total_messages=3000, seed=3)
+        lines = [
+            json.dumps({"u": m.user_id, "t": " ".join(m.tokens)})
+            for m in trace.messages[:3000]
+        ]
+
+        async def run(tenant):
+            tracemalloc.start()
+            try:
+                # A full collection empties the interpreter's free lists,
+                # which would otherwise count the door's freed records.
+                gc.collect()
+                before = tracemalloc.get_traced_memory()[0]
+                payload = 0
+                for lo in range(0, len(lines), 200):
+                    frame = "\n".join(lines[lo:lo + 200]).encode("utf-8")
+                    payload += len(frame)
+                    tenant.enqueue(frame)
+                    del frame
+                gc.collect()
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert tenant.stats()["queued"] == len(lines)
+            assert tenant.stats()["queued_bytes"] == payload
+            await tenant.close(drain=False)
+            return retained, payload
+
+        retained, payload = with_tenant(run, max_queue=10_000)
+        assert retained <= 1.1 * payload + 1024, (retained, payload)
+
+
+class TestIngestFraming:
+    def test_jsonl_keeps_unicode_line_separators_inside_strings(self):
+        texts = ["a\u2028b", "c\u0085d", "e\u2029f\x0cg\x1ch"]
+        body = "\r\n".join(
+            json.dumps({"u": "x", "t": t}, ensure_ascii=False) for t in texts
+        ).encode("utf-8")
+        assert [m.text for m in parse_ingest_body(body)] == texts
+        assert [r["t"] for r in wire.ingest_records(body)] == texts
+
+    def test_jsonl_line_breaks_outside_strings(self, server):
+        """Every line break the door took before still ends a line (bare
+        ``\r``, ``\x0b``, ``\x0c``, ``\x1c``-``\x1e``; a line blank under
+        :meth:`str.strip` is skipped).  U+0085, U+2028 and U+2029 may stand
+        raw inside a JSON string, so they no longer end a line: two records
+        joined by one are a 400."""
+        lines = [
+            json.dumps({"u": f"u{i}", "k": ["a", "b"]}) for i in range(8)
+        ]
+        body = "\r".join(lines[:3]) + "\x0c" + "\n\u2028\n".join(
+            lines[3:5]) + "\x1e\x0b" + "\n\x85 \n".join(lines[5:]) + "\r"
+        assert [m.user_id for m in parse_ingest_body(body.encode("utf-8"))] \
+            == [f"u{i}" for i in range(8)]
+        client = ServeClient(port=server.port, timeout=10)
+        client.create_tenant("lb", CONFIG)
+        result = client._request(
+            "POST", "/v1/lb/ingest?wait=1", body.encode("utf-8")
+        )
+        assert result["accepted"] == 8 and result["queued"] == 0
+        for sep in ("\u2028", "\u2029", "\x85"):
+            joined = sep.join(lines[:2]).encode("utf-8")
+            with pytest.raises(ServeError, match="400.*not valid JSON"):
+                client._request("POST", "/v1/lb/ingest", joined)
+        assert client.stats("lb")["accepted"] == 8
+
+    def test_raw_line_separator_in_jsonl_body_is_accepted(self, server):
+        client = ServeClient(port=server.port, timeout=10)
+        client.create_tenant("ls", CONFIG)
+        body = "\n".join(
+            json.dumps({"u": f"u{i}", "t": f"quake\u2028alert {i}"},
+                       ensure_ascii=False)
+            for i in range(30)
+        ).encode("utf-8")
+        result = client._request("POST", "/v1/ls/ingest?wait=1", body)
+        assert result["accepted"] == 30 and result["queued"] == 0
+        stats = client.stats("ls")
+        assert stats["messages"] == 24 and stats["pending"] == 6
+        assert stats["queued_bytes"] == 0 and stats["errors"] == 0
+
+    def test_payload_less_record_is_400_naming_the_rule(self, server):
+        client = ServeClient(port=server.port, timeout=10)
+        client.create_tenant("np", CONFIG)
+        for record in ({"u": "a"}, {"u": "a", "k": None}):
+            with pytest.raises(ServeError, match="400.*no payload"):
+                client._request("POST", "/v1/np/ingest?wait=1", [record])
+        with client.stream("np") as ws:
+            ws.send_json([{"u": "a", "k": ["x"]}, {"u": "b", "t": None}])
+            assert "no payload" in ws.recv_json()["error"]
+        client.ingest("np", materialize(bursty_stream(3, 48)), wait=True)
+        stats = client.stats("np")
+        assert stats["accepted"] == 48 and stats["quantum"] == 1
+        assert stats["errors"] == 0 and stats["failed"] == 0
 
 
 class TestRefusedDeltaFormat:
