@@ -11,17 +11,14 @@ fixed schema::
       "quanta":  <int>               # stream quanta the measurement covered
     }
 
-The files are committed, so the perf trajectory is tracked PR over PR, and
-``check_regression.py`` gates CI on the ``speedup`` ratios — ratios, not
-wall seconds, because ratios transfer across machines while absolute
-timings do not.  Extra measurements go inside ``config`` (the schema's
-fixed keys stay comparable forever).
+The files are committed, so the trajectory is tracked PR over PR.  Extra
+measurements go inside ``config`` (the schema's fixed keys stay comparable
+forever).
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict, Optional
 
@@ -51,10 +48,4 @@ def write_json_result(
     return path
 
 
-def smoke_scale(default: int, smoke: int) -> int:
-    """Workload size helper: the CI perf-smoke job sets ``PERF_SMOKE=1`` to
-    run a reduced stream; local/full runs use the default."""
-    return smoke if os.environ.get("PERF_SMOKE") else default
-
-
-__all__ = ["RESULTS_DIR", "smoke_scale", "write_json_result"]
+__all__ = ["RESULTS_DIR", "write_json_result"]

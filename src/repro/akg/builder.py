@@ -28,11 +28,7 @@ keywords whose support just hit zero (stale), keywords whose burst grace
 period expires this quantum (scheduled at burst time), and nodes that just
 lost their last cluster membership (registry listener).  The window index
 is the column engine (DESIGN.md Section 9): :meth:`AkgBuilder.process_columns` consumes the
-extract stage's interned pair columns directly.  ``oracle=True`` swaps in
-the from-scratch components of :mod:`repro.akg.oracle` and a
-full-vocabulary dead-node sweep: identical semantics, O(window x
-vocabulary) cost, used as the differential reference by the property tests
-and ``benchmarks/bench_incremental_akg.py``.
+extract stage's interned pair columns directly.
 """
 
 from __future__ import annotations
@@ -53,9 +49,8 @@ from typing import (
 import numpy as np
 
 from repro.akg.burstiness import BurstinessTracker
-from repro.akg.idsets import IdSetIndex, SlideDelta
-from repro.akg.minhash import HASH_SEED, MinHasher
-from repro.akg.oracle import OracleIdSetIndex, OracleSketchIndex
+from repro.akg.idsets import IdSetIndex, Sketch, SlideDelta
+from repro.akg.minhash import HASH_SEED
 from repro.config import DetectorConfig
 from repro.core.changelog import NodeWeightChanged
 from repro.core.maintenance import ClusterMaintainer
@@ -94,59 +89,31 @@ class AkgQuantumStats:
 class AkgBuilder:
     """Maintains the active keyword graph over a sliding window.
 
-    ``oracle=True`` replaces the incremental window indexes with the
-    from-scratch implementations of :mod:`repro.akg.oracle` and sweeps the
-    whole graph for dead nodes each quantum — the verification reference
-    for the fast path, constructed directly by the differential tests and
-    ``benchmarks/bench_incremental_akg.py`` (a session never runs it, and
-    it is not checkpointable).
-
     :meth:`process_columns` is the production entry: it consumes the
     extract stage's pre-interned
     :class:`~repro.stream.window.QuantumColumns` (which must have been
     built over ``idsets.ents``/``idsets.acts``).  :meth:`process_quantum`
-    takes the ``keyword -> users`` mapping form: the oracle components are
-    fed it as is, the fast path interns it and runs the column entry.
-    Either way steps 2-5 are the one :meth:`_update_graph`.
+    takes the ``keyword -> users`` mapping form, interns it and runs the
+    column entry.  Either way steps 2-5 are the one :meth:`_update_graph`.
 
     The cross-keyword steps — candidate pairing, new-edge qualification,
     incident-edge refresh, the dead-node predicate — read the window only
-    through ``_sketches_of``, ``_ec_of`` and ``idsets.support``, bound to
-    the column engine or to the referee at construction.  Both bindings
-    therefore run *identical* candidate, insertion, refresh and removal
-    sequences, which is what lets the differential suites compare them
-    quantum by quantum (DESIGN.md S5).
+    through :meth:`_sketches_of`, :meth:`_ec_of`, ``idsets.support`` and
+    the candidate pool of :meth:`_removal_candidates`.  A from-scratch
+    referee that overrides just those runs *identical* candidate,
+    insertion, refresh and removal sequences, which is what lets the
+    differential suites compare the two quantum by quantum (DESIGN.md S5).
     """
 
     def __init__(
-        self,
-        config: DetectorConfig,
-        maintainer: ClusterMaintainer,
-        oracle: bool = False,
+        self, config: DetectorConfig, maintainer: ClusterMaintainer
     ) -> None:
         self.config = config
         self.maintainer = maintainer
-        self.oracle = oracle
-        self.minhasher = MinHasher(config.effective_minhash_size, seed=HASH_SEED)
-        if oracle:
-            self.idsets = OracleIdSetIndex(config.window_quanta)
-            self.sketches = OracleSketchIndex(self.minhasher, self.idsets)
-            self._sketches_of = lambda keywords: {
-                kw: self.sketches.sketch(kw) for kw in keywords
-            }
-            self._ec_of = lambda pairs: [
-                self.idsets.jaccard(kw1, kw2) for kw1, kw2 in pairs
-            ]
-        else:
-            self.idsets = IdSetIndex(config.window_quanta, seed=HASH_SEED)
-            self._sketches_of = lambda keywords: self.idsets.sketch_many(
-                keywords, self.minhasher.p
-            )
-            self._ec_of = self.idsets.jaccard_many
+        self.idsets = IdSetIndex(config.window_quanta, seed=HASH_SEED)
         #: wall seconds the last quantum spent in each sub-span of the
         #: update (surfaced as the ``StageTimings`` fields of the same
-        #: names); ``slide`` is the column engine's own and stays 0.0
-        #: under ``oracle``, whose ``sketch`` clocks the from-scratch ones.
+        #: names).
         self.sub_spans: Dict[str, float] = dict.fromkeys(AKG_SUB_SPANS, 0.0)
         self.burstiness = BurstinessTracker(config.high_state_threshold)
         # Lazy-removal schedule: quantum -> keywords whose grace period can
@@ -155,10 +122,7 @@ class AkgBuilder:
         # Nodes that lost their last cluster membership since the previous
         # step-5 pass (registry listener; hints only, re-verified on use).
         self._newly_unclustered: Set[Keyword] = set()
-        if not oracle:
-            maintainer.registry.add_unclustered_listener(
-                self._on_node_unclustered
-            )
+        maintainer.registry.add_unclustered_listener(self._on_node_unclustered)
 
     def _on_node_unclustered(self, node: Keyword) -> None:
         self._newly_unclustered.add(node)
@@ -173,20 +137,9 @@ class AkgBuilder:
         ``keyword_users`` maps every (stop-word-free) keyword appearing in
         the quantum to the distinct users who used it.
         """
-        if not self.oracle:
-            return self.process_columns(
-                quantum, self.idsets.intern_quantum(quantum, keyword_users)
-            )
-        delta = self.idsets.add_quantum(quantum, keyword_users)
-        # The oracle sketches hash whole id sets through the MinHasher
-        # memo; users whose last window occurrence just expired can never
-        # be re-hashed from cache state alone, so their entries go.
-        if delta.vanished_users:
-            self.minhasher.evict(delta.vanished_users)
-        quantum_support = {
-            kw: len(users) for kw, users in keyword_users.items() if users
-        }
-        return self._update_graph(quantum, delta, quantum_support)
+        return self.process_columns(
+            quantum, self.idsets.intern_quantum(quantum, keyword_users)
+        )
 
     def process_columns(
         self, quantum: int, columns: QuantumColumns
@@ -237,9 +190,8 @@ class AkgBuilder:
             if not graph.has_node(kw):
                 self.maintainer.add_node(kw)
                 stats.nodes_added += 1
-            if not self.oracle:
-                deadline = self.burstiness.first_droppable_quantum(kw, grace)
-                self._grace_deadlines.setdefault(deadline, set()).add(kw)
+            deadline = self.burstiness.first_droppable_quantum(kw, grace)
+            self._grace_deadlines.setdefault(deadline, set()).add(kw)
 
         # -- edges: new candidates among this quantum's bursty set --------
         new_edges = self._new_edges_among(sorted(bursty), stats)
@@ -314,6 +266,16 @@ class AkgBuilder:
         self.sub_spans["sketch"] = sketched - started
         self.sub_spans["pairing"] = time.perf_counter() - sketched
         return pairs
+
+    def _sketches_of(self, keywords: List[Keyword]) -> Dict[Keyword, Sketch]:
+        """The Section 3.2.2 sketches of ``keywords``, read off the window."""
+        return self.idsets.sketch_many(
+            keywords, self.config.effective_minhash_size
+        )
+
+    def _ec_of(self, pairs: List[Tuple[Keyword, Keyword]]) -> List[float]:
+        """The exact ECs of ``pairs``: one batched Jaccard kernel call."""
+        return self.idsets.jaccard_many(pairs)
 
     def _correlate(
         self, pairs: List[Tuple[Keyword, Keyword]]
@@ -390,15 +352,12 @@ class AkgBuilder:
         last burst is older than the grace period — it can only re-enter the
         AKG by bursting again, exactly the hysteresis the paper describes.
 
-        The oracle sweeps every graph node; the fast path evaluates the same
-        predicate over the delta-sized candidate pool only, in the same
-        sorted order the maintainer applies the removals in.
+        The predicate is evaluated over the delta-sized candidate pool
+        only, in the same sorted order the maintainer applies the removals
+        in.
         """
         grace = self.config.node_grace_quanta
-        if self.oracle:
-            candidates: Iterable[Keyword] = self.maintainer.graph.nodes()
-        else:
-            candidates = self._removal_candidates(quantum, delta)
+        candidates = self._removal_candidates(quantum, delta)
         graph = self.maintainer.graph
         registry = self.maintainer.registry
         stale: List[Keyword] = []

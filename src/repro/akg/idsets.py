@@ -46,7 +46,7 @@ from typing import (
 
 import numpy as np
 
-from repro.akg.minhash import Sketch, user_hash_fn
+from repro.akg.minhash import user_hash_fn
 from repro.errors import StreamError
 from repro.interning import Interner
 from repro.stream.window import (
@@ -57,6 +57,7 @@ from repro.stream.window import (
 
 Keyword = str
 UserId = Hashable
+Sketch = Tuple[int, ...]
 
 _KEYWORD = itemgetter(0)  # sort key of a ``[keyword, users]`` block entry
 _AID_MASK = 0xFFFFFFFF  # low half of a packed pair key
@@ -472,8 +473,8 @@ class IdSetIndex:
         sketch slot), ``(slice << 32) | rank`` is sorted and deduplicated
         as a single key, and the first ``p`` ranks of every slice map back
         to hash values.  Each sketch is the ascending tuple of Python ints
-        ``MinHasher.sketch`` returns for the same id set; a keyword outside
-        the window gets ``()``.
+        that the bottom-``p`` distinct hashes of the same id set are; a
+        keyword outside the window gets ``()``.
 
         Ranking 64-bit values takes an argsort, several times the price of
         a value sort, so the same sort-and-cut first runs on the hashes'

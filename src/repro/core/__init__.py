@@ -13,7 +13,7 @@ Layers (bottom up):
   :class:`ChangeLog` / :class:`ChangeBatch` propagation contract;
 * :mod:`repro.core.ranking` — the Section 6 ranking function;
 * :mod:`repro.core.incremental` — the change-driven
-  :class:`IncrementalRanker` (with a from-scratch oracle mode);
+  :class:`IncrementalRanker`;
 * :mod:`repro.core.events` — event lifecycle tracking over quanta.
 
 The streaming detector that drives these layers is

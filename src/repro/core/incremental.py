@@ -13,13 +13,10 @@ that appears, changes size, or dies necessarily produced a structural event
 (DESIGN.md Section 2), so the dirty set is the complete edit script for the
 result list.
 
-``oracle=True`` disables the cache entirely and recomputes every cluster
-from scratch on every call.  The oracle is the verification baseline: the
-property tests assert that, after arbitrary mutation sequences, incremental
-and oracle ranks are identical (see DESIGN.md Section 3), and the
-``bench_incremental_ranking`` benchmark measures the speedup between the two
-modes across churn rates.  Both construct it directly (as does
-``tests/oracles.py`` for a whole session); no session setting selects it.
+Its from-scratch referee, which recomputes every cluster on every call, is a
+test-side subclass (``tests/oracles.py``); the property tests assert that,
+after arbitrary mutation sequences, the two rank identically (DESIGN.md
+Section 3).
 """
 
 from __future__ import annotations
@@ -43,9 +40,9 @@ passes :meth:`repro.akg.builder.AkgBuilder.node_weights`)."""
 class RankEntry:
     """Cached per-cluster ranking state, valid until the cluster is dirtied.
 
-    The input snapshots (``weights``, ``correlations``) are what
-    :meth:`IncrementalRanker.verify_against_oracle` diffs to pinpoint *which*
-    rank input went stale when the propagation contract is violated.
+    The input snapshots (``weights``, ``correlations``) are what the tests'
+    cache verifier diffs to pinpoint *which* rank input went stale when the
+    propagation contract is violated.
     ``cluster`` is the registry object the entry was computed from; it is
     refreshed on every recompute because splits replace the surviving id's
     object.
@@ -89,9 +86,6 @@ class IncrementalRanker:
         maintainer, read-only here).
     node_weight_fn:
         Callable mapping a node iterable to current node weights.
-    oracle:
-        When True, ignore the cache and recompute everything on every call —
-        the from-scratch baseline used for verification and benchmarking.
     """
 
     def __init__(
@@ -99,12 +93,10 @@ class IncrementalRanker:
         registry: ClusterRegistry,
         graph: DynamicGraph,
         node_weight_fn: NodeWeightFn,
-        oracle: bool = False,
     ) -> None:
         self.registry = registry
         self.graph = graph
         self.node_weight_fn = node_weight_fn
-        self.oracle = oracle
         self.stats = RankStats()
         self._cache: Dict[int, RankEntry] = {}
         # Clusters alive before this ranker existed produced their change
@@ -113,12 +105,10 @@ class IncrementalRanker:
         self._dirty: Set[int] = {cluster.cluster_id for cluster in registry}
         # Per-quantum result-list edit script for the report stage: which
         # entries the last apply()/rank_all() round recomputed and which it
-        # dropped.  In oracle mode the "delta" is the full ranking, mirroring
-        # the oracle's O(live) cost.
+        # dropped.
         self.last_recomputed: Set[int] = set()
         self.last_removed: Set[int] = set()
         self._removed_pending: Set[int] = set()
-        self._oracle_results: Dict[int, Tuple[Cluster, float, float]] = {}
 
     # ----------------------------------------------------------- propagation
 
@@ -154,33 +144,15 @@ class IncrementalRanker:
     def rank_all(self) -> List[Tuple[Cluster, float, float]]:
         """``(cluster, rank, support)`` for every live cluster.
 
-        Incremental mode edits the maintained result list: each accumulated
-        dirty id is recomputed (or leaves the list when it has died), and
-        every untouched entry is returned as-is — no per-cluster work, no
-        registry sweep.  Oracle mode recomputes everything.  Either way the
-        returned ranking reflects the current registry exactly (DESIGN.md
-        Section 3) and is ordered by cluster id, so the two modes emit
-        identically ordered output whatever the insertion history.
+        Edits the maintained result list: each accumulated dirty id is
+        recomputed (or leaves the list when it has died), and every
+        untouched entry is returned as-is — no per-cluster work, no registry
+        sweep.  The returned ranking reflects the current registry exactly
+        (DESIGN.md Section 3) and is ordered by cluster id, so it does not
+        depend on the insertion history.
         """
         stats = self.stats
         stats.reset()
-        if self.oracle:
-            results: Dict[int, Tuple[Cluster, float, float]] = {}
-            for cluster in self.registry:
-                entry = self._compute(cluster)
-                results[cluster.cluster_id] = (cluster, entry.rank, entry.support)
-            stats.ranked = stats.recomputed = len(results)
-            out = [results[cid] for cid in sorted(results)]
-            # The oracle's "delta" is the full ranking: everything was
-            # recomputed, and whatever ranked last call but not now is gone.
-            self.last_recomputed = set(results)
-            self.last_removed = (
-                set(self._oracle_results) - set(results)
-            ) | self._removed_pending
-            self._removed_pending = set()
-            self._oracle_results = results
-            return out
-
         cache = self._cache
         registry = self.registry
         recomputed: Set[int] = set()
@@ -213,8 +185,6 @@ class IncrementalRanker:
         Serves the report stage's delta updates without re-materialising the
         full result list; valid for any id in :attr:`last_recomputed`.
         """
-        if self.oracle:
-            return self._oracle_results[cluster_id]
         entry = self._cache[cluster_id]
         assert entry.cluster is not None
         return entry.cluster, entry.rank, entry.support
@@ -233,67 +203,13 @@ class IncrementalRanker:
         self._removed_pending.clear()
         self.last_recomputed = set()
         self.last_removed = set()
-        self._oracle_results = {}
         out: List[Tuple[Cluster, float, float]] = []
         for cluster in self.registry:
             entry = self._compute(cluster)
-            triple = (cluster, entry.rank, entry.support)
-            if self.oracle:
-                self._oracle_results[cluster.cluster_id] = triple
-            else:
-                self._cache[cluster.cluster_id] = entry
-            out.append(triple)
+            self._cache[cluster.cluster_id] = entry
+            out.append((cluster, entry.rank, entry.support))
         out.sort(key=lambda item: item[0].cluster_id)
         return out
-
-    # ------------------------------------------------------------ validation
-
-    def verify_against_oracle(self) -> None:
-        """Assert every cached entry equals a from-scratch recomputation.
-
-        Test helper mirroring
-        :meth:`~repro.core.maintenance.ClusterMaintainer.check_against_oracle`:
-        raises AssertionError on any divergence between the cache and the
-        ground-truth rank of the current state.  Also asserts the maintained
-        result list covers exactly the live clusters — the no-sweep
-        contract.
-        """
-        live = {c.cluster_id for c in self.registry}
-        cached = set(self._cache)
-        unexpected = cached - live - self._dirty
-        missing = live - cached - self._dirty
-        assert not unexpected and not missing, (
-            f"maintained result list diverged from the registry:\n"
-            f"  entries for dead clusters:       {sorted(unexpected)}\n"
-            f"  live clusters missing an entry:  {sorted(missing)}"
-        )
-        for cluster in self.registry:
-            entry = self._cache.get(cluster.cluster_id)
-            if entry is None:
-                continue  # not ranked yet; nothing stale to check
-            if cluster.cluster_id in self._dirty:
-                continue  # known-dirty, will be recomputed on next rank_all
-            fresh = self._compute(cluster)
-            assert entry.cluster is cluster, (
-                f"stale cluster object cached for {cluster.cluster_id} "
-                f"(the registry replaced it without a change event)"
-            )
-            assert (
-                entry.weights == fresh.weights
-                and entry.correlations == fresh.correlations
-            ), (
-                f"stale rank inputs cached for cluster {cluster.cluster_id} "
-                f"(a weight or correlation changed without a change event):\n"
-                f"  cached weights:      {entry.weights}\n"
-                f"  fresh weights:       {fresh.weights}\n"
-                f"  cached correlations: {entry.correlations}\n"
-                f"  fresh correlations:  {fresh.correlations}"
-            )
-            assert entry.rank == fresh.rank and entry.support == fresh.support, (
-                f"stale rank cache for cluster {cluster.cluster_id}: "
-                f"cached ({entry.rank}, {entry.support}) != "
-                f"fresh ({fresh.rank}, {fresh.support})"
-            )
 
 
 __all__ = ["IncrementalRanker", "RankEntry", "RankStats"]

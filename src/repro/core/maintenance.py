@@ -425,22 +425,5 @@ class ClusterMaintainer:
         self.current_quantum = state["current_quantum"]
         self.clustering_seconds = state["clustering_seconds"]
 
-    # ----------------------------------------------------------- integrity
-
-    def check_against_oracle(self) -> None:
-        """Assert the registry equals the global decomposition (Theorem 3).
-
-        Test helper: raises AssertionError on mismatch.
-        """
-        expected = {
-            frozenset(edges) for _, edges in decompose_graph(self.graph)
-        }
-        actual = self.registry.decomposition()
-        assert actual == expected, (
-            f"incremental clustering diverged from oracle:\n"
-            f"  incremental: {sorted(map(sorted, actual))}\n"
-            f"  oracle:      {sorted(map(sorted, expected))}"
-        )
-
 
 __all__ = ["ClusterMaintainer", "decompose_graph", "ChangeBatch"]

@@ -7,10 +7,10 @@ provides:
   graph that backs the AKG;
 * :mod:`repro.graph.biconnected` — articulation points and biconnected
   components (iterative Hopcroft–Tarjan), used by the offline baseline and by
-  the correctness tests for property P2;
-* :mod:`repro.graph.quasi_clique` — gamma-density, majority-quasi-clique and
-  diameter predicates from Section 1.1 / Theorem 1, the definition the
-  Theorem-1 test holds SCP clusters to.
+  the correctness tests for property P2.
+
+The quasi-clique predicates of Section 1.1 / Theorem 1, the definition the
+Theorem-1 tests hold SCP clusters to, are test-side (``tests/quasi_clique.py``).
 """
 
 from repro.graph.dynamic_graph import DynamicGraph, edge_key
@@ -20,13 +20,6 @@ from repro.graph.biconnected import (
     bridge_edges,
     is_biconnected,
 )
-from repro.graph.quasi_clique import (
-    gamma_density,
-    graph_diameter,
-    is_complete_clique,
-    is_majority_quasi_clique,
-    is_quasi_clique,
-)
 
 __all__ = [
     "DynamicGraph",
@@ -35,9 +28,4 @@ __all__ = [
     "biconnected_components",
     "bridge_edges",
     "is_biconnected",
-    "gamma_density",
-    "graph_diameter",
-    "is_complete_clique",
-    "is_majority_quasi_clique",
-    "is_quasi_clique",
 ]

@@ -62,6 +62,8 @@ class Request:
             return json.loads(self.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ServeError(f"request body is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ServeError("request body JSON is nested too deeply") from None
 
     @property
     def wants_websocket(self) -> bool:
@@ -278,6 +280,8 @@ def _decode_frame(body: bytes) -> list:
         ]
     except json.JSONDecodeError as exc:
         raise ServeError(f"ingest body is not valid JSON(L): {exc}") from exc
+    except RecursionError:
+        raise ServeError("ingest body JSON is nested too deeply") from None
 
 
 def ingest_records(body: bytes) -> list:

@@ -29,7 +29,8 @@ import hashlib
 import json
 import random
 
-from repro.akg.minhash import HASH_SEED, MinHasher
+from oracles import MinHasher
+from repro.akg.minhash import HASH_SEED
 from repro.api import QueueSink, open_session
 from repro.api.checkpoint import load_checkpoint
 from repro.config import DetectorConfig

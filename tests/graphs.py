@@ -70,7 +70,7 @@ def random_mqc(
     numeric gamma >= 1/2 condition yet contain no short cycle (see the
     Theorem 1 boundary-case test and DESIGN.md).
     """
-    from repro.graph.quasi_clique import is_majority_quasi_clique
+    from quasi_clique import is_majority_quasi_clique
 
     if n < 2:
         raise ConfigError(f"MQC needs n >= 2, got {n}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.core.maintenance import decompose_graph
 from repro.graph.dynamic_graph import DynamicGraph, edge_key
 from repro.interning import Interner
 from repro.stream.window import quantum_columns
@@ -30,6 +31,20 @@ def quantum_mappings(messages, extractor, max_entities_per_record=None):
         for actor in actors:
             by_actor.setdefault(actor, set()).add(entity)
     return by_actor, by_entity
+
+
+def check_decomposition(maintainer):
+    """Assert the maintainer's registry equals the global decomposition of
+    its graph (Theorem 3); raises AssertionError on mismatch."""
+    expected = {
+        frozenset(edges) for _, edges in decompose_graph(maintainer.graph)
+    }
+    actual = maintainer.registry.decomposition()
+    assert actual == expected, (
+        f"incremental clustering diverged from oracle:\n"
+        f"  incremental: {sorted(map(sorted, actual))}\n"
+        f"  oracle:      {sorted(map(sorted, expected))}"
+    )
 
 
 def graph_from_edges(edges, extra_nodes=()):

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import MinHasher, OracleIdSetIndex
 from repro.akg.idsets import IdSetIndex, SlideDelta
-from repro.akg.minhash import MinHasher
-from repro.akg.oracle import OracleIdSetIndex
 from repro.errors import StreamError
 from repro.interning import Interner
 

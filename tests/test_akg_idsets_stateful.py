@@ -16,8 +16,8 @@ import hypothesis.strategies as st
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from oracles import MinHasher
 from repro.akg.idsets import IdSetIndex
-from repro.akg.minhash import MinHasher
 
 WINDOW = 3
 SKETCH_SIZE = 3

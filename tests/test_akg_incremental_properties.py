@@ -3,7 +3,7 @@
 Random message streams are replayed into two complete AKG pipelines — the
 fast delta-driven :class:`~repro.akg.builder.AkgBuilder` and the same builder
 running on the from-scratch oracle components
-(:mod:`repro.akg.oracle`) — and after **every quantum** the two worlds must
+(``oracles.ReferenceAkgBuilder``) — and after **every quantum** the two worlds must
 be indistinguishable: same AKG nodes, same edges with the same correlations,
 same cluster decomposition (ids included), same window supports, same MinHash
 sketches, and the same multiset of emitted ChangeLog events.  Any incremental
@@ -17,7 +17,11 @@ Three stream regimes target the distinct failure surfaces:
   staleness expiry and lazy drops dominate;
 * **adversarial re-entry** — keywords fall silent for exactly the window
   length and re-appear in the quantum their last entry expires, the
-  boundary where a duplicate deque entry or double-emitted delta would hide.
+  boundary where a duplicate deque entry or double-emitted delta would hide;
+* **long-tailed churn** — a deterministic stream of stable keyword groups,
+  a rotating fraction of which emits each quantum over a long window, plus
+  a tail of fresh single-user keywords every quantum (the Section 7.4
+  CKG-vs-AKG gap): most of the graph sits untouched while its window ages.
 """
 
 from collections import Counter
@@ -26,6 +30,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from helpers import check_decomposition
+from oracles import ReferenceAkgBuilder
 from repro.akg.builder import AkgBuilder
 from repro.config import DetectorConfig
 from repro.core.maintenance import ClusterMaintainer
@@ -64,8 +70,7 @@ def assert_equivalent(stream, config):
     """Replay ``stream`` into fast and oracle pipelines, diffing per quantum."""
     fast_m, oracle_m = ClusterMaintainer(), ClusterMaintainer()
     fast = AkgBuilder(config, fast_m)
-    oracle = AkgBuilder(config, oracle_m, oracle=True)
-    assert oracle.oracle and not fast.oracle
+    oracle = ReferenceAkgBuilder(config, oracle_m)
     for quantum, content in enumerate(stream):
         fast.process_quantum(quantum, content)
         oracle.process_quantum(quantum, content)
@@ -91,14 +96,14 @@ def assert_equivalent(stream, config):
             assert fast.idsets.users(kw) == oracle.idsets.users(kw)
         if config.use_minhash_filter:
             sketches = fast.idsets.sketch_many(
-                sorted(fast_snap[0]), fast.minhasher.p
+                sorted(fast_snap[0]), config.effective_minhash_size
             )
             for kw in fast_snap[0]:
                 assert sketches[kw] == oracle.sketches.sketch(kw), (
                     f"sketch diverged for {kw!r} at quantum {quantum}"
                 )
         fast_m.registry.check_integrity()
-        fast_m.check_against_oracle()
+        check_decomposition(fast_m)
 
 
 def quantum_contents(keywords, max_users, min_keywords=0):
@@ -145,6 +150,30 @@ def reentry_streams(draw):
     return stream
 
 
+def long_tailed_churn_stream(churn, groups=40, group_size=4, noise=40):
+    """Stable keyword groups, ``churn * groups`` of them emitting per
+    quantum in round-robin, each with one user cohort that rotates by one
+    user per round (so every appearance moves supports); plus ``noise``
+    fresh single-user keywords every quantum.  One full rotation comes
+    first, then ten more rounds."""
+    per_round = max(1, round(churn * groups))
+    rounds = -(-groups // per_round) + 10
+    stream = []
+    cursor = 0
+    for r in range(rounds):
+        content = {}
+        for _ in range(per_round):
+            group = cursor % groups
+            users = {group * 100 + r % 3 + u for u in range(6)}
+            for i in range(group_size):
+                content[f"g{group}_k{i}"] = set(users)
+            cursor += 1
+        for i in range(noise):
+            content[f"noise_{r}_{i}"] = {1_000_000 + r * 64 + i}
+        stream.append(content)
+    return stream
+
+
 @pytest.mark.parametrize("use_minhash", [False, True])
 class TestIncrementalAkgEqualsOracle:
     @given(stream=BURSTY_STREAMS)
@@ -161,6 +190,18 @@ class TestIncrementalAkgEqualsOracle:
     @settings(max_examples=25, deadline=None)
     def test_adversarial_reentry_regime(self, use_minhash, stream):
         assert_equivalent(stream, make_config(use_minhash_filter=use_minhash))
+
+    @pytest.mark.parametrize("churn", [0.05, 0.5])
+    def test_long_tailed_churn_regime(self, use_minhash, churn):
+        # the window outlives a full rotation, so no group goes stale
+        assert_equivalent(
+            long_tailed_churn_stream(churn),
+            make_config(
+                window_quanta=24,
+                high_state_threshold=3,
+                use_minhash_filter=use_minhash,
+            ),
+        )
 
 
 class TestConfigSensitivity:

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import check_decomposition
+from oracles import verify_ranker
 from repro.api import (
     CHECKPOINT_VERSION,
     QueueSink,
@@ -226,11 +228,11 @@ class TestResumeDifferential:
         session.snapshot(path)
         resumed = open_session(resume=path)
         resumed.registry.check_integrity()
-        resumed.maintainer.check_against_oracle()
-        resumed.ranker.verify_against_oracle()
+        check_decomposition(resumed.maintainer)
+        verify_ranker(resumed.ranker)
         list(resumed.ingest_many(messages[500:]))
-        resumed.maintainer.check_against_oracle()
-        resumed.ranker.verify_against_oracle()
+        check_decomposition(resumed.maintainer)
+        verify_ranker(resumed.ranker)
 
 
 class TestCheckpointFile:

@@ -144,7 +144,7 @@ class TestSatisfiesScp:
     def test_figure3b_scp_but_not_mqc(self):
         """Figure 3(b) merged cluster: SCP holds though the graph is not an
         MQC — SCP is necessary but not sufficient for MQC (Section 4.1)."""
-        from repro.graph.quasi_clique import is_majority_quasi_clique
+        from quasi_clique import is_majority_quasi_clique
 
         # two squares sharing an edge: every edge on a 4-cycle, min degree 2,
         # N = 6 -> needs >= 2.5 for MQC

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import ScratchRanker, verify_ranker
 from repro.core.changelog import NodeWeightChanged
 from repro.core.incremental import IncrementalRanker
 from repro.core.maintenance import ClusterMaintainer
@@ -29,9 +30,7 @@ def make_rankers(maintainer, weights):
     incremental = IncrementalRanker(
         maintainer.registry, maintainer.graph, weight_fn,
     )
-    oracle = IncrementalRanker(
-        maintainer.registry, maintainer.graph, weight_fn, oracle=True,
-    )
+    oracle = ScratchRanker(maintainer.registry, maintainer.graph, weight_fn)
     return incremental, oracle
 
 
@@ -151,7 +150,7 @@ class TestIncrementalRanking:
         incremental, _ = make_rankers(maintainer, {})
         incremental.apply(maintainer.drain_changes())
         incremental.rank_all()
-        incremental.verify_against_oracle()
+        verify_ranker(incremental)
 
     def test_rank_stage_work_scales_with_dirty_only(self, maintainer):
         """ROADMAP regression: the ranked-result list is maintained in
@@ -175,9 +174,7 @@ class TestIncrementalRanking:
         incremental = IncrementalRanker(
             maintainer.registry, maintainer.graph, weight_fn,
         )
-        oracle = IncrementalRanker(
-            maintainer.registry, maintainer.graph, weight_fn, oracle=True,
-        )
+        oracle = ScratchRanker(maintainer.registry, maintainer.graph, weight_fn)
         incremental.apply(maintainer.drain_changes())
         incremental.rank_all()  # warm: every cluster computed once
         assert incremental.stats.recomputed == n_clusters
@@ -275,4 +272,4 @@ class TestIncrementalRanking:
         incremental.rank_all()
         weights["a"] = 99.0  # mutate weights without recording a delta
         with pytest.raises(AssertionError):
-            incremental.verify_against_oracle()
+            verify_ranker(incremental)

@@ -14,6 +14,7 @@ import hypothesis.strategies as st
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from oracles import ScratchRanker, verify_ranker
 from repro.core.changelog import NodeWeightChanged
 from repro.core.incremental import IncrementalRanker
 from repro.core.maintenance import ClusterMaintainer
@@ -33,9 +34,8 @@ class IncrementalRankingMachine(RuleBasedStateMachine):
         self.incremental = IncrementalRanker(
             self.maintainer.registry, self.maintainer.graph, weight_fn,
         )
-        self.oracle = IncrementalRanker(
+        self.oracle = ScratchRanker(
             self.maintainer.registry, self.maintainer.graph, weight_fn,
-            oracle=True,
         )
 
     # ------------------------------------------------------------- helpers
@@ -154,7 +154,7 @@ class IncrementalRankingMachine(RuleBasedStateMachine):
         """
         if self.maintainer.changelog:
             return  # un-drained mutations; staleness is expected until apply
-        self.incremental.verify_against_oracle()
+        verify_ranker(self.incremental)
 
 
 IncrementalRankingMachine.TestCase.settings = settings(

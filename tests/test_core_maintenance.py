@@ -9,7 +9,11 @@ import pytest
 from repro.core.maintenance import ClusterMaintainer, decompose_graph
 
 from graphs import complete_clique, gnp_random_graph
-from helpers import brute_force_decomposition, graph_from_edges
+from helpers import (
+    brute_force_decomposition,
+    check_decomposition,
+    graph_from_edges,
+)
 
 
 @pytest.fixture
@@ -72,7 +76,7 @@ class TestEdgeAddition:
         cluster = maintainer.add_edge(1, 2)
         assert cluster is not None
         assert cluster.nodes == {1, 2, 3, 4, 5}
-        maintainer.check_against_oracle()
+        check_decomposition(maintainer)
 
     def test_example2_merge_via_new_edges(self, maintainer):
         """Section 4.2 Example 2 / Figure 3(b): two clusters merge when new
@@ -87,7 +91,7 @@ class TestEdgeAddition:
         assert len(maintainer.registry) == 1
         merged = next(iter(maintainer.registry))
         assert {"a1", "a2", "a3", "b1", "b2", "b3"} <= merged.nodes
-        maintainer.check_against_oracle()
+        check_decomposition(maintainer)
 
 
 class TestNodeAddition:
@@ -129,7 +133,7 @@ class TestNodeAddition:
         assert len(maintainer.registry) == 1
         merged = next(iter(maintainer.registry))
         assert merged.nodes == {1, 2, 3, 4, 5, "n"}
-        maintainer.check_against_oracle()
+        check_decomposition(maintainer)
 
     def test_example1_eighth_node_joins_mqc(self, maintainer):
         """Section 4.2 Example 1: an MQC of size 7 admits an 8th node through
@@ -159,7 +163,7 @@ class TestNodeDeletion:
         assert next(iter(maintainer.registry)).nodes == {"n", 1, 2, 3, 4}
         maintainer.remove_node("n")
         assert len(maintainer.registry) == 0
-        maintainer.check_against_oracle()
+        check_decomposition(maintainer)
 
     def test_figure6_articulation_split(self, maintainer, figure6_graph):
         """Figure 6: deleting node 9 splits the cluster at articulation
@@ -170,7 +174,7 @@ class TestNodeDeletion:
             maintainer.add_edge(u, v)
         assert len(maintainer.registry) == 1
         maintainer.remove_node(9)
-        maintainer.check_against_oracle()
+        check_decomposition(maintainer)
         sets = cluster_node_sets(maintainer)
         assert len(sets) == 2
         assert frozenset({0, 1, 2, 3, 10, 11}) in sets
@@ -199,7 +203,7 @@ class TestNodeDeletion:
         )
         maintainer.remove_nodes(["a", "x"])
         assert len(maintainer.registry) == 0
-        maintainer.check_against_oracle()
+        check_decomposition(maintainer)
 
 
 class TestEdgeDeletion:
@@ -217,7 +221,7 @@ class TestEdgeDeletion:
         assert len(maintainer.registry) == 1
         assert next(iter(maintainer.registry)).nodes == {"n", 1, 2, 3, 4}
         maintainer.remove_edge("n", 1)
-        maintainer.check_against_oracle()
+        check_decomposition(maintainer)
         sets = cluster_node_sets(maintainer)
         assert sets == {frozenset({3, 4, "n"})}
 
@@ -239,7 +243,7 @@ class TestEdgeDeletion:
         assert len(maintainer.registry) == 1
         cluster = next(iter(maintainer.registry))
         assert cluster.nodes == {0, 1, 2, 3, 4}
-        maintainer.check_against_oracle()
+        check_decomposition(maintainer)
 
 
 class TestGlobalOracle:
@@ -259,7 +263,7 @@ class TestGlobalOracle:
             maintainer.graph.ensure_node(n)
         for u, v, _ in graph.edges():
             maintainer.add_edge(u, v)
-        maintainer.check_against_oracle()
+        check_decomposition(maintainer)
         maintainer.registry.check_integrity()
 
     def test_lemma5_order_independence(self):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from helpers import check_decomposition
 from repro.core.atoms import atoms_in_subgraph, satisfies_scp
 from repro.core.maintenance import ClusterMaintainer, _glue_atoms, _glue_cycles
 from repro.graph.biconnected import is_biconnected
@@ -92,7 +93,7 @@ class MaintenanceMachine(RuleBasedStateMachine):
 
     @invariant()
     def matches_global_oracle(self):
-        self.maintainer.check_against_oracle()
+        check_decomposition(self.maintainer)
 
     @invariant()
     def registry_indexes_consistent(self):

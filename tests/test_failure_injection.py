@@ -6,6 +6,7 @@ incremental/global equivalence (Theorem 3) are re-verified.
 
 import pytest
 
+from helpers import check_decomposition
 from repro.api import open_session
 from repro.config import DetectorConfig
 from repro.errors import EdgeNotFoundError, NodeNotFoundError, StreamError
@@ -85,7 +86,7 @@ class TestHostileStreams:
         quiet = [Message(f"q{i}", tokens=(f"noise{i}",)) for i in range(8)]
         for round_no in range(6):
             detector.process_quantum(loud if round_no % 2 == 0 else quiet)
-            detector.maintainer.check_against_oracle()
+            check_decomposition(detector.maintainer)
             detector.registry.check_integrity()
 
     def test_user_id_type_mixture(self):
@@ -123,7 +124,7 @@ class TestMaintainerMisuse:
         maintainer.add_edge("a", "c")
         with pytest.raises(EdgeNotFoundError):
             maintainer.remove_edge("a", "zzz")
-        maintainer.check_against_oracle()
+        check_decomposition(maintainer)
         maintainer.registry.check_integrity()
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.graph.quasi_clique import is_majority_quasi_clique
 
 from graphs import (
     complete_clique,
@@ -13,6 +12,7 @@ from graphs import (
     random_mqc,
     two_triangles_bowtie,
 )
+from quasi_clique import is_majority_quasi_clique
 
 
 class TestGnp:

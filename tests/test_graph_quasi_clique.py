@@ -4,14 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.quasi_clique import (
-    gamma_density,
-    graph_diameter,
-    is_complete_clique,
-    is_majority_quasi_clique,
-    is_quasi_clique,
-)
-
 from graphs import (
     complete_clique,
     cycle_graph,
@@ -19,6 +11,13 @@ from graphs import (
     random_mqc,
 )
 from helpers import graph_from_edges
+from quasi_clique import (
+    gamma_density,
+    graph_diameter,
+    is_complete_clique,
+    is_majority_quasi_clique,
+    is_quasi_clique,
+)
 
 
 class TestGammaDensity:

@@ -19,7 +19,6 @@ from repro.core.atoms import satisfies_scp
 from repro.core.maintenance import ClusterMaintainer, decompose_graph
 from repro.graph.biconnected import is_biconnected
 from repro.graph.dynamic_graph import edge_key
-from repro.graph.quasi_clique import is_majority_quasi_clique
 
 from graphs import (
     complete_clique,
@@ -29,7 +28,8 @@ from graphs import (
     random_mqc,
     two_triangles_bowtie,
 )
-from helpers import graph_from_edges
+from helpers import check_decomposition, graph_from_edges
+from quasi_clique import is_majority_quasi_clique
 
 
 def full_edge_set(graph):
@@ -146,7 +146,7 @@ class TestTheorem3:
         for node in (1, 5, 9):
             if maintainer.graph.has_node(node):
                 maintainer.remove_node(node)
-        maintainer.check_against_oracle()
+        check_decomposition(maintainer)
 
 
 class TestLemma6:
@@ -187,4 +187,4 @@ class TestClusterPropertiesP1P2P3:
             adjacency = cluster.adjacency()
             assert satisfies_scp(adjacency, cluster.edges)  # P1
             assert is_biconnected(adjacency)  # P2
-        maintainer.check_against_oracle()  # P3
+        check_decomposition(maintainer)  # P3

@@ -36,7 +36,6 @@ MODULES = [
     "repro.core.postprocess",
     "repro.graph.dynamic_graph",
     "repro.graph.biconnected",
-    "repro.graph.quasi_clique",
     "repro.akg.idsets",
     "repro.akg.burstiness",
     "repro.akg.minhash",
@@ -111,6 +110,35 @@ def test_public_classes_and_functions_documented(module_name):
         obj = getattr(module, name)
         if inspect.isclass(obj) or inspect.isfunction(obj):
             assert obj.__doc__, f"{module_name}.{name} lacks a docstring"
+
+
+def test_no_public_callable_has_an_oracle_parameter():
+    """``src/`` holds what production runs: a from-scratch referee is a
+    test-side subclass (``tests/oracles.py``), never a mode of a public
+    class, method or function."""
+    offenders = []
+    for module_name in SUBPACKAGES + MODULES:
+        module = importlib.import_module(module_name)
+        for name in getattr(module, "__all__", []):
+            obj = getattr(module, name)
+            if inspect.isclass(obj):
+                callables = [(name, obj)] + [
+                    (f"{name}.{attr}", member)
+                    for attr, member in vars(obj).items()
+                    if inspect.isfunction(member) and not attr.startswith("_")
+                ]
+            elif inspect.isfunction(obj):
+                callables = [(name, obj)]
+            else:
+                continue
+            for qualname, fn in callables:
+                try:
+                    params = inspect.signature(fn).parameters
+                except (TypeError, ValueError):
+                    continue
+                if "oracle" in params:
+                    offenders.append(f"{module_name}.{qualname}")
+    assert not offenders, f"oracle parameters in src/: {offenders}"
 
 
 def test_version_matches_pyproject():

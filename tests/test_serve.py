@@ -982,6 +982,32 @@ class TestIngestFraming:
         assert stats["accepted"] == 48 and stats["quantum"] == 1
         assert stats["errors"] == 0 and stats["failed"] == 0
 
+    def test_hostile_nesting_is_400_over_http(self, server):
+        """A body nested deeper than the JSON decoder recurses is a 400
+        naming the JSON, on ingest and on tenant creation alike."""
+        client = ServeClient(port=server.port, timeout=10)
+        client.create_tenant("deep", CONFIG)
+        for body in (b"[" * 100_000, b"{\"a\":" * 100_000):
+            with pytest.raises(ServeError, match="400.*JSON"):
+                client._request("POST", "/v1/deep/ingest?wait=1", body)
+            with pytest.raises(ServeError, match="400.*JSON"):
+                client._request("PUT", "/v1/deeper", body)
+        assert client.tenants() == ["deep"]
+        stats = client.stats("deep")
+        assert stats["accepted"] == 0 and stats["errors"] == 0
+
+    def test_hostile_nesting_on_the_stream_is_an_error_frame(self, server):
+        """The same bytes as a stream text frame get an ``{"error": ...}``
+        frame, and the stream keeps accepting records after it."""
+        client = ServeClient(port=server.port, timeout=10)
+        client.create_tenant("deepws", CONFIG)
+        with client.stream("deepws") as ws:
+            ws.send_text("[" * 100_000)
+            assert "JSON" in ws.recv_json()["error"]
+            ws.send_json([{"u": "a", "k": ["x", "y"]}])
+            assert ws.recv_json()["accepted"] == 1
+        assert client.stats("deepws")["accepted"] == 1
+
 
 class TestRefusedDeltaFormat:
     def test_v6_delta_directory_resume_is_400_naming_both_versions(
