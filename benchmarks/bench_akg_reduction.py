@@ -25,20 +25,25 @@ from conftest import emit
 
 class CkgStatsStage:
     """Feeds each quantum's ``actor -> keywords`` sets, read off the pair
-    columns extracted over ``acts``, to a CKG-stats tracker."""
+    columns extracted over ``ents``/``acts``, to a CKG-stats tracker."""
 
     name = "ckg_stats"
 
-    def __init__(self, tracker, acts):
+    def __init__(self, tracker, ents, acts):
         self.tracker = tracker
+        self.ents = ents
         self.acts = acts
 
     def run(self, ctx):
         columns = ctx.columns
+        aids = (columns.keys & 0xFFFFFFFF).tolist()
         actor_keywords = {}
-        for kw, (_, lo, hi) in zip(columns.ent_strings, columns.segments):
-            for aid in (columns.keys[lo:hi] & 0xFFFFFFFF).tolist():
+        lo = 0
+        for eid, count in zip(columns.eids.tolist(), columns.counts.tolist()):
+            kw = self.ents.objs[eid]
+            for aid in aids[lo : lo + count]:
                 actor_keywords.setdefault(self.acts.objs[aid], set()).add(kw)
+            lo += count
         self.tracker.add_quantum(ctx.quantum, actor_keywords)
 
 
@@ -51,8 +56,9 @@ def bench_akg_reduction(benchmark):
     def run():
         session = open_session(config, noun_tagger=NounTagger(trace.lexicon))
         tracker = CkgStatsTracker(config.window_quanta)
+        idsets = session.builder.idsets
         session.pipeline.stages.insert(
-            1, CkgStatsStage(tracker, session.builder.idsets.acts)
+            1, CkgStatsStage(tracker, idsets.ents, idsets.acts)
         )
         node_ratios, edge_ratios, degrees, sizes = [], [], [], []
         for report in session.ingest_many(trace.messages, flush=True):

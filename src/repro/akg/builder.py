@@ -9,7 +9,7 @@ For every quantum the builder:
    quantum** (the paper's set (1), Section 3.2.1), optionally pre-filtered by
    MinHash sketch collisions (Section 3.2.2), and inserts edges whose exact
    EC clears gamma;
-4. lazily refreshes the EC of edges incident to keywords that appeared in
+4. lazily refreshes the EC of edges incident to AKG nodes that occur in
    this quantum (the paper's set (2)); edges falling below gamma are deleted;
 5. removes stale nodes (absent from the whole window) and lazily drops
    non-clustered nodes whose burst has aged past the grace period.
@@ -19,16 +19,18 @@ Every insertion/deletion flows through the
 cluster decomposition exact at all times — this is what makes discovery
 *real-time* rather than snapshot-based.
 
-Churn proportionality (DESIGN.md Section 5): every step above is driven by
-the quantum's *delta sets*, never the window vocabulary.  The id-set slide
-reports a :class:`~repro.akg.idsets.SlideDelta`; burstiness advances only
-touched keywords; sketches are computed only for the quantum's bursty
-keywords; and step 5 checks only three delta-sized candidate pools —
-keywords whose support just hit zero (stale), keywords whose burst grace
-period expires this quantum (scheduled at burst time), and nodes that just
-lost their last cluster membership (registry listener).  The window index
-is the column engine (DESIGN.md Section 9): :meth:`AkgBuilder.process_columns` consumes the
-extract stage's interned pair columns directly.
+Sized by the graph (DESIGN.md Section 5): the quantum's vocabulary stays
+in the id columns of the extract stage and the slide, and Python work per
+quantum is O(AKG nodes + bursty + emptied).  Node-weight moves are read off
+the slide's support columns at the nodes' entity ids; the bursty set is
+``counts >= theta`` over the quantum's segments, and burstiness advances
+only for it; sketches are computed only for the bursty keywords; refresh
+starts from the nodes a presence mask over the quantum's ids marks; and
+step 5 checks only three delta-sized candidate pools — keywords whose
+support just hit zero (stale), keywords whose burst grace period expires
+this quantum (scheduled at burst time), and nodes that just lost their last
+cluster membership (registry listener).  The window index is the column
+engine (DESIGN.md Section 9).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import time
 from dataclasses import dataclass
 from typing import (
     Dict,
-    Hashable,
+    FrozenSet,
     Iterable,
     List,
     Mapping,
@@ -49,7 +51,7 @@ from typing import (
 import numpy as np
 
 from repro.akg.burstiness import BurstinessTracker
-from repro.akg.idsets import IdSetIndex, Sketch, SlideDelta
+from repro.akg.idsets import IdSetIndex, Sketch
 from repro.akg.minhash import HASH_SEED
 from repro.config import DetectorConfig
 from repro.core.changelog import NodeWeightChanged
@@ -57,7 +59,7 @@ from repro.core.maintenance import ClusterMaintainer
 from repro.stream.window import QuantumColumns
 
 Keyword = str
-UserId = Hashable
+WeightMove = Tuple[Keyword, int, int]
 
 
 AKG_SUB_SPANS = ("slide", "sketch", "pairing", "correlate")
@@ -89,20 +91,22 @@ class AkgQuantumStats:
 class AkgBuilder:
     """Maintains the active keyword graph over a sliding window.
 
-    :meth:`process_columns` is the production entry: it consumes the
-    extract stage's pre-interned
-    :class:`~repro.stream.window.QuantumColumns` (which must have been
-    built over ``idsets.ents``/``idsets.acts``).  :meth:`process_quantum`
-    takes the ``keyword -> users`` mapping form, interns it and runs the
-    column entry.  Either way steps 2-5 are the one :meth:`_update_graph`.
+    :meth:`process_columns` is the entry: it consumes the extract
+    stage's pre-interned :class:`~repro.stream.window.QuantumColumns`
+    (which must have been built over ``idsets.ents``/``idsets.acts``),
+    slides the window and hands steps 2-5, :meth:`_update_graph`, what
+    they read of the quantum: the nodes' weight moves, the bursty
+    keywords' counts, the nodes that occur and the emptied keywords.
 
-    The cross-keyword steps — candidate pairing, new-edge qualification,
-    incident-edge refresh, the dead-node predicate — read the window only
-    through :meth:`_sketches_of`, :meth:`_ec_of`, ``idsets.support`` and
-    the candidate pool of :meth:`_removal_candidates`.  A from-scratch
-    referee that overrides just those runs *identical* candidate,
-    insertion, refresh and removal sequences, which is what lets the
-    differential suites compare the two quantum by quantum (DESIGN.md S5).
+    Beyond those, the cross-keyword steps — candidate pairing, new-edge
+    qualification, incident-edge refresh, the dead-node predicate — read
+    the window only through :meth:`_sketches_of`, :meth:`_ec_of`,
+    ``idsets.support`` and the candidate pool of
+    :meth:`_removal_candidates`.  A from-scratch referee that computes the
+    four inputs its own way and overrides just those runs *identical*
+    candidate, insertion, refresh and removal sequences, which is what
+    lets the differential suites compare the two quantum by quantum
+    (DESIGN.md S5).
     """
 
     def __init__(
@@ -129,45 +133,66 @@ class AkgBuilder:
 
     # ----------------------------------------------------------- main loop
 
-    def process_quantum(
-        self, quantum: int, keyword_users: Mapping[Keyword, Set[UserId]]
-    ) -> AkgQuantumStats:
-        """Apply one quantum of stream content to the AKG.
-
-        ``keyword_users`` maps every (stop-word-free) keyword appearing in
-        the quantum to the distinct users who used it.
-        """
-        return self.process_columns(
-            quantum, self.idsets.intern_quantum(quantum, keyword_users)
-        )
-
     def process_columns(
         self, quantum: int, columns: QuantumColumns
     ) -> AkgQuantumStats:
         """Apply one quantum of pre-interned pair columns to the AKG.
 
-        Vanished users release their interner slot (and with it the stored
-        base hash) inside ``add_columns``.
+        Strings are looked up only for the graph's nodes and the bursty
+        keywords.  The nodes' entity ids are read before the slide, which
+        releases the id of a keyword whose last window entry expires: such
+        a node's ``(old, 0)`` move is still recorded.  Vanished users
+        release their interner slot inside ``add_columns``.
         """
+        idsets = self.idsets
+        eid_of = idsets.ents.ids.get
+        nodes = sorted(
+            (eid, kw)
+            for kw in self.maintainer.graph.nodes()
+            if (eid := eid_of(kw)) is not None
+        )
         started = time.perf_counter()
-        delta = self.idsets.add_columns(quantum, columns)
+        delta = idsets.add_columns(quantum, columns)
         self.sub_spans["slide"] = time.perf_counter() - started
-        quantum_support = {
-            kw: hi - lo
-            for kw, (_, lo, hi) in zip(columns.ent_strings, columns.segments)
-        }
-        return self._update_graph(quantum, delta, quantum_support)
+
+        eids = np.array([eid for eid, _ in nodes], dtype=np.int64)
+        old = delta.before[eids]
+        new = delta.after[eids]
+        moved = np.flatnonzero(old != new).tolist()
+        moves = [
+            (nodes[i][1], o, n)
+            for i, o, n in zip(moved, old[moved].tolist(), new[moved].tolist())
+        ]
+        hot = columns.counts >= self.burstiness.theta
+        bursty = dict(
+            zip(
+                map(idsets.ents.objs.__getitem__, columns.eids[hot].tolist()),
+                columns.counts[hot].tolist(),
+            )
+        )
+        seen = np.zeros(len(delta.after), dtype=bool)
+        seen[columns.eids] = True
+        active = [
+            kw for (_, kw), hit in zip(nodes, seen[eids].tolist()) if hit
+        ]
+        return self._update_graph(quantum, moves, bursty, active, delta.emptied)
 
     def _update_graph(
         self,
         quantum: int,
-        delta: SlideDelta,
-        quantum_support: Dict[Keyword, int],
+        moves: Iterable[WeightMove],
+        quantum_support: Mapping[Keyword, int],
+        active: Iterable[Keyword],
+        emptied: FrozenSet[Keyword],
     ) -> AkgQuantumStats:
         """Steps 2-5 of the per-quantum update, given the window slide.
 
-        ``quantum_support`` maps every keyword seen this quantum to its
-        distinct-user count within the quantum.
+        ``moves`` are ``(node, old, new)`` for every AKG node whose window
+        support moved, in the order they are recorded; ``quantum_support``
+        maps keywords of the quantum to their distinct-user counts in it
+        and holds at least every keyword at or above theta (lower counts
+        are ignored); ``active`` are the AKG nodes that occur in the
+        quantum; ``emptied`` the keywords whose support reached zero.
         """
         stats = AkgQuantumStats(quantum=quantum)
         self.sub_spans["correlate"] = 0.0  # summed over both kernel calls
@@ -177,10 +202,9 @@ class AkgBuilder:
         # in the AKG matter: a keyword entering the graph (and a cluster)
         # later this quantum is covered by that cluster's structural event.
         changelog = self.maintainer.changelog
-        for kw, (old, new) in delta.support_deltas.items():
-            if graph.has_node(kw):
-                changelog.record(NodeWeightChanged(kw, old, new))
-                stats.node_weight_deltas += 1
+        for kw, old, new in moves:
+            changelog.record(NodeWeightChanged(kw, old, new))
+            stats.node_weight_deltas += 1
         bursty = self.burstiness.observe_quantum(quantum, quantum_support)
         stats.bursty_keywords = len(bursty)
 
@@ -199,11 +223,11 @@ class AkgBuilder:
             self.maintainer.add_edge(kw1, kw2, ec)
             stats.edges_added += 1
 
-        # -- edges: lazy refresh around keywords seen this quantum --------
-        self._refresh_incident_edges(quantum_support.keys(), stats)
+        # -- edges: lazy refresh around nodes seen this quantum -----------
+        self._refresh_incident_edges([*active, *bursty], stats)
 
         # -- nodes: stale and lazy removal --------------------------------
-        self._remove_dead_nodes(quantum, delta, stats)
+        self._remove_dead_nodes(quantum, emptied, stats)
 
         stats.akg_nodes = graph.num_nodes
         stats.akg_edges = graph.num_edges
@@ -287,19 +311,18 @@ class AkgBuilder:
         return ecs
 
     def _refresh_incident_edges(
-        self, active_keywords: Iterable[Keyword], stats: AkgQuantumStats
+        self, active: Iterable[Keyword], stats: AkgQuantumStats
     ) -> None:
-        """Recompute EC of edges touching keywords seen this quantum.
+        """Recompute EC of edges touching the nodes seen this quantum.
 
         This is the paper's set (2): only nodes occurring in the current
         quantum (and, through these edges, their neighbours) can change
-        correlation, so no other edge needs to be revisited.
+        correlation, so no other edge needs to be revisited.  ``active``
+        are graph nodes (repeats allowed).
         """
         graph = self.maintainer.graph
         to_check: Set[Tuple[Keyword, Keyword]] = set()
-        for kw in active_keywords:
-            if not graph.has_node(kw):
-                continue
+        for kw in active:
             for nbr in graph.neighbors(kw):
                 to_check.add((kw, nbr) if kw <= nbr else (nbr, kw))
         edges = sorted(to_check)
@@ -319,13 +342,13 @@ class AkgBuilder:
     # ------------------------------------------------------- dead-node pass
 
     def _removal_candidates(
-        self, quantum: int, delta: SlideDelta
+        self, quantum: int, emptied: FrozenSet[Keyword]
     ) -> Set[Keyword]:
         """The delta-sized pool of nodes that *could* die this quantum.
 
         Completeness argument (DESIGN.md Section 5): a node is removed when
         (a) its window support is zero — support reaches zero exactly in the
-        slide that expires its last entry, so ``delta.emptied`` covers it;
+        slide that expires its last entry, so ``emptied`` covers it;
         or (b) it is unclustered and its last burst aged past the grace
         period — which first becomes true either at the burst's scheduled
         deadline (popped from ``_grace_deadlines`` here, due entries
@@ -335,7 +358,7 @@ class AkgBuilder:
         these pools fails the removal predicate for the same reason it did
         last quantum.
         """
-        due: Set[Keyword] = set(delta.emptied)
+        due: Set[Keyword] = set(emptied)
         for deadline in [q for q in self._grace_deadlines if q <= quantum]:
             due |= self._grace_deadlines.pop(deadline)
         due |= self._newly_unclustered
@@ -343,7 +366,7 @@ class AkgBuilder:
         return due
 
     def _remove_dead_nodes(
-        self, quantum: int, delta: SlideDelta, stats: AkgQuantumStats
+        self, quantum: int, emptied: FrozenSet[Keyword], stats: AkgQuantumStats
     ) -> None:
         """Stale removal plus the lazy-update drop of Section 3.1.
 
@@ -357,7 +380,7 @@ class AkgBuilder:
         in.
         """
         grace = self.config.node_grace_quanta
-        candidates = self._removal_candidates(quantum, delta)
+        candidates = self._removal_candidates(quantum, emptied)
         graph = self.maintainer.graph
         registry = self.maintainer.registry
         stale: List[Keyword] = []

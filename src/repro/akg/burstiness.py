@@ -1,4 +1,4 @@
-"""Two-state keyword automaton (Section 3.1), advanced only on touches.
+"""Two-state keyword automaton (Section 3.1), advanced only on bursts.
 
 A keyword is either **low** or **high**.  It moves low -> high when it shows
 burstiness — at least ``theta`` (the high-state threshold, HST) distinct
@@ -10,12 +10,13 @@ The tracker only owns the automaton state; graph/cluster consequences are
 handled by :class:`repro.akg.builder.AkgBuilder`.
 
 Delta contract (DESIGN.md Section 5): :meth:`BurstinessTracker.observe_quantum`
-is fed only the keywords *touched* in a quantum, never the full vocabulary.
-That is sound because the automaton has no spontaneous transitions: between
-two touches a keyword observes only zero-count quanta, and a zero count can
-never reach ``theta``, so the state at any later quantum is a closed-form
-function of the last recorded burst — ``quantum - last_bursty`` elapsed
-quanta in the low-decay branch.  :meth:`aged_out` and :meth:`is_bursty_at`
+is fed only the keywords that *burst* in a quantum — the builder selects
+``counts >= theta`` over the quantum's id columns — never the full
+vocabulary.  That is sound because the automaton has no spontaneous
+transitions and a sub-``theta`` count moves nothing: between two bursts a
+keyword's state at any later quantum is a closed-form function of the last
+recorded burst — ``quantum - last_bursty`` elapsed quanta in the low-decay
+branch.  :meth:`aged_out` and :meth:`is_bursty_at`
 evaluate that closed form directly; the stateful test
 (``tests/test_akg_burstiness_stateful.py``) proves it equal to an automaton
 that is stepped explicitly for every keyword in every quantum.
@@ -33,7 +34,7 @@ Keyword = str
 
 @dataclass
 class BurstState:
-    """Per-keyword automaton state: everything between touches is derived.
+    """Per-keyword automaton state: everything between bursts is derived.
 
     ``last_bursty`` is the most recent quantum the keyword cleared ``theta``;
     ``bursts`` counts clearings (burst-rate statistics, Section 7.4).  No
@@ -47,7 +48,7 @@ class BurstState:
 
 
 class BurstinessTracker:
-    """Per-keyword burst detection with O(touched) per-quantum updates."""
+    """Per-keyword burst detection with O(bursty) per-quantum updates."""
 
     def __init__(self, theta: int) -> None:
         if theta < 1:
@@ -62,13 +63,13 @@ class BurstinessTracker:
     ) -> Set[Keyword]:
         """Record one quantum's per-keyword distinct-user counts.
 
-        ``quantum_support`` needs to contain only the keywords that occurred
-        in the quantum (zero counts are permitted and ignored): untouched
-        keywords cannot transition, so their state is caught up lazily on
-        their next touch or query.  Returns the set of keywords bursty *in
-        this quantum* (>= theta distinct users).  The paper's "set (1)" of
-        Section 3.2.1 — keywords eligible for new-edge EC computation — is
-        exactly this set.
+        ``quantum_support`` needs to contain only the keywords with at least
+        ``theta`` distinct users in the quantum (lower counts are permitted
+        and ignored): no other keyword can transition, so its state is
+        caught up lazily on its next burst or query.  Returns the set of
+        keywords bursty *in this quantum* (>= theta distinct users).  The
+        paper's "set (1)" of Section 3.2.1 — keywords eligible for new-edge
+        EC computation — is exactly this set.
         """
         bursty = {
             kw for kw, count in quantum_support.items() if count >= self.theta

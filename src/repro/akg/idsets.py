@@ -18,9 +18,11 @@ blocks and so stays in the id set until the *last* of them expires; no
 multiplicity is tracked anywhere.
 
 Churn proportionality (DESIGN.md Section 5): the sort is O(window pairs) in
-C; everything done in Python is delta-sized — the slide compares the
-supports and live users before and after and reports exactly what moved as
-a :class:`SlideDelta`, so downstream stages stay delta-driven.
+C, and so are the array compares around it; what the slide builds in Python
+is O(emptied).  It hands the supports before and after to the AKG stage as
+id columns inside a :class:`SlideDelta`, which reads them at its few dozen
+nodes, and resolves to keyword strings only the keywords whose window
+emptied.  The vanished users release their interner slots in the slide.
 
 Serialized, the window is that same queue of per-quantum blocks ``[[q,
 [[kw, users], ...]], ...]``, oldest first, each sorted by keyword.
@@ -29,7 +31,7 @@ Serialized, the window is that same queue of per-quantum blocks ``[[q,
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import (
     Deque,
@@ -38,7 +40,6 @@ from typing import (
     Hashable,
     Iterable,
     List,
-    Mapping,
     Sequence,
     Set,
     Tuple,
@@ -49,11 +50,7 @@ import numpy as np
 from repro.akg.minhash import user_hash_fn
 from repro.errors import StreamError
 from repro.interning import Interner
-from repro.stream.window import (
-    QuantumColumns,
-    columns_from_mapping,
-    sorted_distinct,
-)
+from repro.stream.window import QuantumColumns, sorted_distinct, sorted_runs
 
 Keyword = str
 UserId = Hashable
@@ -63,44 +60,31 @@ _KEYWORD = itemgetter(0)  # sort key of a ``[keyword, users]`` block entry
 _AID_MASK = 0xFFFFFFFF  # low half of a packed pair key
 _SCRATCH_BYTES = 1 << 22  # ceiling on jaccard_many's byte-per-bit scratch
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SlideDelta:
-    """Everything one window slide changed — the AKG stage's delta contract.
+    """What one window slide changed — the AKG stage's delta contract.
 
-    ``appeared``
-        keywords with a non-empty user set in the entering quantum;
-    ``expired``
-        keywords that lost at least one window entry to expiry this slide;
-    ``support_deltas``
-        ``keyword -> (old, new)`` for every keyword whose window support
-        (distinct-user count) actually moved;
     ``emptied``
         keywords whose support dropped to zero this slide — the complete set
         of stale-node candidates, because a keyword's support can only reach
-        zero in the slide that expires its last entry.
-    ``vanished_users``
-        user ids that left *every* keyword's window id set this slide — the
-        complete eviction pool for per-user state (the actor interner's
-        slots and the base hashes stored in them), because a user's last
-        window occurrence can only expire in one slide.
+        zero in the slide that expires its last entry;
+    ``before``, ``after``
+        the window support (distinct-user count) of every entity id before
+        and after the slide, as two int64 columns of one length: entity
+        ``e`` moved from ``before[e]`` to ``after[e]``.  They are the
+        index's own support columns, never written after a slide; ids
+        interned since the previous slide read 0 in ``before``.
 
-    Every field is read off an array difference; what is built in Python is
-    O(appeared + expired), never proportional to the window vocabulary.
+    ``emptied`` is the one field resolved to keyword strings, so what a
+    slide builds in Python is O(emptied), never proportional to the
+    quantum's or the window's vocabulary.  The ids of ``emptied`` keywords
+    and of users that left every id set are released inside the slide.
     """
 
     quantum: int
-    appeared: FrozenSet[Keyword] = frozenset()
-    expired: FrozenSet[Keyword] = frozenset()
-    support_deltas: Mapping[Keyword, Tuple[int, int]] = field(
-        default_factory=dict
-    )
-    emptied: FrozenSet[Keyword] = frozenset()
-    vanished_users: FrozenSet[UserId] = frozenset()
-
-    @property
-    def touched(self) -> FrozenSet[Keyword]:
-        """Keywords whose window id set may have changed this slide."""
-        return self.appeared | self.expired
+    emptied: FrozenSet[Keyword]
+    before: np.ndarray
+    after: np.ndarray
 
 
 def _empty_keys():
@@ -117,18 +101,10 @@ def _padded(column: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _runs(column: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(starts, lengths)`` of the runs of equal values in a sorted column."""
-    first = np.ones(len(column), dtype=bool)
-    np.not_equal(column[1:], column[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return starts, np.diff(starts, append=len(column))
-
-
 def _first_of_each_run(keys: np.ndarray, p: int) -> np.ndarray:
     """Of ascending packed keys, the first ``p`` of every run of keys that
     share a high half."""
-    starts, lengths = _runs(keys >> 32)
+    starts, lengths = sorted_runs(keys >> 32)
     return keys[np.arange(len(keys)) - np.repeat(starts, lengths) < p]
 
 
@@ -153,16 +129,15 @@ class IdSetIndex:
       often than a slide moves them);
     * ``_present`` — ``_present[aid]``, whether the user is in any id set.
 
-    Ids are recycled: a user reported in ``vanished_users`` releases their
+    Ids are recycled: a user who left every id set releases their
     interner slot and a keyword whose window emptied releases its entity
     slot — only when the last window occurrence expires, at which point no
     array in ``_quanta`` can still reference the slot — so both id spaces
     track the live window population.
 
-    :meth:`add_columns` is the production entry point — it consumes the
-    extraction stage's :class:`~repro.stream.window.QuantumColumns`
-    directly; :meth:`add_quantum` accepts a ``keyword -> users`` mapping by
-    interning it first (:meth:`intern_quantum`).
+    :meth:`add_columns` is the one update: it consumes the extraction
+    stage's :class:`~repro.stream.window.QuantumColumns`, interned over
+    this index's own tables.
     """
 
     __slots__ = (
@@ -198,30 +173,6 @@ class IdSetIndex:
                 f"after {self._last_quantum}"
             )
 
-    def intern_quantum(
-        self, quantum: int, keyword_users: Mapping[Keyword, Set[UserId]]
-    ) -> QuantumColumns:
-        """One quantum's ``keyword -> users`` mapping as pair columns over
-        this index's interner tables, ready for :meth:`add_columns`.
-
-        Order is validated *before* interning so a rejected call leaves the
-        interner tables untouched (no orphan ids behind a StreamError).
-        """
-        self._check_order(quantum)
-        return columns_from_mapping(keyword_users, self.ents, self.acts)
-
-    def add_quantum(
-        self, quantum: int, keyword_users: Mapping[Keyword, Set[UserId]]
-    ) -> SlideDelta:
-        """Ingest one quantum's keyword -> users mapping and expire old ones.
-
-        Quanta must be added in increasing order.  Empty user sets are
-        skipped: they carry no id-set information.
-        """
-        return self.add_columns(
-            quantum, self.intern_quantum(quantum, keyword_users)
-        )
-
     def _rebuild(self) -> None:
         """Derive the pair column, the supports and the live users from the
         blocks — the one place any of the three is computed."""
@@ -232,7 +183,7 @@ class IdSetIndex:
             pair_keys = blocks[0] if blocks else _empty_keys()
         self._pair_keys = pair_keys
         eids = pair_keys >> 32
-        starts, lengths = _runs(eids)  # a keyword's id set is one run
+        starts, lengths = sorted_runs(eids)  # a keyword's id set is one run
         self._support = np.zeros(self.ents.capacity, dtype=np.int64)
         self._support[eids[starts]] = lengths
         present = np.zeros(self.acts.capacity, dtype=bool)
@@ -242,53 +193,38 @@ class IdSetIndex:
     def add_columns(self, quantum: int, columns: QuantumColumns) -> SlideDelta:
         """Ingest one quantum's interned pair columns and expire old quanta.
 
-        Returns the :class:`SlideDelta` of the slide: the supports and live
-        users before and after the rebuild, differenced.  A quantum that
-        neither expires nor contributes a block moves nothing and rebuilds
-        nothing.
+        Returns the :class:`SlideDelta` of the slide: the supports before
+        and after the rebuild, and the keywords the rebuild emptied.  A
+        quantum that neither expires nor contributes a block moves nothing
+        and rebuilds nothing.
         """
         self._check_order(quantum)
         self._last_quantum = quantum
         cutoff = quantum - self.window_quanta
         quanta = self._quanta
-        expiring: List[np.ndarray] = []
+        expired = False
         while quanta and quanta[0][0] <= cutoff:
-            _, keys = quanta.popleft()
-            expiring.append(keys >> 32)
+            quanta.popleft()
+            expired = True
         if len(columns.keys):
             quanta.append((quantum, columns.keys))
-        elif not expiring:
-            return SlideDelta(quantum=quantum)
+        elif not expired:
+            return SlideDelta(quantum, frozenset(), self._support, self._support)
 
-        # Ids are resolved to objects *before* their slots are released.
-        keyword_of = self.ents.objs.__getitem__
-        user_of = self.acts.objs.__getitem__
-        expired: FrozenSet[Keyword] = frozenset()
-        if expiring:
-            out_eids = sorted_distinct(np.concatenate(expiring))
-            expired = frozenset(map(keyword_of, out_eids.tolist()))
         old_support, old_present = self._support, self._present
         self._rebuild()
         support, present = self._support, self._present
-        old_support = _padded(old_support, len(support))
-        changed = np.flatnonzero(old_support != support)  # eid-ascending
-        after = support[changed]
-        freed = changed[after == 0].tolist()
+        before = _padded(old_support, len(support))
+        freed = np.flatnonzero((support == 0) & (before != 0)).tolist()
         vanished = np.flatnonzero(
             _padded(old_present, len(present)) & ~present
         ).tolist()
+        # Keywords are resolved to objects *before* their slots are released.
         delta = SlideDelta(
-            quantum=quantum,
-            appeared=frozenset(columns.ent_strings),
-            expired=expired,
-            support_deltas=dict(
-                zip(
-                    map(keyword_of, changed.tolist()),
-                    zip(old_support[changed].tolist(), after.tolist()),
-                )
-            ),
-            emptied=frozenset(map(keyword_of, freed)),
-            vanished_users=frozenset(map(user_of, vanished)),
+            quantum,
+            emptied=frozenset(map(self.ents.objs.__getitem__, freed)),
+            before=before,
+            after=support,
         )
         if vanished:
             self.acts.release(vanished)
@@ -305,7 +241,7 @@ class IdSetIndex:
         ent_objs = self.ents.objs
         act_objs = self.acts.objs
         eids = keys >> 32
-        starts, lengths = _runs(eids)
+        starts, lengths = sorted_runs(eids)
         ends = starts + lengths
         aids = (keys & _AID_MASK).tolist()
         block = [
@@ -434,8 +370,9 @@ class IdSetIndex:
     def window_users(self) -> Set[UserId]:
         """Every user present in at least one keyword's window id set.
 
-        The exact live set behind ``SlideDelta.vanished_users``; the
-        cache-bound tests assert the actor interner never outgrows it.
+        The exact live set whose leavers release their actor slots in a
+        slide; the cache-bound tests assert the actor interner never
+        outgrows it.
         """
         act_objs = self.acts.objs
         return {act_objs[a] for a in np.flatnonzero(self._present).tolist()}

@@ -9,8 +9,8 @@ base hash for actors), computed exactly once per interned object and stored
 in a column parallel to the id space, so the hot loop never re-hashes a
 recurring object.
 
-Ids are recycled through a free list: when the window reports that an actor
-vanished (``SlideDelta.vanished_users``) or an entity emptied, its slot is
+Ids are recycled through a free list: when a window slide finds that an
+actor left every id set or an entity's window emptied, its slot is
 released and reused by the next new object.  The id space therefore tracks
 the *live window population* — the cache-bound tests assert exactly this.
 Live ids stay below ``capacity`` = the high-water mark of simultaneously

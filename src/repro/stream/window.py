@@ -7,12 +7,18 @@ of a fixed number of records; the window spans the last ``w`` quanta.  The
 window indexes consume (:class:`QuantumColumns`) — the one aggregated form
 of a quantum.  Extraction is delegated to an
 :class:`~repro.extract.base.EntityExtractor`.
+
+A quantum's vocabulary stays in id columns: the segments are arrays of
+entity ids and distinct-user counts, and no token string is looked up
+again after interning — the AKG stage resolves strings only for the few
+entities it acts on (its graph's nodes, the quantum's bursty keywords and
+the keywords whose window empties; DESIGN.md Section 5).
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -21,7 +27,6 @@ from repro.errors import StreamError
 from repro.stream.messages import Message
 
 Entity = str
-ActorId = Hashable
 
 
 class QuantumBatcher:
@@ -91,28 +96,27 @@ class QuantumColumns:
     holds the quantum's distinct (entity, actor) pairs as packed int64
     ``(eid << 32) | aid`` interner ids, ascending — i.e. sorted by
     ``(entity id, actor id)``, because ids are non-negative and below
-    2**32 — and grouped into contiguous entity ``segments``: ``(eid, lo,
-    hi)`` runs with the entity's token string in the parallel
-    ``ent_strings`` list.  Semantically it is the quantum's ``entity ->
-    actors`` mapping with every actor's entities aggregated over all its
-    records (spatial correlation is per actor per quantum, Section 3.2):
-    per-record truncation applies before interning, records without
-    entities add nothing, and deduplication makes each (entity, actor)
-    pair count once, so segment length equals the quantum's distinct-user
-    support.  The actor of key ``k`` is ``acts.objs[k & 0xFFFFFFFF]``.
+    2**32 — so each entity's pairs form one contiguous segment.  The
+    segments are two parallel int64 arrays: ``eids`` (ascending) and
+    ``counts``, each segment's length, which is the entity's distinct-user
+    support in the quantum; segment ``i`` starts at ``counts[:i].sum()``.
+    Semantically it is the quantum's ``entity -> actors`` mapping with
+    every actor's entities aggregated over all its records (spatial
+    correlation is per actor per quantum, Section 3.2): per-record
+    truncation applies before interning, records without entities add
+    nothing, and deduplication makes each (entity, actor) pair count once.
+    Nothing is resolved back to objects here: the token of entity ``e`` is
+    ``ents.objs[e]`` and the actor of key ``k`` is
+    ``acts.objs[k & 0xFFFFFFFF]``, read by whoever needs them.
     """
 
-    __slots__ = ("keys", "segments", "ent_strings")
+    __slots__ = ("keys", "eids", "counts")
 
-    def __init__(
-        self,
-        keys: np.ndarray,
-        segments: List[Tuple[int, int, int]],
-        ent_strings: List[Entity],
-    ) -> None:
+    def __init__(self, keys: np.ndarray) -> None:
+        """Segment ``keys``, which must be sorted and distinct."""
         self.keys = keys
-        self.segments = segments
-        self.ent_strings = ent_strings
+        starts, self.counts = sorted_runs(keys >> 32)
+        self.eids = keys[starts] >> 32
 
 
 def sorted_distinct(keys: np.ndarray) -> np.ndarray:
@@ -131,27 +135,12 @@ def sorted_distinct(keys: np.ndarray) -> np.ndarray:
     return keys.compress(keep)
 
 
-def _columns_from_occurrences(
-    ent_occ: List[int], act_occ, objs: List
-) -> QuantumColumns:
-    """Dedupe/sort/segment flat occurrence columns into QuantumColumns:
-    pack both ids into one int64 key, sort-and-dedupe it in C, and read
-    the segment boundaries off the packed column."""
-    if not ent_occ:
-        return QuantumColumns(np.empty(0, dtype=np.int64), [], [])
-    keys = np.array(ent_occ, dtype=np.int64)
-    keys <<= 32
-    keys |= np.asarray(act_occ, dtype=np.int64)
-    keys = sorted_distinct(keys)
-    ents = keys >> 32
-    bounds = np.flatnonzero(ents[1:] != ents[:-1]) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [len(keys)]))
-    segments = list(
-        zip(ents[starts].tolist(), starts.tolist(), ends.tolist())
-    )
-    strings = [objs[eid] for eid, _, _ in segments]
-    return QuantumColumns(keys, segments, strings)
+def sorted_runs(column: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(starts, lengths)`` of the runs of equal values in a sorted column."""
+    first = np.ones(len(column), dtype=bool)
+    np.not_equal(column[1:], column[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return starts, np.diff(starts, append=len(column))
 
 
 def quantum_columns(
@@ -211,42 +200,21 @@ def quantum_columns(
             i = ent_occ.index(None, i + 1)
     except ValueError:
         pass
+    keys = np.array(ent_occ, dtype=np.int64)
+    keys <<= 32
     # Expand the per-message actor ids across their token runs in one
     # C-level repeat instead of allocating a small list per message.
-    act_occ = np.repeat(
+    keys |= np.repeat(
         np.array(msg_aids, dtype=np.int64),
         np.array(msg_counts, dtype=np.int64),
     )
-    return _columns_from_occurrences(ent_occ, act_occ, ents.objs)
-
-
-def columns_from_mapping(
-    keyword_users: Dict[Entity, Set[ActorId]],
-    ents: Interner,
-    acts: Interner,
-) -> QuantumColumns:
-    """Intern an entity -> actors mapping into :class:`QuantumColumns`.
-
-    The adapter behind the window indexes' mapping entry point (the
-    from-scratch referee builder, direct construction in tests); empty
-    user sets are skipped — they carry no id-set information.
-    """
-    ent_occ: List[int] = []
-    act_occ: List[int] = []
-    for kw, users in keyword_users.items():
-        if not users:
-            continue
-        eid = ents.intern(kw)
-        for user in users:
-            ent_occ.append(eid)
-            act_occ.append(acts.intern(user))
-    return _columns_from_occurrences(ent_occ, act_occ, ents.objs)
+    return QuantumColumns(sorted_distinct(keys))
 
 
 __all__ = [
     "QuantumBatcher",
     "QuantumColumns",
-    "columns_from_mapping",
     "quantum_columns",
     "sorted_distinct",
+    "sorted_runs",
 ]

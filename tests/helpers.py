@@ -2,35 +2,104 @@
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.akg.builder import AkgBuilder
+from repro.akg.idsets import IdSetIndex
 from repro.core.maintenance import decompose_graph
 from repro.graph.dynamic_graph import DynamicGraph, edge_key
 from repro.interning import Interner
-from repro.stream.window import quantum_columns
+from repro.stream.window import (
+    QuantumColumns,
+    quantum_columns,
+    sorted_distinct,
+)
 
 
-def entity_actors(columns, acts):
+def entity_actors(columns, ents, acts):
     """The ``entity -> actors`` mapping a quantum's pair columns encode
-    (``acts`` is the actor interner they were extracted over)."""
-    keys = columns.keys
-    return {
-        entity: {acts.objs[k] for k in (keys[lo:hi] & 0xFFFFFFFF).tolist()}
-        for entity, (_, lo, hi) in zip(columns.ent_strings, columns.segments)
-    }
+    (``ents``/``acts`` are the interners they were extracted over)."""
+    aids = (columns.keys & 0xFFFFFFFF).tolist()
+    out = {}
+    lo = 0
+    for eid, count in zip(columns.eids.tolist(), columns.counts.tolist()):
+        out[ents.objs[eid]] = {acts.objs[a] for a in aids[lo : lo + count]}
+        lo += count
+    return out
 
 
 def quantum_mappings(messages, extractor, max_entities_per_record=None):
     """``(actor -> entities, entity -> actors)`` of one quantum, decoded
     from the pair columns :func:`quantum_columns` extracts."""
-    acts = Interner()
+    ents, acts = Interner(), Interner()
     columns = quantum_columns(
-        messages, extractor, max_entities_per_record, Interner(), acts
+        messages, extractor, max_entities_per_record, ents, acts
     )
-    by_entity = entity_actors(columns, acts)
+    by_entity = entity_actors(columns, ents, acts)
     by_actor = {}
     for entity, actors in by_entity.items():
         for actor in actors:
             by_actor.setdefault(actor, set()).add(entity)
     return by_actor, by_entity
+
+
+def columns_from_mapping(keyword_users, ents, acts):
+    """Intern an ``entity -> actors`` mapping into
+    :class:`~repro.stream.window.QuantumColumns`; empty user sets are
+    skipped — they carry no id-set information."""
+    keys = [
+        (ents.intern(kw) << 32) | acts.intern(user)
+        for kw, users in keyword_users.items()
+        if users
+        for user in users
+    ]
+    return QuantumColumns(sorted_distinct(np.array(keys, dtype=np.int64)))
+
+
+def intern_quantum(index, quantum, keyword_users):
+    """One quantum's mapping as pair columns over ``index``'s interners.
+    The quantum order is checked *before* interning, so a rejected quantum
+    leaves the tables untouched."""
+    index._check_order(quantum)
+    return columns_from_mapping(keyword_users, index.ents, index.acts)
+
+
+class MappingIdSetIndex(IdSetIndex):
+    """The id-set index fed ``keyword -> users`` mappings, for tests that
+    spell quanta out by hand."""
+
+    __slots__ = ()
+
+    def add_quantum(self, quantum, keyword_users):
+        return self.add_columns(
+            quantum, intern_quantum(self, quantum, keyword_users)
+        )
+
+
+def observed_slide(index, quantum, keyword_users, keywords):
+    """Slide ``index`` by one quantum and report what moved, through public
+    queries: ``(moved, emptied, vanished)`` — ``keyword -> (old, new)``
+    support for each of ``keywords`` whose support moved, the slide's
+    ``emptied`` set, and the users that left :meth:`window_users`.  The
+    same for the production index and the from-scratch one."""
+    before = {kw: index.support(kw) for kw in keywords}
+    users = index.window_users()
+    slide = index.add_quantum(quantum, keyword_users)
+    moved = {
+        kw: (old, new)
+        for kw, old in before.items()
+        if (new := index.support(kw)) != old
+    }
+    return moved, slide.emptied, users - index.window_users()
+
+
+class MappingAkgBuilder(AkgBuilder):
+    """The AKG builder fed ``keyword -> users`` mappings."""
+
+    def process_quantum(self, quantum, keyword_users):
+        return self.process_columns(
+            quantum, intern_quantum(self.idsets, quantum, keyword_users)
+        )
 
 
 def check_decomposition(maintainer):

@@ -7,13 +7,14 @@ here, as the paper's definitions computed the slow, obviously-correct way
 
 * :class:`MinHasher`, :class:`OracleIdSetIndex` and
   :class:`OracleSketchIndex` recompute window state — id sets, supports,
-  the slide delta, bottom-p sketches — from the raw retained quanta on
-  every slide, sweeping the full vocabulary;
+  the slide's full diff (:class:`ScratchSlide`), bottom-p sketches — from
+  the raw retained quanta on every slide, sweeping the full vocabulary;
 * :class:`ReferenceAkgBuilder` is the production
   :class:`~repro.akg.builder.AkgBuilder` on those components, with a
-  whole-graph dead-node sweep: it overrides the window reads and the
-  removal pool and nothing else, so both run identical candidate,
-  insertion, refresh and removal sequences;
+  whole-graph dead-node sweep: it derives the graph update's inputs from
+  the full diff and overrides the window reads and the removal pool, and
+  nothing else, so both run identical candidate, insertion, refresh and
+  removal sequences;
 * :class:`ScratchRanker` re-ranks every live cluster on every call, and
   :func:`verify_ranker` checks a ranker's cache against a recomputation.
 
@@ -40,11 +41,11 @@ notified, which the session derives from the report index's delta instead.
 """
 
 import heapq
+from dataclasses import dataclass
 from hashlib import blake2b
 
 from helpers import entity_actors
 from repro.akg.builder import AkgBuilder
-from repro.akg.idsets import SlideDelta
 from repro.akg.minhash import HASH_SEED
 from repro.api import EventKind, SessionEvent, open_session
 from repro.core.incremental import IncrementalRanker
@@ -68,7 +69,7 @@ class MinHasher:
     :func:`repro.akg.minhash.user_hash_fn` (same digest, same salt).
 
     Its per-user memo is *bounded*: the reference builder evicts users
-    reported by ``SlideDelta.vanished_users`` — users whose last window
+    reported by ``ScratchSlide.vanished_users`` — users whose last window
     occurrence just expired — so it tracks the live window population
     instead of every user id ever seen.
     """
@@ -129,15 +130,30 @@ class MinHasher:
         return tuple(heapq.nsmallest(self.p, set(hashes)))
 
 
+@dataclass(frozen=True)
+class ScratchSlide:
+    """One slide of :class:`OracleIdSetIndex`, diffed in full.
+
+    ``support_deltas`` maps every keyword whose window support moved to
+    ``(old, new)``; ``emptied`` are those whose support reached zero;
+    ``vanished_users`` the users that left every id set.
+    """
+
+    quantum: int
+    support_deltas: dict
+    emptied: frozenset
+    vanished_users: frozenset
+
+
 class OracleIdSetIndex:
     """Window id sets recomputed from the raw quantum log on every slide.
 
-    Interface-compatible with :class:`repro.akg.idsets.IdSetIndex`'s
-    mapping entry; every :meth:`add_quantum` rebuilds the per-keyword user
-    sets from scratch over the retained quanta and derives the
-    :class:`SlideDelta` by diffing the full before/after support maps —
-    O(window x vocabulary) work, which is the point: no incremental state
-    exists to go stale.
+    Interface-compatible with the test-side mapping entry of
+    :class:`repro.akg.idsets.IdSetIndex` (``helpers.MappingIdSetIndex``);
+    every :meth:`add_quantum` rebuilds the per-keyword user sets from
+    scratch over the retained quanta and returns a :class:`ScratchSlide`,
+    diffing the full before/after support maps — O(window x vocabulary)
+    work, which is the point: no incremental state exists to go stale.
     """
 
     def __init__(self, window_quanta):
@@ -164,14 +180,9 @@ class OracleIdSetIndex:
         }
         cutoff = quantum - self.window_quanta
         self._window.append((quantum, frozen))
-        expired = set()
-        live = []
-        for q, content in self._window:
-            if q <= cutoff:
-                expired.update(content)
-            else:
-                live.append((q, content))
-        self._window = live
+        self._window = [
+            (q, content) for q, content in self._window if q > cutoff
+        ]
         sets = {}
         for _, content in self._window:
             for kw, users in content.items():
@@ -188,10 +199,8 @@ class OracleIdSetIndex:
         new_users = set()
         for users in sets.values():
             new_users |= users
-        return SlideDelta(
+        return ScratchSlide(
             quantum=quantum,
-            appeared=frozenset(frozen),
-            expired=frozenset(expired),
             support_deltas=support_deltas,
             emptied=emptied,
             vanished_users=frozenset(old_users - new_users),
@@ -253,9 +262,11 @@ class ReferenceAkgBuilder(AkgBuilder):
 
     Id sets are recomputed from raw retained quanta, sketches hashed from
     whole id sets, and every graph node is a removal candidate each
-    quantum.  Steps 2-5 are the production builder's own, so the two run
-    identical update sequences.  Fed by :meth:`process_quantum` (the
-    mapping form); it keeps no checkpointable state.
+    quantum.  The graph update's inputs come from the full slide diff and
+    the whole quantum's counts.  Steps 2-5 are the production builder's
+    own, so the two run identical update sequences.  Fed by
+    :meth:`process_quantum` (the mapping form); it keeps no checkpointable
+    state.
     """
 
     def __init__(self, config, maintainer):
@@ -265,14 +276,23 @@ class ReferenceAkgBuilder(AkgBuilder):
         self.sketches = OracleSketchIndex(self.minhasher, self.idsets)
 
     def process_quantum(self, quantum, keyword_users):
-        delta = self.idsets.add_quantum(quantum, keyword_users)
+        slide = self.idsets.add_quantum(quantum, keyword_users)
         # Users whose last window occurrence just expired leave the memo.
-        if delta.vanished_users:
-            self.minhasher.evict(delta.vanished_users)
+        if slide.vanished_users:
+            self.minhasher.evict(slide.vanished_users)
+        graph = self.maintainer.graph
+        moves = [
+            (kw, old, new)
+            for kw, (old, new) in sorted(slide.support_deltas.items())
+            if graph.has_node(kw)
+        ]
         quantum_support = {
             kw: len(users) for kw, users in keyword_users.items() if users
         }
-        return self._update_graph(quantum, delta, quantum_support)
+        active = [kw for kw in quantum_support if graph.has_node(kw)]
+        return self._update_graph(
+            quantum, moves, quantum_support, active, slide.emptied
+        )
 
     def _sketches_of(self, keywords):
         return {kw: self.sketches.sketch(kw) for kw in keywords}
@@ -280,8 +300,8 @@ class ReferenceAkgBuilder(AkgBuilder):
     def _ec_of(self, pairs):
         return [self.idsets.jaccard(kw1, kw2) for kw1, kw2 in pairs]
 
-    def _removal_candidates(self, quantum, delta):
-        super()._removal_candidates(quantum, delta)  # drain, stay bounded
+    def _removal_candidates(self, quantum, emptied):
+        super()._removal_candidates(quantum, emptied)  # drain, stay bounded
         return set(self.maintainer.graph.nodes())
 
 
@@ -366,17 +386,18 @@ def verify_ranker(ranker):
 
 class MappingFeed:
     """A from-scratch builder behind the ``process_columns`` entry
-    :class:`AkgUpdateStage` calls: the columns, extracted over ``acts``,
-    reach it as the mapping its window indexes take."""
+    :class:`AkgUpdateStage` calls: the columns, extracted over ``ents`` and
+    ``acts``, reach it as the mapping its window indexes take."""
 
-    def __init__(self, builder, acts):
+    def __init__(self, builder, ents, acts):
         self.builder = builder
+        self.ents = ents
         self.acts = acts
         self.sub_spans = builder.sub_spans
 
     def process_columns(self, quantum, columns):
         return self.builder.process_quantum(
-            quantum, entity_actors(columns, self.acts)
+            quantum, entity_actors(columns, self.ents, self.acts)
         )
 
 
@@ -392,7 +413,7 @@ def oracle_session(config=None, *, akg=True, ranking=False, **session_kwargs):
     )
     if akg:
         ents, acts = Interner(), Interner()
-        feed = MappingFeed(builder, acts)
+        feed = MappingFeed(builder, ents, acts)
     else:
         ents, acts = builder.idsets.ents, builder.idsets.acts
         feed = builder

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.akg.builder import AkgBuilder
+from helpers import MappingAkgBuilder
 from repro.config import DetectorConfig
 from repro.core.changelog import NodeWeightChanged
 from repro.core.maintenance import ClusterMaintainer
@@ -19,7 +19,7 @@ def make_builder(**overrides):
     )
     base.update(overrides)
     maintainer = ClusterMaintainer()
-    return AkgBuilder(DetectorConfig(**base), maintainer), maintainer
+    return MappingAkgBuilder(DetectorConfig(**base), maintainer), maintainer
 
 
 def quantum(*pairs):

@@ -10,15 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import MappingIdSetIndex, observed_slide
 from oracles import MinHasher, OracleIdSetIndex
-from repro.akg.idsets import IdSetIndex, SlideDelta
 from repro.errors import StreamError
 from repro.interning import Interner
 
 # The ids these cases have always run under, so per-case history stays
 # comparable: "batched-array" is the column engine.
 ENGINES = [
-    pytest.param(IdSetIndex, id="batched-array"),
+    pytest.param(MappingIdSetIndex, id="batched-array"),
     pytest.param(OracleIdSetIndex, id="reference"),
 ]
 
@@ -93,40 +93,37 @@ class TestWindowMechanics:
 
 
 class TestSlideDelta:
+    """What a slide moved, read through ``support``/``window_users`` before
+    and after it, and the slide's ``emptied`` set."""
+
     def test_appearance_reports_support_delta(self, Index):
         index = Index(window_quanta=3)
-        delta = index.add_quantum(0, {"kw": {1, 2}})
-        assert delta.appeared == {"kw"}
-        assert delta.expired == frozenset()
-        assert delta.support_deltas == {"kw": (0, 2)}
-        assert delta.emptied == frozenset()
-        assert delta.touched == {"kw"}
+        moved, emptied, _ = observed_slide(index, 0, {"kw": {1, 2}}, ["kw"])
+        assert moved == {"kw": (0, 2)}
+        assert emptied == frozenset()
 
     def test_expiry_reports_emptied(self, Index):
         index = Index(window_quanta=2)
         index.add_quantum(0, {"kw": {1}})
         index.add_quantum(1, {"other": {9}})
-        delta = index.add_quantum(2, {"other": {9}})
-        assert delta.expired == {"kw"}
-        assert delta.support_deltas == {"kw": (1, 0)}
-        assert delta.emptied == {"kw"}
+        moved, emptied, _ = observed_slide(index, 2, {"other": {9}}, ["kw"])
+        assert moved == {"kw": (1, 0)}
+        assert emptied == {"kw"}
 
     def test_unchanged_support_not_reported(self, Index):
         """A keyword whose expiring users re-enter the same slide moves
-        nothing and must not appear in support_deltas."""
+        nothing and is not emptied."""
         index = Index(window_quanta=2)
         index.add_quantum(0, {"kw": {1}})
         index.add_quantum(1, {"kw": {1}})
-        delta = index.add_quantum(2, {"kw": {1}})
-        assert delta.appeared == {"kw"}
-        assert delta.expired == {"kw"}
-        assert delta.support_deltas == {}
-        assert delta.emptied == frozenset()
+        moved, emptied, _ = observed_slide(index, 2, {"kw": {1}}, ["kw"])
+        assert moved == {}
+        assert emptied == frozenset()
 
     def test_empty_user_sets_do_not_appear(self, Index):
         index = Index(window_quanta=2)
-        delta = index.add_quantum(0, {"kw": set()})
-        assert delta.appeared == frozenset()
+        moved, emptied, _ = observed_slide(index, 0, {"kw": set()}, ["kw"])
+        assert moved == {} and emptied == frozenset()
         assert index.support("kw") == 0
 
     def test_same_quantum_expiry_and_reentry_single_entry(self, Index):
@@ -135,9 +132,8 @@ class TestSlideDelta:
         index = Index(window_quanta=2)
         index.add_quantum(0, {"kw": {1, 2}})
         index.add_quantum(1, {"x": {9}})
-        delta = index.add_quantum(2, {"kw": {3}})
-        assert delta.appeared == {"kw"} and delta.expired == {"kw"}
-        assert delta.support_deltas == {"kw": (2, 1)}
+        moved, emptied, _ = observed_slide(index, 2, {"kw": {3}}, ["kw"])
+        assert moved == {"kw": (2, 1)} and emptied == frozenset()
         assert entries_of(index, "kw") == ((2, frozenset({3})),)
         assert index.users("kw") == {3}
 
@@ -147,10 +143,9 @@ class TestSlideDelta:
         index = Index(window_quanta=3)
         index.add_quantum(0, {"a": {1}})
         index.add_quantum(1, {"a": {2}, "b": {5}})
-        delta = index.add_quantum(7, {"a": {3}})
-        assert delta.expired == {"a", "b"}
-        assert delta.emptied == {"b"}
-        assert delta.support_deltas == {"a": (2, 1), "b": (1, 0)}
+        moved, emptied, _ = observed_slide(index, 7, {"a": {3}}, ["a", "b"])
+        assert emptied == {"b"}
+        assert moved == {"a": (2, 1), "b": (1, 0)}
         assert entries_of(index, "a") == ((7, frozenset({3})),)
 
     @pytest.mark.parametrize("Engine", ENGINES)
@@ -168,13 +163,14 @@ class TestSlideDelta:
     )
     @settings(max_examples=50, deadline=None)
     def test_delta_matches_from_scratch_oracle(self, Engine, quanta, window):
-        """The O(changes) slide delta equals the oracle's full-diff delta."""
+        """The slide's moves, emptied set and leaving users equal the
+        oracle's full diff."""
         fast = Engine(window_quanta=window)
         oracle = OracleIdSetIndex(window_quanta=window)
         for q, content in enumerate(quanta):
-            fast_delta = fast.add_quantum(q, content)
-            oracle_delta = oracle.add_quantum(q, content)
-            assert fast_delta == oracle_delta
+            fast_slide = observed_slide(fast, q, content, ["a", "b", "c"])
+            oracle_slide = observed_slide(oracle, q, content, ["a", "b", "c"])
+            assert fast_slide == oracle_slide
             for kw in ("a", "b", "c"):
                 assert fast.support(kw) == oracle.support(kw)
                 assert fast.users(kw) == oracle.users(kw)
@@ -268,7 +264,7 @@ class TestJaccardManyKernel:
     )
     @settings(max_examples=150, deadline=None)
     def test_equals_oracle_jaccard_after_every_slide(self, slides, pairs):
-        fast = IdSetIndex(window_quanta=3)
+        fast = MappingIdSetIndex(window_quanta=3)
         oracle = OracleIdSetIndex(window_quanta=3)
         pairs = pairs + pairs[:1]  # a pair listed twice
         quantum = 0
@@ -287,7 +283,7 @@ class TestJaccardManyKernel:
         """The bit columns are recycled actor slots: a vanished user's slot
         goes to the next new user and must count for that user alone (the
         property above meets this at random; here it is pinned)."""
-        index = IdSetIndex(window_quanta=1)
+        index = MappingIdSetIndex(window_quanta=1)
         index.add_quantum(0, {"a": {1, 2}, "b": {2}})
         freed = {index.acts.ids[1], index.acts.ids[2]}
         index.add_quantum(1, {"c": {3}})  # users 1 and 2 vanish
@@ -299,7 +295,7 @@ class TestJaccardManyKernel:
     def test_empty_pair_list_makes_no_numpy_call(self, monkeypatch):
         import repro.akg.idsets as module
 
-        index = IdSetIndex(window_quanta=2)
+        index = MappingIdSetIndex(window_quanta=2)
         index.add_quantum(0, {"a": {1}})
         monkeypatch.setattr(module, "np", None)
         assert index.jaccard_many([]) == []
@@ -309,7 +305,7 @@ class TestJaccardManyKernel:
         answers) one row at a time — same floats."""
         import repro.akg.idsets as module
 
-        index = IdSetIndex(window_quanta=2)
+        index = MappingIdSetIndex(window_quanta=2)
         index.add_quantum(
             0, {kw: set(range(i, 200, i + 1)) for i, kw in enumerate(KEYWORDS)}
         )
@@ -328,7 +324,7 @@ class TestJaccardManyKernel:
         from repro.akg.idsets import _SCRATCH_BYTES
 
         users = 100_000
-        index = IdSetIndex(window_quanta=2)
+        index = MappingIdSetIndex(window_quanta=2)
         quantum = {f"kw{i}": set(range(i * 10, i * 10 + 40)) for i in range(64)}
         quantum["everyone"] = set(range(users))
         index.add_quantum(0, quantum)
@@ -367,7 +363,7 @@ class TestSketchMany:
         included) each sketch equals sketching the full window id set from
         scratch."""
         hasher = MinHasher(p, seed=11)
-        fast = IdSetIndex(window_quanta=3, seed=11)
+        fast = MappingIdSetIndex(window_quanta=3, seed=11)
         oracle = OracleIdSetIndex(window_quanta=3)
         asked = KEYWORDS + ["absent", KEYWORDS[0]]  # one listed twice
         quantum = 0
@@ -382,7 +378,7 @@ class TestSketchMany:
             )
 
     def test_expiry(self):
-        index = IdSetIndex(window_quanta=2, seed=1)
+        index = MappingIdSetIndex(window_quanta=2, seed=1)
         index.add_quantum(0, {"kw": {1, 2, 3}})
         assert index.sketch_many(["kw"], 2) == {
             "kw": MinHasher(2, seed=1).sketch({1, 2, 3})
@@ -396,11 +392,11 @@ class TestSketchMany:
         that still hold it, and forgotten only with the last one — also on
         an index rebuilt from a snapshot."""
         hasher = MinHasher(2, seed=1)
-        index = IdSetIndex(window_quanta=3, seed=1)
+        index = MappingIdSetIndex(window_quanta=3, seed=1)
         index.add_quantum(0, {"kw": {1, 2, 3}, "gone": {9}})
         index.add_quantum(1, {"other": {7}})
         index.add_quantum(2, {"kw": {4, 5}})
-        restored = IdSetIndex(window_quanta=3, seed=1)
+        restored = MappingIdSetIndex(window_quanta=3, seed=1)
         restored.from_state(index.to_state())
         for idx in (index, restored):
             assert idx.sketch_many(["kw"], 2)["kw"] == hasher.sketch(
@@ -421,7 +417,7 @@ class TestSketchMany:
         """Under a 4-bit hash distinct users collide all the time: equal
         hashes must share a rank, so a sketch never repeats a value and
         never loses the (p+1)-th distinct one to a duplicate."""
-        index = IdSetIndex(window_quanta=3)
+        index = MappingIdSetIndex(window_quanta=3)
         index.acts = Interner(hash_fn=four_bit_hash)
         oracle = OracleIdSetIndex(window_quanta=3)
         quantum = 0
@@ -436,7 +432,7 @@ class TestSketchMany:
 
     def test_p_of_one_and_p_beyond_the_support(self):
         hasher = MinHasher(1, seed=0)
-        index = IdSetIndex(window_quanta=2)
+        index = MappingIdSetIndex(window_quanta=2)
         index.add_quantum(0, {"a": {1, 2, 3}, "b": {3}})
         hashes = sorted(hasher.hash_user(user) for user in (1, 2, 3))
         assert index.sketch_many(["a", "b"], 1) == {
@@ -449,17 +445,17 @@ class TestSketchMany:
         }
 
     def test_keyword_outside_the_window_and_keyword_listed_twice(self):
-        index = IdSetIndex(window_quanta=2)
+        index = MappingIdSetIndex(window_quanta=2)
         index.add_quantum(0, {"a": {1, 2}})
         got = index.sketch_many(["a", "nope", "a"], 2)
         assert got == {"a": MinHasher(2).sketch({1, 2}), "nope": ()}
         assert index.sketch_many(["nope"], 2) == {"nope": ()}
-        assert IdSetIndex(window_quanta=2).sketch_many(["a"], 2) == {"a": ()}
+        assert MappingIdSetIndex(window_quanta=2).sketch_many(["a"], 2) == {"a": ()}
 
     def test_empty_keyword_list_makes_no_numpy_call(self, monkeypatch):
         import repro.akg.idsets as module
 
-        index = IdSetIndex(window_quanta=2)
+        index = MappingIdSetIndex(window_quanta=2)
         index.add_quantum(0, {"a": {1}})
         monkeypatch.setattr(module, "np", None)
         assert index.sketch_many([], 3) == {}
@@ -469,11 +465,12 @@ class TestRebuild:
     def test_gap_quantum_rebuilds_nothing(self):
         """Nothing expires and nothing enters: the empty delta comes back
         and the derived column is not even re-derived."""
-        index = IdSetIndex(window_quanta=3)
+        index = MappingIdSetIndex(window_quanta=3)
         index.add_quantum(0, {"a": {1, 2}, "b": {2}})
         column = index._pair_keys
         delta = index.add_quantum(1, {})
-        assert delta == SlideDelta(quantum=1)
+        assert delta.emptied == frozenset()
+        assert delta.before is delta.after  # no support moved
         assert index._pair_keys is column
         assert [q for q, _ in index._quanta] == [0]
         index.add_quantum(3, {})  # block 0 expires: this one does rebuild

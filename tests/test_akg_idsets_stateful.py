@@ -1,9 +1,11 @@
 """Stateful model check of the sliding-window id-set index.
 
 A hypothesis state machine feeds arbitrary quantum contents into
-:class:`IdSetIndex` alongside a naive model (a plain list of the quanta fed
-so far, windowed by quantum number) and asserts support, membership,
-Jaccard, the slide delta and the interner populations agree after every
+:class:`~repro.akg.idsets.IdSetIndex` (through ``helpers.MappingIdSetIndex``)
+alongside a naive model (a plain list of the quanta fed so far, windowed by
+quantum number) and asserts support, membership, Jaccard, what each slide
+moved — supports and live users before and after it, its ``emptied`` set
+and its support columns — and the interner populations agree after every
 step.  The quantum counter may jump, so one slide can expire several blocks
 at once — a pair recurring across them must be subtracted once per block —
 and users and keywords that leave the window release interner slots the
@@ -17,7 +19,7 @@ from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from oracles import MinHasher
-from repro.akg.idsets import IdSetIndex
+from helpers import MappingIdSetIndex
 
 WINDOW = 3
 SKETCH_SIZE = 3
@@ -34,29 +36,51 @@ CONTENT = st.dictionaries(
 class IdSetModelMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.index = IdSetIndex(window_quanta=WINDOW)
+        self.index = MappingIdSetIndex(window_quanta=WINDOW)
         self.history = []  # list of (quantum, {keyword: set(users)})
         self.quantum = -1
 
     def _slide(self, content, step):
-        before = {kw: len(self._model_users(kw)) for kw in KEYWORDS}
-        before_users = self._model_window_users()
+        model_before = {kw: len(self._model_users(kw)) for kw in KEYWORDS}
+        model_users_before = self._model_window_users()
+        support_before = {kw: self.index.support(kw) for kw in KEYWORDS}
+        users_before = self.index.window_users()
+        assert support_before == model_before
+        assert users_before == model_users_before
+        eids = {kw: self.index.ents.ids.get(kw) for kw in KEYWORDS}
         self.quantum += step
         delta = self.index.add_quantum(self.quantum, content)
         self.history.append((self.quantum, content))
-        # The reported slide delta must equal the model's support diff.
+        support_after = {kw: self.index.support(kw) for kw in KEYWORDS}
+        # The slide's supports, before and after, equal the model's.
         expected = {
-            kw: (before[kw], after)
+            kw: (model_before[kw], after)
             for kw in KEYWORDS
-            if (after := len(self._model_users(kw))) != before[kw]
+            if (after := len(self._model_users(kw))) != model_before[kw]
         }
-        assert dict(delta.support_deltas) == expected
+        assert {
+            kw: (support_before[kw], support_after[kw])
+            for kw in KEYWORDS
+            if support_after[kw] != support_before[kw]
+        } == expected
+        # So do the delta's support columns, read at every keyword's id —
+        # the id it held before the slide (which released it if the
+        # keyword emptied) or the one the entering quantum interned.
+        for kw in KEYWORDS:
+            eid = eids[kw]
+            if eid is None:
+                eid = self.index.ents.ids.get(kw)
+            if eid is not None:
+                assert (int(delta.before[eid]), int(delta.after[eid])) == (
+                    support_before[kw],
+                    support_after[kw],
+                )
         assert delta.emptied == {
             kw for kw, (_, after) in expected.items() if after == 0
         }
-        assert delta.appeared == {kw for kw, users in content.items() if users}
-        assert delta.vanished_users == (
-            before_users - self._model_window_users()
+        # The users that left the window are the model's.
+        assert users_before - self.index.window_users() == (
+            model_users_before - self._model_window_users()
         )
 
     @rule(content=CONTENT)
@@ -73,7 +97,7 @@ class IdSetModelMachine(RuleBasedStateMachine):
     def restore_into_a_fresh_index(self):
         """``to_state`` -> ``from_state`` on a new index: same answers, and
         the restored index carries on from here."""
-        restored = IdSetIndex(window_quanta=WINDOW)
+        restored = MappingIdSetIndex(window_quanta=WINDOW)
         restored.from_state(self.index.to_state())
         for keyword in KEYWORDS:
             assert restored.support(keyword) == self.index.support(keyword)

@@ -30,9 +30,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from helpers import check_decomposition
+from helpers import MappingAkgBuilder, check_decomposition
 from oracles import ReferenceAkgBuilder
-from repro.akg.builder import AkgBuilder
 from repro.config import DetectorConfig
 from repro.core.maintenance import ClusterMaintainer
 from repro.graph.dynamic_graph import edge_key
@@ -69,7 +68,7 @@ def graph_snapshot(maintainer):
 def assert_equivalent(stream, config):
     """Replay ``stream`` into fast and oracle pipelines, diffing per quantum."""
     fast_m, oracle_m = ClusterMaintainer(), ClusterMaintainer()
-    fast = AkgBuilder(config, fast_m)
+    fast = MappingAkgBuilder(config, fast_m)
     oracle = ReferenceAkgBuilder(config, oracle_m)
     for quantum, content in enumerate(stream):
         fast.process_quantum(quantum, content)

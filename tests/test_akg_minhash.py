@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import MappingAkgBuilder, MappingIdSetIndex, observed_slide
 from oracles import MinHasher, OracleIdSetIndex, ReferenceAkgBuilder
 from repro.errors import ConfigError
 
@@ -104,7 +105,6 @@ class TestCacheBound:
         hash storage beyond the users actually present in the window: the
         fast builder keeps hashes in its actor interner's slots, the oracle
         builder in the ``MinHasher`` memo it evicts from."""
-        from repro.akg.builder import AkgBuilder
         from repro.config import DetectorConfig
         from repro.core.maintenance import ClusterMaintainer
 
@@ -114,7 +114,7 @@ class TestCacheBound:
             high_state_threshold=2,
             ec_threshold=0.3,
         )
-        fast = AkgBuilder(config, ClusterMaintainer())
+        fast = MappingAkgBuilder(config, ClusterMaintainer())
         oracle = ReferenceAkgBuilder(config, ClusterMaintainer())
         for quantum in range(40):
             # Fresh user cohort every quantum: after the window slides past
@@ -144,9 +144,7 @@ class TestCacheBound:
 
     def test_oracle_reports_vanished_users_identically(self):
         """The from-scratch index must agree on the eviction pool."""
-        from repro.akg.idsets import IdSetIndex
-
-        fast, oracle = IdSetIndex(2), OracleIdSetIndex(2)
+        fast, oracle = MappingIdSetIndex(2), OracleIdSetIndex(2)
         stream = [
             {"a": {1, 2}, "b": {2, 3}},
             {"a": {2}},
@@ -155,9 +153,10 @@ class TestCacheBound:
             {"a": {1}},
         ]
         for quantum, content in enumerate(stream):
-            fd = fast.add_quantum(quantum, content)
+            before = fast.window_users()
+            fast.add_quantum(quantum, content)
             od = oracle.add_quantum(quantum, content)
-            assert fd.vanished_users == od.vanished_users
+            assert before - fast.window_users() == od.vanished_users
             assert fast.window_users() == oracle.window_users()
 
 
@@ -181,11 +180,9 @@ class TestBatchedEvictionStateful:
     def test_vanished_users_and_refcounts_track_reference(
         self, seed, window, n_quanta
     ):
-        from repro.akg.idsets import IdSetIndex
-
         rng = random.Random(seed)
         reference = OracleIdSetIndex(window_quanta=window)
-        index = IdSetIndex(window_quanta=window)
+        index = MappingIdSetIndex(window_quanta=window)
         quantum = 0
         for _ in range(n_quanta):
             content = {}
@@ -196,10 +193,10 @@ class TestBatchedEvictionStateful:
                     for _ in range(rng.randint(1, 4))
                 }
                 content[kw] = users
-            ref_delta = reference.add_quantum(quantum, content)
-            delta = index.add_quantum(quantum, content)
-            assert delta == ref_delta
-            assert delta.vanished_users == ref_delta.vanished_users
+            ref_slide = observed_slide(reference, quantum, content, "abcdef")
+            slide = observed_slide(index, quantum, content, "abcdef")
+            assert slide == ref_slide
+            vanished = slide[2]
 
             # The eviction pool empties the memo: a vanished user's slot
             # is released, so the live interner population IS the window
@@ -209,7 +206,7 @@ class TestBatchedEvictionStateful:
             assert index.acts.live_count == len(live_users)
             assert set(index.acts.ids) == live_users
             assert index.ents.live_count == index.num_keywords
-            for user in delta.vanished_users:
+            for user in vanished:
                 assert user not in index.acts.ids
 
             quantum += rng.choice((1, 1, 1, 2, window + 1))
@@ -217,10 +214,8 @@ class TestBatchedEvictionStateful:
     def test_reentry_after_vanish_reinterns_cleanly(self):
         """A vanished user who returns gets a slot again (possibly
         recycled) and identical window behaviour."""
-        from repro.akg.idsets import IdSetIndex
-
         reference = OracleIdSetIndex(window_quanta=2)
-        index = IdSetIndex(window_quanta=2)
+        index = MappingIdSetIndex(window_quanta=2)
         stream = [
             {"a": {"u1", "u2"}},
             {"b": {"u3"}},
@@ -230,9 +225,9 @@ class TestBatchedEvictionStateful:
             {},
         ]
         for quantum, content in enumerate(stream):
-            ref_delta = reference.add_quantum(quantum, content)
-            delta = index.add_quantum(quantum, content)
-            assert delta == ref_delta
+            assert observed_slide(
+                index, quantum, content, "ab"
+            ) == observed_slide(reference, quantum, content, "ab")
             assert index.window_users() == reference.window_users()
         assert index.acts.live_count == 0
         assert index.ents.live_count == 0
