@@ -4,10 +4,13 @@ Start the server as a subprocess, create a tenant, ingest a canned trace
 through the stdlib client, assert subscriber events and /metrics sanity,
 check the queue's byte count and a JSONL body holding a raw U+2028, kill
 -9 the process, restart it, and resume the tenant from its delta
-checkpoint.  Exits non-zero on any failed assertion.
+checkpoint; stop it gracefully with half a quantum buffered, restart it
+again, and resume the tenant with that buffer.  Exits non-zero on any
+failed assertion.
 """
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -99,19 +102,49 @@ proc.send_signal(signal.SIGKILL)
 proc.wait(timeout=30)
 print(f"-- leg 1 OK: {half} msgs, {len(events)} events delivered, SIGKILLed")
 
-# Leg 2: restart, resume from the delta log, finish the trace.
+# Leg 2: restart, resume from the delta log, ingest all but half a quantum,
+# then stop gracefully: the close seals the buffered partial quantum into
+# the delta log.
+tail = CONFIG["quantum_size"] // 2
+sent = len(messages) - tail
 proc, client = start_server()
 resumed = client.create_tenant("smoke", resume=True)
 assert resumed["resumed"] and resumed["quantum"] == quantum_before, resumed
 
-client.ingest("smoke", messages[half:], wait=True)
+client.ingest("smoke", messages[half:sent], wait=True)
 stats = client.stats("smoke")
-assert stats["messages"] == len(messages), stats["messages"]
+assert stats["messages"] + stats["pending"] == sent, stats
+quantum_sealed = sent // CONFIG["quantum_size"] - 1
+assert stats["quantum"] == quantum_sealed, stats
+
+proc.send_signal(signal.SIGINT)
+assert proc.wait(timeout=60) == 0, "graceful shutdown exited non-zero"
+print(f"-- leg 2 OK: resumed at quantum {quantum_before}, ingested up to "
+      f"message {sent}, graceful stop")
+
+# Leg 3: restart and resume again: the tenant comes back with its partial
+# quantum, from the one durable image a tenant keeps, and finishes the trace.
+assert sorted(os.listdir("serve-state/smoke")) == ["delta"], \
+    os.listdir("serve-state/smoke")
+generation_file = re.compile(
+    r"MANIFEST\.json|(base|deltas|window)-\d+\.(ckpt|log)"
+)
+stray = [
+    name for name in os.listdir("serve-state/smoke/delta")
+    if not generation_file.fullmatch(name)
+]
+assert not stray, f"a graceful stop left files beside the delta log: {stray}"
+proc, client = start_server()
+resumed = client.create_tenant("smoke", resume=True)
+assert resumed["resumed"] and resumed["quantum"] == quantum_sealed, resumed
+assert resumed["pending"] == sent % CONFIG["quantum_size"] == tail, resumed
+
+client.ingest("smoke", messages[sent:], wait=True)
+stats = client.stats("smoke")
+assert stats["pending"] == len(messages) % CONFIG["quantum_size"], stats
 assert stats["quantum"] == len(messages) // CONFIG["quantum_size"] - 1, stats
 
 proc.send_signal(signal.SIGINT)
 assert proc.wait(timeout=60) == 0, "graceful shutdown exited non-zero"
-assert os.path.exists("serve-state/smoke/final.ckpt"), \
-    "graceful shutdown left no final checkpoint"
-print(f"-- leg 2 OK: resumed at quantum {quantum_before}, "
-      f"finished {len(messages)} msgs, graceful stop checkpointed")
+print(f"-- leg 3 OK: resumed at quantum {quantum_sealed} with {tail} "
+      f"buffered messages, finished {len(messages)} msgs")

@@ -2,14 +2,15 @@
 
 ``repro.serve`` turns the library into a long-running service: one process
 multiplexes many named detector sessions ("tenants") over a shared worker
-pool, fans lifecycle events out to WebSocket subscribers, and checkpoints
-every tenant on shutdown.  This example runs the whole loop in-process via
-``ServerThread`` (the same object `python -m repro serve` wraps):
+pool, fans lifecycle events out to WebSocket subscribers, and seals every
+tenant's delta log on shutdown.  This example runs the whole loop in-process
+via ``ServerThread`` (the same object `python -m repro serve` wraps):
 
 1. start a server, create two tenants with different configs,
 2. subscribe to one tenant's ``EMERGING`` events over a real WebSocket,
 3. ingest two interleaved feeds and watch the events arrive,
-4. stop gracefully (every tenant checkpoints), restart, resume a tenant.
+4. stop gracefully (every tenant seals its delta log), restart, resume a
+   tenant.
 
 Run:  python examples/serve_quickstart.py
 """
@@ -97,8 +98,8 @@ def main() -> None:
             print("  " + event_line(record))
 
         quantum_before = stats["newsroom"]["quantum"]
-        server.stop(graceful=True)  # drains queues, checkpoints every tenant
-        print(f"\nserver stopped; {state_dir.name}/newsroom holds the checkpoint")
+        server.stop(graceful=True)  # drains queues, seals every delta log
+        print(f"\nserver stopped; {state_dir.name}/newsroom holds its log")
 
         # --- a fresh process resumes the tenant ---------------------------
         server = ServerThread(state_dir=state_dir, workers=2)

@@ -26,7 +26,7 @@ the slide's support columns at the nodes' entity ids; the bursty set is
 ``counts >= theta`` over the quantum's segments, and burstiness advances
 only for it; sketches are computed only for the bursty keywords; refresh
 starts from the nodes a presence mask over the quantum's ids marks; and
-step 5 checks only three delta-sized candidate pools — keywords whose
+step 5 checks only three delta-sized candidate pools — nodes whose
 support just hit zero (stale), keywords whose burst grace period expires
 this quantum (scheduled at burst time), and nodes that just lost their last
 cluster membership (registry listener).  The window index is the column
@@ -141,8 +141,9 @@ class AkgBuilder:
         Strings are looked up only for the graph's nodes and the bursty
         keywords.  The nodes' entity ids are read before the slide, which
         releases the id of a keyword whose last window entry expires: such
-        a node's ``(old, 0)`` move is still recorded.  Vanished users
-        release their interner slot inside ``add_columns``.
+        a node's ``(old, 0)`` move is still recorded, and the dead-node
+        pass checks those nodes, not the slide's whole ``emptied``.
+        Vanished users release their interner slot inside ``add_columns``.
         """
         idsets = self.idsets
         eid_of = idsets.ents.ids.get
@@ -175,7 +176,8 @@ class AkgBuilder:
         active = [
             kw for (_, kw), hit in zip(nodes, seen[eids].tolist()) if hit
         ]
-        return self._update_graph(quantum, moves, bursty, active, delta.emptied)
+        emptied = frozenset(kw for kw, _, n in moves if n == 0)
+        return self._update_graph(quantum, moves, bursty, active, emptied)
 
     def _update_graph(
         self,
@@ -192,7 +194,8 @@ class AkgBuilder:
         maps keywords of the quantum to their distinct-user counts in it
         and holds at least every keyword at or above theta (lower counts
         are ignored); ``active`` are the AKG nodes that occur in the
-        quantum; ``emptied`` the keywords whose support reached zero.
+        quantum; ``emptied`` the keywords (at least the nodes) whose
+        support reached zero.
         """
         stats = AkgQuantumStats(quantum=quantum)
         self.sub_spans["correlate"] = 0.0  # summed over both kernel calls

@@ -3,14 +3,15 @@
 A *delta checkpoint* is a directory::
 
     <path>/
-        MANIFEST.json      {"format": ..., "version": 8, "generation": g,
+        MANIFEST.json      {"format": ..., "version": 9, "generation": g,
                             "base": "base-<g>.ckpt", "log": "deltas-<g>.log",
                             "window": "window-<g>.log", "base_quantum": q,
-                            "window_from": f}
+                            "window_from": f, "pending": p}
         window-<g>.log     the input records of quanta f..q (the window's
                            last quanta, at most ``window_quanta`` of them)
         base-<g>.ckpt      monolithic checkpoint (current layout) whose
-                           id-set window holds only the blocks before f
+                           id-set window holds only the blocks before f,
+                           and which buffers p messages of quantum q + 1
         deltas-<g>.log     the input records of the quanta after q
 
 The leader writes the base once, then appends one record per completed
@@ -59,12 +60,16 @@ back to the consistent prefix; complete records past that prefix (another
 writer's) are never cut — the append is refused instead — and a session
 behind the directory's base never starts a generation there.
 
+A graceful stop *seals* the directory (:meth:`DeltaCheckpointWriter.seal`):
+a partial quantum, which no record holds, goes into a fresh generation's
+base, and the manifest's ``pending`` counts it.
+
 There is one replay, and one cursor (the session's :class:`LogTail`).  A
 warm standby is a session resumed from the directory that :func:`catch_up`
 keeps at the log's end; taking over is keeping that session.  Across a
 generation flip it keeps the session whenever the window file and the new
-log hold every quantum after it.  Reads go through
-:class:`FileTailTransport`.
+log hold every quantum after it and the new base buffers nothing.  Reads
+go through :class:`FileTailTransport`.
 """
 
 from __future__ import annotations
@@ -90,7 +95,7 @@ from repro.stream.messages import Message
 from repro.stream.sources import message_from_record
 
 DELTA_FORMAT = "repro-session-delta-checkpoint"
-DELTA_VERSION = 8
+DELTA_VERSION = 9
 """Directory-format version, counted apart from the monolithic snapshot
 versions of :mod:`repro.api.checkpoint`.  4 — base-plus-delta-log over v3
 bases, records diffed from whole trees; 5 — bases are v4 snapshots (windows
@@ -98,10 +103,12 @@ as queues of quanta) and records are layer-emitted ops over that layout;
 6 — bases are v5 snapshots and records carry no sketch-window splice;
 7 — records are the quanta's input, replayed through the pipeline;
 8 — each generation opens with a window file holding the input of the
-window's last quanta, and its base leaves their id-set blocks out.  An
-older directory is refused by number: up to 6 its records are state edits
-no reader applies any more, and a 7 base carries a window an 8 reader
-would rebuild twice (its base still loads as a checkpoint)."""
+window's last quanta, and its base leaves their id-set blocks out; 9 —
+the manifest counts the base's buffered messages (``pending``).  An older
+directory is refused by number: up to 6 its records are state edits no
+reader applies any more, a 7 base carries a window an 8 reader would
+rebuild twice (its base still loads as a checkpoint), and an 8 manifest
+lacks the count :func:`catch_up` reads."""
 
 MANIFEST_NAME = "MANIFEST.json"
 _LOG_MAGIC = b"RDLG"
@@ -224,7 +231,8 @@ def read_manifest(directory: Path) -> dict:
             f"{DELTA_VERSION}"
         )
     for field in (
-        "generation", "base", "log", "window", "base_quantum", "window_from"
+        "generation", "base", "log", "window", "base_quantum", "window_from",
+        "pending",
     ):
         if field not in manifest:
             raise CheckpointError(
@@ -430,9 +438,10 @@ def catch_up(session):
     ``open_session(resume=dir)`` or an earlier ``catch_up``) last read its
     directory; returns the session standing at the log's end.
 
-    That is the same object unless a compaction moved the base past what
-    the new generation's window file and log hold — the session is more
-    than a window behind — when the new base is restored instead.  Raises
+    That is the same object unless the new generation's window file and
+    log miss quanta after the session (it is more than a window behind) or
+    its base buffers a partial quantum no record holds (a seal), when the
+    new base is restored instead.  Raises
     :class:`CheckpointError` for a session not resumed from a directory,
     or one that processed quanta past its tail (it leads now).
     """
@@ -461,9 +470,14 @@ def catch_up(session):
             if manifest["generation"] == tail.generation:
                 raise
     position = session.current_quantum
-    if manifest["window_from"] - 1 <= position <= manifest["base_quantum"]:
-        # The window file holds every quantum between us and the new base:
-        # keep the warm session, feed it those, and tail the new log.
+    base = manifest["base_quantum"]
+    if (
+        manifest["window_from"] - 1 <= position <= base
+        and manifest["pending"] == 0
+        and (position < base or not session.batcher.pending)
+    ):
+        # The window file holds every quantum between us and the new base,
+        # whose buffer is empty as ours will be: keep the warm session.
         window = transport.read_window(manifest)
         return _replay_log(session, transport, manifest, window=window)
     return open_replayed(
@@ -518,9 +532,10 @@ class DeltaCheckpointWriter:
 
     The writer only frames, writes and fsyncs; a record's content comes
     from the ``source`` it is handed — the session, or anything with its
-    ``config.window_quanta``, ``current_quantum``, ``_quantum_record()``
-    (the record of the quantum just finished and its processing seconds)
-    and ``_state_tree(window_from)`` (the tree less the window blocks from
+    ``config.window_quanta``, ``current_quantum``, ``batcher.pending``
+    (the partial quantum's size), ``_quantum_record()`` (the record of the
+    quantum just finished and its processing seconds) and
+    ``_state_tree(window_from)`` (the tree less the window blocks from
     ``window_from`` on, asked for only when a generation is rolled).
     ``start(source)`` opens (or creates) the directory: it appends to the
     generation ``source`` was replayed from when it still stands at that
@@ -529,7 +544,8 @@ class DeltaCheckpointWriter:
     otherwise.  ``append(source)`` logs one record, keeps its frame among
     the last ``window_quanta`` (the next window file), and compacts —
     window file, base, empty log, manifest flip — once the logged quanta
-    would take longer than :data:`REPLAY_BUDGET_S` to replay.  Every append
+    would take longer than :data:`REPLAY_BUDGET_S` to replay; ``seal``
+    rolls one for a graceful stop.  Every append
     fsyncs the log file *and* its directory; the window file is fsynced and
     base and manifest writes are atomic-rename durable before the flip, so
     a failed roll leaves the previous generation current.  A writer whose
@@ -588,14 +604,7 @@ class DeltaCheckpointWriter:
     def append(self, source) -> int:
         """Log the quantum ``source`` just finished; returns the frame size
         in bytes."""
-        if self._fh is None:
-            raise CheckpointError("delta log writer is not started")
-        if self._broken:
-            raise CheckpointError(
-                "delta log writer is broken after a failed append; the log "
-                "tail may be torn — resume a new leader from the directory "
-                "instead of appending further"
-            )
+        self._check_writable()
         started = time.perf_counter()
         try:
             record, seconds = source._quantum_record()
@@ -622,6 +631,15 @@ class DeltaCheckpointWriter:
             self.compactions += 1
         return len(frame)
 
+    def seal(self, source) -> None:
+        """For a graceful stop: roll a generation whose base carries
+        ``source``'s partial quantum; with none, the log holds everything
+        and nothing is written.  ``session.close()`` does not seal, since
+        it also runs while an exception unwinds mid-quantum."""
+        self._check_writable()
+        if source.batcher.pending:
+            self._roll(source, self.generation + 1)
+
     def close(self) -> None:
         """Close the log file handle (appends already fsynced)."""
         if self._fh is not None:
@@ -629,6 +647,16 @@ class DeltaCheckpointWriter:
             self._fh = None
 
     # ------------------------------------------------------------ internals
+
+    def _check_writable(self) -> None:
+        if self._fh is None:
+            raise CheckpointError("delta log writer is not started")
+        if self._broken:
+            raise CheckpointError(
+                "delta log writer is broken after a failed append; the log "
+                "tail may be torn — resume a new leader from the directory "
+                "instead of appending further"
+            )
 
     def _attach(self, tail: LogTail, manifest: dict) -> None:
         """Append to the replayed generation, cutting a torn tail back to
@@ -699,6 +727,7 @@ class DeltaCheckpointWriter:
                     "window": window.name,
                     "base_quantum": state["quantum"],
                     "window_from": window_from,
+                    "pending": len(state["pending"]),
                 },
             )
         except CheckpointError:

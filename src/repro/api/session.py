@@ -461,7 +461,8 @@ class DetectorSession:
         raise :class:`~repro.errors.PipelineError`.
 
         A delta log's appends are fsynced as they happen, so close only
-        releases the handle — it never loses records.
+        releases the handle — it never loses records.  A graceful stop
+        seals the partial quantum first (``delta_writer.seal(session)``).
         """
         if self._closed:
             return

@@ -39,10 +39,6 @@ class BcQuantumSnapshot:
     elapsed_seconds: float
 
     @property
-    def num_clusters(self) -> int:
-        return len(self.clusters)
-
-    @property
     def num_with_edges(self) -> int:
         return len(self.clusters) + len(self.edge_clusters)
 

@@ -451,9 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8765,
                        help="bind port (default 8765; 0 = ephemeral)")
     serve.add_argument("--state-dir", metavar="DIR", default=None,
-                       help="per-tenant durability root: delta log while "
-                            "running, monolithic snapshot on graceful "
-                            "close; omit for in-memory tenants")
+                       help="per-tenant durability root: a delta log, "
+                            "sealed on graceful close; omit for "
+                            "in-memory tenants")
     serve.add_argument("--workers", type=int, default=2, metavar="N",
                        help="shared executor threads all tenants' quanta "
                             "interleave over (default 2)")

@@ -74,10 +74,6 @@ class EventRecord:
         return self.died_quantum is None
 
     @property
-    def last_snapshot(self) -> EventSnapshot:
-        return self.snapshots[-1]
-
-    @property
     def current_keywords(self) -> FrozenSet[str]:
         return self.snapshots[-1].keywords if self.snapshots else frozenset()
 

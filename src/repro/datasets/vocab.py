@@ -100,9 +100,6 @@ class Vocabulary:
         """Vectorised index batch (callers map indexes to words lazily)."""
         return rng.choice(self.size, size=count, p=self._probs)
 
-    def word_at(self, index: int) -> str:
-        return self.words[index]
-
     # -------------------------------------------------------- event words
 
     def make_event_keywords(self, count: int, tag: str = "noun") -> List[str]:

@@ -41,9 +41,6 @@ class EventMatch:
     def matched_truth_ids(self) -> set:
         return set(self.truth_to_detected)
 
-    def unmatched_records(self, records: Sequence[EventRecord]) -> List[EventRecord]:
-        return [r for r in records if r.event_id not in self.detected_to_truth]
-
     def first_detection_message(
         self, event_id: str, quantum_size: int
     ) -> Optional[int]:

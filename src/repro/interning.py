@@ -85,14 +85,6 @@ class Interner:
         ids[obj] = slot
         return slot
 
-    def id_of(self, obj: Hashable) -> Optional[int]:
-        """The object's id, or None when it is not (or no longer) interned."""
-        return self.ids.get(obj)
-
-    def obj_of(self, slot: int):
-        """The object occupying ``slot`` (None for released slots)."""
-        return self.objs[slot]
-
     def release(self, slots: Iterable[int]) -> None:
         """Free ids for reuse; their objects re-intern to fresh slots."""
         objs = self.objs

@@ -5,8 +5,8 @@ topic, one region, one customer stream) plus the serving state around it: a
 bounded ingest queue, a drainer task that runs the session's synchronous
 ``ingest_many`` on the shared executor so quanta from different tenants
 interleave, a :class:`~repro.serve.hub.FanoutHub` of WebSocket subscribers,
-and optional per-tenant durability (delta log while running, monolithic
-snapshot on graceful close).
+and optional per-tenant durability (a delta log, sealed on graceful
+close).
 
 Backpressure model (DESIGN.md Section 11):
 
@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.api import open_session
+from repro.api.deltalog import MANIFEST_NAME
 from repro.config import DetectorConfig
 from repro.errors import CheckpointError, ConfigError, ServeError
 from repro.serve.hub import FanoutHub
@@ -89,13 +90,10 @@ class Tenant:
         name: str,
         session,
         manager: "SessionManager",
-        *,
-        final_ckpt: Optional[Path] = None,
     ) -> None:
         self.name = name
         self.session = session
         self.manager = manager
-        self.final_ckpt = final_ckpt
         self.hub = FanoutHub(
             manager.loop,
             default_buffer=manager.subscriber_buffer,
@@ -264,7 +262,7 @@ class Tenant:
 
         ``filename`` must be a bare file name (the tenant-name pattern), so
         a client can neither write outside the state dir nor overwrite the
-        ``final.ckpt`` and ``delta/`` a resume reads.
+        ``delta/`` a resume reads.
         """
         if self.manager.state_dir is None:
             raise ServeError(
@@ -288,13 +286,13 @@ class Tenant:
     # ----------------------------------------------------------- teardown
 
     async def close(self, *, drain: bool = True) -> Dict[str, object]:
-        """Close the tenant: optionally drain, checkpoint, release.
+        """Close the tenant: optionally drain, seal, release.
 
         With ``drain=True`` (default) every queued message is processed
         first; with ``drain=False`` the queue is shed.  A persistent tenant
-        then writes a monolithic snapshot next to its delta log — the
-        graceful-shutdown image that preserves even the buffered partial
-        quantum — before the session is closed (idempotently) and the
+        then seals its delta log — a buffered partial quantum goes into a
+        fresh generation's base, so ``delta/`` is the one image a resume
+        reads — before the session is closed (idempotently) and the
         fan-out hub delivers its tails and disconnects.
         """
         if self.closed:
@@ -307,24 +305,30 @@ class Tenant:
         self._wake.set()
         await self._idle.wait()
         await self._runner
-        loop = self.manager.loop
+        writer = self.session.delta_writer
 
         def _finalize() -> None:
             with self._session_lock:
-                if self.final_ckpt is not None:
-                    self.session.snapshot(self.final_ckpt)
-                self.session.close()
+                try:
+                    if writer is not None:
+                        writer.seal(self.session)
+                except CheckpointError:
+                    # e.g. broken by a failed append: the partial quantum
+                    # is lost, as in a crash, and the other tenants close
+                    _log.exception("tenant %s: cannot seal", self.name)
+                finally:
+                    self.session.close()
 
-        await loop.run_in_executor(self.manager.executor, _finalize)
+        await self.manager.loop.run_in_executor(
+            self.manager.executor, _finalize
+        )
         self.closed = True
         self.hub.close_all()
         return {
             "closed": True,
             "quantum": self.session.current_quantum,
             "shed": self.shed,
-            "checkpoint": (
-                str(self.final_ckpt) if self.final_ckpt is not None else None
-            ),
+            "checkpoint": str(writer.path) if writer is not None else None,
         }
 
     # -------------------------------------------------------------- stats
@@ -412,11 +416,10 @@ class SessionManager:
         fresh tenant (omit on resume — a resumed tenant runs under its
         checkpoint's configuration).  ``persist`` defaults to whether the
         manager has a ``state_dir``; a persistent tenant delta-logs every
-        completed quantum under ``state_dir/<name>/delta`` and snapshots to
-        ``state_dir/<name>/final.ckpt`` on graceful close, which is exactly
-        what ``resume=True`` picks back up (snapshot preferred — it also
-        carries the partial quantum — falling back to the delta log after a
-        crash).
+        completed quantum under ``state_dir/<name>/delta`` and seals it on
+        graceful close (a partial quantum goes into the base), so that
+        directory is exactly what ``resume=True`` picks back up, after a
+        graceful stop and after a crash alike.
         """
         _check_name("tenant", name)
         if name in self.tenants and not self.tenants[name].closed:
@@ -431,8 +434,8 @@ class SessionManager:
             )
         tenant_dir = self._tenant_dir(name) if persist else None
         delta_dir = tenant_dir / "delta" if tenant_dir is not None else None
-        final_ckpt = (
-            tenant_dir / "final.ckpt" if tenant_dir is not None else None
+        has_state = (
+            delta_dir is not None and (delta_dir / MANIFEST_NAME).exists()
         )
         if resume:
             if tenant_dir is None:
@@ -444,39 +447,21 @@ class SessionManager:
                     "pass either config or resume, not both: a resumed "
                     "tenant runs under its checkpoint's configuration"
                 )
-            resume_from = None
-            if final_ckpt.exists():
-                resume_from = final_ckpt
-            elif delta_dir is not None and (delta_dir / "MANIFEST.json").exists():
-                resume_from = delta_dir
-            if resume_from is None:
+            if not has_state:
                 raise ServeError(
                     f"tenant {name!r} has no state to resume under "
                     f"{tenant_dir}"
                 )
-        else:
-            if tenant_dir is not None and (
-                final_ckpt.exists()
-                or (delta_dir / "MANIFEST.json").exists()
-            ):
-                raise ServeError(
-                    f"tenant {name!r} has existing state under {tenant_dir}; "
-                    f"pass resume=true to pick it up (or remove the "
-                    f"directory for a fresh start)"
-                )
-            resume_from = None
+        elif has_state:
+            raise ServeError(
+                f"tenant {name!r} has existing state under {tenant_dir}; "
+                f"pass resume=true to pick it up (or remove the "
+                f"directory for a fresh start)"
+            )
 
         def _open():
-            if resume_from is not None:
-                session = open_session(
-                    resume=resume_from, delta_log=delta_dir
-                )
-                if resume_from == final_ckpt:
-                    # The snapshot is folded into the fresh delta-log
-                    # generation now; leaving it would shadow newer state
-                    # on the next resume.
-                    final_ckpt.unlink()
-                return session
+            if resume:
+                return open_session(resume=delta_dir, delta_log=delta_dir)
             parsed = (
                 DetectorConfig.from_dict(config)
                 if config is not None
@@ -490,7 +475,7 @@ class SessionManager:
             session = await self.loop.run_in_executor(self.executor, _open)
         except (ConfigError, CheckpointError) as exc:
             raise ServeError(str(exc)) from exc
-        tenant = Tenant(name, session, self, final_ckpt=final_ckpt)
+        tenant = Tenant(name, session, self)
         self.tenants[name] = tenant
         return tenant
 
@@ -507,9 +492,9 @@ class SessionManager:
         return summary
 
     async def shutdown(self, *, graceful: bool = True) -> None:
-        """Close every tenant (checkpointing persistent ones), then the pool.
+        """Close every tenant (sealing persistent ones), then the pool.
 
-        ``graceful=False`` skips the drain/checkpoint path entirely — the
+        ``graceful=False`` skips the drain/seal path entirely — the
         crash-test twin of ``kill -9``; durability then rests on the delta
         log alone, which is the point.
         """

@@ -91,7 +91,7 @@ class ReproServer:
     async def stop(self, *, graceful: bool = True) -> None:
         """Stop listening and shut the manager down.
 
-        Graceful: drain every tenant's queue and checkpoint persistent ones.
+        Graceful: drain every tenant's queue and seal persistent ones.
         Non-graceful: drop everything on the floor — the crash path tests
         lean on (durability then rests on the per-quantum delta logs).
         """
@@ -377,8 +377,8 @@ async def serve_forever(
     """Run a server until cancelled (the CLI entry point's core).
 
     On cancellation the manager shuts down gracefully: queues drain and
-    persistent tenants are checkpointed (``final.ckpt`` next to their delta
-    logs).  ``ready`` is an optional callable invoked with the bound
+    persistent tenants seal their delta logs (a buffered partial quantum
+    included).  ``ready`` is an optional callable invoked with the bound
     ``(host, port)`` once listening.
     """
     loop = asyncio.get_running_loop()
@@ -399,7 +399,7 @@ class ServerThread:
     """A server on a daemon thread — the test/bench/example harness.
 
     ``start()`` returns the bound port.  ``stop(graceful=True)`` drains and
-    checkpoints; ``stop(graceful=False)`` tears the loop down without
+    seals; ``stop(graceful=False)`` tears the loop down without
     closing tenants — the in-process stand-in for ``kill -9`` (per-quantum
     delta-log durability is what makes the subsequent resume correct).
     """

@@ -50,9 +50,14 @@ def make_config(**overrides):
 
 class TestWorkSizedByGraph:
     """Guard: N one-off keywords beside a fixed AKG cost the builder no
-    graph lookup and the slide no Python container beyond ``emptied``."""
+    graph lookup — neither in the quantum they enter nor in the one whose
+    slide expires them — and the slide no Python container beyond
+    ``emptied``."""
 
     def measure(self, monkeypatch, n):
+        """``(calls, delta)`` — the ``has_node`` calls and the slide delta
+        — of the quantum the one-offs enter and of the one they expire
+        in."""
         builder = MappingAkgBuilder(
             make_config(high_state_threshold=4), ClusterMaintainer()
         )
@@ -61,8 +66,7 @@ class TestWorkSizedByGraph:
         content = dict(PLANTED)
         for i in range(n):
             content[f"once{i}"] = {1000 + i}
-        columns = intern_quantum(builder.idsets, 1, content)
-
+        expiry = 1 + WINDOW
         calls = []
         has_node = DynamicGraph.has_node
         add_columns = IdSetIndex.add_columns
@@ -76,25 +80,43 @@ class TestWorkSizedByGraph:
             deltas.append(add_columns(index, quantum, cols))
             return deltas[-1]
 
-        monkeypatch.setattr(DynamicGraph, "has_node", counted)
-        monkeypatch.setattr(IdSetIndex, "add_columns", captured)
-        stats = builder.process_columns(1, columns)
-        monkeypatch.undo()
-        assert stats.bursty_keywords == 4
-        assert builder.maintainer.graph.num_nodes == 4
-        assert builder.idsets.num_keywords == 4 + n
-        (delta,) = deltas
-        return len(calls), delta
+        measured = []
+        for quantum in range(1, expiry + 1):
+            columns = intern_quantum(
+                builder.idsets, quantum, content if quantum == 1 else PLANTED
+            )
+            calls.clear()
+            monkeypatch.setattr(DynamicGraph, "has_node", counted)
+            monkeypatch.setattr(IdSetIndex, "add_columns", captured)
+            stats = builder.process_columns(quantum, columns)
+            monkeypatch.undo()
+            assert stats.bursty_keywords == 4
+            assert builder.maintainer.graph.num_nodes == 4
+            if quantum in (1, expiry):
+                measured.append((len(calls), deltas[-1]))
+        assert builder.idsets.num_keywords == 4
+        (_, entered), (_, expired) = measured
+        assert len(expired.emptied) == n and not entered.emptied
+        return measured
 
     def test_graph_lookups_do_not_grow_with_the_vocabulary(self, monkeypatch):
-        small, _ = self.measure(monkeypatch, 1_000)
-        large, _ = self.measure(monkeypatch, 20_000)
+        (small, _), _ = self.measure(monkeypatch, 1_000)
+        (large, _), _ = self.measure(monkeypatch, 20_000)
+        assert small == large
+
+    def test_expiry_lookups_do_not_grow_with_the_vocabulary(
+        self, monkeypatch
+    ):
+        """The dead-node pass gets the nodes the slide emptied, not every
+        keyword it emptied."""
+        _, (small, _) = self.measure(monkeypatch, 1_000)
+        _, (large, _) = self.measure(monkeypatch, 20_000)
         assert small == large
 
     def test_slide_delta_holds_no_vocabulary_sized_container(
         self, monkeypatch
     ):
-        _, delta = self.measure(monkeypatch, 20_000)
+        (_, delta), _ = self.measure(monkeypatch, 20_000)
         for name in SlideDelta.__slots__:
             value = getattr(delta, name)
             if isinstance(value, (np.ndarray, int)):

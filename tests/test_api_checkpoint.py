@@ -355,12 +355,17 @@ class TestVersionMigration:
     the last version-7 tree's log of the same positions and config: its
     records are input, but its base carries the whole window and it has no
     window file, so version 8 refuses it by number as well; its base
-    resumes like any checkpoint.
+    resumes like any checkpoint.  ``delta_v8/`` is the last version-8
+    tree's log of the same positions and config, rolled at every quantum
+    up to the base so its window file holds quanta 5..7: its manifest does
+    not say how many buffered messages its base carries, so version 9
+    refuses it by number; given that count (0) it continues bit for bit.
     """
 
     VERSIONS = (2, 3, 4, 5, 6, 7, 8)
     DELTA_DIR = Path(__file__).parent / "data" / "delta_v6"
     DELTA_V7_DIR = Path(__file__).parent / "data" / "delta_v7"
+    DELTA_V8_DIR = Path(__file__).parent / "data" / "delta_v8"
     ASSETS = {
         version: Path(__file__).parent / "data" / f"checkpoint_v{version}.ckpt"
         for version in VERSIONS
@@ -451,12 +456,12 @@ class TestVersionMigration:
         from repro.api.checkpoint import load_checkpoint
         from repro.api.deltalog import DELTA_VERSION
 
-        assert DELTA_VERSION == 8
+        assert DELTA_VERSION == 9
         for load in (load_checkpoint, lambda p: open_session(resume=p)):
             with pytest.raises(
                 CheckpointError,
                 match="delta-checkpoint version 6; this build reads "
-                "version 8",
+                "version 9",
             ):
                 load(self.DELTA_DIR)
         base = load_checkpoint(self.DELTA_DIR / "base-0.ckpt")
@@ -469,7 +474,7 @@ class TestVersionMigration:
             with pytest.raises(
                 CheckpointError,
                 match="delta-checkpoint version 7; this build reads "
-                "version 8",
+                "version 9",
             ):
                 load(self.DELTA_V7_DIR)
         base = load_checkpoint(self.DELTA_V7_DIR / "base-0.ckpt")
@@ -492,6 +497,48 @@ class TestVersionMigration:
         session = open_session(resume=self.DELTA_V7_DIR / "base-0.ckpt")
         assert session.current_quantum == 7
         list(session.ingest_many(logged))
+        inbox = QueueSink()
+        session.subscribe(inbox)
+        reports = list(session.ingest_many(self.stream()[240:]))
+        structure = {
+            "reports": [report_record(r) for r in reports],
+            "notes": [note_record(e) for e in inbox.drain()],
+        }
+        assert fingerprint(structure) == self.CONTINUATION
+
+    def test_v8_delta_directory_is_refused_by_manifest_version(self):
+        from repro.api.checkpoint import load_checkpoint
+
+        manifest = json.loads(
+            (self.DELTA_V8_DIR / "MANIFEST.json").read_text()
+        )
+        assert manifest["window_from"] == 5 and "pending" not in manifest
+        for load in (load_checkpoint, lambda p: open_session(resume=p)):
+            with pytest.raises(
+                CheckpointError,
+                match="delta-checkpoint version 8; this build reads "
+                "version 9",
+            ):
+                load(self.DELTA_V8_DIR)
+
+    def test_v8_delta_directory_given_its_pending_count_continues(
+        self, tmp_path
+    ):
+        """Version 9 adds only the manifest's ``pending``: the v8 tree,
+        told its base buffers nothing, replays its window file and log and
+        continues bit for bit."""
+        import shutil
+
+        from golden import fingerprint, note_record, report_record
+
+        delta = tmp_path / "delta"
+        shutil.copytree(self.DELTA_V8_DIR, delta)
+        manifest = json.loads((delta / "MANIFEST.json").read_text())
+        manifest.update(version=9, pending=0)
+        (delta / "MANIFEST.json").write_text(json.dumps(manifest))
+        session = open_session(resume=delta)
+        assert session.current_quantum == 11
+        assert session.batcher.pending == 0
         inbox = QueueSink()
         session.subscribe(inbox)
         reports = list(session.ingest_many(self.stream()[240:]))
@@ -670,6 +717,7 @@ class TestVersionMigration:
         manifest["version"] = DELTA_VERSION
         manifest["window"] = "window-0.log"
         manifest["window_from"] = manifest["base_quantum"] + 1
+        manifest["pending"] = 0
         (delta / "MANIFEST.json").write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match="oracle_akg=True"):
             open_session(resume=delta)

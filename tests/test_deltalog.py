@@ -7,7 +7,8 @@ run — reports, and the final checkpoint under
 ``golden.normalized_checkpoint_state`` (wall clocks are not deterministic,
 so they are zeroed) — whatever the records carry: integer user ids,
 structured ``fields`` payloads, timestamps, and a base that holds a partial
-pending quantum.  A seeded fuzzer checks the same per record: replaying
+pending quantum (which is how a graceful stop seals a directory).  A seeded
+fuzzer checks the same per record: replaying
 record *q* onto the state taken while *q* was filling gives the state after
 *q*, in canonical codec bytes.  Framing is tested the way crashes tear
 it: truncation at every byte offset of a real log must yield a consistent
@@ -442,6 +443,96 @@ class TestResumeAppends:
         resumed.snapshot(tmp_path / "mono.ckpt")
         resumed.close()
         assert same_state(tmp_path / "d", tmp_path / "mono.ckpt")
+
+
+def directory_bytes(path):
+    """Every file of a directory, by name."""
+    return {f.name: f.read_bytes() for f in sorted(Path(path).iterdir())}
+
+
+class TestSeal:
+    """A graceful stop seals the directory: a partial quantum goes into a
+    fresh generation's base, which a resume attaches to as it stands."""
+
+    def test_seal_with_a_partial_quantum_resumes_it(self, tmp_path):
+        config = make_config()
+        messages = bursty_stream(31, 900)
+        whole = open_session(config)
+        expected = [report_key(r) for r in whole.ingest_many(messages)]
+        whole.snapshot(tmp_path / "whole.ckpt")
+        d = tmp_path / "d"
+        with open_session(config, delta_log=d) as leader:
+            got = [report_key(r) for r in leader.ingest_many(messages[:317])]
+            leader.delta_writer.seal(leader)
+        manifest = read_manifest(d)
+        assert manifest["generation"] == 1
+        assert manifest["base_quantum"] == 14 and manifest["pending"] == 17
+        assert manifest["window_from"] == 12
+        sealed = directory_bytes(d)
+        with open_session(resume=d, delta_log=d) as resumed:
+            assert resumed.batcher.pending == 17
+            assert resumed.delta_writer.generation == 1
+            assert directory_bytes(d) == sealed  # attached, no roll
+            got += [
+                report_key(r) for r in resumed.ingest_many(messages[317:600])
+            ]
+        assert got == expected[:30]
+        again = open_session(resume=d)
+        assert again.current_quantum == 29 and again.batcher.pending == 0
+        got += [report_key(r) for r in again.ingest_many(messages[600:])]
+        assert got == expected
+        again.snapshot(tmp_path / "again.ckpt")
+        assert same_state(tmp_path / "again.ckpt", tmp_path / "whole.ckpt")
+
+    def test_seal_without_a_partial_quantum_writes_nothing(self, tmp_path):
+        d = tmp_path / "d"
+        with open_session(make_config(), delta_log=d) as leader:
+            list(leader.ingest_many(bursty_stream(31, 300)))
+            before = directory_bytes(d)
+            leader.delta_writer.seal(leader)
+        assert directory_bytes(d) == before
+
+    def test_each_seal_carries_the_buffer_as_it_stands(self, tmp_path):
+        """A seal after a seal, with the buffer grown in between, rolls a
+        base holding the grown buffer; a resume picks that up."""
+        messages = bursty_stream(31, 400)
+        d = tmp_path / "d"
+        with open_session(make_config(), delta_log=d) as leader:
+            list(leader.ingest_many(messages[:205]))
+            leader.delta_writer.seal(leader)
+            list(leader.ingest_many(messages[205:210]))
+            leader.delta_writer.seal(leader)
+            leader.snapshot(tmp_path / "leader.ckpt")
+        manifest = read_manifest(d)
+        assert manifest["generation"] == 2 and manifest["pending"] == 10
+        assert manifest["window_from"] == 7  # the frames carried over
+        resumed = open_session(resume=d)
+        assert resumed.batcher.pending == 10
+        assert same_state(d, tmp_path / "leader.ckpt")
+
+    def test_session_close_does_not_seal(self, tmp_path):
+        """``close()`` also runs from ``__exit__`` while an exception
+        unwinds, so it leaves the partial quantum out of the log."""
+        d = tmp_path / "d"
+        with pytest.raises(RuntimeError):
+            with open_session(make_config(), delta_log=d) as leader:
+                list(leader.ingest_many(bursty_stream(31, 317)))
+                before = directory_bytes(d)
+                raise RuntimeError("unwinding mid-quantum")
+        assert directory_bytes(d) == before
+        assert read_manifest(d)["pending"] == 0
+
+    def test_broken_writer_refuses_to_seal(self, tmp_path):
+        d = tmp_path / "d"
+        session = open_session(make_config(), delta_log=d)
+        list(session.ingest_many(bursty_stream(31, 317)))
+        session.delta_writer._broken = True
+        with pytest.raises(CheckpointError, match="broken"):
+            session.delta_writer.seal(session)
+        assert read_manifest(d)["generation"] == 0
+        session.close()
+        with pytest.raises(CheckpointError, match="not started"):
+            session.delta_writer.seal(session)
 
 
 # ------------------------------------------------------ lossless replay

@@ -225,6 +225,130 @@ class TestPromoteParity:
         session.close()
 
 
+class TestPartialQuantumGeneration:
+    """A generation whose base buffers a partial quantum — what a graceful
+    close seals, and what ``open_session(resume=<file with a partial
+    quantum>, delta_log=dir)`` writes — holds that buffer in no logged
+    record.  A caught-up follower crossing into it must take the buffer
+    from the base, or it drops those messages once promoted."""
+
+    SPLIT = 617  # 30 quanta of 20, and 17 buffered messages
+
+    def lead(self, tmp_path, config, messages):
+        """A leader over the first SPLIT messages logging to ``d``, with a
+        follower kept caught up: (leader, follower, the leader's reports
+        and notifications)."""
+        leader = open_session(config, delta_log=tmp_path / "d")
+        sink = QueueSink()
+        leader.subscribe(sink)
+        reports = []
+        follower = None
+        for lo in range(0, self.SPLIT, 100):
+            chunk = messages[lo : min(lo + 100, self.SPLIT)]
+            reports += [report_key(r) for r in leader.ingest_many(chunk)]
+            if follower is None:
+                follower = open_session(resume=tmp_path / "d")
+            else:
+                follower = deltalog.catch_up(follower)
+            assert follower.current_quantum == leader.current_quantum
+        assert leader.batcher.pending == 17
+        notes = [notification_key(e) for e in sink.drain()]
+        return leader, follower, reports, notes
+
+    def promote(self, tmp_path, config, messages, follower, reports, notes):
+        """Feed the follower the stream from where the directory ends: its
+        reports, notifications and final checkpoint, after the leader's,
+        equal the uninterrupted run's."""
+        expected_reports, expected_notes, whole = uninterrupted_run(
+            config, messages
+        )
+        whole.snapshot(tmp_path / "whole.ckpt")
+        sink = QueueSink()
+        follower.subscribe(sink)
+        start = (
+            (follower.current_quantum + 1) * config.quantum_size
+            + follower.batcher.pending
+        )
+        assert start == self.SPLIT
+        reports += [
+            report_key(r) for r in follower.ingest_many(messages[start:])
+        ]
+        notes += [notification_key(e) for e in sink.drain()]
+        assert reports == expected_reports
+        assert notes == expected_notes
+        follower.snapshot(tmp_path / "promoted.ckpt")
+        assert golden.fingerprint(
+            golden.normalized_checkpoint_state(tmp_path / "promoted.ckpt")
+        ) == golden.fingerprint(
+            golden.normalized_checkpoint_state(tmp_path / "whole.ckpt")
+        )
+
+    def test_follower_crosses_a_sealed_generation(self, tmp_path):
+        config = make_config()
+        messages = bursty_stream(31, 900)
+        leader, follower, reports, notes = self.lead(
+            tmp_path, config, messages
+        )
+        leader.delta_writer.seal(leader)
+        leader.close()
+        assert read_manifest(tmp_path / "d")["pending"] == 17
+        follower = deltalog.catch_up(follower)
+        assert follower.current_quantum == 29
+        assert follower.batcher.pending == 17
+        self.promote(tmp_path, config, messages, follower, reports, notes)
+
+    def test_follower_crosses_a_generation_resumed_from_a_file(
+        self, tmp_path
+    ):
+        """The library path: a leader resumed from a snapshot holding a
+        partial quantum starts a generation whose base buffers it."""
+        config = make_config()
+        messages = bursty_stream(31, 900)
+        leader, follower, reports, notes = self.lead(
+            tmp_path, config, messages
+        )
+        leader.snapshot(tmp_path / "partial.ckpt")
+        leader.close()
+        successor = open_session(
+            resume=tmp_path / "partial.ckpt", delta_log=tmp_path / "d"
+        )
+        follower = deltalog.catch_up(follower)
+        successor.close()
+        assert follower.current_quantum == 29
+        assert follower.batcher.pending == 17
+        self.promote(tmp_path, config, messages, follower, reports, notes)
+
+    def test_follower_holding_a_buffer_crosses_an_empty_one(self, tmp_path):
+        """A follower resumed at a base that buffers a partial quantum
+        holds that buffer; a writer at the same quantum with no buffer
+        starts a generation there, and the follower must end with its
+        empty buffer, not its own."""
+        config = make_config()
+        messages = bursty_stream(31, 900)
+        _, _, whole = uninterrupted_run(config, messages)
+        whole.snapshot(tmp_path / "whole.ckpt")
+        d = tmp_path / "d"
+        with open_session(config) as leader:
+            list(leader.ingest_many(messages[:600]))
+            leader.snapshot(tmp_path / "boundary.ckpt")
+            list(leader.ingest_many(messages[600 : self.SPLIT]))
+            leader.snapshot(tmp_path / "partial.ckpt")
+        open_session(resume=tmp_path / "partial.ckpt", delta_log=d).close()
+        follower = open_session(resume=d)
+        assert follower.batcher.pending == 17
+        open_session(resume=tmp_path / "boundary.ckpt", delta_log=d).close()
+        follower = deltalog.catch_up(follower)
+        assert follower.current_quantum == 29
+        assert follower.batcher.pending == 0
+        list(follower.ingest_many(messages[600:]))
+        follower.snapshot(tmp_path / "promoted.ckpt")
+        assert golden.fingerprint(
+            golden.normalized_checkpoint_state(tmp_path / "promoted.ckpt")
+        ) == golden.fingerprint(
+            golden.normalized_checkpoint_state(tmp_path / "whole.ckpt")
+        )
+
+
 class TestFollowerLifecycle:
     def test_catch_up_refuses_a_session_that_leads(self, tmp_path):
         """A follower that ingested past its tail leads now: catch_up

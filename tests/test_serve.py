@@ -30,6 +30,7 @@ from golden import (
     reentry_stream,
 )
 from repro.api import EventKind, QueueSink, open_session
+from repro.api.deltalog import read_manifest
 from repro.config import DetectorConfig
 from repro.errors import ServeError
 from repro.serve import ServeClient, ServerThread, WebSocketClient
@@ -525,7 +526,12 @@ class TestCrashRestart:
         client.create_tenant("partial", CONFIG)
         client.ingest("partial", materialize(pairs), wait=True)
         assert client.stats("partial")["pending"] == 10
-        thread.stop(graceful=True)  # drains + snapshots final.ckpt
+        thread.stop(graceful=True)  # drains + seals the delta log
+        tenant_dir = state / "partial"
+        assert [p.name for p in tenant_dir.iterdir()] == ["delta"]
+        assert not list(tenant_dir.rglob("final.ckpt"))
+        sealed = read_manifest(tenant_dir / "delta")
+        assert sealed["pending"] == 10 and sealed["base_quantum"] == 9
 
         thread = ServerThread(state_dir=state, workers=1)
         thread.start()
@@ -533,14 +539,63 @@ class TestCrashRestart:
             client = ServeClient(port=thread.port)
             resumed = client.create_tenant("partial", resume=True)
             assert resumed["pending"] == 10
+            # resume attaches to the sealed generation: no roll
+            assert read_manifest(tenant_dir / "delta") == sealed
             written = client.checkpoint("partial", "served.ckpt")
-            ckpt = state / "partial" / "snapshots" / "served.ckpt"
+            ckpt = tenant_dir / "snapshots" / "served.ckpt"
             assert written["checkpoint"] == str(ckpt)
             assert fingerprint(
                 normalized_checkpoint_state(ckpt)
             ) == fingerprint(normalized_checkpoint_state(expected_ckpt))
+            closed = client.close_tenant("partial")
+            assert closed["checkpoint"] == str(tenant_dir / "delta")
+            sealed = read_manifest(tenant_dir / "delta")
+            assert sealed["pending"] == 10
+
+            # resumed again, the tenant appends to the sealed generation
+            # and continues as the library run over the longer stream
+            longer = bursty_stream(13, 300)  # 12 quanta of 24 + 12 pending
+            assert longer[:250] == pairs
+            library_run(longer, expected_ckpt)
+            client.create_tenant("partial", resume=True)
+            client.ingest("partial", materialize(longer[250:]), wait=True)
+            assert read_manifest(tenant_dir / "delta") == sealed
+            client.checkpoint("partial", "continued.ckpt")
+            assert fingerprint(
+                normalized_checkpoint_state(
+                    tenant_dir / "snapshots" / "continued.ckpt"
+                )
+            ) == fingerprint(normalized_checkpoint_state(expected_ckpt))
         finally:
             thread.stop(graceful=True)
+        assert read_manifest(tenant_dir / "delta")["pending"] == 12
+        assert sorted(p.name for p in tenant_dir.iterdir()) == [
+            "delta", "snapshots"
+        ]
+
+
+    def test_a_tenant_that_cannot_seal_does_not_stop_the_others(
+        self, tmp_path
+    ):
+        """A writer broken by a failed append cannot seal; that tenant
+        loses its partial quantum, as after a crash, and the shutdown still
+        seals the next tenant."""
+        state = tmp_path / "state"
+        pairs = bursty_stream(13, 250)  # 10 quanta of 24 + 10 pending
+        thread = ServerThread(state_dir=state, workers=1)
+        thread.start()
+        client = ServeClient(port=thread.port)
+        for name in ("broken", "sound"):
+            client.create_tenant(name, CONFIG)
+            client.ingest(name, materialize(pairs), wait=True)
+        manager = thread._server.manager
+        manager.get("broken").session.delta_writer._broken = True
+        thread.stop(graceful=True)
+        assert read_manifest(state / "sound" / "delta")["pending"] == 10
+        assert read_manifest(state / "broken" / "delta")["pending"] == 0
+        resumed = open_session(resume=state / "broken" / "delta")
+        assert resumed.current_quantum == 9
+        assert resumed.batcher.pending == 0
 
 
 class TestCheckpointRoute:
@@ -1028,7 +1083,7 @@ class TestRefusedDeltaFormat:
             with pytest.raises(
                 ServeError,
                 match="400.*delta-checkpoint version 6; this build reads "
-                "version 8",
+                "version 9",
             ):
                 client.create_tenant("old", resume=True)
             assert client.tenants() == []
