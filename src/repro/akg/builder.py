@@ -142,7 +142,7 @@ class AkgBuilder:
         keywords.  The nodes' entity ids are read before the slide, which
         releases the id of a keyword whose last window entry expires: such
         a node's ``(old, 0)`` move is still recorded, and the dead-node
-        pass checks those nodes, not the slide's whole ``emptied``.
+        pass checks those nodes, not every keyword the slide emptied.
         Vanished users release their interner slot inside ``add_columns``.
         """
         idsets = self.idsets

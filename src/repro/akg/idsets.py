@@ -18,11 +18,11 @@ blocks and so stays in the id set until the *last* of them expires; no
 multiplicity is tracked anywhere.
 
 Churn proportionality (DESIGN.md Section 5): the sort is O(window pairs) in
-C, and so are the array compares around it; what the slide builds in Python
-is O(emptied).  It hands the supports before and after to the AKG stage as
-id columns inside a :class:`SlideDelta`, which reads them at its few dozen
-nodes, and resolves to keyword strings only the keywords whose window
-emptied.  The vanished users release their interner slots in the slide.
+C, and so are the array compares around it.  The slide hands the supports
+before and after to the AKG stage as id columns inside a
+:class:`SlideDelta`, which reads them at its few dozen nodes; no keyword is
+resolved to a string.  Its only Python work is releasing the interner
+slots of the vanished users and the emptied keywords.
 
 Serialized, the window is that same queue of per-quantum blocks ``[[q,
 [[kw, users], ...]], ...]``, oldest first, each sorted by keyword.
@@ -64,10 +64,6 @@ _SCRATCH_BYTES = 1 << 22  # ceiling on jaccard_many's byte-per-bit scratch
 class SlideDelta:
     """What one window slide changed — the AKG stage's delta contract.
 
-    ``emptied``
-        keywords whose support dropped to zero this slide — the complete set
-        of stale-node candidates, because a keyword's support can only reach
-        zero in the slide that expires its last entry;
     ``before``, ``after``
         the window support (distinct-user count) of every entity id before
         and after the slide, as two int64 columns of one length: entity
@@ -75,14 +71,15 @@ class SlideDelta:
         index's own support columns, never written after a slide; ids
         interned since the previous slide read 0 in ``before``.
 
-    ``emptied`` is the one field resolved to keyword strings, so what a
-    slide builds in Python is O(emptied), never proportional to the
-    quantum's or the window's vocabulary.  The ids of ``emptied`` keywords
-    and of users that left every id set are released inside the slide.
+    A keyword's support can only reach zero in the slide that expires its
+    last entry, so the ids where ``before != 0`` and ``after == 0`` are
+    every stale-node candidate.  The delta holds no Python container:
+    nothing in it grows with the quantum's or the window's vocabulary.
+    The ids of emptied keywords and of users that left every id set are
+    released inside the slide.
     """
 
     quantum: int
-    emptied: FrozenSet[Keyword]
     before: np.ndarray
     after: np.ndarray
 
@@ -194,9 +191,8 @@ class IdSetIndex:
         """Ingest one quantum's interned pair columns and expire old quanta.
 
         Returns the :class:`SlideDelta` of the slide: the supports before
-        and after the rebuild, and the keywords the rebuild emptied.  A
-        quantum that neither expires nor contributes a block moves nothing
-        and rebuilds nothing.
+        and after the rebuild.  A quantum that neither expires nor
+        contributes a block moves nothing and rebuilds nothing.
         """
         self._check_order(quantum)
         self._last_quantum = quantum
@@ -209,7 +205,7 @@ class IdSetIndex:
         if len(columns.keys):
             quanta.append((quantum, columns.keys))
         elif not expired:
-            return SlideDelta(quantum, frozenset(), self._support, self._support)
+            return SlideDelta(quantum, self._support, self._support)
 
         old_support, old_present = self._support, self._present
         self._rebuild()
@@ -219,18 +215,11 @@ class IdSetIndex:
         vanished = np.flatnonzero(
             _padded(old_present, len(present)) & ~present
         ).tolist()
-        # Keywords are resolved to objects *before* their slots are released.
-        delta = SlideDelta(
-            quantum,
-            emptied=frozenset(map(self.ents.objs.__getitem__, freed)),
-            before=before,
-            after=support,
-        )
         if vanished:
             self.acts.release(vanished)
         if freed:
             self.ents.release(freed)
-        return delta
+        return SlideDelta(quantum, before, support)
 
     # ---------------------------------------------------------- persistence
 

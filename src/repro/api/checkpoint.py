@@ -2,7 +2,7 @@
 
 A checkpoint is a single JSON document::
 
-    {"format": "repro-session-checkpoint", "version": 9, "state": <encoded>}
+    {"format": "repro-session-checkpoint", "version": 10, "state": <encoded>}
 
 ``state`` is the session's composed ``to_state()`` tree (DESIGN.md
 Section 6) run through a small *tagged* encoding, because plain JSON cannot
@@ -47,7 +47,7 @@ from repro.akg.minhash import HASH_SEED
 from repro.errors import CheckpointError
 
 CHECKPOINT_FORMAT = "repro-session-checkpoint"
-CHECKPOINT_VERSION = 9
+CHECKPOINT_VERSION = 10
 """Bump on any change to the state tree layout, and teach ``_upgrade``
 below the change so supported older snapshots keep loading.
 Version history: 1 — PR 3 layout (no longer readable); 2 — event histories
@@ -67,7 +67,8 @@ builder's ``oracle``): a session always runs the incremental stages;
 size is always the paper's derivation and the salt is
 :data:`~repro.akg.minhash.HASH_SEED`; 9 — no report-rule settings in the
 config and no ``notified`` state (notifications derive from the report
-index, which restore rebuilds)."""
+index, which restore rebuilds); 10 — no per-record ``gaps`` in the
+tracker: a dead event never reopens."""
 
 _SCALARS = (bool, int, float, str)
 
@@ -100,8 +101,9 @@ def _upgrade(state: dict, version: int) -> dict:
     window (sketches are read off the id-set window), the Section 7.4
     CKG counters (top level, config; the reduction bench assembles its own
     tracker), the notified state (restore rebuilds the report index) and
-    the retired constants at their constant values.  Two
-    reshapes are version-gated:
+    the retired constants at their constant values, and each event
+    record's ``gaps`` (a non-empty one, a reopened event, is refused by
+    name).  Two reshapes are version-gated:
 
     * v2 predates extractors, so its identity is the default ``keyword``
       spec (or a custom one where v2 recorded ``custom_tokenizer``) and its
@@ -129,7 +131,16 @@ def _upgrade(state: dict, version: int) -> dict:
         *_REFEREE_MODES, "ckg_stats", "track_ckg_stats", "notified",
         *_RETIRED_CONSTANTS,
     )
+    records = state["tracker"]["records"]
+    for record in records:
+        if record["gaps"]:
+            raise CheckpointError(
+                f"checkpoint holds event {record['event_id']} with gaps="
+                f"{record['gaps']!r}: it reopened, which no session does"
+            )
     state = {k: v for k, v in state.items() if k not in retired}
+    records = [{k: v for k, v in r.items() if k != "gaps"} for r in records]
+    state["tracker"] = {**state["tracker"], "records": records}
     state["config"] = {
         k: v for k, v in state["config"].items() if k not in retired
     }

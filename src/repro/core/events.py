@@ -3,7 +3,9 @@
 An *event* is the temporal identity of an SCP cluster: it is born when the
 cluster first appears, evolves as keywords join and leave (Section 4.2's
 motivating examples), survives merges (the surviving cluster id carries on)
-and dies when its cluster dissolves or is absorbed.
+and dies when its cluster dissolves or is absorbed.  A death is final:
+cluster ids come from a monotonic cursor and a retired id never returns, so
+a record is touched only while it is alive.
 
 The tracker also implements the paper's post-hoc spurious-event analysis
 (Section 7.2.2): real events have a build-up and wind-down phase, so their
@@ -13,24 +15,22 @@ burst once and then decay monotonically without evolving.
 Churn proportionality: snapshots are *change points*, not per-quantum rows.
 :meth:`EventTracker.observe_edits` consumes the incremental ranker's
 ``last_recomputed`` / ``last_removed`` edit script and appends a snapshot
-only when an event's reportable state actually changed (or it was born or
-reopened), so per-quantum tracking work scales with churn instead of the
-live-event count.  Between two snapshots an event's state is constant by
-construction, which is what lets :meth:`EventRecord.iter_quanta` expand the
+only when an event's reportable state actually changed (or it was born),
+so per-quantum tracking work scales with churn instead of the live-event
+count.  Between two snapshots an event's state is constant by construction,
+which is what lets :meth:`EventRecord.iter_quanta` expand the
 run-length-encoded history back into the dense per-quantum view the eval
-layer consumes.  :meth:`EventTracker.observe_quantum` remains as the
-from-scratch path — it diffs a full ranking by value and produces records
-*identical* to the edit-script path (the oracle assertion in
-``tests/test_core_events_incremental.py``).
+layer consumes.  Its from-scratch referee, which diffs a full ranking by
+value, is a test-side subclass (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from repro.core.changelog import ChangeBatch, ChangeEvent, ClusterMerged
-from repro.core.clusters import Cluster
+from repro.core.changelog import ChangeBatch
+from repro.errors import PipelineError
 
 
 @dataclass(slots=True)
@@ -52,10 +52,8 @@ class EventSnapshot:
 class EventRecord:
     """Full history of one event (one cluster identity).
 
-    ``snapshots`` holds one entry per *change point*; ``gaps`` records the
-    ``(died, reborn)`` quantum pairs of any mid-life disappearances (a
-    cluster dropping below the reportable size and recovering later), so
-    the dense per-quantum view remains reconstructible.
+    ``snapshots`` holds one entry per *change point*; the event was alive
+    in every quantum from its first snapshot to :attr:`last_quantum`.
     ``_observed_until`` is stamped by the tracker's accessors with the last
     quantum the event was known alive — for a live record the snapshots
     alone cannot tell "unchanged since" from "gone since".
@@ -66,7 +64,6 @@ class EventRecord:
     snapshots: List[EventSnapshot] = field(default_factory=list)
     died_quantum: Optional[int] = None
     absorbed_into: Optional[int] = None
-    gaps: List[Tuple[int, int]] = field(default_factory=list)
     _observed_until: Optional[int] = field(default=None, repr=False)
 
     @property
@@ -115,35 +112,18 @@ class EventRecord:
             return 0
         return self.last_quantum - self.first_quantum + 1
 
-    @property
-    def observed_quanta(self) -> int:
-        """Quanta the event was actually alive — the span minus any
-        recorded absence gaps (what ``len(snapshots)`` counted when
-        histories were materialised densely)."""
-        if not self.snapshots:
-            return 0
-        span = self.last_quantum - self.first_quantum + 1
-        return span - sum(reborn - died for died, reborn in self.gaps)
-
     def iter_quanta(self) -> Iterator[Tuple[int, EventSnapshot]]:
         """Dense per-quantum expansion: yield ``(quantum, state)`` pairs.
 
-        Expands the change-point encoding over the event's observed span,
-        skipping any recorded absence gaps — exactly the rows the old
-        per-quantum tracker materialised eagerly.
+        Expands the change-point encoding over the event's span — exactly
+        the rows the old per-quantum tracker materialised eagerly.
         """
-        if not self.snapshots:
-            return
-        absent = set()
-        for died, reborn in self.gaps:
-            absent.update(range(died, reborn))
         snaps = self.snapshots
         end = self.last_quantum
         for i, snap in enumerate(snaps):
             until = snaps[i + 1].quantum - 1 if i + 1 < len(snaps) else end
             for quantum in range(snap.quantum, until + 1):
-                if quantum not in absent:
-                    yield quantum, snap
+                yield quantum, snap
 
     def evolved(self) -> bool:
         """True iff the keyword set changed at least once during the event."""
@@ -167,10 +147,10 @@ class EventRecord:
         monotonically after its initial burst.  Events observed for fewer
         than ``min_lifetime`` quanta keep the benefit of the doubt only if
         they evolved; single-burst one-shot clusters are spurious.  The
-        guard counts quanta the event was *alive* (absence gaps excluded),
-        matching the dense encoding's ``len(snapshots)``.
+        guard counts the quanta the event was alive, the dense encoding's
+        ``len(snapshots)``.
         """
-        if self.observed_quanta < min_lifetime:
+        if self.lifetime_quanta < min_lifetime:
             return not self.evolved()
         return (not self.evolved()) and self.rank_monotonically_decreasing()
 
@@ -184,19 +164,6 @@ class EventTracker:
 
     # ------------------------------------------------------------- updates
 
-    @staticmethod
-    def _absorption_map(
-        changes: "ChangeBatch | Iterable[ChangeEvent]",
-    ) -> Dict[int, int]:
-        if isinstance(changes, ChangeBatch):
-            return changes.absorbed_into()
-        absorbed: Dict[int, int] = {}
-        for change in changes:
-            if isinstance(change, ClusterMerged):
-                for cid in change.absorbed:
-                    absorbed[cid] = change.survivor
-        return absorbed
-
     def _touch(
         self,
         event_id: int,
@@ -208,25 +175,21 @@ class EventTracker:
     ) -> None:
         """Observe one live event; append a snapshot only on a change point."""
         record = self._records.get(event_id)
-        reopened = False
         if record is None:
             record = EventRecord(event_id, quantum)
             self._records[event_id] = record
         elif record.died_quantum is not None:
-            # A retired id re-appeared (id reuse after a dissolve is
-            # impossible; after a split the id survives) — reopen it and
-            # remember the absence interval for the dense expansion.
-            record.gaps.append((record.died_quantum, quantum))
-            record.died_quantum = None
-            record.absorbed_into = None
-            reopened = True
+            raise PipelineError(
+                f"event {event_id} died at quantum {record.died_quantum} "
+                f"and was observed alive again at quantum {quantum}: a "
+                f"retired cluster id came back"
+            )
         if record.snapshots:
             last = record.snapshots[-1]
             if last.keywords == keywords:
                 keywords = last.keywords
                 if (
-                    not reopened
-                    and last.rank == rank
+                    last.rank == rank
                     and last.support == support
                     and last.num_edges == num_edges
                 ):
@@ -242,23 +205,20 @@ class EventTracker:
         )
 
     def observe_edits(
-        self,
-        quantum: int,
-        ranker,
-        changes: "ChangeBatch | Iterable[ChangeEvent]" = (),
+        self, quantum: int, ranker, changes: ChangeBatch
     ) -> None:
         """Record one quantum from the ranker's result-list edit script.
 
-        The churn-proportional path: only ``ranker.last_recomputed`` (ids
-        whose ranked state was rebuilt this quantum) and
-        ``ranker.last_removed`` (ids dropped from the result list) are
-        touched — never the full live-event population.  Sound because an
-        event's reportable state cannot change without its cluster being
-        recomputed, and an event cannot die without leaving the result list
-        (DESIGN.md Section 3).  Produces records identical to the
-        from-scratch :meth:`observe_quantum` diff.
+        Only ``ranker.last_recomputed`` (ids whose ranked state was rebuilt
+        this quantum) and ``ranker.last_removed`` (ids dropped from the
+        result list) are touched — never the full live-event population.
+        Sound because an event's reportable state cannot change without its
+        cluster being recomputed, and an event cannot die without leaving
+        the result list (DESIGN.md Section 3).  ``changes`` is the
+        quantum's drained batch; it attributes deaths to merges
+        (``absorbed_into``).
         """
-        absorbed = self._absorption_map(changes)
+        absorbed = changes.absorbed_into()
         for event_id in sorted(ranker.last_removed):
             record = self._records.get(event_id)
             if record is not None and record.alive:
@@ -274,46 +234,6 @@ class EventTracker:
                 support,
                 cluster.num_edges,
             )
-        self._last_quantum = quantum
-
-    def observe_quantum(
-        self,
-        quantum: int,
-        ranked_clusters: Iterable[Tuple[Cluster, float, float]],
-        changes: "ChangeBatch | Iterable[ChangeEvent]" = (),
-    ) -> None:
-        """Record the end-of-quantum state from a *full* ranking.
-
-        The from-scratch path (and the oracle for :meth:`observe_edits`):
-        every live cluster is visited and diffed by value, so the appended
-        change points — and hence the resulting records — are identical to
-        the edit-script path's.
-
-        Parameters
-        ----------
-        ranked_clusters:
-            ``(cluster, rank, support)`` triples for every live cluster.
-        changes:
-            The quantum's drained :class:`ChangeBatch` (or any iterable of
-            typed change events); used to attribute deaths to merges
-            (``absorbed_into``).
-        """
-        absorbed = self._absorption_map(changes)
-        seen: set = set()
-        for cluster, rank, support in ranked_clusters:
-            seen.add(cluster.cluster_id)
-            self._touch(
-                cluster.cluster_id,
-                quantum,
-                frozenset(str(n) for n in cluster.nodes),
-                rank,
-                support,
-                cluster.num_edges,
-            )
-        for event_id, record in self._records.items():
-            if record.alive and event_id not in seen:
-                record.died_quantum = quantum
-                record.absorbed_into = absorbed.get(event_id)
         self._last_quantum = quantum
 
     def _stamp(self, records: List[EventRecord]) -> List[EventRecord]:
@@ -342,7 +262,6 @@ class EventTracker:
             "born_quantum": record.born_quantum,
             "died_quantum": record.died_quantum,
             "absorbed_into": record.absorbed_into,
-            "gaps": [list(gap) for gap in record.gaps],
             "snapshots": [cls._snapshot_state(s) for s in record.snapshots],
         }
 
@@ -370,7 +289,6 @@ class EventTracker:
                 born_quantum=record["born_quantum"],
                 died_quantum=record["died_quantum"],
                 absorbed_into=record["absorbed_into"],
-                gaps=[tuple(gap) for gap in record["gaps"]],
             )
             listed = shared = None
             for quantum, keywords, rank, support, num_edges in record[

@@ -494,17 +494,26 @@ class SessionManager:
     async def shutdown(self, *, graceful: bool = True) -> None:
         """Close every tenant (sealing persistent ones), then the pool.
 
+        A tenant whose close raises does not stop the others: every tenant
+        is closed and the pool shut down before the first error is raised.
         ``graceful=False`` skips the drain/seal path entirely — the
         crash-test twin of ``kill -9``; durability then rests on the delta
         log alone, which is the point.
         """
+        errors = []
         if graceful:
             for name in list(self.tenants):
                 tenant = self.tenants.get(name)
                 if tenant is not None and not tenant.closed:
-                    await tenant.close(drain=True)
+                    try:
+                        await tenant.close(drain=True)
+                    except Exception as exc:
+                        _log.exception("tenant %s: close failed", name)
+                        errors.append(exc)
             self.tenants.clear()
         self.executor.shutdown(wait=graceful, cancel_futures=not graceful)
+        if errors:
+            raise errors[0]
 
     # -------------------------------------------------------------- stats
 

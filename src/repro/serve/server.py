@@ -399,7 +399,8 @@ class ServerThread:
     """A server on a daemon thread — the test/bench/example harness.
 
     ``start()`` returns the bound port.  ``stop(graceful=True)`` drains and
-    seals; ``stop(graceful=False)`` tears the loop down without
+    seals, and raises :class:`ServeError` (the cause chained) if the
+    shutdown failed; ``stop(graceful=False)`` tears the loop down without
     closing tenants — the in-process stand-in for ``kill -9`` (per-quantum
     delta-log durability is what makes the subsequent resume correct).
     """
@@ -424,6 +425,7 @@ class ServerThread:
         self._ready = threading.Event()
         self._done = threading.Event()
         self._startup_error: Optional[BaseException] = None
+        self._stop_error: Optional[Exception] = None
         self.host: Optional[str] = None
         self.port: Optional[int] = None
 
@@ -469,6 +471,8 @@ class ServerThread:
 
         try:
             loop.run_until_complete(main())
+        except Exception as exc:
+            self._stop_error = exc
         finally:
             try:
                 pending = asyncio.all_tasks(loop)
@@ -496,6 +500,10 @@ class ServerThread:
             return
         if not self._done.wait(timeout=timeout):
             raise ServeError(f"server thread did not stop within {timeout}s")
+        if self._stop_error is not None:
+            raise ServeError(
+                f"server shutdown failed: {self._stop_error!r}"
+            ) from self._stop_error
 
 
 __all__ = ["ReproServer", "ServerThread", "parse_ingest_body", "serve_forever"]

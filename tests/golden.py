@@ -18,8 +18,9 @@ Everything here must therefore be **deterministic and layout-agnostic**:
   (extractor identity, the custom-extractor flag) are dropped, and the
   referee-mode flags, CKG-counter keys, sketch settings and report-rule
   settings checkpoints no longer carry are put back as the constants they
-  always were on these runs, and the notified state they no longer carry
-  is rebuilt from the restored report index, so the same stream position
+  always were on these runs, as is every event record's ``gaps`` list
+  (always empty), and the notified state they no longer carry is rebuilt
+  from the restored report index, so the same stream position
   fingerprints identically before and after each layout change.
 """
 
@@ -174,12 +175,14 @@ def note_record(event) -> list:
 
 
 def history_record(record) -> list:
+    """One event history; ``[]`` stands where the retired ``gaps`` list
+    (always empty) was when the fingerprints were pinned."""
     return [
         record.event_id,
         record.born_quantum,
         record.died_quantum,
         record.absorbed_into,
-        list(record.gaps),
+        [],
         [
             [s.quantum, sorted(s.keywords), s.rank, s.support, s.num_edges]
             for s in record.snapshots
@@ -198,6 +201,19 @@ def per_keyword(window) -> list:
     return [[kw, entries] for kw, entries in sorted(by_kw.items())]
 
 
+def with_empty_gaps(state) -> dict:
+    """``state`` with the ``gaps: []`` each event record carried before
+    checkpoint version 10 put back."""
+    tracker = state["tracker"]
+    return {
+        **state,
+        "tracker": {
+            **tracker,
+            "records": [{**r, "gaps": []} for r in tracker["records"]],
+        },
+    }
+
+
 def normalized_checkpoint_state(path) -> dict:
     """Checkpoint state with wall clocks zeroed and refactor-variant keys
     dropped (extractor identity is *new* state; the timings breakdown is
@@ -214,13 +230,14 @@ def normalized_checkpoint_state(path) -> dict:
     the sketch settings dropped in v8 (config ``minhash_size`` was
     ``None``, ``seed`` the constant salt) and the report-rule settings
     dropped in v9 (config ``min_cluster_size`` was 3,
-    ``rank_threshold_scale`` 1.0).  The notified state v9 dropped —
+    ``rank_threshold_scale`` 1.0) and the records' ``gaps`` lists dropped
+    in v10 (always empty).  The notified state v9 dropped —
     ``[id, rank, size, sorted keywords]`` per reported event, by id — was
     the report index's reported entries at the snapshot, so it is listed
     from a session restored from ``path``: the pinned fingerprints check
     that the restored index is what the notifications were diffed
     against."""
-    state = dict(load_checkpoint(path))
+    state = with_empty_gaps(load_checkpoint(path))
     reported = open_session(resume=path).report_index.reported()
     state["notified"] = [
         [e.event_id, e.rank, e.size, sorted(e.keywords)]

@@ -79,18 +79,20 @@ class MappingIdSetIndex(IdSetIndex):
 def observed_slide(index, quantum, keyword_users, keywords):
     """Slide ``index`` by one quantum and report what moved, through public
     queries: ``(moved, emptied, vanished)`` — ``keyword -> (old, new)``
-    support for each of ``keywords`` whose support moved, the slide's
-    ``emptied`` set, and the users that left :meth:`window_users`.  The
-    same for the production index and the from-scratch one."""
+    support for each of ``keywords`` whose support moved, those of them
+    whose support reached zero, and the users that left
+    :meth:`window_users`.  The same for the production index and the
+    from-scratch one."""
     before = {kw: index.support(kw) for kw in keywords}
     users = index.window_users()
-    slide = index.add_quantum(quantum, keyword_users)
+    index.add_quantum(quantum, keyword_users)
     moved = {
         kw: (old, new)
         for kw, old in before.items()
         if (new := index.support(kw)) != old
     }
-    return moved, slide.emptied, users - index.window_users()
+    emptied = frozenset(kw for kw, (_, new) in moved.items() if new == 0)
+    return moved, emptied, users - index.window_users()
 
 
 class MappingAkgBuilder(AkgBuilder):

@@ -16,7 +16,10 @@ here, as the paper's definitions computed the slow, obviously-correct way
   nothing else, so both run identical candidate, insertion, refresh and
   removal sequences;
 * :class:`ScratchRanker` re-ranks every live cluster on every call, and
-  :func:`verify_ranker` checks a ranker's cache against a recomputation.
+  :func:`verify_ranker` checks a ranker's cache against a recomputation;
+* :class:`ScratchEventTracker` records event histories by diffing a full
+  ranking by value every quantum, where the session's tracker reads the
+  ranker's edit script.
 
 :func:`oracle_session` assembles a session on them from public parts: an
 ordinary session whose engine components are swapped, before the first
@@ -48,6 +51,8 @@ from helpers import entity_actors
 from repro.akg.builder import AkgBuilder
 from repro.akg.minhash import HASH_SEED
 from repro.api import EventKind, SessionEvent, open_session
+from repro.core.changelog import ChangeBatch
+from repro.core.events import EventTracker
 from repro.core.incremental import IncrementalRanker
 from repro.core.maintenance import ClusterMaintainer
 from repro.errors import ConfigError, StreamError
@@ -336,6 +341,35 @@ class ScratchRanker(IncrementalRanker):
 
     def result(self, cluster_id):
         return self._results[cluster_id]
+
+
+class ScratchEventTracker(EventTracker):
+    """The event tracker fed a *full* ranking: every live cluster is
+    visited and diffed by value, so its change points — and hence its
+    records — must equal the edit-script path's."""
+
+    def observe_quantum(self, quantum, ranked_clusters, changes=ChangeBatch()):
+        """Record the end-of-quantum state from ``(cluster, rank,
+        support)`` triples for every live cluster; ``changes`` (a
+        :class:`ChangeBatch` or any iterable of change events) attributes
+        deaths to merges."""
+        absorbed = ChangeBatch(tuple(changes)).absorbed_into()
+        seen = set()
+        for cluster, rank, support in ranked_clusters:
+            seen.add(cluster.cluster_id)
+            self._touch(
+                cluster.cluster_id,
+                quantum,
+                frozenset(str(n) for n in cluster.nodes),
+                rank,
+                support,
+                cluster.num_edges,
+            )
+        for event_id, record in self._records.items():
+            if record.alive and event_id not in seen:
+                record.died_quantum = quantum
+                record.absorbed_into = absorbed.get(event_id)
+        self._last_quantum = quantum
 
 
 def verify_ranker(ranker):

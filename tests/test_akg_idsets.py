@@ -94,7 +94,7 @@ class TestWindowMechanics:
 
 class TestSlideDelta:
     """What a slide moved, read through ``support``/``window_users`` before
-    and after it, and the slide's ``emptied`` set."""
+    and after it, and the queried keywords it emptied."""
 
     def test_appearance_reports_support_delta(self, Index):
         index = Index(window_quanta=3)
@@ -469,7 +469,6 @@ class TestRebuild:
         index.add_quantum(0, {"a": {1, 2}, "b": {2}})
         column = index._pair_keys
         delta = index.add_quantum(1, {})
-        assert delta.emptied == frozenset()
         assert delta.before is delta.after  # no support moved
         assert index._pair_keys is column
         assert [q for q, _ in index._quanta] == [0]

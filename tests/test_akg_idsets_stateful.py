@@ -4,9 +4,9 @@ A hypothesis state machine feeds arbitrary quantum contents into
 :class:`~repro.akg.idsets.IdSetIndex` (through ``helpers.MappingIdSetIndex``)
 alongside a naive model (a plain list of the quanta fed so far, windowed by
 quantum number) and asserts support, membership, Jaccard, what each slide
-moved — supports and live users before and after it, its ``emptied`` set
-and its support columns — and the interner populations agree after every
-step.  The quantum counter may jump, so one slide can expire several blocks
+moved — supports and live users before and after it, and its support
+columns, which also name the keywords it emptied — and the interner
+populations agree after every step.  The quantum counter may jump, so one slide can expire several blocks
 at once — a pair recurring across them must be subtracted once per block —
 and users and keywords that leave the window release interner slots the
 next newcomers reuse.  Sketches are checked against the paper's definition
@@ -75,9 +75,13 @@ class IdSetModelMachine(RuleBasedStateMachine):
                     support_before[kw],
                     support_after[kw],
                 )
-        assert delta.emptied == {
-            kw for kw, (_, after) in expected.items() if after == 0
-        }
+        # The keywords the columns show emptied (read at the ids they held
+        # before the slide) are the model's.
+        assert {
+            kw
+            for kw, eid in eids.items()
+            if eid is not None and delta.before[eid] and not delta.after[eid]
+        } == {kw for kw, (_, after) in expected.items() if after == 0}
         # The users that left the window are the model's.
         assert users_before - self.index.window_users() == (
             model_users_before - self._model_window_users()

@@ -326,8 +326,8 @@ class TestCheckpointFile:
 
 
 class TestVersionMigration:
-    """Older checkpoints (v2 to v8) load through one upgrade step to the
-    v9 layout; truly unknown versions fail with an error naming what *is*
+    """Older checkpoints (v2 to v9) load through one upgrade step to the
+    v10 layout; truly unknown versions fail with an error naming what *is*
     readable.
 
     ``tests/data/checkpoint_v2.ckpt`` was written by the pre-extractor
@@ -343,7 +343,8 @@ class TestVersionMigration:
     MinHash sketch-size override and salt (at their defaults) and
     ``checkpoint_v8.ckpt`` by the last tree that stored the notified state
     and whose config carried the cluster-size minimum and rank-floor scale
-    (at their defaults), all at
+    (at their defaults) and ``checkpoint_v9.ckpt`` by the last tree whose
+    event records carried a ``gaps`` list (always empty), all at
     message 250 of the same seed-pinned stream, mid-quantum; the
     continuation fingerprint below is what each of those trees produced
     for messages 250..300 — the migrated resume must reproduce it bit for
@@ -362,7 +363,7 @@ class TestVersionMigration:
     refuses it by number; given that count (0) it continues bit for bit.
     """
 
-    VERSIONS = (2, 3, 4, 5, 6, 7, 8)
+    VERSIONS = (2, 3, 4, 5, 6, 7, 8, 9)
     DELTA_DIR = Path(__file__).parent / "data" / "delta_v6"
     DELTA_V7_DIR = Path(__file__).parent / "data" / "delta_v7"
     DELTA_V8_DIR = Path(__file__).parent / "data" / "delta_v8"
@@ -383,7 +384,7 @@ class TestVersionMigration:
     def test_asset_is_the_version_it_says(self, version):
         document = json.loads(self.ASSETS[version].read_text())
         assert document["version"] == version
-        assert CHECKPOINT_VERSION == 9
+        assert CHECKPOINT_VERSION == 10
 
     def test_migrated_state_has_extractor_identity(self):
         from repro.api.checkpoint import load_checkpoint
@@ -552,8 +553,10 @@ class TestVersionMigration:
     # one-step-per-version migration chain (v2 -> v3 -> ... -> v7) produced
     # it, minus the config's ``minhash_size`` and ``seed`` that v8 drops and
     # the config's ``min_cluster_size`` and ``rank_threshold_scale`` and the
-    # top-level ``notified`` that v9 drops: the single upgrade step must
-    # land on the very same trees.
+    # top-level ``notified`` that v9 drops, and with the records' empty
+    # ``gaps`` that v10 drops put back: the single upgrade step must land
+    # on the very same trees.  The v9 asset's entry is its tree as the
+    # version-9 tree loaded it.
     UPGRADED = {
         "checkpoint_v2.ckpt": (
             "b067029a0fc7c53b00a8b51039d76f1827692d876431a7251fb241357dc7cac9"
@@ -576,15 +579,23 @@ class TestVersionMigration:
         "checkpoint_v8.ckpt": (
             "a097486c74451a34e15005bc451b3c5636f1796f675bec2b9ad127d77f595558"
         ),
+        "checkpoint_v9.ckpt": (
+            "9c1a6ef17a5b729eed099293575148599c01bb11ed6b813f6a57267e70b448b4"
+        ),
     }
 
     @pytest.mark.parametrize("asset", sorted(UPGRADED))
     def test_upgrade_reproduces_the_migration_chain(self, asset):
-        from golden import fingerprint
+        from golden import fingerprint, with_empty_gaps
         from repro.api.checkpoint import load_checkpoint
 
         state = load_checkpoint(Path(__file__).parent / "data" / asset)
-        assert fingerprint(encode_state(state)) == self.UPGRADED[asset]
+        assert all(
+            "gaps" not in record for record in state["tracker"]["records"]
+        )
+        assert fingerprint(
+            encode_state(with_empty_gaps(state))
+        ) == self.UPGRADED[asset]
 
     @pytest.mark.parametrize("version", VERSIONS)
     def test_v6_migration_drops_the_referee_flags(self, version):
@@ -681,6 +692,18 @@ class TestVersionMigration:
         }
         assert fingerprint(structure) == self.CONTINUATION
 
+    def test_reopened_event_record_is_refused_by_name(self, tmp_path):
+        """A record with a non-empty ``gaps`` list says an event died and
+        came back, which no session tracks any more."""
+        document = json.loads(self.ASSETS[9].read_text())
+        state = decode_state(document["state"])
+        state["tracker"]["records"][0]["gaps"] = [[2, 4]]
+        document["state"] = encode_state(state)
+        path = tmp_path / "reopened.ckpt"
+        path.write_text(json.dumps(document))
+        with pytest.raises(CheckpointError, match=r"gaps=\[\[2, 4\]\]"):
+            open_session(resume=path)
+
     def with_referee_mode(self, source, target, mode):
         """``source`` (a v5 checkpoint file) rewritten as if taken under
         ``mode``, the way a session of that version recorded it: the
@@ -765,7 +788,7 @@ class TestVersionMigration:
             )
         )
         with pytest.raises(
-            CheckpointError, match="migrate versions 2, 3, 4, 5, 6, 7, 8$"
+            CheckpointError, match="migrate versions 2, 3, 4, 5, 6, 7, 8, 9$"
         ):
             open_session(resume=path)
 

@@ -2,9 +2,11 @@
 
 import pytest
 
+from oracles import ScratchEventTracker
 from repro.core.changelog import ChangeBatch, ClusterMerged
 from repro.core.clusters import Cluster
-from repro.core.events import EventRecord, EventSnapshot, EventTracker
+from repro.core.events import EventRecord, EventSnapshot
+from repro.errors import PipelineError
 
 
 def cluster(cid, nodes, edges=None, born=0):
@@ -71,7 +73,7 @@ class TestEventRecord:
 
 class TestEventTracker:
     def test_birth_and_snapshotting(self):
-        tracker = EventTracker()
+        tracker = ScratchEventTracker()
         tracker.observe_quantum(0, [(cluster(1, "abc"), 5.0, 12.0)])
         assert len(tracker) == 1
         record = tracker.get(1)
@@ -79,7 +81,7 @@ class TestEventTracker:
         assert record.snapshots[0].keywords == frozenset("abc")
 
     def test_death_detected(self):
-        tracker = EventTracker()
+        tracker = ScratchEventTracker()
         tracker.observe_quantum(0, [(cluster(1, "abc"), 5.0, 12.0)])
         tracker.observe_quantum(1, [])
         record = tracker.get(1)
@@ -87,7 +89,7 @@ class TestEventTracker:
         assert record.died_quantum == 1
 
     def test_absorption_attributed(self):
-        tracker = EventTracker()
+        tracker = ScratchEventTracker()
         tracker.observe_quantum(
             0,
             [(cluster(1, "abc"), 5.0, 12.0), (cluster(2, "xyz"), 4.0, 9.0)],
@@ -102,7 +104,7 @@ class TestEventTracker:
 
     def test_absorption_attributed_from_change_batch(self):
         """The engine path hands the tracker a drained ChangeBatch."""
-        tracker = EventTracker()
+        tracker = ScratchEventTracker()
         tracker.observe_quantum(
             0,
             [(cluster(1, "abc"), 5.0, 12.0), (cluster(2, "xyz"), 4.0, 9.0)],
@@ -114,16 +116,20 @@ class TestEventTracker:
         )
         assert tracker.get(2).absorbed_into == 1
 
-    def test_reopen_after_false_death(self):
-        tracker = EventTracker()
+    def test_a_dead_record_is_final(self):
+        """A retired id that comes back is a broken invariant, not an
+        event to reopen: the touch raises and the record stays dead."""
+        tracker = ScratchEventTracker()
         tracker.observe_quantum(0, [(cluster(1, "abc"), 5.0, 12.0)])
         tracker.observe_quantum(1, [])
-        tracker.observe_quantum(2, [(cluster(1, "abd"), 6.0, 12.0)])
+        with pytest.raises(PipelineError, match="event 1 died at quantum 1"):
+            tracker.observe_quantum(2, [(cluster(1, "abd"), 6.0, 12.0)])
         record = tracker.get(1)
-        assert record.alive
+        assert not record.alive and record.died_quantum == 1
+        assert [s.quantum for s in record.snapshots] == [0]
 
     def test_alive_events(self):
-        tracker = EventTracker()
+        tracker = ScratchEventTracker()
         tracker.observe_quantum(
             0,
             [
@@ -137,7 +143,7 @@ class TestEventTracker:
         assert [r.event_id for r in tracker.alive_events()] == [2]
 
     def test_real_events_filter(self):
-        tracker = EventTracker()
+        tracker = ScratchEventTracker()
         for q in range(3):
             tracker.observe_quantum(
                 q,

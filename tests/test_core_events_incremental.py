@@ -1,24 +1,26 @@
 """Edit-script event tracking vs the from-scratch full-ranking diff.
 
 ``EventTracker.observe_edits`` touches only the ranker's
-``last_recomputed``/``last_removed`` ids; ``observe_quantum`` visits every
-live cluster and diffs by value.  Both must produce *identical* records —
-checked here over full engine runs (the edit script comes from the real
-incremental ranker) against a shadow tracker fed the full ranking each
-quantum, across the three stream regimes.
+``last_recomputed``/``last_removed`` ids; the test-side
+``ScratchEventTracker.observe_quantum`` visits every live cluster and diffs
+by value.  Both must produce *identical* records — checked here over full
+engine runs (the edit script comes from the real incremental ranker)
+against a shadow tracker fed the full ranking each quantum, across the
+three stream regimes.
 
 A second group checks the change-point encoding itself: the dense
-``iter_quanta`` expansion, span properties, and the absence-gap bookkeeping
-around reopened events.
+``iter_quanta`` expansion and the span properties.
 """
 
 import random
 
 import pytest
 
+from oracles import ScratchEventTracker
 from repro.api import open_session
 from repro.config import DetectorConfig
 from repro.core.events import EventRecord, EventSnapshot, EventTracker
+from repro.errors import PipelineError
 from repro.stream.messages import Message
 
 
@@ -91,7 +93,7 @@ def test_edit_script_tracking_equals_full_scan(regime):
     tracker fed the complete ranking every quantum, record for record."""
     config = make_config()
     session = open_session(config)
-    shadow = EventTracker()
+    shadow = ScratchEventTracker()
     for message in STREAMS[regime](config):
         report = session.ingest(message)
         if report is None:
@@ -126,20 +128,16 @@ class TestChangePointEncoding:
         assert [q for q, _ in expanded] == [0, 1, 2, 3, 4, 5]
         assert [s.rank for _, s in expanded] == [5.0, 5.0, 5.0, 6.0, 6.0, 6.0]
 
-    def test_gap_excluded_from_expansion_and_spans(self):
+    def test_touch_on_a_dead_record_raises(self):
+        """A dead record is final: seeing its id alive again is a broken
+        invariant (retired ids never return), not a reopening."""
         tracker = EventTracker()
-        tracker.observe_quantum(0, [], ())
         tracker._touch(1, 0, frozenset("ab"), 5.0, 1.0, 3)
-        # dies at quantum 2, reborn at quantum 4
         tracker._records[1].died_quantum = 2
-        tracker._touch(1, 4, frozenset("ab"), 5.0, 1.0, 3)
-        tracker._last_quantum = 4
+        with pytest.raises(PipelineError, match="retired cluster id"):
+            tracker._touch(1, 4, frozenset("ab"), 5.0, 1.0, 3)
         record = tracker.get(1)
-        assert record.gaps == [(2, 4)]
-        assert record.alive
-        assert [q for q, _ in record.iter_quanta()] == [0, 1, 4]
-        assert record.first_quantum == 0
-        assert record.last_quantum == 4
+        assert record.died_quantum == 2 and len(record.snapshots) == 1
 
     def test_spans_for_dead_and_alive_records(self):
         tracker = EventTracker()
@@ -159,19 +157,17 @@ class TestChangePointEncoding:
         assert record.last_quantum == 5
         assert record.lifetime_quanta == 4
 
-    def test_observed_quanta_excludes_gaps_in_spurious_gate(self):
-        """is_spurious's min_lifetime guard counts alive quanta only, as the
-        dense encoding's len(snapshots) did."""
+    def test_spurious_gate_counts_the_lifetime(self):
+        """is_spurious's min_lifetime guard counts every quantum from the
+        first change point to the horizon, as the dense encoding's
+        len(snapshots) did."""
         record = EventRecord(1, 0)
-        record.snapshots = [self.snap(0, "ab", 5.0), self.snap(5, "ab", 9.0)]
-        record.gaps = [(1, 5)]  # dead q1..q4: alive at q0 and q5 only
-        record._observed_until = 5
-        assert record.lifetime_quanta == 6
-        assert record.observed_quanta == 2
-        # with min_lifetime=3 the dense path would have seen 2 < 3 observed
-        # quanta -> spurious iff not evolved, despite the non-monotone rank
-        assert record.is_spurious(min_lifetime=3)
-        assert not record.is_spurious(min_lifetime=2)  # rank rose -> real
+        record.snapshots = [self.snap(0, "ab", 5.0), self.snap(2, "ab", 9.0)]
+        record._observed_until = 2
+        assert record.lifetime_quanta == len(list(record.iter_quanta())) == 3
+        # below the guard: spurious iff not evolved, despite the rising rank
+        assert record.is_spurious(min_lifetime=4)
+        assert not record.is_spurious(min_lifetime=3)  # rank rose -> real
 
 
 class TestSharedKeywordSets:
@@ -202,14 +198,6 @@ class TestSharedKeywordSets:
         restored.from_state(session.tracker.to_state())
         assert self.shared_and_fresh(restored) == (shared, fresh)
         assert restored.to_state() == session.tracker.to_state()
-
-    def test_reopened_event_shares_its_last_set(self):
-        tracker = EventTracker()
-        tracker._touch(1, 0, frozenset("ab"), 5.0, 1.0, 3)
-        tracker._records[1].died_quantum = 2
-        tracker._touch(1, 4, frozenset("ab"), 5.0, 1.0, 3)
-        first, second = tracker._records[1].snapshots
-        assert second.quantum == 4 and second.keywords is first.keywords
 
     def test_snapshots_have_no_instance_dict(self):
         snap = EventSnapshot(0, frozenset("ab"), 1.0, 1.0, 1)

@@ -597,6 +597,34 @@ class TestCrashRestart:
         assert resumed.current_quantum == 9
         assert resumed.batcher.pending == 0
 
+    def test_a_tenant_whose_close_raises_does_not_stop_the_others(
+        self, tmp_path
+    ):
+        """Any error from a tenant's close — here not a CheckpointError,
+        which the seal handles itself — still lets the shutdown close the
+        next tenant, and then reaches the caller of ``stop``."""
+        state = tmp_path / "state"
+        pairs = bursty_stream(13, 250)  # 10 quanta of 24 + 10 pending
+        thread = ServerThread(state_dir=state, workers=1)
+        thread.start()
+        client = ServeClient(port=thread.port)
+        for name in ("failing", "sound"):
+            client.create_tenant(name, CONFIG)
+            client.ingest(name, materialize(pairs), wait=True)
+        manager = thread._server.manager
+        failing, sound = manager.get("failing"), manager.get("sound")
+
+        def close():
+            raise RuntimeError("disk went away")
+
+        failing.session.close = close
+        with pytest.raises(ServeError, match="disk went away") as caught:
+            thread.stop(graceful=True)
+        assert isinstance(caught.value.__cause__, RuntimeError)
+        assert sound.closed and sound.session.closed
+        assert read_manifest(state / "sound" / "delta")["pending"] == 10
+        assert manager.tenants == {}
+
 
 class TestCheckpointRoute:
     """A client names a checkpoint file; the server picks the directory."""
