@@ -2,16 +2,18 @@
 
 Start the server as a subprocess, create a tenant, ingest a canned trace
 through the stdlib client, assert subscriber events and /metrics sanity,
-check the queue's byte count and a JSONL body holding a raw U+2028, kill
--9 the process, restart it, and resume the tenant from its delta
-checkpoint; stop it gracefully with half a quantum buffered, restart it
-again, and resume the tenant with that buffer.  Exits non-zero on any
+check the queue's byte count, a JSONL body holding a raw U+2028 and the
+refusal of a chunked body sent over a raw socket, kill -9 the process,
+restart it, and resume the tenant from its delta checkpoint; stop it
+gracefully with half a quantum buffered, restart it again, and resume the
+tenant with that buffer.  Exits non-zero on any
 failed assertion.
 """
 import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -97,6 +99,26 @@ stats = client.stats("lsep")
 assert stats["messages"] + stats["pending"] == 100, stats
 assert stats["queued"] == 0 and stats["queued_bytes"] == 0, stats
 client.close_tenant("lsep")
+
+# The door reads bodies by Content-Length only: a chunked ingest is a 400
+# naming the header, and nothing of it is accepted.
+client.create_tenant("chunked", CONFIG, persist=False)
+body = "\n".join(
+    json.dumps({"u": f"u{i}", "k": ["a", "b"]}) for i in range(100)
+)
+with socket.create_connection(("127.0.0.1", PORT), timeout=10) as sock:
+    sock.sendall(
+        b"POST /v1/chunked/ingest HTTP/1.1\r\nHost: x\r\n"
+        b"Transfer-Encoding: chunked\r\n\r\n"
+        + b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body.encode("utf-8"))
+    )
+    reply = sock.makefile("rb").read()
+head, _, payload = reply.partition(b"\r\n\r\n")
+assert head.startswith(b"HTTP/1.1 400"), reply
+assert "Transfer-Encoding" in json.loads(payload)["error"], payload
+stats = client.stats("chunked")
+assert stats["accepted"] == 0 and stats["messages"] == 0, stats
+client.close_tenant("chunked")
 
 proc.send_signal(signal.SIGKILL)
 proc.wait(timeout=30)

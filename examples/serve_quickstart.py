@@ -4,7 +4,8 @@
 multiplexes many named detector sessions ("tenants") over a shared worker
 pool, fans lifecycle events out to WebSocket subscribers, and seals every
 tenant's delta log on shutdown.  This example runs the whole loop in-process
-via ``ServerThread`` (the same object `python -m repro serve` wraps):
+via ``ServerThread``, which runs on a daemon thread the same server loop
+(``serve_forever``) that `python -m repro serve` runs:
 
 1. start a server, create two tenants with different configs,
 2. subscribe to one tenant's ``EMERGING`` events over a real WebSocket,

@@ -328,9 +328,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve.server import serve_forever
 
-    def _announce(bound) -> None:
-        host, port = bound
-        print(f"-- serving on http://{host}:{port} "
+    def _announce(server) -> None:
+        print(f"-- serving on http://{server.host}:{server.port} "
               f"({args.workers} worker(s), state_dir={args.state_dir})")
         print(f"   PUT  /v1/<tenant>          create or resume a tenant")
         print(f"   POST /v1/<tenant>/ingest   batch ingest (JSONL body)")
@@ -347,9 +346,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 ready=_announce,
                 state_dir=args.state_dir,
                 workers=args.workers,
-                max_queue=args.max_queue,
-                subscriber_buffer=args.subscriber_buffer,
-                stall_deadline=args.stall_deadline,
             )
         )
     except KeyboardInterrupt:
@@ -445,6 +441,15 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the multi-tenant serving layer (HTTP + WebSocket)",
+        description="Run the multi-tenant serving layer until interrupted "
+                    "(Ctrl-C drains every tenant and seals its delta "
+                    "log).  The bounds are fixed: a tenant's ingest queue "
+                    "holds 100000 messages and sheds the overflow (counted "
+                    "in /stats; /metrics reports the bound), a subscriber "
+                    "buffers 1024 events unless its socket asks for "
+                    "?buffer=N and loses the oldest first, and a "
+                    "subscriber whose socket write stalls 10 s is "
+                    "disconnected.",
     )
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
@@ -457,17 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=2, metavar="N",
                        help="shared executor threads all tenants' quanta "
                             "interleave over (default 2)")
-    serve.add_argument("--max-queue", type=int, default=100_000, metavar="M",
-                       help="per-tenant ingest queue bound in messages; "
-                            "overflow is shed and counted (default 100000)")
-    serve.add_argument("--subscriber-buffer", type=int, default=1024,
-                       metavar="E",
-                       help="per-subscriber event buffer; a slow consumer "
-                            "loses oldest events first (default 1024)")
-    serve.add_argument("--stall-deadline", type=float, default=10.0,
-                       metavar="SECS",
-                       help="disconnect a subscriber whose socket write "
-                            "stalls longer than SECS (default 10)")
     serve.set_defaults(func=_cmd_serve)
 
     sweep = sub.add_parser("sweep", help="print a small parameter-sweep grid")

@@ -11,8 +11,10 @@ WebSocket frames at the consumer's pace.
 Slow-consumer policy (DESIGN.md Section 11): a consumer that stops reading
 first fills the socket/transport buffer, then its sink starts evicting
 (``dropped`` grows — delivery is at-most-once, never blocking the ingest
-path), and once a write stalls for longer than ``stall_deadline`` seconds
-the connection is aborted and the subscriber detached.  Keep-up consumers
+path), and once a write stalls for longer than :data:`STALL_DEADLINE_S`
+seconds the connection is aborted and the subscriber detached.  A
+subscriber buffers :data:`SUBSCRIBER_BUFFER` events unless its socket asks
+for another size (``?buffer=N``).  Keep-up consumers
 lose nothing: events go sink → transport in order, per tenant.
 """
 
@@ -31,6 +33,12 @@ from repro.serve import wire
 
 #: How many closed-subscriber summaries a hub retains for `/stats`.
 CLOSED_SUBSCRIBER_LOG = 100
+
+#: Events one subscriber buffers when its socket names no ``buffer``.
+SUBSCRIBER_BUFFER = 1024
+
+#: Seconds a subscriber's socket write may stall before it is aborted.
+STALL_DEADLINE_S = 10.0
 
 
 def event_record(event: SessionEvent) -> dict:
@@ -106,16 +114,8 @@ class FanoutSubscriber:
 class FanoutHub:
     """All live (and recently closed) subscribers of one tenant."""
 
-    def __init__(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        *,
-        default_buffer: int = 1024,
-        stall_deadline: float = 10.0,
-    ) -> None:
+    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
         self._loop = loop
-        self.default_buffer = default_buffer
-        self.stall_deadline = stall_deadline
         self.subscribers: List[FanoutSubscriber] = []
         self.closed: Deque[dict] = deque(maxlen=CLOSED_SUBSCRIBER_LOG)
         self.total_dropped = 0
@@ -132,7 +132,7 @@ class FanoutHub:
     ) -> FanoutSubscriber:
         """Subscribe one consumer to the session; returns its handle."""
         subscriber = FanoutSubscriber(
-            self, buffer if buffer is not None else self.default_buffer
+            self, buffer if buffer is not None else SUBSCRIBER_BUFFER
         )
         sink = _WakeSink(subscriber.sink, self._loop, subscriber.wake)
         subscriber.subscription = session.subscribe(
@@ -170,8 +170,8 @@ class FanoutHub:
 
         Returns the close reason.  Ordering is the session's deterministic
         delivery order (per tenant); a write that stalls longer than
-        ``stall_deadline`` aborts the transport — by then the consumer has
-        already been eating drop-oldest evictions in its sink.
+        :data:`STALL_DEADLINE_S` aborts the transport — by then the
+        consumer has already been eating drop-oldest evictions in its sink.
         """
         try:
             while True:
@@ -189,14 +189,13 @@ class FanoutHub:
                     subscriber.sent += 1
                     self.total_sent += 1
                 if events:
+                    deadline = STALL_DEADLINE_S
                     try:
-                        await asyncio.wait_for(
-                            writer.drain(), self.stall_deadline
-                        )
+                        await asyncio.wait_for(writer.drain(), deadline)
                     except asyncio.TimeoutError:
                         self.detach(
                             subscriber,
-                            f"stalled past {self.stall_deadline}s deadline "
+                            f"stalled past {deadline}s deadline "
                             f"({subscriber.dropped} dropped)",
                         )
                         writer.transport.abort()
@@ -251,6 +250,8 @@ def parse_kinds(raw: Optional[str]):
 
 
 __all__ = [
+    "STALL_DEADLINE_S",
+    "SUBSCRIBER_BUFFER",
     "FanoutHub",
     "FanoutSubscriber",
     "event_record",

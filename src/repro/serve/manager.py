@@ -12,16 +12,15 @@ Backpressure model (DESIGN.md Section 11):
 
 * the ingest queue holds checked wire frames, not messages: the door
   decodes a frame and checks every record, then queues the frame's bytes
-  with its record count, and the executor decodes the bytes again, one
-  frame at a time, as the session consumes them;
-* the ingest queue is bounded (``max_queue`` messages); a producer that
+  with its record count, and the executor decodes each queued frame once
+  more, as the session consumes it;
+* the ingest queue is bounded (:data:`MAX_QUEUE` messages); a producer that
   overruns it gets the overflow **shed** — counted and reported in the
   ingest response and ``/stats``, never an OOM;
-* under sustained backlog the drainer grows the *effective ingest batch*
-  (adaptive quantum sizing): each executor hop feeds
-  ``max(quantum_size, backlog)`` messages (capped at
-  ``MAX_BATCH_QUANTA`` quanta), so per-hop overhead amortizes exactly when
-  the tenant is behind, and shrinks back to one quantum when it catches up.
+* each executor hop takes whole queued frames, as many as fit in
+  ``quantum_size × MAX_BATCH_QUANTA`` messages and at least one, so a
+  backlog drains in large hops and a tenant that keeps up is fed frame by
+  frame.
 """
 
 from __future__ import annotations
@@ -59,30 +58,28 @@ def _check_name(what: str, name) -> None:
             f"max 64 chars)"
         )
 
-#: Default bound on one tenant's ingest queue, in messages.
-DEFAULT_MAX_QUEUE = 100_000
+#: Bound on one tenant's ingest queue, in messages.
+MAX_QUEUE = 100_000
 
-#: Cap on the adaptive batch, in quanta: a deeply backlogged tenant is fed
-#: at most this many quanta per executor hop, so no single hop starves the
-#: other tenants of the shared worker budget.
+#: Cap on one executor hop, in quanta: a deeply backlogged tenant is fed at
+#: most this many quanta per hop, so no single hop starves the other
+#: tenants of the shared worker budget.
 MAX_BATCH_QUANTA = 64
 
 
-#: A queued slice of one ingest frame: its bytes and the record range
-#: ``[lo, hi)`` still to be ingested.
-Frame = Tuple[bytes, int, int]
+#: One queued ingest frame: its checked bytes and its record count.
+Frame = Tuple[bytes, int]
 
 
 class Tenant:
     """One named detector session and its serving state.
 
-    The ingest queue holds :data:`Frame` entries — checked wire bytes and a
-    record range — so a queued message costs its share of the frame's
+    The ingest queue holds :data:`Frame` entries — checked wire bytes and
+    their record count — so a queued message costs its share of the frame's
     bytes, not a :class:`~repro.stream.messages.Message`.  Every counter
     (``queued``, ``queue_hwm``, ``accepted``, ``shed``, ``deferred``,
-    ``failed``) is in messages; ``queued_bytes`` is the bytes of the frames
-    the queue holds (a frame the drainer split counts whole until its tail
-    leaves the queue).
+    ``failed``, ``batch_size``, ``batch_hwm``) is in messages;
+    ``queued_bytes`` is the bytes of the frames the queue holds.
     """
 
     def __init__(
@@ -94,11 +91,7 @@ class Tenant:
         self.name = name
         self.session = session
         self.manager = manager
-        self.hub = FanoutHub(
-            manager.loop,
-            default_buffer=manager.subscriber_buffer,
-            stall_deadline=manager.stall_deadline,
-        )
+        self.hub = FanoutHub(manager.loop)
         self._queue: Deque[Frame] = deque()
         self._queued = 0
         self._queued_bytes = 0
@@ -121,8 +114,8 @@ class Tenant:
         self.errors = 0
         self.last_error: Optional[str] = None
         self.queue_hwm = 0
-        self.batch_size = session.config.quantum_size
-        self.batch_hwm = session.config.quantum_size
+        self.batch_size = 0
+        self.batch_hwm = 0
         self._runner = manager.loop.create_task(self._run())
 
     # ------------------------------------------------------------- ingest
@@ -135,30 +128,29 @@ class Tenant:
         the queue bound are shed — counted, reported, dropped; a frame
         accepted in part is queued as the re-encoded accepted prefix, so
         the queue never holds the bytes of a shed record.  A frame of more
-        records than one drainer batch takes is queued as re-encoded chunks
-        of at most one batch, so no queued frame spans more than two batches
-        and the executor decodes each at most twice.  Returns the per-call
-        accounting.
+        records than one executor hop takes is queued as re-encoded chunks
+        of at most one hop, so every queued frame fits in a hop whole and
+        the executor decodes it once.  Returns the per-call accounting.
         """
         if self._closing or self.closed:
             raise ServeError(f"tenant {self.name!r} is closed")
         records = ingest_records(frame)
-        accepted = min(len(records), self.manager.max_queue - self._queued)
+        accepted = min(len(records), MAX_QUEUE - self._queued)
         shed = len(records) - accepted
         if accepted:
             # A message is deferred when it queues behind another one.
             self.deferred += accepted if self._queue else accepted - 1
             cap = self._batch_cap()
             if shed or accepted > cap:
-                frames = [
-                    encode_records(records[lo:min(lo + cap, accepted)])
+                chunks = [
+                    records[lo:min(lo + cap, accepted)]
                     for lo in range(0, accepted, cap)
                 ]
+                frames = [(encode_records(c), len(c)) for c in chunks]
             else:
-                frames = [frame]
-            for lo, chunk in zip(range(0, accepted, cap), frames):
-                self._queue.append((chunk, 0, min(cap, accepted - lo)))
-                self._queued_bytes += len(chunk)
+                frames = [(frame, accepted)]
+            self._queue.extend(frames)
+            self._queued_bytes += sum(len(chunk) for chunk, _ in frames)
             self._queued += accepted
         self.accepted += accepted
         self.shed += shed
@@ -174,38 +166,29 @@ class Tenant:
             "queued": depth,
         }
 
-    def _take(self, count: int) -> List[Frame]:
-        """Dequeue ``count`` messages: whole frames, then the head of the
-        next one (its tail stays queued, sharing the frame's bytes)."""
-        batch: List[Frame] = []
-        self._queued -= count
-        while count:
-            frame, lo, hi = self._queue[0]
-            if hi - lo > count:
-                self._queue[0] = (frame, lo + count, hi)
-                batch.append((frame, lo, lo + count))
-                break
-            self._queue.popleft()
-            self._queued_bytes -= len(frame)
-            batch.append((frame, lo, hi))
-            count -= hi - lo
-        return batch
+    def _take(self) -> Tuple[List[Frame], int]:
+        """Dequeue whole frames while the hop stays within its cap (at
+        least one frame); returns them and their message count."""
+        cap = self._batch_cap()
+        batch = [self._queue.popleft()]
+        size = batch[0][1]
+        while self._queue and size + self._queue[0][1] <= cap:
+            batch.append(self._queue.popleft())
+            size += batch[-1][1]
+        self._queued -= size
+        self._queued_bytes -= sum(len(frame) for frame, _ in batch)
+        return batch, size
 
     def _batch_cap(self) -> int:
-        """The most messages one drainer batch takes."""
+        """The most messages one executor hop takes."""
         return self.session.config.quantum_size * MAX_BATCH_QUANTA
-
-    def _effective_batch(self, backlog: int) -> int:
-        """Adaptive quantum sizing: grow the batch with the backlog."""
-        base = self.session.config.quantum_size
-        return max(base, min(backlog, self._batch_cap()))
 
     @staticmethod
     def _messages(batch: List[Frame]) -> Iterator[Message]:
         """The batch's messages, decoded one frame at a time as the
         session pulls them."""
-        for frame, lo, hi in batch:
-            yield from parse_ingest_body(frame, lo, hi)
+        for frame, _count in batch:
+            yield from parse_ingest_body(frame)
 
     def _ingest_sync(self, batch: List[Frame]) -> int:
         """Run on the shared executor: feed one batch through the session."""
@@ -216,7 +199,7 @@ class Tenant:
         return produced
 
     async def _run(self) -> None:
-        """Drainer: move queued messages into the session, batch by batch."""
+        """Drainer: move queued frames into the session, hop by hop."""
         loop = self.manager.loop
         while True:
             if not self._queue:
@@ -228,13 +211,10 @@ class Tenant:
                     await self._wake.wait()
                 continue
             self._idle.clear()
-            backlog = self._queued
-            size = self._effective_batch(backlog)
+            batch, size = self._take()
             self.batch_size = size
             if size > self.batch_hwm:
                 self.batch_hwm = size
-            take = min(backlog, size)
-            batch = self._take(take)
             try:
                 self.reports += await loop.run_in_executor(
                     self.manager.executor, self._ingest_sync, batch
@@ -246,10 +226,10 @@ class Tenant:
                 # leaves every later ``?wait=1`` ingest hanging.
                 _log.exception(
                     "tenant %s: a batch of %d messages failed",
-                    self.name, take,
+                    self.name, size,
                 )
                 self.errors += 1
-                self.failed += take
+                self.failed += size
                 self.last_error = f"{type(exc).__name__}: {exc}"
 
     async def wait_idle(self) -> None:
@@ -375,20 +355,12 @@ class SessionManager:
         *,
         state_dir: Optional[os.PathLike] = None,
         workers: int = 2,
-        max_queue: int = DEFAULT_MAX_QUEUE,
-        subscriber_buffer: int = 1024,
-        stall_deadline: float = 10.0,
     ) -> None:
         if workers < 1:
             raise ServeError(f"workers must be >= 1, got {workers}")
-        if max_queue < 1:
-            raise ServeError(f"max_queue must be >= 1, got {max_queue}")
         self.loop = loop
         self.state_dir = Path(state_dir) if state_dir is not None else None
         self.workers = workers
-        self.max_queue = max_queue
-        self.subscriber_buffer = subscriber_buffer
-        self.stall_deadline = stall_deadline
         self.executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
         )
@@ -521,7 +493,7 @@ class SessionManager:
         return {
             "uptime_s": round(time.monotonic() - self.started_at, 3),
             "workers": self.workers,
-            "max_queue": self.max_queue,
+            "max_queue": MAX_QUEUE,
             "tenants": {
                 name: tenant.stats() for name, tenant in self.tenants.items()
             },
@@ -529,8 +501,8 @@ class SessionManager:
 
 
 __all__ = [
-    "DEFAULT_MAX_QUEUE",
     "MAX_BATCH_QUANTA",
+    "MAX_QUEUE",
     "SessionManager",
     "Tenant",
 ]

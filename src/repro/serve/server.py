@@ -26,18 +26,20 @@ GET        ``/v1/{tenant}/stream``          WebSocket: frame-per-batch ingest
 =========  ===============================  ===================================
 
 The server owns one event loop; detector work runs on the manager's shared
-executor so tenants' quanta interleave.  :class:`ServerThread` runs the
-whole thing on a daemon thread for tests, benches and examples.
+executor so tenants' quanta interleave.  :func:`serve_forever` is the one
+server loop: ``python -m repro serve`` runs it until interrupted, and
+:class:`ServerThread` runs it on a daemon thread for tests, benches and
+examples.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import socket
+import os
 import sys
 import threading
-from typing import Optional, Tuple
+from typing import Awaitable, Callable, Optional, Tuple
 
 from repro.errors import ServeError
 from repro.serve import wire
@@ -64,17 +66,10 @@ class ReproServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        ws_write_limit: Optional[int] = None,
-        ws_sndbuf: Optional[int] = None,
     ) -> None:
         self.manager = manager
         self.host = host
         self.port = port
-        # Test/bench knobs: shrink the transport's write buffer and the
-        # kernel send buffer so slow-consumer stalls surface at small
-        # event counts instead of hiding behind megabytes of buffering.
-        self.ws_write_limit = ws_write_limit
-        self.ws_sndbuf = ws_sndbuf
         self._server: Optional[asyncio.AbstractServer] = None
 
     # ----------------------------------------------------------- lifecycle
@@ -107,7 +102,7 @@ class ReproServer:
     ) -> None:
         try:
             try:
-                request = await wire.read_request(reader)
+                request = await wire.read_request(reader, writer)
             except ServeError as exc:
                 writer.write(
                     wire.http_response(400, {"error": str(exc)})
@@ -262,7 +257,6 @@ class ReproServer:
         writer.write(wire.websocket_upgrade_response(key))
         await writer.drain()
         if parts[2] == "events":
-            self._shrink_buffers(writer)
             await self._serve_events(tenant, reader, writer, kinds, top_k, buffer)
         else:
             await self._serve_stream(tenant, reader, writer)
@@ -279,18 +273,6 @@ class ReproServer:
         if value < 0:
             raise ServeError(f"{name} must be >= 0, got {value}")
         return value
-
-    def _shrink_buffers(self, writer: asyncio.StreamWriter) -> None:
-        if self.ws_write_limit is not None:
-            writer.transport.set_write_buffer_limits(
-                high=self.ws_write_limit
-            )
-        if self.ws_sndbuf is not None:
-            sock = writer.get_extra_info("socket")
-            if sock is not None:
-                sock.setsockopt(
-                    socket.SOL_SOCKET, socket.SO_SNDBUF, self.ws_sndbuf
-                )
 
     async def _serve_events(
         self, tenant, reader, writer, kinds, top_k, buffer
@@ -371,32 +353,38 @@ async def serve_forever(
     *,
     host: str = "127.0.0.1",
     port: int = 8765,
-    ready=None,
-    **manager_kwargs,
+    state_dir: Optional[os.PathLike] = None,
+    workers: int = 2,
+    ready: Optional[Callable[[ReproServer], None]] = None,
+    stop: Optional[Awaitable[bool]] = None,
 ) -> None:
-    """Run a server until cancelled (the CLI entry point's core).
+    """Run a server until ``stop`` yields or the task is cancelled.
 
-    On cancellation the manager shuts down gracefully: queues drain and
-    persistent tenants seal their delta logs (a buffered partial quantum
-    included).  ``ready`` is an optional callable invoked with the bound
-    ``(host, port)`` once listening.
+    ``ready`` is an optional callable invoked with the listening
+    :class:`ReproServer` (its ``host`` and ``port`` are the bound ones).
+    ``stop`` is an optional awaitable yielding the ``graceful`` flag of
+    :meth:`ReproServer.stop`; a cancellation stops gracefully.  A graceful
+    stop drains every queue and seals persistent tenants' delta logs (a
+    buffered partial quantum included).
     """
     loop = asyncio.get_running_loop()
-    manager = SessionManager(loop, **manager_kwargs)
+    manager = SessionManager(loop, state_dir=state_dir, workers=workers)
     server = ReproServer(manager, host=host, port=port)
-    bound = await server.start()
+    await server.start()
     if ready is not None:
-        ready(bound)
+        ready(server)
+    graceful = True
     try:
-        await asyncio.Event().wait()  # until cancelled
+        graceful = await (stop if stop is not None else loop.create_future())
     except asyncio.CancelledError:
         pass
     finally:
-        await server.stop(graceful=True)
+        await server.stop(graceful=graceful)
 
 
 class ServerThread:
-    """A server on a daemon thread — the test/bench/example harness.
+    """:func:`serve_forever` on a daemon thread — the test/bench/example
+    harness.
 
     ``start()`` returns the bound port.  ``stop(graceful=True)`` drains and
     seals, and raises :class:`ServeError` (the cause chained) if the
@@ -410,22 +398,19 @@ class ServerThread:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        ws_write_limit: Optional[int] = None,
-        ws_sndbuf: Optional[int] = None,
-        **manager_kwargs,
+        state_dir: Optional[os.PathLike] = None,
+        workers: int = 2,
     ) -> None:
-        self._host = host
-        self._port = port
-        self._ws_write_limit = ws_write_limit
-        self._ws_sndbuf = ws_sndbuf
-        self._manager_kwargs = manager_kwargs
+        self._options = dict(
+            host=host, port=port, state_dir=state_dir, workers=workers
+        )
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._stop_future: Optional[asyncio.Future] = None
         self._server: Optional[ReproServer] = None
         self._ready = threading.Event()
         self._done = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._stop_error: Optional[Exception] = None
+        self._error: Optional[Exception] = None
         self.host: Optional[str] = None
         self.port: Optional[int] = None
 
@@ -436,43 +421,30 @@ class ServerThread:
         self._thread.start()
         if not self._ready.wait(timeout=30):
             raise ServeError("server thread did not start within 30s")
-        if self._startup_error is not None:
-            raise ServeError(
-                f"server failed to start: {self._startup_error!r}"
-            )
+        if self._server is None:
+            raise ServeError(f"server failed to start: {self._error!r}")
         return self.port
+
+    def _ready_with(self, server: ReproServer) -> None:
+        self._server = server
+        self.host, self.port = server.host, server.port
+        self._ready.set()
 
     def _run(self) -> None:
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
         self._loop = loop
-        stop = loop.create_future()
-        self._stop_future = stop
-
-        async def main() -> None:
-            manager = SessionManager(loop, **self._manager_kwargs)
-            server = ReproServer(
-                manager,
-                host=self._host,
-                port=self._port,
-                ws_write_limit=self._ws_write_limit,
-                ws_sndbuf=self._ws_sndbuf,
-            )
-            try:
-                self.host, self.port = await server.start()
-            except BaseException as exc:
-                self._startup_error = exc
-                self._ready.set()
-                return
-            self._server = server
-            self._ready.set()
-            graceful = await stop
-            await server.stop(graceful=graceful)
-
+        self._stop_future = loop.create_future()
         try:
-            loop.run_until_complete(main())
+            loop.run_until_complete(
+                serve_forever(
+                    ready=self._ready_with,
+                    stop=self._stop_future,
+                    **self._options,
+                )
+            )
         except Exception as exc:
-            self._stop_error = exc
+            self._error = exc
         finally:
             try:
                 pending = asyncio.all_tasks(loop)
@@ -484,6 +456,7 @@ class ServerThread:
                     )
             finally:
                 loop.close()
+                self._ready.set()
                 self._done.set()
 
     def stop(self, *, graceful: bool = True, timeout: float = 60.0) -> None:
@@ -500,10 +473,10 @@ class ServerThread:
             return
         if not self._done.wait(timeout=timeout):
             raise ServeError(f"server thread did not stop within {timeout}s")
-        if self._stop_error is not None:
+        if self._error is not None:
             raise ServeError(
-                f"server shutdown failed: {self._stop_error!r}"
-            ) from self._stop_error
+                f"server shutdown failed: {self._error!r}"
+            ) from self._error
 
 
 __all__ = ["ReproServer", "ServerThread", "parse_ingest_body", "serve_forever"]

@@ -4,14 +4,16 @@ and the ingest frame codec.
 Everything here is stdlib-only (DESIGN.md Section 11): the front door must
 run on a bare python install, so instead of depending on an HTTP framework
 the server speaks the small subset of HTTP/1.1 and RFC 6455 it needs —
-request line + headers + ``Content-Length`` bodies on the REST side, and
-unfragmented text/close/ping/pong frames on the WebSocket side.  The frame
-codec is pure functions over bytes so the asyncio server and the blocking
-:mod:`repro.serve.client` share one implementation (and one set of tests).
-An ingest frame (an HTTP ingest body or one WebSocket text frame) is decoded
-twice by one function pair here: at the door, where every record is checked
-and the frame is queued as its bytes, and on the executor, where the queued
-bytes become :class:`~repro.stream.messages.Message` objects.
+request line + headers + ``Content-Length`` bodies on the REST side (a
+``Transfer-Encoding`` is refused, ``Expect: 100-continue`` is answered),
+and unfragmented text/close/ping/pong frames on the WebSocket side.  The
+frame reader is one sans-IO parser that the asyncio server and the
+blocking :mod:`repro.serve.client` both drive, so they share one
+implementation (and one set of tests).  An ingest frame (an HTTP ingest
+body or one WebSocket text frame) is decoded twice by one function pair
+here: at the door, where every record is checked and the frame is queued
+as its bytes, and once on the executor, where the queued bytes become
+:class:`~repro.stream.messages.Message` objects.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import os
 import re
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Generator, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ServeError, StreamError
@@ -72,8 +74,16 @@ class Request:
         return "upgrade" in connection and upgrade == "websocket"
 
 
-async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
-    """Parse one HTTP request from the stream (None on clean EOF)."""
+async def read_request(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> Optional[Request]:
+    """Parse one HTTP request from the stream (None on clean EOF).
+
+    The body is read by ``Content-Length`` alone: a request carrying any
+    ``Transfer-Encoding`` is refused, since its body would otherwise be
+    taken as empty.  A client that sent ``Expect: 100-continue`` is told
+    ``100 Continue`` (on ``writer``) once the length is accepted.
+    """
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except asyncio.IncompleteReadError as exc:
@@ -100,6 +110,11 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         key: values[-1]
         for key, values in parse_qs(parts.query, keep_blank_values=True).items()
     }
+    if "transfer-encoding" in headers:
+        raise ServeError(
+            f"Transfer-Encoding {headers['transfer-encoding']!r} is not "
+            f"supported; send the body with a Content-Length"
+        )
     body = b""
     length = headers.get("content-length")
     if length is not None:
@@ -109,6 +124,9 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
             raise ServeError(f"bad Content-Length: {length!r}") from exc
         if n < 0 or n > MAX_BODY_BYTES:
             raise ServeError(f"unreasonable Content-Length: {n}")
+        if n and headers.get("expect", "").lower() == "100-continue":
+            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            await writer.drain()
         body = await reader.readexactly(n)
     return Request(method.upper(), parts.path, query, headers, body)
 
@@ -195,13 +213,28 @@ def encode_frame(opcode: int, payload: bytes, *, mask: bool = False) -> bytes:
     return bytes(header) + payload
 
 
-def decode_frame_header(first_two: bytes) -> Tuple[int, bool, bool, int]:
-    """Split the fixed 2-byte header: (opcode, fin, masked, length-code)."""
-    fin = bool(first_two[0] & 0x80)
-    opcode = first_two[0] & 0x0F
-    masked = bool(first_two[1] & 0x80)
-    length = first_two[1] & 0x7F
-    return opcode, fin, masked, length
+def _frame_parser() -> Generator[int, bytes, Tuple[int, bytes]]:
+    """Sans-IO reader of one frame: yields how many bytes it needs next,
+    is sent exactly those bytes, and returns ``(opcode, payload)``.
+
+    Raises :class:`~repro.errors.ServeError` on a fragmented frame or one
+    longer than :data:`MAX_FRAME_BYTES`.
+    """
+    first, second = yield 2
+    if not first & 0x80:
+        raise ServeError("fragmented WebSocket frames are not supported")
+    length = second & 0x7F
+    if length == 126:
+        (length,) = struct.unpack(">H", (yield 2))
+    elif length == 127:
+        (length,) = struct.unpack(">Q", (yield 8))
+    if length > MAX_FRAME_BYTES:
+        raise ServeError(f"WebSocket frame too large: {length} bytes")
+    key = (yield 4) if second & 0x80 else None
+    payload = (yield length) if length else b""
+    if key is not None:
+        payload = _xor_mask(payload, key)
+    return first & 0x0F, payload
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Tuple[int, bytes]:
@@ -210,47 +243,27 @@ async def read_frame(reader: asyncio.StreamReader) -> Tuple[int, bytes]:
     Raises :class:`~repro.errors.ServeError` on protocol violations and
     :class:`asyncio.IncompleteReadError` on EOF mid-frame.
     """
-    first_two = await reader.readexactly(2)
-    opcode, fin, masked, length = decode_frame_header(first_two)
-    if not fin:
-        raise ServeError("fragmented WebSocket frames are not supported")
-    if length == 126:
-        (length,) = struct.unpack(">H", await reader.readexactly(2))
-    elif length == 127:
-        (length,) = struct.unpack(">Q", await reader.readexactly(8))
-    if length > MAX_FRAME_BYTES:
-        raise ServeError(f"WebSocket frame too large: {length} bytes")
-    key = await reader.readexactly(4) if masked else None
-    payload = await reader.readexactly(length) if length else b""
-    if key is not None:
-        payload = _xor_mask(payload, key)
-    return opcode, payload
+    parser = _frame_parser()
+    try:
+        need = next(parser)
+        while True:
+            need = parser.send(await reader.readexactly(need))
+    except StopIteration as done:
+        return done.value
 
 
 def read_frame_blocking(rfile) -> Tuple[int, bytes]:
     """Blocking twin of :func:`read_frame` over a ``makefile('rb')`` object."""
-
-    def exactly(n: int) -> bytes:
-        data = rfile.read(n)
-        if data is None or len(data) != n:
-            raise ServeError("WebSocket connection closed mid-frame")
-        return data
-
-    first_two = exactly(2)
-    opcode, fin, masked, length = decode_frame_header(first_two)
-    if not fin:
-        raise ServeError("fragmented WebSocket frames are not supported")
-    if length == 126:
-        (length,) = struct.unpack(">H", exactly(2))
-    elif length == 127:
-        (length,) = struct.unpack(">Q", exactly(8))
-    if length > MAX_FRAME_BYTES:
-        raise ServeError(f"WebSocket frame too large: {length} bytes")
-    key = exactly(4) if masked else None
-    payload = exactly(length) if length else b""
-    if key is not None:
-        payload = _xor_mask(payload, key)
-    return opcode, payload
+    parser = _frame_parser()
+    try:
+        need = next(parser)
+        while True:
+            data = rfile.read(need)
+            if data is None or len(data) != need:
+                raise ServeError("WebSocket connection closed mid-frame")
+            need = parser.send(data)
+    except StopIteration as done:
+        return done.value
 
 
 # The JSONL line breaks: every break of :meth:`str.splitlines` that JSON
@@ -304,18 +317,10 @@ def encode_records(records: list) -> bytes:
     return json.dumps(records, separators=(",", ":")).encode("ascii")
 
 
-def parse_ingest_body(
-    body: bytes, lo: int = 0, hi: Optional[int] = None
-) -> list:
-    """Decode an ingest frame into its messages (the executor's decode).
-
-    Only the records in ``[lo, hi)`` become messages.
-    """
+def parse_ingest_body(body: bytes) -> list:
+    """Decode an ingest frame into its messages (the executor's decode)."""
     try:
-        return [
-            message_from_record(record)
-            for record in _decode_frame(body)[lo:hi]
-        ]
+        return [message_from_record(record) for record in _decode_frame(body)]
     except StreamError as exc:
         raise ServeError(f"bad ingest record: {exc}") from exc
 

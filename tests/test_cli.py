@@ -1,6 +1,7 @@
 """Command-line interface behaviour."""
 
 import json
+import re
 
 import pytest
 
@@ -338,6 +339,9 @@ class TestParser:
             ["follow", "d", "--promote"],
             ["follow", "d", "--trace", "t.jsonl"],
             ["follow", "d", "--promote-checkpoint", "p.ckpt"],
+            ["serve", "--max-queue", "5"],
+            ["serve", "--subscriber-buffer", "5"],
+            ["serve", "--stall-deadline", "5"],
         ],
     )
     def test_removed_execution_options_are_usage_errors(self, argv, capsys):
@@ -354,11 +358,18 @@ class TestParser:
         assert "serve" in out
         assert "multi-tenant serving layer" in out
 
-    def test_serve_help_documents_knobs(self, capsys):
+    def test_serve_help_lists_only_deployment_flags(self, capsys):
+        from repro.serve import hub, manager
+
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--help"])
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
-        for flag in ("--state-dir", "--workers", "--max-queue",
-                     "--subscriber-buffer", "--stall-deadline"):
-            assert flag in out
+        flags = set(re.findall(r"--[a-z][a-z-]*", out))
+        assert flags == {"--help", "--host", "--port", "--state-dir",
+                         "--workers"}
+        # The fixed bounds the help names are the ones the server uses.
+        text = " ".join(out.split())
+        assert f"holds {manager.MAX_QUEUE} messages" in text
+        assert f"buffers {hub.SUBSCRIBER_BUFFER} events" in text
+        assert f"stalls {hub.STALL_DEADLINE_S:g} s" in text

@@ -34,6 +34,7 @@ from repro.api.deltalog import read_manifest
 from repro.config import DetectorConfig
 from repro.errors import ServeError
 from repro.serve import ServeClient, ServerThread, WebSocketClient
+from repro.serve import hub as hub_module
 from repro.serve import manager as manager_module
 from repro.serve import wire
 from repro.serve.manager import SessionManager
@@ -347,8 +348,11 @@ class TestWebSocketIngest:
 
 
 class TestLoadShedding:
-    def test_burst_past_queue_bound_is_shed_and_counted(self, tmp_path):
-        thread = ServerThread(workers=1, max_queue=50)
+    def test_burst_past_queue_bound_is_shed_and_counted(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(manager_module, "MAX_QUEUE", 50)
+        thread = ServerThread(workers=1)
         thread.start()
         try:
             client = ServeClient(port=thread.port)
@@ -356,7 +360,7 @@ class TestLoadShedding:
             pairs = bursty_stream(3, 500)
             result = client.ingest("burst", materialize(pairs))
             # The enqueue is atomic on the event loop: an empty queue takes
-            # exactly max_queue messages, the rest is shed — never an OOM.
+            # exactly MAX_QUEUE messages, the rest is shed — never an OOM.
             assert result["accepted"] == 50
             assert result["shed"] == 450
             client.ingest("burst", [], wait=True)
@@ -365,9 +369,9 @@ class TestLoadShedding:
             assert stats["shed"] == 450
             assert stats["messages"] == 48  # two full quanta of 24
             assert stats["pending"] == 2
-            # Adaptive quantum sizing: the backlog was drained in batches
-            # larger than one quantum.
-            assert stats["batch_hwm"] > CONFIG["quantum_size"]
+            # The accepted prefix is one queued frame, drained in one hop
+            # larger than a quantum.
+            assert stats["batch_hwm"] == 50
         finally:
             thread.stop(graceful=True)
 
@@ -406,13 +410,26 @@ class TestSlowConsumer:
             pass
         return sock, rfile
 
-    def test_slow_consumer_drops_oldest_then_disconnects(self, tmp_path):
-        thread = ServerThread(
-            workers=1,
-            stall_deadline=0.5,
-            ws_write_limit=0,
-            ws_sndbuf=2048,
+    def test_slow_consumer_drops_oldest_then_disconnects(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(hub_module, "STALL_DEADLINE_S", 0.5)
+        real_pump = hub_module.FanoutHub.pump
+
+        async def pump_on_small_buffers(hub, subscriber, writer):
+            # Shrink the server side's transport write buffer and kernel
+            # send buffer, so the stall surfaces at small event counts
+            # instead of hiding behind megabytes of buffering.
+            writer.transport.set_write_buffer_limits(high=0)
+            writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 2048
+            )
+            return await real_pump(hub, subscriber, writer)
+
+        monkeypatch.setattr(
+            hub_module.FanoutHub, "pump", pump_on_small_buffers
         )
+        thread = ServerThread(workers=1)
         thread.start()
         try:
             client = ServeClient(port=thread.port)
@@ -765,14 +782,14 @@ def frame_of(pairs):
     ).encode("utf-8")
 
 
-def with_tenant(body, *, max_queue=1000, config=CONFIG):
+def with_tenant(body, *, config=CONFIG):
     """Run coroutine function ``body(tenant)`` against one in-process
     tenant.  The drainer runs only while ``body`` awaits, so what a test
     enqueues between two awaits is exactly what the queue holds."""
     loop = asyncio.new_event_loop()
 
     async def main():
-        manager = SessionManager(loop, workers=1, max_queue=max_queue)
+        manager = SessionManager(loop, workers=1)
         try:
             return await body(await manager.create("t", config=config))
         finally:
@@ -787,7 +804,8 @@ def with_tenant(body, *, max_queue=1000, config=CONFIG):
 class TestFrameQueue:
     """The queue holds checked frames; its counters stay in messages."""
 
-    def test_frame_accepted_in_part_keeps_only_the_prefix(self):
+    def test_frame_accepted_in_part_keeps_only_the_prefix(self, monkeypatch):
+        monkeypatch.setattr(manager_module, "MAX_QUEUE", 30)
         pairs = bursty_stream(3, 40)
         body = frame_of(pairs)
 
@@ -801,8 +819,8 @@ class TestFrameQueue:
             assert tenant.enqueue(body) == {
                 "accepted": 0, "shed": 40, "queued": 30,
             }
-            kept, lo, hi = tenant._queue[-1]
-            assert len(tenant._queue) == 2 and (lo, hi) == (0, 5)
+            kept, count = tenant._queue[-1]
+            assert len(tenant._queue) == 2 and count == 5
             assert [(m.user_id, m.tokens) for m in parse_ingest_body(kept)] \
                 == pairs[:5]
             assert len(kept) < len(frame_of(pairs[:6]))
@@ -813,31 +831,49 @@ class TestFrameQueue:
             await tenant.wait_idle()
             return tenant.stats()
 
-        stats = with_tenant(run, max_queue=30)
+        stats = with_tenant(run)
         assert (stats["accepted"], stats["shed"]) == (30, 75)
         assert stats["queued"] == stats["queued_bytes"] == 0
         assert stats["queue_hwm"] == 30 and stats["messages"] == 24
 
-    def test_frame_split_across_drainer_batches(self, tmp_path, monkeypatch):
-        # A batch is at most two quanta (48 messages), so 30-message frames
-        # are split across batches at every other frame.
+    def test_whole_frames_per_drainer_hop(self, tmp_path, monkeypatch):
+        # A hop is at most two quanta (48 messages), and a hop takes whole
+        # frames: two 30-message frames do not fit, so each hop takes one,
+        # and the executor decodes each frame once.
         monkeypatch.setattr(manager_module, "MAX_BATCH_QUANTA", 2)
         pairs = bursty_stream(11, 480)
         expected = library_run(pairs, tmp_path / "lib.ckpt")
         assert expected
+        decoded = []
+        real_parse = manager_module.parse_ingest_body
+
+        def counting_parse(body):
+            decoded.append(body)
+            return real_parse(body)
+
+        monkeypatch.setattr(
+            manager_module, "parse_ingest_body", counting_parse
+        )
 
         async def run(tenant):
             inbox = QueueSink()
             tenant.session.subscribe(inbox)
-            for lo in range(0, len(pairs), 30):
-                tenant.enqueue(frame_of(pairs[lo:lo + 30]))
+            frames = [
+                frame_of(pairs[lo:lo + 30]) for lo in range(0, len(pairs), 30)
+            ]
+            for frame in frames:
+                tenant.enqueue(frame)
+            assert tenant.stats()["queued_bytes"] == sum(map(len, frames))
             await tenant.wait_idle()
             tenant.session.snapshot(tmp_path / "served.ckpt")
-            return [note_record(e) for e in inbox.drain()], tenant.stats()
+            return frames, [note_record(e) for e in inbox.drain()], \
+                tenant.stats()
 
-        notes, stats = with_tenant(run)
+        frames, notes, stats = with_tenant(run)
+        assert decoded == frames
         assert notes == expected
-        assert stats["batch_hwm"] == 48 and stats["messages"] == 480
+        assert stats["batch_hwm"] == stats["batch_size"] == 30
+        assert stats["messages"] == 480 and stats["queued_bytes"] == 0
         assert fingerprint(
             normalized_checkpoint_state(tmp_path / "served.ckpt")
         ) == fingerprint(normalized_checkpoint_state(tmp_path / "lib.ckpt"))
@@ -845,9 +881,9 @@ class TestFrameQueue:
     def test_body_of_many_batches_is_decoded_a_bounded_number_of_times(
         self, tmp_path, monkeypatch
     ):
-        """A body ten batches long (a batch is at most 48 messages) is
-        queued as chunks of one batch: the executor decodes each chunk at
-        most twice and builds each message once."""
+        """A body ten hops long (a hop is at most 48 messages) is queued as
+        chunks of one hop: the door decodes the body once, the executor
+        decodes each chunk once and builds each message once."""
         monkeypatch.setattr(manager_module, "MAX_BATCH_QUANTA", 2)
         pairs = bursty_stream(11, 480)
         expected = library_run(pairs, tmp_path / "lib.ckpt")
@@ -870,31 +906,34 @@ class TestFrameQueue:
             inbox = QueueSink()
             tenant.session.subscribe(inbox)
             tenant.enqueue(frame_of(pairs))
-            assert [hi - lo for _, lo, hi in tenant._queue] == [48] * 10
+            assert [count for _, count in tenant._queue] == [48] * 10
             assert tenant.stats()["queued_bytes"] == sum(
-                len(frame) for frame, _, _ in tenant._queue
+                len(frame) for frame, _ in tenant._queue
             )
             await tenant.wait_idle()
             tenant.session.snapshot(tmp_path / "served.ckpt")
-            return [note_record(e) for e in inbox.drain()]
+            return [note_record(e) for e in inbox.drain()], tenant.stats()
 
-        assert with_tenant(run) == expected
-        assert decoded[0] == 480 and sum(decoded) <= 3 * 480
+        notes, stats = with_tenant(run)
+        assert notes == expected
+        assert decoded == [480] + [48] * 10 and sum(decoded) == 2 * 480
         assert len(built) == 480
+        assert stats["batch_hwm"] == 48
         assert fingerprint(
             normalized_checkpoint_state(tmp_path / "served.ckpt")
         ) == fingerprint(normalized_checkpoint_state(tmp_path / "lib.ckpt"))
 
         async def prefix(tenant):
             assert tenant.enqueue(frame_of(pairs))["accepted"] == 100
-            assert [hi - lo for _, lo, hi in tenant._queue] == [48, 48, 4]
+            assert [count for _, count in tenant._queue] == [48, 48, 4]
             return [
                 (m.user_id, m.tokens)
-                for frame, lo, hi in tenant._queue
-                for m in parse_ingest_body(frame, lo, hi)
+                for frame, _ in tenant._queue
+                for m in parse_ingest_body(frame)
             ]
 
-        assert with_tenant(prefix, max_queue=100) == pairs[:100]
+        monkeypatch.setattr(manager_module, "MAX_QUEUE", 100)
+        assert with_tenant(prefix) == pairs[:100]
 
     def test_close_without_drain_sheds_the_queued_count(self):
         async def run(tenant):
@@ -908,12 +947,13 @@ class TestFrameQueue:
         assert stats["queued"] == stats["queued_bytes"] == 0
         assert stats["messages"] == 0 and stats["pending"] == 0
 
-    def test_deferred_matches_the_per_message_rule(self):
+    def test_deferred_matches_the_per_message_rule(self, monkeypatch):
         """A message is deferred when it queues behind another one — the
         count a queue of single messages kept, replayed over a script of
         frames, empty frames, drains and the bound."""
         script = [5, 0, 3, "drain", 1, "drain", 4, 1, 9, "drain", 0, 12]
         max_queue = 16
+        monkeypatch.setattr(manager_module, "MAX_QUEUE", max_queue)
 
         def reference():
             depth = deferred = shed = 0
@@ -941,7 +981,7 @@ class TestFrameQueue:
             await tenant.wait_idle()
             return tenant.stats()
 
-        stats = with_tenant(run, max_queue=max_queue)
+        stats = with_tenant(run)
         assert (stats["deferred"], stats["shed"]) == reference()
         assert stats["accepted"] + stats["shed"] == 35
 
@@ -999,7 +1039,7 @@ class TestFrameQueue:
             await tenant.close(drain=False)
             return retained, payload
 
-        retained, payload = with_tenant(run, max_queue=10_000)
+        retained, payload = with_tenant(run)
         assert retained <= 1.1 * payload + 1024, (retained, payload)
 
 
@@ -1090,6 +1130,70 @@ class TestIngestFraming:
             ws.send_json([{"u": "a", "k": ["x", "y"]}])
             assert ws.recv_json()["accepted"] == 1
         assert client.stats("deepws")["accepted"] == 1
+
+
+def raw_exchange(port, request, timeout=10.0):
+    """Send ``request`` bytes on a fresh socket; return the status line and
+    the JSON payload of the reply."""
+    address = ("127.0.0.1", port)
+    with socket.create_connection(address, timeout=timeout) as sock:
+        sock.sendall(request)
+        rfile = sock.makefile("rb")
+        head, _, body = rfile.read().partition(b"\r\n\r\n")
+    return head.split(b"\r\n")[0], json.loads(body)
+
+
+class TestHttpBodies:
+    """The door reads a body by ``Content-Length`` alone: a chunked body is
+    a 400 naming the header, never taken as empty, and ``Expect:
+    100-continue`` is answered before the body is read."""
+
+    def test_chunked_body_is_400_naming_the_header(self, server):
+        client = ServeClient(port=server.port, timeout=10)
+        client.create_tenant("te", CONFIG)
+        records = frame_of(bursty_stream(3, 3000))
+        config = json.dumps({"config": {**CONFIG, "quantum_size": 4}})
+        for method, path, body in (
+            ("POST", "/v1/te/ingest", records),
+            ("PUT", "/v1/te2", config.encode("utf-8")),
+        ):
+            request = (
+                f"{method} {path} HTTP/1.1\r\nHost: x\r\n"
+                f"Transfer-Encoding: chunked\r\n\r\n"
+            ).encode("latin-1") + b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+            status, reply = raw_exchange(server.port, request)
+            assert status.startswith(b"HTTP/1.1 400"), (status, reply)
+            assert "Transfer-Encoding 'chunked'" in reply["error"]
+        assert client.tenants() == ["te"]
+        assert client.stats("te")["accepted"] == 0
+
+    def test_expect_100_continue_is_answered_before_the_body(self, server):
+        client = ServeClient(port=server.port, timeout=10)
+        client.create_tenant("ex", CONFIG)
+        body = frame_of(bursty_stream(3, 48))
+        head = (
+            f"POST /v1/ex/ingest?wait=1 HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {len(body)}\r\nExpect: 100-continue\r\n\r\n"
+        ).encode("latin-1")
+        address = ("127.0.0.1", server.port)
+        with socket.create_connection(address, timeout=5) as sock:
+            sock.sendall(head)
+            rfile = sock.makefile("rb")
+            assert rfile.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert rfile.readline() == b"\r\n"
+            sock.sendall(body)
+            status, _, payload = rfile.read().partition(b"\r\n\r\n")
+        assert status.startswith(b"HTTP/1.1 200")
+        assert json.loads(payload)["accepted"] == 48
+        assert client.stats("ex")["quantum"] == 1
+        # A length the door refuses gets its 400 without a 100 first.
+        status, reply = raw_exchange(
+            server.port,
+            b"POST /v1/ex/ingest HTTP/1.1\r\nContent-Length: 1000000000000"
+            b"\r\nExpect: 100-continue\r\n\r\n",
+        )
+        assert status.startswith(b"HTTP/1.1 400")
+        assert "Content-Length" in reply["error"]
 
 
 class TestRefusedDeltaFormat:
