@@ -65,7 +65,7 @@ WeightMove = Tuple[Keyword, int, int]
 AKG_SUB_SPANS = ("slide", "sketch", "pairing", "correlate")
 """The timed sub-spans of one quantum's update, in execution order: the
 id-set window slide, the bursty keywords' sketches, candidate pairing (the
-sketch-value buckets) and the two edge-correlation kernel calls."""
+sketch-value buckets) and the one edge-correlation kernel call."""
 
 
 @dataclass
@@ -198,7 +198,6 @@ class AkgBuilder:
         support reached zero.
         """
         stats = AkgQuantumStats(quantum=quantum)
-        self.sub_spans["correlate"] = 0.0  # summed over both kernel calls
         graph = self.maintainer.graph
         self.maintainer.current_quantum = quantum
         # Node-weight deltas feed the incremental ranker.  Only nodes already
@@ -220,14 +219,40 @@ class AkgBuilder:
             deadline = self.burstiness.first_droppable_quantum(kw, grace)
             self._grace_deadlines.setdefault(deadline, set()).add(kw)
 
-        # -- edges: new candidates among this quantum's bursty set --------
-        new_edges = self._new_edges_among(sorted(bursty), stats)
-        for kw1, kw2, ec in new_edges:
-            self.maintainer.add_edge(kw1, kw2, ec)
-            stats.edges_added += 1
-
-        # -- edges: lazy refresh around nodes seen this quantum -----------
-        self._refresh_incident_edges([*active, *bursty], stats)
+        # -- edges: one EC pass over the new-edge candidates among this
+        # quantum's bursty set (paper set (1)), then the edges incident to
+        # the nodes seen this quantum (set (2)).  EC reads only the window,
+        # which the graph edits below leave alone, so each new edge's EC is
+        # also its refreshed value.
+        incident = {
+            (kw, nbr) if kw <= nbr else (nbr, kw)
+            for kw in {*active, *bursty}
+            for nbr in graph.neighbors(kw)
+        }
+        pairs = self._candidate_pairs(sorted(bursty))
+        stats.candidate_pairs = len(pairs)
+        # An edge between two bursty keywords is incident to both.
+        wanted = [pair for pair in pairs if pair not in incident]
+        existing = sorted(incident)
+        ecs = self._correlate(wanted + existing)
+        ec_of = dict(zip(existing, ecs[len(wanted):]))
+        gamma = self.config.ec_threshold
+        for pair, ec in zip(wanted, ecs):
+            if ec >= gamma:
+                self.maintainer.add_edge(*pair, ec)
+                stats.edges_added += 1
+                ec_of[pair] = ec
+        stats.ec_computations = len(wanted) + len(ec_of)
+        to_remove: List[Tuple[Keyword, Keyword]] = []
+        for pair, ec in sorted(ec_of.items()):
+            if ec < gamma:
+                to_remove.append(pair)
+                stats.edges_removed += 1
+            else:
+                self.maintainer.set_edge_weight(*pair, ec)
+                stats.edges_refreshed += 1
+        if to_remove:
+            self.maintainer.remove_edges(to_remove)
 
         # -- nodes: stale and lazy removal --------------------------------
         self._remove_dead_nodes(quantum, emptied, stats)
@@ -237,26 +262,6 @@ class AkgBuilder:
         return stats
 
     # ------------------------------------------------------------ helpers
-
-    def _new_edges_among(
-        self, bursty: List[Keyword], stats: AkgQuantumStats
-    ) -> List[Tuple[Keyword, Keyword, float]]:
-        """EC-qualified new edges among the quantum's bursty keywords
-        (paper set (1)); the candidates are one batch of exact ECs."""
-        pairs = self._candidate_pairs(bursty)
-        graph = self.maintainer.graph
-        wanted: List[Tuple[Keyword, Keyword]] = []
-        for pair in pairs:
-            stats.candidate_pairs += 1
-            if not graph.has_edge(*pair):
-                wanted.append(pair)
-        stats.ec_computations += len(wanted)
-        gamma = self.config.ec_threshold
-        return [
-            (kw1, kw2, ec)
-            for (kw1, kw2), ec in zip(wanted, self._correlate(wanted))
-            if ec >= gamma
-        ]
 
     def _candidate_pairs(
         self, bursty: List[Keyword]
@@ -310,37 +315,8 @@ class AkgBuilder:
         """The exact ECs of ``pairs``, on the ``correlate`` clock."""
         started = time.perf_counter()
         ecs = self._ec_of(pairs)
-        self.sub_spans["correlate"] += time.perf_counter() - started
+        self.sub_spans["correlate"] = time.perf_counter() - started
         return ecs
-
-    def _refresh_incident_edges(
-        self, active: Iterable[Keyword], stats: AkgQuantumStats
-    ) -> None:
-        """Recompute EC of edges touching the nodes seen this quantum.
-
-        This is the paper's set (2): only nodes occurring in the current
-        quantum (and, through these edges, their neighbours) can change
-        correlation, so no other edge needs to be revisited.  ``active``
-        are graph nodes (repeats allowed).
-        """
-        graph = self.maintainer.graph
-        to_check: Set[Tuple[Keyword, Keyword]] = set()
-        for kw in active:
-            for nbr in graph.neighbors(kw):
-                to_check.add((kw, nbr) if kw <= nbr else (nbr, kw))
-        edges = sorted(to_check)
-        stats.ec_computations += len(edges)
-        gamma = self.config.ec_threshold
-        to_remove: List[Tuple[Keyword, Keyword]] = []
-        for (kw1, kw2), ec in zip(edges, self._correlate(edges)):
-            if ec < gamma:
-                to_remove.append((kw1, kw2))
-                stats.edges_removed += 1
-            else:
-                self.maintainer.set_edge_weight(kw1, kw2, ec)
-                stats.edges_refreshed += 1
-        if to_remove:
-            self.maintainer.remove_edges(to_remove)
 
     # ------------------------------------------------------- dead-node pass
 

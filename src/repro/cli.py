@@ -336,20 +336,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"   GET  /v1/<tenant>/events   WebSocket event fan-out")
         print(f"   GET  /metrics              live server and tenant stats")
 
-    try:
-        # On Ctrl-C asyncio.run cancels the task; serve_forever's shutdown
-        # path drains every tenant and checkpoints the persistent ones.
-        asyncio.run(
-            serve_forever(
-                host=args.host,
-                port=args.port,
-                ready=_announce,
-                state_dir=args.state_dir,
-                workers=args.workers,
-            )
+    # On Ctrl-C asyncio.run cancels the task; serve_forever's shutdown
+    # path drains every tenant and checkpoints the persistent ones, and
+    # returns normally.
+    asyncio.run(
+        serve_forever(
+            host=args.host,
+            port=args.port,
+            ready=_announce,
+            state_dir=args.state_dir,
+            workers=args.workers,
         )
-    except KeyboardInterrupt:
-        print("-- interrupted; tenants drained and checkpointed")
+    )
+    print("-- interrupted; tenants drained"
+          + (" and checkpointed" if args.state_dir else ""))
     return 0
 
 

@@ -6,9 +6,11 @@ of length at most 4 **within the cluster**.  We call each such minimal cycle
 — clusters are maximal unions of atoms glued transitively along shared edges
 — is what the Section 5 incremental algorithms maintain (see DESIGN.md).
 
-The enumeration helpers here list cycles explicitly: edge addition and the
-global oracle build on them, while deletion re-gluing derives the same
-gluing from common-neighbour counts alone
+The enumeration helpers here list cycles explicitly, and only the global
+oracle and the tests use them: edge addition reads the union of the atoms
+through a new edge by set algebra
+(:func:`repro.core.maintenance._short_cycle_span`), and deletion re-gluing
+derives the same gluing from common-neighbour counts alone
 (:func:`repro.core.maintenance._glue_cycles`).
 """
 
@@ -68,9 +70,11 @@ def _quad(u: Node, x: Node, y: Node, v: Node) -> Atom:
 def atoms_containing_edge(graph: DynamicGraph, u: Node, v: Node) -> List[Atom]:
     """All triangles and 4-cycles of ``graph`` that contain edge ``(u, v)``.
 
-    This is the core of EdgeAddition (Section 5.2): every *new* short cycle
-    created by inserting ``(u, v)`` contains that edge, so enumerating these
-    atoms finds exactly the clusters the new edge creates or merges.
+    The reference for EdgeAddition (Section 5.2): every *new* short cycle
+    created by inserting ``(u, v)`` contains that edge, so these atoms find
+    exactly the clusters the new edge creates or merges.  The maintainer
+    reads only their union, without listing them
+    (:func:`repro.core.maintenance._short_cycle_span`).
 
     Triangles: one per common neighbour of ``u`` and ``v``.
     4-cycles:  one per pair ``x in N(u)``, ``y in N(v)`` with ``x != y``,

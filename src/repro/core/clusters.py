@@ -121,6 +121,12 @@ class ClusterRegistry:
     def cluster_of_edge(self, u: Node, v: Node) -> Optional[int]:
         return self._edge_to_cluster.get(edge_key(u, v))
 
+    def owners_of(self, edges: Iterable[EdgeKey]) -> Set[int]:
+        """Ids of the clusters owning any of ``edges`` (canonical keys)."""
+        owners = set(map(self._edge_to_cluster.get, edges))
+        owners.discard(None)
+        return owners
+
     def clusters_of_node(self, node: Node) -> Set[int]:
         return set(self._node_to_clusters.get(node, ()))
 

@@ -8,9 +8,9 @@ graph (DESIGN.md Section 1).  The paper's four operations map to:
 =====================  ====================================================
 Paper algorithm        Implementation
 =====================  ====================================================
-EdgeAddition (5.2)     :meth:`ClusterMaintainer.add_edge` — enumerate atoms
-                       through the new edge, merge every touched cluster
-                       (Lemma 6) and absorb the atoms.
+EdgeAddition (5.2)     :meth:`ClusterMaintainer.add_edge` — read the span of
+                       the atoms through the new edge by set algebra, merge
+                       every touched cluster (Lemma 6) and absorb the span.
 NodeAddition (5.1)     :meth:`ClusterMaintainer.add_node_with_edges` —
                        sequential edge additions; every short cycle through
                        the new node uses two of its edges, so rules R1/R2
@@ -41,9 +41,10 @@ clusters.
 from __future__ import annotations
 
 import time
+from itertools import repeat
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.core.atoms import Atom, atoms_containing_edge, atoms_in_subgraph
+from repro.core.atoms import Atom, atoms_in_subgraph
 from repro.core.changelog import (
     ChangeBatch,
     ChangeLog,
@@ -133,7 +134,7 @@ def _glue_cycles(
                 eid = index[key] = len(edges)
                 edges.append(key)
             row[v] = eid
-    dsu = _DisjointSet(len(edges))
+    parent = list(range(len(edges)))  # union-find, walked inline
     cyclic: Set[int] = set()
     for u, row in incident.items():
         rank = order[u]
@@ -150,15 +151,61 @@ def _glue_cycles(
             elif len(legs) < 4:  # one common neighbour, not adjacent
                 continue
             cyclic.update(legs)
-            root = legs[0]
+            top = legs[0]
+            while parent[top] != top:
+                top = parent[top]
             for eid in legs:
-                dsu.union(root, eid)
+                root = eid
+                while parent[root] != root:
+                    root = parent[root]
+                parent[root] = parent[eid] = top
     groups: Dict[int, Tuple[Set[Node], Set[EdgeKey]]] = {}
     for eid in cyclic:
-        nodes, group_edges = groups.setdefault(dsu.find(eid), (set(), set()))
+        root = eid
+        while parent[root] != root:
+            root = parent[root]
+        nodes, group_edges = groups.setdefault(root, (set(), set()))
         nodes.update(edges[eid])
         group_edges.add(edges[eid])
     return list(groups.values())
+
+
+def _short_cycle_span(
+    graph: DynamicGraph, u: Node, v: Node
+) -> Optional[Tuple[Set[Node], Set[EdgeKey]]]:
+    """The nodes and edges of every short cycle through edge ``(u, v)``, or
+    None when the edge lies on none — the union of
+    :func:`~repro.core.atoms.atoms_containing_edge`'s atoms, read by set
+    algebra without listing a cycle.
+
+    Triangles close through ``N(u) & N(v)``; 4-cycles ``u - x - y - v``
+    through ``N(x) & N(v) - {u}`` for each ``x`` in ``N(u) - {v}``.
+    """
+    nbrs = graph.neighbor_weights
+    adj_u = nbrs(u)
+    adj_v = nbrs(v).keys()
+    apexes = adj_v & adj_u.keys()
+    nodes = set(apexes)
+    edges = set(map(edge_key, repeat(u), apexes))
+    edges.update(map(edge_key, repeat(v), apexes))
+    far: Set[Node] = set()  # the y of every 4-cycle
+    for x in adj_u:
+        if x == v:
+            continue
+        ys = nbrs(x).keys() & adj_v
+        ys.discard(u)
+        if ys:
+            nodes.add(x)
+            edges.add(edge_key(u, x))
+            edges.update(map(edge_key, repeat(x), ys))
+            far |= ys
+    if not nodes:
+        return None
+    nodes |= far
+    nodes.update((u, v))
+    edges.update(map(edge_key, repeat(v), far))
+    edges.add(edge_key(u, v))
+    return nodes, edges
 
 
 def decompose_graph(
@@ -215,9 +262,10 @@ class ClusterMaintainer:
     def add_edge(self, u: Node, v: Node, weight: float = 1.0) -> Optional[Cluster]:
         """EdgeAddition (Section 5.2).
 
-        Inserts the edge, enumerates every atom (short cycle) containing it,
-        and merges those atoms together with every existing cluster that owns
-        one of the atoms' edges (Lemma 6).  Returns the cluster the edge ends
+        Inserts the edge, reads the nodes and edges of every atom (short
+        cycle) containing it (:func:`_short_cycle_span`), and merges them
+        together with every existing cluster that owns one of those edges
+        (Lemma 6).  Returns the cluster the edge ends
         up in, or None when the edge closes no short cycle.
         """
         self.graph.add_edge(u, v, weight)
@@ -228,24 +276,14 @@ class ClusterMaintainer:
             self.clustering_seconds += time.perf_counter() - start
 
     def _cluster_new_edge(self, u: Node, v: Node) -> Optional[Cluster]:
-        atoms = atoms_containing_edge(self.graph, u, v)
-        if not atoms:
+        span = _short_cycle_span(self.graph, u, v)
+        if span is None:
             return None
-        atom_nodes: Set[Node] = set()
-        atom_edges: Set[EdgeKey] = set()
-        for atom in atoms:
-            atom_nodes |= atom.nodes
-            atom_edges |= atom.edges
-        touched = {
-            cid
-            for cid in (
-                self.registry.cluster_of_edge(*e) for e in atom_edges
-            )
-            if cid is not None
-        }
+        nodes, edges = span
+        touched = self.registry.owners_of(edges)
         if touched:
             survivor = self.registry.merge(touched)
-            self.registry.absorb(survivor.cluster_id, atom_nodes, atom_edges)
+            self.registry.absorb(survivor.cluster_id, nodes, edges)
             if len(touched) > 1:
                 absorbed = tuple(sorted(touched - {survivor.cluster_id}))
                 self.changelog.record(
@@ -255,7 +293,7 @@ class ClusterMaintainer:
                 self.changelog.record(ClusterUpdated(survivor.cluster_id))
             return survivor
         cluster = self.registry.new_cluster(
-            atom_nodes, atom_edges, born_quantum=self.current_quantum
+            nodes, edges, born_quantum=self.current_quantum
         )
         self.changelog.record(ClusterCreated(cluster.cluster_id))
         return cluster

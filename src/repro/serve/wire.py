@@ -81,8 +81,10 @@ async def read_request(
 
     The body is read by ``Content-Length`` alone: a request carrying any
     ``Transfer-Encoding`` is refused, since its body would otherwise be
-    taken as empty.  A client that sent ``Expect: 100-continue`` is told
-    ``100 Continue`` (on ``writer``) once the length is accepted.
+    taken as empty, and so is one repeating ``Content-Length`` with
+    differing values, whose framing would be a guess.  A client that sent
+    ``Expect: 100-continue`` is told ``100 Continue`` (on ``writer``) once
+    the length is accepted.
     """
     try:
         head = await reader.readuntil(b"\r\n\r\n")
@@ -104,7 +106,13 @@ async def read_request(
         if not line:
             continue
         name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise ServeError(
+                f"conflicting Content-Length headers: "
+                f"{headers[name]!r} and {value!r}"
+            )
+        headers[name] = value
     parts = urlsplit(target)
     query = {
         key: values[-1]

@@ -17,7 +17,9 @@ the keywords whose window empties; DESIGN.md Section 5).
 
 from __future__ import annotations
 
-from itertools import islice
+from functools import reduce
+from itertools import compress, islice, repeat
+from operator import iadd
 from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
@@ -25,8 +27,6 @@ import numpy as np
 from repro.interning import Interner
 from repro.errors import StreamError
 from repro.stream.messages import Message
-
-Entity = str
 
 
 class QuantumBatcher:
@@ -152,63 +152,54 @@ def quantum_columns(
 ) -> QuantumColumns:
     """Extract one quantum straight into interned pair columns.
 
-    One pass appends interned (entity, actor) occurrence ids to flat lists
-    — each record capped at ``max_entities_per_record`` entities, which
-    bounds the pair fan-out a flooder can inject — then a single
-    dedupe/sort kernel builds the grouped columns, with no per-message
-    dict or set allocation.  Messages
-    already carrying pre-extracted ``tokens`` skip the extractor call when
-    the extractor is the plain keyword one (whose ``entities`` is exactly
-    ``keyword_tuple``, i.e. the tokens themselves).
+    Built by columns, with no loop body per message: one comprehension
+    gathers each record's entities — capped at
+    ``max_entities_per_record``, which bounds the pair fan-out a flooder
+    can inject — the records without entities drop out by their zero
+    count, and a single dedupe/sort kernel builds the grouped columns.
+    Messages already carrying pre-extracted ``tokens`` skip the extractor
+    call when the extractor is the plain keyword one (whose ``entities``
+    is exactly ``keyword_tuple``, i.e. the tokens themselves).
     """
     from repro.extract.keyword import KeywordExtractor
 
-    tok_occ: List[Entity] = []
-    msg_aids: List[int] = []
-    msg_counts: List[int] = []
-    act_ids = acts.ids
-    act_intern = acts.intern
-    cap = max_entities_per_record
-    keyword_fast = type(extractor) is KeywordExtractor
+    messages = messages if isinstance(messages, list) else [*messages]
     extract = extractor.entities
-    for message in messages:
-        if keyword_fast:
-            entities = message.tokens
-            if entities is None:
-                entities = extract(message)
-        else:
-            entities = extract(message)
-        if not entities:
-            continue
-        if cap is not None and len(entities) > cap:
-            entities = entities[:cap]
-        user = message.user_id
-        aid = act_ids.get(user)
-        if aid is None:
-            aid = act_intern(user)
-        tok_occ += entities
-        msg_aids.append(aid)
-        msg_counts.append(len(entities))
-    # One C-level gather for the whole quantum; only genuinely new tokens
-    # (the None holes) fall back to the python interning path.
-    ent_occ = [*map(ents.ids.get, tok_occ)]
-    ent_intern = ents.intern
-    try:
-        i = ent_occ.index(None)
-        while True:
-            ent_occ[i] = ent_intern(tok_occ[i])
-            i = ent_occ.index(None, i + 1)
-    except ValueError:
-        pass
-    keys = np.array(ent_occ, dtype=np.int64)
+    if type(extractor) is KeywordExtractor:
+        entities = [
+            extract(m) if m.tokens is None else m.tokens for m in messages
+        ]
+    else:
+        entities = [*map(extract, messages)]
+    counts = [*map(len, entities)]
+    cap = max_entities_per_record
+    if cap is not None and max(counts, default=0) > cap:
+        entities = [e[:cap] for e in entities]
+        counts = [*map(len, entities)]
+    # Records without entities intern no actor: their zero count drops
+    # them from the actor column.
+    aids = _ids(acts, [*compress([m.user_id for m in messages], counts)])
+    keys = _ids(ents, reduce(iadd, entities, []))
     keys <<= 32
-    # Expand the per-message actor ids across their token runs in one
+    # Expand the per-record actor ids across their token runs in one
     # C-level repeat instead of allocating a small list per message.
-    keys |= np.repeat(
-        np.array(msg_aids, dtype=np.int64),
-        np.array(msg_counts, dtype=np.int64),
-    )
+    keys |= np.repeat(aids, [*filter(None, counts)])
     return QuantumColumns(sorted_distinct(keys))
+
+
+def _ids(interner: Interner, objs: List) -> np.ndarray:
+    """The interner ids of ``objs`` as an int64 column: one C-level gather,
+    then only the genuinely new objects (the ``-1`` holes) are interned,
+    in first-occurrence order."""
+    ids = np.fromiter(
+        map(interner.ids.get, objs, repeat(-1)), dtype=np.int64, count=len(objs)
+    )
+    get, intern = interner.ids.get, interner.intern
+    for i in np.flatnonzero(ids < 0).tolist():
+        obj = objs[i]
+        slot = get(obj)  # a repeat of an object interned at an earlier hole
+        ids[i] = intern(obj) if slot is None else slot
+    return ids
 
 
 __all__ = [

@@ -1,7 +1,12 @@
 """Command-line interface behaviour."""
 
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -373,3 +378,38 @@ class TestParser:
         assert f"holds {manager.MAX_QUEUE} messages" in text
         assert f"buffers {hub.SUBSCRIBER_BUFFER} events" in text
         assert f"stalls {hub.STALL_DEADLINE_S:g} s" in text
+
+
+class TestServeInterrupt:
+    @pytest.mark.parametrize("durable", [False, True], ids=["volatile", "durable"])
+    def test_sigint_drains_and_says_so(self, tmp_path, durable):
+        """Ctrl-C is the way to stop ``repro serve``: the graceful shutdown
+        runs, the process says what it did and exits 0."""
+        argv = [sys.executable, "-m", "repro", "serve", "--port", "0"]
+        if durable:
+            argv += ["--state-dir", str(tmp_path / "state")]
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+            PYTHONUNBUFFERED="1",
+        )
+        with subprocess.Popen(
+            argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        ) as proc:
+            try:
+                assert proc.stdout.readline().startswith(
+                    "-- serving on http://"
+                )
+                proc.send_signal(signal.SIGINT)
+                proc.wait(timeout=30)
+                out, err = proc.stdout.read(), proc.stderr.read()
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+        assert proc.returncode == 0, err
+        last = out.splitlines()[-1]
+        assert last == "-- interrupted; tenants drained" + (
+            " and checkpointed" if durable else ""
+        )
+        assert "Traceback" not in err

@@ -1145,8 +1145,9 @@ def raw_exchange(port, request, timeout=10.0):
 
 class TestHttpBodies:
     """The door reads a body by ``Content-Length`` alone: a chunked body is
-    a 400 naming the header, never taken as empty, and ``Expect:
-    100-continue`` is answered before the body is read."""
+    a 400 naming the header, never taken as empty, as are differing
+    repeated lengths, and ``Expect: 100-continue`` is answered before the
+    body is read."""
 
     def test_chunked_body_is_400_naming_the_header(self, server):
         client = ServeClient(port=server.port, timeout=10)
@@ -1166,6 +1167,33 @@ class TestHttpBodies:
             assert "Transfer-Encoding 'chunked'" in reply["error"]
         assert client.tenants() == ["te"]
         assert client.stats("te")["accepted"] == 0
+
+    def test_conflicting_content_lengths_are_400_naming_the_header(
+        self, server
+    ):
+        """Two differing ``Content-Length`` values leave the body's end a
+        guess: the request is refused, whichever value comes last."""
+        client = ServeClient(port=server.port, timeout=10)
+        body = json.dumps({"config": CONFIG}).encode("utf-8")
+        for first, last in ((2, len(body)), (len(body), 2)):
+            status, reply = raw_exchange(
+                server.port,
+                f"PUT /v1/dup HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {first}\r\nContent-Length: {last}\r\n\r\n"
+                .encode("latin-1") + body,
+            )
+            assert status.startswith(b"HTTP/1.1 400"), (status, reply)
+            assert "Content-Length" in reply["error"]
+        assert client.tenants() == []
+        # A repeated but equal value frames the body the one way it can.
+        status, reply = raw_exchange(
+            server.port,
+            f"PUT /v1/dup HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {len(body)}\r\nContent-Length: {len(body)}"
+            f"\r\n\r\n".encode("latin-1") + body,
+        )
+        assert status.startswith(b"HTTP/1.1 200"), (status, reply)
+        assert client.tenants() == ["dup"]
 
     def test_expect_100_continue_is_answered_before_the_body(self, server):
         client = ServeClient(port=server.port, timeout=10)
